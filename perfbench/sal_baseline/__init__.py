@@ -1,0 +1,77 @@
+"""sal: shortcuts-to-adiabaticity lab.
+
+Counter-diabatic driving for two universal quantum-computation primitives,
+teleportation-based gates and controlled evolutions, with the associated
+energy-cost, quantum-speed-limit, and probabilistic-computation analysis.
+Internally hbar = omega = 1 unless stated; times are the dimensionless
+omega*tau.
+"""
+
+from .schedules import AngleLaw, Schedule, make_schedule
+from .hamiltonians import (
+    CNOT,
+    GATES,
+    HADAMARD,
+    PI_8,
+    TOFFOLI,
+    ControlledSpec,
+    TeleportSpec,
+    TimeDepHamiltonian,
+    X,
+    Y,
+    Z,
+    adiabatic_time_estimate,
+    axis_projectors,
+    axis_states,
+    bell_state,
+    controlled_hamiltonian,
+    gate,
+    gate_selection,
+    h_xi,
+    h_xi_eigenstates,
+    parity_operators,
+    teleport_energies,
+    teleport_gap,
+    teleport_hamiltonian,
+    teleport_sector_hamiltonian,
+)
+from .counterdiabatic import (
+    SpectralFrame,
+    SuperadiabaticHamiltonian,
+    cd_controlled,
+    cd_generic,
+    cd_rotate,
+    cd_teleport_block,
+    cd_tensor_sum,
+    spectral_frame,
+)
+from .dynamics import (
+    EvolutionResult,
+    MeasurementOutcome,
+    controlled_initial_state,
+    controlled_target_state,
+    evolve,
+    fidelity,
+    measure_ancilla,
+    target_state,
+    teleport_initial_state,
+    teleport_target_state,
+)
+from .metrics import (
+    CostReport,
+    QslReport,
+    energy_cost,
+    probabilistic_cost,
+    qsl_check,
+    qsl_ground_chi,
+    sce_controlled_cost,
+    sce_single_gate_cost,
+    superadiabatic_cost,
+    teleport_cost,
+    teleport_cost_scale,
+    teleport_sigma_sing,
+    theta_opt,
+    theta_opt_adiabatic,
+)
+
+__version__ = "0.1.0"

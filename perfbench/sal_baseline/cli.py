@@ -1,0 +1,510 @@
+"""Command-line front end: run the protocols and emit CSV for plotting.
+
+Commands: teleport, cae, sce, cost-sweep, theta-opt, qsl-check, selftest.
+Exit codes: 0 success, 2 invariant violation, 3 configuration error.
+Floats are printed with 12 significant digits so reruns diff cleanly;
+sweep points can be dispatched to a process pool (--jobs, or SAL_JOBS).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from typing import Optional, Sequence
+
+import numpy as np
+
+from . import __version__
+from .counterdiabatic import (
+    cd_controlled,
+    cd_generic,
+    cd_rotate,
+    cd_teleport_block,
+    cd_tensor_sum,
+)
+from .dynamics import (
+    controlled_initial_state,
+    controlled_target_state,
+    evolve,
+    fidelity,
+    measure_ancilla,
+    teleport_initial_state,
+    teleport_target_state,
+)
+from .hamiltonians import (
+    ControlledSpec,
+    TeleportSpec,
+    controlled_hamiltonian,
+    gate,
+    teleport_hamiltonian,
+    teleport_sector_hamiltonian,
+)
+from .linalg import embed, random_state
+from .metrics import (
+    cae_single_gate_cost,
+    energy_cost,
+    qsl_check,
+    sce_controlled_cost,
+    sce_single_gate_cost,
+    stationarity_residual,
+    teleport_cost_scale,
+    teleport_sigma_sing,
+    theta_opt,
+    theta_opt_adiabatic,
+)
+from .schedules import make_schedule
+
+EXIT_OK = 0
+EXIT_INVARIANT = 2
+EXIT_CONFIG = 3
+
+FIDELITY_FLOOR = 1.0 - 1e-6
+CLOSED_FORM_RTOL = 1e-6
+
+
+class CliError(Exception):
+    """Configuration problem; maps to exit code 3."""
+
+
+class InvariantError(Exception):
+    """A checked invariant failed at runtime; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse default exits with 2
+        raise CliError(message)
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x)).lower()
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.12g}"
+    return str(x)
+
+
+def _write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    text = buf.getvalue()
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _floats(text: str) -> list[float]:
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise CliError(f"bad float list {text!r}") from exc
+    if not vals:
+        raise CliError("empty value list")
+    return vals
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in _floats(text)]
+
+
+def _jobs(args) -> int:
+    env = os.environ.get("SAL_JOBS")
+    if env is not None:
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise CliError(f"bad SAL_JOBS value {env!r}") from exc
+    if args.jobs is not None:
+        return max(1, args.jobs)
+    return os.cpu_count() or 1
+
+
+def _pmap(fn, items: list, jobs: int) -> list:
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _axis_arg(text: str):
+    if text in ("x", "y", "z"):
+        return text
+    return _floats(text)
+
+
+# --- teleport ------------------------------------------------------------------
+
+
+def _load_gate(args):
+    name = args.gate
+    if name is None:
+        return None, "-"
+    if name.lower() == "custom":
+        path = getattr(args, "gate_file", None)
+        if not path:
+            raise CliError("--gate custom needs --gate-file with a JSON matrix")
+        with open(path) as fh:
+            raw = json.load(fh)
+        u = np.array([[complex(*c) if isinstance(c, list) else complex(c) for c in row] for row in raw])
+        return u, "custom"
+    return gate(name), name
+
+
+def _teleport_rows(args) -> list[list]:
+    sch = make_schedule(args.schedule)
+    u, gate_name = _load_gate(args)
+    n = args.n
+    if u is not None and u.shape[0] != 2**n:
+        raise CliError(f"gate {gate_name} does not act on {n} qubits")
+    tau = args.tau
+    if tau <= 0:
+        raise CliError("tau must be positive")
+
+    if getattr(args, "cd", "analytic") == "generic":
+        block = cd_generic(teleport_sector_hamiltonian(sch), tau, grid=args.grid)
+    else:
+        block = cd_teleport_block(sch, tau)
+    hsa = cd_tensor_sum([block] * n)
+    if u is not None:
+        spec = TeleportSpec(n, sch, gate=u)
+        hsa = cd_rotate(hsa, embed(u, spec.bob_qubits, spec.n_qubits))
+    h_ad = teleport_hamiltonian(TeleportSpec(n, sch, gate=u))
+    driver = hsa if args.mode == "sa" else h_ad
+
+    sigma_ad = teleport_cost_scale(n) * teleport_sigma_sing(sch, None, grid=args.grid)
+    sigma_sa = teleport_cost_scale(n) * teleport_sigma_sing(sch, tau, grid=args.grid)
+
+    rng = np.random.default_rng(args.seed)
+    rows = []
+    for _ in range(args.states):
+        psi = random_state(n, rng)
+        ini = teleport_initial_state(psi, n, gate=u)
+        tgt = teleport_target_state(psi, n, gate=u)
+        res = evolve(driver, ini, tau, steps=args.steps)
+        fid = fidelity(res.final_state, tgt)
+        rep = qsl_check(driver, ini, tau, steps=args.qsl_steps or res.steps)
+        if args.mode == "sa" and fid < FIDELITY_FLOOR:
+            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
+        if not rep.satisfied:
+            raise InvariantError("quantum-speed-limit bound violated")
+        rows.append(
+            ["teleport", n, gate_name, tau, fid, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
+        )
+    return rows
+
+
+def cmd_teleport(args) -> int:
+    rows = _teleport_rows(args)
+    _write_csv(
+        args.out,
+        ["protocol", "n", "gate", "tau", "fidelity", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"],
+        rows,
+    )
+    return EXIT_OK
+
+
+# --- controlled evolutions --------------------------------------------------------
+
+
+def _controlled_rows(args, superadiabatic: bool) -> list[list]:
+    spec = ControlledSpec(
+        n_controls=args.n_controls,
+        axis=_axis_arg(args.axis),
+        phi=args.phi,
+        theta0=args.theta0,
+        tau=args.tau,
+        activation=args.activation,
+    )
+    driver = cd_controlled(spec) if superadiabatic else controlled_hamiltonian(spec)
+    sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
+    sigma_ad = np.sqrt(2.0**spec.n_controls) * cae_single_gate_cost()
+    rng = np.random.default_rng(args.seed)
+    proto = "sce" if superadiabatic else "cae"
+    rows = []
+    for _ in range(args.states):
+        psi = random_state(spec.n_system, rng)
+        ini = controlled_initial_state(psi)
+        tgt = controlled_target_state(psi, spec)
+        res = evolve(driver, ini, spec.tau, steps=args.steps)
+        fid = fidelity(res.final_state, tgt)
+        p1 = measure_ancilla(res.final_state)[1].probability
+        rep = qsl_check(driver, ini, spec.tau, steps=args.qsl_steps or res.steps)
+        if superadiabatic and fid < FIDELITY_FLOOR:
+            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
+        if not rep.satisfied:
+            raise InvariantError("quantum-speed-limit bound violated")
+        rows.append(
+            [proto, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
+             fid, p1, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
+        )
+    return rows
+
+
+def _controlled_header() -> list[str]:
+    return ["protocol", "n_controls", "axis", "phi", "theta0", "tau",
+            "fidelity", "p_success", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"]
+
+
+def cmd_cae(args) -> int:
+    _write_csv(args.out, _controlled_header(), _controlled_rows(args, superadiabatic=False))
+    return EXIT_OK
+
+
+def cmd_sce(args) -> int:
+    _write_csv(args.out, _controlled_header(), _controlled_rows(args, superadiabatic=True))
+    return EXIT_OK
+
+
+# --- sweeps -------------------------------------------------------------------------
+
+
+def _sce_sweep_point(item) -> list:
+    tau, theta0, grid = item
+    spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=theta0, tau=tau)
+    sigma_sa = energy_cost(cd_controlled(spec), grid=grid)
+    closed = sce_single_gate_cost(tau, theta0)
+    rel = abs(sigma_sa / closed - 1.0)
+    return [tau, theta0, sigma_sa, cae_single_gate_cost(), closed, rel]
+
+
+def _teleport_sweep_point(item) -> list:
+    tau, family, n, grid = item
+    sch = make_schedule(family)
+    # eigenframe quadrature on one side, full HS-norm quadrature on the other
+    sigma_sa = teleport_cost_scale(n) * teleport_sigma_sing(sch, tau, grid=grid)
+    sigma_ad = teleport_cost_scale(n) * teleport_sigma_sing(sch, None, grid=grid)
+    closed = teleport_cost_scale(n) * energy_cost(cd_teleport_block(sch, tau), grid=grid)
+    rel = abs(sigma_sa / closed - 1.0)
+    return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
+
+
+def cmd_cost_sweep(args) -> int:
+    taus = _floats(args.tau_list)
+    if min(taus) <= 0:
+        raise CliError("tau values must be positive")
+    jobs = _jobs(args)
+    if args.protocol == "sce":
+        thetas = _floats(args.theta0_list)
+        items = [(tau, theta0, args.grid) for theta0 in thetas for tau in taus]
+        rows = _pmap(_sce_sweep_point, items, jobs)
+    else:
+        families = [f.strip() for f in args.schedules.split(",") if f.strip()]
+        ns = _ints(args.n_list)
+        items = [(tau, fam, n, args.grid) for fam in families for n in ns for tau in taus]
+        rows = _pmap(_teleport_sweep_point, items, jobs)
+    if any(row[-1] > CLOSED_FORM_RTOL for row in rows):
+        raise InvariantError("quadrature disagrees with the closed-form cost")
+    _write_csv(
+        args.out,
+        ["omega_tau", "variant", "sigma_sa", "sigma_ad", "closed_form", "rel_err"],
+        rows,
+    )
+    return EXIT_OK
+
+
+def _theta_point(omega_tau: float) -> list:
+    theta = theta_opt(omega_tau)
+    return [omega_tau, theta, stationarity_residual(theta, omega_tau), theta_opt_adiabatic()]
+
+
+def cmd_theta_opt(args) -> int:
+    taus = _floats(args.tau_list)
+    if min(taus) <= 0:
+        raise CliError("omega_tau values must be positive")
+    rows = _pmap(_theta_point, taus, _jobs(args))
+    if any(abs(row[2]) > 1e-5 for row in rows):
+        raise InvariantError("stationarity residual above 1e-5")
+    _write_csv(args.out, ["omega_tau", "theta0_min", "residual", "theta0_min_adiabatic"], rows)
+    return EXIT_OK
+
+
+# --- qsl-check -----------------------------------------------------------------------
+
+
+def cmd_qsl_check(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    tau = args.tau
+    if tau <= 0:
+        raise CliError("tau must be positive")
+    sch = make_schedule(args.schedule)
+    if args.protocol in ("teleport-state", "teleport-gate"):
+        u = gate(args.gate) if args.protocol == "teleport-gate" else None
+        hsa = cd_teleport_block(sch, tau)
+        if u is not None:
+            hsa = cd_rotate(hsa, embed(u, [2], 3))
+        psi0 = teleport_initial_state(random_state(1, rng), 1, gate=u)
+    elif args.protocol in ("cae", "sce"):
+        spec = ControlledSpec(
+            n_controls=args.n_controls, axis=_axis_arg(args.axis),
+            phi=args.phi, theta0=args.theta0, tau=tau,
+        )
+        hsa = cd_controlled(spec) if args.protocol == "sce" else controlled_hamiltonian(spec)
+        psi0 = controlled_initial_state(random_state(spec.n_system, rng))
+    else:
+        raise CliError(f"unknown protocol {args.protocol!r}")
+    rep = qsl_check(hsa, psi0, tau, steps=args.steps)
+    if not rep.satisfied:
+        raise InvariantError("quantum-speed-limit bound violated")
+    _write_csv(
+        args.out,
+        ["protocol", "tau", "bures_angle", "e_tau", "qsl_bound", "qsl_ok"],
+        [[args.protocol, tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]],
+    )
+    return EXIT_OK
+
+
+# --- selftest ------------------------------------------------------------------------
+
+
+def cmd_selftest(args) -> int:
+    """Small deterministic battery; repeated runs are byte-identical."""
+    rows: list[list] = []
+    ns = argparse.Namespace(
+        schedule="linear", gate=None, n=1, tau=0.5, mode="sa", states=2,
+        seed=7, steps=None, qsl_steps=2000, grid=501, out=None,
+    )
+    for gate_name in (None, "X", "H"):
+        ns.gate = gate_name
+        rows.extend(_teleport_rows(ns))
+    nc = argparse.Namespace(
+        n_controls=1, axis="x", phi=np.pi, theta0=np.pi, tau=0.5,
+        activation=None, states=2, seed=7, steps=None, qsl_steps=2000, out=None,
+    )
+    rows.extend(_controlled_rows(nc, superadiabatic=True))
+    for omega_tau in (0.5, 1.0, 2.0):
+        rows.append(["theta-opt"] + _theta_point(omega_tau))
+    rows.append(["cost-sce"] + _sce_sweep_point((0.5, np.pi, 501)))
+    rows.append(["cost-teleport"] + _teleport_sweep_point((0.5, "linear", 1, 501)))
+    width = max(len(r) for r in rows)
+    rows = [r + [""] * (width - len(r)) for r in rows]
+    _write_csv(args.out, ["record"] + [f"f{i}" for i in range(1, width)], rows)
+    return EXIT_OK
+
+
+# --- parser --------------------------------------------------------------------------
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (env SAL_JOBS overrides)")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="sal", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"sal {__version__}")
+    parser.add_argument("--config", default=None, help="JSON file with argument defaults")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("teleport", help="run a (gate-)teleportation evolution")
+    p.add_argument("--n", "--n-sectors", type=int, default=1, dest="n",
+                   help="number of teleported qubits (= sectors)")
+    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--gate", default=None, help="X|Z|H|T|CNOT|Toffoli|custom")
+    p.add_argument("--gate-file", default=None, dest="gate_file",
+                   help="JSON matrix for --gate custom")
+    p.add_argument("--schedule", default="linear", choices=["linear", "trig", "exp"])
+    p.add_argument("--mode", default="sa", choices=["sa", "adiabatic"])
+    p.add_argument("--cd", default="analytic", choices=["analytic", "generic"],
+                   help="closed-form or numeric-frame counter-diabatic term")
+    p.add_argument("--states", type=int, default=1, help="random input states")
+    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
+    p.add_argument("--grid", type=int, default=2001)
+    _add_common(p)
+    p.set_defaults(func=cmd_teleport)
+
+    for name, fn in (("cae", cmd_cae), ("sce", cmd_sce)):
+        p = sub.add_parser(name, help=f"run a {name} controlled evolution")
+        p.add_argument("--n-controls", type=int, default=0, dest="n_controls")
+        p.add_argument("--axis", default="x", help="x|y|z or ax,ay,az")
+        p.add_argument("--phi", type=float, default=np.pi)
+        p.add_argument("--theta0", type=float, default=np.pi)
+        p.add_argument("--tau", type=float, required=True)
+        p.add_argument("--activation", type=int, default=None)
+        p.add_argument("--states", type=int, default=1)
+        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
+        _add_common(p)
+        p.set_defaults(func=fn)
+
+    p = sub.add_parser("cost-sweep", help="energy cost vs omega*tau")
+    p.add_argument("--protocol", default="sce", choices=["sce", "teleport"])
+    p.add_argument("--tau-list", required=True, dest="tau_list")
+    p.add_argument("--theta0-list", default="3.141592653589793", dest="theta0_list")
+    p.add_argument("--schedules", default="linear")
+    p.add_argument("--n-list", default="1", dest="n_list")
+    p.add_argument("--grid", type=int, default=2001)
+    _add_common(p)
+    p.set_defaults(func=cmd_cost_sweep)
+
+    p = sub.add_parser("theta-opt", help="optimal success angle vs omega*tau")
+    p.add_argument("--tau-list", required=True, dest="tau_list")
+    _add_common(p)
+    p.set_defaults(func=cmd_theta_opt)
+
+    p = sub.add_parser("qsl-check", help="verify the speed-limit bound on one run")
+    p.add_argument("--protocol", default="teleport-state",
+                   choices=["teleport-state", "teleport-gate", "cae", "sce"])
+    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--gate", default="H")
+    p.add_argument("--schedule", default="linear", choices=["linear", "trig", "exp"])
+    p.add_argument("--n-controls", type=int, default=0, dest="n_controls")
+    p.add_argument("--axis", default="x")
+    p.add_argument("--phi", type=float, default=np.pi)
+    p.add_argument("--theta0", type=float, default=np.pi)
+    p.add_argument("--steps", type=int, default=None)
+    _add_common(p)
+    p.set_defaults(func=cmd_qsl_check)
+
+    p = sub.add_parser("selftest", help="deterministic battery; byte-identical reruns")
+    _add_common(p)
+    p.set_defaults(func=cmd_selftest)
+    return parser
+
+
+def _apply_config(parser: argparse.ArgumentParser, defaults: dict):
+    parser.set_defaults(**defaults)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                sub.set_defaults(**defaults)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    try:
+        if argv is None:
+            argv = sys.argv[1:]
+        argv = list(argv)
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 >= len(argv):
+                raise CliError("--config needs a file path")
+            with open(argv[idx + 1]) as fh:
+                _apply_config(parser, json.load(fh))
+            argv = argv[:idx] + argv[idx + 2 :]
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+
+
+if __name__ == "__main__":
+    sys.exit(main())

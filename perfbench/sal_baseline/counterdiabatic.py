@@ -1,0 +1,370 @@
+"""Counter-diabatic corrections and superadiabatic Hamiltonians.
+
+The correction added to a driving Hamiltonian H(s) so that the exact
+dynamics follows the instantaneous eigenlevels at any speed is
+
+    H_cd(s) = (i/tau) sum_n [ |d_s E_n><E_n| + <d_s E_n|E_n> |E_n><E_n| ]
+
+(hbar = 1), built from a smooth orthonormal eigenframe of H(s).  Inside
+degenerate levels the frame is fixed by parallel transport: the intra-level
+connection vanishes, which makes the correction independent of how the
+initial degenerate basis was chosen.  Four constructions are provided:
+
+* ``cd_generic``        - numeric frame continuation for any Hamiltonian;
+* ``cd_teleport_block`` - closed-form eigenframe of the 3-qubit teleport
+  Hamiltonian, assembled blockwise through its parity symmetry;
+* ``cd_controlled``     - the time-independent correction of controlled
+  evolutions;
+* ``cd_rotate`` / ``cd_tensor_sum`` - transport of known corrections under
+  constant unitaries and across non-interacting subsystems.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from .hamiltonians import (
+    ControlledSpec,
+    TimeDepHamiltonian,
+    X,
+    Y,
+    controlled_hamiltonian,
+    parity_permutation,
+    teleport_sector_hamiltonian,
+)
+from .linalg import eigh, is_unitary
+from .schedules import Schedule
+
+DEFAULT_GRID = 2001
+
+# Step for complex-step differentiation of analytic eigenvector families;
+# exact to machine precision, no subtractive cancellation.
+_CS_STEP = 1e-100
+
+
+@dataclass(frozen=True)
+class SpectralFrame:
+    """Gauge-continuous eigendecomposition sampled on an s-grid.
+
+    ``vectors[j]`` has orthonormal eigenvector columns at ``s_grid[j]``,
+    aligned from one grid point to the next (maximal-overlap assignment with
+    the residual rotation removed, i.e. discrete parallel transport), so
+    finite differences across j approximate d_s of a smooth frame.
+    ``cluster_slices`` groups columns into degenerate levels.
+    """
+
+    s_grid: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    cluster_slices: tuple[slice, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[2]
+
+    def derivative(self) -> np.ndarray:
+        """d/ds of the frame, second order everywhere."""
+        v = self.vectors
+        ds = self.s_grid[1] - self.s_grid[0]
+        dv = np.empty_like(v)
+        dv[1:-1] = (v[2:] - v[:-2]) / (2 * ds)
+        dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * ds)
+        dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * ds)
+        return dv
+
+
+def _cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
+    out = []
+    start = 0
+    for i in range(1, lam.size + 1):
+        if i == lam.size or lam[i] - lam[i - 1] > tol:
+            out.append(slice(start, i))
+            start = i
+    return tuple(out)
+
+
+def spectral_frame(
+    h: TimeDepHamiltonian,
+    grid: int = DEFAULT_GRID,
+    cluster_tol: float = 1e-8,
+    overlap_tol: float = 0.5,
+) -> SpectralFrame:
+    """Diagonalize H(s) on a uniform grid and continue the eigenframe.
+
+    Raises RuntimeError if the degeneracy pattern changes along the grid
+    (levels crossing) or if adjacent frames overlap too weakly for the
+    continuation to be trustworthy (grid too coarse).
+    """
+    s_grid = np.linspace(0.0, 1.0, grid)
+    energies = np.empty((grid, h.dim))
+    vectors = np.empty((grid, h.dim, h.dim), dtype=complex)
+    clusters: tuple[slice, ...] | None = None
+    for j, s in enumerate(s_grid):
+        lam, vec = eigh(h(s))
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        cl = _cluster_slices(lam, cluster_tol * scale)
+        if clusters is None:
+            clusters = cl
+        elif [c.start for c in cl] != [c.start for c in clusters]:
+            raise RuntimeError(
+                f"degeneracy pattern changes at s={s:.4f}; supply a finer grid "
+                "or build the correction blockwise"
+            )
+        if j > 0:
+            prev = vectors[j - 1]
+            for c in clusters:
+                m = prev[:, c].conj().T @ vec[:, c]
+                u, sig, wh = np.linalg.svd(m)
+                if sig.min() < overlap_tol:
+                    raise RuntimeError(
+                        f"eigenframe continuation lost track at s={s:.4f} "
+                        f"(min overlap {sig.min():.3f}); refine the grid"
+                    )
+                vec[:, c] = vec[:, c] @ (wh.conj().T @ u.conj().T)
+        energies[j] = lam
+        vectors[j] = vec
+    return SpectralFrame(s_grid, energies, vectors, clusters)
+
+
+@dataclass(frozen=True)
+class SuperadiabaticHamiltonian:
+    """Total shortcut generator H(s) + H_cd(s) for a fixed runtime tau."""
+
+    base: TimeDepHamiltonian
+    cd: Callable[[float], np.ndarray]
+    tau: float
+    frame: Optional[SpectralFrame] = None
+    kron_factors: Optional[tuple["SuperadiabaticHamiltonian", ...]] = None
+    branch_projectors: Optional[tuple[np.ndarray, ...]] = None
+    branch_funcs: Optional[tuple[Callable[[float], np.ndarray], ...]] = None
+    rotation: Optional[np.ndarray] = None
+    inner: Optional["SuperadiabaticHamiltonian"] = None
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def total(self, s: float) -> np.ndarray:
+        return self.base(s) + self.cd(s)
+
+    def __call__(self, s: float) -> np.ndarray:
+        return self.total(s)
+
+
+def _interp_operator(s_grid: np.ndarray, ops: np.ndarray) -> Callable[[float], np.ndarray]:
+    n = len(s_grid)
+
+    def evaluate(s: float) -> np.ndarray:
+        x = min(max(float(s), 0.0), 1.0) * (n - 1)
+        lo = min(int(x), n - 2)
+        frac = x - lo
+        return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
+
+    return evaluate
+
+
+def cd_from_frame(frame: SpectralFrame, tau: float) -> np.ndarray:
+    """Counter-diabatic operators on the frame grid."""
+    dv = frame.derivative()
+    ops = np.empty_like(frame.vectors)
+    for j in range(len(frame.s_grid)):
+        v = frame.vectors[j]
+        d = dv[j]
+        berry = np.einsum("ij,ij->j", d.conj(), v)  # <d_s E_n|E_n>
+        k = d @ v.conj().T + (v * berry) @ v.conj().T
+        op = 1j * k / tau
+        ops[j] = (op + op.conj().T) / 2
+    return ops
+
+
+def cd_generic(
+    h: TimeDepHamiltonian, tau: float, grid: int = DEFAULT_GRID
+) -> SuperadiabaticHamiltonian:
+    """Numeric counter-diabatic construction from a continued eigenframe.
+
+    The correction is evaluated by linear interpolation between grid
+    operators; degenerate levels are handled by the parallel-transport
+    continuation in ``spectral_frame``.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    frame = spectral_frame(h, grid)
+    ops = cd_from_frame(frame, tau)
+    return SuperadiabaticHamiltonian(
+        base=h, cd=_interp_operator(frame.s_grid, ops), tau=tau, frame=frame
+    )
+
+
+# --- closed-form teleport block ---------------------------------------------
+#
+# Eigenvectors of the 4x4 parity block, written without removable 0/0
+# singularities at the endpoints: with x = chi = sqrt(ei^2 + ef^2),
+# the raw component ratios contain (x - ef) and (x - ei), which are
+# rationalized to ei^2/(x + ef) and ef^2/(x + ei).  The zero level is
+# spanned by one s-independent vector and one smooth orthogonal partner,
+# so the intra-level connection vanishes identically.
+
+
+def _block_frame_columns(ei, ef):
+    chi = np.sqrt(ei * ei + ef * ef)
+    w0 = np.stack(
+        [
+            ei + chi,
+            ei * (chi + ei) / (chi + ef),
+            ei * ef / (chi + ef),
+            ef + 0.0 * ei,
+        ]
+    )
+    z1 = np.stack([ei - ef, -(ei + ef), ei - ef, ei + ef]) / (2.0 * chi)
+    one = 1.0 + 0.0 * ei
+    z2 = np.stack([-one, one, one, one]) / 2.0
+    w3 = np.stack(
+        [
+            -ei * ef / (ei + chi),
+            ef * (1.0 + ef / (chi + ei)) ** 2 / 2.0,
+            -(ef + chi),
+            ei + 0.0 * ef,
+        ]
+    )
+    w0 = w0 / np.sqrt(np.sum(w0 * w0, axis=0))
+    w3 = w3 / np.sqrt(np.sum(w3 * w3, axis=0))
+    return np.stack([w0, z1, z2, w3], axis=1)
+
+
+def teleport_block_frame(schedule: Schedule, s) -> np.ndarray:
+    """Orthonormal eigenframe of the parity block; columns sorted by energy
+    (-2wx, 0, 0, +2wx)."""
+    ei, ef = schedule.eta(s)
+    return np.real(_block_frame_columns(ei, ef))
+
+
+def teleport_block_frame_deriv(schedule: Schedule, s) -> np.ndarray:
+    """d/ds of the block eigenframe via complex-step differentiation."""
+    ei, ef = schedule.eta(s + 1j * _CS_STEP)
+    return np.imag(_block_frame_columns(ei, ef)) / _CS_STEP
+
+
+def cd_teleport_block(
+    schedule: Schedule, tau: float, omega: float = 1.0
+) -> SuperadiabaticHamiltonian:
+    """Closed-form counter-diabatic term for one teleport sector.
+
+    The 4x4 correction (i/tau) V' V^T is built from the analytic block
+    frame, embedded twice along the parity blocks, and permuted back to the
+    computational basis.  The result commutes with both parity operators by
+    construction.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    base = teleport_sector_hamiltonian(schedule, omega)
+    perm = parity_permutation()
+
+    def cd(s: float) -> np.ndarray:
+        v = teleport_block_frame(schedule, s)
+        dv = teleport_block_frame_deriv(schedule, s)
+        k = dv @ v.T
+        k = (k - k.T) / 2  # exactly antisymmetric for a real frame
+        block = 1j * k / tau
+        full = np.zeros((8, 8), dtype=complex)
+        full[:4, :4] = block
+        full[4:, 4:] = block
+        return perm @ full @ perm.T
+
+    return SuperadiabaticHamiltonian(base=base, cd=cd, tau=tau)
+
+
+def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHamiltonian:
+    """Superadiabatic Hamiltonian of the rotated drive G H(s) G^dag.
+
+    The correction transports covariantly: cd -> G cd G^dag, for any
+    constant unitary G.
+    """
+    if g.shape != (hsa.dim, hsa.dim):
+        raise ValueError(f"rotation shape {g.shape} does not match dim {hsa.dim}")
+    if not is_unitary(g):
+        raise ValueError("rotation must be unitary")
+    g_dag = g.conj().T
+    inner = hsa.inner if hsa.rotation is not None else hsa
+    g_eff = g @ hsa.rotation if hsa.rotation is not None else g
+    base = TimeDepHamiltonian(
+        dim=hsa.dim,
+        func=lambda s: g @ hsa.base(s) @ g_dag,
+        deriv=(lambda s: g @ hsa.base.deriv(s) @ g_dag) if hsa.base.deriv else None,
+        rotation=g_eff,
+        inner=inner.base,
+    )
+    return SuperadiabaticHamiltonian(
+        base=base,
+        cd=lambda s: g @ hsa.cd(s) @ g_dag,
+        tau=hsa.tau,
+        rotation=g_eff,
+        inner=inner,
+    )
+
+
+def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> SuperadiabaticHamiltonian:
+    """Shortcut for a non-interacting sum: each block's correction is
+    embedded in its own tensor slot, H_sa = sum_k 1 x..x H_sa^k x..x 1."""
+    blocks = tuple(blocks)
+    if not blocks:
+        raise ValueError("need at least one block")
+    taus = {b.tau for b in blocks}
+    if len(taus) != 1:
+        raise ValueError(f"blocks disagree on tau: {sorted(taus)}")
+    if len(blocks) == 1:
+        return blocks[0]
+    dims = [b.dim for b in blocks]
+    dim = int(np.prod(dims))
+
+    def embed_sum(parts: list[np.ndarray]) -> np.ndarray:
+        out = np.zeros((dim, dim), dtype=complex)
+        for k, part in enumerate(parts):
+            left = int(np.prod(dims[:k])) if k else 1
+            right = int(np.prod(dims[k + 1 :])) if k + 1 < len(dims) else 1
+            term = np.kron(np.kron(np.eye(left), part), np.eye(right))
+            out += term
+        return out
+
+    base = TimeDepHamiltonian(
+        dim=dim,
+        func=lambda s: embed_sum([b.base(s) for b in blocks]),
+        deriv=lambda s: embed_sum([b.base.derivative(s) for b in blocks]),
+        kron_factors=tuple(b.base for b in blocks),
+    )
+    return SuperadiabaticHamiltonian(
+        base=base,
+        cd=lambda s: embed_sum([b.cd(s) for b in blocks]),
+        tau=blocks[0].tau,
+        kron_factors=blocks,
+    )
+
+
+def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
+    """Time-independent branch correction (theta0/2tau)(sy cos(xi) - sx sin(xi))."""
+    return theta0 / (2.0 * tau) * (np.cos(xi) * Y - np.sin(xi) * X)
+
+
+def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
+    """Shortcut for controlled evolutions.
+
+    Each ancilla branch acquires the constant correction ``cd_branch_term``;
+    the full correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.
+    """
+    if spec.tau <= 0:
+        raise ValueError("tau must be positive")
+    base = controlled_hamiltonian(spec)
+    p_rest, p_act = base.branch_projectors
+    h0, hphi = base.branch_funcs
+    cd0 = cd_branch_term(spec.theta0, spec.tau, 0.0)
+    cdphi = cd_branch_term(spec.theta0, spec.tau, spec.phi)
+    cd_const = np.kron(p_rest, cd0) + np.kron(p_act, cdphi)
+    return SuperadiabaticHamiltonian(
+        base=base,
+        cd=lambda s: cd_const,
+        tau=spec.tau,
+        branch_projectors=(p_rest, p_act),
+        branch_funcs=(lambda s: h0(s) + cd0, lambda s: hphi(s) + cdphi),
+    )

@@ -1,0 +1,467 @@
+"""Builders for the driving Hamiltonians and their algebraic companions.
+
+Teleportation layout
+--------------------
+A teleport register with ``n`` sectors holds ``3n`` qubits ordered
+sector-wise: sector ``k`` owns qubits ``(3k, 3k+1, 3k+2)`` playing the roles
+(data, Alice channel, Bob channel).  Bell pairs live on the channel pairs,
+the unknown n-qubit state on the data qubits, and optional gates act on
+Bob's qubits ``[2, 5, 8, ...]``.
+
+Controlled-evolution layout
+---------------------------
+The target subsystem (``n_controls`` control qubits followed by one target
+qubit) comes first; the single ancilla qubit is always last.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from .linalg import embed, eigh, is_unitary, kron
+from .schedules import Schedule
+
+# --- elementary gates ------------------------------------------------------
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PI_8 = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
+CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+TOFFOLI = np.eye(8, dtype=complex)
+TOFFOLI[6:, 6:] = X
+
+GATES = {
+    "I": I2,
+    "X": X,
+    "Y": Y,
+    "Z": Z,
+    "H": HADAMARD,
+    "T": PI_8,
+    "CNOT": CNOT,
+    "TOFFOLI": TOFFOLI,
+}
+
+PAULI = (X, Y, Z)
+
+
+def gate(name: str) -> np.ndarray:
+    try:
+        return GATES[name.upper()]
+    except KeyError:
+        raise ValueError(f"unknown gate {name!r}; choose from {sorted(GATES)}") from None
+
+
+def bell_state(n: int, m: int) -> np.ndarray:
+    """Bell state (|0 n> + (-1)^m |1 nbar>) / sqrt(2)."""
+    if n not in (0, 1) or m not in (0, 1):
+        raise ValueError("Bell labels must be bits")
+    amps = np.zeros(4, dtype=complex)
+    amps[n] = 1.0
+    amps[2 + (1 - n)] = (-1.0) ** m
+    return amps / np.sqrt(2)
+
+
+# --- Bloch axis helpers ----------------------------------------------------
+
+
+def parse_axis(axis) -> np.ndarray:
+    """Accept 'x'/'y'/'z' or a 3-vector; return the normalized axis."""
+    if isinstance(axis, str):
+        try:
+            return {"x": np.array([1.0, 0, 0]),
+                    "y": np.array([0, 1.0, 0]),
+                    "z": np.array([0, 0, 1.0])}[axis.lower()]
+        except KeyError:
+            raise ValueError(f"unknown axis name {axis!r}") from None
+    vec = np.asarray(axis, dtype=float)
+    if vec.shape != (3,) or not np.isfinite(vec).all():
+        raise ValueError("axis must be a 3-vector")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError("axis must be nonzero")
+    return vec / norm
+
+
+def axis_sigma(axis) -> np.ndarray:
+    """n_hat . sigma for the given Bloch axis."""
+    n = parse_axis(axis)
+    return n[0] * X + n[1] * Y + n[2] * Z
+
+
+def axis_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projectors (1 +/- n_hat.sigma) / 2 onto |n+>, |n->."""
+    ns = axis_sigma(axis)
+    return (I2 + ns) / 2, (I2 - ns) / 2
+
+
+def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch eigenstates |n+>, |n-> of n_hat.sigma with a fixed phase gauge."""
+    n = parse_axis(axis)
+    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    phi = np.arctan2(n[1], n[0])
+    plus = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    minus = np.array([np.sin(theta / 2), -np.exp(1j * phi) * np.cos(theta / 2)])
+    return plus, minus
+
+
+# --- time-dependent Hamiltonians -------------------------------------------
+
+
+@dataclass(frozen=True)
+class TimeDepHamiltonian:
+    """Hamiltonian evaluator on the dimensionless time s in [0, 1].
+
+    ``deriv`` is the analytic s-derivative when available.  The optional
+    structure hints describe exact decompositions that fast propagation
+    paths may exploit:
+
+    * ``kron_factors`` - H(s) is the non-interacting sum over consecutive
+      tensor slots of the listed factor Hamiltonians;
+    * ``branch_projectors``/``branch_funcs`` - H(s) = sum_i P_i (x) h_i(s)
+      with orthogonal projectors P_i on the leading subsystem;
+    * ``rotation``/``inner`` - H(s) = G . inner(s) . G^dag for a constant
+      unitary G.
+    """
+
+    dim: int
+    func: Callable[[float], np.ndarray]
+    deriv: Optional[Callable[[float], np.ndarray]] = None
+    kron_factors: Optional[tuple["TimeDepHamiltonian", ...]] = None
+    branch_projectors: Optional[tuple[np.ndarray, ...]] = None
+    branch_funcs: Optional[tuple[Callable[[float], np.ndarray], ...]] = None
+    rotation: Optional[np.ndarray] = None
+    inner: Optional["TimeDepHamiltonian"] = None
+
+    def __call__(self, s: float) -> np.ndarray:
+        return self.func(s)
+
+    def derivative(self, s: float, step: float = 1e-6) -> np.ndarray:
+        if self.deriv is not None:
+            return self.deriv(s)
+        lo, hi = max(0.0, s - step), min(1.0, s + step)
+        return (self.func(hi) - self.func(lo)) / (hi - lo)
+
+
+@dataclass(frozen=True)
+class TeleportSpec:
+    """Parameters of the (optionally gate-rotated) teleport Hamiltonian."""
+
+    n_sectors: int
+    schedule: Schedule
+    gate: Optional[np.ndarray] = None
+    omega: float = 1.0
+
+    def __post_init__(self):
+        if self.n_sectors < 1:
+            raise ValueError("n_sectors must be >= 1")
+        if self.gate is not None:
+            want = 2**self.n_sectors
+            if self.gate.shape != (want, want):
+                raise ValueError(
+                    f"gate dim {self.gate.shape} does not match {self.n_sectors} qubits"
+                )
+            if not is_unitary(self.gate):
+                raise ValueError("gate must be unitary")
+
+    @property
+    def n_qubits(self) -> int:
+        return 3 * self.n_sectors
+
+    @property
+    def bob_qubits(self) -> list[int]:
+        return [3 * k + 2 for k in range(self.n_sectors)]
+
+    @property
+    def data_qubits(self) -> list[int]:
+        return [3 * k for k in range(self.n_sectors)]
+
+
+def _sector_terms(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
+    h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
+    return h_ini, h_fin
+
+
+def _interpolated(schedule: Schedule, h_ini: np.ndarray, h_fin: np.ndarray):
+    def func(s: float) -> np.ndarray:
+        ei, ef = schedule.eta(s)
+        return ei * h_ini + ef * h_fin
+
+    def deriv(s: float) -> np.ndarray:
+        di, df = schedule.deta(s)
+        return di * h_ini + df * h_fin
+
+    return func, deriv
+
+
+def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+    """Single-sector (3-qubit) teleport Hamiltonian
+    H(s) = eta_i(s) H_ini + eta_f(s) H_fin."""
+    h_ini, h_fin = _sector_terms(omega)
+    func, deriv = _interpolated(schedule, h_ini, h_fin)
+    return TimeDepHamiltonian(dim=8, func=func, deriv=deriv)
+
+
+def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
+    """Full teleport Hamiltonian: one 3-qubit term per sector, optionally
+    conjugated by the gate acting on Bob's channel qubits."""
+    sector = teleport_sector_hamiltonian(spec.schedule, spec.omega)
+    if spec.n_sectors == 1:
+        plain = sector
+    else:
+        dim = 2**spec.n_qubits
+        h_ini_s, h_fin_s = _sector_terms(spec.omega)
+        h_ini = sum(
+            embed(h_ini_s, [3 * k, 3 * k + 1, 3 * k + 2], spec.n_qubits)
+            for k in range(spec.n_sectors)
+        )
+        h_fin = sum(
+            embed(h_fin_s, [3 * k, 3 * k + 1, 3 * k + 2], spec.n_qubits)
+            for k in range(spec.n_sectors)
+        )
+        func, deriv = _interpolated(spec.schedule, h_ini, h_fin)
+        plain = TimeDepHamiltonian(
+            dim=dim, func=func, deriv=deriv, kron_factors=(sector,) * spec.n_sectors
+        )
+    if spec.gate is None:
+        return plain
+    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    g_dag = g.conj().T
+    return TimeDepHamiltonian(
+        dim=plain.dim,
+        func=lambda s: g @ plain.func(s) @ g_dag,
+        deriv=lambda s: g @ plain.deriv(s) @ g_dag,
+        rotation=g,
+        inner=plain,
+    )
+
+
+def teleport_energies(schedule: Schedule, s: float, omega: float = 1.0) -> np.ndarray:
+    """Distinct single-sector levels (-2wx, 0, 0, +2wx), x = sqrt(ei^2+ef^2);
+    in the 8-dim sector space each level appears twice."""
+    chi = float(np.real(schedule.chi(s)))
+    return omega * np.array([-2 * chi, 0.0, 0.0, 2 * chi])
+
+
+def teleport_gap(schedule: Schedule, s: float, omega: float = 1.0) -> float:
+    """Ground-to-first-excited gap 2*omega*sqrt(eta_i^2 + eta_f^2)."""
+    return 2.0 * omega * float(np.real(schedule.chi(s)))
+
+
+# Basis ordering that block-diagonalizes the sector Hamiltonian: the four
+# even-parity states {000, 011, 101, 110} then their spin-flips
+# {111, 100, 010, 001}.  Both 4x4 blocks are identical.
+PARITY_ORDER = (0, 3, 5, 6, 7, 4, 2, 1)
+
+
+def parity_permutation() -> np.ndarray:
+    p = np.zeros((8, 8))
+    for col, row in enumerate(PARITY_ORDER):
+        p[row, col] = 1.0
+    return p
+
+
+def teleport_block_matrix(ei: float, ef: float, omega: float = 1.0) -> np.ndarray:
+    """The repeated 4x4 block of the sector Hamiltonian in parity order."""
+    return -omega * np.array(
+        [
+            [ei + ef, ei, 0, ef],
+            [ei, ei - ef, ef, 0],
+            [0, ef, -ef - ei, ei],
+            [ef, 0, ei, ef - ei],
+        ],
+        dtype=complex,
+    )
+
+
+def parity_operators(
+    n_sectors: int,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Total and per-sector parity (ZZZ) and spin-flip (XXX) operators."""
+    n_qubits = 3 * n_sectors
+    zzz = kron(Z, Z, Z)
+    xxx = kron(X, X, X)
+    pz_sectors = [embed(zzz, [3 * k, 3 * k + 1, 3 * k + 2], n_qubits) for k in range(n_sectors)]
+    px_sectors = [embed(xxx, [3 * k, 3 * k + 1, 3 * k + 2], n_qubits) for k in range(n_sectors)]
+    pz_total = np.eye(2**n_qubits, dtype=complex)
+    px_total = np.eye(2**n_qubits, dtype=complex)
+    for pz, px in zip(pz_sectors, px_sectors):
+        pz_total = pz_total @ pz
+        px_total = px_total @ px
+    return pz_total, px_total, pz_sectors, px_sectors
+
+
+# --- controlled evolutions --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ControlledSpec:
+    """Parameters of the controlled (adiabatic or shortcut) evolution.
+
+    ``activation`` is the control-register basis index that triggers the
+    rotation branch; it defaults to all-ones (2**n_controls - 1).
+    """
+
+    n_controls: int
+    axis: object = "x"
+    phi: float = np.pi
+    theta0: float = np.pi
+    tau: float = 1.0
+    activation: Optional[int] = None
+    omega: float = 1.0
+
+    def __post_init__(self):
+        if self.n_controls < 0:
+            raise ValueError("n_controls must be >= 0")
+        if not 0.0 < self.theta0 <= np.pi:
+            raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
+        parse_axis(self.axis)
+        n_states = 2**self.n_controls
+        act = self.activation if self.activation is not None else n_states - 1
+        if not 0 <= act < n_states:
+            raise ValueError(f"activation index {act} out of range for {self.n_controls} controls")
+        object.__setattr__(self, "activation", act)
+
+    @property
+    def n_system(self) -> int:
+        """Qubits in the target subsystem (controls + rotation target)."""
+        return self.n_controls + 1
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_system + 1  # plus the ancilla
+
+    def activation_projector(self) -> np.ndarray:
+        """P = |l><l| on the controls tensored with |n-><n-| on the target."""
+        _, p_minus = axis_projectors(self.axis)
+        if self.n_controls == 0:
+            return p_minus
+        sel = np.zeros((2**self.n_controls,) * 2, dtype=complex)
+        sel[self.activation, self.activation] = 1.0
+        return np.kron(sel, p_minus)
+
+
+def h_xi(theta: float, xi: float, omega: float = 1.0) -> np.ndarray:
+    """Ancilla branch Hamiltonian
+    -omega [cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))]."""
+    return -omega * (
+        np.cos(theta) * Z + np.sin(theta) * (np.cos(xi) * X + np.sin(xi) * Y)
+    )
+
+
+def h_xi_eigenstates(s: float, xi: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous eigenstates of h_xi at theta = theta0*s, energies -/+ omega."""
+    half = theta0 * s / 2.0
+    ground = np.array([np.cos(half), np.exp(1j * xi) * np.sin(half)])
+    excited = np.array([-np.sin(half), np.exp(1j * xi) * np.cos(half)])
+    return ground, excited
+
+
+def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
+    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla)."""
+    p_act = spec.activation_projector()
+    p_rest = np.eye(p_act.shape[0], dtype=complex) - p_act
+    theta0, phi, omega = spec.theta0, spec.phi, spec.omega
+
+    def h0(s: float) -> np.ndarray:
+        return h_xi(theta0 * s, 0.0, omega)
+
+    def hphi(s: float) -> np.ndarray:
+        return h_xi(theta0 * s, phi, omega)
+
+    def branch_deriv(s: float, xi: float) -> np.ndarray:
+        return -omega * theta0 * (
+            -np.sin(theta0 * s) * Z
+            + np.cos(theta0 * s) * (np.cos(xi) * X + np.sin(xi) * Y)
+        )
+
+    def func(s: float) -> np.ndarray:
+        return np.kron(p_rest, h0(s)) + np.kron(p_act, hphi(s))
+
+    def deriv(s: float) -> np.ndarray:
+        return np.kron(p_rest, branch_deriv(s, 0.0)) + np.kron(p_act, branch_deriv(s, phi))
+
+    return TimeDepHamiltonian(
+        dim=2**spec.n_qubits,
+        func=func,
+        deriv=deriv,
+        branch_projectors=(p_rest, p_act),
+        branch_funcs=(h0, hphi),
+    )
+
+
+def gate_selection(name: str) -> tuple[str, float]:
+    """Bloch-axis/angle pairs implementing named gates via controlled
+    evolutions: NOT-type gates rotate by pi about x, Hadamard by pi/2 about y."""
+    presets = {
+        "NOT": ("x", np.pi),
+        "X": ("x", np.pi),
+        "CNOT": ("x", np.pi),
+        "TOFFOLI": ("x", np.pi),
+        "H": ("y", np.pi / 2),
+        "HADAMARD": ("y", np.pi / 2),
+    }
+    try:
+        return presets[name.upper()]
+    except KeyError:
+        raise ValueError(f"no controlled-evolution preset for gate {name!r}") from None
+
+
+# --- adiabatic-runtime diagnostic -------------------------------------------
+
+
+def _eig_clusters(lam: np.ndarray, tol: float) -> list[slice]:
+    clusters = []
+    start = 0
+    for i in range(1, lam.size + 1):
+        if i == lam.size or lam[i] - lam[i - 1] > tol:
+            clusters.append(slice(start, i))
+            start = i
+    return clusters
+
+
+def adiabatic_time_estimate(
+    h: TimeDepHamiltonian, grid: int = 101, cluster_tol: float = 1e-8
+) -> float:
+    """Runtime scale max |<E_k| dH/ds |E_n>| / gap_nk^2 over an s-grid.
+
+    Degenerate levels are grouped into clusters; the matrix element is the
+    spectral norm of the inter-cluster block, which is invariant under basis
+    choice inside each cluster.  A run much longer than this estimate is
+    expected to be adiabatic; the estimate is in units of 1/omega.
+    """
+    best = 0.0
+    pattern = None
+    for s in np.linspace(0.0, 1.0, grid):
+        ham = h(s)
+        lam, vec = eigh(ham)
+        dh = h.derivative(s)
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        clusters = _eig_clusters(lam, cluster_tol * scale)
+        starts = [c.start for c in clusters]
+        if pattern is None:
+            pattern = starts
+        elif starts != pattern:
+            raise RuntimeError(
+                f"vanishing gap: the degeneracy pattern changes at s={s:.4f}"
+            )
+        if len(clusters) == 1:
+            continue
+        for ia, ca in enumerate(clusters):
+            va = vec[:, ca]
+            ea = lam[ca.start]
+            for ib, cb in enumerate(clusters):
+                if ib == ia:
+                    continue
+                gap = abs(ea - lam[cb.start])
+                block = va.conj().T @ dh @ vec[:, cb]
+                best = max(best, float(np.linalg.norm(block, 2)) / gap**2)
+    return best

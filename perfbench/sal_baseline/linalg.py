@@ -1,0 +1,157 @@
+"""Dense complex linear algebra shared by every other module.
+
+Conventions used throughout the package:
+
+* hbar = 1; energies carry an explicit frequency factor ``omega`` so that
+  all times are reported as the dimensionless product ``omega * tau``.
+* States are 1-D complex arrays of length ``2**n``; the FIRST qubit in any
+  qubit list is the most significant bit of the basis index.
+* Operators are square complex ndarrays.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+HERMITIAN_ATOL = 1e-12
+
+
+def kron(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of any number of operators (left to right)."""
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().T
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
+
+
+def hs_norm(a: np.ndarray) -> float:
+    """Hilbert-Schmidt norm sqrt(Tr[A^dag A]) (Frobenius norm)."""
+    return float(np.linalg.norm(a))
+
+
+def herm_defect(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+    return herm_defect(a) <= atol * max(1.0, float(np.max(np.abs(a))))
+
+
+def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"operator must be square, got shape {a.shape}")
+    if not is_hermitian(a, atol):
+        raise ValueError(f"operator is not Hermitian (defect {herm_defect(a):.3e})")
+    return a
+
+
+def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= atol
+
+
+def num_qubits(dim: int) -> int:
+    n = int(round(np.log2(dim)))
+    if 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return n
+
+
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian operator.
+
+    Returns eigenvalues in ascending order and the matrix whose columns are
+    the corresponding orthonormal eigenvectors.  Non-Hermitian input is
+    rejected.
+    """
+    check_hermitian(h)
+    return np.linalg.eigh(h)
+
+
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian h, unitary by construction."""
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * lam * t)) @ v.conj().T
+
+
+def propagate_step(h_mid: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
+    """One midpoint-exponential step exp(-i*h_mid*dt)|psi> (hbar = 1).
+
+    ``psi`` may also be a (dim, m) block of states, propagated jointly.
+    """
+    check_hermitian(h_mid)
+    lam, v = np.linalg.eigh(h_mid)
+    return (v * np.exp(-1j * lam * dt)) @ (v.conj().T @ psi)
+
+
+def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Embed an operator acting on the listed qubits into the n-qubit space.
+
+    ``qubits[0]`` is the most significant bit of the operator's own index
+    space.  The remaining qubits receive the identity.
+    """
+    qubits = list(qubits)
+    k = len(qubits)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
+    if len(set(qubits)) != k or any(q < 0 or q >= n_qubits for q in qubits):
+        raise ValueError(f"invalid qubit list {qubits} for {n_qubits} qubits")
+    rest = [q for q in range(n_qubits) if q not in qubits]
+    big = np.kron(op, np.eye(2 ** len(rest), dtype=op.dtype))
+    order = qubits + rest
+    inv = np.argsort(order)
+    big = big.reshape([2] * (2 * n_qubits))
+    big = np.transpose(big, list(inv) + [n_qubits + int(p) for p in inv])
+    return np.ascontiguousarray(big.reshape(2**n_qubits, 2**n_qubits))
+
+
+def state_from_factors(factors: list[tuple[np.ndarray, list[int]]], n_qubits: int) -> np.ndarray:
+    """Assemble an n-qubit state from factor states on disjoint qubit sets.
+
+    Each entry is ``(amplitudes, qubit_indices)``; the index lists must
+    partition ``range(n_qubits)``.
+    """
+    order: list[int] = []
+    psi = np.array([1.0 + 0j])
+    for amps, qubits in factors:
+        if len(amps) != 2 ** len(qubits):
+            raise ValueError("factor length does not match its qubit count")
+        psi = np.kron(psi, np.asarray(amps, dtype=complex))
+        order.extend(qubits)
+    if sorted(order) != list(range(n_qubits)):
+        raise ValueError(f"factor qubits {sorted(order)} do not cover 0..{n_qubits - 1}")
+    inv = np.argsort(order)
+    return np.ascontiguousarray(psi.reshape([2] * n_qubits).transpose(inv).reshape(-1))
+
+
+def normalize(psi: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(psi)
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return psi / n
+
+
+def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return normalize(amps)
+
+
+def simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule on a uniform grid with an odd number of nodes."""
+    y = np.asarray(y, dtype=float)
+    if y.size < 3 or y.size % 2 == 0:
+        raise ValueError("Simpson rule needs an odd number of nodes >= 3")
+    return float(dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))

@@ -1,0 +1,296 @@
+"""Energy-cost functionals, quantum-speed-limit checks, and the
+success-angle optimizer for probabilistic computation.
+
+Costs are time-averaged Hilbert-Schmidt norms,
+Sigma(tau) = (1/tau) int_0^tau ||H(t)|| dt = int_0^1 ||H(s)|| ds,
+reported in units of hbar*omega.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from .counterdiabatic import (
+    SpectralFrame,
+    SuperadiabaticHamiltonian,
+    teleport_block_frame_deriv,
+)
+from .dynamics import evolve
+from .hamiltonians import TimeDepHamiltonian
+from .linalg import simpson
+from .schedules import Schedule
+
+DEFAULT_GRID = 2001
+
+
+@dataclass(frozen=True)
+class CostReport:
+    sigma_ad: float
+    sigma_sa: float
+    tau: float
+    s_grid: np.ndarray
+    integrand_ad: np.ndarray
+    integrand_sa: np.ndarray
+
+
+@dataclass(frozen=True)
+class QslReport:
+    tau: float
+    bures_angle: float
+    e_tau: float
+    bound: float
+    satisfied: bool
+
+
+def _as_func(h) -> Callable[[float], np.ndarray]:
+    if isinstance(h, SuperadiabaticHamiltonian):
+        return h.total
+    if isinstance(h, TimeDepHamiltonian):
+        return h.func
+    return h
+
+
+def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
+    """int_0^1 ||H(s)||_HS ds by composite Simpson."""
+    if grid < 101 or grid % 2 == 0:
+        raise ValueError("grid must be odd and >= 101")
+    func = _as_func(h)
+    s_grid = np.linspace(0.0, 1.0, grid)
+    vals = np.array([np.linalg.norm(func(s)) for s in s_grid])
+    return simpson(vals, s_grid[1] - s_grid[0])
+
+
+def superadiabatic_cost(frame: SpectralFrame, tau: float) -> CostReport:
+    """Shortcut cost from a spectral frame.
+
+    Sigma_sa = int sqrt(sum_m [E_m^2 + mu_m / tau^2]) ds with the frame
+    contribution mu_m = <d_s E_m|d_s E_m> - |<E_m|d_s E_m>|^2; the tau ->
+    infinity limit recovers the adiabatic cost Sigma_ad.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    dv = frame.derivative()
+    v = frame.vectors
+    grad2 = np.einsum("jin,jin->jn", dv.conj(), dv).real
+    berry = np.einsum("jin,jin->jn", v.conj(), dv)
+    mu = grad2 - np.abs(berry) ** 2
+    e2 = np.sum(frame.energies**2, axis=1)
+    integrand_ad = np.sqrt(e2)
+    integrand_sa = np.sqrt(e2 + np.sum(mu, axis=1) / tau**2)
+    ds = frame.s_grid[1] - frame.s_grid[0]
+    return CostReport(
+        sigma_ad=simpson(integrand_ad, ds),
+        sigma_sa=simpson(integrand_sa, ds),
+        tau=tau,
+        s_grid=frame.s_grid,
+        integrand_ad=integrand_ad,
+        integrand_sa=integrand_sa,
+    )
+
+
+# --- teleportation closed forms ----------------------------------------------
+
+
+def teleport_sigma_plus(
+    schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
+) -> float:
+    """Cost of one parity block from the analytic eigenframe; tau=None gives
+    the adiabatic limit."""
+    s_grid = np.linspace(0.0, 1.0, grid)
+    vals = np.empty(grid)
+    for j, s in enumerate(s_grid):
+        chi = float(np.real(schedule.chi(s)))
+        e2 = 8.0 * (omega * chi) ** 2  # (-2wx)^2 + (+2wx)^2
+        if tau is None:
+            vals[j] = np.sqrt(e2)
+        else:
+            dv = teleport_block_frame_deriv(schedule, s)
+            mu_sum = float(np.sum(dv * dv))
+            vals[j] = np.sqrt(e2 + mu_sum / tau**2)
+    return simpson(vals, s_grid[1] - s_grid[0])
+
+
+def teleport_sigma_sing(
+    schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
+) -> float:
+    """Single-sector cost: sqrt(2) times the block cost (two equal blocks)."""
+    return float(np.sqrt(2.0)) * teleport_sigma_plus(schedule, tau, omega, grid)
+
+
+def teleport_cost_scale(n_sectors: int) -> float:
+    """Sector scaling sqrt(2^{3(n-1)} n): 1, 4, 8 sqrt(3), ..."""
+    if n_sectors < 1:
+        raise ValueError("n_sectors must be >= 1")
+    return float(np.sqrt(2.0 ** (3 * (n_sectors - 1)) * n_sectors))
+
+
+def teleport_cost(
+    schedule: Schedule,
+    tau: Optional[float],
+    n_sectors: int = 1,
+    omega: float = 1.0,
+    grid: int = DEFAULT_GRID,
+) -> float:
+    return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau, omega, grid)
+
+
+# --- controlled-evolution closed forms ---------------------------------------
+
+
+def sce_single_gate_cost(tau: float, theta0: float, omega: float = 1.0) -> float:
+    """2 omega sqrt(1 + (theta0 / 2 tau omega)^2), the one-qubit gate cost."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    return 2.0 * omega * float(np.sqrt(1.0 + (theta0 / (2.0 * tau * omega)) ** 2))
+
+
+def sce_controlled_cost(
+    tau: float, theta0: float, n_controls: int, omega: float = 1.0
+) -> float:
+    """sqrt(2^n) times the single-gate cost for n control qubits."""
+    if n_controls < 0:
+        raise ValueError("n_controls must be >= 0")
+    return float(np.sqrt(2.0**n_controls)) * sce_single_gate_cost(tau, theta0, omega)
+
+
+def cae_single_gate_cost(omega: float = 1.0) -> float:
+    """Adiabatic one-qubit gate cost 2 omega (the tau -> infinity limit)."""
+    return 2.0 * omega
+
+
+def cae_controlled_cost(n_controls: int, omega: float = 1.0) -> float:
+    return float(np.sqrt(2.0**n_controls)) * cae_single_gate_cost(omega)
+
+
+# --- probabilistic computation ------------------------------------------------
+
+
+def mean_repetitions(theta0: float) -> float:
+    """Expected protocol repetitions 1 / sin^2(theta0 / 2)."""
+    if not 0.0 < theta0 <= np.pi:
+        raise ValueError(f"theta0 must lie in (0, pi], got {theta0}")
+    return 1.0 / float(np.sin(theta0 / 2.0) ** 2)
+
+
+def probabilistic_cost(
+    theta0: float,
+    tau: Optional[float] = None,
+    mode: str = "superadiabatic",
+    omega: float = 1.0,
+) -> float:
+    """Mean energy cost of repeat-until-success single-gate computation.
+
+    The run cost is multiplied by the expected repetition count
+    cosec^2(theta0/2); theta0 -> 0 diverges and is rejected.
+    """
+    reps = mean_repetitions(theta0)
+    if mode == "adiabatic":
+        return reps * cae_single_gate_cost(omega)
+    if mode == "superadiabatic":
+        if tau is None:
+            raise ValueError("superadiabatic mode needs tau")
+        return reps * sce_single_gate_cost(tau, theta0, omega)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def stationarity_residual(theta0: float, omega_tau: float) -> float:
+    """Residual of the optimal-angle condition
+    theta0 - [4 (w tau)^2 + theta0^2] cot(theta0 / 2) = 0."""
+    return float(
+        theta0 - (4.0 * omega_tau**2 + theta0**2) / np.tan(theta0 / 2.0)
+    )
+
+
+def angle_feasible(theta0: float) -> bool:
+    """tan(theta0/2) >= theta0, necessary for theta0 to be a minimizer."""
+    return bool(np.tan(theta0 / 2.0) >= theta0)
+
+
+def _feasible_onset(resolution: float = 1e-4) -> float:
+    grid = np.arange(resolution, np.pi, resolution)
+    sign = np.tan(grid / 2.0) - grid > 0
+    return float(grid[np.argmax(sign)])
+
+
+def theta_opt(omega_tau: float, residual_tol: float = 1e-5) -> float:
+    """Angle minimizing the mean superadiabatic cost at fixed omega*tau.
+
+    Bisection on (feasible onset, pi]; the residual of the stationarity
+    condition at the returned angle is below ``residual_tol``.
+    """
+    if omega_tau <= 0:
+        raise ValueError("omega_tau must be positive")
+    lo = _feasible_onset()
+    hi = float(np.pi)
+    flo = stationarity_residual(lo, omega_tau)
+    if flo > 0:  # onset overshoot; step back within scan resolution
+        lo -= 2e-4
+        flo = stationarity_residual(lo, omega_tau)
+    assert flo < 0 < stationarity_residual(hi, omega_tau)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if stationarity_residual(mid, omega_tau) < 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    theta = 0.5 * (lo + hi)
+    if abs(stationarity_residual(theta, omega_tau)) > residual_tol:
+        raise RuntimeError(f"bisection residual above {residual_tol}")
+    return theta
+
+
+def theta_opt_adiabatic() -> float:
+    """The adiabatic mean cost has its only critical point at theta0 = pi."""
+    return float(np.pi)
+
+
+# --- quantum speed limit -------------------------------------------------------
+
+
+def bures_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """arccos |<a|b>|."""
+    return float(np.arccos(np.clip(np.abs(np.vdot(a, b)), 0.0, 1.0)))
+
+
+def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None) -> QslReport:
+    """Evaluate tau >= |cos L - 1| / E_tau along the actual evolution.
+
+    E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt is accumulated at the
+    integrator's step resolution.
+    """
+    res = evolve(h, psi0, tau, steps=steps, track_qsl=True)
+    angle = bures_angle(psi0, res.final_state)
+    numer = abs(np.cos(angle) - 1.0)
+    e_tau = float(res.e_tau)
+    bound = numer / e_tau if e_tau > 1e-300 else 0.0
+    return QslReport(
+        tau=tau,
+        bures_angle=angle,
+        e_tau=e_tau,
+        bound=bound,
+        satisfied=bool(tau >= bound - 1e-9),
+    )
+
+
+def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:
+    """Geometric slack of the speed limit for the tracked ground vector.
+
+    Returns (chi, |cos L - 1|) with chi = eta_2 + eta_3 built from the
+    ground column of the frame; chi >= |cos L - 1| always holds, which is
+    what makes arbitrarily small omega*tau admissible.
+    """
+    v0 = frame.vectors[:, :, 0]
+    dv0 = frame.derivative()[:, :, 0]
+    ref = v0[0]
+    overlaps = v0 @ ref.conj()
+    eta2 = np.abs(dv0 @ ref.conj())
+    eta3 = np.abs(np.einsum("ji,ji->j", v0.conj(), dv0) * overlaps)
+    ds = frame.s_grid[1] - frame.s_grid[0]
+    chi = simpson(eta2, ds) + simpson(eta3, ds)
+    rhs = abs(abs(overlaps[-1]) - 1.0)
+    return float(chi), float(rhs)

@@ -1,0 +1,100 @@
+"""Interpolation schedules eta_i(s), eta_f(s) and the linear angle law.
+
+Every schedule satisfies eta_i(0) = eta_f(1) = 1 and eta_i(1) = eta_f(0) = 0,
+with eta_i^2 + eta_f^2 > 0 everywhere, so the driving Hamiltonian keeps a
+finite gap.  Evaluators accept complex arguments: downstream code uses
+complex-step differentiation of analytic eigenvector families, which needs
+the interpolants to be analytic in s.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+
+FAMILIES = ("linear", "trig", "exp")
+
+_E = float(np.e)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Interpolation pair with analytic derivatives."""
+
+    family: str
+    eta_i: Callable[[complex], complex]
+    eta_f: Callable[[complex], complex]
+    deta_i: Callable[[complex], complex]
+    deta_f: Callable[[complex], complex]
+
+    def eta(self, s):
+        return self.eta_i(s), self.eta_f(s)
+
+    def deta(self, s):
+        return self.deta_i(s), self.deta_f(s)
+
+    def chi(self, s):
+        """Gap factor sqrt(eta_i^2 + eta_f^2); the gap is 2*omega*chi."""
+        ei, ef = self.eta(s)
+        return np.sqrt(ei * ei + ef * ef)
+
+    def __post_init__(self):
+        for val, want in ((self.eta_i(0.0), 1.0), (self.eta_i(1.0), 0.0),
+                          (self.eta_f(0.0), 0.0), (self.eta_f(1.0), 1.0)):
+            if abs(val - want) > 1e-12:
+                raise ValueError(f"schedule {self.family!r} violates boundary conditions")
+        grid = np.linspace(0.0, 1.0, 257)
+        if min(abs(self.chi(s)) for s in grid) <= 0.0:
+            raise ValueError(f"schedule {self.family!r} has a vanishing gap factor")
+
+
+def make_schedule(family: str) -> Schedule:
+    """Build one of the three interpolation families: linear, trig, exp."""
+    if family in ("exponential",):
+        family = "exp"
+    if family == "linear":
+        return Schedule(
+            "linear",
+            eta_i=lambda s: 1.0 - s,
+            eta_f=lambda s: s + 0.0,
+            deta_i=lambda s: -1.0 + 0.0 * s,
+            deta_f=lambda s: 1.0 + 0.0 * s,
+        )
+    if family == "trig":
+        half_pi = np.pi / 2.0
+        return Schedule(
+            "trig",
+            eta_i=lambda s: np.cos(half_pi * s),
+            eta_f=lambda s: np.sin(half_pi * s),
+            deta_i=lambda s: -half_pi * np.sin(half_pi * s),
+            deta_f=lambda s: half_pi * np.cos(half_pi * s),
+        )
+    if family == "exp":
+        den = _E - 1.0
+        return Schedule(
+            "exp",
+            eta_i=lambda s: (np.exp(1.0 - s) - 1.0) / den,
+            eta_f=lambda s: (np.exp(s) - 1.0) / den,
+            deta_i=lambda s: -np.exp(1.0 - s) / den,
+            deta_f=lambda s: np.exp(s) / den,
+        )
+    raise ValueError(f"unknown schedule family {family!r}; choose from {FAMILIES}")
+
+
+@dataclass(frozen=True)
+class AngleLaw:
+    """Linear angle ramp theta(s) = theta0 * s used by controlled evolutions."""
+
+    theta0: float = field(default=np.pi)
+
+    def __post_init__(self):
+        if not 0.0 < self.theta0 <= np.pi:
+            raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
+
+    def theta(self, s):
+        return self.theta0 * s
+
+    def dtheta(self, s):
+        return self.theta0 + 0.0 * s
