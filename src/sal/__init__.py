@@ -63,6 +63,7 @@ from .metrics import (
     energy_cost,
     probabilistic_cost,
     qsl_check,
+    qsl_report,
     qsl_ground_chi,
     sce_controlled_cost,
     sce_single_gate_cost,

@@ -30,6 +30,7 @@ from .counterdiabatic import (
 from .dynamics import (
     controlled_initial_state,
     controlled_target_state,
+    default_steps,
     evolve,
     fidelity,
     measure_ancilla,
@@ -49,6 +50,7 @@ from .metrics import (
     cae_single_gate_cost,
     energy_cost,
     qsl_check,
+    qsl_report,
     sce_controlled_cost,
     sce_single_gate_cost,
     stationarity_residual,
@@ -135,6 +137,21 @@ def _pmap(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _check_tau(tau: float, name: str = "tau"):
+    if not 0 < tau < np.inf:
+        raise CliError(f"{name} must be positive and finite, got {tau}")
+
+
+def _evolve_with_qsl(driver, ini, tau, steps: int, qsl_steps: Optional[int]):
+    """Evolve one input state; the speed-limit report comes from the same
+    integration unless ``qsl_steps`` asks for a different step count."""
+    qsl_steps = qsl_steps or steps
+    res = evolve(driver, ini, tau, steps=steps, track_qsl=qsl_steps == steps)
+    if qsl_steps == steps:
+        return res, qsl_report(ini, res)
+    return res, qsl_check(driver, ini, tau, steps=qsl_steps)
+
+
 def _axis_arg(text: str):
     if text in ("x", "y", "z"):
         return text
@@ -166,8 +183,7 @@ def _teleport_rows(args) -> list[list]:
     if u is not None and u.shape[0] != 2**n:
         raise CliError(f"gate {gate_name} does not act on {n} qubits")
     tau = args.tau
-    if tau <= 0:
-        raise CliError("tau must be positive")
+    _check_tau(tau)
 
     if getattr(args, "cd", "analytic") == "generic":
         block = cd_generic(teleport_sector_hamiltonian(sch), tau, grid=args.grid)
@@ -183,15 +199,15 @@ def _teleport_rows(args) -> list[list]:
     sigma_ad = teleport_cost_scale(n) * teleport_sigma_sing(sch, None, grid=args.grid)
     sigma_sa = teleport_cost_scale(n) * teleport_sigma_sing(sch, tau, grid=args.grid)
 
+    steps = default_steps(driver, tau) if args.steps is None else args.steps
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.states):
         psi = random_state(n, rng)
         ini = teleport_initial_state(psi, n, gate=u)
         tgt = teleport_target_state(psi, n, gate=u)
-        res = evolve(driver, ini, tau, steps=args.steps)
+        res, rep = _evolve_with_qsl(driver, ini, tau, steps, args.qsl_steps)
         fid = fidelity(res.final_state, tgt)
-        rep = qsl_check(driver, ini, tau, steps=args.qsl_steps or res.steps)
         if args.mode == "sa" and fid < FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
         if not rep.satisfied:
@@ -216,6 +232,7 @@ def cmd_teleport(args) -> int:
 
 
 def _controlled_rows(args, superadiabatic: bool) -> list[list]:
+    _check_tau(args.tau)
     spec = ControlledSpec(
         n_controls=args.n_controls,
         axis=_axis_arg(args.axis),
@@ -227,6 +244,7 @@ def _controlled_rows(args, superadiabatic: bool) -> list[list]:
     driver = cd_controlled(spec) if superadiabatic else controlled_hamiltonian(spec)
     sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
     sigma_ad = np.sqrt(2.0**spec.n_controls) * cae_single_gate_cost()
+    steps = default_steps(driver, spec.tau) if args.steps is None else args.steps
     rng = np.random.default_rng(args.seed)
     proto = "sce" if superadiabatic else "cae"
     rows = []
@@ -234,10 +252,9 @@ def _controlled_rows(args, superadiabatic: bool) -> list[list]:
         psi = random_state(spec.n_system, rng)
         ini = controlled_initial_state(psi)
         tgt = controlled_target_state(psi, spec)
-        res = evolve(driver, ini, spec.tau, steps=args.steps)
+        res, rep = _evolve_with_qsl(driver, ini, spec.tau, steps, args.qsl_steps)
         fid = fidelity(res.final_state, tgt)
         p1 = measure_ancilla(res.final_state)[1].probability
-        rep = qsl_check(driver, ini, spec.tau, steps=args.qsl_steps or res.steps)
         if superadiabatic and fid < FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
         if not rep.satisfied:
@@ -289,8 +306,8 @@ def _teleport_sweep_point(item) -> list:
 
 def cmd_cost_sweep(args) -> int:
     taus = _floats(args.tau_list)
-    if min(taus) <= 0:
-        raise CliError("tau values must be positive")
+    for tau in taus:
+        _check_tau(tau)
     jobs = _jobs(args)
     if args.protocol == "sce":
         thetas = _floats(args.theta0_list)
@@ -318,8 +335,8 @@ def _theta_point(omega_tau: float) -> list:
 
 def cmd_theta_opt(args) -> int:
     taus = _floats(args.tau_list)
-    if min(taus) <= 0:
-        raise CliError("omega_tau values must be positive")
+    for tau in taus:
+        _check_tau(tau, "omega_tau")
     rows = _pmap(_theta_point, taus, _jobs(args))
     if any(abs(row[2]) > 1e-5 for row in rows):
         raise InvariantError("stationarity residual above 1e-5")
@@ -333,8 +350,7 @@ def cmd_theta_opt(args) -> int:
 def cmd_qsl_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     tau = args.tau
-    if tau <= 0:
-        raise CliError("tau must be positive")
+    _check_tau(tau)
     sch = make_schedule(args.schedule)
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None

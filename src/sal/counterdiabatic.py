@@ -21,21 +21,26 @@ initial degenerate basis was chosen.  Four constructions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .hamiltonians import (
+    Branches,
     ControlledSpec,
+    Rotation,
+    TensorSum,
     TimeDepHamiltonian,
     X,
     Y,
+    assemble,
+    composite,
     controlled_hamiltonian,
     parity_permutation,
     teleport_sector_hamiltonian,
 )
-from .linalg import eigh, is_unitary
+from .linalg import cluster_slices, eigh, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -76,16 +81,6 @@ class SpectralFrame:
         return dv
 
 
-def _cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
-    out = []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > tol:
-            out.append(slice(start, i))
-            start = i
-    return tuple(out)
-
-
 def spectral_frame(
     h: TimeDepHamiltonian,
     grid: int = DEFAULT_GRID,
@@ -105,7 +100,7 @@ def spectral_frame(
     for j, s in enumerate(s_grid):
         lam, vec = eigh(h(s))
         scale = max(1.0, float(np.max(np.abs(lam))))
-        cl = _cluster_slices(lam, cluster_tol * scale)
+        cl = cluster_slices(lam, cluster_tol * scale)
         if clusters is None:
             clusters = cl
         elif [c.start for c in cl] != [c.start for c in clusters]:
@@ -131,17 +126,18 @@ def spectral_frame(
 
 @dataclass(frozen=True)
 class SuperadiabaticHamiltonian:
-    """Total shortcut generator H(s) + H_cd(s) for a fixed runtime tau."""
+    """Total shortcut generator H(s) + H_cd(s) for a fixed runtime tau.
+
+    ``parts``, when set, is the structure node (``TensorSum``, ``Branches``
+    or ``Rotation``) over shortcut Hamiltonians that this one composes;
+    ``base`` and ``cd`` are then assembled from it (see ``_composite``).
+    """
 
     base: TimeDepHamiltonian
     cd: Callable[[float], np.ndarray]
     tau: float
     frame: Optional[SpectralFrame] = None
-    kron_factors: Optional[tuple["SuperadiabaticHamiltonian", ...]] = None
-    branch_projectors: Optional[tuple[np.ndarray, ...]] = None
-    branch_funcs: Optional[tuple[Callable[[float], np.ndarray], ...]] = None
-    rotation: Optional[np.ndarray] = None
-    inner: Optional["SuperadiabaticHamiltonian"] = None
+    parts: Optional[TensorSum | Branches | Rotation] = None
 
     @property
     def dim(self) -> int:
@@ -276,6 +272,18 @@ def cd_teleport_block(
     return SuperadiabaticHamiltonian(base=base, cd=cd, tau=tau)
 
 
+def _composite(node) -> SuperadiabaticHamiltonian:
+    """The shortcut a structure node of shortcuts describes: the drive is the
+    same node over their drives, the correction the node over their
+    corrections."""
+    return SuperadiabaticHamiltonian(
+        base=composite(replace(node, parts=tuple(p.base for p in node.parts))),
+        cd=lambda s: assemble(node, lambda h: h.cd(s)),
+        tau=node.parts[0].tau,
+        parts=node,
+    )
+
+
 def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHamiltonian:
     """Superadiabatic Hamiltonian of the rotated drive G H(s) G^dag.
 
@@ -286,23 +294,7 @@ def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHa
         raise ValueError(f"rotation shape {g.shape} does not match dim {hsa.dim}")
     if not is_unitary(g):
         raise ValueError("rotation must be unitary")
-    g_dag = g.conj().T
-    inner = hsa.inner if hsa.rotation is not None else hsa
-    g_eff = g @ hsa.rotation if hsa.rotation is not None else g
-    base = TimeDepHamiltonian(
-        dim=hsa.dim,
-        func=lambda s: g @ hsa.base(s) @ g_dag,
-        deriv=(lambda s: g @ hsa.base.deriv(s) @ g_dag) if hsa.base.deriv else None,
-        rotation=g_eff,
-        inner=inner.base,
-    )
-    return SuperadiabaticHamiltonian(
-        base=base,
-        cd=lambda s: g @ hsa.cd(s) @ g_dag,
-        tau=hsa.tau,
-        rotation=g_eff,
-        inner=inner,
-    )
+    return _composite(Rotation(g, (hsa,)))
 
 
 def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> SuperadiabaticHamiltonian:
@@ -316,30 +308,7 @@ def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> Superadiabatic
         raise ValueError(f"blocks disagree on tau: {sorted(taus)}")
     if len(blocks) == 1:
         return blocks[0]
-    dims = [b.dim for b in blocks]
-    dim = int(np.prod(dims))
-
-    def embed_sum(parts: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, part in enumerate(parts):
-            left = int(np.prod(dims[:k])) if k else 1
-            right = int(np.prod(dims[k + 1 :])) if k + 1 < len(dims) else 1
-            term = np.kron(np.kron(np.eye(left), part), np.eye(right))
-            out += term
-        return out
-
-    base = TimeDepHamiltonian(
-        dim=dim,
-        func=lambda s: embed_sum([b.base(s) for b in blocks]),
-        deriv=lambda s: embed_sum([b.base.derivative(s) for b in blocks]),
-        kron_factors=tuple(b.base for b in blocks),
-    )
-    return SuperadiabaticHamiltonian(
-        base=base,
-        cd=lambda s: embed_sum([b.cd(s) for b in blocks]),
-        tau=blocks[0].tau,
-        kron_factors=blocks,
-    )
+    return _composite(TensorSum(blocks))
 
 
 def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
@@ -355,16 +324,10 @@ def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     """
     if spec.tau <= 0:
         raise ValueError("tau must be positive")
-    base = controlled_hamiltonian(spec)
-    p_rest, p_act = base.branch_projectors
-    h0, hphi = base.branch_funcs
-    cd0 = cd_branch_term(spec.theta0, spec.tau, 0.0)
-    cdphi = cd_branch_term(spec.theta0, spec.tau, spec.phi)
-    cd_const = np.kron(p_rest, cd0) + np.kron(p_act, cdphi)
-    return SuperadiabaticHamiltonian(
-        base=base,
-        cd=lambda s: cd_const,
-        tau=spec.tau,
-        branch_projectors=(p_rest, p_act),
-        branch_funcs=(lambda s: h0(s) + cd0, lambda s: hphi(s) + cdphi),
+    branches = controlled_hamiltonian(spec).parts
+    cds = [cd_branch_term(spec.theta0, spec.tau, xi) for xi in (0.0, spec.phi)]
+    leaves = tuple(
+        SuperadiabaticHamiltonian(base=h, cd=lambda s, c=c: c, tau=spec.tau)
+        for h, c in zip(branches.parts, cds)
     )
+    return _composite(replace(branches, parts=leaves))

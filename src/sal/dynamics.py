@@ -2,10 +2,19 @@
 
 The integrator advances |psi> with midpoint-frozen exponentials,
 psi <- exp(-i H((j+1/2)/N) tau/N) psi, which is unitary at every step.
-When the Hamiltonian carries structure hints (constant rotation,
-non-interacting tensor factors, orthogonal ancilla branches) the step
-unitaries factorize exactly, and the engine exploits that; the result is
-identical to the dense path up to floating-point roundoff.
+
+A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
+sums over consecutive slots, orthogonal ancilla branches and constant
+rotations, down to leaf Hamiltonians.  The one propagator below walks that
+tree.  The state is held in the frame where every rotation is undone and
+every branch projector is diagonal, entered and left once per run; there
+each step applies only leaf-sized unitaries, one tensor slot or branch
+block at a time.  Step unitaries come from a batched eigendecomposition of
+each distinct leaf over a chunk of midpoints.  The same walk gives H|psi>
+for the speed-limit integral, the ground-level weight at each sample point
+(from the leaves' eigenbases) and the norm bound behind the default step
+count.  A Hamiltonian without ``parts`` is a one-leaf tree: the dense
+reference the structured paths are tested against.
 """
 
 from __future__ import annotations
@@ -15,12 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import SuperadiabaticHamiltonian
-from .hamiltonians import ControlledSpec, TimeDepHamiltonian, bell_state
+from .hamiltonians import Branches, ControlledSpec, Rotation, TensorSum, bell_state
 from .linalg import embed, state_from_factors
 
 MIN_STEPS = 100
 _STEPS_PER_UNIT_ACTION = 2000
+_CHUNK = 512  # midpoints per batched eigendecomposition
+_CHUNK_ENTRIES = 2**22  # cap on the operator entries of one chunk array
+_GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
 
 
 @dataclass(frozen=True)
@@ -50,51 +61,87 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.vdot(a, b)) ** 2)
 
 
-def _total_func(h):
-    if isinstance(h, SuperadiabaticHamiltonian):
-        return h.total
-    return h.func if isinstance(h, TimeDepHamiltonian) else h
+# --- the structure walk ------------------------------------------------------
 
 
-def _spectral_norm_max(h, samples: int = 17) -> float:
-    if isinstance(h, SuperadiabaticHamiltonian) and h.kron_factors is not None:
-        return sum(_spectral_norm_max(f) for f in h.kron_factors)
-    if isinstance(h, TimeDepHamiltonian) and h.kron_factors is not None:
-        return sum(_spectral_norm_max(f) for f in h.kron_factors)
-    branches = getattr(h, "branch_funcs", None)
-    if branches is not None:
+def _leaves(h) -> list:
+    """The distinct leaf Hamiltonians of h's tree, in walk order."""
+    node = getattr(h, "parts", None)
+    if node is None:
+        return [h]
+    return list({id(leaf): leaf for p in node.parts for leaf in _leaves(p)}.values())
+
+
+def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0) -> np.ndarray:
+    """Apply h's tree to x, shaped (pre, h.dim, post), in the walk frame.
+
+    ``op(leaf)`` is the matrix a leaf contributes on its own slot.  With
+    ``compose`` the tensor-sum parts' matrices multiply (step unitaries,
+    eigenbases); without, they add (H, its eigenvalues).  Branch blocks are
+    disjoint either way.  ``frame=1`` (``-1``) with no ``op`` enters
+    (leaves) the walk frame instead: G^dag or W^dag of each rotation or
+    branch node on the way down, G or W on the way up.
+    """
+    node = getattr(h, "parts", None)
+    if node is None:
+        return x if op is None else op(h) @ x
+    pre, dim, post = x.shape
+    u = node.g if isinstance(node, Rotation) else (
+        node.basis[0] if isinstance(node, Branches) else None)
+    if u is not None and frame > 0:
+        x = (u.conj().T @ x.reshape(pre, len(u), -1)).reshape(x.shape)
+    if isinstance(node, Branches):
+        d = node.parts[0].dim
+        x = x.reshape(pre, dim // d, d, post)
+        out = np.empty(x.shape, dtype=complex)
+        for part, rows in zip(node.parts, node.basis[1]):
+            block = _walk(part, x[:, rows].reshape(-1, d, post), op, compose, frame)
+            out[:, rows] = block.reshape(pre, -1, d, post)
+    else:
+        out, left = (x if compose else 0.0), 1
+        for part in node.parts:
+            src = out if compose else x
+            y = _walk(part, src.reshape(pre * left, part.dim, -1), op, compose, frame)
+            out = y.reshape(x.shape) if compose else out + y.reshape(x.shape)
+            left *= part.dim
+    out = out.reshape(pre, dim, post)
+    if u is not None and frame < 0:
+        out = (u @ out.reshape(pre, len(u), -1)).reshape(out.shape)
+    return out
+
+
+def _norm_bound(h, samples: int = 17) -> float:
+    """max_s ||H(s)|| sampled on each leaf; summed over tensor-sum parts,
+    the largest over branches."""
+    node = getattr(h, "parts", None)
+    if node is None:
         return max(
-            max(np.max(np.abs(np.linalg.eigvalsh(f(s)))) for s in np.linspace(0, 1, samples))
-            for f in branches
+            float(np.max(np.abs(np.linalg.eigvalsh(h(s)))))
+            for s in np.linspace(0.0, 1.0, samples)
         )
-    func = _total_func(h)
-    return max(
-        float(np.max(np.abs(np.linalg.eigvalsh(func(s)))))
-        for s in np.linspace(0.0, 1.0, samples)
-    )
+    norms = [_norm_bound(p, samples) for p in node.parts]
+    return sum(norms) if isinstance(node, TensorSum) else max(norms)
 
 
 def default_steps(h, tau: float) -> int:
     """Step count keeping the per-step action below 1/2000, floor 2000."""
-    return max(_STEPS_PER_UNIT_ACTION, int(np.ceil(_STEPS_PER_UNIT_ACTION * _spectral_norm_max(h) * tau)))
+    return max(_STEPS_PER_UNIT_ACTION, int(np.ceil(_STEPS_PER_UNIT_ACTION * _norm_bound(h) * tau)))
 
 
 def _sample_indices(steps: int, n_samples: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
 
 
-def _step_unitary(h_mid: np.ndarray, dt: float) -> np.ndarray:
-    lam, v = np.linalg.eigh(h_mid)
-    return (v * np.exp(-1j * lam * dt)) @ v.conj().T
-
-
-def _ground_projection(total_func, s: float, psi: np.ndarray, cluster_tol: float = 1e-8):
-    """Weight of psi (vector or column block) in the lowest degenerate level."""
-    lam, vec = np.linalg.eigh(total_func(s))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    k = int(np.searchsorted(lam, lam[0] + cluster_tol * scale))
-    amps = vec[:, :k].conj().T @ psi
-    return np.real(np.sum(amps.conj() * amps, axis=0))
+def _ground_weight(h, s: float, x: np.ndarray) -> np.ndarray:
+    """Weight of each column of the walk-frame state x in the lowest level
+    of the driving H(s); for a shortcut that is its base, without the
+    counter-diabatic term."""
+    spectra = {id(leaf): np.linalg.eigh(getattr(leaf, "base", leaf)(s)) for leaf in _leaves(h)}
+    energies = _walk(h, np.ones((1, x.shape[1], 1)), lambda leaf: np.diag(spectra[id(leaf)][0]),
+                     compose=False).real.reshape(-1)
+    amps = _walk(h, x, lambda leaf: spectra[id(leaf)][1].conj().T)[0]
+    level = energies < energies.min() + _GROUND_TOL * max(1.0, float(np.max(np.abs(energies))))
+    return np.sum(np.abs(amps[level]) ** 2, axis=0)
 
 
 def evolve(
@@ -128,8 +175,8 @@ def evolve(
             f"tau={tau} does not match the shortcut construction (tau={h_tau}); "
             "the counter-diabatic term is runtime-specific"
         )
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     psi0 = np.asarray(psi0, dtype=complex)
     dim = psi0.shape[0]
     if getattr(h, "dim", dim) != dim:
@@ -141,153 +188,44 @@ def evolve(
     if track_qsl and psi0.ndim != 1:
         raise ValueError("QSL tracking needs a single input state")
 
-    rotation = getattr(h, "rotation", None)
-    if rotation is not None:
-        inner = h.inner
-        res = evolve(inner, rotation.conj().T @ psi0, tau, steps, n_samples, track_qsl, keep_states)
-        rotated_states = None
-        if res.states is not None:
-            rotated_states = np.einsum("ab,jb...->ja...", rotation, res.states)
-        return EvolutionResult(
-            final_state=rotation @ res.final_state,
-            s_samples=res.s_samples,
-            ground_fidelity=res.ground_fidelity,
-            tau=tau,
-            steps=res.steps,
-            e_tau=res.e_tau,
-            states=rotated_states,
-        )
-
+    leaves = _leaves(h)
+    dt = tau / steps
+    chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // max(getattr(f, "dim", dim) for f in leaves) ** 2))
     sample_idx = _sample_indices(steps, n_samples)
-    if getattr(h, "kron_factors", None) is not None:
-        states, e_tau = _run_kron(h, psi0, tau, steps, sample_idx, track_qsl)
-    elif getattr(h, "branch_projectors", None) is not None and psi0.ndim == 1:
-        states, e_tau = _run_branches(h, psi0, tau, steps, sample_idx, track_qsl)
-    else:
-        states, e_tau = _run_dense(h, psi0, tau, steps, sample_idx, track_qsl)
+    sample_set = set(int(i) for i in sample_idx)
+    x0 = x = _walk(h, psi0.reshape(1, dim, -1), frame=1)
+    sampled = [x] if sample_idx[0] == 0 else []
+    acc = 0.0
+    for j in range(0, steps, chunk):
+        mids = (np.arange(j, min(j + chunk, steps)) + 0.5) / steps
+        hs = {id(f): np.stack([f(s) for s in mids]) for f in leaves}
+        us = {}
+        for key, hk in hs.items():
+            lam, v = np.linalg.eigh(hk)
+            us[key] = (v * np.exp(-1j * lam * dt)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        for k in range(len(mids)):
+            prev = x
+            x = _walk(h, x, lambda f: us[id(f)][k])
+            if track_qsl:
+                h_mid = _walk(h, 0.5 * (prev + x), lambda f: hs[id(f)][k], compose=False)
+                acc += float(np.abs(np.vdot(x0, h_mid))) * dt
+            if j + k + 1 in sample_set:
+                sampled.append(x)
 
-    base_func = h.base.func if isinstance(h, SuperadiabaticHamiltonian) else _total_func(h)
     s_samples = sample_idx / steps
-    ground = np.array(
-        [_ground_projection(base_func, s, psi) for s, psi in zip(s_samples, states)]
-    )
+    ground = np.array([_ground_weight(h, s, xs) for s, xs in zip(s_samples, sampled)])
+    states = None
+    if keep_states:
+        states = np.stack([_walk(h, xs, frame=-1).reshape(psi0.shape) for xs in sampled])
     return EvolutionResult(
-        final_state=states[-1],
+        final_state=_walk(h, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
-        ground_fidelity=ground,
+        ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
         tau=tau,
         steps=steps,
-        e_tau=e_tau,
-        states=np.stack(states) if keep_states else None,
+        e_tau=acc / tau if track_qsl else None,
+        states=states,
     )
-
-
-def _qsl_increment(h_psi_mid: np.ndarray, psi0: np.ndarray, dt: float) -> float:
-    return float(np.abs(np.vdot(psi0, h_psi_mid))) * dt
-
-
-def _run_dense(h, psi0, tau, steps, sample_idx, track_qsl, chunk: int = 2048):
-    func = _total_func(h)
-    dt = tau / steps
-    ds = 1.0 / steps
-    chunk = max(1, min(chunk, 2**24 // (psi0.shape[0] ** 2)))  # cap scratch memory
-    psi = psi0.copy()
-    states = [psi0.copy()] if sample_idx[0] == 0 else []
-    acc = 0.0
-    j = 0
-    sample_set = set(int(i) for i in sample_idx)
-    dim = psi0.shape[0]
-    while j < steps:
-        m = min(chunk, steps - j)
-        hs = np.empty((m, dim, dim), dtype=complex)
-        for k in range(m):
-            hs[k] = func((j + k + 0.5) * ds)
-        lam, v = np.linalg.eigh(hs)
-        phases = np.exp(-1j * lam * dt)
-        for k in range(m):
-            prev = psi
-            psi = (v[k] * phases[k]) @ (v[k].conj().T @ psi)
-            if track_qsl:
-                mid = 0.5 * (prev + psi)
-                acc += _qsl_increment((v[k] * lam[k]) @ (v[k].conj().T @ mid), psi0, dt)
-            if (j + k + 1) in sample_set:
-                states.append(psi.copy())
-        j += m
-    return states, (acc / tau if track_qsl else None)
-
-
-def _run_kron(h, psi0, tau, steps, sample_idx, track_qsl):
-    factors = h.kron_factors
-    dims = [f.dim for f in factors]
-    dt = tau / steps
-    ds = 1.0 / steps
-    # accumulate one unitary product per distinct factor object
-    uniq: dict[int, np.ndarray] = {}
-    funcs: dict[int, object] = {}
-    for f in factors:
-        if id(f) not in uniq:
-            uniq[id(f)] = np.eye(f.dim, dtype=complex)
-            funcs[id(f)] = _total_func(f)
-
-    def assemble() -> np.ndarray:
-        u = np.array([[1.0 + 0j]])
-        for f in factors:
-            u = np.kron(u, uniq[id(f)])
-        return u
-
-    states = [psi0.copy()] if sample_idx[0] == 0 else []
-    sample_set = set(int(i) for i in sample_idx)
-    acc = 0.0
-    psi_prev = psi0
-    for j in range(steps):
-        s_mid = (j + 0.5) * ds
-        for key, func in funcs.items():
-            uniq[key] = _step_unitary(func(s_mid), dt) @ uniq[key]
-        if track_qsl:
-            psi_next = assemble() @ psi0
-            mid = 0.5 * (psi_prev + psi_next)
-            h_mid = _total_func(h)(s_mid)
-            acc += _qsl_increment(h_mid @ mid, psi0, dt)
-            psi_prev = psi_next
-        if (j + 1) in sample_set:
-            states.append(assemble() @ psi0)
-    return states, (acc / tau if track_qsl else None)
-
-
-def _run_branches(h, psi0, tau, steps, sample_idx, track_qsl):
-    projectors = h.branch_projectors
-    funcs = h.branch_funcs
-    dim_anc = funcs[0](0.0).shape[0]
-    dim_sys = psi0.shape[0] // dim_anc
-    dt = tau / steps
-    ds = 1.0 / steps
-    mats0 = [p @ psi0.reshape(dim_sys, dim_anc) for p in projectors]
-    prods = [np.eye(dim_anc, dtype=complex) for _ in funcs]
-
-    def assemble() -> np.ndarray:
-        out = np.zeros((dim_sys, dim_anc), dtype=complex)
-        for mat, u in zip(mats0, prods):
-            out += mat @ u.T
-        return out.reshape(-1)
-
-    states = [psi0.copy()] if sample_idx[0] == 0 else []
-    sample_set = set(int(i) for i in sample_idx)
-    acc = 0.0
-    psi_prev = psi0
-    for j in range(steps):
-        s_mid = (j + 0.5) * ds
-        hs = [f(s_mid) for f in funcs]
-        for i, hb in enumerate(hs):
-            prods[i] = _step_unitary(hb, dt) @ prods[i]
-        if track_qsl:
-            psi_next = assemble()
-            mid = 0.5 * (psi_prev + psi_next).reshape(dim_sys, dim_anc)
-            h_mid = sum(p @ mid @ hb.T for p, hb in zip(projectors, hs)).reshape(-1)
-            acc += _qsl_increment(h_mid, psi0, dt)
-            psi_prev = psi_next
-        if (j + 1) in sample_set:
-            states.append(assemble())
-    return states, (acc / tau if track_qsl else None)
 
 
 # --- measurement -------------------------------------------------------------

@@ -17,11 +17,13 @@ qubit) comes first; the single ancilla qubit is always last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import embed, eigh, is_unitary, kron
+from .linalg import cluster_slices, embed, eigh, is_unitary, kron
 from .schedules import Schedule
 
 # --- elementary gates ------------------------------------------------------
@@ -119,26 +121,18 @@ def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
 class TimeDepHamiltonian:
     """Hamiltonian evaluator on the dimensionless time s in [0, 1].
 
-    ``deriv`` is the analytic s-derivative when available.  The optional
-    structure hints describe exact decompositions that fast propagation
-    paths may exploit:
-
-    * ``kron_factors`` - H(s) is the non-interacting sum over consecutive
-      tensor slots of the listed factor Hamiltonians;
-    * ``branch_projectors``/``branch_funcs`` - H(s) = sum_i P_i (x) h_i(s)
-      with orthogonal projectors P_i on the leading subsystem;
-    * ``rotation``/``inner`` - H(s) = G . inner(s) . G^dag for a constant
-      unitary G.
+    ``deriv`` is the analytic s-derivative when available.  ``parts``, when
+    set, is the exact composition H(s) is built from: a ``TensorSum``,
+    ``Branches`` or ``Rotation`` node over smaller Hamiltonians, which may
+    be structured in turn.  ``func`` and ``deriv`` then assemble the dense
+    operator from the tree (see ``composite``), while propagation walks the
+    tree and never forms it.  A Hamiltonian without ``parts`` is a leaf.
     """
 
     dim: int
     func: Callable[[float], np.ndarray]
     deriv: Optional[Callable[[float], np.ndarray]] = None
-    kron_factors: Optional[tuple["TimeDepHamiltonian", ...]] = None
-    branch_projectors: Optional[tuple[np.ndarray, ...]] = None
-    branch_funcs: Optional[tuple[Callable[[float], np.ndarray], ...]] = None
-    rotation: Optional[np.ndarray] = None
-    inner: Optional["TimeDepHamiltonian"] = None
+    parts: Optional[TensorSum | Branches | Rotation] = None
 
     def __call__(self, s: float) -> np.ndarray:
         return self.func(s)
@@ -148,6 +142,81 @@ class TimeDepHamiltonian:
             return self.deriv(s)
         lo, hi = max(0.0, s - step), min(1.0, s + step)
         return (self.func(hi) - self.func(lo)) / (hi - lo)
+
+
+# --- structure tree -----------------------------------------------------------
+#
+# Each node holds its child Hamiltonians in ``parts``; every child is a
+# TimeDepHamiltonian or SuperadiabaticHamiltonian, itself a leaf or a node.
+
+
+@dataclass(frozen=True)
+class TensorSum:
+    """sum_k 1 (x)..(x) H_k (x)..(x) 1, each part on its own consecutive slot."""
+
+    parts: tuple
+
+    @property
+    def dim(self) -> int:
+        return prod(p.dim for p in self.parts)
+
+
+@dataclass(frozen=True)
+class Branches:
+    """sum_i P_i (x) H_i: orthogonal projectors P_i summing to 1 on the
+    leading subsystem select the part H_i acting on the trailing one."""
+
+    projectors: tuple[np.ndarray, ...]
+    parts: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.projectors[0].shape[0] * self.parts[0].dim
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, tuple[slice, ...]]:
+        """Unitary W on the leading subsystem whose consecutive column
+        groups span the ranges of P_0, P_1, ..., and those groups."""
+        lam, w = np.linalg.eigh(sum(i * p for i, p in enumerate(self.projectors)))
+        edges = np.cumsum([0] + [int(np.sum(np.rint(lam) == i)) for i in range(len(self.parts))])
+        return w, tuple(slice(a, b) for a, b in zip(edges[:-1], edges[1:]))
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """G H G^dag for a constant unitary G; ``parts`` holds the single H."""
+
+    g: np.ndarray
+    parts: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.g.shape[0]
+
+
+def assemble(node, op: Callable) -> np.ndarray:
+    """Dense operator of a structure node, with ``op(part)`` the dense
+    operator of each part, e.g. ``lambda h: h(s)`` or ``lambda h: h.cd(s)``."""
+    ops = [op(p) for p in node.parts]
+    if isinstance(node, Rotation):
+        return node.g @ ops[0] @ node.g.conj().T
+    if isinstance(node, Branches):
+        return sum(np.kron(p, o) for p, o in zip(node.projectors, ops))
+    dims = [p.dim for p in node.parts]
+    return sum(
+        np.kron(np.kron(np.eye(prod(dims[:k])), o), np.eye(prod(dims[k + 1 :])))
+        for k, o in enumerate(ops)
+    )
+
+
+def composite(node) -> TimeDepHamiltonian:
+    """The Hamiltonian a structure node of TimeDepHamiltonians describes."""
+    return TimeDepHamiltonian(
+        dim=node.dim,
+        func=lambda s: assemble(node, lambda h: h(s)),
+        deriv=lambda s: assemble(node, lambda h: h.derivative(s)),
+        parts=node,
+    )
 
 
 @dataclass(frozen=True)
@@ -184,13 +253,12 @@ class TeleportSpec:
         return [3 * k for k in range(self.n_sectors)]
 
 
-def _sector_terms(omega: float) -> tuple[np.ndarray, np.ndarray]:
+def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+    """Single-sector (3-qubit) teleport Hamiltonian
+    H(s) = eta_i(s) H_ini + eta_f(s) H_fin."""
     h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
-    return h_ini, h_fin
 
-
-def _interpolated(schedule: Schedule, h_ini: np.ndarray, h_fin: np.ndarray):
     def func(s: float) -> np.ndarray:
         ei, ef = schedule.eta(s)
         return ei * h_ini + ef * h_fin
@@ -199,49 +267,18 @@ def _interpolated(schedule: Schedule, h_ini: np.ndarray, h_fin: np.ndarray):
         di, df = schedule.deta(s)
         return di * h_ini + df * h_fin
 
-    return func, deriv
-
-
-def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
-    """Single-sector (3-qubit) teleport Hamiltonian
-    H(s) = eta_i(s) H_ini + eta_f(s) H_fin."""
-    h_ini, h_fin = _sector_terms(omega)
-    func, deriv = _interpolated(schedule, h_ini, h_fin)
     return TimeDepHamiltonian(dim=8, func=func, deriv=deriv)
 
 
 def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
     """Full teleport Hamiltonian: one 3-qubit term per sector, optionally
     conjugated by the gate acting on Bob's channel qubits."""
-    sector = teleport_sector_hamiltonian(spec.schedule, spec.omega)
-    if spec.n_sectors == 1:
-        plain = sector
-    else:
-        dim = 2**spec.n_qubits
-        h_ini_s, h_fin_s = _sector_terms(spec.omega)
-        h_ini = sum(
-            embed(h_ini_s, [3 * k, 3 * k + 1, 3 * k + 2], spec.n_qubits)
-            for k in range(spec.n_sectors)
-        )
-        h_fin = sum(
-            embed(h_fin_s, [3 * k, 3 * k + 1, 3 * k + 2], spec.n_qubits)
-            for k in range(spec.n_sectors)
-        )
-        func, deriv = _interpolated(spec.schedule, h_ini, h_fin)
-        plain = TimeDepHamiltonian(
-            dim=dim, func=func, deriv=deriv, kron_factors=(sector,) * spec.n_sectors
-        )
+    h = teleport_sector_hamiltonian(spec.schedule, spec.omega)
+    if spec.n_sectors > 1:
+        h = composite(TensorSum((h,) * spec.n_sectors))
     if spec.gate is None:
-        return plain
-    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
-    g_dag = g.conj().T
-    return TimeDepHamiltonian(
-        dim=plain.dim,
-        func=lambda s: g @ plain.func(s) @ g_dag,
-        deriv=lambda s: g @ plain.deriv(s) @ g_dag,
-        rotation=g,
-        inner=plain,
-    )
+        return h
+    return composite(Rotation(embed(spec.gate, spec.bob_qubits, spec.n_qubits), (h,)))
 
 
 def teleport_energies(schedule: Schedule, s: float, omega: float = 1.0) -> np.ndarray:
@@ -369,33 +406,19 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
     """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla)."""
     p_act = spec.activation_projector()
     p_rest = np.eye(p_act.shape[0], dtype=complex) - p_act
-    theta0, phi, omega = spec.theta0, spec.phi, spec.omega
+    theta0, omega = spec.theta0, spec.omega
 
-    def h0(s: float) -> np.ndarray:
-        return h_xi(theta0 * s, 0.0, omega)
-
-    def hphi(s: float) -> np.ndarray:
-        return h_xi(theta0 * s, phi, omega)
-
-    def branch_deriv(s: float, xi: float) -> np.ndarray:
-        return -omega * theta0 * (
-            -np.sin(theta0 * s) * Z
-            + np.cos(theta0 * s) * (np.cos(xi) * X + np.sin(xi) * Y)
+    def branch(xi: float) -> TimeDepHamiltonian:
+        return TimeDepHamiltonian(
+            dim=2,
+            func=lambda s: h_xi(theta0 * s, xi, omega),
+            deriv=lambda s: -omega * theta0 * (
+                -np.sin(theta0 * s) * Z
+                + np.cos(theta0 * s) * (np.cos(xi) * X + np.sin(xi) * Y)
+            ),
         )
 
-    def func(s: float) -> np.ndarray:
-        return np.kron(p_rest, h0(s)) + np.kron(p_act, hphi(s))
-
-    def deriv(s: float) -> np.ndarray:
-        return np.kron(p_rest, branch_deriv(s, 0.0)) + np.kron(p_act, branch_deriv(s, phi))
-
-    return TimeDepHamiltonian(
-        dim=2**spec.n_qubits,
-        func=func,
-        deriv=deriv,
-        branch_projectors=(p_rest, p_act),
-        branch_funcs=(h0, hphi),
-    )
+    return composite(Branches((p_rest, p_act), (branch(0.0), branch(spec.phi))))
 
 
 def gate_selection(name: str) -> tuple[str, float]:
@@ -418,16 +441,6 @@ def gate_selection(name: str) -> tuple[str, float]:
 # --- adiabatic-runtime diagnostic -------------------------------------------
 
 
-def _eig_clusters(lam: np.ndarray, tol: float) -> list[slice]:
-    clusters = []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > tol:
-            clusters.append(slice(start, i))
-            start = i
-    return clusters
-
-
 def adiabatic_time_estimate(
     h: TimeDepHamiltonian, grid: int = 101, cluster_tol: float = 1e-8
 ) -> float:
@@ -445,7 +458,7 @@ def adiabatic_time_estimate(
         lam, vec = eigh(ham)
         dh = h.derivative(s)
         scale = max(1.0, float(np.max(np.abs(lam))))
-        clusters = _eig_clusters(lam, cluster_tol * scale)
+        clusters = cluster_slices(lam, cluster_tol * scale)
         starts = [c.start for c in clusters]
         if pattern is None:
             pattern = starts

@@ -81,20 +81,22 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
+def cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
+    """Group ascending eigenvalues into degenerate levels: a new level starts
+    wherever the gap to the previous eigenvalue exceeds ``tol``."""
+    out = []
+    start = 0
+    for i in range(1, lam.size + 1):
+        if i == lam.size or lam[i] - lam[i - 1] > tol:
+            out.append(slice(start, i))
+            start = i
+    return tuple(out)
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*h*t) for Hermitian h, unitary by construction."""
     lam, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * lam * t)) @ v.conj().T
-
-
-def propagate_step(h_mid: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    """One midpoint-exponential step exp(-i*h_mid*dt)|psi> (hbar = 1).
-
-    ``psi`` may also be a (dim, m) block of states, propagated jointly.
-    """
-    check_hermitian(h_mid)
-    lam, v = np.linalg.eigh(h_mid)
-    return (v * np.exp(-1j * lam * dt)) @ (v.conj().T @ psi)
 
 
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:

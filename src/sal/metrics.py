@@ -9,17 +9,12 @@ reported in units of hbar*omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import (
-    SpectralFrame,
-    SuperadiabaticHamiltonian,
-    teleport_block_frame_deriv,
-)
-from .dynamics import evolve
-from .hamiltonians import TimeDepHamiltonian
+from .counterdiabatic import SpectralFrame, teleport_block_frame_deriv
+from .dynamics import EvolutionResult, evolve
 from .linalg import simpson
 from .schedules import Schedule
 
@@ -45,21 +40,12 @@ class QslReport:
     satisfied: bool
 
 
-def _as_func(h) -> Callable[[float], np.ndarray]:
-    if isinstance(h, SuperadiabaticHamiltonian):
-        return h.total
-    if isinstance(h, TimeDepHamiltonian):
-        return h.func
-    return h
-
-
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
     """int_0^1 ||H(s)||_HS ds by composite Simpson."""
     if grid < 101 or grid % 2 == 0:
         raise ValueError("grid must be odd and >= 101")
-    func = _as_func(h)
     s_grid = np.linspace(0.0, 1.0, grid)
-    vals = np.array([np.linalg.norm(func(s)) for s in s_grid])
+    vals = np.array([np.linalg.norm(h(s)) for s in s_grid])
     return simpson(vals, s_grid[1] - s_grid[0])
 
 
@@ -257,24 +243,30 @@ def bures_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.abs(np.vdot(a, b)), 0.0, 1.0)))
 
 
-def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None) -> QslReport:
-    """Evaluate tau >= |cos L - 1| / E_tau along the actual evolution.
-
-    E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt is accumulated at the
-    integrator's step resolution.
-    """
-    res = evolve(h, psi0, tau, steps=steps, track_qsl=True)
+def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport:
+    """Evaluate tau >= |cos L - 1| / E_tau along an evolution of psi0 run
+    with ``track_qsl=True``, which accumulates
+    E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt at the integrator's step
+    resolution."""
+    if res.e_tau is None:
+        raise ValueError("the evolution did not track E_tau (track_qsl=True)")
     angle = bures_angle(psi0, res.final_state)
     numer = abs(np.cos(angle) - 1.0)
     e_tau = float(res.e_tau)
     bound = numer / e_tau if e_tau > 1e-300 else 0.0
     return QslReport(
-        tau=tau,
+        tau=res.tau,
         bures_angle=angle,
         e_tau=e_tau,
         bound=bound,
-        satisfied=bool(tau >= bound - 1e-9),
+        satisfied=bool(res.tau >= bound - 1e-9),
     )
+
+
+def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None) -> QslReport:
+    """Evolve psi0 under h and evaluate tau >= |cos L - 1| / E_tau (see
+    ``qsl_report``)."""
+    return qsl_report(psi0, evolve(h, psi0, tau, steps=steps, track_qsl=True))
 
 
 def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:

@@ -120,8 +120,12 @@ def test_selftest_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_errors_exit_3():
+def test_config_errors_exit_3(capsys):
     assert main(["teleport", "--tau", "-1"]) == EXIT_CONFIG
+    for tau in ("inf", "nan"):
+        for argv in (["teleport"], ["sce"], ["qsl-check"]):
+            assert main(argv + ["--tau", tau]) == EXIT_CONFIG
+            assert "tau must be positive and finite" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--gate", "CNOT"]) == EXIT_CONFIG
     assert main(["teleport", "--tau", "1", "--schedule", "spline"]) == EXIT_CONFIG
     assert main(["no-such-command"]) == EXIT_CONFIG

@@ -148,9 +148,22 @@ def test_parity_expectation_conserved():
 # --- structured propagation equals the dense integrator ----------------------------
 
 
-def strip_structure(hsa: SuperadiabaticHamiltonian) -> SuperadiabaticHamiltonian:
-    base = TimeDepHamiltonian(dim=hsa.dim, func=hsa.base.func, deriv=hsa.base.deriv)
-    return SuperadiabaticHamiltonian(base=base, cd=hsa.cd, tau=hsa.tau)
+def strip_structure(h):
+    """The one-leaf dense reference of a structured Hamiltonian."""
+    if isinstance(h, TimeDepHamiltonian):
+        return TimeDepHamiltonian(dim=h.dim, func=h.func, deriv=h.deriv)
+    base = TimeDepHamiltonian(dim=h.dim, func=h.base.func, deriv=h.base.deriv)
+    return SuperadiabaticHamiltonian(base=base, cd=h.cd, tau=h.tau)
+
+
+def assert_matches_dense(h, psi0, tau, steps=500):
+    track = psi0.ndim == 1  # E_tau is defined for a single input state
+    fast = evolve(h, psi0, tau, steps=steps, track_qsl=track)
+    dense = evolve(strip_structure(h), psi0, tau, steps=steps, track_qsl=track)
+    assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
+    assert np.max(np.abs(fast.ground_fidelity - dense.ground_fidelity)) < 1e-10
+    if track:
+        assert abs(fast.e_tau - dense.e_tau) < 1e-10
 
 
 def test_kron_path_matches_dense():
@@ -158,9 +171,7 @@ def test_kron_path_matches_dense():
     joint = cd_tensor_sum([cd_teleport_block(sch, 0.4)] * 2)
     rng = np.random.default_rng(7)
     psi0 = teleport_initial_state(random_state(2, rng), 2)
-    fast = evolve(joint, psi0, 0.4, steps=500)
-    dense = evolve(strip_structure(joint), psi0, 0.4, steps=500)
-    assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
+    assert_matches_dense(joint, psi0, 0.4)
 
 
 def test_branch_path_matches_dense():
@@ -168,9 +179,9 @@ def test_branch_path_matches_dense():
     hsa = cd_controlled(spec)
     rng = np.random.default_rng(8)
     psi0 = controlled_initial_state(random_state(2, rng))
-    fast = evolve(hsa, psi0, 0.6, steps=500)
-    dense = evolve(strip_structure(hsa), psi0, 0.6, steps=500)
-    assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
+    block = np.stack([controlled_initial_state(random_state(2, rng)) for _ in range(3)], axis=1)
+    for states in (psi0, block):
+        assert_matches_dense(hsa, states, 0.6)
 
 
 def test_rotation_path_matches_dense():
@@ -180,9 +191,13 @@ def test_rotation_path_matches_dense():
     rot = cd_rotate(hsa, g)
     rng = np.random.default_rng(9)
     psi0 = teleport_initial_state(random_state(1, rng), 1, gate=gate("X"))
-    fast = evolve(rot, psi0, 0.5, steps=500)
-    dense = evolve(strip_structure(rot), psi0, 0.5, steps=500)
-    assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
+    assert_matches_dense(rot, psi0, 0.5)
+    # rotation over a tensor sum (gate teleportation), shortcut and adiabatic
+    spec = TeleportSpec(2, sch, gate=gate("CNOT"))
+    g2 = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    psi0 = teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
+    for h in (cd_rotate(cd_tensor_sum([hsa] * 2), g2), teleport_hamiltonian(spec)):
+        assert_matches_dense(h, psi0, 0.5)
 
 
 def test_block_state_propagation_matches_loop():
@@ -211,6 +226,13 @@ def test_evolve_rejects_tau_mismatch():
     hsa = cd_teleport_block(sch, 1.0)
     with pytest.raises(ValueError):
         evolve(hsa, np.zeros(8, dtype=complex), 0.5)
+
+
+@pytest.mark.parametrize("tau", [np.inf, np.nan])
+def test_evolve_rejects_non_finite_tau(tau):
+    h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))
+    with pytest.raises(ValueError, match="finite"):
+        evolve(h, teleport_initial_state(np.array([1.0, 0]), 1), tau)
 
 
 def test_evolve_rejects_too_few_steps():

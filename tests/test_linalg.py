@@ -8,7 +8,6 @@ from sal.linalg import (
     expm_hermitian,
     kron,
     normalize,
-    propagate_step,
     simpson,
     state_from_factors,
 )
@@ -68,14 +67,14 @@ def test_eigh_rejects_non_hermitian():
 
 def test_propagate_zero_hamiltonian():
     psi = normalize(np.array([1.0, 1j]))
-    out = propagate_step(np.zeros((2, 2)), 0.37, psi)
+    out = expm_hermitian(np.zeros((2, 2)), 0.37) @ psi
     assert np.allclose(out, psi, atol=1e-15)
 
 
 def test_propagate_sigma_z_quarter_turn():
     # exp(-i sz pi/2) = diag(-i, i): |+> goes to a |-> ray
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = propagate_step(Z, np.pi / 2, plus)
+    out = expm_hermitian(Z, np.pi / 2) @ plus
     expected = np.array([-1j, 1j]) / np.sqrt(2)
     assert np.allclose(out, expected, atol=1e-14)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -86,7 +85,7 @@ def test_single_step_norm_drift():
     rng = np.random.default_rng(13)
     h = random_hermitian(8, rng)
     psi = normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
-    out = propagate_step(h, 0.2, psi)
+    out = expm_hermitian(h, 0.2) @ psi
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -95,7 +94,7 @@ def test_norm_preserved_over_many_steps():
     h = random_hermitian(8, rng)
     psi = normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
     for _ in range(10_000):
-        psi = propagate_step(h, 1e-3, psi)
+        psi = expm_hermitian(h, 1e-3) @ psi
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
 
 
