@@ -47,15 +47,18 @@ from .hamiltonians import (
 )
 from .linalg import embed, random_state
 from .metrics import (
+    STATIONARITY_RTOL,
+    cae_controlled_cost,
     cae_single_gate_cost,
     energy_cost,
     qsl_check,
     qsl_report,
+    relative_residual,
     sce_controlled_cost,
     sce_single_gate_cost,
     stationarity_residual,
+    teleport_cost,
     teleport_cost_scale,
-    teleport_sigma_sing,
     theta_opt,
     theta_opt_adiabatic,
 )
@@ -115,7 +118,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+    vals = _floats(text)
+    if not all(v.is_integer() for v in vals):
+        raise CliError(f"bad integer list {text!r}")
+    return [int(v) for v in vals]
 
 
 def _jobs(args) -> int:
@@ -171,9 +177,18 @@ def _load_gate(args):
             raise CliError("--gate custom needs --gate-file with a JSON matrix")
         with open(path) as fh:
             raw = json.load(fh)
-        u = np.array([[complex(*c) if isinstance(c, list) else complex(c) for c in row] for row in raw])
-        return u, "custom"
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+            raise CliError(f"{path} does not hold a JSON matrix (a list of rows)")
+        return np.array([[_gate_entry(c, i, j) for j, c in enumerate(row)]
+                         for i, row in enumerate(raw)]), "custom"
     return gate(name), name
+
+
+def _gate_entry(c, i: int, j: int) -> complex:
+    try:
+        return complex(*c) if isinstance(c, list) else complex(c)
+    except (TypeError, ValueError):
+        raise CliError(f"gate entry [{i}][{j}] = {c} is not a number or [re, im]") from None
 
 
 def _teleport_rows(args) -> list[list]:
@@ -196,8 +211,8 @@ def _teleport_rows(args) -> list[list]:
     h_ad = teleport_hamiltonian(TeleportSpec(n, sch, gate=u))
     driver = hsa if args.mode == "sa" else h_ad
 
-    sigma_ad = teleport_cost_scale(n) * teleport_sigma_sing(sch, None, grid=args.grid)
-    sigma_sa = teleport_cost_scale(n) * teleport_sigma_sing(sch, tau, grid=args.grid)
+    sigma_ad = teleport_cost(sch, None, n, grid=args.grid)
+    sigma_sa = teleport_cost(sch, tau, n, grid=args.grid)
 
     steps = default_steps(driver, tau) if args.steps is None else args.steps
     rng = np.random.default_rng(args.seed)
@@ -243,7 +258,7 @@ def _controlled_rows(args, superadiabatic: bool) -> list[list]:
     )
     driver = cd_controlled(spec) if superadiabatic else controlled_hamiltonian(spec)
     sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
-    sigma_ad = np.sqrt(2.0**spec.n_controls) * cae_single_gate_cost()
+    sigma_ad = cae_controlled_cost(spec.n_controls)
     steps = default_steps(driver, spec.tau) if args.steps is None else args.steps
     rng = np.random.default_rng(args.seed)
     proto = "sce" if superadiabatic else "cae"
@@ -297,8 +312,8 @@ def _teleport_sweep_point(item) -> list:
     tau, family, n, grid = item
     sch = make_schedule(family)
     # eigenframe quadrature on one side, full HS-norm quadrature on the other
-    sigma_sa = teleport_cost_scale(n) * teleport_sigma_sing(sch, tau, grid=grid)
-    sigma_ad = teleport_cost_scale(n) * teleport_sigma_sing(sch, None, grid=grid)
+    sigma_sa = teleport_cost(sch, tau, n, grid=grid)
+    sigma_ad = teleport_cost(sch, None, n, grid=grid)
     closed = teleport_cost_scale(n) * energy_cost(cd_teleport_block(sch, tau), grid=grid)
     rel = abs(sigma_sa / closed - 1.0)
     return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
@@ -338,8 +353,9 @@ def cmd_theta_opt(args) -> int:
     for tau in taus:
         _check_tau(tau, "omega_tau")
     rows = _pmap(_theta_point, taus, _jobs(args))
-    if any(abs(row[2]) > 1e-5 for row in rows):
-        raise InvariantError("stationarity residual above 1e-5")
+    if any(relative_residual(theta, omega_tau) > STATIONARITY_RTOL
+           for omega_tau, theta, _, _ in rows):
+        raise InvariantError(f"relative stationarity residual above {STATIONARITY_RTOL}")
     _write_csv(args.out, ["omega_tau", "theta0_min", "residual", "theta0_min_adiabatic"], rows)
     return EXIT_OK
 

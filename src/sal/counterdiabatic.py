@@ -40,7 +40,7 @@ from .hamiltonians import (
     parity_permutation,
     teleport_sector_hamiltonian,
 )
-from .linalg import cluster_slices, eigh, is_unitary
+from .linalg import _chunks, check_shape, cluster_slices, eigh, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -65,10 +65,6 @@ class SpectralFrame:
     energies: np.ndarray
     vectors: np.ndarray
     cluster_slices: tuple[slice, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[2]
 
     def derivative(self) -> np.ndarray:
         """d/ds of the frame, second order everywhere."""
@@ -96,9 +92,10 @@ def spectral_frame(
     s_grid = np.linspace(0.0, 1.0, grid)
     energies = np.empty((grid, h.dim))
     vectors = np.empty((grid, h.dim, h.dim), dtype=complex)
+    for c in _chunks(grid, h.dim):
+        energies[c], vectors[c] = eigh(h(s_grid[c]))
     clusters: tuple[slice, ...] | None = None
-    for j, s in enumerate(s_grid):
-        lam, vec = eigh(h(s))
+    for j, (s, lam, vec) in enumerate(zip(s_grid, energies, vectors)):
         scale = max(1.0, float(np.max(np.abs(lam))))
         cl = cluster_slices(lam, cluster_tol * scale)
         if clusters is None:
@@ -119,8 +116,6 @@ def spectral_frame(
                         f"(min overlap {sig.min():.3f}); refine the grid"
                     )
                 vec[:, c] = vec[:, c] @ (wh.conj().T @ u.conj().T)
-        energies[j] = lam
-        vectors[j] = vec
     return SpectralFrame(s_grid, energies, vectors, clusters)
 
 
@@ -128,13 +123,17 @@ def spectral_frame(
 class SuperadiabaticHamiltonian:
     """Total shortcut generator H(s) + H_cd(s) for a fixed runtime tau.
 
+    ``cd(s)`` follows the same contract as ``TimeDepHamiltonian.func``: s is
+    a float or a 1-D array, the result has shape ``np.shape(s) + (dim,
+    dim)``, and ``total`` checks it.
+
     ``parts``, when set, is the structure node (``TensorSum``, ``Branches``
     or ``Rotation``) over shortcut Hamiltonians that this one composes;
     ``base`` and ``cd`` are then assembled from it (see ``_composite``).
     """
 
     base: TimeDepHamiltonian
-    cd: Callable[[float], np.ndarray]
+    cd: Callable[[float | np.ndarray], np.ndarray]
     tau: float
     frame: Optional[SpectralFrame] = None
     parts: Optional[TensorSum | Branches | Rotation] = None
@@ -143,37 +142,21 @@ class SuperadiabaticHamiltonian:
     def dim(self) -> int:
         return self.base.dim
 
-    def total(self, s: float) -> np.ndarray:
-        return self.base(s) + self.cd(s)
+    def total(self, s) -> np.ndarray:
+        return self.base(s) + check_shape(self.cd(s), s, self.dim)
 
-    def __call__(self, s: float) -> np.ndarray:
+    def __call__(self, s) -> np.ndarray:
         return self.total(s)
-
-
-def _interp_operator(s_grid: np.ndarray, ops: np.ndarray) -> Callable[[float], np.ndarray]:
-    n = len(s_grid)
-
-    def evaluate(s: float) -> np.ndarray:
-        x = min(max(float(s), 0.0), 1.0) * (n - 1)
-        lo = min(int(x), n - 2)
-        frac = x - lo
-        return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
-
-    return evaluate
 
 
 def cd_from_frame(frame: SpectralFrame, tau: float) -> np.ndarray:
     """Counter-diabatic operators on the frame grid."""
     dv = frame.derivative()
-    ops = np.empty_like(frame.vectors)
-    for j in range(len(frame.s_grid)):
-        v = frame.vectors[j]
-        d = dv[j]
-        berry = np.einsum("ij,ij->j", d.conj(), v)  # <d_s E_n|E_n>
-        k = d @ v.conj().T + (v * berry) @ v.conj().T
-        op = 1j * k / tau
-        ops[j] = (op + op.conj().T) / 2
-    return ops
+    v = frame.vectors
+    vh = np.swapaxes(v, -1, -2).conj()
+    berry = np.einsum("jin,jin->jn", dv.conj(), v)  # <d_s E_n|E_n>
+    op = 1j * (dv @ vh + (v * berry[:, None, :]) @ vh) / tau
+    return (op + np.swapaxes(op, -1, -2).conj()) / 2
 
 
 def cd_generic(
@@ -189,9 +172,14 @@ def cd_generic(
         raise ValueError("tau must be positive")
     frame = spectral_frame(h, grid)
     ops = cd_from_frame(frame, tau)
-    return SuperadiabaticHamiltonian(
-        base=h, cd=_interp_operator(frame.s_grid, ops), tau=tau, frame=frame
-    )
+
+    def cd(s) -> np.ndarray:
+        x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
+        lo = np.minimum(x.astype(int), grid - 2)
+        frac = (x - lo)[..., None, None]
+        return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
+
+    return SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau, frame=frame)
 
 
 # --- closed-form teleport block ---------------------------------------------
@@ -227,7 +215,8 @@ def _block_frame_columns(ei, ef):
     )
     w0 = w0 / np.sqrt(np.sum(w0 * w0, axis=0))
     w3 = w3 / np.sqrt(np.sum(w3 * w3, axis=0))
-    return np.stack([w0, z1, z2, w3], axis=1)
+    # (4, 4, ...) with the points of s last -> (..., 4, 4)
+    return np.moveaxis(np.stack([w0, z1, z2, w3], axis=1), (0, 1), (-2, -1))
 
 
 def teleport_block_frame(schedule: Schedule, s) -> np.ndarray:
@@ -258,16 +247,12 @@ def cd_teleport_block(
     base = teleport_sector_hamiltonian(schedule, omega)
     perm = parity_permutation()
 
-    def cd(s: float) -> np.ndarray:
+    def cd(s) -> np.ndarray:
         v = teleport_block_frame(schedule, s)
         dv = teleport_block_frame_deriv(schedule, s)
-        k = dv @ v.T
-        k = (k - k.T) / 2  # exactly antisymmetric for a real frame
-        block = 1j * k / tau
-        full = np.zeros((8, 8), dtype=complex)
-        full[:4, :4] = block
-        full[4:, 4:] = block
-        return perm @ full @ perm.T
+        k = dv @ np.swapaxes(v, -1, -2)
+        k = (k - np.swapaxes(k, -1, -2)) / 2  # exactly antisymmetric for a real frame
+        return perm @ np.kron(np.eye(2), 1j * k / tau) @ perm.T
 
     return SuperadiabaticHamiltonian(base=base, cd=cd, tau=tau)
 
@@ -327,7 +312,9 @@ def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     branches = controlled_hamiltonian(spec).parts
     cds = [cd_branch_term(spec.theta0, spec.tau, xi) for xi in (0.0, spec.phi)]
     leaves = tuple(
-        SuperadiabaticHamiltonian(base=h, cd=lambda s, c=c: c, tau=spec.tau)
+        SuperadiabaticHamiltonian(
+            base=h, cd=lambda s, c=c: np.broadcast_to(c, np.shape(s) + c.shape), tau=spec.tau
+        )
         for h, c in zip(branches.parts, cds)
     )
     return _composite(replace(branches, parts=leaves))

@@ -9,11 +9,11 @@ rotations, down to leaf Hamiltonians.  The one propagator below walks that
 tree.  The state is held in the frame where every rotation is undone and
 every branch projector is diagonal, entered and left once per run; there
 each step applies only leaf-sized unitaries, one tensor slot or branch
-block at a time.  Step unitaries come from a batched eigendecomposition of
-each distinct leaf over a chunk of midpoints.  The same walk gives H|psi>
-for the speed-limit integral, the ground-level weight at each sample point
-(from the leaves' eigenbases) and the norm bound behind the default step
-count.  A Hamiltonian without ``parts`` is a one-leaf tree: the dense
+block at a time.  Each distinct leaf is evaluated once per chunk of
+midpoints, and its step unitaries come from one batched eigendecomposition.
+The same walk gives H|psi> for the speed-limit integral, the ground-level
+weight at each sample point (from the leaves' eigenbases) and the norm
+bound behind the default step count.  A Hamiltonian without ``parts`` is a one-leaf tree: the dense
 reference the structured paths are tested against.
 """
 
@@ -25,12 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, TensorSum, bell_state
-from .linalg import embed, state_from_factors
+from .linalg import _chunks, embed, expm_hermitian, state_from_factors
 
 MIN_STEPS = 100
 _STEPS_PER_UNIT_ACTION = 2000
-_CHUNK = 512  # midpoints per batched eigendecomposition
-_CHUNK_ENTRIES = 2**22  # cap on the operator entries of one chunk array
 _GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
 
 
@@ -115,9 +113,9 @@ def _norm_bound(h, samples: int = 17) -> float:
     the largest over branches."""
     node = getattr(h, "parts", None)
     if node is None:
+        s = np.linspace(0.0, 1.0, samples)
         return max(
-            float(np.max(np.abs(np.linalg.eigvalsh(h(s)))))
-            for s in np.linspace(0.0, 1.0, samples)
+            float(np.max(np.abs(np.linalg.eigvalsh(h(s[c]))))) for c in _chunks(samples, h.dim)
         )
     norms = [_norm_bound(p, samples) for p in node.parts]
     return sum(norms) if isinstance(node, TensorSum) else max(norms)
@@ -126,10 +124,6 @@ def _norm_bound(h, samples: int = 17) -> float:
 def default_steps(h, tau: float) -> int:
     """Step count keeping the per-step action below 1/2000, floor 2000."""
     return max(_STEPS_PER_UNIT_ACTION, int(np.ceil(_STEPS_PER_UNIT_ACTION * _norm_bound(h) * tau)))
-
-
-def _sample_indices(steps: int, n_samples: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
 
 
 def _ground_weight(h, s: float, x: np.ndarray) -> np.ndarray:
@@ -179,7 +173,7 @@ def evolve(
         raise ValueError(f"tau must be positive and finite, got {tau}")
     psi0 = np.asarray(psi0, dtype=complex)
     dim = psi0.shape[0]
-    if getattr(h, "dim", dim) != dim:
+    if h.dim != dim:
         raise ValueError(f"state dim {dim} does not match Hamiltonian dim {h.dim}")
     if steps is None:
         steps = default_steps(h, tau)
@@ -190,26 +184,22 @@ def evolve(
 
     leaves = _leaves(h)
     dt = tau / steps
-    chunk = max(1, min(_CHUNK, _CHUNK_ENTRIES // max(getattr(f, "dim", dim) for f in leaves) ** 2))
-    sample_idx = _sample_indices(steps, n_samples)
+    sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
     sample_set = set(int(i) for i in sample_idx)
     x0 = x = _walk(h, psi0.reshape(1, dim, -1), frame=1)
     sampled = [x] if sample_idx[0] == 0 else []
     acc = 0.0
-    for j in range(0, steps, chunk):
-        mids = (np.arange(j, min(j + chunk, steps)) + 0.5) / steps
-        hs = {id(f): np.stack([f(s) for s in mids]) for f in leaves}
-        us = {}
-        for key, hk in hs.items():
-            lam, v = np.linalg.eigh(hk)
-            us[key] = (v * np.exp(-1j * lam * dt)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    for c in _chunks(steps, max(f.dim for f in leaves)):
+        mids = (np.arange(c.start, c.stop) + 0.5) / steps
+        hs = {id(f): f(mids) for f in leaves}
+        us = {key: expm_hermitian(hk, dt) for key, hk in hs.items()}
         for k in range(len(mids)):
             prev = x
             x = _walk(h, x, lambda f: us[id(f)][k])
             if track_qsl:
                 h_mid = _walk(h, 0.5 * (prev + x), lambda f: hs[id(f)][k], compose=False)
                 acc += float(np.abs(np.vdot(x0, h_mid))) * dt
-            if j + k + 1 in sample_set:
+            if c.start + k + 1 in sample_set:
                 sampled.append(x)
 
     s_samples = sample_idx / steps

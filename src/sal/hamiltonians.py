@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import cluster_slices, embed, eigh, is_unitary, kron
+from .linalg import _chunks, check_shape, cluster_slices, embed, eigh, is_unitary, kron
 from .schedules import Schedule
 
 # --- elementary gates ------------------------------------------------------
@@ -121,27 +121,31 @@ def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
 class TimeDepHamiltonian:
     """Hamiltonian evaluator on the dimensionless time s in [0, 1].
 
-    ``deriv`` is the analytic s-derivative when available.  ``parts``, when
-    set, is the exact composition H(s) is built from: a ``TensorSum``,
-    ``Branches`` or ``Rotation`` node over smaller Hamiltonians, which may
-    be structured in turn.  ``func`` and ``deriv`` then assemble the dense
+    ``func(s)`` and ``deriv(s)`` take s as a float or a 1-D array of points
+    and return an operator of shape ``np.shape(s) + (dim, dim)``, one
+    (dim, dim) matrix per point; ``__call__`` and ``derivative`` check that
+    shape.  ``deriv`` is the analytic s-derivative when available.
+
+    ``parts``, when set, is the exact composition H(s) is built from: a
+    ``TensorSum``, ``Branches`` or ``Rotation`` node over smaller
+    Hamiltonians, which may be structured in turn.  ``func`` and ``deriv`` then assemble the dense
     operator from the tree (see ``composite``), while propagation walks the
     tree and never forms it.  A Hamiltonian without ``parts`` is a leaf.
     """
 
     dim: int
-    func: Callable[[float], np.ndarray]
-    deriv: Optional[Callable[[float], np.ndarray]] = None
+    func: Callable[[float | np.ndarray], np.ndarray]
+    deriv: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     parts: Optional[TensorSum | Branches | Rotation] = None
 
-    def __call__(self, s: float) -> np.ndarray:
-        return self.func(s)
+    def __call__(self, s) -> np.ndarray:
+        return check_shape(self.func(s), s, self.dim)
 
-    def derivative(self, s: float, step: float = 1e-6) -> np.ndarray:
+    def derivative(self, s, step: float = 1e-6) -> np.ndarray:
         if self.deriv is not None:
-            return self.deriv(s)
-        lo, hi = max(0.0, s - step), min(1.0, s + step)
-        return (self.func(hi) - self.func(lo)) / (hi - lo)
+            return check_shape(self.deriv(s), s, self.dim)
+        lo, hi = np.maximum(0.0, s - step), np.minimum(1.0, s + step)
+        return (self(hi) - self(lo)) / (hi - lo)[..., None, None]
 
 
 # --- structure tree -----------------------------------------------------------
@@ -248,10 +252,6 @@ class TeleportSpec:
     def bob_qubits(self) -> list[int]:
         return [3 * k + 2 for k in range(self.n_sectors)]
 
-    @property
-    def data_qubits(self) -> list[int]:
-        return [3 * k for k in range(self.n_sectors)]
-
 
 def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
     """Single-sector (3-qubit) teleport Hamiltonian
@@ -259,13 +259,13 @@ def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeD
     h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
 
-    def func(s: float) -> np.ndarray:
+    def func(s):
         ei, ef = schedule.eta(s)
-        return ei * h_ini + ef * h_fin
+        return np.multiply.outer(ei, h_ini) + np.multiply.outer(ef, h_fin)
 
-    def deriv(s: float) -> np.ndarray:
+    def deriv(s):
         di, df = schedule.deta(s)
-        return di * h_ini + df * h_fin
+        return np.multiply.outer(di, h_ini) + np.multiply.outer(df, h_fin)
 
     return TimeDepHamiltonian(dim=8, func=func, deriv=deriv)
 
@@ -386,11 +386,13 @@ class ControlledSpec:
         return np.kron(sel, p_minus)
 
 
-def h_xi(theta: float, xi: float, omega: float = 1.0) -> np.ndarray:
+def h_xi(theta, xi: float, omega: float = 1.0) -> np.ndarray:
     """Ancilla branch Hamiltonian
-    -omega [cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))]."""
+    -omega [cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))], one per
+    entry of theta."""
     return -omega * (
-        np.cos(theta) * Z + np.sin(theta) * (np.cos(xi) * X + np.sin(xi) * Y)
+        np.multiply.outer(np.cos(theta), Z)
+        + np.multiply.outer(np.sin(theta), np.cos(xi) * X + np.sin(xi) * Y)
     )
 
 
@@ -413,8 +415,8 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
             dim=2,
             func=lambda s: h_xi(theta0 * s, xi, omega),
             deriv=lambda s: -omega * theta0 * (
-                -np.sin(theta0 * s) * Z
-                + np.cos(theta0 * s) * (np.cos(xi) * X + np.sin(xi) * Y)
+                np.multiply.outer(-np.sin(theta0 * s), Z)
+                + np.multiply.outer(np.cos(theta0 * s), np.cos(xi) * X + np.sin(xi) * Y)
             ),
         )
 
@@ -451,30 +453,28 @@ def adiabatic_time_estimate(
     choice inside each cluster.  A run much longer than this estimate is
     expected to be adiabatic; the estimate is in units of 1/omega.
     """
+    s_grid = np.linspace(0.0, 1.0, grid)
     best = 0.0
     pattern = None
-    for s in np.linspace(0.0, 1.0, grid):
-        ham = h(s)
-        lam, vec = eigh(ham)
-        dh = h.derivative(s)
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        clusters = cluster_slices(lam, cluster_tol * scale)
-        starts = [c.start for c in clusters]
-        if pattern is None:
-            pattern = starts
-        elif starts != pattern:
-            raise RuntimeError(
-                f"vanishing gap: the degeneracy pattern changes at s={s:.4f}"
-            )
-        if len(clusters) == 1:
-            continue
-        for ia, ca in enumerate(clusters):
-            va = vec[:, ca]
-            ea = lam[ca.start]
-            for ib, cb in enumerate(clusters):
-                if ib == ia:
+    for c in _chunks(grid, h.dim):
+        lam, vec = eigh(h(s_grid[c]))
+        dh = h.derivative(s_grid[c])
+        for s, lam_s in zip(s_grid[c], lam):
+            scale = max(1.0, float(np.max(np.abs(lam_s))))
+            clusters = cluster_slices(lam_s, cluster_tol * scale)
+            starts = [cl.start for cl in clusters]
+            if pattern is None:
+                pattern = starts
+            elif starts != pattern:
+                raise RuntimeError(
+                    f"vanishing gap: the degeneracy pattern changes at s={s:.4f}"
+                )
+        for ca in clusters:
+            va = np.swapaxes(vec[..., ca], -1, -2).conj()
+            for cb in clusters:
+                if cb == ca:
                     continue
-                gap = abs(ea - lam[cb.start])
-                block = va.conj().T @ dh @ vec[:, cb]
-                best = max(best, float(np.linalg.norm(block, 2)) / gap**2)
+                gap = np.abs(lam[:, ca.start] - lam[:, cb.start])
+                block = va @ dh @ vec[..., cb]
+                best = max(best, float(np.max(np.linalg.norm(block, 2, axis=(-2, -1)) / gap**2)))
     return best

@@ -11,9 +11,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+_CHUNK = 128  # points of s per batched evaluation
+_CHUNK_ENTRIES = 2**18  # cap on the operator entries of one chunk (4 MiB complex)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -24,37 +28,16 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt norm sqrt(Tr[A^dag A]) (Frobenius norm)."""
-    return float(np.linalg.norm(a))
-
-
-def herm_defect(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
-def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return herm_defect(a) <= atol * max(1.0, float(np.max(np.abs(a))))
-
-
-def check_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator must be square, got shape {a.shape}")
-    if not is_hermitian(a, atol):
-        raise ValueError(f"operator is not Hermitian (defect {herm_defect(a):.3e})")
-    return a
+def check_shape(op: np.ndarray, s, dim: int) -> np.ndarray:
+    """op, checked to hold one (dim, dim) operator per point of s, so that a
+    closure written for scalar s alone cannot broadcast over the points."""
+    if np.shape(op) != np.shape(s) + (dim, dim):
+        raise ValueError(f"operator of shape {np.shape(op)} for s of shape {np.shape(s)}")
+    return op
 
 
 def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
@@ -63,22 +46,27 @@ def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= atol
 
 
-def num_qubits(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator or a stack (..., d, d).
 
     Returns eigenvalues in ascending order and the matrix whose columns are
-    the corresponding orthonormal eigenvectors.  Non-Hermitian input is
-    rejected.
+    the corresponding orthonormal eigenvectors.  Input that is not Hermitian
+    to HERMITIAN_ATOL relative to max(1, its largest entry) is rejected.
     """
-    check_hermitian(h)
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"operator must be square, got shape {h.shape}")
+    defect = np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), axis=(-2, -1))
+    if np.any(defect > HERMITIAN_ATOL * np.maximum(1.0, np.max(np.abs(h), axis=(-2, -1)))):
+        raise ValueError(f"operator is not Hermitian (defect {np.max(defect):.3e})")
     return np.linalg.eigh(h)
+
+
+def _chunks(n: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of range(n), each small enough that one
+    (len, dim, dim) operator stack per slice is evaluated at once."""
+    size = max(1, min(_CHUNK, _CHUNK_ENTRIES // dim**2))
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 def cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
@@ -94,9 +82,10 @@ def cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h, unitary by construction."""
+    """exp(-i*h*t) for Hermitian h or a stack (..., d, d), unitary by
+    construction."""
     lam, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * lam * t)) @ v.conj().T
+    return (v * np.exp(-1j * lam * t)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:

@@ -15,10 +15,11 @@ import numpy as np
 
 from .counterdiabatic import SpectralFrame, teleport_block_frame_deriv
 from .dynamics import EvolutionResult, evolve
-from .linalg import simpson
+from .linalg import _chunks, simpson
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
+STATIONARITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,9 @@ def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
     if grid < 101 or grid % 2 == 0:
         raise ValueError("grid must be odd and >= 101")
     s_grid = np.linspace(0.0, 1.0, grid)
-    vals = np.array([np.linalg.norm(h(s)) for s in s_grid])
+    vals = np.concatenate(
+        [np.linalg.norm(h(s_grid[c]), axis=(-2, -1)) for c in _chunks(grid, h.dim)]
+    )
     return simpson(vals, s_grid[1] - s_grid[0])
 
 
@@ -80,30 +83,23 @@ def superadiabatic_cost(frame: SpectralFrame, tau: float) -> CostReport:
 # --- teleportation closed forms ----------------------------------------------
 
 
-def teleport_sigma_plus(
-    schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
-) -> float:
-    """Cost of one parity block from the analytic eigenframe; tau=None gives
-    the adiabatic limit."""
-    s_grid = np.linspace(0.0, 1.0, grid)
-    vals = np.empty(grid)
-    for j, s in enumerate(s_grid):
-        chi = float(np.real(schedule.chi(s)))
-        e2 = 8.0 * (omega * chi) ** 2  # (-2wx)^2 + (+2wx)^2
-        if tau is None:
-            vals[j] = np.sqrt(e2)
-        else:
-            dv = teleport_block_frame_deriv(schedule, s)
-            mu_sum = float(np.sum(dv * dv))
-            vals[j] = np.sqrt(e2 + mu_sum / tau**2)
-    return simpson(vals, s_grid[1] - s_grid[0])
-
-
 def teleport_sigma_sing(
     schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
 ) -> float:
-    """Single-sector cost: sqrt(2) times the block cost (two equal blocks)."""
-    return float(np.sqrt(2.0)) * teleport_sigma_plus(schedule, tau, omega, grid)
+    """Single-sector cost from the analytic eigenframe: sqrt(2) times the
+    cost of one parity block (two equal blocks); tau=None gives the
+    adiabatic limit."""
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        e2 = 8.0 * (omega * np.real(schedule.chi(s))) ** 2  # (-2wx)^2 + (+2wx)^2
+        if tau is None:
+            return np.sqrt(e2)
+        dv = teleport_block_frame_deriv(schedule, s)
+        return np.sqrt(e2 + np.sum(dv * dv, axis=(-2, -1)) / tau**2)
+
+    s_grid = np.linspace(0.0, 1.0, grid)
+    vals = np.concatenate([integrand(s_grid[c]) for c in _chunks(grid, 4)])
+    return float(np.sqrt(2.0)) * simpson(vals, s_grid[1] - s_grid[0])
 
 
 def teleport_cost_scale(n_sectors: int) -> float:
@@ -190,6 +186,11 @@ def stationarity_residual(theta0: float, omega_tau: float) -> float:
     )
 
 
+def relative_residual(theta0: float, omega_tau: float) -> float:
+    """|stationarity_residual| over the size of its terms, 4 (w tau)^2 + theta0^2."""
+    return abs(stationarity_residual(theta0, omega_tau)) / (4.0 * omega_tau**2 + theta0**2)
+
+
 def angle_feasible(theta0: float) -> bool:
     """tan(theta0/2) >= theta0, necessary for theta0 to be a minimizer."""
     return bool(np.tan(theta0 / 2.0) >= theta0)
@@ -201,21 +202,27 @@ def _feasible_onset(resolution: float = 1e-4) -> float:
     return float(grid[np.argmax(sign)])
 
 
-def theta_opt(omega_tau: float, residual_tol: float = 1e-5) -> float:
+def theta_opt(omega_tau: float, rtol: float = STATIONARITY_RTOL) -> float:
     """Angle minimizing the mean superadiabatic cost at fixed omega*tau.
 
-    Bisection on (feasible onset, pi]; the residual of the stationarity
-    condition at the returned angle is below ``residual_tol``.
+    Bisection on (feasible onset, pi]; the relative residual of the
+    stationarity condition at the returned angle (``relative_residual``) is
+    below ``rtol``.
     """
-    if omega_tau <= 0:
-        raise ValueError("omega_tau must be positive")
+    if not 0 < omega_tau < np.inf:
+        raise ValueError(f"omega_tau must be positive and finite, got {omega_tau}")
+    if not np.isfinite(4.0 * float(omega_tau) * float(omega_tau) + np.pi**2):
+        raise ValueError(f"omega_tau={omega_tau} is too large: 4 (omega tau)^2 overflows")
     lo = _feasible_onset()
     hi = float(np.pi)
     flo = stationarity_residual(lo, omega_tau)
     if flo > 0:  # onset overshoot; step back within scan resolution
         lo -= 2e-4
         flo = stationarity_residual(lo, omega_tau)
-    assert flo < 0 < stationarity_residual(hi, omega_tau)
+    if not flo < 0:
+        raise RuntimeError(f"no bracket for the optimal angle at omega_tau={omega_tau}")
+    # Above omega_tau ~ 1e8 the residual is negative at pi too: the root then
+    # lies within rounding of pi, where the bisection converges.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if stationarity_residual(mid, omega_tau) < 0:
@@ -225,8 +232,8 @@ def theta_opt(omega_tau: float, residual_tol: float = 1e-5) -> float:
         if hi - lo < 1e-15:
             break
     theta = 0.5 * (lo + hi)
-    if abs(stationarity_residual(theta, omega_tau)) > residual_tol:
-        raise RuntimeError(f"bisection residual above {residual_tol}")
+    if relative_residual(theta, omega_tau) > rtol:
+        raise RuntimeError(f"relative bisection residual above {rtol}")
     return theta
 
 

@@ -2,9 +2,9 @@
 
 Every schedule satisfies eta_i(0) = eta_f(1) = 1 and eta_i(1) = eta_f(0) = 0,
 with eta_i^2 + eta_f^2 > 0 everywhere, so the driving Hamiltonian keeps a
-finite gap.  Evaluators accept complex arguments: downstream code uses
-complex-step differentiation of analytic eigenvector families, which needs
-the interpolants to be analytic in s.
+finite gap.  Evaluators accept arrays of s and complex arguments:
+downstream code uses complex-step differentiation of analytic eigenvector
+families, which needs the interpolants to be analytic in s.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ class Schedule:
                           (self.eta_f(0.0), 0.0), (self.eta_f(1.0), 1.0)):
             if abs(val - want) > 1e-12:
                 raise ValueError(f"schedule {self.family!r} violates boundary conditions")
-        grid = np.linspace(0.0, 1.0, 257)
-        if min(abs(self.chi(s)) for s in grid) <= 0.0:
+        if np.min(np.abs(self.chi(np.linspace(0.0, 1.0, 257)))) <= 0.0:
             raise ValueError(f"schedule {self.family!r} has a vanishing gap factor")
 
 

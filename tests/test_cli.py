@@ -94,6 +94,12 @@ def test_theta_opt_command(tmp_path):
     assert all(t < np.pi for t in thetas)
     assert all(abs(float(r["residual"])) <= 1e-5 for r in rows)
     assert all(float(r["theta0_min_adiabatic"]) == pytest.approx(np.pi) for r in rows)
+    # large omega*tau: the absolute residual grows with 4 (omega tau)^2, the relative one does not
+    rc = main(["theta-opt", "--tau-list", "1e6", "--jobs", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    row = read_rows(out)[0]
+    theta = float(row["theta0_min"])
+    assert abs(float(row["residual"])) <= 1e-12 * (4 * 1e6**2 + theta**2)
 
 
 def test_qsl_check_command(tmp_path):
@@ -128,6 +134,11 @@ def test_config_errors_exit_3(capsys):
             assert "tau must be positive and finite" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--gate", "CNOT"]) == EXIT_CONFIG
     assert main(["teleport", "--tau", "1", "--schedule", "spline"]) == EXIT_CONFIG
+    assert main(["theta-opt", "--tau-list", "1e200"]) == EXIT_CONFIG
+    assert "overflows" in capsys.readouterr().err
+    assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1",
+                 "--n-list", "1.7"]) == EXIT_CONFIG
+    assert "bad integer list" in capsys.readouterr().err
     assert main(["no-such-command"]) == EXIT_CONFIG
 
 
@@ -146,7 +157,7 @@ def test_generic_cd_route(tmp_path):
     assert float(read_rows(out)[0]["fidelity"]) >= 1 - 1e-6
 
 
-def test_custom_gate_from_file(tmp_path):
+def test_custom_gate_from_file(tmp_path, capsys):
     mat = tmp_path / "gate.json"
     mat.write_text(json.dumps([[0, 1], [1, 0]]))  # X
     out = tmp_path / "c.csv"
@@ -157,6 +168,10 @@ def test_custom_gate_from_file(tmp_path):
     assert row["gate"] == "custom"
     assert float(row["fidelity"]) >= 1 - 1e-6
     assert main(["teleport", "--tau", "0.5", "--gate", "custom"]) == EXIT_CONFIG
+    mat.write_text(json.dumps([[0, 1], [1, [1, 2, 3]]]))
+    rc = main(["teleport", "--tau", "0.5", "--gate", "custom", "--gate-file", str(mat)])
+    assert rc == EXIT_CONFIG
+    assert "gate entry [1][1] = [1, 2, 3]" in capsys.readouterr().err
 
 
 def test_jobs_env_override(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 import sal
 from sal.counterdiabatic import (
+    SuperadiabaticHamiltonian,
     cd_branch_term,
     cd_controlled,
     cd_generic,
@@ -17,6 +18,7 @@ from sal.hamiltonians import (
     ControlledSpec,
     TeleportSpec,
     TimeDepHamiltonian,
+    controlled_hamiltonian,
     h_xi,
     parity_operators,
     teleport_hamiltonian,
@@ -32,7 +34,11 @@ def h_xi_hamiltonian(theta0, xi, omega=1.0):
 
 def constant_hamiltonian():
     m = sal.Z + 0.3 * sal.X
-    return TimeDepHamiltonian(dim=2, func=lambda s: m, deriv=lambda s: np.zeros((2, 2)))
+    return TimeDepHamiltonian(
+        dim=2,
+        func=lambda s: np.broadcast_to(m, np.shape(s) + (2, 2)),
+        deriv=lambda s: np.zeros(np.shape(s) + (2, 2)),
+    )
 
 
 # --- generic construction -------------------------------------------------------
@@ -71,7 +77,7 @@ def test_cd_generic_handles_degenerate_teleport_sector():
 
 def test_spectral_frame_reports_lost_tracking():
     # a pi flip between two anticommuting terms crosses levels head-on
-    h = TimeDepHamiltonian(dim=2, func=lambda s: (1 - 2 * s) * sal.Z)
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(1 - 2 * s, sal.Z))
     with pytest.raises(RuntimeError):
         spectral_frame(h, grid=201)
 
@@ -283,3 +289,56 @@ def test_cd_controlled_diag_nullity_and_anticommutator():
         diag = np.diag(vec.conj().T @ hsa.cd(s) @ vec)
         assert np.max(np.abs(diag)) < 1e-8
         assert abs(np.trace(anticommutator(hsa.base(s), hsa.cd(s)))) < 1e-8
+
+
+# --- the array evaluation contract ------------------------------------------------
+
+
+def _evaluators():
+    sch = make_schedule("trig")
+    sector = teleport_sector_hamiltonian(sch)
+    spec = ControlledSpec(n_controls=1, axis=[1, 1, 1], phi=0.9, theta0=2.0, tau=0.7)
+    branch = controlled_hamiltonian(spec).parts.parts[1]
+    block = cd_teleport_block(sch, 0.7)
+    joint = cd_tensor_sum([block] * 2)
+    rot = cd_rotate(block, embed(sal.gate("H"), [2], 3))
+    return {
+        "teleport sector H": sector,
+        "teleport sector dH": sector.derivative,
+        "finite-difference dH": TimeDepHamiltonian(dim=8, func=sector.func).derivative,
+        "controlled branch H": branch,
+        "controlled branch dH": branch.derivative,
+        "controlled H": controlled_hamiltonian(spec),
+        "cd_teleport_block": block.cd,
+        "cd_generic": cd_generic(sector, 0.7, grid=201).cd,
+        "cd_controlled": cd_controlled(spec).cd,
+        "cd_controlled total": cd_controlled(spec).total,
+        "cd_tensor_sum": joint.cd,
+        "cd_tensor_sum total": joint.total,
+        "cd_tensor_sum dH": joint.base.derivative,
+        "cd_rotate": rot.cd,
+        "cd_rotate total": rot.total,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_evaluators()))
+def test_array_call_equals_stacked_scalar_calls(name):
+    evaluate = _evaluators()[name]
+    s = np.linspace(0.0, 1.0, 9)
+    batched = evaluate(s)
+    stacked = np.stack([evaluate(x) for x in s])
+    assert batched.shape == stacked.shape
+    assert np.max(np.abs(batched - stacked)) <= 1e-14
+
+
+def test_scalar_only_closure_is_rejected():
+    s = np.array([0.25, 0.75])
+    h = TimeDepHamiltonian(dim=2, func=lambda s: (1 - 2 * s) * sal.Z)  # broadcasts to (2, 2)
+    with pytest.raises(ValueError, match="shape"):
+        h(s)
+    h = TimeDepHamiltonian(dim=2, func=h_xi_hamiltonian(np.pi, 0.0).func, deriv=lambda s: sal.X)
+    with pytest.raises(ValueError, match="shape"):
+        h.derivative(s)
+    hsa = SuperadiabaticHamiltonian(base=h, cd=lambda s: 0.1 * sal.Y, tau=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        hsa.total(s)

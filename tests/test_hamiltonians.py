@@ -276,7 +276,11 @@ def test_controlled_hermitian_on_grid():
 
 
 def test_estimate_zero_for_constant():
-    h = TimeDepHamiltonian(dim=2, func=lambda s: sal.Z.astype(complex), deriv=lambda s: np.zeros((2, 2)))
+    h = TimeDepHamiltonian(
+        dim=2,
+        func=lambda s: np.broadcast_to(sal.Z.astype(complex), np.shape(s) + (2, 2)),
+        deriv=lambda s: np.zeros(np.shape(s) + (2, 2)),
+    )
     assert adiabatic_time_estimate(h) == 0.0
 
 

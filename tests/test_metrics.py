@@ -39,7 +39,7 @@ CHI_INTEGRAL = {"linear": 0.8116126200701153, "trig": 1.0, "exp": 0.702375659416
 
 
 def test_energy_cost_constant_pauli():
-    h = TimeDepHamiltonian(dim=2, func=lambda s: -sal.Z.astype(complex))
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(-np.ones_like(s), sal.Z))
     assert abs(energy_cost(h, grid=101) - np.sqrt(2.0)) < 1e-12
 
 
@@ -194,7 +194,7 @@ def test_mean_cost_convex_in_theta0():
 
 
 def test_qsl_stationary_evolution():
-    h = TimeDepHamiltonian(dim=2, func=lambda s: np.zeros((2, 2), dtype=complex))
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.zeros(np.shape(s) + (2, 2), dtype=complex))
     rep = qsl_check(h, np.array([1.0, 0.0]), tau=1.0, steps=200)
     assert rep.e_tau == 0.0
     assert rep.bound == 0.0
