@@ -148,6 +148,11 @@ def _check_tau(tau: float, name: str = "tau"):
         raise CliError(f"{name} must be positive and finite, got {tau}")
 
 
+def _check_states(states: int):
+    if states < 1:
+        raise CliError(f"--states must be >= 1, got {states}")
+
+
 def _evolve_with_qsl(driver, ini, tau, steps: int, qsl_steps: Optional[int]):
     """Evolve one input state; the speed-limit report comes from the same
     integration unless ``qsl_steps`` asks for a different step count."""
@@ -195,6 +200,7 @@ def _teleport_rows(args) -> list[list]:
     sch = make_schedule(args.schedule)
     u, gate_name = _load_gate(args)
     n = args.n
+    _check_states(args.states)
     if u is not None and u.shape[0] != 2**n:
         raise CliError(f"gate {gate_name} does not act on {n} qubits")
     tau = args.tau
@@ -248,6 +254,7 @@ def cmd_teleport(args) -> int:
 
 def _controlled_rows(args, superadiabatic: bool) -> list[list]:
     _check_tau(args.tau)
+    _check_states(args.states)
     spec = ControlledSpec(
         n_controls=args.n_controls,
         axis=_axis_arg(args.axis),

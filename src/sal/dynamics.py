@@ -8,13 +8,29 @@ sums over consecutive slots, orthogonal ancilla branches and constant
 rotations, down to leaf Hamiltonians.  The one propagator below walks that
 tree.  The state is held in the frame where every rotation is undone and
 every branch projector is diagonal, entered and left once per run; there
-each step applies only leaf-sized unitaries, one tensor slot or branch
-block at a time.  Each distinct leaf is evaluated once per chunk of
-midpoints, and its step unitaries come from one batched eigendecomposition.
-The same walk gives H|psi> for the speed-limit integral, the ground-level
-weight at each sample point (from the leaves' eigenbases) and the norm
-bound behind the default step count.  A Hamiltonian without ``parts`` is a one-leaf tree: the dense
-reference the structured paths are tested against.
+the tree applies only leaf-sized matrices, one tensor slot or branch block
+at a time.
+
+Steps are taken a chunk of midpoints at a time.  Each distinct leaf is
+evaluated once per chunk, its step unitaries come from one batched
+eigendecomposition, and their running products p_k = u_k ... u_0 are
+multiplied in step order (a log-depth scan over the chunk is measurably
+less accurate).  One walk of the tree then applies the products at every
+step the chunk must report: its sample points and its last step, or every
+step when the speed-limit integral is tracked.  This equals applying the
+tree step by step because, in the walk frame, the tree's step unitary is a
+tensor product over slots and a direct sum over branch blocks: leaves in
+different slots commute, each block stays invariant, and no rotation acts
+between steps.  So the product of the tree's step unitaries over a chunk is
+the tree of each leaf's ordered chunk product (Blanes et al., Phys. Rep.
+470, 151 (2009) for the midpoint product formula itself).
+
+The same walk, batched over points, gives H|psi> for the speed-limit
+integral and the ground-level weight at each sample point (from the leaves'
+eigenbases, one stacked eigendecomposition per leaf); the leaves' norms
+give the bound behind the default step count.  A Hamiltonian without
+``parts`` is a one-leaf tree: the dense reference the structured paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -71,41 +87,52 @@ def _leaves(h) -> list:
 
 
 def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0) -> np.ndarray:
-    """Apply h's tree to x, shaped (pre, h.dim, post), in the walk frame.
+    """Apply h's tree to x, shaped (batch, pre, h.dim, post), in the walk frame.
 
-    ``op(leaf)`` is the matrix a leaf contributes on its own slot.  With
-    ``compose`` the tensor-sum parts' matrices multiply (step unitaries,
-    eigenbases); without, they add (H, its eigenvalues).  Branch blocks are
-    disjoint either way.  ``frame=1`` (``-1``) with no ``op`` enters
-    (leaves) the walk frame instead: G^dag or W^dag of each rotation or
-    branch node on the way down, G or W on the way up.
+    ``op(leaf)`` is the matrix a leaf contributes on its own slot, shaped
+    (d, d) for the whole batch or (batch, d, d) for one per batch entry.
+    With ``compose`` the tensor-sum parts' matrices multiply (step
+    unitaries, eigenbases); without, they add (H, its eigenvalues).  Branch
+    blocks are disjoint either way.  ``frame=1`` (``-1``) with no ``op``
+    enters (leaves) the walk frame instead: G^dag or W^dag of each rotation
+    or branch node on the way down, G or W on the way up.
     """
     node = getattr(h, "parts", None)
     if node is None:
-        return x if op is None else op(h) @ x
-    pre, dim, post = x.shape
+        return x if op is None else op(h).reshape(-1, 1, h.dim, h.dim) @ x
+    batch, pre, dim, post = x.shape
     u = node.g if isinstance(node, Rotation) else (
         node.basis[0] if isinstance(node, Branches) else None)
     if u is not None and frame > 0:
-        x = (u.conj().T @ x.reshape(pre, len(u), -1)).reshape(x.shape)
+        x = (u.conj().T @ x.reshape(batch, pre, len(u), -1)).reshape(x.shape)
     if isinstance(node, Branches):
         d = node.parts[0].dim
-        x = x.reshape(pre, dim // d, d, post)
+        x = x.reshape(batch, pre, dim // d, d, post)
         out = np.empty(x.shape, dtype=complex)
         for part, rows in zip(node.parts, node.basis[1]):
-            block = _walk(part, x[:, rows].reshape(-1, d, post), op, compose, frame)
-            out[:, rows] = block.reshape(pre, -1, d, post)
+            block = _walk(part, x[:, :, rows].reshape(batch, -1, d, post), op, compose, frame)
+            out[:, :, rows] = block.reshape(batch, pre, -1, d, post)
     else:
         out, left = (x if compose else 0.0), 1
         for part in node.parts:
             src = out if compose else x
-            y = _walk(part, src.reshape(pre * left, part.dim, -1), op, compose, frame)
+            y = _walk(part, src.reshape(batch, pre * left, part.dim, -1), op, compose, frame)
             out = y.reshape(x.shape) if compose else out + y.reshape(x.shape)
             left *= part.dim
-    out = out.reshape(pre, dim, post)
+    out = out.reshape(batch, pre, dim, post)
     if u is not None and frame < 0:
-        out = (u @ out.reshape(pre, len(u), -1)).reshape(out.shape)
+        out = (u @ out.reshape(batch, pre, len(u), -1)).reshape(out.shape)
     return out
+
+
+def _running_products(u: np.ndarray) -> np.ndarray:
+    """p[k] = u[k] @ ... @ u[0] for a stack of step unitaries, multiplied in
+    step order."""
+    p = np.empty_like(u)
+    p[0] = u[0]
+    for step, prev, out in zip(u[1:], p, p[1:]):
+        np.dot(step, prev, out=out)
+    return p
 
 
 def _norm_bound(h, samples: int = 17) -> float:
@@ -126,16 +153,22 @@ def default_steps(h, tau: float) -> int:
     return max(_STEPS_PER_UNIT_ACTION, int(np.ceil(_STEPS_PER_UNIT_ACTION * _norm_bound(h) * tau)))
 
 
-def _ground_weight(h, s: float, x: np.ndarray) -> np.ndarray:
-    """Weight of each column of the walk-frame state x in the lowest level
-    of the driving H(s); for a shortcut that is its base, without the
-    counter-diabatic term."""
-    spectra = {id(leaf): np.linalg.eigh(getattr(leaf, "base", leaf)(s)) for leaf in _leaves(h)}
-    energies = _walk(h, np.ones((1, x.shape[1], 1)), lambda leaf: np.diag(spectra[id(leaf)][0]),
-                     compose=False).real.reshape(-1)
-    amps = _walk(h, x, lambda leaf: spectra[id(leaf)][1].conj().T)[0]
-    level = energies < energies.min() + _GROUND_TOL * max(1.0, float(np.max(np.abs(energies))))
-    return np.sum(np.abs(amps[level]) ** 2, axis=0)
+def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Weight of each column of each walk-frame state xs[j], shaped
+    (len(s), 1, dim, post), in the lowest level of the driving H(s[j]); for a
+    shortcut that is its base, without the counter-diabatic term."""
+    leaves = _leaves(h)
+    out = []
+    for c in _chunks(len(s), max(f.dim for f in leaves)):
+        spectra = {id(f): np.linalg.eigh(getattr(f, "base", f)(s[c])) for f in leaves}
+        ones = np.ones((len(s[c]), 1, h.dim, 1))
+        energies = _walk(h, ones, lambda f: spectra[id(f)][0][..., None] * np.eye(f.dim),
+                         compose=False).real[:, 0, :, 0]
+        amps = _walk(h, xs[c], lambda f: np.swapaxes(spectra[id(f)][1], -1, -2).conj())[:, 0]
+        top = np.maximum(1.0, np.max(np.abs(energies), axis=1, keepdims=True))
+        level = energies < energies.min(axis=1, keepdims=True) + _GROUND_TOL * top
+        out.append(np.sum(np.abs(amps) ** 2 * level[..., None], axis=1))
+    return np.concatenate(out)
 
 
 def evolve(
@@ -185,28 +218,36 @@ def evolve(
     leaves = _leaves(h)
     dt = tau / steps
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
-    sample_set = set(int(i) for i in sample_idx)
-    x0 = x = _walk(h, psi0.reshape(1, dim, -1), frame=1)
+    ends_on_sample = np.zeros(steps, dtype=bool)  # step j ends at point j + 1
+    ends_on_sample[sample_idx[sample_idx > 0] - 1] = True
+    x0 = x = _walk(h, psi0.reshape(1, 1, dim, -1), frame=1)
     sampled = [x] if sample_idx[0] == 0 else []
     acc = 0.0
     for c in _chunks(steps, max(f.dim for f in leaves)):
+        # One walk applies the chunk's steps up to each needed k: the running
+        # product of each leaf's step unitaries (see the module docstring).
         mids = (np.arange(c.start, c.stop) + 0.5) / steps
         hs = {id(f): f(mids) for f in leaves}
-        us = {key: expm_hermitian(hk, dt) for key, hk in hs.items()}
-        for k in range(len(mids)):
-            prev = x
-            x = _walk(h, x, lambda f: us[id(f)][k])
-            if track_qsl:
-                h_mid = _walk(h, 0.5 * (prev + x), lambda f: hs[id(f)][k], compose=False)
-                acc += float(np.abs(np.vdot(x0, h_mid))) * dt
-            if c.start + k + 1 in sample_set:
-                sampled.append(x)
+        prods = {key: _running_products(expm_hermitian(hk, dt)) for key, hk in hs.items()}
+        ks = np.arange(len(mids))
+        picked = ends_on_sample[c]
+        if not track_qsl:
+            ks = ks[picked | (ks == ks[-1])]
+        xs = _walk(h, np.broadcast_to(x, (len(ks),) + x.shape[1:]),
+                   lambda f: prods[id(f)][ks])
+        if track_qsl:
+            pairs = np.concatenate([x, xs])
+            h_mid = _walk(h, 0.5 * (pairs[:-1] + pairs[1:]), lambda f: hs[id(f)], compose=False)
+            acc += float(np.sum(np.abs(h_mid.reshape(len(ks), -1) @ x0.reshape(-1).conj()))) * dt
+        sampled.append(xs[picked[ks]])
+        x = xs[-1:]
 
     s_samples = sample_idx / steps
-    ground = np.array([_ground_weight(h, s, xs) for s, xs in zip(s_samples, sampled)])
+    sampled = np.concatenate(sampled)
+    ground = _ground_weights(h, s_samples, sampled)
     states = None
     if keep_states:
-        states = np.stack([_walk(h, xs, frame=-1).reshape(psi0.shape) for xs in sampled])
+        states = _walk(h, sampled, frame=-1).reshape((-1,) + psi0.shape)
     return EvolutionResult(
         final_state=_walk(h, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,

@@ -281,16 +281,19 @@ def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
     return composite(Rotation(embed(spec.gate, spec.bob_qubits, spec.n_qubits), (h,)))
 
 
-def teleport_energies(schedule: Schedule, s: float, omega: float = 1.0) -> np.ndarray:
-    """Distinct single-sector levels (-2wx, 0, 0, +2wx), x = sqrt(ei^2+ef^2);
-    in the 8-dim sector space each level appears twice."""
-    chi = float(np.real(schedule.chi(s)))
-    return omega * np.array([-2 * chi, 0.0, 0.0, 2 * chi])
+def teleport_energies(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
+    """Distinct single-sector levels (-2wx, 0, 0, +2wx), x = sqrt(ei^2+ef^2),
+    shaped ``np.shape(s) + (4,)``; in the 8-dim sector space each level
+    appears twice."""
+    chi = np.real(schedule.chi(s))
+    zero = np.zeros_like(chi)
+    return omega * np.stack([-2 * chi, zero, zero, 2 * chi], axis=-1)
 
 
-def teleport_gap(schedule: Schedule, s: float, omega: float = 1.0) -> float:
-    """Ground-to-first-excited gap 2*omega*sqrt(eta_i^2 + eta_f^2)."""
-    return 2.0 * omega * float(np.real(schedule.chi(s)))
+def teleport_gap(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
+    """Ground-to-first-excited gap 2*omega*sqrt(eta_i^2 + eta_f^2), shaped
+    ``np.shape(s)``."""
+    return 2.0 * omega * np.real(schedule.chi(s))
 
 
 # Basis ordering that block-diagonalizes the sector Hamiltonian: the four

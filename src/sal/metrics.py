@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .counterdiabatic import SpectralFrame, teleport_block_frame_deriv
-from .dynamics import EvolutionResult, evolve
+from .dynamics import EvolutionResult, _leaves, evolve
+from .hamiltonians import Branches, Rotation
 from .linalg import _chunks, simpson
 from .schedules import Schedule
 
@@ -41,13 +42,42 @@ class QslReport:
     satisfied: bool
 
 
+def _hs_square_and_trace(h, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||H(s)||_HS^2 and tr H(s) at each point of s, from h's structure tree
+    (see ``sal.hamiltonians``) without forming the dense operator.
+
+    A rotation keeps both.  Orthogonal branches P_i (x) H_i give
+    sum_i rank(P_i) ||H_i||^2.  A tensor sum over slots of dimension d_k in
+    D dimensions gives sum_k (D/d_k) ||H_k||^2 plus the cross terms
+    sum_{j != k} (D/d_j d_k) conj(tr H_j) tr H_k.
+    """
+    node = getattr(h, "parts", None)
+    if node is None:
+        m = h(s)
+        return np.add.reduce((m.conj() * m).real, axis=(-2, -1)), np.trace(m, axis1=-2, axis2=-1)
+    parts = [_hs_square_and_trace(p, s) for p in node.parts]
+    if isinstance(node, Rotation):
+        return parts[0]
+    if isinstance(node, Branches):
+        ranks = [rows.stop - rows.start for rows in node.basis[1]]
+        return (sum(r * sq for r, (sq, _) in zip(ranks, parts)),
+                sum(r * tr for r, (_, tr) in zip(ranks, parts)))
+    dim = node.dim
+    means = [tr / p.dim for p, (_, tr) in zip(node.parts, parts)]  # tr H_k / d_k
+    square = sum(dim // p.dim * sq for p, (sq, _) in zip(node.parts, parts))
+    cross = np.abs(sum(means)) ** 2 - sum(np.abs(w) ** 2 for w in means)
+    return square + dim * cross, dim * sum(means)
+
+
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
-    """int_0^1 ||H(s)||_HS ds by composite Simpson."""
+    """int_0^1 ||H(s)||_HS ds by composite Simpson; a structured H is
+    evaluated leaf by leaf (``_hs_square_and_trace``)."""
     if grid < 101 or grid % 2 == 0:
         raise ValueError("grid must be odd and >= 101")
     s_grid = np.linspace(0.0, 1.0, grid)
+    leaf_dim = max(f.dim for f in _leaves(h))
     vals = np.concatenate(
-        [np.linalg.norm(h(s_grid[c]), axis=(-2, -1)) for c in _chunks(grid, h.dim)]
+        [np.sqrt(_hs_square_and_trace(h, s_grid[c])[0]) for c in _chunks(grid, leaf_dim)]
     )
     return simpson(vals, s_grid[1] - s_grid[0])
 

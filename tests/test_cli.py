@@ -132,6 +132,10 @@ def test_config_errors_exit_3(capsys):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
             assert main(argv + ["--tau", tau]) == EXIT_CONFIG
             assert "tau must be positive and finite" in capsys.readouterr().err
+    for states in ("0", "-1"):
+        for argv in (["teleport"], ["cae"], ["sce"]):
+            assert main(argv + ["--tau", "1", "--states", states]) == EXIT_CONFIG
+            assert "--states" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--gate", "CNOT"]) == EXIT_CONFIG
     assert main(["teleport", "--tau", "1", "--schedule", "spline"]) == EXIT_CONFIG
     assert main(["theta-opt", "--tau-list", "1e200"]) == EXIT_CONFIG

@@ -21,6 +21,8 @@ from sal.hamiltonians import (
     controlled_hamiltonian,
     h_xi,
     parity_operators,
+    teleport_energies,
+    teleport_gap,
     teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
@@ -318,6 +320,8 @@ def _evaluators():
         "cd_tensor_sum dH": joint.base.derivative,
         "cd_rotate": rot.cd,
         "cd_rotate total": rot.total,
+        "teleport_energies": lambda s: teleport_energies(sch, s),
+        "teleport_gap": lambda s: teleport_gap(sch, s),
     }
 
 

@@ -8,6 +8,7 @@ from sal.counterdiabatic import (
     cd_teleport_block,
     cd_tensor_sum,
 )
+from sal import dynamics
 from sal.dynamics import (
     controlled_initial_state,
     controlled_target_state,
@@ -29,7 +30,7 @@ from sal.hamiltonians import (
     parity_operators,
     teleport_hamiltonian,
 )
-from sal.linalg import embed, random_state
+from sal.linalg import _chunks, embed, expm_hermitian, random_state
 from sal.schedules import make_schedule
 
 
@@ -198,6 +199,65 @@ def test_rotation_path_matches_dense():
     psi0 = teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
     for h in (cd_rotate(cd_tensor_sum([hsa] * 2), g2), teleport_hamiltonian(spec)):
         assert_matches_dense(h, psi0, 0.5)
+
+
+def test_chunk_products_match_step_by_step_loop():
+    # reference: one dense exponential per step, applied to the state in turn
+    sch = make_schedule("exp")
+    spec = TeleportSpec(2, sch, gate=gate("CNOT"))
+    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.3)] * 2), g)
+    psi0 = teleport_initial_state(random_state(2, np.random.default_rng(14)), 2, gate=spec.gate)
+    steps, tau = 300, 0.3
+    res = evolve(h, psi0, tau, steps=steps, track_qsl=True, keep_states=True)
+    dt = tau / steps
+    psi, states, e_tau = psi0, [psi0], 0.0
+    for j in range(steps):
+        h_mid = h((j + 0.5) / steps)
+        prev, psi = psi, expm_hermitian(h_mid, dt) @ psi
+        e_tau += abs(np.vdot(psi0, h_mid @ (0.5 * (prev + psi)))) * dt / tau
+        states.append(psi)
+    assert np.max(np.abs(res.final_state - psi)) <= 1e-12
+    at_samples = np.array(states)[np.round(res.s_samples * steps).astype(int)]
+    assert np.max(np.abs(res.states - at_samples)) <= 1e-12
+    assert abs(res.e_tau - e_tau) <= 1e-12 * e_tau
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chunk_products_keep_step_order_accuracy(seed):
+    # teleport --n 3 --gate Toffoli --tau 0.1: 12030 steps on the rotation over a
+    # three-sector tensor sum.  Chunk products multiplied in step order keep the
+    # per-step integrator's round-off (|norm - 1| ~ 9e-14 here); a log-depth
+    # scan over the chunk roughly quadruples it.
+    sch = make_schedule("linear")
+    spec = TeleportSpec(3, sch, gate=gate("Toffoli"))
+    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.1)] * 3), g)
+    psi = random_state(3, np.random.default_rng(seed))
+    res = evolve(h, teleport_initial_state(psi, 3, gate=spec.gate), 0.1, n_samples=2)
+    assert abs(np.linalg.norm(res.final_state) - 1.0) <= 2e-13
+    target = teleport_target_state(psi, 3, gate=spec.gate)
+    assert abs(1.0 - fidelity(res.final_state, target)) <= 5e-13
+
+
+def test_walks_grow_with_chunks_not_steps(monkeypatch):
+    sch = make_schedule("linear")
+    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.3)] * 2),
+                  embed(gate("CNOT"), [2, 5], 6))  # 4 tree nodes, 8-dim leaves
+    psi0 = teleport_initial_state(random_state(2, np.random.default_rng(13)), 2, gate=gate("CNOT"))
+    walk = dynamics._walk
+    calls = []
+    monkeypatch.setattr(dynamics, "_walk", lambda *a, **k: calls.append(1) or walk(*a, **k))
+    counts = {}
+    for steps in (4899, 4870):  # the same number of chunks
+        calls.clear()
+        evolve(h, psi0, 0.3, steps=steps, track_qsl=True)
+        counts[steps] = len(calls)
+    n_chunks = len(list(_chunks(4899, 8)))
+    assert counts[4899] == counts[4870]
+    # two walks per chunk (steps, E_tau), four more (enter, two for the ground
+    # level, leave); each walk visits the 4 nodes
+    assert counts[4899] <= 4 * (2 * n_chunks + 4)
 
 
 def test_block_state_propagation_matches_loop():

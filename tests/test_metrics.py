@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,21 @@ import sal
 from sal.counterdiabatic import (
     cd_controlled,
     cd_generic,
+    cd_rotate,
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,
 )
 from sal.dynamics import controlled_initial_state, teleport_initial_state
-from sal.hamiltonians import ControlledSpec, TimeDepHamiltonian, teleport_sector_hamiltonian
-from sal.linalg import random_state
+from sal.hamiltonians import (
+    ControlledSpec,
+    TensorSum,
+    TimeDepHamiltonian,
+    composite,
+    controlled_hamiltonian,
+    teleport_sector_hamiltonian,
+)
+from sal.linalg import embed, random_state
 from sal.metrics import (
     angle_feasible,
     cae_single_gate_cost,
@@ -41,6 +51,41 @@ CHI_INTEGRAL = {"linear": 0.8116126200701153, "trig": 1.0, "exp": 0.702375659416
 def test_energy_cost_constant_pauli():
     h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(-np.ones_like(s), sal.Z))
     assert abs(energy_cost(h, grid=101) - np.sqrt(2.0)) < 1e-12
+
+
+def _traced_leaf(dim, scale):
+    """A leaf with a nonzero, s-dependent trace, so the tensor-sum cross terms count."""
+    diag = np.diag(np.arange(1.0, dim + 1))
+    return TimeDepHamiltonian(
+        dim=dim, func=lambda s: np.multiply.outer(scale * s + 0.5, diag)
+        + np.multiply.outer(1.0 - s, np.kron(np.eye(dim // 2), sal.X)),
+    )
+
+
+def _structured_cost_cases():
+    sch = make_schedule("trig")
+    block = cd_teleport_block(sch, 0.8)
+    branches = controlled_hamiltonian(
+        ControlledSpec(n_controls=2, axis="y", phi=1.0, theta0=2.0, tau=0.7)).parts
+    traced_branches = replace(branches, parts=(_traced_leaf(2, 1.0), _traced_leaf(2, -3.0)))
+    g = embed(sal.gate("CNOT"), [2, 5], 6)
+    return {
+        "sum": composite(TensorSum((_traced_leaf(2, 2.0), teleport_sector_hamiltonian(sch),
+                                    _traced_leaf(4, -1.0)))),
+        "shortcut sum": cd_tensor_sum([block] * 2),
+        "rotation": cd_rotate(cd_tensor_sum([block] * 2), g),
+        "branches": cd_controlled(ControlledSpec(n_controls=2, axis="y", phi=1.0, theta0=2.0,
+                                                 tau=0.7)),
+        "sum over branches": composite(TensorSum((_traced_leaf(2, 1.5),
+                                                  composite(traced_branches)))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_structured_cost_cases()))
+def test_structured_energy_cost_matches_dense(name):
+    h = _structured_cost_cases()[name]
+    dense = TimeDepHamiltonian(dim=h.dim, func=h)  # the assembled operator, no tree
+    assert abs(energy_cost(h, grid=201) / energy_cost(dense, grid=201) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
