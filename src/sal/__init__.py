@@ -41,6 +41,7 @@ from .counterdiabatic import (
     cd_controlled,
     cd_generic,
     cd_rotate,
+    cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,

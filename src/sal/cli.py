@@ -20,14 +20,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .counterdiabatic import (
-    cd_controlled,
-    cd_generic,
-    cd_rotate,
-    cd_teleport_block,
-    cd_tensor_sum,
-)
+from .counterdiabatic import cd_controlled, cd_teleport, cd_teleport_block
 from .dynamics import (
+    MAX_STEPS,
+    MIN_STEPS,
     controlled_initial_state,
     controlled_target_state,
     default_steps,
@@ -43,9 +39,8 @@ from .hamiltonians import (
     controlled_hamiltonian,
     gate,
     teleport_hamiltonian,
-    teleport_sector_hamiltonian,
 )
-from .linalg import embed, random_state
+from .linalg import random_state
 from .metrics import (
     STATIONARITY_RTOL,
     cae_controlled_cost,
@@ -148,19 +143,45 @@ def _check_tau(tau: float, name: str = "tau"):
         raise CliError(f"{name} must be positive and finite, got {tau}")
 
 
-def _check_states(states: int):
-    if states < 1:
-        raise CliError(f"--states must be >= 1, got {states}")
+def _check_steps(steps: Optional[int], flag: str):
+    if steps is not None and not MIN_STEPS <= steps <= MAX_STEPS:
+        raise CliError(f"{flag} must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
 
 
-def _evolve_with_qsl(driver, ini, tau, steps: int, qsl_steps: Optional[int]):
-    """Evolve one input state; the speed-limit report comes from the same
-    integration unless ``qsl_steps`` asks for a different step count."""
-    qsl_steps = qsl_steps or steps
-    res = evolve(driver, ini, tau, steps=steps, track_qsl=qsl_steps == steps)
-    if qsl_steps == steps:
-        return res, qsl_report(ini, res)
-    return res, qsl_check(driver, ini, tau, steps=qsl_steps)
+def _check_run(args):
+    """The options every per-state run takes, checked before anything is built."""
+    _check_tau(args.tau)
+    if args.states < 1:
+        raise CliError(f"--states must be >= 1, got {args.states}")
+    _check_steps(args.steps, "--steps")
+    _check_steps(args.qsl_steps, "--qsl-steps")
+
+
+def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
+    """Evolve ``args.states`` random inputs under ``driver``, one at a time.
+
+    ``prepare(psi)`` gives a drawn input's (initial, target) states.  Yields
+    (result, fidelity, QslReport) per input; the speed-limit report comes
+    from the same integration unless ``--qsl-steps`` asks for another step
+    count.  A shortcut below the fidelity floor or a violated speed limit
+    raises InvariantError.
+    """
+    steps = default_steps(driver, args.tau) if args.steps is None else args.steps
+    qsl_steps = steps if args.qsl_steps is None else args.qsl_steps
+    rng = np.random.default_rng(args.seed)
+    for _ in range(args.states):
+        ini, tgt = prepare(random_state(n_qubits, rng))
+        res = evolve(driver, ini, args.tau, steps=steps, track_qsl=qsl_steps == steps)
+        if qsl_steps == steps:
+            rep = qsl_report(ini, res)
+        else:
+            rep = qsl_check(driver, ini, args.tau, steps=qsl_steps)
+        fid = fidelity(res.final_state, tgt)
+        if shortcut and fid < FIDELITY_FLOOR:
+            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
+        if not rep.satisfied:
+            raise InvariantError("quantum-speed-limit bound violated")
+        yield res, fid, rep
 
 
 def _axis_arg(text: str):
@@ -177,7 +198,7 @@ def _load_gate(args):
     if name is None:
         return None, "-"
     if name.lower() == "custom":
-        path = getattr(args, "gate_file", None)
+        path = args.gate_file
         if not path:
             raise CliError("--gate custom needs --gate-file with a JSON matrix")
         with open(path) as fh:
@@ -197,46 +218,22 @@ def _gate_entry(c, i: int, j: int) -> complex:
 
 
 def _teleport_rows(args) -> list[list]:
-    sch = make_schedule(args.schedule)
+    _check_run(args)
     u, gate_name = _load_gate(args)
-    n = args.n
-    _check_states(args.states)
-    if u is not None and u.shape[0] != 2**n:
-        raise CliError(f"gate {gate_name} does not act on {n} qubits")
-    tau = args.tau
-    _check_tau(tau)
-
-    if getattr(args, "cd", "analytic") == "generic":
-        block = cd_generic(teleport_sector_hamiltonian(sch), tau, grid=args.grid)
+    n, tau = args.n, args.tau
+    spec = TeleportSpec(n, make_schedule(args.schedule), gate=u)
+    if args.mode == "sa":
+        driver = cd_teleport(spec, tau, grid=args.grid if args.cd == "generic" else None)
     else:
-        block = cd_teleport_block(sch, tau)
-    hsa = cd_tensor_sum([block] * n)
-    if u is not None:
-        spec = TeleportSpec(n, sch, gate=u)
-        hsa = cd_rotate(hsa, embed(u, spec.bob_qubits, spec.n_qubits))
-    h_ad = teleport_hamiltonian(TeleportSpec(n, sch, gate=u))
-    driver = hsa if args.mode == "sa" else h_ad
+        driver = teleport_hamiltonian(spec)
+    sigma_ad = teleport_cost(spec.schedule, None, n, grid=args.grid)
+    sigma_sa = teleport_cost(spec.schedule, tau, n, grid=args.grid)
 
-    sigma_ad = teleport_cost(sch, None, n, grid=args.grid)
-    sigma_sa = teleport_cost(sch, tau, n, grid=args.grid)
+    def prepare(psi):
+        return teleport_initial_state(psi, n, gate=u), teleport_target_state(psi, n, gate=u)
 
-    steps = default_steps(driver, tau) if args.steps is None else args.steps
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for _ in range(args.states):
-        psi = random_state(n, rng)
-        ini = teleport_initial_state(psi, n, gate=u)
-        tgt = teleport_target_state(psi, n, gate=u)
-        res, rep = _evolve_with_qsl(driver, ini, tau, steps, args.qsl_steps)
-        fid = fidelity(res.final_state, tgt)
-        if args.mode == "sa" and fid < FIDELITY_FLOOR:
-            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
-        if not rep.satisfied:
-            raise InvariantError("quantum-speed-limit bound violated")
-        rows.append(
-            ["teleport", n, gate_name, tau, fid, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
-        )
-    return rows
+    return [["teleport", n, gate_name, tau, fid, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
+            for _, fid, rep in _runs(args, driver, n, prepare, args.mode == "sa")]
 
 
 def cmd_teleport(args) -> int:
@@ -253,8 +250,7 @@ def cmd_teleport(args) -> int:
 
 
 def _controlled_rows(args, superadiabatic: bool) -> list[list]:
-    _check_tau(args.tau)
-    _check_states(args.states)
+    _check_run(args)
     spec = ControlledSpec(
         n_controls=args.n_controls,
         axis=_axis_arg(args.axis),
@@ -266,26 +262,15 @@ def _controlled_rows(args, superadiabatic: bool) -> list[list]:
     driver = cd_controlled(spec) if superadiabatic else controlled_hamiltonian(spec)
     sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
     sigma_ad = cae_controlled_cost(spec.n_controls)
-    steps = default_steps(driver, spec.tau) if args.steps is None else args.steps
-    rng = np.random.default_rng(args.seed)
     proto = "sce" if superadiabatic else "cae"
-    rows = []
-    for _ in range(args.states):
-        psi = random_state(spec.n_system, rng)
-        ini = controlled_initial_state(psi)
-        tgt = controlled_target_state(psi, spec)
-        res, rep = _evolve_with_qsl(driver, ini, spec.tau, steps, args.qsl_steps)
-        fid = fidelity(res.final_state, tgt)
-        p1 = measure_ancilla(res.final_state)[1].probability
-        if superadiabatic and fid < FIDELITY_FLOOR:
-            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
-        if not rep.satisfied:
-            raise InvariantError("quantum-speed-limit bound violated")
-        rows.append(
-            [proto, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
-             fid, p1, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
-        )
-    return rows
+
+    def prepare(psi):
+        return controlled_initial_state(psi), controlled_target_state(psi, spec)
+
+    return [[proto, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
+             fid, measure_ancilla(res.final_state)[1].probability,
+             sigma_sa, sigma_ad, rep.bound, rep.satisfied]
+            for res, fid, rep in _runs(args, driver, spec.n_system, prepare, superadiabatic)]
 
 
 def _controlled_header() -> list[str]:
@@ -374,12 +359,10 @@ def cmd_qsl_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     tau = args.tau
     _check_tau(tau)
-    sch = make_schedule(args.schedule)
+    _check_steps(args.steps, "--steps")
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
-        hsa = cd_teleport_block(sch, tau)
-        if u is not None:
-            hsa = cd_rotate(hsa, embed(u, [2], 3))
+        hsa = cd_teleport(TeleportSpec(1, make_schedule(args.schedule), gate=u), tau)
         psi0 = teleport_initial_state(random_state(1, rng), 1, gate=u)
     elif args.protocol in ("cae", "sce"):
         spec = ControlledSpec(
@@ -407,18 +390,11 @@ def cmd_qsl_check(args) -> int:
 def cmd_selftest(args) -> int:
     """Small deterministic battery; repeated runs are byte-identical."""
     rows: list[list] = []
-    ns = argparse.Namespace(
-        schedule="linear", gate=None, n=1, tau=0.5, mode="sa", states=2,
-        seed=7, steps=None, qsl_steps=2000, grid=501, out=None,
-    )
-    for gate_name in (None, "X", "H"):
-        ns.gate = gate_name
-        rows.extend(_teleport_rows(ns))
-    nc = argparse.Namespace(
-        n_controls=1, axis="x", phi=np.pi, theta0=np.pi, tau=0.5,
-        activation=None, states=2, seed=7, steps=None, qsl_steps=2000, out=None,
-    )
-    rows.extend(_controlled_rows(nc, superadiabatic=True))
+    parse = build_parser().parse_args
+    run = ["--tau", "0.5", "--states", "2", "--seed", "7", "--qsl-steps", "2000"]
+    for gate_opt in ([], ["--gate", "X"], ["--gate", "H"]):
+        rows.extend(_teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt])))
+    rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"]), superadiabatic=True))
     for omega_tau in (0.5, 1.0, 2.0):
         rows.append(["theta-opt"] + _theta_point(omega_tau))
     rows.append(["cost-sce"] + _sce_sweep_point((0.5, np.pi, 501)))

@@ -8,11 +8,13 @@ dynamics follows the instantaneous eigenlevels at any speed is
 (hbar = 1), built from a smooth orthonormal eigenframe of H(s).  Inside
 degenerate levels the frame is fixed by parallel transport: the intra-level
 connection vanishes, which makes the correction independent of how the
-initial degenerate basis was chosen.  Four constructions are provided:
+initial degenerate basis was chosen.  Five constructions are provided:
 
 * ``cd_generic``        - numeric frame continuation for any Hamiltonian;
 * ``cd_teleport_block`` - closed-form eigenframe of the 3-qubit teleport
   Hamiltonian, assembled blockwise through its parity symmetry;
+* ``cd_teleport``       - the shortcut of ``teleport_hamiltonian(spec)``: one
+  sector shortcut per tensor slot under the gate's constant rotation;
 * ``cd_controlled``     - the time-independent correction of controlled
   evolutions;
 * ``cd_rotate`` / ``cd_tensor_sum`` - transport of known corrections under
@@ -30,6 +32,7 @@ from .hamiltonians import (
     Branches,
     ControlledSpec,
     Rotation,
+    TeleportSpec,
     TensorSum,
     TimeDepHamiltonian,
     X,
@@ -40,7 +43,7 @@ from .hamiltonians import (
     parity_permutation,
     teleport_sector_hamiltonian,
 )
-from .linalg import _chunks, check_shape, cluster_slices, eigh, is_unitary
+from .linalg import _chunks, check_shape, cluster_slices, eigh, embed, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -135,7 +138,6 @@ class SuperadiabaticHamiltonian:
     base: TimeDepHamiltonian
     cd: Callable[[float | np.ndarray], np.ndarray]
     tau: float
-    frame: Optional[SpectralFrame] = None
     parts: Optional[TensorSum | Branches | Rotation] = None
 
     @property
@@ -170,8 +172,7 @@ def cd_generic(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    frame = spectral_frame(h, grid)
-    ops = cd_from_frame(frame, tau)
+    ops = cd_from_frame(spectral_frame(h, grid), tau)
 
     def cd(s) -> np.ndarray:
         x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
@@ -179,7 +180,7 @@ def cd_generic(
         frac = (x - lo)[..., None, None]
         return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
 
-    return SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau, frame=frame)
+    return SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)
 
 
 # --- closed-form teleport block ---------------------------------------------
@@ -294,6 +295,27 @@ def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> Superadiabatic
     if len(blocks) == 1:
         return blocks[0]
     return _composite(TensorSum(blocks))
+
+
+def cd_teleport(
+    spec: TeleportSpec, tau: float, grid: Optional[int] = None
+) -> SuperadiabaticHamiltonian:
+    """Shortcut counterpart of ``teleport_hamiltonian(spec)``.
+
+    Each tensor slot holds the sector shortcut, ``cd_teleport_block`` or,
+    with ``grid`` set, ``cd_generic`` of the sector on that grid; the gate
+    embedded on Bob's qubits rotates the sum.  ``TeleportSpec`` checked the
+    gate's unitarity at its own size, and the embedding only permutes
+    gate (x) 1, so the full-size rotation is not checked again.
+    """
+    if grid is None:
+        block = cd_teleport_block(spec.schedule, tau, spec.omega)
+    else:
+        block = cd_generic(teleport_sector_hamiltonian(spec.schedule, spec.omega), tau, grid)
+    hsa = cd_tensor_sum([block] * spec.n_sectors)
+    if spec.gate is None:
+        return hsa
+    return _composite(Rotation(embed(spec.gate, spec.bob_qubits, spec.n_qubits), (hsa,)))
 
 
 def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:

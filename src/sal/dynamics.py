@@ -44,6 +44,7 @@ from .hamiltonians import Branches, ControlledSpec, Rotation, TensorSum, bell_st
 from .linalg import _chunks, embed, expm_hermitian, state_from_factors
 
 MIN_STEPS = 100
+MAX_STEPS = 10**8
 _STEPS_PER_UNIT_ACTION = 2000
 _GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
 
@@ -149,8 +150,12 @@ def _norm_bound(h, samples: int = 17) -> float:
 
 
 def default_steps(h, tau: float) -> int:
-    """Step count keeping the per-step action below 1/2000, floor 2000."""
-    return max(_STEPS_PER_UNIT_ACTION, int(np.ceil(_STEPS_PER_UNIT_ACTION * _norm_bound(h) * tau)))
+    """Step count keeping the per-step action below 1/2000, floor 2000;
+    ValueError above ``MAX_STEPS``."""
+    need = np.ceil(_STEPS_PER_UNIT_ACTION * _norm_bound(h) * tau)
+    if not need <= MAX_STEPS:
+        raise ValueError(f"tau={tau} needs {need:.3g} steps, above MAX_STEPS={MAX_STEPS}")
+    return max(_STEPS_PER_UNIT_ACTION, int(need))
 
 
 def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -210,8 +215,8 @@ def evolve(
         raise ValueError(f"state dim {dim} does not match Hamiltonian dim {h.dim}")
     if steps is None:
         steps = default_steps(h, tau)
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_STEPS}")
+    if not MIN_STEPS <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
     if track_qsl and psi0.ndim != 1:
         raise ValueError("QSL tracking needs a single input state")
 

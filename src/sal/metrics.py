@@ -226,41 +226,33 @@ def angle_feasible(theta0: float) -> bool:
     return bool(np.tan(theta0 / 2.0) >= theta0)
 
 
-def _feasible_onset(resolution: float = 1e-4) -> float:
-    grid = np.arange(resolution, np.pi, resolution)
-    sign = np.tan(grid / 2.0) - grid > 0
-    return float(grid[np.argmax(sign)])
+def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] until lo and hi are adjacent floats: a midpoint with
+    f < 0 becomes lo, any other becomes hi."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    return lo, hi
 
 
 def theta_opt(omega_tau: float, rtol: float = STATIONARITY_RTOL) -> float:
     """Angle minimizing the mean superadiabatic cost at fixed omega*tau.
 
-    Bisection on (feasible onset, pi]; the relative residual of the
-    stationarity condition at the returned angle (``relative_residual``) is
-    below ``rtol``.
+    Bisection on (feasible onset, pi], where the onset is the root of
+    tan(theta/2) = theta in [2, 3], taken from the side with
+    tan(theta/2) < theta: there the stationarity residual is below
+    -4 (omega tau)^2 / theta < 0.  The relative residual at the returned
+    angle (``relative_residual``) is below ``rtol``.
     """
     if not 0 < omega_tau < np.inf:
         raise ValueError(f"omega_tau must be positive and finite, got {omega_tau}")
     if not np.isfinite(4.0 * float(omega_tau) * float(omega_tau) + np.pi**2):
         raise ValueError(f"omega_tau={omega_tau} is too large: 4 (omega tau)^2 overflows")
-    lo = _feasible_onset()
-    hi = float(np.pi)
-    flo = stationarity_residual(lo, omega_tau)
-    if flo > 0:  # onset overshoot; step back within scan resolution
-        lo -= 2e-4
-        flo = stationarity_residual(lo, omega_tau)
-    if not flo < 0:
+    lo, _ = _bisect(lambda t: np.tan(t / 2.0) - t, 2.0, 3.0)
+    if not stationarity_residual(lo, omega_tau) < 0:
         raise RuntimeError(f"no bracket for the optimal angle at omega_tau={omega_tau}")
     # Above omega_tau ~ 1e8 the residual is negative at pi too: the root then
     # lies within rounding of pi, where the bisection converges.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if stationarity_residual(mid, omega_tau) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
+    lo, hi = _bisect(lambda t: stationarity_residual(t, omega_tau), lo, float(np.pi))
     theta = 0.5 * (lo + hi)
     if relative_residual(theta, omega_tau) > rtol:
         raise RuntimeError(f"relative bisection residual above {rtol}")

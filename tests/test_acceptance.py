@@ -9,7 +9,7 @@ from sal.counterdiabatic import (
     cd_branch_term,
     cd_controlled,
     cd_generic,
-    cd_rotate,
+    cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,
@@ -36,7 +36,7 @@ from sal.hamiltonians import (
     teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
-from sal.linalg import anticommutator, embed, random_state
+from sal.linalg import anticommutator, random_state
 from sal.metrics import (
     angle_feasible,
     cae_single_gate_cost,
@@ -95,7 +95,7 @@ def test_criterion_02_gate_teleportation():
         u = gate(name)
         spec = TeleportSpec(n, make_schedule("linear"), gate=u)
         plain = _teleport_shortcut(n, tau)
-        rotated = cd_rotate(plain, embed(u, spec.bob_qubits, spec.n_qubits))
+        rotated = cd_teleport(spec, tau)
         psi = random_state(n, rng)
         res = evolve(rotated, teleport_initial_state(psi, n, gate=u), tau)
         fid = fidelity(res.final_state, teleport_target_state(psi, n, gate=u))

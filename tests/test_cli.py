@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import sal.cli
+import sal.metrics
 from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -126,7 +128,7 @@ def test_selftest_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_errors_exit_3(capsys):
+def test_config_errors_exit_3(capsys, monkeypatch):
     assert main(["teleport", "--tau", "-1"]) == EXIT_CONFIG
     for tau in ("inf", "nan"):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
@@ -136,6 +138,17 @@ def test_config_errors_exit_3(capsys):
         for argv in (["teleport"], ["cae"], ["sce"]):
             assert main(argv + ["--tau", "1", "--states", states]) == EXIT_CONFIG
             assert "--states" in capsys.readouterr().err
+    # step counts are checked before anything is built or integrated
+    def no_run(*args, **kwargs):
+        raise AssertionError("a bad step count reached evolve")
+    for module in (sal.cli, sal.metrics):
+        monkeypatch.setattr(module, "evolve", no_run)
+    for flag, value in (("--steps", "99"), ("--qsl-steps", "0"), ("--steps", "100000000000000")):
+        for argv in (["teleport"], ["sce"], ["qsl-check"]):
+            if argv == ["qsl-check"] and flag == "--qsl-steps":
+                continue  # qsl-check has one step count
+            assert main(argv + ["--tau", "1", flag, value]) == EXIT_CONFIG
+            assert f"{flag} must lie in [100, 100000000]" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--gate", "CNOT"]) == EXIT_CONFIG
     assert main(["teleport", "--tau", "1", "--schedule", "spline"]) == EXIT_CONFIG
     assert main(["theta-opt", "--tau-list", "1e200"]) == EXIT_CONFIG
@@ -176,6 +189,12 @@ def test_custom_gate_from_file(tmp_path, capsys):
     rc = main(["teleport", "--tau", "0.5", "--gate", "custom", "--gate-file", str(mat)])
     assert rc == EXIT_CONFIG
     assert "gate entry [1][1] = [1, 2, 3]" in capsys.readouterr().err
+    mat.write_text(json.dumps([[1, 1], [0, 1]]))  # not unitary
+    for mode in ("sa", "adiabatic"):
+        rc = main(["teleport", "--tau", "0.5", "--gate", "custom", "--gate-file", str(mat),
+                   "--mode", mode])
+        assert rc == EXIT_CONFIG
+        assert "gate must be unitary" in capsys.readouterr().err
 
 
 def test_jobs_env_override(tmp_path, monkeypatch):

@@ -8,12 +8,14 @@ from sal.counterdiabatic import (
     cd_controlled,
     cd_generic,
     cd_rotate,
+    cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,
     teleport_block_frame,
     teleport_block_frame_deriv,
 )
+from sal.dynamics import evolve, teleport_initial_state
 from sal.hamiltonians import (
     ControlledSpec,
     TeleportSpec,
@@ -220,6 +222,37 @@ def test_cd_tensor_sum_joint_gap_equals_single():
     h2 = teleport_hamiltonian(TeleportSpec(2, sch))
     for s in (0.2, 0.5):
         assert np.max(np.abs(joint.base(s) - h2(s))) < 1e-12
+
+
+# --- teleport shortcut ------------------------------------------------------------
+
+
+# n = 1..3 with and without a gate, each n with the closed-form and the generic
+# sector (grid 201); one 512-dim case each way keeps the dense evaluations short
+@pytest.mark.parametrize("n, gate_name, grid", [
+    (1, None, None), (1, "H", None), (1, "H", 201),
+    (2, None, None), (2, "CNOT", None), (2, "CNOT", 201),
+    (3, None, 201), (3, "Toffoli", None),
+])
+def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
+    sch, tau = make_schedule("exp"), 0.4
+    u = None if gate_name is None else sal.gate(gate_name)
+    spec = TeleportSpec(n, sch, gate=u)
+    if grid is None:
+        block = cd_teleport_block(sch, tau)
+    else:
+        block = cd_generic(teleport_sector_hamiltonian(sch), tau, grid=grid)
+    hand = cd_tensor_sum([block] * n)
+    if u is not None:
+        hand = cd_rotate(hand, embed(u, spec.bob_qubits, spec.n_qubits))
+    built = cd_teleport(spec, tau, grid=grid)
+    s = np.linspace(0.0, 1.0, 9)
+    for name in ("total", "cd"):
+        assert np.max(np.abs(getattr(built, name)(s) - getattr(hand, name)(s))) <= 1e-14
+    assert np.max(np.abs(built.base.derivative(s) - hand.base.derivative(s))) <= 1e-14
+    psi0 = teleport_initial_state(random_state(n, np.random.default_rng(n)), n, gate=u)
+    a, b = (evolve(h, psi0, tau, steps=400, n_samples=2) for h in (built, hand))
+    assert np.max(np.abs(a.final_state - b.final_state)) <= 1e-12
 
 
 # --- controlled evolutions ---------------------------------------------------------

@@ -5,6 +5,7 @@ from sal.counterdiabatic import (
     SuperadiabaticHamiltonian,
     cd_controlled,
     cd_rotate,
+    cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
 )
@@ -101,7 +102,7 @@ def test_sce_deterministic_branch_at_theta0_pi():
 def test_gate_teleport_exact_at_any_runtime(tau):
     sch = make_schedule("linear")
     u = gate("H")
-    rot = cd_rotate(cd_teleport_block(sch, tau), embed(u, [2], 3))
+    rot = cd_teleport(TeleportSpec(1, sch, gate=u), tau)
     rng = np.random.default_rng(30)
     psi = random_state(1, rng)
     res = evolve(rot, teleport_initial_state(psi, 1, gate=u), tau)
@@ -205,8 +206,7 @@ def test_chunk_products_match_step_by_step_loop():
     # reference: one dense exponential per step, applied to the state in turn
     sch = make_schedule("exp")
     spec = TeleportSpec(2, sch, gate=gate("CNOT"))
-    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
-    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.3)] * 2), g)
+    h = cd_teleport(spec, 0.3)
     psi0 = teleport_initial_state(random_state(2, np.random.default_rng(14)), 2, gate=spec.gate)
     steps, tau = 300, 0.3
     res = evolve(h, psi0, tau, steps=steps, track_qsl=True, keep_states=True)
@@ -231,8 +231,7 @@ def test_chunk_products_keep_step_order_accuracy(seed):
     # scan over the chunk roughly quadruples it.
     sch = make_schedule("linear")
     spec = TeleportSpec(3, sch, gate=gate("Toffoli"))
-    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
-    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.1)] * 3), g)
+    h = cd_teleport(spec, 0.1)
     psi = random_state(3, np.random.default_rng(seed))
     res = evolve(h, teleport_initial_state(psi, 3, gate=spec.gate), 0.1, n_samples=2)
     assert abs(np.linalg.norm(res.final_state) - 1.0) <= 2e-13
@@ -242,8 +241,7 @@ def test_chunk_products_keep_step_order_accuracy(seed):
 
 def test_walks_grow_with_chunks_not_steps(monkeypatch):
     sch = make_schedule("linear")
-    h = cd_rotate(cd_tensor_sum([cd_teleport_block(sch, 0.3)] * 2),
-                  embed(gate("CNOT"), [2, 5], 6))  # 4 tree nodes, 8-dim leaves
+    h = cd_teleport(TeleportSpec(2, sch, gate=gate("CNOT")), 0.3)  # 4 tree nodes, 8-dim leaves
     psi0 = teleport_initial_state(random_state(2, np.random.default_rng(13)), 2, gate=gate("CNOT"))
     walk = dynamics._walk
     calls = []
@@ -298,8 +296,14 @@ def test_evolve_rejects_non_finite_tau(tau):
 def test_evolve_rejects_too_few_steps():
     sch = make_schedule("linear")
     h = teleport_hamiltonian(TeleportSpec(1, sch))
+    psi0 = teleport_initial_state(np.array([1.0, 0]), 1)
     with pytest.raises(ValueError):
-        evolve(h, teleport_initial_state(np.array([1.0, 0]), 1), 0.5, steps=10)
+        evolve(h, psi0, 0.5, steps=10)
+    # and too many, given or by default: both raise before any step is taken
+    with pytest.raises(ValueError, match="must lie in"):
+        evolve(h, psi0, 0.5, steps=dynamics.MAX_STEPS + 1)
+    with pytest.raises(ValueError, match="above MAX_STEPS"):
+        evolve(h, psi0, 1e6)
 
 
 def test_default_steps_floor():

@@ -23,6 +23,7 @@ from sal.hamiltonians import (
 )
 from sal.linalg import embed, random_state
 from sal.metrics import (
+    STATIONARITY_RTOL,
     angle_feasible,
     cae_single_gate_cost,
     energy_cost,
@@ -30,6 +31,7 @@ from sal.metrics import (
     probabilistic_cost,
     qsl_check,
     qsl_ground_chi,
+    relative_residual,
     sce_controlled_cost,
     sce_single_gate_cost,
     stationarity_residual,
@@ -199,6 +201,8 @@ def test_theta_opt_residual_and_feasibility():
         assert abs(stationarity_residual(theta, omega_tau)) <= 1e-5
         assert angle_feasible(theta)
         assert theta < np.pi
+    for omega_tau in np.logspace(-12, 150, 500):
+        assert relative_residual(theta_opt(omega_tau), omega_tau) <= STATIONARITY_RTOL
 
 
 def test_theta_opt_inverts_the_closed_relation():
