@@ -24,9 +24,9 @@ from .counterdiabatic import cd_controlled, cd_teleport, cd_teleport_block
 from .dynamics import (
     MAX_STEPS,
     MIN_STEPS,
+    ToleranceError,
     controlled_initial_state,
     controlled_target_state,
-    default_steps,
     evolve,
     fidelity,
     measure_ancilla,
@@ -148,6 +148,16 @@ def _check_steps(steps: Optional[int], flag: str):
         raise CliError(f"{flag} must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
 
 
+def _check_finite(value: float, flag: str):
+    if not np.isfinite(value):
+        raise CliError(f"{flag} must be finite, got {value}")
+
+
+def _check_grid(grid: int):
+    if grid < 101 or grid % 2 == 0:
+        raise CliError(f"--grid must be odd and >= 101, got {grid}")
+
+
 def _check_run(args):
     """The options every per-state run takes, checked before anything is built."""
     _check_tau(args.tau)
@@ -161,23 +171,23 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     """Evolve ``args.states`` random inputs under ``driver``, one at a time.
 
     ``prepare(psi)`` gives a drawn input's (initial, target) states.  Yields
-    (result, fidelity, QslReport) per input; the speed-limit report comes
-    from the same integration unless ``--qsl-steps`` asks for another step
-    count.  A shortcut below the fidelity floor or a violated speed limit
-    raises InvariantError.
+    (result, fidelity, QslReport) per input.  Without ``--steps``, ``evolve``
+    picks the step count from its error tolerance.  The speed-limit report
+    comes from the same integration unless ``--qsl-steps`` asks for another
+    step count.  A shortcut below the fidelity floor (or with a NaN
+    fidelity) or a violated speed limit raises InvariantError.
     """
-    steps = default_steps(driver, args.tau) if args.steps is None else args.steps
-    qsl_steps = steps if args.qsl_steps is None else args.qsl_steps
+    tracked = args.qsl_steps is None or args.qsl_steps == args.steps
     rng = np.random.default_rng(args.seed)
     for _ in range(args.states):
         ini, tgt = prepare(random_state(n_qubits, rng))
-        res = evolve(driver, ini, args.tau, steps=steps, track_qsl=qsl_steps == steps)
-        if qsl_steps == steps:
+        res = evolve(driver, ini, args.tau, steps=args.steps, track_qsl=tracked)
+        if tracked:
             rep = qsl_report(ini, res)
         else:
-            rep = qsl_check(driver, ini, args.tau, steps=qsl_steps)
+            rep = qsl_check(driver, ini, args.tau, steps=args.qsl_steps)
         fid = fidelity(res.final_state, tgt)
-        if shortcut and fid < FIDELITY_FLOOR:
+        if shortcut and not fid >= FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
         if not rep.satisfied:
             raise InvariantError("quantum-speed-limit bound violated")
@@ -219,6 +229,7 @@ def _gate_entry(c, i: int, j: int) -> complex:
 
 def _teleport_rows(args) -> list[list]:
     _check_run(args)
+    _check_grid(args.grid)
     u, gate_name = _load_gate(args)
     n, tau = args.n, args.tau
     spec = TeleportSpec(n, make_schedule(args.schedule), gate=u)
@@ -251,6 +262,7 @@ def cmd_teleport(args) -> int:
 
 def _controlled_rows(args, superadiabatic: bool) -> list[list]:
     _check_run(args)
+    _check_finite(args.phi, "--phi")
     spec = ControlledSpec(
         n_controls=args.n_controls,
         axis=_axis_arg(args.axis),
@@ -315,6 +327,7 @@ def cmd_cost_sweep(args) -> int:
     taus = _floats(args.tau_list)
     for tau in taus:
         _check_tau(tau)
+    _check_grid(args.grid)
     jobs = _jobs(args)
     if args.protocol == "sce":
         thetas = _floats(args.theta0_list)
@@ -325,7 +338,7 @@ def cmd_cost_sweep(args) -> int:
         ns = _ints(args.n_list)
         items = [(tau, fam, n, args.grid) for fam in families for n in ns for tau in taus]
         rows = _pmap(_teleport_sweep_point, items, jobs)
-    if any(row[-1] > CLOSED_FORM_RTOL for row in rows):
+    if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
         raise InvariantError("quadrature disagrees with the closed-form cost")
     _write_csv(
         args.out,
@@ -345,8 +358,8 @@ def cmd_theta_opt(args) -> int:
     for tau in taus:
         _check_tau(tau, "omega_tau")
     rows = _pmap(_theta_point, taus, _jobs(args))
-    if any(relative_residual(theta, omega_tau) > STATIONARITY_RTOL
-           for omega_tau, theta, _, _ in rows):
+    if not all(relative_residual(theta, omega_tau) <= STATIONARITY_RTOL
+               for omega_tau, theta, _, _ in rows):
         raise InvariantError(f"relative stationarity residual above {STATIONARITY_RTOL}")
     _write_csv(args.out, ["omega_tau", "theta0_min", "residual", "theta0_min_adiabatic"], rows)
     return EXIT_OK
@@ -360,6 +373,7 @@ def cmd_qsl_check(args) -> int:
     tau = args.tau
     _check_tau(tau)
     _check_steps(args.steps, "--steps")
+    _check_finite(args.phi, "--phi")
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
         hsa = cd_teleport(TeleportSpec(1, make_schedule(args.schedule), gate=u), tau)
@@ -516,7 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantError as exc:
+    except (InvariantError, ToleranceError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

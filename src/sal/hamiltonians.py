@@ -223,6 +223,11 @@ def composite(node) -> TimeDepHamiltonian:
     )
 
 
+def _check_omega(omega: float):
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+
+
 @dataclass(frozen=True)
 class TeleportSpec:
     """Parameters of the (optionally gate-rotated) teleport Hamiltonian."""
@@ -235,6 +240,7 @@ class TeleportSpec:
     def __post_init__(self):
         if self.n_sectors < 1:
             raise ValueError("n_sectors must be >= 1")
+        _check_omega(self.omega)
         if self.gate is not None:
             want = 2**self.n_sectors
             if self.gate.shape != (want, want):
@@ -363,6 +369,9 @@ class ControlledSpec:
             raise ValueError("n_controls must be >= 0")
         if not 0.0 < self.theta0 <= np.pi:
             raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        _check_omega(self.omega)
         parse_axis(self.axis)
         n_states = 2**self.n_controls
         act = self.activation if self.activation is not None else n_states - 1

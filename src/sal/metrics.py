@@ -125,7 +125,7 @@ def teleport_sigma_sing(
         if tau is None:
             return np.sqrt(e2)
         dv = teleport_block_frame_deriv(schedule, s)
-        return np.sqrt(e2 + np.sum(dv * dv, axis=(-2, -1)) / tau**2)
+        return np.sqrt(e2 + np.sum(dv * dv, axis=(-2, -1)) / tau / tau)  # tau**2 can overflow
 
     s_grid = np.linspace(0.0, 1.0, grid)
     vals = np.concatenate([integrand(s_grid[c]) for c in _chunks(grid, 4)])
@@ -254,7 +254,7 @@ def theta_opt(omega_tau: float, rtol: float = STATIONARITY_RTOL) -> float:
     # lies within rounding of pi, where the bisection converges.
     lo, hi = _bisect(lambda t: stationarity_residual(t, omega_tau), lo, float(np.pi))
     theta = 0.5 * (lo + hi)
-    if relative_residual(theta, omega_tau) > rtol:
+    if not relative_residual(theta, omega_tau) <= rtol:
         raise RuntimeError(f"relative bisection residual above {rtol}")
     return theta
 
@@ -274,15 +274,15 @@ def bures_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport:
     """Evaluate tau >= |cos L - 1| / E_tau along an evolution of psi0 run
-    with ``track_qsl=True``, which accumulates
-    E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt at the integrator's step
-    resolution."""
+    with ``track_qsl=True``, which integrates
+    E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
+    step ends."""
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
     angle = bures_angle(psi0, res.final_state)
     numer = abs(np.cos(angle) - 1.0)
     e_tau = float(res.e_tau)
-    bound = numer / e_tau if e_tau > 1e-300 else 0.0
+    bound = 0.0 if e_tau <= 1e-300 else numer / e_tau  # a NaN E_tau gives a NaN bound
     return QslReport(
         tau=res.tau,
         bures_angle=angle,

@@ -1,0 +1,53 @@
+"""Exact propagators of the closed-form shortcuts, the tests' reference for
+``evolve``.
+
+The teleport block's frame V(s) (``teleport_block_frame``) diagonalizes
+H(s) with no intra-level connection, so its shortcut carries any state
+along V exactly: U(s) = V(s) diag(exp(-i tau int_0^s E_n)) V(0)^T.  The
+tensor sum over sectors gives a Kronecker product of sector propagators,
+the gate's rotation conjugates it.  A controlled branch H_xi(s) = R(s) (-w Z)
+R(s)^dag turns at the constant rate theta0 about m = (-sin xi, cos xi, 0),
+R(s) = exp(-i theta0 s m.sigma / 2), and its correction (theta0 / 2 tau) m.sigma
+cancels that turn in the rotating frame: U(s) = R(s) exp(i w tau s Z).
+"""
+
+import numpy as np
+
+from sal.counterdiabatic import teleport_block_frame
+from sal.hamiltonians import X, Y, parity_permutation
+from sal.linalg import embed, kron
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _integral(f, s: float) -> float:
+    """int_0^s f by 64-point Gauss-Legendre (f analytic near [0, s])."""
+    return 0.5 * s * float(_WEIGHTS @ f(0.5 * s * (_NODES + 1.0)))
+
+
+def teleport_propagator(spec, tau: float, s: float = 1.0) -> np.ndarray:
+    """U(s) of ``cd_teleport(spec, tau)`` with the closed-form sector."""
+    sch, omega = spec.schedule, spec.omega
+    chi = _integral(lambda x: np.real(sch.chi(x)), s)
+    phases = np.exp(-1j * tau * omega * chi * np.array([-2.0, 0.0, 0.0, 2.0]))
+    block = (teleport_block_frame(sch, s) * phases) @ teleport_block_frame(sch, 0.0).T
+    perm = parity_permutation()
+    u = kron(*[perm @ np.kron(np.eye(2), block) @ perm.T] * spec.n_sectors)
+    if spec.gate is None:
+        return u
+    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    return g @ u @ g.conj().T
+
+
+def controlled_propagator(spec, s: float = 1.0) -> np.ndarray:
+    """U(s) of ``cd_controlled(spec)``: [1 - P] (x) U_0 + P (x) U_phi."""
+    p_act = spec.activation_projector()
+    p_rest = np.eye(p_act.shape[0]) - p_act
+    half = spec.theta0 * s / 2.0
+    turn = np.exp(1j * spec.omega * spec.tau * s * np.array([1.0, -1.0]))
+
+    def branch(xi: float) -> np.ndarray:
+        m_sigma = -np.sin(xi) * X + np.cos(xi) * Y
+        return (np.cos(half) * np.eye(2) - 1j * np.sin(half) * m_sigma) * turn
+
+    return np.kron(p_rest, branch(0.0)) + np.kron(p_act, branch(spec.phi))

@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sal.cli
+import sal.dynamics
 import sal.metrics
 from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 
@@ -78,7 +80,8 @@ def test_cost_sweep_theta_curves_ordered(tmp_path):
 
 def test_cost_sweep_teleport_schedules_asymptote(tmp_path):
     out = tmp_path / "ct.csv"
-    rc = main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1e4",
+    # tau = 1e308: the cost's 1/tau^2 term underflows instead of overflowing
+    rc = main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1e4,1e308",
                "--schedules", "linear,trig,exp", "--n-list", "1",
                "--grid", "501", "--jobs", "1", "--out", str(out)])
     assert rc == EXIT_OK
@@ -134,6 +137,8 @@ def test_config_errors_exit_3(capsys, monkeypatch):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
             assert main(argv + ["--tau", tau]) == EXIT_CONFIG
             assert "tau must be positive and finite" in capsys.readouterr().err
+    assert main(["teleport", "--tau", "1e308"]) == EXIT_CONFIG
+    assert "above MAX_STEPS" in capsys.readouterr().err
     for states in ("0", "-1"):
         for argv in (["teleport"], ["cae"], ["sce"]):
             assert main(argv + ["--tau", "1", "--states", states]) == EXIT_CONFIG
@@ -150,6 +155,14 @@ def test_config_errors_exit_3(capsys, monkeypatch):
             assert main(argv + ["--tau", "1", flag, value]) == EXIT_CONFIG
             assert f"{flag} must lie in [100, 100000000]" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--gate", "CNOT"]) == EXIT_CONFIG
+    for argv in (["teleport", "--grid", "1"], ["teleport", "--cd", "generic", "--grid", "2"],
+                 ["teleport", "--grid", "500"], ["cost-sweep", "--tau-list", "1", "--grid", "99"]):
+        assert main(argv + ["--tau", "0.5"]) == EXIT_CONFIG
+        assert "--grid must be odd and >= 101" in capsys.readouterr().err
+    for phi in ("nan", "inf"):
+        for argv in (["sce"], ["cae"], ["qsl-check", "--protocol", "sce"]):
+            assert main(argv + ["--tau", "0.5", "--phi", phi]) == EXIT_CONFIG
+            assert "--phi must be finite" in capsys.readouterr().err
     assert main(["teleport", "--tau", "1", "--schedule", "spline"]) == EXIT_CONFIG
     assert main(["theta-opt", "--tau-list", "1e200"]) == EXIT_CONFIG
     assert "overflows" in capsys.readouterr().err
@@ -164,6 +177,36 @@ def test_invariant_violation_exits_2(tmp_path):
     rc = main(["teleport", "--n", "1", "--tau", "500", "--steps", "100",
                "--qsl-steps", "2000", "--grid", "501", "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_INVARIANT
+
+
+def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
+    # a step-doubling estimate that cannot meet STATE_TOL is a failed runtime
+    # check, not a bad argument
+    monkeypatch.setattr(sal.dynamics, "_final_state",
+                        lambda h, psi0, *a: np.full(psi0.shape, np.nan))
+    assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
+    assert "step-doubling error estimate nan" in capsys.readouterr().err
+
+
+def test_nan_fails_every_invariant(monkeypatch, capsys):
+    # each check is written so that a NaN value fails it
+    nan = float("nan")
+    run = ["--tau", "0.5", "--steps", "200"]
+    monkeypatch.setattr(sal.cli, "fidelity", lambda a, b: nan)
+    assert main(["sce", *run]) == EXIT_INVARIANT
+    assert "fidelity nan below" in capsys.readouterr().err
+    monkeypatch.undo()
+    evolve = sal.cli.evolve
+    monkeypatch.setattr(sal.cli, "evolve",
+                        lambda *a, **k: replace(evolve(*a, **k), e_tau=nan))
+    for argv in (["sce", *run], ["teleport", *run]):
+        assert main(argv) == EXIT_INVARIANT
+        assert "quantum-speed-limit bound violated" in capsys.readouterr().err
+    monkeypatch.setattr(sal.cli, "teleport_cost", lambda *a, **k: nan)
+    assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1"]) == EXIT_INVARIANT
+    assert "closed-form" in capsys.readouterr().err
+    monkeypatch.setattr(sal.cli, "relative_residual", lambda *a: nan)
+    assert main(["theta-opt", "--tau-list", "1"]) == EXIT_INVARIANT
 
 
 def test_generic_cd_route(tmp_path):

@@ -31,7 +31,7 @@ from sal.hamiltonians import (
     parity_operators,
     teleport_hamiltonian,
 )
-from sal.linalg import _chunks, embed, expm_hermitian, random_state
+from sal.linalg import _chunks, embed, expm_hermitian, random_state, simpson
 from sal.schedules import make_schedule
 
 
@@ -203,40 +203,52 @@ def test_rotation_path_matches_dense():
 
 
 def test_chunk_products_match_step_by_step_loop():
-    # reference: one dense exponential per step, applied to the state in turn
+    # reference: the dense two-exponential CF4 step, applied to the state in
+    # turn, and E_tau by Simpson's rule over the step ends (an odd count
+    # closes with one 3/8 panel)
     sch = make_schedule("exp")
     spec = TeleportSpec(2, sch, gate=gate("CNOT"))
     h = cd_teleport(spec, 0.3)
     psi0 = teleport_initial_state(random_state(2, np.random.default_rng(14)), 2, gate=spec.gate)
-    steps, tau = 300, 0.3
-    res = evolve(h, psi0, tau, steps=steps, track_qsl=True, keep_states=True)
-    dt = tau / steps
-    psi, states, e_tau = psi0, [psi0], 0.0
-    for j in range(steps):
-        h_mid = h((j + 0.5) / steps)
-        prev, psi = psi, expm_hermitian(h_mid, dt) @ psi
-        e_tau += abs(np.vdot(psi0, h_mid @ (0.5 * (prev + psi)))) * dt / tau
-        states.append(psi)
-    assert np.max(np.abs(res.final_state - psi)) <= 1e-12
-    at_samples = np.array(states)[np.round(res.s_samples * steps).astype(int)]
-    assert np.max(np.abs(res.states - at_samples)) <= 1e-12
-    assert abs(res.e_tau - e_tau) <= 1e-12 * e_tau
+    tau = 0.3
+    node, a1, a2 = np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6, 0.25 - np.sqrt(3) / 6
+    for steps in (300, 301):
+        res = evolve(h, psi0, tau, steps=steps, track_qsl=True, keep_states=True)
+        dt = tau / steps
+        mid = np.arange(steps) + 0.5
+        psi, states = psi0, [psi0]
+        for h1, h2 in zip(h((mid - node) / steps), h((mid + node) / steps)):
+            psi = expm_hermitian(a2 * h1 + a1 * h2, dt) @ expm_hermitian(a1 * h1 + a2 * h2, dt) @ psi
+            states.append(psi)
+        ends = h(np.arange(steps + 1) / steps)
+        g = np.array([abs(np.vdot(psi0, hk @ x)) for hk, x in zip(ends, states)])
+        m = steps - 3 * (steps % 2)
+        e_tau = simpson(g[: m + 1], 1 / steps)
+        if steps % 2:
+            e_tau += 3 / (8 * steps) * (g[m:] @ [1, 3, 3, 1])
+        assert np.max(np.abs(res.final_state - psi)) <= 1e-12
+        at_samples = np.array(states)[np.round(res.s_samples * steps).astype(int)]
+        assert np.max(np.abs(res.states - at_samples)) <= 1e-12
+        assert abs(res.e_tau - e_tau) <= 1e-12 * e_tau
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_chunk_products_keep_step_order_accuracy(seed):
-    # teleport --n 3 --gate Toffoli --tau 0.1: 12030 steps on the rotation over a
-    # three-sector tensor sum.  Chunk products multiplied in step order keep the
-    # per-step integrator's round-off (|norm - 1| ~ 9e-14 here); a log-depth
-    # scan over the chunk roughly quadruples it.
+    # teleport --n 3 --gate Toffoli --tau 0.1: the rotation over a three-sector
+    # tensor sum, at a pinned count well above the adaptive one so that the
+    # round-off of the chunk products builds up over ~24 chunks.  Polished
+    # products keep |norm - 1| near 1e-15; products of polished steps drift
+    # 4e-13 here (1.2e-13 with no polish at all, 5e-14 for a log-depth scan
+    # of polished steps).
     sch = make_schedule("linear")
     spec = TeleportSpec(3, sch, gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
     psi = random_state(3, np.random.default_rng(seed))
-    res = evolve(h, teleport_initial_state(psi, 3, gate=spec.gate), 0.1, n_samples=2)
-    assert abs(np.linalg.norm(res.final_state) - 1.0) <= 2e-13
+    res = evolve(h, teleport_initial_state(psi, 3, gate=spec.gate), 0.1, steps=12030,
+                 n_samples=2)
+    assert abs(np.linalg.norm(res.final_state) - 1.0) <= 2e-14
     target = teleport_target_state(psi, 3, gate=spec.gate)
-    assert abs(1.0 - fidelity(res.final_state, target)) <= 5e-13
+    assert abs(1.0 - fidelity(res.final_state, target)) <= 5e-14
 
 
 def test_walks_grow_with_chunks_not_steps(monkeypatch):
@@ -309,7 +321,9 @@ def test_evolve_rejects_too_few_steps():
 def test_default_steps_floor():
     sch = make_schedule("linear")
     h = teleport_hamiltonian(TeleportSpec(1, sch))
-    assert default_steps(h, 1e-4) == 2000
+    assert default_steps(h, 1e-4) == dynamics.MIN_STEPS
+    # even, so that the step-doubling search's coarse pass takes half of it
+    assert all(default_steps(h, tau) % 2 == 0 for tau in (0.31, 1.7, 5.13))
 
 
 # --- measurement ---------------------------------------------------------------------

@@ -177,6 +177,13 @@ def test_gate_dim_mismatch_rejected():
         TeleportSpec(1, sch, gate=gate("CNOT"))
 
 
+def test_teleport_spec_rejects_bad_omega():
+    sch = make_schedule("linear")
+    for omega in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            TeleportSpec(1, sch, omega=omega)
+
+
 # --- Bloch axes and controlled evolutions ---------------------------------------
 
 
@@ -262,6 +269,12 @@ def test_controlled_invalid_inputs():
         ControlledSpec(n_controls=1, axis="x", phi=np.pi, theta0=np.pi, tau=1.0, activation=5)
     with pytest.raises(ValueError):
         ControlledSpec(n_controls=1, axis="x", phi=np.pi, theta0=0.0, tau=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            ControlledSpec(n_controls=1, axis="x", phi=bad, theta0=np.pi, tau=1.0)
+    for omega in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            ControlledSpec(n_controls=1, omega=omega)
 
 
 def test_controlled_hermitian_on_grid():
