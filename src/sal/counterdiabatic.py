@@ -40,7 +40,8 @@ from .hamiltonians import (
     assemble,
     composite,
     controlled_hamiltonian,
-    parity_permutation,
+    sector_tree,
+    teleport_block_hamiltonian,
     teleport_sector_hamiltonian,
 )
 from .linalg import _chunks, check_shape, cluster_slices, eigh, embed, is_unitary
@@ -238,24 +239,23 @@ def cd_teleport_block(
 ) -> SuperadiabaticHamiltonian:
     """Closed-form counter-diabatic term for one teleport sector.
 
-    The 4x4 correction (i/tau) V' V^T is built from the analytic block
-    frame, embedded twice along the parity blocks, and permuted back to the
-    computational basis.  The result commutes with both parity operators by
-    construction.
+    The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
+    parity block's shortcut: the drive ``teleport_block_hamiltonian`` plus
+    (i/tau) V' V^T from the analytic block frame V.  It commutes with both
+    parity operators by construction.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    base = teleport_sector_hamiltonian(schedule, omega)
-    perm = parity_permutation()
 
     def cd(s) -> np.ndarray:
         v = teleport_block_frame(schedule, s)
         dv = teleport_block_frame_deriv(schedule, s)
         k = dv @ np.swapaxes(v, -1, -2)
         k = (k - np.swapaxes(k, -1, -2)) / 2  # exactly antisymmetric for a real frame
-        return perm @ np.kron(np.eye(2), 1j * k / tau) @ perm.T
+        return 1j * k / tau
 
-    return SuperadiabaticHamiltonian(base=base, cd=cd, tau=tau)
+    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau)
+    return sector_tree(block, _composite)
 
 
 def _composite(node) -> SuperadiabaticHamiltonian:

@@ -80,6 +80,7 @@ class EvolutionResult:
     e_tau: Optional[float] = None
     states: Optional[np.ndarray] = None  # sampled states when requested
     error_estimate: Optional[float] = None  # step-doubling estimate; None for given steps
+    step_counts: Optional[tuple[int, ...]] = None  # N of every pass run; None for given steps
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,9 @@ def evolve(
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
     ``error_estimate``, is at most STATE_TOL; ``steps`` is then the accepted
-    count, not counting the N/2 pass or rejected counts.  ToleranceError if
-    the estimate is not finite or doubling would pass MAX_STEPS.
+    count, and ``step_counts`` the N of every pass in run order: the N/2
+    pass, then each N tried.  ToleranceError if the estimate is not finite
+    or doubling would pass MAX_STEPS.
 
     The base Hamiltonian here is the one whose instantaneous ground level is
     tracked for the trajectory fidelity; for a shortcut Hamiltonian that is
@@ -337,12 +339,14 @@ def evolve(
         return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states)
     steps = default_steps(h, tau)
     coarse = _final_state(h, psi0, tau, steps // 2)
+    counts = [steps // 2]
     while True:
         res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states)
+        counts.append(steps)
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
         error = float(np.max(np.linalg.norm(res.final_state - coarse, axis=0))) / 15.0
         if error <= STATE_TOL:
-            return replace(res, error_estimate=error)
+            return replace(res, error_estimate=error, step_counts=tuple(counts))
         if not error < np.inf or 2 * steps > MAX_STEPS:
             raise ToleranceError(
                 f"step-doubling error estimate {error:.3g} above STATE_TOL={STATE_TOL} "

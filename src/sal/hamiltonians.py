@@ -259,21 +259,43 @@ class TeleportSpec:
         return [3 * k + 2 for k in range(self.n_sectors)]
 
 
-def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
-    """Single-sector (3-qubit) teleport Hamiltonian
-    H(s) = eta_i(s) H_ini + eta_f(s) H_fin."""
+# Basis ordering that block-diagonalizes the sector Hamiltonian: the four
+# even-parity states {000, 011, 101, 110} then their spin-flips
+# {111, 100, 010, 001}.  Both 4x4 blocks are identical.
+PARITY_ORDER = (0, 3, 5, 6, 7, 4, 2, 1)
+
+
+def parity_permutation() -> np.ndarray:
+    return np.eye(8)[:, PARITY_ORDER]
+
+
+def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+    """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector:
+    with P = ``parity_permutation()``, P^T H(s) P = 1_2 (x) B(s), so B_ini and
+    B_fin are the leading blocks of P^T H_ini P and P^T H_fin P."""
+    perm = parity_permutation()
     h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
+    b_ini, b_fin = ((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
 
-    def func(s):
-        ei, ef = schedule.eta(s)
-        return np.multiply.outer(ei, h_ini) + np.multiply.outer(ef, h_fin)
+    def combine(etas):
+        return np.multiply.outer(etas[0], b_ini) + np.multiply.outer(etas[1], b_fin)
 
-    def deriv(s):
-        di, df = schedule.deta(s)
-        return np.multiply.outer(di, h_ini) + np.multiply.outer(df, h_fin)
+    return TimeDepHamiltonian(dim=4, func=lambda s: combine(schedule.eta(s)),
+                              deriv=lambda s: combine(schedule.deta(s)))
 
-    return TimeDepHamiltonian(dim=8, func=func, deriv=deriv)
+
+def sector_tree(block, wrap: Callable):
+    """The sector P (1_2 (x) B) P^T over its parity block B as a tree, each
+    node made a Hamiltonian by ``wrap`` (``composite`` or its shortcut twin)."""
+    return wrap(Rotation(parity_permutation(), (wrap(Branches((I2,), (block,))),)))
+
+
+def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+    """Single-sector (3-qubit) teleport Hamiltonian
+    H(s) = eta_i(s) H_ini + eta_f(s) H_fin as the tree P (1_2 (x) B(s)) P^T
+    over its 4x4 parity block, which propagation and costs work on."""
+    return sector_tree(teleport_block_hamiltonian(schedule, omega), composite)
 
 
 def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
@@ -300,32 +322,6 @@ def teleport_gap(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
     """Ground-to-first-excited gap 2*omega*sqrt(eta_i^2 + eta_f^2), shaped
     ``np.shape(s)``."""
     return 2.0 * omega * np.real(schedule.chi(s))
-
-
-# Basis ordering that block-diagonalizes the sector Hamiltonian: the four
-# even-parity states {000, 011, 101, 110} then their spin-flips
-# {111, 100, 010, 001}.  Both 4x4 blocks are identical.
-PARITY_ORDER = (0, 3, 5, 6, 7, 4, 2, 1)
-
-
-def parity_permutation() -> np.ndarray:
-    p = np.zeros((8, 8))
-    for col, row in enumerate(PARITY_ORDER):
-        p[row, col] = 1.0
-    return p
-
-
-def teleport_block_matrix(ei: float, ef: float, omega: float = 1.0) -> np.ndarray:
-    """The repeated 4x4 block of the sector Hamiltonian in parity order."""
-    return -omega * np.array(
-        [
-            [ei + ef, ei, 0, ef],
-            [ei, ei - ef, ef, 0],
-            [0, ef, -ef - ei, ei],
-            [ef, 0, ei, ef - ei],
-        ],
-        dtype=complex,
-    )
 
 
 def parity_operators(

@@ -17,18 +17,23 @@ from sal.counterdiabatic import (
 )
 from sal.dynamics import evolve, teleport_initial_state
 from sal.hamiltonians import (
+    I2,
+    X,
+    Z,
     ControlledSpec,
     TeleportSpec,
     TimeDepHamiltonian,
     controlled_hamiltonian,
     h_xi,
     parity_operators,
+    parity_permutation,
+    teleport_block_hamiltonian,
     teleport_energies,
     teleport_gap,
     teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
-from sal.linalg import anticommutator, embed, random_state
+from sal.linalg import anticommutator, embed, kron, random_state
 from sal.schedules import make_schedule
 
 
@@ -92,11 +97,11 @@ def test_spectral_frame_reports_lost_tracking():
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
 def test_block_frame_is_orthonormal_eigenframe(family):
     sch = make_schedule(family)
+    block = teleport_block_hamiltonian(sch)
     for s in np.linspace(0, 1, 101):
         v = teleport_block_frame(sch, s)
         assert np.max(np.abs(v.T @ v - np.eye(4))) < 1e-12
-        ei, ef = (float(np.real(x)) for x in sch.eta(s))
-        blk = sal.hamiltonians.teleport_block_matrix(ei, ef).real
+        blk = block(s).real
         chi = float(np.real(sch.chi(s)))
         lam = np.array([-2 * chi, 0.0, 0.0, 2 * chi])
         assert np.max(np.abs(blk @ v - v * lam)) < 1e-11
@@ -109,9 +114,9 @@ def test_block_zero_level_contains_a_constant_vector():
     vec = np.array([-1.0, 1.0, 1.0, 1.0]) / 2
     for family in ["linear", "trig", "exp"]:
         sch = make_schedule(family)
+        block = teleport_block_hamiltonian(sch)
         for s in np.linspace(0, 1, 21):
-            ei, ef = (float(np.real(x)) for x in sch.eta(s))
-            blk = sal.hamiltonians.teleport_block_matrix(ei, ef)
+            blk = block(s)
             assert np.max(np.abs(blk @ vec)) < 1e-14
             v = teleport_block_frame(sch, s)
             assert np.max(np.abs(v[:, 2] - vec)) < 1e-14
@@ -141,9 +146,32 @@ def test_cd_teleport_preserves_parity_symmetries():
     hsa = cd_teleport_block(sch, tau=1.3)
     pz, px, _, _ = parity_operators(1)
     for s in np.linspace(0, 1, 51):
-        total = hsa.total(s)
-        assert np.max(np.abs(total @ pz - pz @ total)) < 1e-9
-        assert np.max(np.abs(total @ px - px @ total)) < 1e-9
+        for op in (hsa.total(s), hsa.cd(s)):
+            assert np.max(np.abs(op @ pz - pz @ op)) < 1e-9
+            assert np.max(np.abs(op @ px - px @ op)) < 1e-9
+
+
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_sector_tree_assembles_the_dense_sector_exactly(family):
+    # the parity-block trees P (1 (x) B) P^T of the drive and the shortcut
+    # assemble the 8x8 operators the sector was once built from directly
+    sch = make_schedule(family)
+    s = np.linspace(0, 1, 257)
+    h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
+    h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
+    (ei, ef), (di, df) = sch.eta(s), sch.deta(s)
+    drive = np.multiply.outer(ei, h_ini) + np.multiply.outer(ef, h_fin)
+    v, dv = teleport_block_frame(sch, s), teleport_block_frame_deriv(sch, s)
+    k = dv @ np.swapaxes(v, -1, -2)
+    k = (k - np.swapaxes(k, -1, -2)) / 2
+    perm = parity_permutation()
+    sector = teleport_sector_hamiltonian(sch)
+    hsa = cd_teleport_block(sch, 0.7)
+    assert np.max(np.abs(sector(s) - drive)) == 0.0
+    d_drive = np.multiply.outer(di, h_ini) + np.multiply.outer(df, h_fin)
+    assert np.max(np.abs(sector.derivative(s) - d_drive)) == 0.0
+    assert np.max(np.abs(hsa.base(s) - drive)) == 0.0
+    assert np.max(np.abs(hsa.cd(s) - perm @ np.kron(np.eye(2), 1j * k / 0.7) @ perm.T)) == 0.0
 
 
 def test_cd_scales_as_inverse_tau():

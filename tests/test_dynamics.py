@@ -251,9 +251,15 @@ def test_chunk_products_keep_step_order_accuracy(seed):
     assert abs(1.0 - fidelity(res.final_state, target)) <= 5e-14
 
 
+def _tree_nodes(h) -> int:
+    """The nodes one walk of h's tree visits: h and, recursively, each part."""
+    node = getattr(h, "parts", None)
+    return 1 + (0 if node is None else sum(_tree_nodes(p) for p in node.parts))
+
+
 def test_walks_grow_with_chunks_not_steps(monkeypatch):
     sch = make_schedule("linear")
-    h = cd_teleport(TeleportSpec(2, sch, gate=gate("CNOT")), 0.3)  # 4 tree nodes, 8-dim leaves
+    h = cd_teleport(TeleportSpec(2, sch, gate=gate("CNOT")), 0.3)  # 4-dim parity-block leaves
     psi0 = teleport_initial_state(random_state(2, np.random.default_rng(13)), 2, gate=gate("CNOT"))
     walk = dynamics._walk
     calls = []
@@ -263,11 +269,45 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
         calls.clear()
         evolve(h, psi0, 0.3, steps=steps, track_qsl=True)
         counts[steps] = len(calls)
-    n_chunks = len(list(_chunks(4899, 8)))
+    n_chunks = len(list(_chunks(4899, 4)))
     assert counts[4899] == counts[4870]
     # two walks per chunk (steps, E_tau), four more (enter, two for the ground
-    # level, leave); each walk visits the 4 nodes
-    assert counts[4899] <= 4 * (2 * n_chunks + 4)
+    # level, leave); each walk visits every node of the tree once
+    assert counts[4899] == _tree_nodes(h) * (2 * n_chunks + 4)
+
+
+def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
+    # teleport --n 3 --gate Toffoli steps and samples each sector's 4x4 parity
+    # block, never the 8x8 sector or the 512-dim sum
+    spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
+    h = cd_teleport(spec, 0.1)
+    psi = random_state(3, np.random.default_rng(14))
+    psi0 = teleport_initial_state(psi, 3, gate=spec.gate)
+    evolve(h, psi0, steps=dynamics.MIN_STEPS)  # fills the branch nodes' cached bases
+    expm_shapes, eigh_shapes = [], []
+    expm, eigh = dynamics.expm_hermitian, np.linalg.eigh
+    monkeypatch.setattr(dynamics, "expm_hermitian",
+                        lambda a, t: expm_shapes.append(a.shape) or expm(a, t))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_shapes.append(a.shape) or eigh(a))
+    res = evolve(h, psi0)
+    assert fidelity(res.final_state, teleport_target_state(psi, 3, gate=spec.gate)) > 1 - 1e-9
+    assert {sh[-2:] for sh in expm_shapes} == {sh[-2:] for sh in eigh_shapes} == {(4, 4)}
+
+
+def test_step_counts_record_every_pass(monkeypatch):
+    spec = ControlledSpec(3, axis="y", phi=np.pi / 2, theta0=2.0, tau=1.0)
+    psi0 = controlled_initial_state(random_state(4, np.random.default_rng(15)))
+    res = evolve(cd_controlled(spec), psi0)
+    counts = res.step_counts
+    assert counts[0] == counts[1] // 2 and counts[-1] == res.steps
+    assert sum(counts) >= 1.5 * res.steps
+    assert evolve(cd_controlled(spec), psi0, steps=200).step_counts is None
+    # started low, the search doubles: the N/2 pass, then each N tried
+    monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: dynamics.MIN_STEPS)
+    spec = ControlledSpec(3, axis="y", phi=np.pi / 2, theta0=2.0, tau=10.0)
+    counts = evolve(cd_controlled(spec), psi0).step_counts
+    assert len(counts) >= 4
+    assert counts == (50,) + tuple(100 * 2**k for k in range(len(counts) - 1))
 
 
 def test_block_state_propagation_matches_loop():

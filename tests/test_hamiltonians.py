@@ -19,7 +19,7 @@ from sal.hamiltonians import (
     h_xi_eigenstates,
     parity_operators,
     parity_permutation,
-    teleport_block_matrix,
+    teleport_block_hamiltonian,
     teleport_energies,
     teleport_gap,
     teleport_hamiltonian,
@@ -127,9 +127,9 @@ def test_parity_block_form():
     sch = make_schedule("exp")
     h = teleport_hamiltonian(TeleportSpec(1, sch))
     perm = parity_permutation()
+    block = teleport_block_hamiltonian(sch)
     for s in (0.0, 0.21, 0.5, 0.88, 1.0):
-        ei, ef = sch.eta(s)
-        blk = teleport_block_matrix(float(ei), float(ef))
+        blk = block(s)
         want = np.zeros((8, 8), dtype=complex)
         want[:4, :4] = blk
         want[4:, 4:] = blk
