@@ -315,7 +315,7 @@ def _sce_sweep_point(item) -> list:
 def _teleport_sweep_point(item) -> list:
     tau, family, n, grid = item
     sch = make_schedule(family)
-    # eigenframe quadrature on one side, full HS-norm quadrature on the other
+    # scalar closed form on one side, HS-norm quadrature of the operator on the other
     sigma_sa = teleport_cost(sch, tau, n, grid=grid)
     sigma_ad = teleport_cost(sch, None, n, grid=grid)
     closed = teleport_cost_scale(n) * energy_cost(cd_teleport_block(sch, tau), grid=grid)

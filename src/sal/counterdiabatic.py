@@ -11,8 +11,9 @@ connection vanishes, which makes the correction independent of how the
 initial degenerate basis was chosen.  Five constructions are provided:
 
 * ``cd_generic``        - numeric frame continuation for any Hamiltonian;
-* ``cd_teleport_block`` - closed-form eigenframe of the 3-qubit teleport
-  Hamiltonian, assembled blockwise through its parity symmetry;
+* ``cd_teleport_block`` - closed form for a 3-qubit teleport sector: on its
+  4x4 parity block, the schedule's mixing-angle rate over tau times one
+  constant generator;
 * ``cd_teleport``       - the shortcut of ``teleport_hamiltonian(spec)``: one
   sector shortcut per tensor slot under the gate's constant rotation;
 * ``cd_controlled``     - the time-independent correction of controlled
@@ -42,17 +43,13 @@ from .hamiltonians import (
     controlled_hamiltonian,
     sector_tree,
     teleport_block_hamiltonian,
+    teleport_block_terms,
     teleport_sector_hamiltonian,
 )
 from .linalg import _chunks, check_shape, cluster_slices, eigh, embed, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
-
-# Step for complex-step differentiation of analytic eigenvector families;
-# exact to machine precision, no subtractive cancellation.
-_CS_STEP = 1e-100
-
 
 @dataclass(frozen=True)
 class SpectralFrame:
@@ -186,52 +183,14 @@ def cd_generic(
 
 # --- closed-form teleport block ---------------------------------------------
 #
-# Eigenvectors of the 4x4 parity block, written without removable 0/0
-# singularities at the endpoints: with x = chi = sqrt(ei^2 + ef^2),
-# the raw component ratios contain (x - ef) and (x - ei), which are
-# rationalized to ei^2/(x + ef) and ef^2/(x + ei).  The zero level is
-# spanned by one s-independent vector and one smooth orthogonal partner,
-# so the intra-level connection vanishes identically.
-
-
-def _block_frame_columns(ei, ef):
-    chi = np.sqrt(ei * ei + ef * ef)
-    w0 = np.stack(
-        [
-            ei + chi,
-            ei * (chi + ei) / (chi + ef),
-            ei * ef / (chi + ef),
-            ef + 0.0 * ei,
-        ]
-    )
-    z1 = np.stack([ei - ef, -(ei + ef), ei - ef, ei + ef]) / (2.0 * chi)
-    one = 1.0 + 0.0 * ei
-    z2 = np.stack([-one, one, one, one]) / 2.0
-    w3 = np.stack(
-        [
-            -ei * ef / (ei + chi),
-            ef * (1.0 + ef / (chi + ei)) ** 2 / 2.0,
-            -(ef + chi),
-            ei + 0.0 * ef,
-        ]
-    )
-    w0 = w0 / np.sqrt(np.sum(w0 * w0, axis=0))
-    w3 = w3 / np.sqrt(np.sum(w3 * w3, axis=0))
-    # (4, 4, ...) with the points of s last -> (..., 4, 4)
-    return np.moveaxis(np.stack([w0, z1, z2, w3], axis=1), (0, 1), (-2, -1))
-
-
-def teleport_block_frame(schedule: Schedule, s) -> np.ndarray:
-    """Orthonormal eigenframe of the parity block; columns sorted by energy
-    (-2wx, 0, 0, +2wx)."""
-    ei, ef = schedule.eta(s)
-    return np.real(_block_frame_columns(ei, ef))
-
-
-def teleport_block_frame_deriv(schedule: Schedule, s) -> np.ndarray:
-    """d/ds of the block eigenframe via complex-step differentiation."""
-    ei, ef = schedule.eta(s + 1j * _CS_STEP)
-    return np.imag(_block_frame_columns(ei, ef)) / _CS_STEP
+# The parity block is B(s) = chi(s) (cos a B_ini + sin a B_fin) with the
+# mixing angle a(s) = atan2(eta_f, eta_i), and B_fin, B_ini generate the turn
+# in a: with the constant antisymmetric G = [B_fin, B_ini] / 4 of the
+# omega = 1 blocks, exp(a G) B_ini exp(-a G) = cos a B_ini + sin a B_fin.  So
+# the smooth eigenframe V(s) = exp(a(s) G) V(0) has V' V^T = a'(s) G for any
+# omega.  G annihilates the zero-level vector (-1, 1, 1, 1)/2 and, being
+# antisymmetric, has no diagonal element, so the intra-level connection
+# vanishes and the correction below is the parallel-transport one.
 
 
 def cd_teleport_block(
@@ -241,18 +200,16 @@ def cd_teleport_block(
 
     The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
     parity block's shortcut: the drive ``teleport_block_hamiltonian`` plus
-    (i/tau) V' V^T from the analytic block frame V.  It commutes with both
-    parity operators by construction.
+    (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
+    ``angle_rate``.  It commutes with both parity operators by construction.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    b_ini, b_fin = teleport_block_terms()
+    gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
 
     def cd(s) -> np.ndarray:
-        v = teleport_block_frame(schedule, s)
-        dv = teleport_block_frame_deriv(schedule, s)
-        k = dv @ np.swapaxes(v, -1, -2)
-        k = (k - np.swapaxes(k, -1, -2)) / 2  # exactly antisymmetric for a real frame
-        return 1j * k / tau
+        return np.multiply.outer(1j * schedule.angle_rate(s) / tau, gen)
 
     block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau)
     return sector_tree(block, _composite)

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, TensorSum, bell_state
-from .linalg import _chunks, embed, expm_hermitian, simpson, state_from_factors
+from .linalg import _chunks, expm_hermitian, simpson, state_from_factors
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -386,10 +386,14 @@ def teleport_initial_state(
     for k in range(n_sectors):
         factors.append((bell_state(0, 0), [3 * k + 1, 3 * k + 2]))
     state = state_from_factors(factors, n_qubits)
-    if gate is not None:
-        bob = [3 * k + 2 for k in range(n_sectors)]
-        state = embed(gate, bob, n_qubits) @ state
-    return state
+    if gate is None:
+        return state
+    # the gate on Bob's axes of the qubit tensor: its output axes come first
+    bob = [3 * k + 2 for k in range(n_sectors)]
+    gate = np.asarray(gate).reshape([2] * (2 * n_sectors))
+    axes = (range(n_sectors, 2 * n_sectors), bob)
+    state = np.tensordot(gate, state.reshape([2] * n_qubits), axes)
+    return np.moveaxis(state, range(n_sectors), bob).reshape(-1)
 
 
 def teleport_target_state(

@@ -269,14 +269,19 @@ def parity_permutation() -> np.ndarray:
     return np.eye(8)[:, PARITY_ORDER]
 
 
-def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
-    """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector:
-    with P = ``parity_permutation()``, P^T H(s) P = 1_2 (x) B(s), so B_ini and
-    B_fin are the leading blocks of P^T H_ini P and P^T H_fin P."""
+def teleport_block_terms(omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """B_ini and B_fin: with P = ``parity_permutation()``, the leading 4x4
+    blocks of P^T H_ini P and P^T H_fin P."""
     perm = parity_permutation()
     h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
-    b_ini, b_fin = ((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
+    return tuple((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
+
+
+def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+    """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector
+    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s)."""
+    b_ini, b_fin = teleport_block_terms(omega)
 
     def combine(etas):
         return np.multiply.outer(etas[0], b_ini) + np.multiply.outer(etas[1], b_fin)

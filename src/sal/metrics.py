@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import SpectralFrame, teleport_block_frame_deriv
+from .counterdiabatic import SpectralFrame
 from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation
 from .linalg import _chunks, simpson
@@ -116,20 +116,17 @@ def superadiabatic_cost(frame: SpectralFrame, tau: float) -> CostReport:
 def teleport_sigma_sing(
     schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
 ) -> float:
-    """Single-sector cost from the analytic eigenframe: sqrt(2) times the
-    cost of one parity block (two equal blocks); tau=None gives the
-    adiabatic limit."""
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        e2 = 8.0 * (omega * np.real(schedule.chi(s))) ** 2  # (-2wx)^2 + (+2wx)^2
-        if tau is None:
-            return np.sqrt(e2)
-        dv = teleport_block_frame_deriv(schedule, s)
-        return np.sqrt(e2 + np.sum(dv * dv, axis=(-2, -1)) / tau / tau)  # tau**2 can overflow
-
-    s_grid = np.linspace(0.0, 1.0, grid)
-    vals = np.concatenate([integrand(s_grid[c]) for c in _chunks(grid, 4)])
-    return float(np.sqrt(2.0)) * simpson(vals, s_grid[1] - s_grid[0])
+    """Single-sector cost in closed form: sqrt(2) times the cost of one
+    parity block (two equal blocks), whose HS norm is
+    sqrt(8 omega^2 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
+    ``angle_rate`` (the correction is (i a'/tau) G with ||G||^2 = 2);
+    tau=None gives the adiabatic limit."""
+    s = np.linspace(0.0, 1.0, grid)
+    e2 = 8.0 * (omega * np.real(schedule.chi(s))) ** 2  # (-2wx)^2 + (+2wx)^2
+    if tau is not None:
+        rate = schedule.angle_rate(s)
+        e2 = e2 + 2.0 * rate * rate / tau / tau  # tau**2 can overflow
+    return float(np.sqrt(2.0)) * simpson(np.sqrt(e2), s[1] - s[0])
 
 
 def teleport_cost_scale(n_sectors: int) -> float:

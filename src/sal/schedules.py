@@ -2,9 +2,10 @@
 
 Every schedule satisfies eta_i(0) = eta_f(1) = 1 and eta_i(1) = eta_f(0) = 0,
 with eta_i^2 + eta_f^2 > 0 everywhere, so the driving Hamiltonian keeps a
-finite gap.  Evaluators accept arrays of s and complex arguments:
-downstream code uses complex-step differentiation of analytic eigenvector
-families, which needs the interpolants to be analytic in s.
+finite gap.  Evaluators accept arrays of s.  They also accept complex
+arguments, which only the tests' eigenframe derivative uses (complex-step
+differentiation needs the interpolants to be analytic in s); the package
+itself reads the derivatives from ``deta``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class Schedule:
         """Gap factor sqrt(eta_i^2 + eta_f^2); the gap is 2*omega*chi."""
         ei, ef = self.eta(s)
         return np.sqrt(ei * ei + ef * ef)
+
+    def angle_rate(self, s):
+        """d/ds of the mixing angle atan2(eta_f, eta_i)."""
+        (ei, ef), (di, df) = self.eta(s), self.deta(s)
+        return (ei * df - ef * di) / (ei * ei + ef * ef)
 
     def __post_init__(self):
         for val, want in ((self.eta_i(0.0), 1.0), (self.eta_i(1.0), 0.0),

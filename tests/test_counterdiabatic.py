@@ -12,8 +12,6 @@ from sal.counterdiabatic import (
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,
-    teleport_block_frame,
-    teleport_block_frame_deriv,
 )
 from sal.dynamics import evolve, teleport_initial_state
 from sal.hamiltonians import (
@@ -34,7 +32,8 @@ from sal.hamiltonians import (
     teleport_sector_hamiltonian,
 )
 from sal.linalg import anticommutator, embed, kron, random_state
-from sal.schedules import make_schedule
+from sal.schedules import Schedule, make_schedule
+from oracle import teleport_block_frame, teleport_block_frame_deriv
 
 
 def h_xi_hamiltonian(theta0, xi, omega=1.0):
@@ -161,17 +160,52 @@ def test_sector_tree_assembles_the_dense_sector_exactly(family):
     h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
     (ei, ef), (di, df) = sch.eta(s), sch.deta(s)
     drive = np.multiply.outer(ei, h_ini) + np.multiply.outer(ef, h_fin)
-    v, dv = teleport_block_frame(sch, s), teleport_block_frame_deriv(sch, s)
-    k = dv @ np.swapaxes(v, -1, -2)
-    k = (k - np.swapaxes(k, -1, -2)) / 2
     perm = parity_permutation()
     sector = teleport_sector_hamiltonian(sch)
     hsa = cd_teleport_block(sch, 0.7)
+    block = hsa.parts.parts[0].parts.parts[0]  # Rotation(P, (Branches((I2,), (B,)),))
+    assert block.dim == 4
     assert np.max(np.abs(sector(s) - drive)) == 0.0
     d_drive = np.multiply.outer(di, h_ini) + np.multiply.outer(df, h_fin)
     assert np.max(np.abs(sector.derivative(s) - d_drive)) == 0.0
     assert np.max(np.abs(hsa.base(s) - drive)) == 0.0
-    assert np.max(np.abs(hsa.cd(s) - perm @ np.kron(np.eye(2), 1j * k / 0.7) @ perm.T)) == 0.0
+    assert np.max(np.abs(hsa.cd(s) - perm @ np.kron(np.eye(2), block.cd(s)) @ perm.T)) == 0.0
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+@pytest.mark.parametrize("tau", [0.5, 5.0])
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_closed_form_cd_equals_the_frame_generator(family, tau, omega):
+    # (i a'/tau) [B_fin, B_ini]/4 is (i/tau) V' V^T of the analytic frame
+    sch = make_schedule(family)
+    s = np.linspace(0, 1, 4097)
+    v, dv = teleport_block_frame(sch, s), teleport_block_frame_deriv(sch, s)
+    k = dv @ np.swapaxes(v, -1, -2)
+    k = (k - np.swapaxes(k, -1, -2)) / 2
+    block = cd_teleport_block(sch, tau, omega).parts.parts[0].parts.parts[0]
+    assert np.max(np.abs(block.cd(s) - 1j * k / tau)) <= 1e-14
+
+
+def _counting_schedule(calls):
+    def counted(name, f):
+        def g(s):
+            calls.append((name, np.iscomplexobj(s)))
+            return f(s)
+        return g
+
+    sch = make_schedule("exp")
+    names = ("eta_i", "eta_f", "deta_i", "deta_f")
+    return Schedule("exp", *(counted(n, getattr(sch, n)) for n in names))
+
+
+def test_closed_form_cd_reads_the_schedule_once_per_evaluation():
+    # one cd(s) call on an array of s evaluates each interpolant once, at
+    # real s: no per-point frame and no complex step
+    calls = []
+    hsa = cd_teleport_block(_counting_schedule(calls), tau=0.7)
+    calls.clear()
+    hsa.cd(np.linspace(0, 1, 33))
+    assert sorted(calls) == [(n, False) for n in ("deta_f", "deta_i", "eta_f", "eta_i")]
 
 
 def test_cd_scales_as_inverse_tau():

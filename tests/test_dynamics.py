@@ -406,6 +406,25 @@ def test_target_state_teleport_gate():
     assert np.allclose(got, np.kron(bell_state(0, 0), one))
 
 
+def _haar_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_teleport_initial_state_applies_the_gate_on_bob_axes(n):
+    # contracting the gate with Bob's qubit axes equals the dense embedding
+    rng = np.random.default_rng(30 + n)
+    psi = random_state(n, rng)
+    bob = [3 * k + 2 for k in range(n)]
+    named = {1: ("X", "H"), 2: ("CNOT",), 3: ("Toffoli",)}[n]
+    for u in [gate(g) for g in named] + [_haar_unitary(2**n, rng)]:
+        want = embed(u, bob, 3 * n) @ teleport_initial_state(psi, n)
+        got = teleport_initial_state(psi, n, gate=u)
+        assert got.shape == (2 ** (3 * n),)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_target_state_cae_cnot_selection():
     rng = np.random.default_rng(12)
     psi2 = random_state(2, rng)

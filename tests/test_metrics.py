@@ -42,6 +42,7 @@ from sal.metrics import (
     theta_opt_adiabatic,
 )
 from sal.schedules import make_schedule
+from oracle import teleport_block_frame_deriv
 
 # independent adaptive-quadrature values of int_0^1 sqrt(eta_i^2 + eta_f^2) ds
 CHI_INTEGRAL = {"linear": 0.8116126200701153, "trig": 1.0, "exp": 0.7023756594167425}
@@ -139,6 +140,16 @@ def test_teleport_sigma_sing_matches_full_quadrature():
     tau = 0.6
     hsa = cd_teleport_block(sch, tau)
     assert abs(teleport_sigma_sing(sch, tau) / energy_cost(hsa) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_sigma_sing_integrand_is_the_frame_norm(family):
+    # the closed-form integrand's 2 a'^2 is ||V'||_F^2 of the analytic frame
+    sch = make_schedule(family)
+    s = np.linspace(0, 1, 4097)
+    dv = teleport_block_frame_deriv(sch, s)
+    rate = sch.angle_rate(s)
+    assert np.max(np.abs(2.0 * rate * rate / np.sum(dv * dv, axis=(-2, -1)) - 1.0)) <= 1e-13
 
 
 def test_superadiabatic_cost_report():
