@@ -54,7 +54,6 @@ from .dynamics import (
     evolve,
     fidelity,
     measure_ancilla,
-    target_state,
     teleport_initial_state,
     teleport_target_state,
 )

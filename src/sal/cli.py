@@ -24,6 +24,7 @@ from .counterdiabatic import cd_controlled, cd_teleport, cd_teleport_block
 from .dynamics import (
     MAX_STEPS,
     MIN_STEPS,
+    StepCache,
     ToleranceError,
     controlled_initial_state,
     controlled_target_state,
@@ -171,21 +172,24 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     """Evolve ``args.states`` random inputs under ``driver``, one at a time.
 
     ``prepare(psi)`` gives a drawn input's (initial, target) states.  Yields
-    (result, fidelity, QslReport) per input.  Without ``--steps``, ``evolve``
-    picks the step count from its error tolerance.  The speed-limit report
-    comes from the same integration unless ``--qsl-steps`` asks for another
-    step count.  A shortcut below the fidelity floor (or with a NaN
-    fidelity) or a violated speed limit raises InvariantError.
+    (result, fidelity, QslReport) per input.  Without ``--steps``,
+    ``evolve`` picks the step count from its error tolerance.  The
+    speed-limit report comes from the same integration unless
+    ``--qsl-steps`` asks for another step count.  The inputs share one
+    StepCache, so the step unitaries are formed once per run, not per input.
+    A shortcut below the fidelity floor (or with a NaN fidelity) or a
+    violated speed limit raises InvariantError.
     """
     tracked = args.qsl_steps is None or args.qsl_steps == args.steps
     rng = np.random.default_rng(args.seed)
+    cache = StepCache(driver)
     for _ in range(args.states):
         ini, tgt = prepare(random_state(n_qubits, rng))
-        res = evolve(driver, ini, args.tau, steps=args.steps, track_qsl=tracked)
+        res = evolve(driver, ini, args.tau, steps=args.steps, track_qsl=tracked, cache=cache)
         if tracked:
             rep = qsl_report(ini, res)
         else:
-            rep = qsl_check(driver, ini, args.tau, steps=args.qsl_steps)
+            rep = qsl_check(driver, ini, args.tau, steps=args.qsl_steps, cache=cache)
         fid = fidelity(res.final_state, tgt)
         if shortcut and not fid >= FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")

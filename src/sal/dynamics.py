@@ -40,9 +40,13 @@ The same walk, batched over points, gives H|psi> at the step ends for the
 speed-limit integral, which is Simpson's rule over the step ends (an odd
 step count closes with one 3/8 panel), and the ground-level weight at each
 sample point (from the leaves' eigenbases, one stacked eigendecomposition
-per leaf); the leaves' norms give the first step count.  A Hamiltonian
-without ``parts`` is a one-leaf tree: the dense reference the structured
-paths are tested against.
+per leaf); the largest leaf's norm gives the first step count.  A
+Hamiltonian without ``parts`` is a one-leaf tree: the dense reference the
+structured paths are tested against.
+
+A (dim, m) block of states runs as one: one step search (on the largest
+column error), one set of step products, and E_tau per column.  Inputs
+evolved by separate calls can share the step products through a StepCache.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hamiltonians import Branches, ControlledSpec, Rotation, TensorSum, bell_state
+from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state
 from .linalg import _chunks, expm_hermitian, simpson, state_from_factors
 
 MIN_STEPS = 100
@@ -61,6 +65,7 @@ STATE_TOL = 1e-10  # bound on the step-doubling estimate of the final state's er
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at 1/2 -/+ _GAUSS of each step
 _A1, _A2 = 0.25 + _GAUSS, 0.25 - _GAUSS  # CF4 weights of the two nodes
 _GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
+_CACHE_ENTRIES = 2**22  # cap on the product entries one StepCache keeps (64 MiB complex)
 
 
 class ToleranceError(ArithmeticError):
@@ -77,10 +82,32 @@ class EvolutionResult:
     ground_fidelity: np.ndarray
     tau: float
     steps: int
-    e_tau: Optional[float] = None
+    e_tau: Optional[float | np.ndarray] = None  # (m,) for a (dim, m) block
     states: Optional[np.ndarray] = None  # sampled states when requested
     error_estimate: Optional[float] = None  # step-doubling estimate; None for given steps
     step_counts: Optional[tuple[int, ...]] = None  # N of every pass run; None for given steps
+
+
+class StepCache:
+    """Step products shared by the ``evolve`` calls of several input states
+    under one Hamiltonian.
+
+    A chunk's polished running products depend on H, tau, the step count and
+    the steps the walk applies, not on the state, so a later call that runs
+    the same pass applies them without new eigendecompositions.  At most
+    _CACHE_ENTRIES entries are kept; products past that are recomputed.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        self.products: dict = {}
+        self.entries = 0
+
+    def keep(self, key, prods: dict):
+        size = sum(p.size for p in prods.values())
+        if self.entries + size <= _CACHE_ENTRIES:
+            self.products[key] = prods
+            self.entries += size
 
 
 @dataclass(frozen=True)
@@ -176,23 +203,20 @@ def _polished(p: np.ndarray) -> np.ndarray:
 
 
 def _norm_bound(h, samples: int = 17) -> float:
-    """max_s ||H(s)|| sampled on each leaf; summed over tensor-sum parts,
-    the largest over branches."""
-    node = getattr(h, "parts", None)
-    if node is None:
-        s = np.linspace(0.0, 1.0, samples)
-        return max(
-            float(np.max(np.abs(np.linalg.eigvalsh(h(s[c]))))) for c in _chunks(samples, h.dim)
-        )
-    norms = [_norm_bound(p, samples) for p in node.parts]
-    return sum(norms) if isinstance(node, TensorSum) else max(norms)
+    """max_s ||H(s)|| sampled on each leaf, the largest over the leaves: a
+    CF4 step on the tree factorizes into per-leaf steps, so a tensor sum's
+    step error is set by its largest slot, not by the norm of the sum."""
+    s = np.linspace(0.0, 1.0, samples)
+    return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
+               for f in _leaves(h) for c in _chunks(samples, f.dim))
 
 
 def default_steps(h, tau: float) -> int:
     """First step count of the step-doubling search: the per-step action
-    ||H|| tau / N at most STATE_TOL**(1/5), so that (||H|| dt)^5, the order
-    of a fourth-order step's local error, stays below the tolerance.  Even,
-    at least MIN_STEPS; ValueError above ``MAX_STEPS``."""
+    ||H|| tau / N of the largest leaf at most STATE_TOL**(1/5), so that
+    (||H|| dt)^5, the order of a fourth-order step's local error, stays
+    below the tolerance.  Even, at least MIN_STEPS; ValueError above
+    ``MAX_STEPS``."""
     need = 2.0 * np.ceil(0.5 * _norm_bound(h) * tau / STATE_TOL**0.2)
     if not need <= MAX_STEPS:
         raise ValueError(f"tau={tau} needs {need:.3g} steps, above MAX_STEPS={MAX_STEPS}")
@@ -205,7 +229,7 @@ def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     shortcut that is its base, without the counter-diabatic term."""
     leaves = _leaves(h)
     out = []
-    for c in _chunks(len(s), max(f.dim for f in leaves)):
+    for c in _chunks(len(s), max(f.dim for f in leaves), xs[0].size):
         spectra = {id(f): np.linalg.eigh(getattr(f, "base", f)(s[c])) for f in leaves}
         ones = np.ones((len(s[c]), 1, h.dim, 1))
         energies = _walk(h, ones, lambda f: spectra[id(f)][0][..., None] * np.eye(f.dim),
@@ -217,32 +241,40 @@ def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray,
-               track_qsl: bool) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
-    """Take ``steps`` CF4 steps from the walk-frame state x.
+def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, track_qsl: bool,
+               cache: Optional[StepCache]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Take ``steps`` CF4 steps from the walk-frame states x, shaped
+    (1, 1, dim, m).
 
     Returns the states after the steps j with ``picked[j]`` (step j ends at
-    point j + 1), the final state and, with ``track_qsl``, E_tau: Simpson's
-    rule over the step ends of |<x(0)|H(s_k)|x(s_k)>|.
+    point j + 1), the final states and, with ``track_qsl``, E_tau of each
+    column j: Simpson's rule over the step ends of |<x_j(0)|H(s_k)|x_j(s_k)>|.
+    The chunks' step products are read from ``cache`` when it holds them.
     """
     leaves = _leaves(h)
     dt = tau / steps
-    x0, sampled, overlaps = x, [], []
-    for c in _chunks(steps, max(f.dim for f in leaves)):
+    bras, sampled, overlaps = x[0, 0].conj(), [], []  # bras[:, j] = <x_j(0)|
+    for c in _chunks(steps, max(f.dim for f in leaves), x.size):
         # One walk applies the chunk's steps up to each needed k: the running
         # product of each leaf's step unitaries (see the module docstring).
         ks = np.arange(c.stop - c.start)
         if not track_qsl:
             ks = ks[picked[c] | (ks == ks[-1])]
-        prods = {id(f): _polished(_running_products(_cf4_steps(f, c, steps, dt))[ks])
-                 for f in leaves}
+        key = (tau, steps, c.start, ks.tobytes())
+        prods = None if cache is None else cache.products.get(key)
+        if prods is None:
+            prods = {id(f): _polished(_running_products(_cf4_steps(f, c, steps, dt))[ks])
+                     for f in leaves}
+            if cache is not None:
+                cache.keep(key, prods)
         xs = _walk(h, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)])
         if track_qsl:
             ends = np.arange(c.start + (c.start > 0), c.stop + 1)  # point 0 in the first chunk
             hs = {id(f): f(ends / steps) for f in leaves}
             hx = _walk(h, xs if c.start else np.concatenate([x, xs]), lambda f: hs[id(f)],
                        compose=False)
-            overlaps.append(np.abs(hx.reshape(len(ends), -1) @ x0.reshape(-1).conj()))
+            overlaps.append(np.abs(np.stack([hx[:, 0, :, j] @ bra for j, bra in enumerate(bras.T)],
+                                            axis=1)))
         sampled.append(xs[picked[c][ks]])
         x = xs[-1:]
     e_tau = None
@@ -251,24 +283,25 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray,
         m = steps - 3 * (steps % 2)  # Simpson panels over [0, m], a 3/8 panel after
         e_tau = simpson(g[: m + 1], 1.0 / steps)
         if steps % 2:
-            e_tau += 3.0 / (8.0 * steps) * float(g[m:] @ [1.0, 3.0, 3.0, 1.0])
+            e_tau += 3.0 / (8.0 * steps) * ([1.0, 3.0, 3.0, 1.0] @ g[m:])
     return np.concatenate(sampled), x, e_tau
 
 
-def _final_state(h, psi0: np.ndarray, tau: float, steps: int) -> np.ndarray:
+def _final_state(h, psi0: np.ndarray, tau: float, steps: int,
+                 cache: Optional[StepCache]) -> np.ndarray:
     """The state after ``steps`` CF4 steps, with nothing sampled."""
     x = _walk(h, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    _, x, _ = _propagate(h, x, tau, steps, np.zeros(steps, dtype=bool), False)
+    _, x, _ = _propagate(h, x, tau, steps, np.zeros(steps, dtype=bool), False, cache)
     return _walk(h, x, frame=-1).reshape(psi0.shape)
 
 
 def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
-               track_qsl: bool, keep_states: bool) -> EvolutionResult:
+               track_qsl: bool, keep_states: bool, cache: Optional[StepCache]) -> EvolutionResult:
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
     picked = np.zeros(steps, dtype=bool)
     picked[sample_idx[sample_idx > 0] - 1] = True
     x0 = _walk(h, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    sampled, x, e_tau = _propagate(h, x0, tau, steps, picked, track_qsl)
+    sampled, x, e_tau = _propagate(h, x0, tau, steps, picked, track_qsl, cache)
     if sample_idx[0] == 0:
         sampled = np.concatenate([x0, sampled])
     s_samples = sample_idx / steps
@@ -282,7 +315,7 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
         tau=tau,
         steps=steps,
-        e_tau=e_tau,
+        e_tau=e_tau if e_tau is None or psi0.ndim > 1 else float(e_tau[0]),
         states=states,
     )
 
@@ -295,21 +328,27 @@ def evolve(
     n_samples: int = 33,
     track_qsl: bool = False,
     keep_states: bool = False,
+    cache: Optional[StepCache] = None,
 ) -> EvolutionResult:
     """Integrate the Schrodinger dynamics of H(t/tau) from t=0 to t=tau.
 
     ``h`` is a TimeDepHamiltonian or SuperadiabaticHamiltonian; ``psi0`` may
-    be a single state or a (dim, m) block of states propagated jointly.
+    be a single state or a (dim, m) block of states propagated jointly: the
+    step search, the step unitaries and their products serve every column.
     ``track_qsl`` additionally integrates
-    E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends
-    (single-state input only).
+    E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
+    a float for a single state and one per column, shaped (m,), for a block.
 
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
-    ``error_estimate``, is at most STATE_TOL; ``steps`` is then the accepted
+    ``error_estimate``, is at most STATE_TOL in every column (the largest
+    column error is the estimate); ``steps`` is then the accepted
     count, and ``step_counts`` the N of every pass in run order: the N/2
     pass, then each N tried.  ToleranceError if the estimate is not finite
     or doubling would pass MAX_STEPS.
+
+    ``cache``, a StepCache made for ``h``, lends its step products to this
+    call and keeps the ones it forms, for later inputs under the same H.
 
     The base Hamiltonian here is the one whose instantaneous ground level is
     tracked for the trajectory fidelity; for a shortcut Hamiltonian that is
@@ -331,17 +370,17 @@ def evolve(
     dim = psi0.shape[0]
     if h.dim != dim:
         raise ValueError(f"state dim {dim} does not match Hamiltonian dim {h.dim}")
-    if track_qsl and psi0.ndim != 1:
-        raise ValueError("QSL tracking needs a single input state")
+    if cache is not None and cache.h is not h:
+        raise ValueError("the StepCache was made for another Hamiltonian")
     if steps is not None:
         if not MIN_STEPS <= steps <= MAX_STEPS:
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
-        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states)
+        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)
     steps = default_steps(h, tau)
-    coarse = _final_state(h, psi0, tau, steps // 2)
+    coarse = _final_state(h, psi0, tau, steps // 2, cache)
     counts = [steps // 2]
     while True:
-        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states)
+        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)
         counts.append(steps)
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
         error = float(np.max(np.linalg.norm(res.final_state - coarse, axis=0))) / 15.0
@@ -431,18 +470,3 @@ def controlled_target_state(psi_system: np.ndarray, spec: ControlledSpec) -> np.
     return np.cos(half) * np.kron(psi_system, [1.0, 0.0]) + np.sin(half) * np.kron(
         rot @ psi_system, [0.0, 1.0]
     )
-
-
-def target_state(protocol: str, **inputs) -> np.ndarray:
-    """Analytic end-state oracle per protocol.
-
-    teleport_state(psi, n_sectors) | teleport_gate(psi, gate, n_sectors) |
-    cae/sce(psi, spec)
-    """
-    if protocol == "teleport_state":
-        return teleport_target_state(inputs["psi"], inputs["n_sectors"])
-    if protocol == "teleport_gate":
-        return teleport_target_state(inputs["psi"], inputs["n_sectors"], inputs["gate"])
-    if protocol in ("cae", "sce"):
-        return controlled_target_state(inputs["psi"], inputs["spec"])
-    raise ValueError(f"unknown protocol {protocol!r}")

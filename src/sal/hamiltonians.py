@@ -17,7 +17,7 @@ qubit) comes first; the single ancilla qubit is always last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from typing import Callable, Optional
 
@@ -269,13 +269,22 @@ def parity_permutation() -> np.ndarray:
     return np.eye(8)[:, PARITY_ORDER]
 
 
+@cache
+def _unit_block_terms() -> tuple[np.ndarray, np.ndarray]:
+    """B_ini and B_fin at omega = 1, formed on first use and read-only."""
+    perm = parity_permutation()
+    h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
+    h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
+    terms = tuple((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
+    for b in terms:
+        b.flags.writeable = False
+    return terms
+
+
 def teleport_block_terms(omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """B_ini and B_fin: with P = ``parity_permutation()``, the leading 4x4
     blocks of P^T H_ini P and P^T H_fin P."""
-    perm = parity_permutation()
-    h_ini = -omega * (kron(I2, Z, Z) + kron(I2, X, X))
-    h_fin = -omega * (kron(Z, Z, I2) + kron(X, X, I2))
-    return tuple((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
+    return tuple(omega * b for b in _unit_block_terms())
 
 
 def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:

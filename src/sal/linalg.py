@@ -17,7 +17,7 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 _CHUNK = 128  # points of s per batched evaluation
-_CHUNK_ENTRIES = 2**18  # cap on the operator entries of one chunk (4 MiB complex)
+_CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 MiB complex)
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -61,10 +61,11 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def _chunks(n: int, dim: int) -> Iterator[slice]:
+def _chunks(n: int, dim: int, width: int = 0) -> Iterator[slice]:
     """Consecutive slices of range(n), each small enough that one
-    (len, dim, dim) operator stack per slice is evaluated at once."""
-    size = max(1, min(_CHUNK, _CHUNK_ENTRIES // dim**2))
+    (len, dim, dim) operator stack, and one (len, width) stack of states,
+    per slice is evaluated at once."""
+    size = max(1, min(_CHUNK, _CHUNK_ENTRIES // max(dim**2, width)))
     for start in range(0, n, size):
         yield slice(start, min(start + size, n))
 
@@ -140,9 +141,11 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     return normalize(amps)
 
 
-def simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule on a uniform grid with an odd number of nodes."""
+def simpson(y: np.ndarray, dx: float) -> float | np.ndarray:
+    """Composite Simpson rule along axis 0 on a uniform grid with an odd
+    number of nodes: a float for 1-D y, one integral per column otherwise."""
     y = np.asarray(y, dtype=float)
-    if y.size < 3 or y.size % 2 == 0:
+    if y.ndim == 0 or len(y) < 3 or len(y) % 2 == 0:
         raise ValueError("Simpson rule needs an odd number of nodes >= 3")
-    return float(dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
+    out = dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum(axis=0) + 2.0 * y[2:-2:2].sum(axis=0))
+    return float(out) if y.ndim == 1 else out

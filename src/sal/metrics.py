@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .counterdiabatic import SpectralFrame
-from .dynamics import EvolutionResult, _leaves, evolve
+from .dynamics import EvolutionResult, StepCache, _leaves, evolve
 from .hamiltonians import Branches, Rotation
 from .linalg import _chunks, simpson
 from .schedules import Schedule
@@ -269,30 +269,40 @@ def bures_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.abs(np.vdot(a, b)), 0.0, 1.0)))
 
 
-def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport:
+def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport | list[QslReport]:
     """Evaluate tau >= |cos L - 1| / E_tau along an evolution of psi0 run
     with ``track_qsl=True``, which integrates
     E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
-    step ends."""
+    step ends.  For a (dim, m) block psi0, one report per column; a scalar
+    E_tau then stands for every column."""
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
-    angle = bures_angle(psi0, res.final_state)
+    if psi0.ndim == 1:
+        return _qsl_report(res.tau, psi0, res.final_state, float(res.e_tau))
+    e_taus = np.broadcast_to(res.e_tau, psi0.shape[1:])
+    return [_qsl_report(res.tau, a, b, float(e_tau))
+            for a, b, e_tau in zip(psi0.T, res.final_state.T, e_taus)]
+
+
+def _qsl_report(tau: float, psi0: np.ndarray, final: np.ndarray, e_tau: float) -> QslReport:
+    angle = bures_angle(psi0, final)
     numer = abs(np.cos(angle) - 1.0)
-    e_tau = float(res.e_tau)
     bound = 0.0 if e_tau <= 1e-300 else numer / e_tau  # a NaN E_tau gives a NaN bound
     return QslReport(
-        tau=res.tau,
+        tau=tau,
         bures_angle=angle,
         e_tau=e_tau,
         bound=bound,
-        satisfied=bool(res.tau >= bound - 1e-9),
+        satisfied=bool(tau >= bound - 1e-9),
     )
 
 
-def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None) -> QslReport:
-    """Evolve psi0 under h and evaluate tau >= |cos L - 1| / E_tau (see
-    ``qsl_report``)."""
-    return qsl_report(psi0, evolve(h, psi0, tau, steps=steps, track_qsl=True))
+def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None,
+              cache: Optional[StepCache] = None) -> QslReport | list[QslReport]:
+    """Evolve psi0, a state or a (dim, m) block, under h and evaluate
+    tau >= |cos L - 1| / E_tau (see ``qsl_report``); ``cache`` is passed on
+    to ``evolve``."""
+    return qsl_report(psi0, evolve(h, psi0, tau, steps=steps, track_qsl=True, cache=cache))
 
 
 def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:

@@ -209,6 +209,26 @@ def test_nan_fails_every_invariant(monkeypatch, capsys):
     assert main(["theta-opt", "--tau-list", "1"]) == EXIT_INVARIANT
 
 
+def test_inputs_of_a_run_share_the_step_unitaries(monkeypatch, capsys):
+    # the sce-batch workload: each input's evolve call runs the same step
+    # search, and the step unitaries are formed for the first input only
+    run = ["sce", "--n-controls", "3", "--tau", "1", "--jobs", "1", "--seed", "11"]
+    evolve, cf4 = sal.cli.evolve, sal.dynamics._cf4_steps
+    results, calls = [], []
+    monkeypatch.setattr(sal.cli, "evolve",
+                        lambda *a, **k: results.append(evolve(*a, **k)) or results[-1])
+    monkeypatch.setattr(sal.dynamics, "_cf4_steps", lambda *a: calls.append(1) or cf4(*a))
+    rows, counts = [], []
+    for states in ("1", "3"):
+        calls.clear()
+        assert main([*run, "--states", states]) == EXIT_OK
+        rows.append(capsys.readouterr().out.splitlines())
+        counts.append(len(calls))
+    assert [res.step_counts for res in results] == [(94, 188)] * 4
+    assert counts[0] == counts[1] > 0
+    assert rows[1][:2] == rows[0]  # the first input's row does not depend on the others
+
+
 def test_generic_cd_route(tmp_path):
     out = tmp_path / "g.csv"
     rc = main(["teleport", "--n-sectors", "1", "--tau", "0.5", "--cd", "generic",

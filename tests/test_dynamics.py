@@ -11,13 +11,13 @@ from sal.counterdiabatic import (
 )
 from sal import dynamics
 from sal.dynamics import (
+    StepCache,
     controlled_initial_state,
     controlled_target_state,
     default_steps,
     evolve,
     fidelity,
     measure_ancilla,
-    target_state,
     teleport_initial_state,
     teleport_target_state,
 )
@@ -25,13 +25,15 @@ from sal.hamiltonians import (
     ControlledSpec,
     TeleportSpec,
     TimeDepHamiltonian,
+    X,
+    Z,
     adiabatic_time_estimate,
     bell_state,
     gate,
     parity_operators,
     teleport_hamiltonian,
 )
-from sal.linalg import _chunks, embed, expm_hermitian, random_state, simpson
+from sal.linalg import _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state, simpson
 from sal.schedules import make_schedule
 
 
@@ -159,13 +161,11 @@ def strip_structure(h):
 
 
 def assert_matches_dense(h, psi0, tau, steps=500):
-    track = psi0.ndim == 1  # E_tau is defined for a single input state
-    fast = evolve(h, psi0, tau, steps=steps, track_qsl=track)
-    dense = evolve(strip_structure(h), psi0, tau, steps=steps, track_qsl=track)
+    fast = evolve(h, psi0, tau, steps=steps, track_qsl=True)
+    dense = evolve(strip_structure(h), psi0, tau, steps=steps, track_qsl=True)
     assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
     assert np.max(np.abs(fast.ground_fidelity - dense.ground_fidelity)) < 1e-10
-    if track:
-        assert abs(fast.e_tau - dense.e_tau) < 1e-10
+    assert np.max(np.abs(fast.e_tau - dense.e_tau)) < 1e-10
 
 
 def test_kron_path_matches_dense():
@@ -321,6 +321,99 @@ def test_block_state_propagation_matches_loop():
         assert np.max(np.abs(block.final_state[:, c] - single.final_state)) < 1e-12
 
 
+@pytest.mark.parametrize("tree", ["tensor sum", "branches", "dense"])
+def test_block_with_qsl_matches_single_state_runs(tree):
+    rng = np.random.default_rng(16)
+    if tree == "tensor sum":
+        spec = TeleportSpec(2, make_schedule("trig"), gate=gate("CNOT"))
+        h = cd_teleport(spec, 0.6)
+        states = [teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
+                  for _ in range(3)]
+    else:  # the sce branch tree, or its one-leaf dense reference
+        spec = ControlledSpec(n_controls=2, axis="y", phi=np.pi / 2, theta0=2.0, tau=0.6)
+        h = cd_controlled(spec)
+        h = strip_structure(h) if tree == "dense" else h
+        states = [controlled_initial_state(random_state(3, rng)) for _ in range(3)]
+    block = evolve(h, np.stack(states, axis=1), 0.6, track_qsl=True)
+    assert block.e_tau.shape == (3,)
+    for j, psi0 in enumerate(states):
+        single = evolve(h, psi0, 0.6, steps=block.steps, track_qsl=True)
+        assert isinstance(single.e_tau, float)
+        assert np.max(np.abs(block.final_state[:, j] - single.final_state)) <= 1e-12
+        assert np.max(np.abs(block.ground_fidelity[:, j] - single.ground_fidelity)) <= 1e-12
+        assert abs(block.e_tau[j] - single.e_tau) <= 1e-12
+
+
+def test_block_takes_the_step_count_of_its_worst_column(monkeypatch):
+    # a constant 2x2 block, which CF4 steps integrate exactly, beside a turning one
+    def func(s):
+        s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape + (4, 4), dtype=complex)
+        out[..., :2, :2] = Z
+        out[..., 2:, 2:] = (np.multiply.outer(np.cos(np.pi * s), X)
+                            + np.multiply.outer(np.sin(np.pi * s), Z))
+        return out
+
+    h = TimeDepHamiltonian(dim=4, func=func)
+    monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: dynamics.MIN_STEPS)
+    still, turning = np.eye(4)[:, 0], np.eye(4)[:, 2]
+    assert evolve(h, still, 1.0).step_counts == (50, 100)
+    assert evolve(h, turning, 1.0).step_counts == (50, 100, 200)
+    block = evolve(h, np.stack([still, turning], axis=1), 1.0)
+    assert block.step_counts == (50, 100, 200) and block.error_estimate <= dynamics.STATE_TOL
+    for j, psi0 in enumerate((still, turning)):
+        single = evolve(h, psi0, 1.0, steps=200)
+        assert np.max(np.abs(block.final_state[:, j] - single.final_state)) <= 1e-12
+
+
+def test_chunk_cap_bounds_the_state_stacks_of_a_wide_block(monkeypatch):
+    # teleport --n 3 with 64 inputs: 512 x 64 state entries per point, so a
+    # chunk holds 8 points where a single state's holds 128
+    spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
+    h = cd_teleport(spec, 0.1)
+    rng = np.random.default_rng(17)
+    block = np.stack([teleport_initial_state(random_state(3, rng), 3, gate=spec.gate)
+                      for _ in range(64)], axis=1)
+    walk, sizes = dynamics._walk, []
+    monkeypatch.setattr(dynamics, "_walk",
+                        lambda h, x, *a, **k: sizes.append(x.size) or walk(h, x, *a, **k))
+    res = evolve(h, block, 0.1, steps=dynamics.MIN_STEPS, track_qsl=True)
+    # the first chunk's E_tau walk carries the initial states as well
+    assert max(sizes) <= _CHUNK_ENTRIES + block.size
+    for j in (0, 63):
+        single = evolve(h, block[:, j], 0.1, steps=dynamics.MIN_STEPS, track_qsl=True)
+        assert np.max(np.abs(res.final_state[:, j] - single.final_state)) <= 1e-12
+        assert abs(res.e_tau[j] - single.e_tau) <= 1e-12
+
+
+def test_step_cache_lends_its_products_to_later_inputs(monkeypatch):
+    spec = ControlledSpec(3, axis="y", phi=np.pi / 2, theta0=2.0, tau=1.0)
+    h = cd_controlled(spec)
+    rng = np.random.default_rng(18)
+    states = [controlled_initial_state(random_state(4, rng)) for _ in range(3)]
+    fresh = [evolve(h, psi0, track_qsl=True) for psi0 in states]
+    cf4, calls = dynamics._cf4_steps, []
+    monkeypatch.setattr(dynamics, "_cf4_steps", lambda *a: calls.append(1) or cf4(*a))
+    cache = StepCache(h)
+    cached = []
+    for psi0 in states:
+        cached.append(evolve(h, psi0, track_qsl=True, cache=cache))
+        if len(cached) == 1:
+            first = len(calls)
+    assert first > 0 and len(calls) == first  # no step unitaries after the first input
+    for a, b in zip(fresh, cached):
+        assert np.array_equal(a.final_state, b.final_state) and a.e_tau == b.e_tau
+        assert np.array_equal(a.ground_fidelity, b.ground_fidelity)
+        assert a.step_counts == b.step_counts
+    with pytest.raises(ValueError, match="another Hamiltonian"):
+        evolve(cd_controlled(spec), states[0], cache=cache)
+    # past its cap a cache keeps nothing, and the results do not change
+    monkeypatch.setattr(dynamics, "_CACHE_ENTRIES", 0)
+    full = StepCache(h)
+    assert np.array_equal(evolve(h, states[0], cache=full).final_state, fresh[0].final_state)
+    assert full.products == {} and full.entries == 0
+
+
 # --- guards -------------------------------------------------------------------------
 
 
@@ -366,6 +459,16 @@ def test_default_steps_floor():
     assert all(default_steps(h, tau) % 2 == 0 for tau in (0.31, 1.7, 5.13))
 
 
+@pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
+def test_default_steps_follow_the_largest_slot(tau):
+    # a CF4 step on a tensor sum factorizes into per-slot steps, so n sectors
+    # start where one does (the summed norms started n = 3 at 602, not 202)
+    sch = make_schedule("exp")
+    one = default_steps(cd_teleport(TeleportSpec(1, sch), tau), tau)
+    for n, g in ((2, "CNOT"), (3, "Toffoli")):
+        assert default_steps(cd_teleport(TeleportSpec(n, sch, gate=gate(g)), tau), tau) == one
+
+
 # --- measurement ---------------------------------------------------------------------
 
 
@@ -390,6 +493,22 @@ def test_measurement_zero_probability_branch_flagged():
 
 
 # --- target states -------------------------------------------------------------------
+
+
+def target_state(protocol: str, **inputs) -> np.ndarray:
+    """Analytic end-state oracle per protocol, dispatching to the target
+    states of ``sal.dynamics``.
+
+    teleport_state(psi, n_sectors) | teleport_gate(psi, gate, n_sectors) |
+    cae/sce(psi, spec)
+    """
+    if protocol == "teleport_state":
+        return teleport_target_state(inputs["psi"], inputs["n_sectors"])
+    if protocol == "teleport_gate":
+        return teleport_target_state(inputs["psi"], inputs["n_sectors"], inputs["gate"])
+    if protocol in ("cae", "sce"):
+        return controlled_target_state(inputs["psi"], inputs["spec"])
+    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def test_target_state_teleport_state():

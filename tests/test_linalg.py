@@ -3,6 +3,7 @@ import pytest
 
 from sal.hamiltonians import I2, X, Z
 from sal.linalg import (
+    _chunks,
     eigh,
     embed,
     expm_hermitian,
@@ -145,3 +146,28 @@ def test_simpson_exact_for_cubics():
     xs = np.linspace(0.0, 1.0, 101)
     vals = xs**3 - 2 * xs + 1
     assert abs(simpson(vals, xs[1] - xs[0]) - (0.25 - 1 + 1)) < 1e-14
+
+
+def test_simpson_integrates_each_column():
+    xs = np.linspace(0.0, 1.0, 101)
+    dx = xs[1] - xs[0]
+    cols = np.stack([xs**3, np.cos(xs), np.ones_like(xs)], axis=1)
+    got = simpson(cols, dx)
+    assert got.shape == (3,)
+    assert all(abs(got[j] - simpson(cols[:, j], dx)) <= 1e-15 for j in range(3))
+    assert isinstance(simpson(xs, dx), float)
+    for bad in (np.zeros((100, 2)), np.zeros(1), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            simpson(bad, dx)
+
+
+def test_chunks_cap_the_state_stack():
+    def sizes(*args):
+        return {c.stop - c.start for c in _chunks(1000, *args)}
+
+    # a single 512-dim state keeps the operator rule's 128 points
+    assert sizes(4) == sizes(4, 512) == {128, 1000 - 7 * 128}
+    # 64 such states: 512 x 64 entries per point, 8 points per chunk
+    assert sizes(4, 512 * 64) == {8}
+    assert sizes(512, 512) == {1}
+

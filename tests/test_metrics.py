@@ -12,7 +12,7 @@ from sal.counterdiabatic import (
     cd_tensor_sum,
     spectral_frame,
 )
-from sal.dynamics import controlled_initial_state, teleport_initial_state
+from sal.dynamics import controlled_initial_state, evolve, teleport_initial_state
 from sal.hamiltonians import (
     ControlledSpec,
     TensorSum,
@@ -31,6 +31,7 @@ from sal.metrics import (
     probabilistic_cost,
     qsl_check,
     qsl_ground_chi,
+    qsl_report,
     relative_residual,
     sce_controlled_cost,
     sce_single_gate_cost,
@@ -296,3 +297,22 @@ def test_qsl_satisfied_for_sce():
     psi0 = controlled_initial_state(random_state(2, rng))
     rep = qsl_check(hsa, psi0, 0.25)
     assert rep.satisfied
+
+
+def test_qsl_check_reports_each_column_of_a_block():
+    spec = ControlledSpec(n_controls=1, axis="x", phi=np.pi, theta0=2.0, tau=0.25)
+    hsa = cd_controlled(spec)
+    rng = np.random.default_rng(3)
+    states = [controlled_initial_state(random_state(2, rng)) for _ in range(3)]
+    block = np.stack(states, axis=1)
+    reps = qsl_check(hsa, block, 0.25, steps=400)
+    assert len(reps) == 3
+    for psi0, rep in zip(states, reps):
+        single = qsl_check(hsa, psi0, 0.25, steps=400)
+        for field in ("bures_angle", "e_tau", "bound"):
+            assert abs(getattr(rep, field) - getattr(single, field)) <= 1e-12
+        assert rep.satisfied and single.satisfied
+    # one scalar E_tau stands for every column
+    res = evolve(hsa, block, 0.25, steps=400, track_qsl=True)
+    assert [rep.e_tau for rep in qsl_report(block, replace(res, e_tau=0.5))] == [0.5] * 3
+
