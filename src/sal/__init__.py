@@ -22,13 +22,10 @@ from .hamiltonians import (
     Z,
     adiabatic_time_estimate,
     axis_projectors,
-    axis_states,
     bell_state,
     controlled_hamiltonian,
     gate,
-    gate_selection,
     h_xi,
-    h_xi_eigenstates,
     parity_operators,
     teleport_energies,
     teleport_gap,
@@ -58,7 +55,6 @@ from .dynamics import (
     teleport_target_state,
 )
 from .metrics import (
-    CostReport,
     QslReport,
     energy_cost,
     probabilistic_cost,
@@ -67,7 +63,6 @@ from .metrics import (
     qsl_ground_chi,
     sce_controlled_cost,
     sce_single_gate_cost,
-    superadiabatic_cost,
     teleport_cost,
     teleport_cost_scale,
     teleport_sigma_sing,

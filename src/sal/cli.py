@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,6 +178,7 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     speed-limit report comes from the same integration unless
     ``--qsl-steps`` asks for another step count.  The inputs share one
     StepCache, so the step unitaries are formed once per run, not per input.
+    No CSV column reads the ground fidelity, so nothing is sampled.
     A shortcut below the fidelity floor (or with a NaN fidelity) or a
     violated speed limit raises InvariantError.
     """
@@ -185,7 +187,8 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     cache = StepCache(driver)
     for _ in range(args.states):
         ini, tgt = prepare(random_state(n_qubits, rng))
-        res = evolve(driver, ini, args.tau, steps=args.steps, track_qsl=tracked, cache=cache)
+        res = evolve(driver, ini, args.tau, steps=args.steps, n_samples=0, track_qsl=tracked,
+                     cache=cache)
         if tracked:
             rep = qsl_report(ini, res)
         else:
@@ -408,7 +411,7 @@ def cmd_qsl_check(args) -> int:
 def cmd_selftest(args) -> int:
     """Small deterministic battery; repeated runs are byte-identical."""
     rows: list[list] = []
-    parse = build_parser().parse_args
+    parse = _parser().parse_args
     run = ["--tau", "0.5", "--states", "2", "--seed", "7", "--qsl-steps", "2000"]
     for gate_opt in ([], ["--gate", "X"], ["--gate", "H"]):
         rows.extend(_teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt])))
@@ -505,26 +508,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, defaults: dict):
-    parser.set_defaults(**defaults)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every call without --config, built on first use."""
+    return build_parser()
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str, defaults):
+    """Set the option defaults a --config file holds on ``parser``: a JSON
+    object whose keys are option names some subcommand takes."""
+    if not isinstance(defaults, dict):
+        raise CliError(f"{path} does not hold a JSON object of option defaults")
+    subs = [sub for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+            for sub in action.choices.values()]
+    known = {a.dest for p in (parser, *subs) for a in p._actions
+             if a.default is not argparse.SUPPRESS}
+    for key in defaults:
+        if key not in known:
+            raise CliError(f"{path}: no subcommand takes the option {key!r}")
+    for p in (parser, *subs):
+        p.set_defaults(**defaults)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
         if argv is None:
             argv = sys.argv[1:]
         argv = list(argv)
+        parser = _parser()
         if "--config" in argv:
             idx = argv.index("--config")
             if idx + 1 >= len(argv):
                 raise CliError("--config needs a file path")
+            parser = build_parser()  # a fresh one, so its defaults stay with this call
             with open(argv[idx + 1]) as fh:
-                _apply_config(parser, json.load(fh))
+                _apply_config(parser, argv[idx + 1], json.load(fh))
             argv = argv[:idx] + argv[idx + 2 :]
         args = parser.parse_args(argv)
         return args.func(args)

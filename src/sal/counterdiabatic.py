@@ -46,7 +46,7 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_sector_hamiltonian,
 )
-from .linalg import _chunks, check_shape, cluster_slices, eigh, embed, is_unitary
+from .linalg import _chunks, check_shape, cluster_slices, eigh, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -231,13 +231,15 @@ def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHa
     """Superadiabatic Hamiltonian of the rotated drive G H(s) G^dag.
 
     The correction transports covariantly: cd -> G cd G^dag, for any
-    constant unitary G.
+    constant unitary G on the whole n-qubit space of H.
     """
     if g.shape != (hsa.dim, hsa.dim):
         raise ValueError(f"rotation shape {g.shape} does not match dim {hsa.dim}")
+    if hsa.dim & (hsa.dim - 1):
+        raise ValueError(f"a rotation acts on qubits; dim {hsa.dim} is not a power of 2")
     if not is_unitary(g):
         raise ValueError("rotation must be unitary")
-    return _composite(Rotation(g, (hsa,)))
+    return _composite(Rotation(g, (hsa,), tuple(range(hsa.dim.bit_length() - 1))))
 
 
 def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> SuperadiabaticHamiltonian:
@@ -261,9 +263,8 @@ def cd_teleport(
 
     Each tensor slot holds the sector shortcut, ``cd_teleport_block`` or,
     with ``grid`` set, ``cd_generic`` of the sector on that grid; the gate
-    embedded on Bob's qubits rotates the sum.  ``TeleportSpec`` checked the
-    gate's unitarity at its own size, and the embedding only permutes
-    gate (x) 1, so the full-size rotation is not checked again.
+    on Bob's qubits rotates the sum (``TeleportSpec`` checked that it is
+    unitary).
     """
     if grid is None:
         block = cd_teleport_block(spec.schedule, tau, spec.omega)
@@ -272,7 +273,7 @@ def cd_teleport(
     hsa = cd_tensor_sum([block] * spec.n_sectors)
     if spec.gate is None:
         return hsa
-    return _composite(Rotation(embed(spec.gate, spec.bob_qubits, spec.n_qubits), (hsa,)))
+    return _composite(Rotation(spec.gate, (hsa,), spec.bob_qubits))
 
 
 def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:

@@ -16,11 +16,13 @@ A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
 sums over consecutive slots, orthogonal ancilla branches and constant
 rotations, down to leaf Hamiltonians.  The one propagator below walks that
 tree.  The state is held in the frame where every rotation is undone and
-every branch projector is diagonal, entered and left once per run; there
-the tree applies only leaf-sized matrices, one tensor slot or branch block
-at a time.  A CF4 step is exact on the tree: a linear combination of H at
-the two nodes is the same sum or branch split of the leaves' combinations,
-so each exponential factors into per-leaf exponentials.
+every branch projector is diagonal, entered and left once per run; a
+rotation is a small gate contracted with its qubits' axes of the state,
+never a dense operator.  There the tree applies only leaf-sized matrices,
+one tensor slot or branch block at a time.  A CF4 step is exact on the
+tree: a linear combination of H at the two nodes is the same sum or branch
+split of the leaves' combinations, so each exponential factors into
+per-leaf exponentials.
 
 Steps are taken a chunk at a time.  Each distinct leaf is evaluated once per
 chunk at both nodes of every step, its step unitaries come from two batched
@@ -40,9 +42,10 @@ The same walk, batched over points, gives H|psi> at the step ends for the
 speed-limit integral, which is Simpson's rule over the step ends (an odd
 step count closes with one 3/8 panel), and the ground-level weight at each
 sample point (from the leaves' eigenbases, one stacked eigendecomposition
-per leaf); the largest leaf's norm gives the first step count.  A
-Hamiltonian without ``parts`` is a one-leaf tree: the dense reference the
-structured paths are tested against.
+per leaf; ``n_samples=0`` skips it, as the command line does); the largest
+leaf's norm gives the first step count.  A Hamiltonian without ``parts`` is
+a one-leaf tree: the dense reference the structured paths are tested
+against.
 
 A (dim, m) block of states runs as one: one step search (on the largest
 column error), one set of step products, and E_tau per column.  Inputs
@@ -57,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state
-from .linalg import _chunks, expm_hermitian, simpson, state_from_factors
+from .linalg import _chunks, apply_on_qubits, expm_hermitian, simpson, state_from_factors
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -144,16 +147,15 @@ def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0) -> np
     unitaries, eigenbases); without, they add (H, its eigenvalues).  Branch
     blocks are disjoint either way.  ``frame=1`` (``-1``) with no ``op``
     enters (leaves) the walk frame instead: G^dag or W^dag of each rotation
-    or branch node on the way down, G or W on the way up.
+    or branch node on the way down, G or W on the way up.  A rotation's G
+    is contracted with its qubits' axes (``linalg.apply_on_qubits``).
     """
     node = getattr(h, "parts", None)
     if node is None:
         return x if op is None else op(h).reshape(-1, 1, h.dim, h.dim) @ x
     batch, pre, dim, post = x.shape
-    u = node.g if isinstance(node, Rotation) else (
-        node.basis[0] if isinstance(node, Branches) else None)
-    if u is not None and frame > 0:
-        x = (u.conj().T @ x.reshape(batch, pre, len(u), -1)).reshape(x.shape)
+    if frame > 0:
+        x = _turn(node, x, inverse=True)
     if isinstance(node, Branches):
         d = node.parts[0].dim
         x = x.reshape(batch, pre, dim // d, d, post)
@@ -169,9 +171,21 @@ def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0) -> np
             out = y.reshape(x.shape) if compose else out + y.reshape(x.shape)
             left *= part.dim
     out = out.reshape(batch, pre, dim, post)
-    if u is not None and frame < 0:
-        out = (u @ out.reshape(batch, pre, len(u), -1)).reshape(out.shape)
-    return out
+    return _turn(node, out, inverse=False) if frame < 0 else out
+
+
+def _turn(node, x: np.ndarray, inverse: bool) -> np.ndarray:
+    """A rotation node's G, or a branch node's W on its leading subsystem,
+    applied to x, shaped (batch, pre, node.dim, post); the adjoint with
+    ``inverse``.  Other nodes leave x as it is."""
+    batch, pre, dim, post = x.shape
+    if isinstance(node, Rotation):
+        g = node.g.conj().T if inverse else node.g
+        return apply_on_qubits(g, node.qubits, x.reshape(batch * pre, dim, post)).reshape(x.shape)
+    if isinstance(node, Branches):
+        w = node.basis[0].conj().T if inverse else node.basis[0]
+        return (w @ x.reshape(batch, pre, len(w), -1)).reshape(x.shape)
+    return x
 
 
 def _running_products(u: np.ndarray) -> np.ndarray:
@@ -302,13 +316,14 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
     picked[sample_idx[sample_idx > 0] - 1] = True
     x0 = _walk(h, psi0.reshape(1, 1, h.dim, -1), frame=1)
     sampled, x, e_tau = _propagate(h, x0, tau, steps, picked, track_qsl, cache)
-    if sample_idx[0] == 0:
+    if sample_idx.size and sample_idx[0] == 0:
         sampled = np.concatenate([x0, sampled])
     s_samples = sample_idx / steps
-    ground = _ground_weights(h, s_samples, sampled)
+    ground = _ground_weights(h, s_samples, sampled) if n_samples else np.empty((0, x.shape[-1]))
     states = None
     if keep_states:
-        states = _walk(h, sampled, frame=-1).reshape((-1,) + psi0.shape)
+        states = (_walk(h, sampled, frame=-1) if len(sampled) else sampled).reshape(
+            (-1,) + psi0.shape)
     return EvolutionResult(
         final_state=_walk(h, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
@@ -338,6 +353,8 @@ def evolve(
     ``track_qsl`` additionally integrates
     E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
     a float for a single state and one per column, shaped (m,), for a block.
+    ``n_samples`` step ends, evenly spread, report ``ground_fidelity``;
+    with 0 nothing is sampled, and every other field is bitwise the same.
 
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
@@ -427,12 +444,8 @@ def teleport_initial_state(
     state = state_from_factors(factors, n_qubits)
     if gate is None:
         return state
-    # the gate on Bob's axes of the qubit tensor: its output axes come first
     bob = [3 * k + 2 for k in range(n_sectors)]
-    gate = np.asarray(gate).reshape([2] * (2 * n_sectors))
-    axes = (range(n_sectors, 2 * n_sectors), bob)
-    state = np.tensordot(gate, state.reshape([2] * n_qubits), axes)
-    return np.moveaxis(state, range(n_sectors), bob).reshape(-1)
+    return apply_on_qubits(np.asarray(gate), bob, state.reshape(1, -1, 1)).reshape(-1)
 
 
 def teleport_target_state(

@@ -104,16 +104,6 @@ def axis_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
     return (I2 + ns) / 2, (I2 - ns) / 2
 
 
-def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch eigenstates |n+>, |n-> of n_hat.sigma with a fixed phase gauge."""
-    n = parse_axis(axis)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    plus = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    minus = np.array([np.sin(theta / 2), -np.exp(1j * phi) * np.cos(theta / 2)])
-    return plus, minus
-
-
 # --- time-dependent Hamiltonians -------------------------------------------
 
 
@@ -188,14 +178,22 @@ class Branches:
 
 @dataclass(frozen=True)
 class Rotation:
-    """G H G^dag for a constant unitary G; ``parts`` holds the single H."""
+    """G H G^dag for a constant unitary G = g on the listed qubits of H's
+    space (``qubits[0]`` the most significant bit of g's index), the
+    identity on the others; ``parts`` holds the single H."""
 
     g: np.ndarray
     parts: tuple
+    qubits: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.parts[0].dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense G, formed on first use: only a dense H(s) needs it."""
+        return embed(self.g, self.qubits, self.dim.bit_length() - 1)
 
 
 def assemble(node, op: Callable) -> np.ndarray:
@@ -203,7 +201,7 @@ def assemble(node, op: Callable) -> np.ndarray:
     operator of each part, e.g. ``lambda h: h(s)`` or ``lambda h: h.cd(s)``."""
     ops = [op(p) for p in node.parts]
     if isinstance(node, Rotation):
-        return node.g @ ops[0] @ node.g.conj().T
+        return node.matrix @ ops[0] @ node.matrix.conj().T
     if isinstance(node, Branches):
         return sum(np.kron(p, o) for p, o in zip(node.projectors, ops))
     dims = [p.dim for p in node.parts]
@@ -255,8 +253,8 @@ class TeleportSpec:
         return 3 * self.n_sectors
 
     @property
-    def bob_qubits(self) -> list[int]:
-        return [3 * k + 2 for k in range(self.n_sectors)]
+    def bob_qubits(self) -> tuple[int, ...]:
+        return tuple(3 * k + 2 for k in range(self.n_sectors))
 
 
 # Basis ordering that block-diagonalizes the sector Hamiltonian: the four
@@ -302,7 +300,7 @@ def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDe
 def sector_tree(block, wrap: Callable):
     """The sector P (1_2 (x) B) P^T over its parity block B as a tree, each
     node made a Hamiltonian by ``wrap`` (``composite`` or its shortcut twin)."""
-    return wrap(Rotation(parity_permutation(), (wrap(Branches((I2,), (block,))),)))
+    return wrap(Rotation(parity_permutation(), (wrap(Branches((I2,), (block,))),), (0, 1, 2)))
 
 
 def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
@@ -320,7 +318,7 @@ def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
         h = composite(TensorSum((h,) * spec.n_sectors))
     if spec.gate is None:
         return h
-    return composite(Rotation(embed(spec.gate, spec.bob_qubits, spec.n_qubits), (h,)))
+    return composite(Rotation(spec.gate, (h,), spec.bob_qubits))
 
 
 def teleport_energies(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
@@ -418,14 +416,6 @@ def h_xi(theta, xi: float, omega: float = 1.0) -> np.ndarray:
     )
 
 
-def h_xi_eigenstates(s: float, xi: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous eigenstates of h_xi at theta = theta0*s, energies -/+ omega."""
-    half = theta0 * s / 2.0
-    ground = np.array([np.cos(half), np.exp(1j * xi) * np.sin(half)])
-    excited = np.array([-np.sin(half), np.exp(1j * xi) * np.cos(half)])
-    return ground, excited
-
-
 def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
     """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla)."""
     p_act = spec.activation_projector()
@@ -443,23 +433,6 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
         )
 
     return composite(Branches((p_rest, p_act), (branch(0.0), branch(spec.phi))))
-
-
-def gate_selection(name: str) -> tuple[str, float]:
-    """Bloch-axis/angle pairs implementing named gates via controlled
-    evolutions: NOT-type gates rotate by pi about x, Hadamard by pi/2 about y."""
-    presets = {
-        "NOT": ("x", np.pi),
-        "X": ("x", np.pi),
-        "CNOT": ("x", np.pi),
-        "TOFFOLI": ("x", np.pi),
-        "H": ("y", np.pi / 2),
-        "HADAMARD": ("y", np.pi / 2),
-    }
-    try:
-        return presets[name.upper()]
-    except KeyError:
-        raise ValueError(f"no controlled-evolution preset for gate {name!r}") from None
 
 
 # --- adiabatic-runtime diagnostic -------------------------------------------

@@ -110,6 +110,17 @@ def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) ->
     return np.ascontiguousarray(big.reshape(2**n_qubits, 2**n_qubits))
 
 
+def apply_on_qubits(op: np.ndarray, qubits, x: np.ndarray) -> np.ndarray:
+    """``embed(op, qubits, n) @ x`` on the middle axis of x, shaped
+    (pre, 2**n, post), by contracting op with those qubits' axes: no
+    2**n-dimensional operator is formed."""
+    k, (pre, dim, post) = len(qubits), x.shape
+    axes = [1 + q for q in qubits]  # qubit q is axis 1 + q of the qubit tensor
+    tensor = x.reshape(pre, *[2] * (dim.bit_length() - 1), post)
+    y = np.tensordot(op.reshape([2] * (2 * k)), tensor, (range(k, 2 * k), axes))
+    return np.moveaxis(y, range(k), axes).reshape(x.shape)
+
+
 def state_from_factors(factors: list[tuple[np.ndarray, list[int]]], n_qubits: int) -> np.ndarray:
     """Assemble an n-qubit state from factor states on disjoint qubit sets.
 

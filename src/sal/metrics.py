@@ -24,16 +24,6 @@ STATIONARITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CostReport:
-    sigma_ad: float
-    sigma_sa: float
-    tau: float
-    s_grid: np.ndarray
-    integrand_ad: np.ndarray
-    integrand_sa: np.ndarray
-
-
-@dataclass(frozen=True)
 class QslReport:
     tau: float
     bures_angle: float
@@ -80,34 +70,6 @@ def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
         [np.sqrt(_hs_square_and_trace(h, s_grid[c])[0]) for c in _chunks(grid, leaf_dim)]
     )
     return simpson(vals, s_grid[1] - s_grid[0])
-
-
-def superadiabatic_cost(frame: SpectralFrame, tau: float) -> CostReport:
-    """Shortcut cost from a spectral frame.
-
-    Sigma_sa = int sqrt(sum_m [E_m^2 + mu_m / tau^2]) ds with the frame
-    contribution mu_m = <d_s E_m|d_s E_m> - |<E_m|d_s E_m>|^2; the tau ->
-    infinity limit recovers the adiabatic cost Sigma_ad.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    dv = frame.derivative()
-    v = frame.vectors
-    grad2 = np.einsum("jin,jin->jn", dv.conj(), dv).real
-    berry = np.einsum("jin,jin->jn", v.conj(), dv)
-    mu = grad2 - np.abs(berry) ** 2
-    e2 = np.sum(frame.energies**2, axis=1)
-    integrand_ad = np.sqrt(e2)
-    integrand_sa = np.sqrt(e2 + np.sum(mu, axis=1) / tau**2)
-    ds = frame.s_grid[1] - frame.s_grid[0]
-    return CostReport(
-        sigma_ad=simpson(integrand_ad, ds),
-        sigma_sa=simpson(integrand_sa, ds),
-        tau=tau,
-        s_grid=frame.s_grid,
-        integrand_ad=integrand_ad,
-        integrand_sa=integrand_sa,
-    )
 
 
 # --- teleportation closed forms ----------------------------------------------
@@ -299,10 +261,11 @@ def _qsl_report(tau: float, psi0: np.ndarray, final: np.ndarray, e_tau: float) -
 
 def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None,
               cache: Optional[StepCache] = None) -> QslReport | list[QslReport]:
-    """Evolve psi0, a state or a (dim, m) block, under h and evaluate
-    tau >= |cos L - 1| / E_tau (see ``qsl_report``); ``cache`` is passed on
-    to ``evolve``."""
-    return qsl_report(psi0, evolve(h, psi0, tau, steps=steps, track_qsl=True, cache=cache))
+    """Evolve psi0, a state or a (dim, m) block, under h, with no ground
+    sampling, and evaluate tau >= |cos L - 1| / E_tau (see ``qsl_report``);
+    ``cache`` is passed on to ``evolve``."""
+    res = evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True, cache=cache)
+    return qsl_report(psi0, res)
 
 
 def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:

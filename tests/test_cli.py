@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,51 @@ def test_config_file_defaults(tmp_path):
     assert read_rows(out)[0]["gate"] == "X"
 
 
+def test_parser_is_built_once_and_config_defaults_stay_with_their_call(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    build = sal.cli.build_parser
+    monkeypatch.setattr(sal.cli, "build_parser", lambda: built.append(1) or build())
+    sal.cli._parser.cache_clear()
+    run = ["teleport", "--tau", "0.5", "--qsl-steps", "400", "--grid", "501"]
+    assert main(run) == EXIT_OK
+    default = capsys.readouterr().out
+    cfg = tmp_path / "trig.json"
+    cfg.write_text(json.dumps({"schedule": "trig"}))
+    assert main(["--config", str(cfg), *run]) == EXIT_OK
+    trig = capsys.readouterr().out
+    assert main(run) == EXIT_OK
+    assert capsys.readouterr().out == default != trig
+    assert len(built) == 2  # the shared parser, and a fresh one for the --config call
+
+
+def test_cli_runs_sample_no_ground_fidelity(monkeypatch):
+    # no CSV column reads the ground fidelity, so no CLI run computes it
+    def no_sampling(*args):
+        raise AssertionError("ground sampling ran")
+    monkeypatch.setattr(sal.dynamics, "_ground_weights", no_sampling)
+    for argv in (["teleport", "--tau", "0.5", "--states", "2", "--grid", "501"],
+                 ["teleport", "--n", "2", "--gate", "CNOT", "--tau", "0.3", "--qsl-steps", "400"],
+                 ["sce", "--n-controls", "2", "--tau", "1", "--states", "2"],
+                 ["qsl-check", "--protocol", "teleport-gate", "--tau", "0.5"]):
+        assert main(argv + ["--out", "-"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("mode", ["sa", "adiabatic"])
+def test_gate_teleport_forms_no_dense_rotation(mode, monkeypatch):
+    # the gate is contracted on Bob's qubits: no run embeds it in 2^{3n} dimensions
+    def no_embed(*args):
+        raise AssertionError("a dense rotation was formed")
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("sal") and hasattr(module, "embed"):
+            monkeypatch.setattr(module, "embed", no_embed)
+    argv = ["teleport", "--n", "3", "--gate", "Toffoli", "--tau", "0.1", "--qsl-steps", "100",
+            "--mode", mode, "--out", "-"]
+    assert main(argv) == EXIT_OK
+    argv = ["qsl-check", "--protocol", "teleport-gate", "--tau", "0.5", "--out", "-"]
+    assert main(argv) == EXIT_OK
+
+
 def test_selftest_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["selftest", "--out", str(a)]) == EXIT_OK
@@ -131,8 +177,16 @@ def test_selftest_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_errors_exit_3(capsys, monkeypatch):
+def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
     assert main(["teleport", "--tau", "-1"]) == EXIT_CONFIG
+    # a --config file must hold an object whose keys some subcommand takes
+    for name, content, message in (("list.json", [1, 2], "does not hold a JSON object"),
+                                   ("bogus.json", {"bogus": 3}, "'bogus'")):
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps(content))
+        assert main(["--config", str(cfg), "teleport", "--tau", "0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(cfg) in err and message in err
     for tau in ("inf", "nan"):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
             assert main(argv + ["--tau", tau]) == EXIT_CONFIG

@@ -163,7 +163,7 @@ def test_sector_tree_assembles_the_dense_sector_exactly(family):
     perm = parity_permutation()
     sector = teleport_sector_hamiltonian(sch)
     hsa = cd_teleport_block(sch, 0.7)
-    block = hsa.parts.parts[0].parts.parts[0]  # Rotation(P, (Branches((I2,), (B,)),))
+    block = hsa.parts.parts[0].parts.parts[0]  # Rotation(P, (Branches((I2,), (B,)),), (0, 1, 2))
     assert block.dim == 4
     assert np.max(np.abs(sector(s) - drive)) == 0.0
     d_drive = np.multiply.outer(di, h_ini) + np.multiply.outer(df, h_fin)
@@ -250,6 +250,10 @@ def test_cd_rotate_rejects_non_unitary():
     hsa = cd_teleport_block(sch, tau=1.0)
     with pytest.raises(ValueError):
         cd_rotate(hsa, np.ones((8, 8)))
+    # a rotation acts on qubits: a 3-level drive has none to contract with
+    three = TimeDepHamiltonian(dim=3, func=lambda s: np.zeros(np.shape(s) + (3, 3)))
+    with pytest.raises(ValueError, match="not a power of 2"):
+        cd_rotate(SuperadiabaticHamiltonian(three, three.func, 1.0), np.eye(3))
 
 
 # --- tensor sum ------------------------------------------------------------------

