@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from typing import Optional, Sequence
 
@@ -136,6 +135,8 @@ def _jobs(args) -> int:
 def _pmap(fn, items: list, jobs: int) -> list:
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only sweeps with --jobs > 1 load it
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -438,7 +439,7 @@ def _add_common(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sal {__version__}")
-    parser.add_argument("--config", default=None, help="JSON file with argument defaults")
+    parser.add_argument("--config", default=None, help="JSON file of option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("teleport", help="run a (gate-)teleportation evolution")
@@ -510,41 +511,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of every call without --config, built on first use."""
+    """The parser of every call, built on first use."""
     return build_parser()
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: str, defaults):
-    """Set the option defaults a --config file holds on ``parser``: a JSON
-    object whose keys are option names some subcommand takes."""
-    if not isinstance(defaults, dict):
-        raise CliError(f"{path} does not hold a JSON object of option defaults")
-    subs = [sub for action in parser._actions if isinstance(action, argparse._SubParsersAction)
-            for sub in action.choices.values()]
-    known = {a.dest for p in (parser, *subs) for a in p._actions
-             if a.default is not argparse.SUPPRESS}
-    for key in defaults:
-        if key not in known:
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with its ``--config PATH`` replaced by the file's options, placed
+    right after the subcommand so that they are parsed like flags and the
+    command line's own flags, coming later, win.  The file holds a JSON
+    object of option values keyed by dest; a null value keeps the default,
+    and a key that this subcommand does not take but another does is
+    skipped."""
+    idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise CliError("--config needs a file path")
+    path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise CliError(f"{path} does not hold a JSON object of option values")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {a.dest: a.option_strings[0] for a in sub._actions
+                    if a.option_strings and a.default is not argparse.SUPPRESS}
+             for name, sub in subs.items()}
+    for key in values:
+        if not any(key in f for f in flags.values()):
             raise CliError(f"{path}: no subcommand takes the option {key!r}")
-    for p in (parser, *subs):
-        p.set_defaults(**defaults)
+    cmd = next((i for i, tok in enumerate(argv) if tok in subs), None)
+    if cmd is None:
+        return argv
+    tokens = []
+    for key, value in values.items():
+        flag = flags[argv[cmd]].get(key)
+        if flag is None or value is None:
+            continue
+        if isinstance(value, (list, dict)):
+            raise CliError(f"{path}: {flag} takes one value, got {value!r}")
+        tokens.append(f"{flag}={value}")
+    return argv[: cmd + 1] + tokens + argv[cmd + 1 :]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        argv = list(argv)
-        parser = _parser()
+        argv = list(sys.argv[1:] if argv is None else argv)
         if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise CliError("--config needs a file path")
-            parser = build_parser()  # a fresh one, so its defaults stay with this call
-            with open(argv[idx + 1]) as fh:
-                _apply_config(parser, argv[idx + 1], json.load(fh))
-            argv = argv[:idx] + argv[idx + 2 :]
-        args = parser.parse_args(argv)
+            argv = _with_config(_parser(), argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,10 +46,12 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_sector_hamiltonian,
 )
-from .linalg import _chunks, check_shape, cluster_slices, eigh, is_unitary
+from .linalg import (_chunks, _polished, _running_products, check_shape, eigh, is_unitary,
+                     level_clusters)
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
+OVERLAP_TOL = 0.5  # least singular value of a neighbour overlap that the continuation trusts
 
 @dataclass(frozen=True)
 class SpectralFrame:
@@ -59,13 +61,13 @@ class SpectralFrame:
     aligned from one grid point to the next (maximal-overlap assignment with
     the residual rotation removed, i.e. discrete parallel transport), so
     finite differences across j approximate d_s of a smooth frame.
-    ``cluster_slices`` groups columns into degenerate levels.
+    ``clusters`` groups columns into degenerate levels.
     """
 
     s_grid: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
-    cluster_slices: tuple[slice, ...]
+    clusters: tuple[slice, ...]
 
     def derivative(self) -> np.ndarray:
         """d/ds of the frame, second order everywhere."""
@@ -78,13 +80,14 @@ class SpectralFrame:
         return dv
 
 
-def spectral_frame(
-    h: TimeDepHamiltonian,
-    grid: int = DEFAULT_GRID,
-    cluster_tol: float = 1e-8,
-    overlap_tol: float = 0.5,
-) -> SpectralFrame:
+def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralFrame:
     """Diagonalize H(s) on a uniform grid and continue the eigenframe.
+
+    Each level's raw frames V_j are aligned all at once: with one stacked
+    SVD of the neighbour overlaps V_{j-1}^dag V_j = U S W^dag, the alignment
+    of frame j to the raw frame j - 1 is W U^dag, the adjoint polar factor,
+    and since polar(R^dag M) = R^dag polar(M) frame j is aligned to the
+    aligned frame j - 1 by the running product of the alignments up to j.
 
     Raises RuntimeError if the degeneracy pattern changes along the grid
     (levels crossing) or if adjacent frames overlap too weakly for the
@@ -95,28 +98,20 @@ def spectral_frame(
     vectors = np.empty((grid, h.dim, h.dim), dtype=complex)
     for c in _chunks(grid, h.dim):
         energies[c], vectors[c] = eigh(h(s_grid[c]))
-    clusters: tuple[slice, ...] | None = None
-    for j, (s, lam, vec) in enumerate(zip(s_grid, energies, vectors)):
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        cl = cluster_slices(lam, cluster_tol * scale)
-        if clusters is None:
-            clusters = cl
-        elif [c.start for c in cl] != [c.start for c in clusters]:
-            raise RuntimeError(
-                f"degeneracy pattern changes at s={s:.4f}; supply a finer grid "
-                "or build the correction blockwise"
-            )
-        if j > 0:
-            prev = vectors[j - 1]
-            for c in clusters:
-                m = prev[:, c].conj().T @ vec[:, c]
-                u, sig, wh = np.linalg.svd(m)
-                if sig.min() < overlap_tol:
-                    raise RuntimeError(
-                        f"eigenframe continuation lost track at s={s:.4f} "
-                        f"(min overlap {sig.min():.3f}); refine the grid"
-                    )
-                vec[:, c] = vec[:, c] @ (wh.conj().T @ u.conj().T)
+    clusters = level_clusters(s_grid, energies)
+    least = np.full(grid - 1, np.inf)  # smallest overlap singular value of each neighbour pair
+    for c in clusters:
+        v = vectors[:, :, c]  # a view: the aligned columns are written back in place
+        u, sig, wh = np.linalg.svd(np.swapaxes(v[:-1], -1, -2).conj() @ v[1:])
+        least = np.minimum(least, sig[:, -1])
+        align = np.swapaxes(wh, -1, -2).conj() @ np.swapaxes(u, -1, -2).conj()
+        v[1:] = v[1:] @ _polished(_running_products(align))
+    lost = np.flatnonzero(least < OVERLAP_TOL)
+    if lost.size:
+        raise RuntimeError(
+            f"eigenframe continuation lost track at s={s_grid[lost[0] + 1]:.4f} "
+            f"(min overlap {least[lost[0]]:.3f}); refine the grid"
+        )
     return SpectralFrame(s_grid, energies, vectors, clusters)
 
 

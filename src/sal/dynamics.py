@@ -60,7 +60,8 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state
-from .linalg import _chunks, apply_on_qubits, expm_hermitian, simpson, state_from_factors
+from .linalg import (_chunks, _polished, _running_products, apply_on_qubits, expm_hermitian,
+                     simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -188,16 +189,6 @@ def _turn(node, x: np.ndarray, inverse: bool) -> np.ndarray:
     return x
 
 
-def _running_products(u: np.ndarray) -> np.ndarray:
-    """p[k] = u[k] @ ... @ u[0] for a stack of step unitaries, multiplied in
-    step order."""
-    p = np.empty_like(u)
-    p[0] = u[0]
-    for step, prev, out in zip(u[1:], p, p[1:]):
-        np.dot(step, prev, out=out)
-    return p
-
-
 def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
     """The leaf's CF4 step unitaries for the steps j in c,
     exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) with H1, H2 at the
@@ -205,15 +196,6 @@ def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
     mid = np.arange(c.start, c.stop) + 0.5
     h1, h2 = np.split(leaf(np.concatenate([mid - _GAUSS, mid + _GAUSS]) / steps), 2)
     return expm_hermitian(_A2 * h1 + _A1 * h2, dt) @ expm_hermitian(_A1 * h1 + _A2 * h2, dt)
-
-
-def _polished(p: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step, p (3 - p^dag p) / 2, which squares a stack of
-    products' departure from unitarity.  The running products over a chunk
-    drift ~1e-14 off unitary, and that adds up over the chunks: 4e-13 in
-    the norm after 12030 steps of teleport --n 3 --gate Toffoli at tau = 0.1
-    (1e-15 polished)."""
-    return 1.5 * p - 0.5 * p @ (np.swapaxes(p, -1, -2).conj() @ p)
 
 
 def _norm_bound(h, samples: int = 17) -> float:
@@ -301,14 +283,6 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, tra
     return np.concatenate(sampled), x, e_tau
 
 
-def _final_state(h, psi0: np.ndarray, tau: float, steps: int,
-                 cache: Optional[StepCache]) -> np.ndarray:
-    """The state after ``steps`` CF4 steps, with nothing sampled."""
-    x = _walk(h, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    _, x, _ = _propagate(h, x, tau, steps, np.zeros(steps, dtype=bool), False, cache)
-    return _walk(h, x, frame=-1).reshape(psi0.shape)
-
-
 def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
                track_qsl: bool, keep_states: bool, cache: Optional[StepCache]) -> EvolutionResult:
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
@@ -394,7 +368,7 @@ def evolve(
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
         return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)
     steps = default_steps(h, tau)
-    coarse = _final_state(h, psi0, tau, steps // 2, cache)
+    coarse = _integrate(h, psi0, tau, steps // 2, 0, False, False, cache).final_state
     counts = [steps // 2]
     while True:
         res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)

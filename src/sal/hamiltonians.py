@@ -23,8 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import _chunks, check_shape, cluster_slices, embed, eigh, is_unitary, kron
+from .linalg import _chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters
 from .schedules import Schedule
+
+_DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
 
 # --- elementary gates ------------------------------------------------------
 
@@ -131,10 +133,10 @@ class TimeDepHamiltonian:
     def __call__(self, s) -> np.ndarray:
         return check_shape(self.func(s), s, self.dim)
 
-    def derivative(self, s, step: float = 1e-6) -> np.ndarray:
+    def derivative(self, s) -> np.ndarray:
         if self.deriv is not None:
             return check_shape(self.deriv(s), s, self.dim)
-        lo, hi = np.maximum(0.0, s - step), np.minimum(1.0, s + step)
+        lo, hi = np.maximum(0.0, s - _DERIV_STEP), np.minimum(1.0, s + _DERIV_STEP)
         return (self(hi) - self(lo)) / (hi - lo)[..., None, None]
 
 
@@ -438,32 +440,23 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
 # --- adiabatic-runtime diagnostic -------------------------------------------
 
 
-def adiabatic_time_estimate(
-    h: TimeDepHamiltonian, grid: int = 101, cluster_tol: float = 1e-8
-) -> float:
+def adiabatic_time_estimate(h: TimeDepHamiltonian, grid: int = 101) -> float:
     """Runtime scale max |<E_k| dH/ds |E_n>| / gap_nk^2 over an s-grid.
 
     Degenerate levels are grouped into clusters; the matrix element is the
     spectral norm of the inter-cluster block, which is invariant under basis
     choice inside each cluster.  A run much longer than this estimate is
     expected to be adiabatic; the estimate is in units of 1/omega.
+    RuntimeError if the degeneracy pattern changes along the grid.
     """
     s_grid = np.linspace(0.0, 1.0, grid)
+    energies = np.empty((grid, h.dim))
     best = 0.0
-    pattern = None
     for c in _chunks(grid, h.dim):
-        lam, vec = eigh(h(s_grid[c]))
-        dh = h.derivative(s_grid[c])
-        for s, lam_s in zip(s_grid[c], lam):
-            scale = max(1.0, float(np.max(np.abs(lam_s))))
-            clusters = cluster_slices(lam_s, cluster_tol * scale)
-            starts = [cl.start for cl in clusters]
-            if pattern is None:
-                pattern = starts
-            elif starts != pattern:
-                raise RuntimeError(
-                    f"vanishing gap: the degeneracy pattern changes at s={s:.4f}"
-                )
+        energies[c], vec = eigh(h(s_grid[c]))
+        # every row so far, so that a pattern change between chunks is caught too
+        clusters = level_clusters(s_grid[: c.stop], energies[: c.stop])
+        lam, dh = energies[c], h.derivative(s_grid[c])
         for ca in clusters:
             va = np.swapaxes(vec[..., ca], -1, -2).conj()
             for cb in clusters:

@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+CLUSTER_TOL = 1e-8  # level width relative to max(1, |E|): closer eigenvalues are one level
 _CHUNK = 128  # points of s per batched evaluation
 _CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 MiB complex)
 
@@ -26,10 +27,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     for op in ops:
         out = np.kron(out, op)
     return out
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
 
 
 def check_shape(op: np.ndarray, s, dim: int) -> np.ndarray:
@@ -70,16 +67,39 @@ def _chunks(n: int, dim: int, width: int = 0) -> Iterator[slice]:
         yield slice(start, min(start + size, n))
 
 
-def cluster_slices(lam: np.ndarray, tol: float) -> tuple[slice, ...]:
-    """Group ascending eigenvalues into degenerate levels: a new level starts
-    wherever the gap to the previous eigenvalue exceeds ``tol``."""
-    out = []
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > tol:
-            out.append(slice(start, i))
-            start = i
-    return tuple(out)
+def level_clusters(s: np.ndarray, energies: np.ndarray) -> tuple[slice, ...]:
+    """The degenerate levels shared by every row of a stack of ascending
+    spectra, energies[j] at s[j]: a new level starts wherever the gap to the
+    previous eigenvalue exceeds CLUSTER_TOL * max(1, max |E|) of that row.
+    RuntimeError names the first s whose pattern differs from the first
+    row's (levels cross or a gap closes)."""
+    tol = CLUSTER_TOL * np.maximum(1.0, np.max(np.abs(energies), axis=1, keepdims=True))
+    breaks = np.diff(energies, axis=1) > tol
+    changed = np.flatnonzero(np.any(breaks != breaks[0], axis=1))
+    if changed.size:
+        raise RuntimeError(f"degeneracy pattern changes at s={s[changed[0]]:.4f}")
+    edges = [0, *(np.flatnonzero(breaks[0]) + 1), energies.shape[1]]
+    return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+
+
+def _running_products(u: np.ndarray) -> np.ndarray:
+    """p[k] = u[k] @ ... @ u[0] for a stack of unitaries, multiplied in
+    order."""
+    p = np.empty(u.shape, dtype=u.dtype)  # C-contiguous, as np.dot(out=) needs, for any u
+    p[0] = u[0]
+    for step, prev, out in zip(u[1:], p, p[1:]):
+        np.dot(step, prev, out=out)
+    return p
+
+
+def _polished(p: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step, p (3 - p^dag p) / 2, which squares a stack of
+    products' departure from unitarity.  The running products over a chunk
+    of CF4 steps drift ~1e-14 off unitary, and that adds up over the chunks:
+    4e-13 in the norm after 12030 steps of teleport --n 3 --gate Toffoli at
+    tau = 0.1 (1e-15 polished).  A continued eigenframe's 2000 alignments
+    leave it 5.5e-14 off orthonormal (2.4e-15 polished)."""
+    return 1.5 * p - 0.5 * p @ (np.swapaxes(p, -1, -2).conj() @ p)
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -193,14 +193,14 @@ def _bisect(f, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def theta_opt(omega_tau: float, rtol: float = STATIONARITY_RTOL) -> float:
+def theta_opt(omega_tau: float) -> float:
     """Angle minimizing the mean superadiabatic cost at fixed omega*tau.
 
     Bisection on (feasible onset, pi], where the onset is the root of
     tan(theta/2) = theta in [2, 3], taken from the side with
     tan(theta/2) < theta: there the stationarity residual is below
     -4 (omega tau)^2 / theta < 0.  The relative residual at the returned
-    angle (``relative_residual``) is below ``rtol``.
+    angle (``relative_residual``) is below STATIONARITY_RTOL.
     """
     if not 0 < omega_tau < np.inf:
         raise ValueError(f"omega_tau must be positive and finite, got {omega_tau}")
@@ -213,8 +213,8 @@ def theta_opt(omega_tau: float, rtol: float = STATIONARITY_RTOL) -> float:
     # lies within rounding of pi, where the bisection converges.
     lo, hi = _bisect(lambda t: stationarity_residual(t, omega_tau), lo, float(np.pi))
     theta = 0.5 * (lo + hi)
-    if not relative_residual(theta, omega_tau) <= rtol:
-        raise RuntimeError(f"relative bisection residual above {rtol}")
+    if not relative_residual(theta, omega_tau) <= STATIONARITY_RTOL:
+        raise RuntimeError(f"relative bisection residual above {STATIONARITY_RTOL}")
     return theta
 
 

@@ -123,6 +123,11 @@ def test_config_file_defaults(tmp_path):
     rc = main(["--config", str(cfg), "teleport", "--tau", "0.5", "--out", str(out)])
     assert rc == EXIT_OK
     assert read_rows(out)[0]["gate"] == "X"
+    # the command line's own flags win, and null keeps the default
+    cfg.write_text(json.dumps({"gate": "X", "qsl_steps": 2000, "grid": 501, "states": None}))
+    rc = main(["--config", str(cfg), "teleport", "--tau", "0.5", "--gate", "Z", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert [row["gate"] for row in read_rows(out)] == ["Z"]
 
 
 def test_parser_is_built_once_and_config_defaults_stay_with_their_call(
@@ -140,7 +145,7 @@ def test_parser_is_built_once_and_config_defaults_stay_with_their_call(
     trig = capsys.readouterr().out
     assert main(run) == EXIT_OK
     assert capsys.readouterr().out == default != trig
-    assert len(built) == 2  # the shared parser, and a fresh one for the --config call
+    assert len(built) == 1  # --config calls parse with the shared parser too
 
 
 def test_cli_runs_sample_no_ground_fidelity(monkeypatch):
@@ -187,6 +192,16 @@ def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
         assert main(["--config", str(cfg), "teleport", "--tau", "0.5"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(cfg) in err and message in err
+    # and its values pass the type check of the option they set
+    for command, content, flag in (("teleport", {"states": [1]}, "--states"),
+                                   ("sce", {"states": [1]}, "--states"),
+                                   ("teleport", {"seed": 1.5}, "--seed"),
+                                   ("sce", {"seed": 1.5}, "--seed"),
+                                   ("sce", {"axis": [1, 0, 0]}, "--axis")):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(content))
+        assert main(["--config", str(cfg), command, "--tau", "0.5"]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
     for tau in ("inf", "nan"):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
             assert main(argv + ["--tau", tau]) == EXIT_CONFIG
@@ -236,8 +251,9 @@ def test_invariant_violation_exits_2(tmp_path):
 def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
     # a step-doubling estimate that cannot meet STATE_TOL is a failed runtime
     # check, not a bad argument
-    monkeypatch.setattr(sal.dynamics, "_final_state",
-                        lambda h, psi0, *a: np.full(psi0.shape, np.nan))
+    integrate = sal.dynamics._integrate
+    monkeypatch.setattr(sal.dynamics, "_integrate", lambda h, psi0, *a: replace(
+        integrate(h, psi0, *a), final_state=np.full(psi0.shape, np.nan)))
     assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
     assert "step-doubling error estimate nan" in capsys.readouterr().err
 

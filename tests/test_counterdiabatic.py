@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sal.counterdiabatic import (
     SuperadiabaticHamiltonian,
     cd_branch_term,
     cd_controlled,
+    cd_from_frame,
     cd_generic,
     cd_rotate,
     cd_teleport,
@@ -31,9 +34,13 @@ from sal.hamiltonians import (
     teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
-from sal.linalg import anticommutator, embed, kron, random_state
+from sal.linalg import embed, kron, random_state
 from sal.schedules import Schedule, make_schedule
-from oracle import teleport_block_frame, teleport_block_frame_deriv
+from oracle import continued_frame, teleport_block_frame, teleport_block_frame_deriv
+
+
+def anticommutator(a, b):
+    return a @ b + b @ a
 
 
 def h_xi_hamiltonian(theta0, xi, omega=1.0):
@@ -84,10 +91,29 @@ def test_cd_generic_handles_degenerate_teleport_sector():
 
 
 def test_spectral_frame_reports_lost_tracking():
-    # a pi flip between two anticommuting terms crosses levels head-on
+    # a pi flip between two anticommuting terms crosses levels head-on: a grid
+    # point on the crossing sees the pattern change, a grid that steps over it
+    # sees the ground level's overlap vanish
     h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(1 - 2 * s, sal.Z))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"degeneracy pattern changes at s=0\.5000"):
         spectral_frame(h, grid=201)
+    with pytest.raises(RuntimeError, match=r"lost track at s=0\.5025 \(min overlap 0\.000\)"):
+        spectral_frame(h, grid=200)
+
+
+@pytest.mark.parametrize("grid", [201, 2001])
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+@pytest.mark.parametrize("build", [teleport_block_hamiltonian, teleport_sector_hamiltonian])
+def test_batched_frame_matches_the_point_by_point_continuation(build, family, grid):
+    h = build(make_schedule(family))
+    frame = spectral_frame(h, grid)
+    energies, vectors = continued_frame(h, grid)
+    assert np.max(np.abs(frame.energies - energies)) <= 1e-14
+    assert np.max(np.abs(frame.vectors - vectors)) <= 1e-13
+    gram = np.swapaxes(frame.vectors, -1, -2).conj() @ frame.vectors
+    assert np.max(np.abs(gram - np.eye(h.dim))) <= 5e-15
+    reference = replace(frame, vectors=vectors)
+    assert np.max(np.abs(cd_from_frame(frame, 0.5) - cd_from_frame(reference, 0.5))) <= 1e-11
 
 
 # --- analytic teleport block ------------------------------------------------------

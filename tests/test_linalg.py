@@ -4,10 +4,12 @@ import pytest
 from sal.hamiltonians import I2, X, Z
 from sal.linalg import (
     _chunks,
+    _running_products,
     eigh,
     embed,
     expm_hermitian,
     kron,
+    level_clusters,
     normalize,
     simpson,
     state_from_factors,
@@ -171,3 +173,23 @@ def test_chunks_cap_the_state_stack():
     assert sizes(4, 512 * 64) == {8}
     assert sizes(512, 512) == {1}
 
+
+
+def test_level_clusters_share_one_pattern_or_name_where_it_changes():
+    s = np.array([0.0, 0.25, 0.5])
+    energies = np.array([[-1.0, 0.0, 1e-9, 1.0]] * 3)
+    assert level_clusters(s, energies) == (slice(0, 1), slice(1, 3), slice(3, 4))
+    energies[2, 2] = 0.5
+    with pytest.raises(RuntimeError, match=r"degeneracy pattern changes at s=0\.5000"):
+        level_clusters(s, energies)
+
+
+def test_running_products_of_a_strided_stack():
+    # a transposed view is a valid stack: the products get their own C layout
+    rng = np.random.default_rng(4)
+    u = np.swapaxes(expm_hermitian(np.stack([random_hermitian(3, rng) for _ in range(5)]), 1.0),
+                    -1, -2)
+    want = np.eye(3)
+    for step, got in zip(u, _running_products(u)):
+        want = step @ want
+        assert np.max(np.abs(got - want)) <= 1e-14
