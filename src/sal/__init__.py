@@ -15,6 +15,7 @@ from .hamiltonians import (
     PI_8,
     TOFFOLI,
     ControlledSpec,
+    SuperadiabaticHamiltonian,
     TeleportSpec,
     TimeDepHamiltonian,
     X,
@@ -34,7 +35,6 @@ from .hamiltonians import (
 )
 from .counterdiabatic import (
     SpectralFrame,
-    SuperadiabaticHamiltonian,
     cd_controlled,
     cd_generic,
     cd_rotate,

@@ -343,6 +343,8 @@ def cmd_cost_sweep(args) -> int:
         rows = _pmap(_sce_sweep_point, items, jobs)
     else:
         families = [f.strip() for f in args.schedules.split(",") if f.strip()]
+        if not families:
+            raise CliError(f"--schedules names no schedule: {args.schedules!r}")
         ns = _ints(args.n_list)
         items = [(tau, fam, n, args.grid) for fam in families for n in ns for tau in taus]
         rows = _pmap(_teleport_sweep_point, items, jobs)
@@ -558,10 +560,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv = _with_config(_parser(), argv)
         args = _parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvariantError, ToleranceError) as exc:

@@ -1,4 +1,6 @@
-"""Counter-diabatic corrections and superadiabatic Hamiltonians.
+"""Counter-diabatic corrections; the shortcut type they return,
+``SuperadiabaticHamiltonian``, and ``composite``, which builds every
+structure node, live in ``sal.hamiltonians``.
 
 The correction added to a driving Hamiltonian H(s) so that the exact
 dynamics follows the instantaneous eigenlevels at any speed is
@@ -14,8 +16,8 @@ initial degenerate basis was chosen.  Five constructions are provided:
 * ``cd_teleport_block`` - closed form for a 3-qubit teleport sector: on its
   4x4 parity block, the schedule's mixing-angle rate over tau times one
   constant generator;
-* ``cd_teleport``       - the shortcut of ``teleport_hamiltonian(spec)``: one
-  sector shortcut per tensor slot under the gate's constant rotation;
+* ``cd_teleport``       - the shortcut of ``teleport_hamiltonian(spec)`` from
+  the same ``teleport_tree``, over either sector shortcut on the 4x4 block;
 * ``cd_controlled``     - the time-independent correction of controlled
   evolutions;
 * ``cd_rotate`` / ``cd_tensor_sum`` - transport of known corrections under
@@ -25,29 +27,27 @@ initial degenerate basis was chosen.  Five constructions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .hamiltonians import (
-    Branches,
     ControlledSpec,
     Rotation,
+    SuperadiabaticHamiltonian,
     TeleportSpec,
     TensorSum,
     TimeDepHamiltonian,
     X,
     Y,
-    assemble,
     composite,
     controlled_hamiltonian,
     sector_tree,
     teleport_block_hamiltonian,
     teleport_block_terms,
-    teleport_sector_hamiltonian,
+    teleport_tree,
 )
-from .linalg import (_chunks, _polished, _running_products, check_shape, eigh, is_unitary,
-                     level_clusters)
+from .linalg import _chunks, _polished, _running_products, eigh, is_unitary, level_clusters
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -115,35 +115,6 @@ def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralF
     return SpectralFrame(s_grid, energies, vectors, clusters)
 
 
-@dataclass(frozen=True)
-class SuperadiabaticHamiltonian:
-    """Total shortcut generator H(s) + H_cd(s) for a fixed runtime tau.
-
-    ``cd(s)`` follows the same contract as ``TimeDepHamiltonian.func``: s is
-    a float or a 1-D array, the result has shape ``np.shape(s) + (dim,
-    dim)``, and ``total`` checks it.
-
-    ``parts``, when set, is the structure node (``TensorSum``, ``Branches``
-    or ``Rotation``) over shortcut Hamiltonians that this one composes;
-    ``base`` and ``cd`` are then assembled from it (see ``_composite``).
-    """
-
-    base: TimeDepHamiltonian
-    cd: Callable[[float | np.ndarray], np.ndarray]
-    tau: float
-    parts: Optional[TensorSum | Branches | Rotation] = None
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def total(self, s) -> np.ndarray:
-        return self.base(s) + check_shape(self.cd(s), s, self.dim)
-
-    def __call__(self, s) -> np.ndarray:
-        return self.total(s)
-
-
 def cd_from_frame(frame: SpectralFrame, tau: float) -> np.ndarray:
     """Counter-diabatic operators on the frame grid."""
     dv = frame.derivative()
@@ -163,17 +134,15 @@ def cd_generic(
     operators; degenerate levels are handled by the parallel-transport
     continuation in ``spectral_frame``.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    ops = cd_from_frame(spectral_frame(h, grid), tau)
-
     def cd(s) -> np.ndarray:
         x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
         lo = np.minimum(x.astype(int), grid - 2)
         frac = (x - lo)[..., None, None]
         return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
 
-    return SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)
+    hsa = SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)  # checks tau before the frame is built
+    ops = cd_from_frame(spectral_frame(h, grid), tau)
+    return hsa
 
 
 # --- closed-form teleport block ---------------------------------------------
@@ -198,8 +167,6 @@ def cd_teleport_block(
     (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
     ``angle_rate``.  It commutes with both parity operators by construction.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     b_ini, b_fin = teleport_block_terms()
     gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
 
@@ -207,19 +174,7 @@ def cd_teleport_block(
         return np.multiply.outer(1j * schedule.angle_rate(s) / tau, gen)
 
     block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau)
-    return sector_tree(block, _composite)
-
-
-def _composite(node) -> SuperadiabaticHamiltonian:
-    """The shortcut a structure node of shortcuts describes: the drive is the
-    same node over their drives, the correction the node over their
-    corrections."""
-    return SuperadiabaticHamiltonian(
-        base=composite(replace(node, parts=tuple(p.base for p in node.parts))),
-        cd=lambda s: assemble(node, lambda h: h.cd(s)),
-        tau=node.parts[0].tau,
-        parts=node,
-    )
+    return sector_tree(block)
 
 
 def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHamiltonian:
@@ -234,7 +189,7 @@ def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHa
         raise ValueError(f"a rotation acts on qubits; dim {hsa.dim} is not a power of 2")
     if not is_unitary(g):
         raise ValueError("rotation must be unitary")
-    return _composite(Rotation(g, (hsa,), tuple(range(hsa.dim.bit_length() - 1))))
+    return composite(Rotation(g, (hsa,), tuple(range(hsa.dim.bit_length() - 1))))
 
 
 def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> SuperadiabaticHamiltonian:
@@ -243,32 +198,23 @@ def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> Superadiabatic
     blocks = tuple(blocks)
     if not blocks:
         raise ValueError("need at least one block")
-    taus = {b.tau for b in blocks}
-    if len(taus) != 1:
-        raise ValueError(f"blocks disagree on tau: {sorted(taus)}")
-    if len(blocks) == 1:
-        return blocks[0]
-    return _composite(TensorSum(blocks))
+    return blocks[0] if len(blocks) == 1 else composite(TensorSum(blocks))
 
 
 def cd_teleport(
     spec: TeleportSpec, tau: float, grid: Optional[int] = None
 ) -> SuperadiabaticHamiltonian:
-    """Shortcut counterpart of ``teleport_hamiltonian(spec)``.
-
-    Each tensor slot holds the sector shortcut, ``cd_teleport_block`` or,
-    with ``grid`` set, ``cd_generic`` of the sector on that grid; the gate
-    on Bob's qubits rotates the sum (``TeleportSpec`` checked that it is
-    unitary).
+    """Shortcut counterpart of ``teleport_hamiltonian(spec)``, by the same
+    ``teleport_tree``: each tensor slot holds ``cd_teleport_block`` or, with
+    ``grid`` set, the sector tree over ``cd_generic`` of the 4x4 parity
+    block on that grid.
     """
     if grid is None:
-        block = cd_teleport_block(spec.schedule, tau, spec.omega)
+        sector = cd_teleport_block(spec.schedule, tau, spec.omega)
     else:
-        block = cd_generic(teleport_sector_hamiltonian(spec.schedule, spec.omega), tau, grid)
-    hsa = cd_tensor_sum([block] * spec.n_sectors)
-    if spec.gate is None:
-        return hsa
-    return _composite(Rotation(spec.gate, (hsa,), spec.bob_qubits))
+        sector = sector_tree(cd_generic(teleport_block_hamiltonian(spec.schedule, spec.omega),
+                                        tau, grid))
+    return teleport_tree(spec, sector)
 
 
 def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
@@ -281,15 +227,15 @@ def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
 
     Each ancilla branch acquires the constant correction ``cd_branch_term``;
     the full correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.
+    The term is formed per call, so a bad tau meets the shortcut's check first.
     """
-    if spec.tau <= 0:
-        raise ValueError("tau must be positive")
     branches = controlled_hamiltonian(spec).parts
-    cds = [cd_branch_term(spec.theta0, spec.tau, xi) for xi in (0.0, spec.phi)]
     leaves = tuple(
         SuperadiabaticHamiltonian(
-            base=h, cd=lambda s, c=c: np.broadcast_to(c, np.shape(s) + c.shape), tau=spec.tau
+            base=h, tau=spec.tau,
+            cd=lambda s, xi=xi: np.broadcast_to(cd_branch_term(spec.theta0, spec.tau, xi),
+                                                np.shape(s) + (2, 2)),
         )
-        for h, c in zip(branches.parts, cds)
+        for h, xi in zip(branches.parts, (0.0, spec.phi))
     )
-    return _composite(replace(branches, parts=leaves))
+    return composite(replace(branches, parts=leaves))

@@ -16,7 +16,7 @@ qubit) comes first; the single ancilla qubit is always last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import prod
 from typing import Callable, Optional
@@ -118,11 +118,10 @@ class TimeDepHamiltonian:
     (dim, dim) matrix per point; ``__call__`` and ``derivative`` check that
     shape.  ``deriv`` is the analytic s-derivative when available.
 
-    ``parts``, when set, is the exact composition H(s) is built from: a
-    ``TensorSum``, ``Branches`` or ``Rotation`` node over smaller
-    Hamiltonians, which may be structured in turn.  ``func`` and ``deriv`` then assemble the dense
-    operator from the tree (see ``composite``), while propagation walks the
-    tree and never forms it.  A Hamiltonian without ``parts`` is a leaf.
+    ``parts``, when set, is the node (``TensorSum``, ``Branches`` or
+    ``Rotation``) over smaller Hamiltonians that ``composite`` built H from:
+    ``func`` and ``deriv`` assemble the dense operator from the tree, while
+    propagation walks it and never forms it.  Without ``parts``, H is a leaf.
     """
 
     dim: int
@@ -138,6 +137,35 @@ class TimeDepHamiltonian:
             return check_shape(self.deriv(s), s, self.dim)
         lo, hi = np.maximum(0.0, s - _DERIV_STEP), np.minimum(1.0, s + _DERIV_STEP)
         return (self(hi) - self(lo)) / (hi - lo)[..., None, None]
+
+
+@dataclass(frozen=True)
+class SuperadiabaticHamiltonian:
+    """Total shortcut generator H(s) + H_cd(s) for a runtime 0 < tau < inf.
+
+    ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
+    checks its shape); ``parts``, when set, is the structure node over
+    shortcuts that this one composes (see ``composite``).
+    """
+
+    base: TimeDepHamiltonian
+    cd: Callable[[float | np.ndarray], np.ndarray]
+    tau: float
+    parts: Optional[TensorSum | Branches | Rotation] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def total(self, s) -> np.ndarray:
+        return self.base(s) + check_shape(self.cd(s), s, self.dim)
+
+    def __call__(self, s) -> np.ndarray:
+        return self.total(s)
 
 
 # --- structure tree -----------------------------------------------------------
@@ -213,12 +241,28 @@ def assemble(node, op: Callable) -> np.ndarray:
     )
 
 
-def composite(node) -> TimeDepHamiltonian:
-    """The Hamiltonian a structure node of TimeDepHamiltonians describes."""
-    return TimeDepHamiltonian(
-        dim=node.dim,
-        func=lambda s: assemble(node, lambda h: h(s)),
-        deriv=lambda s: assemble(node, lambda h: h.derivative(s)),
+def composite(node) -> TimeDepHamiltonian | SuperadiabaticHamiltonian:
+    """The Hamiltonian a structure node describes: over drives the drive;
+    over shortcuts the shortcut whose drive and correction are the node over
+    their drives and corrections.  ValueError if the parts mix drives and
+    shortcuts or disagree on tau."""
+    shortcuts = [isinstance(p, SuperadiabaticHamiltonian) for p in node.parts]
+    if not any(shortcuts):
+        return TimeDepHamiltonian(
+            dim=node.dim,
+            func=lambda s: assemble(node, lambda h: h(s)),
+            deriv=lambda s: assemble(node, lambda h: h.derivative(s)),
+            parts=node,
+        )
+    if not all(shortcuts):
+        raise ValueError("a structure node cannot mix drives and shortcuts")
+    taus = sorted({p.tau for p in node.parts})
+    if len(taus) != 1:
+        raise ValueError(f"shortcut parts disagree on tau: {taus}")
+    return SuperadiabaticHamiltonian(
+        base=composite(replace(node, parts=tuple(p.base for p in node.parts))),
+        cd=lambda s: assemble(node, lambda h: h.cd(s)),
+        tau=taus[0],
         parts=node,
     )
 
@@ -299,28 +343,31 @@ def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDe
                               deriv=lambda s: combine(schedule.deta(s)))
 
 
-def sector_tree(block, wrap: Callable):
-    """The sector P (1_2 (x) B) P^T over its parity block B as a tree, each
-    node made a Hamiltonian by ``wrap`` (``composite`` or its shortcut twin)."""
-    return wrap(Rotation(parity_permutation(), (wrap(Branches((I2,), (block,))),), (0, 1, 2)))
+def sector_tree(block):
+    """The sector P (1_2 (x) B) P^T over its parity block B (a drive or a
+    shortcut) as a tree."""
+    return composite(Rotation(parity_permutation(), (composite(Branches((I2,), (block,))),),
+                              (0, 1, 2)))
 
 
 def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
     """Single-sector (3-qubit) teleport Hamiltonian
     H(s) = eta_i(s) H_ini + eta_f(s) H_fin as the tree P (1_2 (x) B(s)) P^T
     over its 4x4 parity block, which propagation and costs work on."""
-    return sector_tree(teleport_block_hamiltonian(schedule, omega), composite)
+    return sector_tree(teleport_block_hamiltonian(schedule, omega))
+
+
+def teleport_tree(spec: TeleportSpec, sector):
+    """``sector`` (a drive or a shortcut) in each of the spec's tensor
+    slots, the sum conjugated by the gate on Bob's channel qubits if set."""
+    h = sector if spec.n_sectors == 1 else composite(TensorSum((sector,) * spec.n_sectors))
+    return h if spec.gate is None else composite(Rotation(spec.gate, (h,), spec.bob_qubits))
 
 
 def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
     """Full teleport Hamiltonian: one 3-qubit term per sector, optionally
     conjugated by the gate acting on Bob's channel qubits."""
-    h = teleport_sector_hamiltonian(spec.schedule, spec.omega)
-    if spec.n_sectors > 1:
-        h = composite(TensorSum((h,) * spec.n_sectors))
-    if spec.gate is None:
-        return h
-    return composite(Rotation(spec.gate, (h,), spec.bob_qubits))
+    return teleport_tree(spec, teleport_sector_hamiltonian(spec.schedule, spec.omega))
 
 
 def teleport_energies(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:

@@ -59,11 +59,15 @@ def _hs_square_and_trace(h, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return square + dim * cross, dim * sum(means)
 
 
+def _check_grid(grid: int):
+    if grid < 101 or grid % 2 == 0:
+        raise ValueError(f"grid must be odd and >= 101, got {grid}")
+
+
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
     """int_0^1 ||H(s)||_HS ds by composite Simpson; a structured H is
     evaluated leaf by leaf (``_hs_square_and_trace``)."""
-    if grid < 101 or grid % 2 == 0:
-        raise ValueError("grid must be odd and >= 101")
+    _check_grid(grid)
     s_grid = np.linspace(0.0, 1.0, grid)
     leaf_dim = max(f.dim for f in _leaves(h))
     vals = np.concatenate(
@@ -83,9 +87,12 @@ def teleport_sigma_sing(
     sqrt(8 omega^2 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
     ``angle_rate`` (the correction is (i a'/tau) G with ||G||^2 = 2);
     tau=None gives the adiabatic limit."""
+    _check_grid(grid)
     s = np.linspace(0.0, 1.0, grid)
     e2 = 8.0 * (omega * np.real(schedule.chi(s))) ** 2  # (-2wx)^2 + (+2wx)^2
     if tau is not None:
+        if not tau > 0:  # inf is the adiabatic limit, as None is
+            raise ValueError(f"tau must be positive, got {tau}")
         rate = schedule.angle_rate(s)
         e2 = e2 + 2.0 * rate * rate / tau / tau  # tau**2 can overflow
     return float(np.sqrt(2.0)) * simpson(np.sqrt(e2), s[1] - s[0])
@@ -113,8 +120,8 @@ def teleport_cost(
 
 def sce_single_gate_cost(tau: float, theta0: float, omega: float = 1.0) -> float:
     """2 omega sqrt(1 + (theta0 / 2 tau omega)^2), the one-qubit gate cost."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     return 2.0 * omega * float(np.sqrt(1.0 + (theta0 / (2.0 * tau * omega)) ** 2))
 
 

@@ -238,6 +238,10 @@ def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
     assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1",
                  "--n-list", "1.7"]) == EXIT_CONFIG
     assert "bad integer list" in capsys.readouterr().err
+    for schedules in (",", " , "):
+        assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1",
+                     "--schedules", schedules]) == EXIT_CONFIG
+        assert "--schedules" in capsys.readouterr().err
     assert main(["no-such-command"]) == EXIT_CONFIG
 
 

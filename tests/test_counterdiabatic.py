@@ -21,13 +21,16 @@ from sal.hamiltonians import (
     I2,
     X,
     Z,
+    Branches,
     ControlledSpec,
     TeleportSpec,
     TimeDepHamiltonian,
+    composite,
     controlled_hamiltonian,
     h_xi,
     parity_operators,
     parity_permutation,
+    sector_tree,
     teleport_block_hamiltonian,
     teleport_energies,
     teleport_gap,
@@ -293,8 +296,17 @@ def test_cd_tensor_sum_single_block_is_identity():
 
 def test_cd_tensor_sum_requires_matching_tau():
     sch = make_schedule("linear")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disagree on tau"):
         cd_tensor_sum([cd_teleport_block(sch, 1.0), cd_teleport_block(sch, 2.0)])
+    # every node kind: branches whose shortcuts disagree on tau, and a drive
+    # next to a shortcut
+    drives = controlled_hamiltonian(ControlledSpec(n_controls=0)).parts
+    slow, fast = (cd_controlled(ControlledSpec(n_controls=0, tau=tau)).parts.parts[0]
+                  for tau in (1.0, 2.0))
+    with pytest.raises(ValueError, match="disagree on tau"):
+        composite(Branches(drives.projectors, (slow, fast)))
+    with pytest.raises(ValueError, match="mix drives and shortcuts"):
+        composite(Branches(drives.projectors, (drives.parts[0], fast)))
 
 
 def test_cd_tensor_sum_matches_per_sector_generic():
@@ -333,7 +345,7 @@ def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
     if grid is None:
         block = cd_teleport_block(sch, tau)
     else:
-        block = cd_generic(teleport_sector_hamiltonian(sch), tau, grid=grid)
+        block = sector_tree(cd_generic(teleport_block_hamiltonian(sch), tau, grid=grid))
     hand = cd_tensor_sum([block] * n)
     if u is not None:
         hand = cd_rotate(hand, embed(u, spec.bob_qubits, spec.n_qubits))
@@ -345,6 +357,22 @@ def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
     psi0 = teleport_initial_state(random_state(n, np.random.default_rng(n)), n, gate=u)
     a, b = (evolve(h, psi0, tau, steps=400, n_samples=2) for h in (built, hand))
     assert np.max(np.abs(a.final_state - b.final_state)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("build", ["generic", "block", "controlled", "teleport", "teleport generic"])
+def test_shortcuts_reject_a_bad_tau(build, tau):
+    sch = make_schedule("linear")
+    spec = TeleportSpec(2, sch, gate=sal.gate("CNOT"))
+    make = {
+        "generic": lambda: cd_generic(teleport_block_hamiltonian(sch), tau, grid=101),
+        "block": lambda: cd_teleport_block(sch, tau),
+        "controlled": lambda: cd_controlled(ControlledSpec(n_controls=1, tau=tau)),
+        "teleport": lambda: cd_teleport(spec, tau),
+        "teleport generic": lambda: cd_teleport(spec, tau, grid=101),
+    }[build]
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        make()
 
 
 # --- controlled evolutions ---------------------------------------------------------

@@ -36,6 +36,7 @@ from sal.metrics import (
     sce_controlled_cost,
     sce_single_gate_cost,
     stationarity_residual,
+    teleport_cost,
     teleport_cost_scale,
     teleport_sigma_sing,
     theta_opt,
@@ -215,6 +216,27 @@ def test_probabilistic_cost_rejects_vanishing_angle():
 def test_probabilistic_cost_needs_tau_for_shortcut():
     with pytest.raises(ValueError):
         probabilistic_cost(np.pi)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+def test_closed_form_costs_reject_a_bad_tau(tau):
+    sch = make_schedule("linear")
+    for cost in (lambda: sce_single_gate_cost(tau, np.pi),
+                 lambda: sce_controlled_cost(tau, np.pi, 2),
+                 lambda: probabilistic_cost(np.pi, tau=tau),
+                 lambda: teleport_sigma_sing(sch, tau),
+                 lambda: teleport_cost(sch, tau, 2)):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            cost()
+    # None is the adiabatic limit, and a huge tau approaches it
+    assert teleport_cost(sch, 1e308) == teleport_cost(sch, None)
+    assert sce_single_gate_cost(1e308, np.pi) == cae_single_gate_cost()
+
+
+@pytest.mark.parametrize("grid", [3, 99, 500])
+def test_teleport_sigma_sing_takes_the_energy_cost_grids(grid):
+    with pytest.raises(ValueError, match="grid must be odd and >= 101"):
+        teleport_sigma_sing(make_schedule("linear"), 1.0, grid=grid)
 
 
 # --- optimal success angle -----------------------------------------------------------

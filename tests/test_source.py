@@ -17,3 +17,29 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_structure_nodes_come_from_composite():
+    # hamiltonians.composite is the one constructor of a structure node: no
+    # other call to either Hamiltonian class passes parts, by keyword or as
+    # the fourth positional argument
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "composite"
+            and path.name == "hamiltonians.py"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("TimeDepHamiltonian", "SuperadiabaticHamiltonian")
+            and (len(node.args) >= 4 or any(kw.arg == "parts" for kw in node.keywords))
+            and id(node) not in allowed
+        ]
+    assert SOURCES and not found, found
