@@ -132,7 +132,9 @@ def cd_generic(
 
     The correction is evaluated by linear interpolation between grid
     operators; degenerate levels are handled by the parallel-transport
-    continuation in ``spectral_frame``.
+    continuation in ``spectral_frame``.  The shortcut declares no ``su2``,
+    even over a drive that does: the interpolated correction is not exactly
+    in the drive's span.
     """
     def cd(s) -> np.ndarray:
         x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
@@ -165,7 +167,9 @@ def cd_teleport_block(
     The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
     parity block's shortcut: the drive ``teleport_block_hamiltonian`` plus
     (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
-    ``angle_rate``.  It commutes with both parity operators by construction.
+    ``angle_rate``.  It commutes with both parity operators by construction,
+    and stays in the span of B_ini, B_fin and i G, so the block declares
+    ``su2``.
     """
     b_ini, b_fin = teleport_block_terms()
     gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
@@ -173,7 +177,8 @@ def cd_teleport_block(
     def cd(s) -> np.ndarray:
         return np.multiply.outer(1j * schedule.angle_rate(s) / tau, gen)
 
-    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau)
+    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau,
+                                      su2=True)
     return sector_tree(block)
 
 

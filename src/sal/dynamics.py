@@ -25,18 +25,20 @@ split of the leaves' combinations, so each exponential factors into
 per-leaf exponentials.
 
 Steps are taken a chunk at a time.  Each distinct leaf is evaluated once per
-chunk at both nodes of every step, its step unitaries come from two batched
-eigendecompositions, and their running products p_k = u_k ... u_0 are
-multiplied in step order and polished back to unitary (their round-off
-would otherwise add up over the chunks).  One walk of the tree then applies
-the products at every step the chunk must report: its sample points and its
-last step, or every step when the speed-limit integral is tracked.  This
-equals applying the tree step by step because, in the walk frame, the
-tree's step unitary is a tensor product over slots and a direct sum over
-branch blocks: leaves in different slots commute, each block stays
-invariant, and no rotation acts between steps.  So the product of the
-tree's step unitaries over a chunk is the tree of each leaf's ordered chunk
-product.
+chunk at both nodes of every step, and its two batched step exponentials
+are formed in closed form (``linalg.expm_su2``) for a 2x2 leaf or one that
+declares ``su2`` (the teleport parity block, drive or closed-form shortcut),
+from eigendecompositions for any other.  Their running products
+p_k = u_k ... u_0 are multiplied in step order and polished back to unitary
+(their round-off would otherwise add up over the chunks).  One walk of the
+tree then applies the products at every step the chunk must report: its
+sample points and its last step, or every step when the speed-limit
+integral is tracked.  This equals applying the tree step by step because,
+in the walk frame, the tree's step unitary is a tensor product over slots
+and a direct sum over branch blocks: leaves in different slots commute,
+each block stays invariant, and no rotation acts between steps.  So the
+product of the tree's step unitaries over a chunk is the tree of each
+leaf's ordered chunk product.
 
 The same walk, batched over points, gives H|psi> at the step ends for the
 speed-limit integral, which is Simpson's rule over the step ends (an odd
@@ -61,7 +63,7 @@ import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state
 from .linalg import (_chunks, _polished, _running_products, apply_on_qubits, expm_hermitian,
-                     simpson, state_from_factors)
+                     expm_su2, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -98,8 +100,9 @@ class StepCache:
 
     A chunk's polished running products depend on H, tau, the step count and
     the steps the walk applies, not on the state, so a later call that runs
-    the same pass applies them without new eigendecompositions.  At most
-    _CACHE_ENTRIES entries are kept; products past that are recomputed.
+    the same pass applies them without forming the step exponentials again.
+    At most _CACHE_ENTRIES entries are kept; products past that are
+    recomputed.
     """
 
     def __init__(self, h):
@@ -192,10 +195,13 @@ def _turn(node, x: np.ndarray, inverse: bool) -> np.ndarray:
 def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
     """The leaf's CF4 step unitaries for the steps j in c,
     exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) with H1, H2 at the
-    Gauss nodes (j + 1/2 -/+ sqrt(3)/6) / steps."""
+    Gauss nodes (j + 1/2 -/+ sqrt(3)/6) / steps.  A 2x2 leaf, or one that
+    declares ``su2``, takes the closed form ``expm_su2``; any other leaf an
+    eigendecomposition."""
+    expm = expm_su2 if leaf.dim == 2 or leaf.su2 else expm_hermitian
     mid = np.arange(c.start, c.stop) + 0.5
     h1, h2 = np.split(leaf(np.concatenate([mid - _GAUSS, mid + _GAUSS]) / steps), 2)
-    return expm_hermitian(_A2 * h1 + _A1 * h2, dt) @ expm_hermitian(_A1 * h1 + _A2 * h2, dt)
+    return expm(_A2 * h1 + _A1 * h2, dt) @ expm(_A1 * h1 + _A2 * h2, dt)
 
 
 def _norm_bound(h, samples: int = 17) -> float:

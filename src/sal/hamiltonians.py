@@ -122,12 +122,17 @@ class TimeDepHamiltonian:
     ``Rotation``) over smaller Hamiltonians that ``composite`` built H from:
     ``func`` and ``deriv`` assemble the dense operator from the tree, while
     propagation walks it and never forms it.  Without ``parts``, H is a leaf.
+
+    ``su2`` declares that every real combination of H at any points, less
+    its trace, obeys A^3 = k^2 A, so that propagation steps the leaf by the
+    closed form ``linalg.expm_su2``; a 2x2 leaf takes it without the flag.
     """
 
     dim: int
     func: Callable[[float | np.ndarray], np.ndarray]
     deriv: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     parts: Optional[TensorSum | Branches | Rotation] = None
+    su2: bool = False
 
     def __call__(self, s) -> np.ndarray:
         return check_shape(self.func(s), s, self.dim)
@@ -145,13 +150,16 @@ class SuperadiabaticHamiltonian:
 
     ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
     checks its shape); ``parts``, when set, is the structure node over
-    shortcuts that this one composes (see ``composite``).
+    shortcuts that this one composes (see ``composite``).  ``su2`` is
+    ``TimeDepHamiltonian.su2`` for the total: the base's flag does not carry
+    over, since a correction can leave the span.
     """
 
     base: TimeDepHamiltonian
     cd: Callable[[float | np.ndarray], np.ndarray]
     tau: float
     parts: Optional[TensorSum | Branches | Rotation] = None
+    su2: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
@@ -333,14 +341,16 @@ def teleport_block_terms(omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
 def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
     """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector
-    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s)."""
+    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s).  B_ini, B_fin and
+    G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0 representation of su(2),
+    levels -2wx, 0, 0, 2wx, so the block declares ``su2``."""
     b_ini, b_fin = teleport_block_terms(omega)
 
     def combine(etas):
         return np.multiply.outer(etas[0], b_ini) + np.multiply.outer(etas[1], b_fin)
 
     return TimeDepHamiltonian(dim=4, func=lambda s: combine(schedule.eta(s)),
-                              deriv=lambda s: combine(schedule.deta(s)))
+                              deriv=lambda s: combine(schedule.deta(s)), su2=True)
 
 
 def sector_tree(block):

@@ -109,6 +109,28 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * lam * t)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
+def expm_su2(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*h*t) for a stack (..., d, d) of Hermitian h whose traceless
+    part obeys A'^3 = k^2 A', with no eigendecomposition: every 2x2 h, and
+    any h in a spin-1 (+) spin-0 representation of su(2).  With A = t h,
+    c0 = tr A / d, A' = A - c0 and k^2 = tr A'^2 / 2 (Curtright, Fairlie &
+    Zachos, SIGMA 10, 084 (2014)),
+
+        exp(-iA) = e^{-i c0} (1 - i sinc(k) A' - sinc^2(k/2) A'^2 / 2).
+
+    A is formed before anything is squared, so a large h times a small t
+    does not overflow; the sinc forms hold at k = 0."""
+    a = t * h
+    d = a.shape[-1]
+    c0 = np.trace(a, axis1=-2, axis2=-1).real / d
+    a = a - c0[..., None, None] * np.eye(d)
+    k = np.sqrt(0.5 * np.sum((a.conj() * a).real, axis=(-2, -1)))
+    sinc, half = np.sinc(k / np.pi), np.sinc(k / (2 * np.pi))  # np.sinc(x) = sin(pi x)/(pi x)
+    u = np.eye(d) - 1j * sinc[..., None, None] * a
+    u -= (0.5 * half * half)[..., None, None] * (a @ a)
+    return np.exp(-1j * c0)[..., None, None] * u
+
+
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Embed an operator acting on the listed qubits into the n-qubit space.
 

@@ -89,13 +89,14 @@ def teleport_sigma_sing(
     tau=None gives the adiabatic limit."""
     _check_grid(grid)
     s = np.linspace(0.0, 1.0, grid)
-    e2 = 8.0 * (omega * np.real(schedule.chi(s))) ** 2  # (-2wx)^2 + (+2wx)^2
+    rate = 0.0
     if tau is not None:
         if not tau > 0:  # inf is the adiabatic limit, as None is
             raise ValueError(f"tau must be positive, got {tau}")
-        rate = schedule.angle_rate(s)
-        e2 = e2 + 2.0 * rate * rate / tau / tau  # tau**2 can overflow
-    return float(np.sqrt(2.0)) * simpson(np.sqrt(e2), s[1] - s[0])
+        rate = schedule.angle_rate(s) / tau
+    # the block's norm is sqrt(2) hypot(2 w chi, a' / tau): hypot squares
+    # nothing, so a' / tau near the float range stays finite
+    return 2.0 * simpson(np.hypot(2.0 * omega * np.real(schedule.chi(s)), rate), s[1] - s[0])
 
 
 def teleport_cost_scale(n_sectors: int) -> float:
@@ -119,10 +120,11 @@ def teleport_cost(
 
 
 def sce_single_gate_cost(tau: float, theta0: float, omega: float = 1.0) -> float:
-    """2 omega sqrt(1 + (theta0 / 2 tau omega)^2), the one-qubit gate cost."""
+    """2 omega sqrt(1 + (theta0 / 2 tau omega)^2), the one-qubit gate cost,
+    by hypot: the square overflows for tau near the smallest floats."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return 2.0 * omega * float(np.sqrt(1.0 + (theta0 / (2.0 * tau * omega)) ** 2))
+    return 2.0 * omega * float(np.hypot(1.0, theta0 / (2.0 * tau * omega)))
 
 
 def sce_controlled_cost(

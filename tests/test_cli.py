@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,23 @@ def test_cost_sweep_teleport_schedules_asymptote(tmp_path):
     assert rc == EXIT_OK
     for row in read_rows(out):
         assert abs(float(row["sigma_sa"]) / float(row["sigma_ad"]) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("argv", [
+    ["teleport", "--n", "1", "--tau", "1e-200"],
+    ["sce", "--n-controls", "1", "--tau", "1e-300"],
+    ["cae", "--n-controls", "1", "--tau", "1e-300"],
+])
+def test_tiny_tau_costs_stay_finite(argv, tmp_path):
+    # the correction ~ 1/tau is near the float range: no cost squares it
+    out = tmp_path / "tiny.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + ["--jobs", "1", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = read_rows(out)
+    assert rows and all(np.isfinite(float(v)) for row in rows for k, v in row.items()
+                        if k not in ("protocol", "gate", "axis", "variant", "qsl_ok"))
 
 
 def test_theta_opt_command(tmp_path):

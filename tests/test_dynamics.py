@@ -280,9 +280,10 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
-    # teleport --n 3 --gate Toffoli steps and samples each sector's 4x4 parity
-    # block, never the 8x8 sector or the 512-dim sum, with the closed-form
-    # and the generic sector shortcut alike
+    # teleport --n 3 --gate Toffoli works on each sector's 4x4 parity block,
+    # never the 8x8 sector or the 512-dim sum: the generic sector shortcut
+    # steps it by eigendecomposition and the closed-form one by expm_su2, and
+    # ground sampling decomposes it for both
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     drivers = (cd_teleport(spec, 0.1), cd_teleport(spec, 0.1, grid=201))
     psi = random_state(3, np.random.default_rng(14))
@@ -300,6 +301,49 @@ def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
         res = evolve(h, psi0)
         assert fidelity(res.final_state, teleport_target_state(psi, 3, gate=spec.gate)) > floor
     assert {sh[-2:] for sh in expm_shapes} == {sh[-2:] for sh in eigh_shapes} == {(4, 4)}
+
+
+def test_su2_leaves_step_without_eigendecomposition(monkeypatch):
+    # the closed-form teleport block (declared su2) and the controlled
+    # branches (2x2) step by expm_su2: once a warm-up has filled the branch
+    # nodes' cached bases, a run with no ground sampling decomposes nothing.
+    # The generic sector shortcut declares nothing and keeps expm_hermitian.
+    rng = np.random.default_rng(16)
+    spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
+    teleport_psi0 = teleport_initial_state(random_state(3, rng), 3, gate=spec.gate)
+    controlled = cd_controlled(ControlledSpec(3, axis="y", phi=1.3, theta0=2.0, tau=1.0))
+    runs = [(cd_teleport(spec, 0.1), teleport_psi0),
+            (controlled, controlled_initial_state(random_state(4, rng))),
+            (cd_teleport(spec, 0.1, grid=201), teleport_psi0)]
+    for h, psi0 in runs:
+        evolve(h, psi0, steps=dynamics.MIN_STEPS, n_samples=0)
+    expm_shapes, eigh_shapes = [], []
+    expm, eigh = dynamics.expm_hermitian, np.linalg.eigh
+    monkeypatch.setattr(dynamics, "expm_hermitian",
+                        lambda a, t: expm_shapes.append(a.shape) or expm(a, t))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_shapes.append(a.shape) or eigh(a))
+    for h, psi0 in runs[:2]:
+        evolve(h, psi0, n_samples=0)
+    assert expm_shapes == eigh_shapes == []
+    evolve(*runs[2], n_samples=0)
+    assert expm_shapes and {sh[-2:] for sh in expm_shapes} == {(4, 4)}
+
+
+@pytest.mark.parametrize("driver", ["teleport", "controlled"])
+def test_shortcuts_stay_exact_at_tau_1e_300(driver):
+    # the correction ~ 1/tau is near the float range; each step exponential
+    # scales by dt before it squares anything, so no step overflows
+    rng = np.random.default_rng(17)
+    if driver == "teleport":
+        psi = random_state(1, rng)
+        h = cd_teleport(TeleportSpec(1, make_schedule("linear")), 1e-300)
+        psi0, target = teleport_initial_state(psi, 1), teleport_target_state(psi, 1)
+    else:
+        spec, psi = ControlledSpec(1, tau=1e-300), random_state(2, rng)
+        h, psi0 = cd_controlled(spec), controlled_initial_state(psi)
+        target = controlled_target_state(psi, spec)
+    res = evolve(h, psi0, n_samples=0)
+    assert fidelity(res.final_state, target) >= 1 - 1e-9
 
 
 def test_step_counts_record_every_pass(monkeypatch):

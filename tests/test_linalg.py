@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from sal.hamiltonians import I2, X, Z
+from sal.counterdiabatic import cd_teleport_block
+from sal.dynamics import _leaves
+from sal.hamiltonians import I2, X, Z, teleport_block_hamiltonian, teleport_block_terms
 from sal.linalg import (
     _chunks,
     _running_products,
     eigh,
     embed,
     expm_hermitian,
+    expm_su2,
     kron,
     level_clusters,
     normalize,
     simpson,
     state_from_factors,
 )
+from sal.schedules import make_schedule
 
 
 def random_hermitian(dim, rng):
@@ -106,6 +110,66 @@ def test_expm_hermitian_unitary():
     h = random_hermitian(16, rng)
     u = expm_hermitian(h, 0.71)
     assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
+
+
+def spin1_combinations(rng, size):
+    """x B_ini + y B_fin + i z G, G = [B_fin, B_ini] / 4, for random x, y, z."""
+    b_ini, b_fin = teleport_block_terms()
+    gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
+    x, y, z = rng.normal(size=(3, size))
+    return (np.multiply.outer(x, b_ini) + np.multiply.outer(y, b_fin)
+            + 1j * np.multiply.outer(z, gen))
+
+
+def su2_k(h):
+    """k = sqrt(tr A'^2 / 2) of the traceless part A' of each h."""
+    d = h.shape[-1]
+    a = h - np.trace(h, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
+    return np.sqrt(0.5 * np.trace(a @ a, axis1=-2, axis2=-1).real)
+
+
+def test_expm_su2_matches_expm_hermitian_on_random_stacks():
+    rng = np.random.default_rng(6)
+    pauli = np.stack([random_hermitian(2, rng) for _ in range(128)])
+    pauli += np.multiply.outer(rng.normal(size=128), I2)  # a nonzero trace
+    spin1 = spin1_combinations(rng, 128) + np.multiply.outer(rng.normal(size=128), np.eye(4))
+    for h in (pauli, spin1):
+        assert np.max(np.abs(np.trace(h, axis1=-2, axis2=-1))) > 0.1
+        for t in (0.01, 0.7, 3.0):
+            assert np.max(np.abs(expm_su2(h, t) - expm_hermitian(h, t))) <= 1e-14
+
+
+def test_expm_su2_at_k_zero_small_and_half_turns():
+    rng = np.random.default_rng(7)
+    for d, h in ((2, random_hermitian(2, rng)), (4, spin1_combinations(rng, 1)[0])):
+        assert np.array_equal(expm_su2(np.zeros((d, d)), 0.3), np.eye(d))
+        unit = h - np.trace(h) / d * np.eye(d)
+        unit = unit / su2_k(unit)  # k = 1
+        for t in (1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12):
+            assert np.max(np.abs(expm_su2(unit, t) - expm_hermitian(unit, t))) <= 1e-14
+        # A = t h is formed first: an h near the float range over a tiny t
+        # squares nothing out of range
+        assert np.max(np.abs(expm_su2(1e300 * unit, 3e-300) - expm_hermitian(unit, 3.0))) <= 1e-14
+
+
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_parity_block_exponents_obey_the_spin1_identity(family, omega):
+    # every real combination of the block's drive or shortcut at two points,
+    # as a CF4 exponent is, has K'^3 = k^2 K' for its traceless part K'
+    sch = make_schedule(family)
+    rng = np.random.default_rng(8)
+    (shortcut,) = _leaves(cd_teleport_block(sch, 0.3, omega))
+    for block in (teleport_block_hamiltonian(sch, omega), shortcut):
+        assert block.su2
+        s1, s2 = rng.uniform(size=(2, 64))
+        w1, w2 = rng.normal(size=(2, 64, 1, 1))
+        k_op = w1 * block(s1) + w2 * block(s2)
+        k_op -= np.trace(k_op, axis1=-2, axis2=-1)[..., None, None] / 4 * np.eye(4)
+        k2 = su2_k(k_op)[..., None, None] ** 2
+        cube = k_op @ k_op @ k_op
+        assert np.max(np.abs(cube - k2 * k_op) / np.max(np.abs(cube), axis=(-2, -1),
+                                                        keepdims=True)) <= 1e-14
 
 
 def test_embed_single_qubit():

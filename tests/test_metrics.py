@@ -233,6 +233,12 @@ def test_closed_form_costs_reject_a_bad_tau(tau):
     assert sce_single_gate_cost(1e308, np.pi) == cae_single_gate_cost()
 
 
+@pytest.mark.parametrize("tau", [None, 0.5])
+def test_teleport_sigma_sing_is_a_norm_for_either_sign_of_omega(tau):
+    sch = make_schedule("trig")
+    assert teleport_sigma_sing(sch, tau, omega=-2.0) == teleport_sigma_sing(sch, tau, omega=2.0) > 0
+
+
 @pytest.mark.parametrize("grid", [3, 99, 500])
 def test_teleport_sigma_sing_takes_the_energy_cost_grids(grid):
     with pytest.raises(ValueError, match="grid must be odd and >= 101"):
