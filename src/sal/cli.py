@@ -311,10 +311,22 @@ def cmd_sce(args) -> int:
 # --- sweeps -------------------------------------------------------------------------
 
 
+def _quadrature_cost(h, tau: float, grid: int) -> float:
+    """``energy_cost`` of a shortcut; CliError for a --tau-list value whose
+    correction, ~ 1/tau, has an HS square above the float range (the closed
+    forms, by hypot, stay finite there)."""
+    with np.errstate(over="raise"):
+        try:
+            return energy_cost(h, grid=grid)
+        except FloatingPointError:
+            raise CliError(f"--tau-list value {tau} is too small: the HS square of its "
+                           "counter-diabatic term overflows") from None
+
+
 def _sce_sweep_point(item) -> list:
     tau, theta0, grid = item
     spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=theta0, tau=tau)
-    sigma_sa = energy_cost(cd_controlled(spec), grid=grid)
+    sigma_sa = _quadrature_cost(cd_controlled(spec), tau, grid)
     closed = sce_single_gate_cost(tau, theta0)
     rel = abs(sigma_sa / closed - 1.0)
     return [tau, theta0, sigma_sa, cae_single_gate_cost(), closed, rel]
@@ -326,7 +338,7 @@ def _teleport_sweep_point(item) -> list:
     # scalar closed form on one side, HS-norm quadrature of the operator on the other
     sigma_sa = teleport_cost(sch, tau, n, grid=grid)
     sigma_ad = teleport_cost(sch, None, n, grid=grid)
-    closed = teleport_cost_scale(n) * energy_cost(cd_teleport_block(sch, tau), grid=grid)
+    closed = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
     rel = abs(sigma_sa / closed - 1.0)
     return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
 

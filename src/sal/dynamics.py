@@ -14,15 +14,47 @@ it returns the estimate as ``error_estimate``.
 
 A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
 sums over consecutive slots, orthogonal ancilla branches and constant
-rotations, down to leaf Hamiltonians.  The one propagator below walks that
-tree.  The state is held in the frame where every rotation is undone and
-every branch projector is diagonal, entered and left once per run; a
-rotation is a small gate contracted with its qubits' axes of the state,
-never a dense operator.  There the tree applies only leaf-sized matrices,
-one tensor slot or branch block at a time.  A CF4 step is exact on the
-tree: a linear combination of H at the two nodes is the same sum or branch
-split of the leaves' combinations, so each exponential factors into
+rotations, down to leaf Hamiltonians.  The propagator holds the state in
+the frame where every rotation is undone and every branch projector is
+diagonal, entered and left once per run; a rotation is a small gate
+contracted with its qubits' axes of the state, never a dense operator.
+There the tree applies only leaf-sized matrices.  A CF4 step is exact on
+the tree: a linear combination of H at the two nodes is the same sum or
+branch split of the leaves' combinations, so each exponential factors into
 per-leaf exponentials.
+
+Each walk (``_walk``) first compiles the tree into a flat plan (``_plan``,
+a few node visits, kept nowhere).  For a node of dimension d the states,
+a batch of (dim, m) blocks, are viewed as (batch, lead, d, post), post
+being m times the dimension of the slots after the node, and the node acts
+on slices ("rows") of the lead axis: a tensor slot on all of them, a branch
+part on its projector's range under each row of its node, so the rows of a
+two-part branch below a slot come in runs.  The plan holds
+* the frame turns (g, qubits, rows, d, post) in the order that enters the
+  frame, top down: each rotation's gate on its qubits and each branch
+  node's basis W on its leading subsystem, applied as g^dag and W^dag
+  (``frame=1``), and as g and W in reverse order to leave it (``-1``),
+  on a copy of the states.  A one-part branch has no W: its projector is 1.
+* one entry (leaf, rows, d, post, level) per leaf and run of rows, where
+  ``op(leaf)`` acts, (d, d) for the whole batch or (batch, d, d) per
+  entry.  The level counts the leaves before it on its rows.  A branch
+  part that ends an odd number of levels short of its longest sibling
+  gets a copy entry (leaf None) at its end, so that all rows end level by
+  level in the same buffer.
+One loop runs the entries with ``np.matmul(..., out=...)`` into two flat
+work buffers, which ``_propagate`` allocates once per pass (a walk outside
+it allocates its own): with ``compose`` the leaves' matrices multiply (step
+products, eigenbases) and level k maps what level k - 1 wrote (the input
+at level 0) into the other buffer; without, they add (H|x>, ground
+energies) and level k writes its product plus level k - 1's sum.  Two
+buffers, because a product written over its own input makes numpy copy
+that input first; so no walk allocates per leaf.  A walk's result is a
+view of a buffer that the next walk overwrites, so what outlives it is
+copied out: a chunk's last state, its sampled states and, into a third
+array of the pass, the states E_tau reads; ``final_state`` and
+``states`` are the copies that leave the frame.  A trailing slot
+(post = 1: the last slot, one column) is contracted as x u^T, one
+(rows, d) x (d, d) GEMM per point rather than a d-vector product per row.
 
 Steps are taken a chunk at a time.  Each distinct leaf is evaluated once per
 chunk at both nodes of every step, and its two batched step exponentials
@@ -57,6 +89,7 @@ evolved by separate calls can share the step products through a StepCache.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -142,54 +175,54 @@ def _leaves(h) -> list:
     return list({id(leaf): leaf for p in node.parts for leaf in _leaves(p)}.values())
 
 
-def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0) -> np.ndarray:
-    """Apply h's tree to x, shaped (batch, pre, h.dim, post), in the walk frame.
-
-    ``op(leaf)`` is the matrix a leaf contributes on its own slot, shaped
-    (d, d) for the whole batch or (batch, d, d) for one per batch entry.
-    With ``compose`` the tensor-sum parts' matrices multiply (step
-    unitaries, eigenbases); without, they add (H, its eigenvalues).  Branch
-    blocks are disjoint either way.  ``frame=1`` (``-1``) with no ``op``
-    enters (leaves) the walk frame instead: G^dag or W^dag of each rotation
-    or branch node on the way down, G or W on the way up.  A rotation's G
-    is contracted with its qubits' axes (``linalg.apply_on_qubits``).
-    """
-    node = getattr(h, "parts", None)
-    if node is None:
-        return x if op is None else op(h).reshape(-1, 1, h.dim, h.dim) @ x
-    batch, pre, dim, post = x.shape
-    if frame > 0:
-        x = _turn(node, x, inverse=True)
-    if isinstance(node, Branches):
-        d = node.parts[0].dim
-        x = x.reshape(batch, pre, dim // d, d, post)
-        out = np.empty(x.shape, dtype=complex)
-        for part, rows in zip(node.parts, node.basis[1]):
-            block = _walk(part, x[:, :, rows].reshape(batch, -1, d, post), op, compose, frame)
-            out[:, :, rows] = block.reshape(batch, pre, -1, d, post)
-    else:
-        out, left = (x if compose else 0.0), 1
-        for part in node.parts:
-            src = out if compose else x
-            y = _walk(part, src.reshape(batch, pre * left, part.dim, -1), op, compose, frame)
-            out = y.reshape(x.shape) if compose else out + y.reshape(x.shape)
-            left *= part.dim
-    out = out.reshape(batch, pre, dim, post)
-    return _turn(node, out, inverse=False) if frame < 0 else out
+def _plan(h, m: int) -> tuple[list, list, int]:
+    """The walk plan of h's tree for m columns: see the module docstring."""
+    turns, ops = [], []
+    def visit(f, runs, post, level):  # f acts on the slices ``runs`` of the leading axis
+        node, d = getattr(f, "parts", None), f.dim
+        if node is None:
+            ops.extend((f, rows, d, post, level) for rows in runs)
+            return level + 1
+        turns.extend((node.g, node.qubits, r, d, post) for r in runs if isinstance(node, Rotation))
+        if not isinstance(node, Branches) or len(node.parts) == 1:  # slots, or one part
+            left = d // prod(p.dim for p in node.parts)
+            for p in node.parts:
+                rows = [slice(r.start * left, r.stop * left) for r in runs]
+                level, left = visit(p, rows, post * d // (left * p.dim), level), left * p.dim
+            return level
+        (w, spans), n = node.basis, d // node.parts[0].dim
+        turns.extend((w, None, rows, n, post * d // n) for rows in runs)
+        subs = [[slice(i * n + s.start, i * n + s.stop) for r in runs
+                 for i in range(r.start, r.stop)] for s in spans]  # span s under each row
+        ends = [visit(p, sub, post, level) for p, sub in zip(node.parts, subs)]
+        ops.extend((None, rows, d // n, post, end) for sub, end in zip(subs, ends)
+                   if (max(ends) - end) % 2 for rows in sub)  # a part an odd count short
+        return max(ends)
+    return turns, ops, visit(h, [slice(0, 1)], m, 0)
 
 
-def _turn(node, x: np.ndarray, inverse: bool) -> np.ndarray:
-    """A rotation node's G, or a branch node's W on its leading subsystem,
-    applied to x, shaped (batch, pre, node.dim, post); the adjoint with
-    ``inverse``.  Other nodes leave x as it is."""
-    batch, pre, dim, post = x.shape
-    if isinstance(node, Rotation):
-        g = node.g.conj().T if inverse else node.g
-        return apply_on_qubits(g, node.qubits, x.reshape(batch * pre, dim, post)).reshape(x.shape)
-    if isinstance(node, Branches):
-        w = node.basis[0].conj().T if inverse else node.basis[0]
-        return (w @ x.reshape(batch, pre, len(w), -1)).reshape(x.shape)
-    return x
+def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0, work=None):
+    """h's tree applied to x, shaped (batch, 1, h.dim, m): see the module docstring."""
+    turns, ops, top = _plan(h, x.shape[-1])
+    if frame:
+        y = np.array(x, dtype=complex)
+        for g, qubits, rows, d, post in turns[::frame]:  # leaving: the reverse order
+            g, b = g.conj().T if frame > 0 else g, y.reshape(len(x), -1, d, post)[:, rows]
+            b[...] = g @ b if qubits is None else apply_on_qubits(
+                g, qubits, b.reshape(-1, d, post)).reshape(b.shape)
+        return y
+    bufs = [v[: x.size].reshape(len(x), -1) for v in work or np.empty((2, x.size), complex)]
+    for leaf, rows, d, post, level in ops:
+        last, b = (bufs[(level - j) % 2].reshape(len(x), -1, d, post)[:, rows] for j in (1, 0))
+        a = last if compose and level else x.reshape(len(x), -1, d, post)[:, rows]
+        u = np.eye(d) * compose if leaf is None else op(leaf)  # a copy, or nothing to add
+        if post == 1:  # a trailing slot: x u^T, one GEMM per point
+            np.matmul(a[..., 0], np.swapaxes(u, -1, -2), out=b[..., 0])
+        else:
+            np.matmul(u.reshape(-1, 1, d, d), a, out=b)
+        if level and not compose:
+            b += last
+    return bufs[(top - 1) % 2].reshape(x.shape)
 
 
 def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
@@ -255,8 +288,12 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, tra
     """
     leaves = _leaves(h)
     dt = tau / steps
+    chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size))
+    size = (chunks[0].stop + 1) * x.size  # a chunk's states and the point before them
+    work = list(np.empty((2, size), dtype=complex))  # the walks' two buffers
+    held = np.empty(size, dtype=complex) if track_qsl else None
     bras, sampled, overlaps = x[0, 0].conj(), [], []  # bras[:, j] = <x_j(0)|
-    for c in _chunks(steps, max(f.dim for f in leaves), x.size):
+    for c in chunks:
         # One walk applies the chunk's steps up to each needed k: the running
         # product of each leaf's step unitaries (see the module docstring).
         ks = np.arange(c.stop - c.start)
@@ -269,16 +306,20 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, tra
                      for f in leaves}
             if cache is not None:
                 cache.keep(key, prods)
-        xs = _walk(h, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)])
+        xs = _walk(h, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)],
+                   work=work)
         if track_qsl:
-            ends = np.arange(c.start + (c.start > 0), c.stop + 1)  # point 0 in the first chunk
+            first = int(c.start == 0)  # point 0 in the first chunk
+            ends = np.arange(c.start + 1 - first, c.stop + 1)
             hs = {id(f): f(ends / steps) for f in leaves}
-            hx = _walk(h, xs if c.start else np.concatenate([x, xs]), lambda f: hs[id(f)],
-                       compose=False)
+            states = held[: len(ends) * x.size].reshape((-1,) + x.shape[1:])
+            states[:first], states[first:] = x, xs
+            xs = states[first:]  # the sum below overwrites the work buffers
+            hx = _walk(h, states, lambda f: hs[id(f)], compose=False, work=work)
             overlaps.append(np.abs(np.stack([hx[:, 0, :, j] @ bra for j, bra in enumerate(bras.T)],
                                             axis=1)))
         sampled.append(xs[picked[c][ks]])
-        x = xs[-1:]
+        x = xs[-1:].copy()
     e_tau = None
     if track_qsl:
         g = np.concatenate(overlaps)

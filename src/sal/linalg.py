@@ -124,10 +124,14 @@ def expm_su2(h: np.ndarray, t: float) -> np.ndarray:
     d = a.shape[-1]
     c0 = np.trace(a, axis1=-2, axis2=-1).real / d
     a = a - c0[..., None, None] * np.eye(d)
-    k = np.sqrt(0.5 * np.sum((a.conj() * a).real, axis=(-2, -1)))
+    k2 = 0.5 * np.sum((a.conj() * a).real, axis=(-2, -1))
+    k = np.sqrt(k2)
     sinc, half = np.sinc(k / np.pi), np.sinc(k / (2 * np.pi))  # np.sinc(x) = sin(pi x)/(pi x)
     u = np.eye(d) - 1j * sinc[..., None, None] * a
-    u -= (0.5 * half * half)[..., None, None] * (a @ a)
+    if d == 2:  # A'^2 = k^2 1 (Cayley-Hamilton for a traceless 2x2)
+        u -= (0.5 * half * half * k2)[..., None, None] * np.eye(2)
+    else:
+        u -= (0.5 * half * half)[..., None, None] * (a @ a)
     return np.exp(-1j * c0)[..., None, None] * u
 
 

@@ -108,6 +108,18 @@ def test_tiny_tau_costs_stay_finite(argv, tmp_path):
                         if k not in ("protocol", "gate", "axis", "variant", "qsl_ok"))
 
 
+@pytest.mark.parametrize("protocol", [["--protocol", "teleport", "--schedules", "linear",
+                                       "--n-list", "1"], ["--protocol", "sce"]])
+def test_cost_sweep_rejects_a_tau_whose_correction_square_overflows(protocol, capsys):
+    # the quadrature squares the correction ~ 1/tau, which the closed form
+    # never does: such a tau is a configuration error, not a failed invariant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["cost-sweep", *protocol, "--tau-list", "0.5,1e-300", "--jobs", "1"])
+    assert rc == EXIT_CONFIG
+    assert "--tau-list value 1e-300" in capsys.readouterr().err
+
+
 def test_theta_opt_command(tmp_path):
     out = tmp_path / "th.csv"
     rc = main(["theta-opt", "--tau-list", "1,2,5,20", "--jobs", "1", "--out", str(out)])

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,11 @@ from sal.dynamics import (
     teleport_target_state,
 )
 from sal.hamiltonians import (
+    Branches,
     ControlledSpec,
     TeleportSpec,
     Rotation,
+    TensorSum,
     TimeDepHamiltonian,
     X,
     Z,
@@ -35,7 +39,8 @@ from sal.hamiltonians import (
     parity_operators,
     teleport_hamiltonian,
 )
-from sal.linalg import _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state, simpson
+from sal.linalg import (_CHUNK, _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state,
+                        simpson)
 from sal.cli import FIDELITY_FLOOR
 from sal.schedules import make_schedule
 
@@ -163,12 +168,14 @@ def strip_structure(h):
     return SuperadiabaticHamiltonian(base=base, cd=h.cd, tau=h.tau)
 
 
-def assert_matches_dense(h, psi0, tau, steps=500):
-    fast = evolve(h, psi0, tau, steps=steps, track_qsl=True)
-    dense = evolve(strip_structure(h), psi0, tau, steps=steps, track_qsl=True)
+def assert_matches_dense(h, psi0, tau, steps=500, **kw):
+    fast = evolve(h, psi0, tau, steps=steps, track_qsl=True, **kw)
+    dense = evolve(strip_structure(h), psi0, tau, steps=steps, track_qsl=True, **kw)
     assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
     assert np.max(np.abs(fast.ground_fidelity - dense.ground_fidelity)) < 1e-10
     assert np.max(np.abs(fast.e_tau - dense.e_tau)) < 1e-10
+    if kw.get("keep_states"):
+        assert np.max(np.abs(fast.states - dense.states)) < 1e-10
 
 
 def test_kron_path_matches_dense():
@@ -203,6 +210,65 @@ def test_rotation_path_matches_dense():
     psi0 = teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
     for h in (cd_rotate(cd_tensor_sum([hsa] * 2), g2), teleport_hamiltonian(spec)):
         assert_matches_dense(h, psi0, 0.5)
+
+
+def _turning_leaf(dim, rng):
+    """cos(pi s) A + sin(pi s) B for random Hermitian A, B."""
+    a, b = (m + m.conj().T for m in (rng.normal(size=(2, dim, dim))
+                                     + 1j * rng.normal(size=(2, dim, dim))))
+    return TimeDepHamiltonian(dim=dim, func=lambda s: np.multiply.outer(np.cos(np.pi * s), a)
+                              + np.multiply.outer(np.sin(np.pi * s), b))
+
+
+def _split(rng):
+    """A two-part projector pair on one qubit, off the computational basis."""
+    v = random_state(1, rng)
+    p = np.outer(v, v.conj())
+    return (p, np.eye(2) - p)
+
+
+@pytest.mark.parametrize("tree", ["branches in a slot", "tensor sum as a part",
+                                  "rotation below a slot", "all nested"])
+def test_nested_trees_match_dense(tree):
+    # trees no command builds but composite accepts: two-part branches whose
+    # rows repeat under a slot, parts of unequal depth, a rotation that is
+    # not at the root, and all of them inside one another
+    rng = np.random.default_rng(50)
+    leaf = partial(_turning_leaf, rng=rng)
+    if tree == "branches in a slot":
+        h = composite(TensorSum((leaf(2), composite(Branches(_split(rng), (leaf(2), leaf(2)))))))
+    elif tree == "tensor sum as a part":
+        h = composite(Branches(_split(rng), (composite(TensorSum((leaf(2), leaf(2)))), leaf(4))))
+    elif tree == "rotation below a slot":
+        h = composite(TensorSum((leaf(2), composite(Rotation(_haar_unitary(2, rng), (leaf(4),),
+                                                             (1,))))))
+    else:
+        inner = composite(Branches(_split(rng), (leaf(2), leaf(2))))
+        rotated = composite(Rotation(_haar_unitary(4, rng), (composite(TensorSum(
+            (leaf(2), leaf(2)))),), (1, 0)))
+        h = composite(TensorSum((leaf(2), composite(Branches(_split(rng), (rotated, inner))))))
+    psi0 = random_state(h.dim.bit_length() - 1, rng)
+    block = np.stack([random_state(h.dim.bit_length() - 1, rng) for _ in range(3)], axis=1)
+    for states in (psi0, block):
+        assert_matches_dense(h, states, 0.7, keep_states=True, n_samples=5)
+
+
+def test_results_do_not_share_the_work_buffers():
+    # a multi-chunk run keeps its states and E_tau after a second run on the
+    # same H from another state, and no array of one aliases the other's
+    spec = TeleportSpec(2, make_schedule("trig"), gate=gate("CNOT"))
+    h = cd_teleport(spec, 0.4)
+    rng = np.random.default_rng(51)
+    first, second = (teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
+                     for _ in range(2))
+    steps = 3 * _CHUNK + 1  # four chunks
+    a = evolve(h, first, 0.4, steps=steps, keep_states=True, track_qsl=True)
+    kept = [np.copy(v) for v in (a.final_state, a.states, a.e_tau)]
+    b = evolve(h, second, 0.4, steps=steps, keep_states=True, track_qsl=True)
+    assert all(np.array_equal(v, w) for v, w in zip((a.final_state, a.states, a.e_tau), kept))
+    for v in (a.final_state, a.states, a.ground_fidelity):
+        for w in (b.final_state, b.states, b.ground_fidelity):
+            assert not np.shares_memory(v, w)
 
 
 def test_chunk_products_match_step_by_step_loop():
@@ -254,12 +320,6 @@ def test_chunk_products_keep_step_order_accuracy(seed):
     assert abs(1.0 - fidelity(res.final_state, target)) <= 5e-14
 
 
-def _tree_nodes(h) -> int:
-    """The nodes one walk of h's tree visits: h and, recursively, each part."""
-    node = getattr(h, "parts", None)
-    return 1 + (0 if node is None else sum(_tree_nodes(p) for p in node.parts))
-
-
 def test_walks_grow_with_chunks_not_steps(monkeypatch):
     sch = make_schedule("linear")
     h = cd_teleport(TeleportSpec(2, sch, gate=gate("CNOT")), 0.3)  # 4-dim parity-block leaves
@@ -275,8 +335,9 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
     n_chunks = len(list(_chunks(4899, 4)))
     assert counts[4899] == counts[4870]
     # two walks per chunk (steps, E_tau), four more (enter, two for the ground
-    # level, leave); each walk visits every node of the tree once
-    assert counts[4899] == _tree_nodes(h) * (2 * n_chunks + 4)
+    # level, leave); a walk is one loop over the tree's plan, so it does not
+    # call itself per node
+    assert counts[4899] == 2 * n_chunks + 4
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
