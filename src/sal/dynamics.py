@@ -23,10 +23,11 @@ the tree: a linear combination of H at the two nodes is the same sum or
 branch split of the leaves' combinations, so each exponential factors into
 per-leaf exponentials.
 
-Each walk (``_walk``) first compiles the tree into a flat plan (``_plan``,
-a few node visits, kept nowhere).  For a node of dimension d the states,
-a batch of (dim, m) blocks, are viewed as (batch, lead, d, post), post
-being m times the dimension of the slots after the node, and the node acts
+Each pass compiles the tree once into a flat plan (``_plan``, a few node
+visits) that all its walks (``_walk``) follow, whatever their column count.
+For a node of dimension d the states, a batch of (dim, m) blocks, are
+viewed as (batch, lead, d, post), post being m times the dimension of the
+slots after the node (the plan holds it per column), and the node acts
 on slices ("rows") of the lead axis: a tensor slot on all of them, a branch
 part on its projector's range under each row of its node, so the rows of a
 two-part branch below a slot come in runs.  The plan holds
@@ -61,16 +62,16 @@ chunk at both nodes of every step, and its two batched step exponentials
 are formed in closed form (``linalg.expm_su2``) for a 2x2 leaf or one that
 declares ``su2`` (the teleport parity block, drive or closed-form shortcut),
 from eigendecompositions for any other.  Their running products
-p_k = u_k ... u_0 are multiplied in step order and polished back to unitary
-(their round-off would otherwise add up over the chunks).  One walk of the
-tree then applies the products at every step the chunk must report: its
-sample points and its last step, or every step when the speed-limit
-integral is tracked.  This equals applying the tree step by step because,
-in the walk frame, the tree's step unitary is a tensor product over slots
-and a direct sum over branch blocks: leaves in different slots commute,
-each block stays invariant, and no rotation acts between steps.  So the
-product of the tree's step unitaries over a chunk is the tree of each
-leaf's ordered chunk product.
+p_k = u_k ... u_0 come from a log-depth prefix scan (``_running_products``)
+and are polished back to unitary (their round-off would otherwise add up
+over the chunks).  One walk of the tree then applies the products at every
+step the chunk must report: its sample points and its last step, or every
+step when the speed-limit integral is tracked.  This equals applying the
+tree step by step because, in the walk frame, the tree's step unitary is
+a tensor product over slots and a direct sum over branch blocks: leaves in
+different slots commute, each block stays invariant, and no rotation acts
+between steps.  So the product of the tree's step unitaries over a chunk
+is the tree of each leaf's ordered chunk product.
 
 The same walk, batched over points, gives H|psi> at the step ends for the
 speed-limit integral, which is Simpson's rule over the step ends (an odd
@@ -175,8 +176,8 @@ def _leaves(h) -> list:
     return list({id(leaf): leaf for p in node.parts for leaf in _leaves(p)}.values())
 
 
-def _plan(h, m: int) -> tuple[list, list, int]:
-    """The walk plan of h's tree for m columns: see the module docstring."""
+def _plan(h) -> tuple[list, list, int]:
+    """The walk plan of h's tree, its posts per column: see the module docstring."""
     turns, ops = [], []
     def visit(f, runs, post, level):  # f acts on the slices ``runs`` of the leading axis
         node, d = getattr(f, "parts", None), f.dim
@@ -198,21 +199,22 @@ def _plan(h, m: int) -> tuple[list, list, int]:
         ops.extend((None, rows, d // n, post, end) for sub, end in zip(subs, ends)
                    if (max(ends) - end) % 2 for rows in sub)  # a part an odd count short
         return max(ends)
-    return turns, ops, visit(h, [slice(0, 1)], m, 0)
+    return turns, ops, visit(h, [slice(0, 1)], 1, 0)
 
 
-def _walk(h, x: np.ndarray, op=None, compose: bool = True, frame: int = 0, work=None):
-    """h's tree applied to x, shaped (batch, 1, h.dim, m): see the module docstring."""
-    turns, ops, top = _plan(h, x.shape[-1])
+def _walk(plan, x: np.ndarray, op=None, compose: bool = True, frame: int = 0, work=None):
+    """The planned tree applied to x, shaped (batch, 1, dim, m): see the module docstring."""
+    (turns, ops, top), m = plan, x.shape[-1]
     if frame:
         y = np.array(x, dtype=complex)
         for g, qubits, rows, d, post in turns[::frame]:  # leaving: the reverse order
-            g, b = g.conj().T if frame > 0 else g, y.reshape(len(x), -1, d, post)[:, rows]
+            g, b = g.conj().T if frame > 0 else g, y.reshape(len(x), -1, d, post * m)[:, rows]
             b[...] = g @ b if qubits is None else apply_on_qubits(
-                g, qubits, b.reshape(-1, d, post)).reshape(b.shape)
+                g, qubits, b.reshape(-1, d, post * m)).reshape(b.shape)
         return y
     bufs = [v[: x.size].reshape(len(x), -1) for v in work or np.empty((2, x.size), complex)]
     for leaf, rows, d, post, level in ops:
+        post *= m
         last, b = (bufs[(level - j) % 2].reshape(len(x), -1, d, post)[:, rows] for j in (1, 0))
         a = last if compose and level else x.reshape(len(x), -1, d, post)[:, rows]
         u = np.eye(d) * compose if leaf is None else op(leaf)  # a copy, or nothing to add
@@ -258,7 +260,7 @@ def default_steps(h, tau: float) -> int:
     return max(MIN_STEPS, int(need))
 
 
-def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _ground_weights(h, plan, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Weight of each column of each walk-frame state xs[j], shaped
     (len(s), 1, dim, post), in the lowest level of the driving H(s[j]); for a
     shortcut that is its base, without the counter-diabatic term."""
@@ -267,19 +269,20 @@ def _ground_weights(h, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     for c in _chunks(len(s), max(f.dim for f in leaves), xs[0].size):
         spectra = {id(f): np.linalg.eigh(getattr(f, "base", f)(s[c])) for f in leaves}
         ones = np.ones((len(s[c]), 1, h.dim, 1))
-        energies = _walk(h, ones, lambda f: spectra[id(f)][0][..., None] * np.eye(f.dim),
+        energies = _walk(plan, ones, lambda f: spectra[id(f)][0][..., None] * np.eye(f.dim),
                          compose=False).real[:, 0, :, 0]
-        amps = _walk(h, xs[c], lambda f: np.swapaxes(spectra[id(f)][1], -1, -2).conj())[:, 0]
+        amps = _walk(plan, xs[c], lambda f: np.swapaxes(spectra[id(f)][1], -1, -2).conj())[:, 0]
         top = np.maximum(1.0, np.max(np.abs(energies), axis=1, keepdims=True))
         level = energies < energies.min(axis=1, keepdims=True) + _GROUND_TOL * top
         out.append(np.sum(np.abs(amps) ** 2 * level[..., None], axis=1))
     return np.concatenate(out)
 
 
-def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, track_qsl: bool,
+def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarray,
+               track_qsl: bool,
                cache: Optional[StepCache]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Take ``steps`` CF4 steps from the walk-frame states x, shaped
-    (1, 1, dim, m).
+    (1, 1, dim, m), walking h's tree by its ``plan``.
 
     Returns the states after the steps j with ``picked[j]`` (step j ends at
     point j + 1), the final states and, with ``track_qsl``, E_tau of each
@@ -306,7 +309,7 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, tra
                      for f in leaves}
             if cache is not None:
                 cache.keep(key, prods)
-        xs = _walk(h, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)],
+        xs = _walk(plan, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)],
                    work=work)
         if track_qsl:
             first = int(c.start == 0)  # point 0 in the first chunk
@@ -315,7 +318,7 @@ def _propagate(h, x: np.ndarray, tau: float, steps: int, picked: np.ndarray, tra
             states = held[: len(ends) * x.size].reshape((-1,) + x.shape[1:])
             states[:first], states[first:] = x, xs
             xs = states[first:]  # the sum below overwrites the work buffers
-            hx = _walk(h, states, lambda f: hs[id(f)], compose=False, work=work)
+            hx = _walk(plan, states, lambda f: hs[id(f)], compose=False, work=work)
             overlaps.append(np.abs(np.stack([hx[:, 0, :, j] @ bra for j, bra in enumerate(bras.T)],
                                             axis=1)))
         sampled.append(xs[picked[c][ks]])
@@ -335,18 +338,20 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
     picked = np.zeros(steps, dtype=bool)
     picked[sample_idx[sample_idx > 0] - 1] = True
-    x0 = _walk(h, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    sampled, x, e_tau = _propagate(h, x0, tau, steps, picked, track_qsl, cache)
+    plan = _plan(h)  # one compile serves every walk of the pass
+    x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
+    sampled, x, e_tau = _propagate(h, plan, x0, tau, steps, picked, track_qsl, cache)
     if sample_idx.size and sample_idx[0] == 0:
         sampled = np.concatenate([x0, sampled])
     s_samples = sample_idx / steps
-    ground = _ground_weights(h, s_samples, sampled) if n_samples else np.empty((0, x.shape[-1]))
+    ground = (_ground_weights(h, plan, s_samples, sampled) if n_samples
+              else np.empty((0, x.shape[-1])))
     states = None
     if keep_states:
-        states = (_walk(h, sampled, frame=-1) if len(sampled) else sampled).reshape(
+        states = (_walk(plan, sampled, frame=-1) if len(sampled) else sampled).reshape(
             (-1,) + psi0.shape)
     return EvolutionResult(
-        final_state=_walk(h, x, frame=-1).reshape(psi0.shape),
+        final_state=_walk(plan, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
         tau=tau,

@@ -305,10 +305,9 @@ def test_chunk_products_match_step_by_step_loop():
 def test_chunk_products_keep_step_order_accuracy(seed):
     # teleport --n 3 --gate Toffoli --tau 0.1: the rotation over a three-sector
     # tensor sum, at a pinned count well above the adaptive one so that the
-    # round-off of the chunk products builds up over ~24 chunks.  Polished
-    # products keep |norm - 1| near 1e-15; products of polished steps drift
-    # 4e-13 here (1.2e-13 with no polish at all, 5e-14 for a log-depth scan
-    # of polished steps).
+    # round-off of the chunk products builds up over ~47 chunks.  Polished
+    # products keep |norm - 1| below 1e-15; unpolished ones drift 6.1e-13
+    # here.
     sch = make_schedule("linear")
     spec = TeleportSpec(3, sch, gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
@@ -338,6 +337,28 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
     # level, leave); a walk is one loop over the tree's plan, so it does not
     # call itself per node
     assert counts[4899] == 2 * n_chunks + 4
+
+
+def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
+    # one plan, whatever the column count of a walk, serves every walk of an
+    # _integrate pass: the frame, the chunks' steps and H|x>, the ground
+    # energies (one column) and weights, and the kept states
+    spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
+    h = cd_teleport(spec, 0.1)
+    rng = np.random.default_rng(23)
+    block = np.stack([teleport_initial_state(random_state(3, rng), 3, gate=spec.gate)
+                      for _ in range(2)], axis=1)
+    plan, compiles, walks = dynamics._plan, [], []
+    monkeypatch.setattr(dynamics, "_plan", lambda h: compiles.append(1) or plan(h))
+    walk = dynamics._walk
+    monkeypatch.setattr(dynamics, "_walk", lambda *a, **k: walks.append(1) or walk(*a, **k))
+    evolve(h, block, 0.1, steps=3 * _CHUNK + 1, n_samples=5, track_qsl=True, keep_states=True)
+    # two walks per chunk (four chunks), and entering, the ground energies and
+    # weights, the kept states and leaving
+    assert len(compiles) == 1 and len(walks) == 2 * 4 + 5
+    compiles.clear()
+    res = evolve(h, block, 0.1, track_qsl=True)
+    assert len(compiles) == len(res.step_counts) == 2
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
@@ -481,7 +502,7 @@ def test_block_takes_the_step_count_of_its_worst_column(monkeypatch):
 
 def test_chunk_cap_bounds_the_state_stacks_of_a_wide_block(monkeypatch):
     # teleport --n 3 with 64 inputs: 512 x 64 state entries per point, so a
-    # chunk holds 8 points where a single state's holds 128
+    # chunk holds 8 points where a single state's holds _CHUNK
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
     rng = np.random.default_rng(17)
@@ -665,10 +686,10 @@ def test_rotation_frame_contracts_the_gate_on_its_qubits(qubits):
     u = _haar_unitary(2 ** len(qubits), rng)
     leaf = TimeDepHamiltonian(dim=512, func=lambda s: np.zeros(np.shape(s) + (512, 512)))
     h = composite(Rotation(u, (leaf,), qubits))
-    g = embed(u, qubits, 9)
+    g, plan = embed(u, qubits, 9), dynamics._plan(h)
     for m in (1, 3):
         x = rng.normal(size=(512, m)) + 1j * rng.normal(size=(512, m))
-        walked = {frame: dynamics._walk(h, x.reshape(1, 1, 512, m), frame=frame)[0, 0]
+        walked = {frame: dynamics._walk(plan, x.reshape(1, 1, 512, m), frame=frame)[0, 0]
                   for frame in (1, -1)}
         assert np.max(np.abs(walked[1] - g.conj().T @ x)) <= 1e-14
         assert np.max(np.abs(walked[-1] - g @ x)) <= 1e-14

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sal.counterdiabatic import cd_teleport_block
 from sal.dynamics import _leaves
 from sal.hamiltonians import I2, X, Z, teleport_block_hamiltonian, teleport_block_terms
 from sal.linalg import (
+    _CHUNK,
     _chunks,
+    _polished,
     _running_products,
     eigh,
     embed,
@@ -231,8 +234,8 @@ def test_chunks_cap_the_state_stack():
     def sizes(*args):
         return {c.stop - c.start for c in _chunks(1000, *args)}
 
-    # a single 512-dim state keeps the operator rule's 128 points
-    assert sizes(4) == sizes(4, 512) == {128, 1000 - 7 * 128}
+    # a single 512-dim state keeps the operator rule's _CHUNK points
+    assert sizes(4) == sizes(4, 512) == {_CHUNK, 1000 % _CHUNK}
     # 64 such states: 512 x 64 entries per point, 8 points per chunk
     assert sizes(4, 512 * 64) == {8}
     assert sizes(512, 512) == {1}
@@ -248,12 +251,41 @@ def test_level_clusters_share_one_pattern_or_name_where_it_changes():
         level_clusters(s, energies)
 
 
-def test_running_products_of_a_strided_stack():
-    # a transposed view is a valid stack: the products get their own C layout
-    rng = np.random.default_rng(4)
-    u = np.swapaxes(expm_hermitian(np.stack([random_hermitian(3, rng) for _ in range(5)]), 1.0),
-                    -1, -2)
-    want = np.eye(3)
-    for step, got in zip(u, _running_products(u)):
-        want = step @ want
-        assert np.max(np.abs(got - want)) <= 1e-14
+def step_order_products(u):
+    """p[k] = u[k] @ ... @ u[0], one product per step."""
+    p = [u[0]]
+    for step in u[1:]:
+        p.append(step @ p[-1])
+    return np.array(p)
+
+
+def random_unitaries(n, dim, rng):
+    return expm_hermitian(np.stack([random_hermitian(dim, rng) for _ in range(n)]), 0.7)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
+def test_running_products_scan_matches_step_order(n, dim):
+    u = random_unitaries(n, dim, np.random.default_rng(n + dim))
+    for stack in (u, np.swapaxes(u, -1, -2)):  # C-ordered, and a transposed view
+        assert np.max(np.abs(_running_products(stack) - step_order_products(stack))) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 600), dim=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_running_products_scan_matches_step_order_at_any_length(n, dim, seed):
+    u = random_unitaries(n, dim, np.random.default_rng(seed))
+    assert np.max(np.abs(_running_products(u) - step_order_products(u))) <= 1e-14
+
+
+def test_running_products_scan_drifts_off_unitary_no_more_than_step_order():
+    # a chunk of 256 4x4 steps: the scan's departure from unitarity is at most
+    # twice the step-order product's, and the polish takes it to round-off
+    u = random_unitaries(256, 4, np.random.default_rng(19))
+
+    def departure(p):
+        return np.max(np.abs(np.swapaxes(p, -1, -2).conj() @ p - np.eye(4)))
+
+    scan = _running_products(u)
+    assert departure(scan) <= 2 * departure(step_order_products(u))
+    assert departure(_polished(scan)) <= 1e-15
