@@ -335,10 +335,10 @@ def _sce_sweep_point(item) -> list:
 def _teleport_sweep_point(item) -> list:
     tau, family, n, grid = item
     sch = make_schedule(family)
-    # scalar closed form on one side, HS-norm quadrature of the operator on the other
-    sigma_sa = teleport_cost(sch, tau, n, grid=grid)
+    # as in _sce_sweep_point: the operator's HS-norm quadrature against the closed form
+    sigma_sa = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
     sigma_ad = teleport_cost(sch, None, n, grid=grid)
-    closed = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
+    closed = teleport_cost(sch, tau, n, grid=grid)
     rel = abs(sigma_sa / closed - 1.0)
     return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
 

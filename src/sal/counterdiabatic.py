@@ -33,6 +33,7 @@ import numpy as np
 
 from .hamiltonians import (
     ControlledSpec,
+    Linear,
     Rotation,
     SuperadiabaticHamiltonian,
     TeleportSpec,
@@ -167,16 +168,13 @@ def cd_teleport_block(
     The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
     parity block's shortcut: the drive ``teleport_block_hamiltonian`` plus
     (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
-    ``angle_rate``.  It commutes with both parity operators by construction,
-    and stays in the span of B_ini, B_fin and i G, so the block declares
-    ``su2``.
+    ``angle_rate``, in coefficient form: a'/tau over i G.  It commutes with
+    both parity operators by construction, and stays in the span of B_ini,
+    B_fin and i G, so the block declares ``su2``.
     """
     b_ini, b_fin = teleport_block_terms()
-    gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
-
-    def cd(s) -> np.ndarray:
-        return np.multiply.outer(1j * schedule.angle_rate(s) / tau, gen)
-
+    gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
+    cd = Linear(lambda s: np.expand_dims(schedule.angle_rate(s) / tau, -1), gen[None])
     block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau,
                                       su2=True)
     return sector_tree(block)
@@ -222,25 +220,32 @@ def cd_teleport(
     return teleport_tree(spec, sector)
 
 
+def _branch_generator(xi: float) -> np.ndarray:
+    return np.cos(xi) * Y - np.sin(xi) * X
+
+
 def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
     """Time-independent branch correction (theta0/2tau)(sy cos(xi) - sx sin(xi))."""
-    return theta0 / (2.0 * tau) * (np.cos(xi) * Y - np.sin(xi) * X)
+    return theta0 / (2.0 * tau) * _branch_generator(xi)
 
 
 def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     """Shortcut for controlled evolutions.
 
-    Each ancilla branch acquires the constant correction ``cd_branch_term``;
-    the full correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.
-    The term is formed per call, so a bad tau meets the shortcut's check first.
+    Each ancilla branch acquires the constant correction ``cd_branch_term``,
+    in coefficient form: theta0/2tau over sy cos(xi) - sx sin(xi).  The full
+    correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The
+    coefficient is formed per call, so a bad tau meets the shortcut's check
+    first.
     """
     branches = controlled_hamiltonian(spec).parts
+
+    def rate(s) -> np.ndarray:
+        return np.full(np.shape(s) + (1,), spec.theta0 / (2.0 * spec.tau))
+
     leaves = tuple(
-        SuperadiabaticHamiltonian(
-            base=h, tau=spec.tau,
-            cd=lambda s, xi=xi: np.broadcast_to(cd_branch_term(spec.theta0, spec.tau, xi),
-                                                np.shape(s) + (2, 2)),
-        )
+        SuperadiabaticHamiltonian(base=h, tau=spec.tau,
+                                  cd=Linear(rate, _branch_generator(xi)[None]))
         for h, xi in zip(branches.parts, (0.0, spec.phi))
     )
     return composite(replace(branches, parts=leaves))

@@ -109,6 +109,34 @@ def axis_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
 # --- time-dependent Hamiltonians -------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Linear:
+    """s -> coef(s) @ basis: the coefficients ``coef(s)``, real for real s
+    and shaped ``np.shape(s) + (K,)``, over K constant Hermitian generators
+    ``basis``, shaped (K, d, d).  One GEMM per evaluation; a
+    ``TimeDepHamiltonian`` func or deriv, or a shortcut's cd, in coefficient
+    form (see ``terms``)."""
+
+    coef: Callable[[float | np.ndarray], np.ndarray]
+    basis: np.ndarray
+
+    def __call__(self, s) -> np.ndarray:
+        c = self.coef(s)
+        k, d = self.basis.shape[:2]
+        return (c @ self.basis.reshape(k, d * d)).reshape(np.shape(c)[:-1] + (d, d))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram_kl = Re tr(M_k M_l), so that ||coef @ basis||_HS^2 = c . Gram c."""
+        flat = self.basis.reshape(len(self.basis), -1)
+        return (flat @ flat.conj().T).real
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """tr M_k, so that tr(coef @ basis) = c . traces."""
+        return np.trace(self.basis, axis1=-2, axis2=-1)
+
+
 @dataclass(frozen=True)
 class TimeDepHamiltonian:
     """Hamiltonian evaluator on the dimensionless time s in [0, 1].
@@ -116,7 +144,10 @@ class TimeDepHamiltonian:
     ``func(s)`` and ``deriv(s)`` take s as a float or a 1-D array of points
     and return an operator of shape ``np.shape(s) + (dim, dim)``, one
     (dim, dim) matrix per point; ``__call__`` and ``derivative`` check that
-    shape.  ``deriv`` is the analytic s-derivative when available.
+    shape.  ``deriv`` is the analytic s-derivative when available.  A
+    ``Linear`` func gives the leaf a coefficient form (``terms``), which
+    ``metrics.energy_cost`` reads instead of the dense operator; any other
+    callable is evaluated densely.
 
     ``parts``, when set, is the node (``TensorSum``, ``Branches`` or
     ``Rotation``) over smaller Hamiltonians that ``composite`` built H from:
@@ -174,6 +205,21 @@ class SuperadiabaticHamiltonian:
 
     def __call__(self, s) -> np.ndarray:
         return self.total(s)
+
+
+def terms(h) -> Optional[Linear]:
+    """A leaf's coefficient form: a drive's ``Linear`` func; for a shortcut
+    whose drive has one and whose cd is ``Linear``, the two concatenated.
+    None for anything else (``cd_generic``, custom leaves, nodes)."""
+    if isinstance(h, SuperadiabaticHamiltonian):
+        base = terms(h.base)
+        if base is None or not isinstance(h.cd, Linear):
+            return None
+        cd = h.cd
+        return Linear(lambda s: np.concatenate([base.coef(s), cd.coef(s)], axis=-1),
+                      np.concatenate([base.basis, cd.basis]))
+    func = getattr(h, "func", None)
+    return func if isinstance(func, Linear) else None
 
 
 # --- structure tree -----------------------------------------------------------
@@ -341,16 +387,17 @@ def teleport_block_terms(omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
 def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
     """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector
-    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s).  B_ini, B_fin and
-    G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0 representation of su(2),
-    levels -2wx, 0, 0, 2wx, so the block declares ``su2``."""
-    b_ini, b_fin = teleport_block_terms(omega)
-
-    def combine(etas):
-        return np.multiply.outer(etas[0], b_ini) + np.multiply.outer(etas[1], b_fin)
-
-    return TimeDepHamiltonian(dim=4, func=lambda s: combine(schedule.eta(s)),
-                              deriv=lambda s: combine(schedule.deta(s)), su2=True)
+    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s), in coefficient
+    form.  B_ini, B_fin and G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0
+    representation of su(2), levels -2wx, 0, 0, 2wx, so the block declares
+    ``su2``."""
+    basis = np.stack(teleport_block_terms(omega))
+    return TimeDepHamiltonian(
+        dim=4,
+        func=Linear(lambda s: np.stack(schedule.eta(s), axis=-1), basis),
+        deriv=Linear(lambda s: np.stack(schedule.deta(s), axis=-1), basis),
+        su2=True,
+    )
 
 
 def sector_tree(block):
@@ -465,30 +512,36 @@ class ControlledSpec:
         return np.kron(sel, p_minus)
 
 
+def _branch_basis(xi: float, omega: float) -> np.ndarray:
+    """-omega sz and -omega (sx cos(xi) + sy sin(xi)), the generators of ``h_xi``."""
+    return -omega * np.stack([Z, np.cos(xi) * X + np.sin(xi) * Y])
+
+
+def _cos_sin(theta) -> np.ndarray:
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
 def h_xi(theta, xi: float, omega: float = 1.0) -> np.ndarray:
     """Ancilla branch Hamiltonian
     -omega [cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))], one per
     entry of theta."""
-    return -omega * (
-        np.multiply.outer(np.cos(theta), Z)
-        + np.multiply.outer(np.sin(theta), np.cos(xi) * X + np.sin(xi) * Y)
-    )
+    return Linear(_cos_sin, _branch_basis(xi, omega))(theta)
 
 
 def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
-    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla)."""
+    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla), each
+    branch ``h_xi(theta0 s, xi)`` in coefficient form."""
     p_act = spec.activation_projector()
     p_rest = np.eye(p_act.shape[0], dtype=complex) - p_act
-    theta0, omega = spec.theta0, spec.omega
+    theta0 = spec.theta0
 
     def branch(xi: float) -> TimeDepHamiltonian:
+        basis = _branch_basis(xi, spec.omega)
         return TimeDepHamiltonian(
             dim=2,
-            func=lambda s: h_xi(theta0 * s, xi, omega),
-            deriv=lambda s: -omega * theta0 * (
-                np.multiply.outer(-np.sin(theta0 * s), Z)
-                + np.multiply.outer(np.cos(theta0 * s), np.cos(xi) * X + np.sin(xi) * Y)
-            ),
+            func=Linear(lambda s: _cos_sin(theta0 * s), basis),
+            deriv=Linear(lambda s: theta0 * np.stack([-np.sin(theta0 * s), np.cos(theta0 * s)],
+                                                     axis=-1), basis),
         )
 
     return composite(Branches((p_rest, p_act), (branch(0.0), branch(spec.phi))))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .counterdiabatic import SpectralFrame
 from .dynamics import EvolutionResult, StepCache, _leaves, evolve
-from .hamiltonians import Branches, Rotation
-from .linalg import _chunks, simpson
+from .hamiltonians import Branches, Rotation, terms
+from .linalg import _CHUNK_ENTRIES, _chunks, simpson
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001
@@ -32,9 +32,22 @@ class QslReport:
     satisfied: bool
 
 
-def _hs_square_and_trace(h, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """||H(s)||_HS^2 and tr H(s) at each point of s, from h's structure tree
-    (see ``sal.hamiltonians``) without forming the dense operator.
+def _leaf_square_and_trace(leaf, form, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||H(s)||_HS^2 and tr H(s) of a leaf at each point of s.  With a
+    coefficient form c(s) @ M (``hamiltonians.terms``) they are c . Gram c
+    and c . tr M, and no operator is formed; any other leaf is evaluated
+    densely."""
+    if form is None:
+        m = leaf(s)
+        return np.add.reduce((m.conj() * m).real, axis=(-2, -1)), np.trace(m, axis1=-2, axis2=-1)
+    c = form.coef(s)
+    return np.add.reduce((c @ form.gram) * c, axis=-1), c @ form.traces
+
+
+def _hs_square_and_trace(h, leaves: dict) -> tuple[np.ndarray, np.ndarray]:
+    """||H||_HS^2 and tr H at each point, from h's structure tree (see
+    ``sal.hamiltonians``) over the leaves' values ``leaves[id(leaf)]``,
+    without forming the dense operator.
 
     A rotation keeps both.  Orthogonal branches P_i (x) H_i give
     sum_i rank(P_i) ||H_i||^2.  A tensor sum over slots of dimension d_k in
@@ -43,13 +56,12 @@ def _hs_square_and_trace(h, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     node = getattr(h, "parts", None)
     if node is None:
-        m = h(s)
-        return np.add.reduce((m.conj() * m).real, axis=(-2, -1)), np.trace(m, axis1=-2, axis2=-1)
-    parts = [_hs_square_and_trace(p, s) for p in node.parts]
+        return leaves[id(h)]
+    parts = [_hs_square_and_trace(p, leaves) for p in node.parts]
     if isinstance(node, Rotation):
         return parts[0]
     if isinstance(node, Branches):
-        ranks = [rows.stop - rows.start for rows in node.basis[1]]
+        ranks = [round(np.trace(p).real) for p in node.projectors]  # no eigh of node.basis
         return (sum(r * sq for r, (sq, _) in zip(ranks, parts)),
                 sum(r * tr for r, (_, tr) in zip(ranks, parts)))
     dim = node.dim
@@ -66,14 +78,24 @@ def _check_grid(grid: int):
 
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
     """int_0^1 ||H(s)||_HS ds by composite Simpson; a structured H is
-    evaluated leaf by leaf (``_hs_square_and_trace``)."""
+    evaluated leaf by leaf (``_hs_square_and_trace``).  When every leaf has
+    a coefficient form, a chunk holds _CHUNK_ENTRIES coefficients, so the
+    default grid is one chunk."""
     _check_grid(grid)
     s_grid = np.linspace(0.0, 1.0, grid)
-    leaf_dim = max(f.dim for f in _leaves(h))
-    vals = np.concatenate(
-        [np.sqrt(_hs_square_and_trace(h, s_grid[c])[0]) for c in _chunks(grid, leaf_dim)]
-    )
-    return simpson(vals, s_grid[1] - s_grid[0])
+    leaves = _leaves(h)
+    forms = [terms(f) for f in leaves]
+    if all(form is not None for form in forms):
+        size = _CHUNK_ENTRIES // max(len(form.basis) for form in forms)
+        chunks = [slice(a, a + size) for a in range(0, grid, size)]
+    else:
+        chunks = _chunks(grid, max(f.dim for f in leaves))
+    vals = []
+    for c in chunks:
+        values = {id(f): _leaf_square_and_trace(f, form, s_grid[c])
+                  for f, form in zip(leaves, forms)}
+        vals.append(np.sqrt(_hs_square_and_trace(h, values)[0]))
+    return simpson(np.concatenate(vals), s_grid[1] - s_grid[0])
 
 
 # --- teleportation closed forms ----------------------------------------------

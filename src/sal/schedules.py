@@ -11,6 +11,7 @@ itself reads the derivatives from ``deta``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -56,9 +57,13 @@ class Schedule:
 
 
 def make_schedule(family: str) -> Schedule:
-    """Build one of the three interpolation families: linear, trig, exp."""
-    if family in ("exponential",):
-        family = "exp"
+    """One of the three interpolation families: linear, trig, exp.  Each is
+    built and checked once; later calls share the frozen Schedule."""
+    return _schedule("exp" if family == "exponential" else family)
+
+
+@cache
+def _schedule(family: str) -> Schedule:
     if family == "linear":
         return Schedule(
             "linear",

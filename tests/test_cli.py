@@ -120,6 +120,34 @@ def test_cost_sweep_rejects_a_tau_whose_correction_square_overflows(protocol, ca
     assert "--tau-list value 1e-300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "teleport", "--schedules", "linear,trig,exp", "--tau-list", "3.8e-154"],
+    ["--protocol", "sce", "--tau-list", "2.35e-154"],
+])
+def test_cost_sweep_takes_tau_down_to_the_overflow_threshold(argv):
+    # 1e-153 at the default grid, and just above the smallest tau accepted at
+    # grid 101 (3.79e-154 teleport, set by the exp schedule; 2.34e-154 sce)
+    assert main(["cost-sweep", *argv[:-1], "1e-153", "--jobs", "1"]) == EXIT_OK
+    assert main(["cost-sweep", *argv, "--grid", "101", "--jobs", "1"]) == EXIT_OK
+
+
+def test_teleport_sweep_rows_read_like_sce_rows(monkeypatch):
+    # both put the operator quadrature in sigma_sa and the closed form in
+    # closed_form, with rel_err = |sigma_sa / closed_form - 1|
+    quadrature = sal.cli._quadrature_cost
+    monkeypatch.setattr(sal.cli, "_quadrature_cost",
+                        lambda h, tau, grid: quadrature(h, tau, grid) * (1.0 + 1e-9))
+    sch = sal.cli.make_schedule("exp")
+    for row, closed in ((sal.cli._teleport_sweep_point((0.5, "exp", 2, 501)),
+                         sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
+                        (sal.cli._sce_sweep_point((0.5, 2.0, 501)),
+                         sal.metrics.sce_single_gate_cost(0.5, 2.0))):
+        _, _, sigma_sa, _, closed_form, rel = row
+        assert closed_form == closed
+        assert abs(sigma_sa / closed - 1.0 - 1e-9) <= 1e-14
+        assert rel == abs(sigma_sa / closed_form - 1.0)
+
+
 def test_theta_opt_command(tmp_path):
     out = tmp_path / "th.csv"
     rc = main(["theta-opt", "--tau-list", "1,2,5,20", "--jobs", "1", "--out", str(out)])

@@ -2,10 +2,22 @@ import numpy as np
 import pytest
 
 import sal
+from sal.counterdiabatic import (
+    cd_branch_term,
+    cd_controlled,
+    cd_generic,
+    cd_teleport,
+    cd_teleport_block,
+)
+from sal.dynamics import _leaves
 from sal.hamiltonians import (
     GATES,
     PARITY_ORDER,
+    X,
+    Y,
+    Z,
     ControlledSpec,
+    Linear,
     TeleportSpec,
     TimeDepHamiltonian,
     adiabatic_time_estimate,
@@ -19,9 +31,11 @@ from sal.hamiltonians import (
     parity_operators,
     parity_permutation,
     teleport_block_hamiltonian,
+    teleport_block_terms,
     teleport_energies,
     teleport_gap,
     teleport_hamiltonian,
+    terms,
 )
 from sal.linalg import kron, random_state
 from sal.schedules import FAMILIES, make_schedule
@@ -330,3 +344,75 @@ def test_estimate_teleport_positive_and_scales_inversely_with_omega():
     est2 = adiabatic_time_estimate(teleport_hamiltonian(TeleportSpec(1, sch, omega=2.0)))
     assert est1 > 0
     assert abs(est2 / est1 - 0.5) < 1e-9
+
+
+# --- coefficient form ------------------------------------------------------------
+
+S_POINTS = {
+    "scalar": 0.37,
+    "1-D": np.linspace(0.0, 1.0, 33),
+    "complex scalar": 0.37 + 1e-20j,
+    "complex 1-D": np.linspace(0.0, 1.0, 9) + 1e-20j,
+}
+
+
+def assert_same_operator(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("kind", sorted(S_POINTS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
+    s, sch, omega, tau = S_POINTS[kind], make_schedule(family), 1.5, 0.7
+    b_ini, b_fin = teleport_block_terms(omega)
+    (ei, ef), (di, df) = sch.eta(s), sch.deta(s)
+    block = teleport_block_hamiltonian(sch, omega)
+    assert isinstance(block.func, Linear) and isinstance(block.deriv, Linear)
+    assert_same_operator(block(s), np.multiply.outer(ei, b_ini) + np.multiply.outer(ef, b_fin))
+    assert_same_operator(block.derivative(s),
+                         np.multiply.outer(di, b_ini) + np.multiply.outer(df, b_fin))
+    u_ini, u_fin = teleport_block_terms()
+    gen = (u_fin @ u_ini - u_ini @ u_fin) / 4
+    cd = cd_teleport_block(sch, tau, omega).parts.parts[0].parts.parts[0].cd
+    assert isinstance(cd, Linear)
+    assert_same_operator(cd(s), np.multiply.outer(1j * sch.angle_rate(s) / tau, gen))
+
+
+@pytest.mark.parametrize("kind", sorted(S_POINTS))
+def test_controlled_linear_forms_equal_the_formulas_they_replace(kind):
+    s, theta0, xi, omega, tau = S_POINTS[kind], 2.5, 1.1, 1.5, 0.6
+    spec = ControlledSpec(n_controls=1, axis="y", phi=xi, theta0=theta0, tau=tau, omega=omega)
+    _, branch = controlled_hamiltonian(spec).parts.parts
+    assert isinstance(branch.func, Linear) and isinstance(branch.deriv, Linear)
+    th, n_xi = theta0 * s, np.cos(xi) * X + np.sin(xi) * Y
+    want = -omega * (np.multiply.outer(np.cos(th), Z) + np.multiply.outer(np.sin(th), n_xi))
+    assert_same_operator(branch(s), want)
+    assert_same_operator(h_xi(th, xi, omega), want)
+    assert_same_operator(branch.derivative(s), -omega * theta0 * (
+        np.multiply.outer(-np.sin(th), Z) + np.multiply.outer(np.cos(th), n_xi)))
+    _, shortcut = cd_controlled(spec).parts.parts
+    assert isinstance(shortcut.cd, Linear)
+    assert_same_operator(shortcut.cd(s), np.broadcast_to(cd_branch_term(theta0, tau, xi),
+                                                         np.shape(s) + (2, 2)))
+
+
+def test_terms_are_set_on_every_builder_leaf():
+    sch = make_schedule("exp")
+    spec = TeleportSpec(2, sch, gate=gate("CNOT"))
+    cspec = ControlledSpec(n_controls=2, axis="y", phi=1.0, theta0=2.0, tau=0.7)
+    s = np.linspace(0.0, 1.0, 9)
+    for h in (teleport_hamiltonian(spec), cd_teleport(spec, 0.4), controlled_hamiltonian(cspec),
+              cd_controlled(cspec)):
+        for leaf in _leaves(h):
+            form = terms(leaf)
+            assert form is not None
+            assert_same_operator(form(s), leaf(s))  # a shortcut's: drive plus correction
+            c = form.coef(s)  # the Gram form of ||H||^2 and tr H
+            m = leaf(s)
+            assert np.allclose(np.sum((c @ form.gram) * c, axis=-1),
+                               np.sum(np.abs(m) ** 2, axis=(-2, -1)), rtol=1e-14, atol=0)
+            assert np.allclose(c @ form.traces, np.trace(m, axis1=-2, axis2=-1), atol=1e-14)
+    assert terms(cd_generic(teleport_block_hamiltonian(sch), 0.4, grid=201)) is None
+    assert all(terms(leaf) is None for leaf in _leaves(cd_teleport(spec, 0.4, grid=201)))
+    assert terms(TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(s, Z))) is None

@@ -8,6 +8,7 @@ from sal.counterdiabatic import (
     cd_controlled,
     cd_generic,
     cd_rotate,
+    cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
     spectral_frame,
@@ -15,10 +16,14 @@ from sal.counterdiabatic import (
 from sal.dynamics import controlled_initial_state, evolve, teleport_initial_state
 from sal.hamiltonians import (
     ControlledSpec,
+    Linear,
+    TeleportSpec,
     TensorSum,
     TimeDepHamiltonian,
     composite,
     controlled_hamiltonian,
+    teleport_block_hamiltonian,
+    teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
 from sal.linalg import embed, random_state, simpson
@@ -42,7 +47,7 @@ from sal.metrics import (
     theta_opt,
     theta_opt_adiabatic,
 )
-from sal.schedules import make_schedule
+from sal.schedules import FAMILIES, make_schedule
 from oracle import teleport_block_frame_deriv
 
 # independent adaptive-quadrature values of int_0^1 sqrt(eta_i^2 + eta_f^2) ds
@@ -90,6 +95,58 @@ def test_structured_energy_cost_matches_dense(name):
     h = _structured_cost_cases()[name]
     dense = TimeDepHamiltonian(dim=h.dim, func=h)  # the assembled operator, no tree
     assert abs(energy_cost(h, grid=201) / energy_cost(dense, grid=201) - 1.0) <= 1e-12
+
+
+def _mixed_tree():
+    """A Linear leaf with a trace, the teleport parity block and a dense leaf."""
+    traced = TimeDepHamiltonian(dim=2, func=Linear(lambda s: np.stack([1.0 + s, s * s], axis=-1),
+                                                   np.stack([np.eye(2, dtype=complex), sal.X])))
+    return composite(TensorSum((traced, teleport_block_hamiltonian(make_schedule("trig")),
+                                _traced_leaf(2, 2.0))))
+
+
+def _gram_cases():
+    cnot = TeleportSpec(2, make_schedule("linear"), gate=sal.gate("CNOT"))
+    cases = {"mixed tree": _mixed_tree()}
+    for tau in (1e-3, 1e3):
+        cases[f"teleport tau={tau:g}"] = cd_teleport(cnot, tau)
+        cases[f"controlled tau={tau:g}"] = cd_controlled(
+            ControlledSpec(n_controls=1, axis="y", phi=1.0, theta0=2.0, tau=tau))
+    for family in FAMILIES:
+        cases[f"{family} drive"] = teleport_hamiltonian(TeleportSpec(1, make_schedule(family)))
+        cases[f"{family} shortcut"] = cd_teleport_block(make_schedule(family), 0.8)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_gram_cases()))
+def test_gram_path_matches_the_dense_path(name):
+    h = _gram_cases()[name]
+    dense = TimeDepHamiltonian(dim=h.dim, func=h)  # one dense leaf: no coefficient form
+    assert abs(energy_cost(h) / energy_cost(dense) - 1.0) <= 1e-12
+
+
+def test_coefficient_forms_are_costed_in_one_chunk_without_operators(monkeypatch):
+    sch = make_schedule("exp")
+    h = cd_teleport(TeleportSpec(3, sch, gate=sal.gate("Toffoli")), 0.5)
+    mixed = _mixed_tree()
+    want = energy_cost(mixed)
+    points = []
+    leaf_values = sal.metrics._leaf_square_and_trace
+
+    def counted(leaf, form, s):
+        points.append(len(s))
+        return leaf_values(leaf, form, s)
+
+    def no_operator(self, s):
+        raise AssertionError("a coefficient form was evaluated densely")
+
+    monkeypatch.setattr(sal.metrics, "_leaf_square_and_trace", counted)
+    monkeypatch.setattr(Linear, "__call__", no_operator)
+    assert abs(energy_cost(h) / teleport_cost(sch, 0.5, 3) - 1.0) <= 1e-12
+    assert points == [2001]  # the one leaf the three sectors share, in one chunk
+    points.clear()
+    assert energy_cost(mixed) == want
+    assert len(points) == 3 * 8 and max(points) == 256  # a dense leaf keeps the point chunks
 
 
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])

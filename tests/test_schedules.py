@@ -81,3 +81,9 @@ def test_angle_law():
         AngleLaw(0.0)
     with pytest.raises(ValueError):
         AngleLaw(4.0)
+
+
+def test_each_family_is_built_once():
+    # a frozen Schedule is checked when built; later calls share it
+    assert make_schedule("exp") is make_schedule("exponential") is make_schedule("exp")
+    assert make_schedule("linear") is not make_schedule("trig")
