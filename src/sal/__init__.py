@@ -3,11 +3,11 @@
 Counter-diabatic driving for two universal quantum-computation primitives,
 teleportation-based gates and controlled evolutions, with the associated
 energy-cost, quantum-speed-limit, and probabilistic-computation analysis.
-Internally hbar = omega = 1 unless stated; times are the dimensionless
-omega*tau.
+Units are hbar = omega = 1 throughout: a runtime tau is the dimensionless
+omega*tau, and energies and costs are in units of hbar*omega.
 """
 
-from .schedules import AngleLaw, Schedule, make_schedule
+from .schedules import Schedule, make_schedule
 from .hamiltonians import (
     CNOT,
     GATES,

@@ -400,15 +400,13 @@ def cmd_qsl_check(args) -> int:
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
         hsa = cd_teleport(TeleportSpec(1, make_schedule(args.schedule), gate=u), tau)
         psi0 = teleport_initial_state(random_state(1, rng), 1, gate=u)
-    elif args.protocol in ("cae", "sce"):
+    else:  # cae or sce: argparse choices reject any other protocol, --config values too
         spec = ControlledSpec(
             n_controls=args.n_controls, axis=_axis_arg(args.axis),
             phi=args.phi, theta0=args.theta0, tau=tau,
         )
         hsa = cd_controlled(spec) if args.protocol == "sce" else controlled_hamiltonian(spec)
         psi0 = controlled_initial_state(random_state(spec.n_system, rng))
-    else:
-        raise CliError(f"unknown protocol {args.protocol!r}")
     rep = qsl_check(hsa, psi0, tau, steps=args.steps)
     if not rep.satisfied:
         raise InvariantError("quantum-speed-limit bound violated")

@@ -152,17 +152,15 @@ def cd_generic(
 #
 # The parity block is B(s) = chi(s) (cos a B_ini + sin a B_fin) with the
 # mixing angle a(s) = atan2(eta_f, eta_i), and B_fin, B_ini generate the turn
-# in a: with the constant antisymmetric G = [B_fin, B_ini] / 4 of the
-# omega = 1 blocks, exp(a G) B_ini exp(-a G) = cos a B_ini + sin a B_fin.  So
-# the smooth eigenframe V(s) = exp(a(s) G) V(0) has V' V^T = a'(s) G for any
-# omega.  G annihilates the zero-level vector (-1, 1, 1, 1)/2 and, being
-# antisymmetric, has no diagonal element, so the intra-level connection
-# vanishes and the correction below is the parallel-transport one.
+# in a: with the constant antisymmetric G = [B_fin, B_ini] / 4,
+# exp(a G) B_ini exp(-a G) = cos a B_ini + sin a B_fin.  So the smooth
+# eigenframe V(s) = exp(a(s) G) V(0) has V' V^T = a'(s) G.  G annihilates
+# the zero-level vector (-1, 1, 1, 1)/2 and, being antisymmetric, has no
+# diagonal element, so the intra-level connection vanishes and the
+# correction below is the parallel-transport one.
 
 
-def cd_teleport_block(
-    schedule: Schedule, tau: float, omega: float = 1.0
-) -> SuperadiabaticHamiltonian:
+def cd_teleport_block(schedule: Schedule, tau: float) -> SuperadiabaticHamiltonian:
     """Closed-form counter-diabatic term for one teleport sector.
 
     The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
@@ -175,7 +173,7 @@ def cd_teleport_block(
     b_ini, b_fin = teleport_block_terms()
     gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
     cd = Linear(lambda s: np.expand_dims(schedule.angle_rate(s) / tau, -1), gen[None])
-    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule, omega), cd, tau,
+    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule), cd, tau,
                                       su2=True)
     return sector_tree(block)
 
@@ -213,10 +211,9 @@ def cd_teleport(
     block on that grid.
     """
     if grid is None:
-        sector = cd_teleport_block(spec.schedule, tau, spec.omega)
+        sector = cd_teleport_block(spec.schedule, tau)
     else:
-        sector = sector_tree(cd_generic(teleport_block_hamiltonian(spec.schedule, spec.omega),
-                                        tau, grid))
+        sector = sector_tree(cd_generic(teleport_block_hamiltonian(spec.schedule), tau, grid))
     return teleport_tree(spec, sector)
 
 

@@ -105,6 +105,7 @@ STATE_TOL = 1e-10  # bound on the step-doubling estimate of the final state's er
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at 1/2 -/+ _GAUSS of each step
 _A1, _A2 = 0.25 + _GAUSS, 0.25 - _GAUSS  # CF4 weights of the two nodes
 _GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
+_NORM_SAMPLES = 17  # points of s at which ``_norm_bound`` reads each leaf
 _CACHE_ENTRIES = 2**22  # cap on the product entries one StepCache keeps (64 MiB complex)
 
 
@@ -239,13 +240,13 @@ def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
     return expm(_A2 * h1 + _A1 * h2, dt) @ expm(_A1 * h1 + _A2 * h2, dt)
 
 
-def _norm_bound(h, samples: int = 17) -> float:
+def _norm_bound(h) -> float:
     """max_s ||H(s)|| sampled on each leaf, the largest over the leaves: a
     CF4 step on the tree factorizes into per-leaf steps, so a tensor sum's
     step error is set by its largest slot, not by the norm of the sum."""
-    s = np.linspace(0.0, 1.0, samples)
+    s = np.linspace(0.0, 1.0, _NORM_SAMPLES)
     return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
-               for f in _leaves(h) for c in _chunks(samples, f.dim))
+               for f in _leaves(h) for c in _chunks(_NORM_SAMPLES, f.dim))
 
 
 def default_steps(h, tau: float) -> int:

@@ -27,6 +27,7 @@ from .linalg import _chunks, check_shape, embed, eigh, is_unitary, kron, level_c
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
+_ESTIMATE_GRID = 101  # points of s that ``adiabatic_time_estimate`` reads
 
 # --- elementary gates ------------------------------------------------------
 
@@ -52,8 +53,6 @@ GATES = {
     "CNOT": CNOT,
     "TOFFOLI": TOFFOLI,
 }
-
-PAULI = (X, Y, Z)
 
 
 def gate(name: str) -> np.ndarray:
@@ -321,11 +320,6 @@ def composite(node) -> TimeDepHamiltonian | SuperadiabaticHamiltonian:
     )
 
 
-def _check_omega(omega: float):
-    if not 0.0 < omega < np.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-
-
 @dataclass(frozen=True)
 class TeleportSpec:
     """Parameters of the (optionally gate-rotated) teleport Hamiltonian."""
@@ -333,12 +327,10 @@ class TeleportSpec:
     n_sectors: int
     schedule: Schedule
     gate: Optional[np.ndarray] = None
-    omega: float = 1.0
 
     def __post_init__(self):
         if self.n_sectors < 1:
             raise ValueError("n_sectors must be >= 1")
-        _check_omega(self.omega)
         if self.gate is not None:
             want = 2**self.n_sectors
             if self.gate.shape != (want, want):
@@ -368,8 +360,10 @@ def parity_permutation() -> np.ndarray:
 
 
 @cache
-def _unit_block_terms() -> tuple[np.ndarray, np.ndarray]:
-    """B_ini and B_fin at omega = 1, formed on first use and read-only."""
+def teleport_block_terms() -> tuple[np.ndarray, np.ndarray]:
+    """B_ini and B_fin: with P = ``parity_permutation()``, the leading 4x4
+    blocks of P^T H_ini P and P^T H_fin P; formed on first use, the same
+    read-only pair on every call."""
     perm = parity_permutation()
     h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
@@ -379,19 +373,13 @@ def _unit_block_terms() -> tuple[np.ndarray, np.ndarray]:
     return terms
 
 
-def teleport_block_terms(omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """B_ini and B_fin: with P = ``parity_permutation()``, the leading 4x4
-    blocks of P^T H_ini P and P^T H_fin P."""
-    return tuple(omega * b for b in _unit_block_terms())
-
-
-def teleport_block_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+def teleport_block_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:
     """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector
     (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s), in coefficient
     form.  B_ini, B_fin and G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0
-    representation of su(2), levels -2wx, 0, 0, 2wx, so the block declares
-    ``su2``."""
-    basis = np.stack(teleport_block_terms(omega))
+    representation of su(2), levels -2x, 0, 0, 2x with x = ``schedule.chi``,
+    so the block declares ``su2``."""
+    basis = np.stack(teleport_block_terms())
     return TimeDepHamiltonian(
         dim=4,
         func=Linear(lambda s: np.stack(schedule.eta(s), axis=-1), basis),
@@ -407,11 +395,11 @@ def sector_tree(block):
                               (0, 1, 2)))
 
 
-def teleport_sector_hamiltonian(schedule: Schedule, omega: float = 1.0) -> TimeDepHamiltonian:
+def teleport_sector_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:
     """Single-sector (3-qubit) teleport Hamiltonian
     H(s) = eta_i(s) H_ini + eta_f(s) H_fin as the tree P (1_2 (x) B(s)) P^T
     over its 4x4 parity block, which propagation and costs work on."""
-    return sector_tree(teleport_block_hamiltonian(schedule, omega))
+    return sector_tree(teleport_block_hamiltonian(schedule))
 
 
 def teleport_tree(spec: TeleportSpec, sector):
@@ -424,22 +412,22 @@ def teleport_tree(spec: TeleportSpec, sector):
 def teleport_hamiltonian(spec: TeleportSpec) -> TimeDepHamiltonian:
     """Full teleport Hamiltonian: one 3-qubit term per sector, optionally
     conjugated by the gate acting on Bob's channel qubits."""
-    return teleport_tree(spec, teleport_sector_hamiltonian(spec.schedule, spec.omega))
+    return teleport_tree(spec, teleport_sector_hamiltonian(spec.schedule))
 
 
-def teleport_energies(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
-    """Distinct single-sector levels (-2wx, 0, 0, +2wx), x = sqrt(ei^2+ef^2),
+def teleport_energies(schedule: Schedule, s) -> np.ndarray:
+    """Distinct single-sector levels (-2x, 0, 0, +2x), x = sqrt(ei^2+ef^2),
     shaped ``np.shape(s) + (4,)``; in the 8-dim sector space each level
     appears twice."""
     chi = np.real(schedule.chi(s))
     zero = np.zeros_like(chi)
-    return omega * np.stack([-2 * chi, zero, zero, 2 * chi], axis=-1)
+    return np.stack([-2 * chi, zero, zero, 2 * chi], axis=-1)
 
 
-def teleport_gap(schedule: Schedule, s, omega: float = 1.0) -> np.ndarray:
-    """Ground-to-first-excited gap 2*omega*sqrt(eta_i^2 + eta_f^2), shaped
+def teleport_gap(schedule: Schedule, s) -> np.ndarray:
+    """Ground-to-first-excited gap 2*sqrt(eta_i^2 + eta_f^2), shaped
     ``np.shape(s)``."""
-    return 2.0 * omega * np.real(schedule.chi(s))
+    return 2.0 * np.real(schedule.chi(s))
 
 
 def parity_operators(
@@ -476,7 +464,6 @@ class ControlledSpec:
     theta0: float = np.pi
     tau: float = 1.0
     activation: Optional[int] = None
-    omega: float = 1.0
 
     def __post_init__(self):
         if self.n_controls < 0:
@@ -485,7 +472,6 @@ class ControlledSpec:
             raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
         if not np.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        _check_omega(self.omega)
         parse_axis(self.axis)
         n_states = 2**self.n_controls
         act = self.activation if self.activation is not None else n_states - 1
@@ -512,20 +498,20 @@ class ControlledSpec:
         return np.kron(sel, p_minus)
 
 
-def _branch_basis(xi: float, omega: float) -> np.ndarray:
-    """-omega sz and -omega (sx cos(xi) + sy sin(xi)), the generators of ``h_xi``."""
-    return -omega * np.stack([Z, np.cos(xi) * X + np.sin(xi) * Y])
+def _branch_basis(xi: float) -> np.ndarray:
+    """-sz and -(sx cos(xi) + sy sin(xi)), the generators of ``h_xi``."""
+    return -np.stack([Z, np.cos(xi) * X + np.sin(xi) * Y])
 
 
 def _cos_sin(theta) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
 
-def h_xi(theta, xi: float, omega: float = 1.0) -> np.ndarray:
+def h_xi(theta, xi: float) -> np.ndarray:
     """Ancilla branch Hamiltonian
-    -omega [cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))], one per
-    entry of theta."""
-    return Linear(_cos_sin, _branch_basis(xi, omega))(theta)
+    -[cos(theta) sz + sin(theta) (sx cos(xi) + sy sin(xi))], one per entry
+    of theta."""
+    return Linear(_cos_sin, _branch_basis(xi))(theta)
 
 
 def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
@@ -536,7 +522,7 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
     theta0 = spec.theta0
 
     def branch(xi: float) -> TimeDepHamiltonian:
-        basis = _branch_basis(xi, spec.omega)
+        basis = _branch_basis(xi)
         return TimeDepHamiltonian(
             dim=2,
             func=Linear(lambda s: _cos_sin(theta0 * s), basis),
@@ -550,19 +536,19 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
 # --- adiabatic-runtime diagnostic -------------------------------------------
 
 
-def adiabatic_time_estimate(h: TimeDepHamiltonian, grid: int = 101) -> float:
+def adiabatic_time_estimate(h: TimeDepHamiltonian) -> float:
     """Runtime scale max |<E_k| dH/ds |E_n>| / gap_nk^2 over an s-grid.
 
     Degenerate levels are grouped into clusters; the matrix element is the
     spectral norm of the inter-cluster block, which is invariant under basis
     choice inside each cluster.  A run much longer than this estimate is
-    expected to be adiabatic; the estimate is in units of 1/omega.
+    expected to be adiabatic; the estimate is a dimensionless omega*tau.
     RuntimeError if the degeneracy pattern changes along the grid.
     """
-    s_grid = np.linspace(0.0, 1.0, grid)
-    energies = np.empty((grid, h.dim))
+    s_grid = np.linspace(0.0, 1.0, _ESTIMATE_GRID)
+    energies = np.empty((_ESTIMATE_GRID, h.dim))
     best = 0.0
-    for c in _chunks(grid, h.dim):
+    for c in _chunks(_ESTIMATE_GRID, h.dim):
         energies[c], vec = eigh(h(s_grid[c]))
         # every row so far, so that a pattern change between chunks is caught too
         clusters = level_clusters(s_grid[: c.stop], energies[: c.stop])

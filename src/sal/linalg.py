@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* hbar = 1; energies carry an explicit frequency factor ``omega`` so that
-  all times are reported as the dimensionless product ``omega * tau``.
+* hbar = omega = 1: times are the dimensionless product omega * tau, and
+  energies are in units of hbar * omega.
 * States are 1-D complex arrays of length ``2**n``; the FIRST qubit in any
   qubit list is the most significant bit of the basis index.
 * Operators are square complex ndarrays.
@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+UNITARY_ATOL = 1e-12  # largest entry of u^dag u - 1 that ``is_unitary`` accepts
 CLUSTER_TOL = 1e-8  # level width relative to max(1, |E|): closer eigenvalues are one level
 _CHUNK = 256  # points of s per batched evaluation
 _CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 MiB complex)
@@ -37,10 +38,10 @@ def check_shape(op: np.ndarray, s, dim: int) -> np.ndarray:
     return op
 
 
-def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= atol
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= UNITARY_ATOL
 
 
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ success-angle optimizer for probabilistic computation.
 
 Costs are time-averaged Hilbert-Schmidt norms,
 Sigma(tau) = (1/tau) int_0^tau ||H(t)|| dt = int_0^1 ||H(s)|| ds,
-reported in units of hbar*omega.
+with hbar = omega = 1: at frequency omega a cost is omega times the one
+reported at tau -> omega tau.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
 
 
 def teleport_sigma_sing(
-    schedule: Schedule, tau: Optional[float], omega: float = 1.0, grid: int = DEFAULT_GRID
+    schedule: Schedule, tau: Optional[float], grid: int = DEFAULT_GRID
 ) -> float:
     """Single-sector cost in closed form: sqrt(2) times the cost of one
     parity block (two equal blocks), whose HS norm is
-    sqrt(8 omega^2 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
+    sqrt(8 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
     ``angle_rate`` (the correction is (i a'/tau) G with ||G||^2 = 2);
     tau=None gives the adiabatic limit."""
     _check_grid(grid)
@@ -116,9 +117,9 @@ def teleport_sigma_sing(
         if not tau > 0:  # inf is the adiabatic limit, as None is
             raise ValueError(f"tau must be positive, got {tau}")
         rate = schedule.angle_rate(s) / tau
-    # the block's norm is sqrt(2) hypot(2 w chi, a' / tau): hypot squares
+    # the block's norm is sqrt(2) hypot(2 chi, a' / tau): hypot squares
     # nothing, so a' / tau near the float range stays finite
-    return 2.0 * simpson(np.hypot(2.0 * omega * np.real(schedule.chi(s)), rate), s[1] - s[0])
+    return 2.0 * simpson(np.hypot(2.0 * np.real(schedule.chi(s)), rate), s[1] - s[0])
 
 
 def teleport_cost_scale(n_sectors: int) -> float:
@@ -132,39 +133,36 @@ def teleport_cost(
     schedule: Schedule,
     tau: Optional[float],
     n_sectors: int = 1,
-    omega: float = 1.0,
     grid: int = DEFAULT_GRID,
 ) -> float:
-    return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau, omega, grid)
+    return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau, grid)
 
 
 # --- controlled-evolution closed forms ---------------------------------------
 
 
-def sce_single_gate_cost(tau: float, theta0: float, omega: float = 1.0) -> float:
-    """2 omega sqrt(1 + (theta0 / 2 tau omega)^2), the one-qubit gate cost,
-    by hypot: the square overflows for tau near the smallest floats."""
+def sce_single_gate_cost(tau: float, theta0: float) -> float:
+    """2 sqrt(1 + (theta0 / 2 tau)^2), the one-qubit gate cost, by hypot:
+    the square overflows for tau near the smallest floats."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return 2.0 * omega * float(np.hypot(1.0, theta0 / (2.0 * tau * omega)))
+    return 2.0 * float(np.hypot(1.0, theta0 / (2.0 * tau)))
 
 
-def sce_controlled_cost(
-    tau: float, theta0: float, n_controls: int, omega: float = 1.0
-) -> float:
+def sce_controlled_cost(tau: float, theta0: float, n_controls: int) -> float:
     """sqrt(2^n) times the single-gate cost for n control qubits."""
     if n_controls < 0:
         raise ValueError("n_controls must be >= 0")
-    return float(np.sqrt(2.0**n_controls)) * sce_single_gate_cost(tau, theta0, omega)
+    return float(np.sqrt(2.0**n_controls)) * sce_single_gate_cost(tau, theta0)
 
 
-def cae_single_gate_cost(omega: float = 1.0) -> float:
-    """Adiabatic one-qubit gate cost 2 omega (the tau -> infinity limit)."""
-    return 2.0 * omega
+def cae_single_gate_cost() -> float:
+    """Adiabatic one-qubit gate cost 2 (the tau -> infinity limit)."""
+    return 2.0
 
 
-def cae_controlled_cost(n_controls: int, omega: float = 1.0) -> float:
-    return float(np.sqrt(2.0**n_controls)) * cae_single_gate_cost(omega)
+def cae_controlled_cost(n_controls: int) -> float:
+    return float(np.sqrt(2.0**n_controls)) * cae_single_gate_cost()
 
 
 # --- probabilistic computation ------------------------------------------------
@@ -178,10 +176,7 @@ def mean_repetitions(theta0: float) -> float:
 
 
 def probabilistic_cost(
-    theta0: float,
-    tau: Optional[float] = None,
-    mode: str = "superadiabatic",
-    omega: float = 1.0,
+    theta0: float, tau: Optional[float] = None, mode: str = "superadiabatic"
 ) -> float:
     """Mean energy cost of repeat-until-success single-gate computation.
 
@@ -190,11 +185,11 @@ def probabilistic_cost(
     """
     reps = mean_repetitions(theta0)
     if mode == "adiabatic":
-        return reps * cae_single_gate_cost(omega)
+        return reps * cae_single_gate_cost()
     if mode == "superadiabatic":
         if tau is None:
             raise ValueError("superadiabatic mode needs tau")
-        return reps * sce_single_gate_cost(tau, theta0, omega)
+        return reps * sce_single_gate_cost(tau, theta0)
     raise ValueError(f"unknown mode {mode!r}")
 
 

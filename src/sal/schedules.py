@@ -1,4 +1,4 @@
-"""Interpolation schedules eta_i(s), eta_f(s) and the linear angle law.
+"""Interpolation schedules eta_i(s), eta_f(s).
 
 Every schedule satisfies eta_i(0) = eta_f(1) = 1 and eta_i(1) = eta_f(0) = 0,
 with eta_i^2 + eta_f^2 > 0 everywhere, so the driving Hamiltonian keeps a
@@ -10,7 +10,7 @@ itself reads the derivatives from ``deta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -38,7 +38,7 @@ class Schedule:
         return self.deta_i(s), self.deta_f(s)
 
     def chi(self, s):
-        """Gap factor sqrt(eta_i^2 + eta_f^2); the gap is 2*omega*chi."""
+        """Gap factor sqrt(eta_i^2 + eta_f^2); the teleport gap is 2 chi."""
         ei, ef = self.eta(s)
         return np.sqrt(ei * ei + ef * ef)
 
@@ -56,14 +56,10 @@ class Schedule:
             raise ValueError(f"schedule {self.family!r} has a vanishing gap factor")
 
 
+@cache
 def make_schedule(family: str) -> Schedule:
     """One of the three interpolation families: linear, trig, exp.  Each is
     built and checked once; later calls share the frozen Schedule."""
-    return _schedule("exp" if family == "exponential" else family)
-
-
-@cache
-def _schedule(family: str) -> Schedule:
     if family == "linear":
         return Schedule(
             "linear",
@@ -91,20 +87,3 @@ def _schedule(family: str) -> Schedule:
             deta_f=lambda s: np.exp(s) / den,
         )
     raise ValueError(f"unknown schedule family {family!r}; choose from {FAMILIES}")
-
-
-@dataclass(frozen=True)
-class AngleLaw:
-    """Linear angle ramp theta(s) = theta0 * s used by controlled evolutions."""
-
-    theta0: float = field(default=np.pi)
-
-    def __post_init__(self):
-        if not 0.0 < self.theta0 <= np.pi:
-            raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
-
-    def theta(self, s):
-        return self.theta0 * s
-
-    def dtheta(self, s):
-        return self.theta0 + 0.0 * s

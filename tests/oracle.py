@@ -61,7 +61,7 @@ def _block_frame_columns(ei, ef):
 
 def teleport_block_frame(schedule: Schedule, s) -> np.ndarray:
     """Orthonormal eigenframe of the parity block; columns sorted by energy
-    (-2wx, 0, 0, +2wx)."""
+    (-2x, 0, 0, +2x)."""
     ei, ef = schedule.eta(s)
     return np.real(_block_frame_columns(ei, ef))
 
@@ -79,9 +79,9 @@ def _integral(f, s: float) -> float:
 
 def teleport_propagator(spec, tau: float, s: float = 1.0) -> np.ndarray:
     """U(s) of ``cd_teleport(spec, tau)`` with the closed-form sector."""
-    sch, omega = spec.schedule, spec.omega
+    sch = spec.schedule
     chi = _integral(lambda x: np.real(sch.chi(x)), s)
-    phases = np.exp(-1j * tau * omega * chi * np.array([-2.0, 0.0, 0.0, 2.0]))
+    phases = np.exp(-1j * tau * chi * np.array([-2.0, 0.0, 0.0, 2.0]))
     block = (teleport_block_frame(sch, s) * phases) @ teleport_block_frame(sch, 0.0).T
     perm = parity_permutation()
     u = kron(*[perm @ np.kron(np.eye(2), block) @ perm.T] * spec.n_sectors)
@@ -96,7 +96,7 @@ def controlled_propagator(spec, s: float = 1.0) -> np.ndarray:
     p_act = spec.activation_projector()
     p_rest = np.eye(p_act.shape[0]) - p_act
     half = spec.theta0 * s / 2.0
-    turn = np.exp(1j * spec.omega * spec.tau * s * np.array([1.0, -1.0]))
+    turn = np.exp(1j * spec.tau * s * np.array([1.0, -1.0]))
 
     def branch(xi: float) -> np.ndarray:
         m_sigma = -np.sin(xi) * X + np.cos(xi) * Y

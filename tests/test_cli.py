@@ -260,6 +260,12 @@ def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
         cfg.write_text(json.dumps(content))
         assert main(["--config", str(cfg), command, "--tau", "0.5"]) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
+    # qsl-check's protocol meets argparse's choices, from either source
+    cfg = tmp_path / "protocol.json"
+    cfg.write_text(json.dumps({"protocol": "bogus"}))
+    for argv in (["qsl-check", "--protocol", "bogus"], ["--config", str(cfg), "qsl-check"]):
+        assert main(argv + ["--tau", "0.5"]) == EXIT_CONFIG
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
     for tau in ("inf", "nan"):
         for argv in (["teleport"], ["sce"], ["qsl-check"]):
             assert main(argv + ["--tau", tau]) == EXIT_CONFIG

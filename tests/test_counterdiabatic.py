@@ -46,8 +46,8 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-def h_xi_hamiltonian(theta0, xi, omega=1.0):
-    return TimeDepHamiltonian(dim=2, func=lambda s: h_xi(theta0 * s, xi, omega))
+def h_xi_hamiltonian(theta0, xi):
+    return TimeDepHamiltonian(dim=2, func=lambda s: h_xi(theta0 * s, xi))
 
 
 def constant_hamiltonian():
@@ -205,14 +205,16 @@ def test_sector_tree_assembles_the_dense_sector_exactly(family):
 @pytest.mark.parametrize("tau", [0.5, 5.0])
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
 def test_closed_form_cd_equals_the_frame_generator(family, tau, omega):
-    # (i a'/tau) [B_fin, B_ini]/4 is (i/tau) V' V^T of the analytic frame
+    # (i a'/tau) [B_fin, B_ini]/4 is (i/tau) V' V^T of the analytic frame; at
+    # frequency omega the run is the unit run at omega*tau with energies
+    # times omega, so the shortcut is omega times the one at omega*tau
     sch = make_schedule(family)
     s = np.linspace(0, 1, 4097)
     v, dv = teleport_block_frame(sch, s), teleport_block_frame_deriv(sch, s)
     k = dv @ np.swapaxes(v, -1, -2)
     k = (k - np.swapaxes(k, -1, -2)) / 2
-    block = cd_teleport_block(sch, tau, omega).parts.parts[0].parts.parts[0]
-    assert np.max(np.abs(block.cd(s) - 1j * k / tau)) <= 1e-14
+    block = cd_teleport_block(sch, omega * tau).parts.parts[0].parts.parts[0]
+    assert np.max(np.abs(omega * block.cd(s) - 1j * k / tau)) <= 1e-14
 
 
 def _counting_schedule(calls):

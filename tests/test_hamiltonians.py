@@ -190,13 +190,6 @@ def test_gate_dim_mismatch_rejected():
         TeleportSpec(1, sch, gate=gate("CNOT"))
 
 
-def test_teleport_spec_rejects_bad_omega():
-    sch = make_schedule("linear")
-    for omega in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="omega must be positive and finite"):
-            TeleportSpec(1, sch, omega=omega)
-
-
 # --- Bloch axes and controlled evolutions ---------------------------------------
 
 
@@ -230,7 +223,7 @@ def test_h_xi_spectrum_flat():
 
 
 def h_xi_eigenstates(s: float, xi: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous eigenstates of h_xi at theta = theta0*s, energies -/+ omega."""
+    """Instantaneous eigenstates of h_xi at theta = theta0*s, energies -/+ 1."""
     half = theta0 * s / 2.0
     ground = np.array([np.cos(half), np.exp(1j * xi) * np.sin(half)])
     excited = np.array([-np.sin(half), np.exp(1j * xi) * np.cos(half)])
@@ -313,9 +306,6 @@ def test_controlled_invalid_inputs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phi must be finite"):
             ControlledSpec(n_controls=1, axis="x", phi=bad, theta0=np.pi, tau=1.0)
-    for omega in (np.nan, np.inf, 0.0):
-        with pytest.raises(ValueError, match="omega must be positive and finite"):
-            ControlledSpec(n_controls=1, omega=omega)
 
 
 def test_controlled_hermitian_on_grid():
@@ -339,9 +329,12 @@ def test_estimate_zero_for_constant():
 
 
 def test_estimate_teleport_positive_and_scales_inversely_with_omega():
-    sch = make_schedule("linear")
-    est1 = adiabatic_time_estimate(teleport_hamiltonian(TeleportSpec(1, sch, omega=1.0)))
-    est2 = adiabatic_time_estimate(teleport_hamiltonian(TeleportSpec(1, sch, omega=2.0)))
+    # the estimate is a dimensionless omega*tau: a drive at frequency 2 needs
+    # half the runtime
+    h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))
+    h2 = TimeDepHamiltonian(dim=h.dim, func=lambda s: 2.0 * h(s),
+                            deriv=lambda s: 2.0 * h.derivative(s))
+    est1, est2 = adiabatic_time_estimate(h), adiabatic_time_estimate(h2)
     assert est1 > 0
     assert abs(est2 / est1 - 0.5) < 1e-9
 
@@ -361,35 +354,44 @@ def assert_same_operator(got, want):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-15 * max(1.0, np.max(np.abs(want)))
 
 
+def test_teleport_block_terms_are_one_read_only_pair():
+    # formed once: every call returns the same two arrays, and no caller can write them
+    first = teleport_block_terms()
+    assert len(first) == 2
+    for a, b in zip(first, teleport_block_terms()):
+        assert a is b and a.shape == (4, 4) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("kind", sorted(S_POINTS))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
-    s, sch, omega, tau = S_POINTS[kind], make_schedule(family), 1.5, 0.7
-    b_ini, b_fin = teleport_block_terms(omega)
+    s, sch, tau = S_POINTS[kind], make_schedule(family), 0.7
+    b_ini, b_fin = teleport_block_terms()
     (ei, ef), (di, df) = sch.eta(s), sch.deta(s)
-    block = teleport_block_hamiltonian(sch, omega)
+    block = teleport_block_hamiltonian(sch)
     assert isinstance(block.func, Linear) and isinstance(block.deriv, Linear)
     assert_same_operator(block(s), np.multiply.outer(ei, b_ini) + np.multiply.outer(ef, b_fin))
     assert_same_operator(block.derivative(s),
                          np.multiply.outer(di, b_ini) + np.multiply.outer(df, b_fin))
-    u_ini, u_fin = teleport_block_terms()
-    gen = (u_fin @ u_ini - u_ini @ u_fin) / 4
-    cd = cd_teleport_block(sch, tau, omega).parts.parts[0].parts.parts[0].cd
+    gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
+    cd = cd_teleport_block(sch, tau).parts.parts[0].parts.parts[0].cd
     assert isinstance(cd, Linear)
     assert_same_operator(cd(s), np.multiply.outer(1j * sch.angle_rate(s) / tau, gen))
 
 
 @pytest.mark.parametrize("kind", sorted(S_POINTS))
 def test_controlled_linear_forms_equal_the_formulas_they_replace(kind):
-    s, theta0, xi, omega, tau = S_POINTS[kind], 2.5, 1.1, 1.5, 0.6
-    spec = ControlledSpec(n_controls=1, axis="y", phi=xi, theta0=theta0, tau=tau, omega=omega)
+    s, theta0, xi, tau = S_POINTS[kind], 2.5, 1.1, 0.6
+    spec = ControlledSpec(n_controls=1, axis="y", phi=xi, theta0=theta0, tau=tau)
     _, branch = controlled_hamiltonian(spec).parts.parts
     assert isinstance(branch.func, Linear) and isinstance(branch.deriv, Linear)
     th, n_xi = theta0 * s, np.cos(xi) * X + np.sin(xi) * Y
-    want = -omega * (np.multiply.outer(np.cos(th), Z) + np.multiply.outer(np.sin(th), n_xi))
+    want = -(np.multiply.outer(np.cos(th), Z) + np.multiply.outer(np.sin(th), n_xi))
     assert_same_operator(branch(s), want)
-    assert_same_operator(h_xi(th, xi, omega), want)
-    assert_same_operator(branch.derivative(s), -omega * theta0 * (
+    assert_same_operator(h_xi(th, xi), want)
+    assert_same_operator(branch.derivative(s), -theta0 * (
         np.multiply.outer(-np.sin(th), Z) + np.multiply.outer(np.cos(th), n_xi)))
     _, shortcut = cd_controlled(spec).parts.parts
     assert isinstance(shortcut.cd, Linear)

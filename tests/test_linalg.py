@@ -159,15 +159,16 @@ def test_expm_su2_at_k_zero_small_and_half_turns():
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
 def test_parity_block_exponents_obey_the_spin1_identity(family, omega):
     # every real combination of the block's drive or shortcut at two points,
-    # as a CF4 exponent is, has K'^3 = k^2 K' for its traceless part K'
+    # as a CF4 exponent is, has K'^3 = k^2 K' for its traceless part K'; at
+    # frequency omega both are omega times the unit ones at omega*tau
     sch = make_schedule(family)
     rng = np.random.default_rng(8)
-    (shortcut,) = _leaves(cd_teleport_block(sch, 0.3, omega))
-    for block in (teleport_block_hamiltonian(sch, omega), shortcut):
+    (shortcut,) = _leaves(cd_teleport_block(sch, omega * 0.3))
+    for block in (teleport_block_hamiltonian(sch), shortcut):
         assert block.su2
         s1, s2 = rng.uniform(size=(2, 64))
         w1, w2 = rng.normal(size=(2, 64, 1, 1))
-        k_op = w1 * block(s1) + w2 * block(s2)
+        k_op = omega * (w1 * block(s1) + w2 * block(s2))
         k_op -= np.trace(k_op, axis1=-2, axis2=-1)[..., None, None] / 4 * np.eye(4)
         k2 = su2_k(k_op)[..., None, None] ** 2
         cube = k_op @ k_op @ k_op

@@ -153,7 +153,7 @@ def test_coefficient_forms_are_costed_in_one_chunk_without_operators(monkeypatch
 def test_teleport_adiabatic_cost_closed_form(family):
     sch = make_schedule(family)
     h = teleport_sector_hamiltonian(sch)
-    # ||H(s)|| = 4 omega chi(s), so Sigma_ad = 4 * int chi
+    # ||H(s)|| = 4 chi(s), so Sigma_ad = 4 * int chi
     assert abs(energy_cost(h) - 4.0 * CHI_INTEGRAL[family]) < 1e-8
     assert abs(teleport_sigma_sing(sch, None) - 4.0 * CHI_INTEGRAL[family]) < 1e-8
 
@@ -292,8 +292,18 @@ def test_closed_form_costs_reject_a_bad_tau(tau):
 
 @pytest.mark.parametrize("tau", [None, 0.5])
 def test_teleport_sigma_sing_is_a_norm_for_either_sign_of_omega(tau):
+    # a drive at frequency omega, with the shortcut of runtime tau, costs
+    # |omega| times the unit cost at |omega| tau, whichever the sign of omega
     sch = make_schedule("trig")
-    assert teleport_sigma_sing(sch, tau, omega=-2.0) == teleport_sigma_sing(sch, tau, omega=2.0) > 0
+    drive = teleport_sector_hamiltonian(sch)
+    shortcut = (lambda s: 0.0) if tau is None else cd_teleport_block(sch, tau).cd
+    unit = teleport_sigma_sing(sch, None if tau is None else 2.0 * tau)
+    costs = [energy_cost(TimeDepHamiltonian(dim=drive.dim,
+                                            func=lambda s, w=omega: w * drive(s) + shortcut(s)))
+             for omega in (-2.0, 2.0)]
+    assert abs(costs[0] / costs[1] - 1.0) < 1e-12
+    for cost in costs:
+        assert abs(cost / (2.0 * unit) - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("grid", [3, 99, 500])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sal.schedules import FAMILIES, AngleLaw, make_schedule
+from sal.schedules import FAMILIES, make_schedule
 
 # direct evaluation of the exponential interpolant at its midpoint
 EXP_AT_HALF = 0.3775406687981455
@@ -68,22 +68,12 @@ def test_complex_step_safety():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        make_schedule("spline")
-
-
-def test_angle_law():
-    law = AngleLaw(np.pi / 2)
-    assert law.theta(0.0) == 0.0
-    assert abs(law.theta(1.0) - np.pi / 2) < 1e-15
-    assert law.dtheta(0.3) == np.pi / 2
-    with pytest.raises(ValueError):
-        AngleLaw(0.0)
-    with pytest.raises(ValueError):
-        AngleLaw(4.0)
+    for family in ("spline", "exponential"):
+        with pytest.raises(ValueError):
+            make_schedule(family)
 
 
 def test_each_family_is_built_once():
     # a frozen Schedule is checked when built; later calls share it
-    assert make_schedule("exp") is make_schedule("exponential") is make_schedule("exp")
+    assert make_schedule("exp") is make_schedule("exp")
     assert make_schedule("linear") is not make_schedule("trig")

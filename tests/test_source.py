@@ -19,6 +19,25 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_no_omega_setting():
+    # hbar = omega = 1 throughout: a frequency omega is the scale identity
+    # tau -> omega tau with energies times omega, never a parameter or field
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                         args.vararg, args.kwarg) if a is not None]
+            elif isinstance(node, ast.ClassDef):
+                names = [stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "omega"]
+    assert SOURCES and not found, found
+
+
 def test_structure_nodes_come_from_composite():
     # hamiltonians.composite is the one constructor of a structure node: no
     # other call to either Hamiltonian class passes parts, by keyword or as
