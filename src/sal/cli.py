@@ -55,6 +55,7 @@ from .metrics import (
     stationarity_residual,
     teleport_cost,
     teleport_cost_scale,
+    teleport_sigma_sing,
     theta_opt,
     theta_opt_adiabatic,
 )
@@ -333,11 +334,11 @@ def _sce_sweep_point(item) -> list:
 
 
 def _teleport_sweep_point(item) -> list:
-    tau, family, n, grid = item
+    tau, family, n, grid, sing_ad = item  # sing_ad: the family's teleport_sigma_sing at tau=None
     sch = make_schedule(family)
     # as in _sce_sweep_point: the operator's HS-norm quadrature against the closed form
     sigma_sa = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
-    sigma_ad = teleport_cost(sch, None, n, grid=grid)
+    sigma_ad = teleport_cost_scale(n) * sing_ad
     closed = teleport_cost(sch, tau, n, grid=grid)
     rel = abs(sigma_sa / closed - 1.0)
     return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
@@ -358,7 +359,9 @@ def cmd_cost_sweep(args) -> int:
         if not families:
             raise CliError(f"--schedules names no schedule: {args.schedules!r}")
         ns = _ints(args.n_list)
-        items = [(tau, fam, n, args.grid) for fam in families for n in ns for tau in taus]
+        sing_ad = {f: teleport_sigma_sing(make_schedule(f), None, args.grid) for f in families}
+        items = [(tau, fam, n, args.grid, sing_ad[fam]) for fam in families for n in ns
+                 for tau in taus]
         rows = _pmap(_teleport_sweep_point, items, jobs)
     if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
         raise InvariantError("quadrature disagrees with the closed-form cost")
@@ -432,7 +435,8 @@ def cmd_selftest(args) -> int:
     for omega_tau in (0.5, 1.0, 2.0):
         rows.append(["theta-opt"] + _theta_point(omega_tau))
     rows.append(["cost-sce"] + _sce_sweep_point((0.5, np.pi, 501)))
-    rows.append(["cost-teleport"] + _teleport_sweep_point((0.5, "linear", 1, 501)))
+    sing_ad = teleport_sigma_sing(make_schedule("linear"), None, 501)
+    rows.append(["cost-teleport"] + _teleport_sweep_point((0.5, "linear", 1, 501, sing_ad)))
     width = max(len(r) for r in rows)
     rows = [r + [""] * (width - len(r)) for r in rows]
     _write_csv(args.out, ["record"] + [f"f{i}" for i in range(1, width)], rows)

@@ -10,7 +10,8 @@ Phys. Rep. 470, 151 (2009)): with H1, H2 at the Gauss nodes
 two exponentials, each unitary.  Without a given step count, ``evolve``
 starts from ``default_steps`` and doubles N until the step-doubling estimate
 ||psi_N - psi_{N/2}|| / 15 of the final state's error is at most STATE_TOL;
-it returns the estimate as ``error_estimate``.
+it returns the estimate as ``error_estimate``.  The first pass carries the
+N/2 run alongside the N steps, so an accepted first estimate is one pass.
 
 A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
 sums over consecutive slots, orthogonal ancilla branches and constant
@@ -46,36 +47,40 @@ One loop runs the entries with ``np.matmul(..., out=...)`` into two flat
 work buffers, which ``_propagate`` allocates once per pass (a walk outside
 it allocates its own): with ``compose`` the leaves' matrices multiply (step
 products, eigenbases) and level k maps what level k - 1 wrote (the input
-at level 0) into the other buffer; without, they add (H|x>, ground
-energies) and level k writes its product plus level k - 1's sum.  Two
-buffers, because a product written over its own input makes numpy copy
-that input first; so no walk allocates per leaf.  A walk's result is a
-view of a buffer that the next walk overwrites, so what outlives it is
-copied out: a chunk's last state, its sampled states and, into a third
-array of the pass, the states E_tau reads; ``final_state`` and
-``states`` are the copies that leave the frame.  A trailing slot
-(post = 1: the last slot, one column) is contracted as x u^T, one
-(rows, d) x (d, d) GEMM per point rather than a d-vector product per row.
+at level 0) into the other buffer; without, they add (E_tau's generator
+bras, ground energies) and level k writes its product plus level k - 1's
+sum.  Two buffers, because a product written over its own input makes
+numpy copy that input first; so no walk allocates per leaf.  A walk's
+result is a view of a buffer that the next walk overwrites, so what
+outlives it is copied out: a chunk's last state (and the N/2 run's) and
+its sampled states; ``final_state`` and ``states`` are the copies that
+leave the frame.  A trailing slot (post = 1: the last slot, one column)
+is contracted as x u^T, one (rows, d) x (d, d) GEMM per point rather than
+a d-vector product per row.
 
 Steps are taken a chunk at a time.  Each distinct leaf is evaluated once per
-chunk at both nodes of every step, and its two batched step exponentials
-are formed in closed form (``linalg.expm_su2``) for a 2x2 leaf or one that
-declares ``su2`` (the teleport parity block, drive or closed-form shortcut),
-from eigendecompositions for any other.  Their running products
-p_k = u_k ... u_0 come from a log-depth prefix scan (``_running_products``)
-and are polished back to unitary (their round-off would otherwise add up
-over the chunks).  One walk of the tree then applies the products at every
-step the chunk must report: its sample points and its last step, or every
-step when the speed-limit integral is tracked.  This equals applying the
-tree step by step because, in the walk frame, the tree's step unitary is
-a tensor product over slots and a direct sum over branch blocks: leaves in
-different slots commute, each block stays invariant, and no rotation acts
-between steps.  So the product of the tree's step unitaries over a chunk
-is the tree of each leaf's ordered chunk product.
+chunk at both nodes of every step (of both counts in a first pass), and its
+two batched step exponentials are formed in closed form (``linalg.expm_su2``)
+for a 2x2 leaf or one that declares ``su2`` (the teleport parity block,
+drive or closed-form shortcut), from eigendecompositions for any other.
+Their running products p_k = u_k ... u_0 come from a log-depth prefix scan
+(``_running_products``), or only the chunk's total from the scan's own
+pairwise reduction (``_chain_product``) when nothing reads an inner step, as
+for the N/2 run; the total carried forward is polished back to unitary (its
+round-off would otherwise add up over the chunks).  One walk of the tree then
+applies the products at every step the chunk must report: its sample points
+and its last step, or every step when the speed-limit integral is tracked.
+This equals applying the tree step by step because, in the walk frame, the
+tree's step unitary is a tensor product over slots and a direct sum over
+branch blocks: leaves in different slots commute, each block stays
+invariant, and no rotation acts between steps.  So the product of the
+tree's step unitaries over a chunk is the tree of each leaf's ordered chunk
+product.
 
-The same walk, batched over points, gives H|psi> at the step ends for the
-speed-limit integral, which is Simpson's rule over the step ends (an odd
-step count closes with one 3/8 panel), and the ground-level weight at each
+The speed-limit integral is Simpson's rule over the step ends (an odd step
+count closes with one 3/8 panel) of |<psi(0)|H|psi>|, read through the bras
+G^dag psi(0) of every leaf generator G (``_overlap_reader``) with no walk of
+H.  A walk batched over points gives the ground-level weight at each
 sample point (from the leaves' eigenbases, one stacked eigendecomposition
 per leaf; ``n_samples=0`` skips it, as the command line does); the largest
 leaf's norm gives the first step count.  A Hamiltonian without ``parts`` is
@@ -95,9 +100,9 @@ from typing import Optional
 
 import numpy as np
 
-from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state
-from .linalg import (_chunks, _polished, _running_products, apply_on_qubits, expm_hermitian,
-                     expm_su2, simpson, state_from_factors)
+from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
+from .linalg import (_chain_product, _chunks, _polished, _running_products, apply_on_qubits,
+                     expm_hermitian, expm_su2, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -146,7 +151,7 @@ class StepCache:
         self.entries = 0
 
     def keep(self, key, prods: dict):
-        size = sum(p.size for p in prods.values())
+        size = sum(p.size for ps in prods.values() for p in ps)
         if self.entries + size <= _CACHE_ENTRIES:
             self.products[key] = prods
             self.entries += size
@@ -228,16 +233,54 @@ def _walk(plan, x: np.ndarray, op=None, compose: bool = True, frame: int = 0, wo
     return bufs[(top - 1) % 2].reshape(x.shape)
 
 
-def _cf4_steps(leaf, c: slice, steps: int, dt: float) -> np.ndarray:
+def _cf4_steps(leaf, c: slice, steps: int, tau: float, halve: bool) -> list[np.ndarray]:
     """The leaf's CF4 step unitaries for the steps j in c,
-    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) with H1, H2 at the
-    Gauss nodes (j + 1/2 -/+ sqrt(3)/6) / steps.  A 2x2 leaf, or one that
-    declares ``su2``, takes the closed form ``expm_su2``; any other leaf an
-    eigendecomposition."""
+    exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) with dt = tau / steps
+    and H1, H2 at the Gauss nodes (j + 1/2 -/+ sqrt(3)/6) / steps, and with
+    ``halve`` (c's ends even) those of steps/2 over the same span, each count
+    with its own nodes and dt, from one evaluation and one exponential pair
+    (else an empty stack).  A 2x2 leaf, or one that declares ``su2``, takes
+    the closed form ``expm_su2``; any other leaf an eigendecomposition."""
     expm = expm_su2 if leaf.dim == 2 or leaf.su2 else expm_hermitian
-    mid = np.arange(c.start, c.stop) + 0.5
-    h1, h2 = np.split(leaf(np.concatenate([mid - _GAUSS, mid + _GAUSS]) / steps), 2)
-    return expm(_A2 * h1 + _A1 * h2, dt) @ expm(_A1 * h1 + _A2 * h2, dt)
+    mid = [np.arange(c.start >> i, c.stop >> i) + 0.5 for i in range(1 + halve)]  # N, N/2
+    n = np.concatenate([np.full(len(m), steps / 2**i) for i, m in enumerate(mid)])
+    mid = np.concatenate(mid)
+    nodes = np.concatenate([mid - _GAUSS, mid + _GAUSS]) / np.concatenate([n, n])
+    h1, h2 = np.split(leaf(nodes), 2)
+    u = expm(_A2 * h1 + _A1 * h2, tau / n) @ expm(_A1 * h1 + _A2 * h2, tau / n)
+    return np.split(u, [c.stop - c.start])
+
+
+def _overlap_reader(plan, leaves: list, x: np.ndarray):
+    """read(s, y) = |<x_j|H(s_k)|y_kj>| for the walk-frame states x, shaped
+    (1, 1, dim, m), and y, shaped (len(s), 1, dim, m).  With H = sum_J c_J G_J
+    over the generators of every leaf (its coefficient form's, or for a leaf
+    without one, such as ``cd_generic``, the d^2 matrix units E_ab, J = a d + b,
+    with H's entries for c), <x|H|y> = sum_J c_J <b_J|y>: b_J = E_J^dag x, E_J
+    the tree with G_J in its leaf's places and nothing in the others.  One
+    additive walk of J points gives the bras; a read is one GEMM and a sum."""
+    forms = [terms(f) for f in leaves]
+    counts = [f.dim**2 if form is None else len(form.basis) for f, form in zip(leaves, forms)]
+    starts, bras = np.cumsum([0] + counts), []
+    for c in _chunks(starts[-1], max(f.dim for f in leaves), x.size):
+        ops = {id(f): np.zeros((c.stop - c.start, f.dim, f.dim), dtype=complex) for f in leaves}
+        for f, form, a, k in zip(leaves, forms, starts, counts):
+            j = np.arange(max(c.start - a, 0), min(c.stop - a, k))  # its generators in c
+            if form is None:
+                ops[id(f)][j + a - c.start, j % f.dim, j // f.dim] = 1.0  # E_ab^dag = E_ba
+            else:
+                ops[id(f)][j + a - c.start] = form.basis[j]  # Hermitian
+        bras.append(_walk(plan, np.broadcast_to(x, (c.stop - c.start,) + x.shape[1:]),
+                          lambda f: ops[id(f)], compose=False))
+    m = x.shape[-1]
+    bras = np.ascontiguousarray(np.concatenate(bras).reshape(starts[-1], -1, m).conj().T)
+
+    def read(s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        coef = np.concatenate([f(s).reshape(len(s), -1) if form is None else form.coef(s)
+                               for f, form in zip(leaves, forms)], axis=1)
+        amps = np.moveaxis(y.reshape(len(s), -1, m), -1, 0) @ bras  # <b_J|y_k> per column
+        return np.abs(np.sum(amps * coef, axis=-1)).T
+    return read
 
 
 def _norm_bound(h) -> float:
@@ -280,48 +323,48 @@ def _ground_weights(h, plan, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarray,
-               track_qsl: bool,
-               cache: Optional[StepCache]) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+               track_qsl: bool, cache: Optional[StepCache], halve: bool) -> tuple:
     """Take ``steps`` CF4 steps from the walk-frame states x, shaped
     (1, 1, dim, m), walking h's tree by its ``plan``.
 
     Returns the states after the steps j with ``picked[j]`` (step j ends at
-    point j + 1), the final states and, with ``track_qsl``, E_tau of each
-    column j: Simpson's rule over the step ends of |<x_j(0)|H(s_k)|x_j(s_k)>|.
-    The chunks' step products are read from ``cache`` when it holds them.
+    point j + 1), the final states, with ``track_qsl`` E_tau of each column
+    j: Simpson's rule over the step ends of |<x_j(0)|H(s_k)|x_j(s_k)>|
+    (``_overlap_reader``), and the final states of the N/2 run that ``halve``
+    (an even ``steps``) carries alongside (``_cf4_steps``).  A chunk's
+    products are read from ``cache`` when it holds them.
     """
     leaves = _leaves(h)
-    dt = tau / steps
-    chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size))
-    size = (chunks[0].stop + 1) * x.size  # a chunk's states and the point before them
-    work = list(np.empty((2, size), dtype=complex))  # the walks' two buffers
-    held = np.empty(size, dtype=complex) if track_qsl else None
-    bras, sampled, overlaps = x[0, 0].conj(), [], []  # bras[:, j] = <x_j(0)|
+    chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size, 2))
+    work = list(np.empty((2, chunks[0].stop * x.size), dtype=complex))  # the walks' two buffers
+    half, sampled, overlaps = x, [], []
+    if track_qsl:
+        read = _overlap_reader(plan, leaves, x)
     for c in chunks:
         # One walk applies the chunk's steps up to each needed k: the running
-        # product of each leaf's step unitaries (see the module docstring).
+        # product of each leaf's step unitaries (see the module docstring), or
+        # its total alone when only the last step is needed.
         ks = np.arange(c.stop - c.start)
         if not track_qsl:
             ks = ks[picked[c] | (ks == ks[-1])]
-        key = (tau, steps, c.start, ks.tobytes())
+        key = (tau, steps, c.start, ks.tobytes(), halve)
         prods = None if cache is None else cache.products.get(key)
         if prods is None:
-            prods = {id(f): _polished(_running_products(_cf4_steps(f, c, steps, dt))[ks])
-                     for f in leaves}
+            prods = {}
+            for f in leaves:
+                u, v = _cf4_steps(f, c, steps, tau, halve)
+                p = _running_products(u)[ks] if len(ks) > 1 else _chain_product(u)
+                p[-1:] = _polished(p[-1:])  # only the product carried forward
+                prods[id(f)] = (p, _polished(_chain_product(v))) if halve else (p,)
             if cache is not None:
                 cache.keep(key, prods)
-        xs = _walk(plan, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)],
+        if halve:
+            half = _walk(plan, half, lambda f: prods[id(f)][1], work=work).copy()
+        xs = _walk(plan, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)][0],
                    work=work)
-        if track_qsl:
-            first = int(c.start == 0)  # point 0 in the first chunk
-            ends = np.arange(c.start + 1 - first, c.stop + 1)
-            hs = {id(f): f(ends / steps) for f in leaves}
-            states = held[: len(ends) * x.size].reshape((-1,) + x.shape[1:])
-            states[:first], states[first:] = x, xs
-            xs = states[first:]  # the sum below overwrites the work buffers
-            hx = _walk(plan, states, lambda f: hs[id(f)], compose=False, work=work)
-            overlaps.append(np.abs(np.stack([hx[:, 0, :, j] @ bra for j, bra in enumerate(bras.T)],
-                                            axis=1)))
+        if track_qsl:  # at the step ends, and point 0 with the first chunk
+            ends = np.arange(c.start + (c.start > 0), c.stop + 1) / steps
+            overlaps.append(read(ends, xs if c.start else np.concatenate([x, xs])))
         sampled.append(xs[picked[c][ks]])
         x = xs[-1:].copy()
     e_tau = None
@@ -331,17 +374,18 @@ def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarra
         e_tau = simpson(g[: m + 1], 1.0 / steps)
         if steps % 2:
             e_tau += 3.0 / (8.0 * steps) * ([1.0, 3.0, 3.0, 1.0] @ g[m:])
-    return np.concatenate(sampled), x, e_tau
+    return np.concatenate(sampled), x, e_tau, half
 
 
-def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
-               track_qsl: bool, keep_states: bool, cache: Optional[StepCache]) -> EvolutionResult:
+def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int, track_qsl: bool,
+               keep_states: bool, cache: Optional[StepCache], halve: bool = False) -> tuple:
+    """One pass, and with ``halve`` the final state of the N/2 run it carries."""
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
     picked = np.zeros(steps, dtype=bool)
     picked[sample_idx[sample_idx > 0] - 1] = True
     plan = _plan(h)  # one compile serves every walk of the pass
     x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    sampled, x, e_tau = _propagate(h, plan, x0, tau, steps, picked, track_qsl, cache)
+    sampled, x, e_tau, half = _propagate(h, plan, x0, tau, steps, picked, track_qsl, cache, halve)
     if sample_idx.size and sample_idx[0] == 0:
         sampled = np.concatenate([x0, sampled])
     s_samples = sample_idx / steps
@@ -351,7 +395,7 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
     if keep_states:
         states = (_walk(plan, sampled, frame=-1) if len(sampled) else sampled).reshape(
             (-1,) + psi0.shape)
-    return EvolutionResult(
+    res = EvolutionResult(
         final_state=_walk(plan, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
@@ -360,6 +404,7 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int,
         e_tau=e_tau if e_tau is None or psi0.ndim > 1 else float(e_tau[0]),
         states=states,
     )
+    return res, _walk(plan, half, frame=-1).reshape(psi0.shape) if halve else None
 
 
 def evolve(
@@ -387,9 +432,9 @@ def evolve(
     the step-doubling estimate of the final state's error, returned as
     ``error_estimate``, is at most STATE_TOL in every column (the largest
     column error is the estimate); ``steps`` is then the accepted
-    count, and ``step_counts`` the N of every pass in run order: the N/2
-    pass, then each N tried.  ToleranceError if the estimate is not finite
-    or doubling would pass MAX_STEPS.
+    count, and ``step_counts`` the N of every run in order: the N/2 run,
+    which rides in the first pass, then each N tried.  ToleranceError if the
+    estimate is not finite or doubling would pass MAX_STEPS.
 
     ``cache``, a StepCache made for ``h``, lends its step products to this
     call and keeps the ones it forms, for later inputs under the same H.
@@ -419,13 +464,11 @@ def evolve(
     if steps is not None:
         if not MIN_STEPS <= steps <= MAX_STEPS:
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
-        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)
+        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)[0]
     steps = default_steps(h, tau)
-    coarse = _integrate(h, psi0, tau, steps // 2, 0, False, False, cache).final_state
-    counts = [steps // 2]
+    res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache, True)
+    counts = [steps // 2, steps]
     while True:
-        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)
-        counts.append(steps)
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
         error = float(np.max(np.linalg.norm(res.final_state - coarse, axis=0))) / 15.0
         if error <= STATE_TOL:
@@ -437,6 +480,8 @@ def evolve(
                 "estimate is not finite"
             )
         coarse, steps = res.final_state, 2 * steps
+        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)[0]
+        counts.append(steps)
 
 
 # --- measurement -------------------------------------------------------------

@@ -59,11 +59,12 @@ def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def _chunks(n: int, dim: int, width: int = 0) -> Iterator[slice]:
+def _chunks(n: int, dim: int, width: int = 0, step: int = 1) -> Iterator[slice]:
     """Consecutive slices of range(n), each small enough that one
     (len, dim, dim) operator stack, and one (len, width) stack of states,
-    per slice is evaluated at once."""
-    size = max(1, min(_CHUNK, _CHUNK_ENTRIES // max(dim**2, width)))
+    per slice is evaluated at once; every slice but the last holds a
+    multiple of ``step`` points, at least ``step``."""
+    size = max(step, min(_CHUNK, _CHUNK_ENTRIES // max(dim**2, width)) // step * step)
     for start in range(0, n, size):
         yield slice(start, min(start + size, n))
 
@@ -95,6 +96,15 @@ def _running_products(u: np.ndarray) -> np.ndarray:
     return p
 
 
+def _chain_product(u: np.ndarray) -> np.ndarray:
+    """_running_products(u)[-1:], bitwise: the scan's own pairings, taken
+    down to the last element only, in about log2(n) batched products."""
+    if len(u) == 1:
+        return u
+    p = _chain_product(u[1::2] @ u[:-1:2])
+    return u[-1:] @ p if len(u) % 2 else p
+
+
 def _polished(p: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step, p (3 - p^dag p) / 2, which squares a stack of
     products' departure from unitarity.  The running products over a chunk
@@ -105,25 +115,26 @@ def _polished(p: np.ndarray) -> np.ndarray:
     return 1.5 * p - 0.5 * p @ (np.swapaxes(p, -1, -2).conj() @ p)
 
 
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h or a stack (..., d, d), unitary by
-    construction."""
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian h or a stack (..., d, d), with t a float or
+    one per matrix, unitary by construction."""
     lam, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * lam * t)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    phases = np.exp(-1j * lam * np.asarray(t)[..., None])
+    return (v * phases[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def expm_su2(h: np.ndarray, t: float) -> np.ndarray:
+def expm_su2(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(-i*h*t) for a stack (..., d, d) of Hermitian h whose traceless
     part obeys A'^3 = k^2 A', with no eigendecomposition: every 2x2 h, and
-    any h in a spin-1 (+) spin-0 representation of su(2).  With A = t h,
-    c0 = tr A / d, A' = A - c0 and k^2 = tr A'^2 / 2 (Curtright, Fairlie &
-    Zachos, SIGMA 10, 084 (2014)),
+    any h in a spin-1 (+) spin-0 representation of su(2); t is a float or
+    one per matrix.  With A = t h, c0 = tr A / d, A' = A - c0 and
+    k^2 = tr A'^2 / 2 (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)),
 
         exp(-iA) = e^{-i c0} (1 - i sinc(k) A' - sinc^2(k/2) A'^2 / 2).
 
     A is formed before anything is squared, so a large h times a small t
     does not overflow; the sinc forms hold at k = 0."""
-    a = t * h
+    a = np.asarray(t)[..., None, None] * h
     d = a.shape[-1]
     c0 = np.trace(a, axis1=-2, axis2=-1).real / d
     a = a - c0[..., None, None] * np.eye(d)

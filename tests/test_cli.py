@@ -138,7 +138,8 @@ def test_teleport_sweep_rows_read_like_sce_rows(monkeypatch):
     monkeypatch.setattr(sal.cli, "_quadrature_cost",
                         lambda h, tau, grid: quadrature(h, tau, grid) * (1.0 + 1e-9))
     sch = sal.cli.make_schedule("exp")
-    for row, closed in ((sal.cli._teleport_sweep_point((0.5, "exp", 2, 501)),
+    sing_ad = sal.metrics.teleport_sigma_sing(sch, None, 501)
+    for row, closed in ((sal.cli._teleport_sweep_point((0.5, "exp", 2, 501, sing_ad)),
                          sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
                         (sal.cli._sce_sweep_point((0.5, 2.0, 501)),
                          sal.metrics.sce_single_gate_cost(0.5, 2.0))):
@@ -320,8 +321,12 @@ def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
     # a step-doubling estimate that cannot meet STATE_TOL is a failed runtime
     # check, not a bad argument
     integrate = sal.dynamics._integrate
-    monkeypatch.setattr(sal.dynamics, "_integrate", lambda h, psi0, *a: replace(
-        integrate(h, psi0, *a), final_state=np.full(psi0.shape, np.nan)))
+
+    def nan_final(h, psi0, *a):  # the pass's final state NaN, its N/2 state kept
+        res, half = integrate(h, psi0, *a)
+        return replace(res, final_state=np.full(psi0.shape, np.nan)), half
+
+    monkeypatch.setattr(sal.dynamics, "_integrate", nan_final)
     assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
     assert "step-doubling error estimate nan" in capsys.readouterr().err
 

@@ -37,6 +37,7 @@ from sal.hamiltonians import (
     composite,
     gate,
     parity_operators,
+    teleport_block_hamiltonian,
     teleport_hamiltonian,
 )
 from sal.linalg import (_CHUNK, _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state,
@@ -333,16 +334,16 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
         counts[steps] = len(calls)
     n_chunks = len(list(_chunks(4899, 4)))
     assert counts[4899] == counts[4870]
-    # two walks per chunk (steps, E_tau), four more (enter, two for the ground
-    # level, leave); a walk is one loop over the tree's plan, so it does not
-    # call itself per node
-    assert counts[4899] == 2 * n_chunks + 4
+    # one walk per chunk (its steps), five more (enter, the generator bras of
+    # E_tau, two for the ground level, leave); a walk is one loop over the
+    # tree's plan, so it does not call itself per node
+    assert counts[4899] == n_chunks + 5
 
 
 def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     # one plan, whatever the column count of a walk, serves every walk of an
-    # _integrate pass: the frame, the chunks' steps and H|x>, the ground
-    # energies (one column) and weights, and the kept states
+    # _integrate pass: the frame, the generator bras, the chunks' steps, the
+    # ground energies (one column) and weights, and the kept states
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
     rng = np.random.default_rng(23)
@@ -353,12 +354,13 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     walk = dynamics._walk
     monkeypatch.setattr(dynamics, "_walk", lambda *a, **k: walks.append(1) or walk(*a, **k))
     evolve(h, block, 0.1, steps=3 * _CHUNK + 1, n_samples=5, track_qsl=True, keep_states=True)
-    # two walks per chunk (four chunks), and entering, the ground energies and
-    # weights, the kept states and leaving
-    assert len(compiles) == 1 and len(walks) == 2 * 4 + 5
+    # one walk per chunk (four chunks), and entering, the generator bras, the
+    # ground energies and weights, the kept states and leaving
+    assert len(compiles) == 1 and len(walks) == 4 + 6
     compiles.clear()
     res = evolve(h, block, 0.1, track_qsl=True)
-    assert len(compiles) == len(res.step_counts) == 2
+    # the N/2 run rides in the first pass, which is accepted
+    assert len(compiles) == len(res.step_counts) - 1 == 1
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
@@ -442,6 +444,48 @@ def test_step_counts_record_every_pass(monkeypatch):
     counts = evolve(cd_controlled(spec), psi0).step_counts
     assert len(counts) >= 4
     assert counts == (50,) + tuple(100 * 2**k for k in range(len(counts) - 1))
+
+
+@pytest.mark.parametrize("driver", ["teleport", "dense", "controlled"])
+def test_first_pass_carries_the_half_step_run(driver, monkeypatch):
+    # a default run whose first estimate is accepted is one pass: its final
+    # state and E_tau are those of the run at its step count, bit for bit, and
+    # with both counts in one chunk its estimate is the one a separate N/2
+    # pass gives
+    rng = np.random.default_rng(19)
+    if driver == "controlled":
+        h = cd_controlled(ControlledSpec(2, axis="y", phi=1.3, tau=1.5))
+        psi0 = controlled_initial_state(random_state(3, rng))
+    else:
+        h = cd_teleport(TeleportSpec(1, make_schedule("linear")), 1.0)
+        h = strip_structure(h) if driver == "dense" else h  # a leaf with no coefficient form
+        psi0 = teleport_initial_state(random_state(1, rng), 1)
+    plan, compiles = dynamics._plan, []
+    monkeypatch.setattr(dynamics, "_plan", lambda h: compiles.append(1) or plan(h))
+    res = evolve(h, psi0, track_qsl=True)
+    n = res.steps
+    assert len(compiles) == 1 and res.step_counts == (n // 2, n) and n <= _CHUNK
+    full = evolve(h, psi0, steps=n, track_qsl=True)
+    half = evolve(h, psi0, steps=n // 2, n_samples=0)
+    assert np.array_equal(res.final_state, full.final_state) and res.e_tau == full.e_tau
+    assert np.array_equal(res.ground_fidelity, full.ground_fidelity)
+    error = float(np.max(np.linalg.norm(full.final_state - half.final_state, axis=0))) / 15.0
+    assert res.error_estimate == error
+
+
+def test_mixed_leaves_match_dense():
+    # E_tau reads a coefficient leaf through its generators and a leaf with no
+    # coefficient form through its matrix units, in one tree
+    rng = np.random.default_rng(52)
+    linear = teleport_block_hamiltonian(make_schedule("exp"))  # coefficient form, su2
+    turning = _turning_leaf(2, rng)
+    for h in (composite(TensorSum((linear, turning))),
+              composite(Branches(_split(rng), (linear, composite(TensorSum((turning, turning))))))):
+        n = h.dim.bit_length() - 1
+        psi0 = random_state(n, rng)
+        block = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
+        for states in (psi0, block):
+            assert_matches_dense(h, states, 0.7, keep_states=True, n_samples=5)
 
 
 def test_block_state_propagation_matches_loop():

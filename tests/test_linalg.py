@@ -7,6 +7,7 @@ from sal.dynamics import _leaves
 from sal.hamiltonians import I2, X, Z, teleport_block_hamiltonian, teleport_block_terms
 from sal.linalg import (
     _CHUNK,
+    _chain_product,
     _chunks,
     _polished,
     _running_products,
@@ -277,6 +278,26 @@ def test_running_products_scan_matches_step_order(n, dim):
 def test_running_products_scan_matches_step_order_at_any_length(n, dim, seed):
     u = random_unitaries(n, dim, np.random.default_rng(seed))
     assert np.max(np.abs(_running_products(u) - step_order_products(u))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 123, 256])
+def test_chain_product_is_the_scans_last_element_bitwise(n, dim):
+    # a chunk whose inner steps nothing reads takes its total alone, and
+    # applies the same bits as the scan would
+    u = random_unitaries(n, dim, np.random.default_rng(7 * n + dim))
+    assert np.array_equal(_chain_product(u), _running_products(u)[-1:])
+
+
+@pytest.mark.parametrize("expm", [expm_su2, expm_hermitian])
+def test_step_exponentials_take_one_time_per_matrix(expm):
+    # a stack with a time per matrix is, bit for bit, each matrix at its own
+    # time: the N/2 steps (2 dt) ride in the stack of the N steps (dt)
+    rng = np.random.default_rng(29)
+    h = np.stack([random_hermitian(2, rng) for _ in range(6)])
+    t = np.array([0.3, 0.3, 0.3, 0.6, 0.6, 0.6])
+    both = expm(h, t)
+    assert all(np.array_equal(both[i], expm(h[i : i + 1], t[i])[0]) for i in range(6))
 
 
 def test_running_products_scan_drifts_off_unitary_no_more_than_step_order():
