@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .counterdiabatic import cd_controlled, cd_teleport, cd_teleport_block
+from .counterdiabatic import DEFAULT_GRID, cd_controlled, cd_teleport, cd_teleport_block
 from .dynamics import (
     MAX_STEPS,
     MIN_STEPS,
@@ -172,7 +172,9 @@ def _check_run(args):
 
 
 def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
-    """Evolve ``args.states`` random inputs under ``driver``, one at a time.
+    """Evolve ``args.states`` random inputs under ``driver``, one at a time:
+    the one place where a command runs an evolution (``_teleport_run`` and
+    ``_controlled_run`` build the other arguments).
 
     ``prepare(psi)`` gives a drawn input's (initial, target) states.  Yields
     (result, fidelity, QslReport) per input.  Without ``--steps``,
@@ -236,24 +238,31 @@ def _gate_entry(c, i: int, j: int) -> complex:
         raise CliError(f"gate entry [{i}][{j}] = {c} is not a number or [re, im]") from None
 
 
-def _teleport_rows(args) -> list[list]:
-    _check_run(args)
-    _check_grid(args.grid)
-    u, gate_name = _load_gate(args)
-    n, tau = args.n, args.tau
+def _teleport_run(args, u):
+    """The teleport run of ``args`` with the gate ``u``: its spec, then the
+    driver, input qubits, ``prepare`` and shortcut flag that ``_runs`` takes."""
+    n, shortcut = args.n, args.mode == "sa"
     spec = TeleportSpec(n, make_schedule(args.schedule), gate=u)
-    if args.mode == "sa":
-        driver = cd_teleport(spec, tau, grid=args.grid if args.cd == "generic" else None)
+    if shortcut:
+        driver = cd_teleport(spec, args.tau, grid=args.grid if args.cd == "generic" else None)
     else:
         driver = teleport_hamiltonian(spec)
-    sigma_ad = teleport_cost(spec.schedule, None, n, grid=args.grid)
-    sigma_sa = teleport_cost(spec.schedule, tau, n, grid=args.grid)
 
     def prepare(psi):
         return teleport_initial_state(psi, n, gate=u), teleport_target_state(psi, n, gate=u)
 
-    return [["teleport", n, gate_name, tau, fid, sigma_sa, sigma_ad, rep.bound, rep.satisfied]
-            for _, fid, rep in _runs(args, driver, n, prepare, args.mode == "sa")]
+    return spec, driver, n, prepare, shortcut
+
+
+def _teleport_rows(args) -> list[list]:
+    _check_run(args)
+    _check_grid(args.grid)
+    u, gate_name = _load_gate(args)
+    spec, *run = _teleport_run(args, u)
+    sigma_ad = teleport_cost(spec.schedule, None, args.n, grid=args.grid)
+    sigma_sa = teleport_cost(spec.schedule, args.tau, args.n, grid=args.grid)
+    return [["teleport", args.n, gate_name, args.tau, fid, sigma_sa, sigma_ad, rep.bound,
+             rep.satisfied] for _, fid, rep in _runs(args, *run)]
 
 
 def cmd_teleport(args) -> int:
@@ -269,43 +278,35 @@ def cmd_teleport(args) -> int:
 # --- controlled evolutions --------------------------------------------------------
 
 
-def _controlled_rows(args, superadiabatic: bool) -> list[list]:
-    _check_run(args)
-    _check_finite(args.phi, "--phi")
-    spec = ControlledSpec(
-        n_controls=args.n_controls,
-        axis=_axis_arg(args.axis),
-        phi=args.phi,
-        theta0=args.theta0,
-        tau=args.tau,
-        activation=args.activation,
-    )
+def _controlled_run(args, superadiabatic: bool):
+    """The cae (or, ``superadiabatic``, sce) run of ``args``: as ``_teleport_run``."""
+    spec = ControlledSpec(n_controls=args.n_controls, axis=_axis_arg(args.axis), phi=args.phi,
+                          theta0=args.theta0, tau=args.tau, activation=args.activation)
     driver = cd_controlled(spec) if superadiabatic else controlled_hamiltonian(spec)
-    sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
-    sigma_ad = cae_controlled_cost(spec.n_controls)
-    proto = "sce" if superadiabatic else "cae"
 
     def prepare(psi):
         return controlled_initial_state(psi), controlled_target_state(psi, spec)
 
-    return [[proto, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
+    return spec, driver, spec.n_system, prepare, superadiabatic
+
+
+def _controlled_rows(args) -> list[list]:
+    """The rows of ``args.command``, cae or sce."""
+    _check_run(args)
+    _check_finite(args.phi, "--phi")
+    spec, *run = _controlled_run(args, args.command == "sce")
+    sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
+    sigma_ad = cae_controlled_cost(spec.n_controls)
+    return [[args.command, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
              fid, measure_ancilla(res.final_state)[1].probability,
              sigma_sa, sigma_ad, rep.bound, rep.satisfied]
-            for res, fid, rep in _runs(args, driver, spec.n_system, prepare, superadiabatic)]
+            for res, fid, rep in _runs(args, *run)]
 
 
-def _controlled_header() -> list[str]:
-    return ["protocol", "n_controls", "axis", "phi", "theta0", "tau",
-            "fidelity", "p_success", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"]
-
-
-def cmd_cae(args) -> int:
-    _write_csv(args.out, _controlled_header(), _controlled_rows(args, superadiabatic=False))
-    return EXIT_OK
-
-
-def cmd_sce(args) -> int:
-    _write_csv(args.out, _controlled_header(), _controlled_rows(args, superadiabatic=True))
+def cmd_controlled(args) -> int:
+    _write_csv(args.out, ["protocol", "n_controls", "axis", "phi", "theta0", "tau", "fidelity",
+                          "p_success", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"],
+               _controlled_rows(args))
     return EXIT_OK
 
 
@@ -394,29 +395,20 @@ def cmd_theta_opt(args) -> int:
 
 
 def cmd_qsl_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    tau = args.tau
-    _check_tau(tau)
-    _check_steps(args.steps, "--steps")
+    """One input of the protocol, run as its own command runs it: the speed
+    limit and, for a shortcut, the fidelity floor are checked."""
+    _check_run(args)
     _check_finite(args.phi, "--phi")
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
-        hsa = cd_teleport(TeleportSpec(1, make_schedule(args.schedule), gate=u), tau)
-        psi0 = teleport_initial_state(random_state(1, rng), 1, gate=u)
+        _, *run = _teleport_run(args, u)
     else:  # cae or sce: argparse choices reject any other protocol, --config values too
-        spec = ControlledSpec(
-            n_controls=args.n_controls, axis=_axis_arg(args.axis),
-            phi=args.phi, theta0=args.theta0, tau=tau,
-        )
-        hsa = cd_controlled(spec) if args.protocol == "sce" else controlled_hamiltonian(spec)
-        psi0 = controlled_initial_state(random_state(spec.n_system, rng))
-    rep = qsl_check(hsa, psi0, tau, steps=args.steps)
-    if not rep.satisfied:
-        raise InvariantError("quantum-speed-limit bound violated")
+        _, *run = _controlled_run(args, args.protocol == "sce")
+    [(_, _, rep)] = _runs(args, *run)
     _write_csv(
         args.out,
         ["protocol", "tau", "bures_angle", "e_tau", "qsl_bound", "qsl_ok"],
-        [[args.protocol, tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]],
+        [[args.protocol, args.tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]],
     )
     return EXIT_OK
 
@@ -431,7 +423,7 @@ def cmd_selftest(args) -> int:
     run = ["--tau", "0.5", "--states", "2", "--seed", "7", "--qsl-steps", "2000"]
     for gate_opt in ([], ["--gate", "X"], ["--gate", "H"]):
         rows.extend(_teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt])))
-    rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"]), superadiabatic=True))
+    rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"])))
     for omega_tau in (0.5, 1.0, 2.0):
         rows.append(["theta-opt"] + _theta_point(omega_tau))
     rows.append(["cost-sce"] + _sce_sweep_point((0.5, np.pi, 501)))
@@ -472,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=1, help="random input states")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
-    p.add_argument("--grid", type=int, default=2001)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _add_common(p)
     p.set_defaults(func=cmd_teleport)
 
-    for name, fn in (("cae", cmd_cae), ("sce", cmd_sce)):
+    for name in ("cae", "sce"):
         p = sub.add_parser(name, help=f"run a {name} controlled evolution")
         p.add_argument("--n-controls", type=int, default=0, dest="n_controls")
         p.add_argument("--axis", default="x", help="x|y|z or ax,ay,az")
@@ -488,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
         _add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_controlled)
 
     p = sub.add_parser("cost-sweep", help="energy cost vs omega*tau")
     p.add_argument("--protocol", default="sce", choices=["sce", "teleport"])
@@ -496,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0-list", default="3.141592653589793", dest="theta0_list")
     p.add_argument("--schedules", default="linear")
     p.add_argument("--n-list", default="1", dest="n_list")
-    p.add_argument("--grid", type=int, default=2001)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _add_common(p)
     p.set_defaults(func=cmd_cost_sweep)
 
@@ -517,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=float, default=np.pi)
     p.add_argument("--steps", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_qsl_check)
+    # what the shared run builders read that qsl-check has no flag for
+    p.set_defaults(func=cmd_qsl_check, n=1, mode="sa", cd="analytic", activation=None, states=1,
+                   qsl_steps=None)
 
     p = sub.add_parser("selftest", help="deterministic battery; byte-identical reruns")
     _add_common(p)

@@ -51,7 +51,7 @@ from .hamiltonians import (
 from .linalg import _chunks, _polished, _running_products, eigh, is_unitary, level_clusters
 from .schedules import Schedule
 
-DEFAULT_GRID = 2001
+DEFAULT_GRID = 2001  # points of s for frames and cost quadratures, here and in metrics
 OVERLAP_TOL = 0.5  # least singular value of a neighbour overlap that the continuation trusts
 
 @dataclass(frozen=True)

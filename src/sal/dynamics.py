@@ -101,15 +101,14 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
-from .linalg import (_chain_product, _chunks, _polished, _running_products, apply_on_qubits,
-                     expm_hermitian, expm_su2, simpson, state_from_factors)
+from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
+                     apply_on_qubits, expm_hermitian, expm_su2, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
 STATE_TOL = 1e-10  # bound on the step-doubling estimate of the final state's error
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at 1/2 -/+ _GAUSS of each step
 _A1, _A2 = 0.25 + _GAUSS, 0.25 - _GAUSS  # CF4 weights of the two nodes
-_GROUND_TOL = 1e-8  # ground-level width relative to max(1, |E|)
 _NORM_SAMPLES = 17  # points of s at which ``_norm_bound`` reads each leaf
 _CACHE_ENTRIES = 2**22  # cap on the product entries one StepCache keeps (64 MiB complex)
 
@@ -121,15 +120,16 @@ class ToleranceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state plus the sampled instantaneous-ground-level fidelity."""
+    """Final state plus the states and instantaneous-ground-level fidelity
+    at the sample points ``s_samples`` (both empty without samples)."""
 
     final_state: np.ndarray
     s_samples: np.ndarray
     ground_fidelity: np.ndarray
+    states: np.ndarray  # (len(s_samples),) + final_state.shape
     tau: float
     steps: int
     e_tau: Optional[float | np.ndarray] = None  # (m,) for a (dim, m) block
-    states: Optional[np.ndarray] = None  # sampled states when requested
     error_estimate: Optional[float] = None  # step-doubling estimate; None for given steps
     step_counts: Optional[tuple[int, ...]] = None  # N of every pass run; None for given steps
 
@@ -317,7 +317,7 @@ def _ground_weights(h, plan, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
                          compose=False).real[:, 0, :, 0]
         amps = _walk(plan, xs[c], lambda f: np.swapaxes(spectra[id(f)][1], -1, -2).conj())[:, 0]
         top = np.maximum(1.0, np.max(np.abs(energies), axis=1, keepdims=True))
-        level = energies < energies.min(axis=1, keepdims=True) + _GROUND_TOL * top
+        level = energies < energies.min(axis=1, keepdims=True) + CLUSTER_TOL * top
         out.append(np.sum(np.abs(amps) ** 2 * level[..., None], axis=1))
     return np.concatenate(out)
 
@@ -378,7 +378,7 @@ def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarra
 
 
 def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int, track_qsl: bool,
-               keep_states: bool, cache: Optional[StepCache], halve: bool = False) -> tuple:
+               cache: Optional[StepCache], halve: bool = False) -> tuple:
     """One pass, and with ``halve`` the final state of the N/2 run it carries."""
     sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
     picked = np.zeros(steps, dtype=bool)
@@ -391,18 +391,17 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int, trac
     s_samples = sample_idx / steps
     ground = (_ground_weights(h, plan, s_samples, sampled) if n_samples
               else np.empty((0, x.shape[-1])))
-    states = None
-    if keep_states:
-        states = (_walk(plan, sampled, frame=-1) if len(sampled) else sampled).reshape(
-            (-1,) + psi0.shape)
+    # the sampled states leave the frame a chunk of points at a time (none without samples)
+    states = np.concatenate([sampled[:0], *(_walk(plan, sampled[c], frame=-1)
+                                          for c in _chunks(len(sampled), 1, x.size))])
     res = EvolutionResult(
         final_state=_walk(plan, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
+        states=states.reshape((-1,) + psi0.shape),
         tau=tau,
         steps=steps,
         e_tau=e_tau if e_tau is None or psi0.ndim > 1 else float(e_tau[0]),
-        states=states,
     )
     return res, _walk(plan, half, frame=-1).reshape(psi0.shape) if halve else None
 
@@ -414,7 +413,6 @@ def evolve(
     steps: Optional[int] = None,
     n_samples: int = 33,
     track_qsl: bool = False,
-    keep_states: bool = False,
     cache: Optional[StepCache] = None,
 ) -> EvolutionResult:
     """Integrate the Schrodinger dynamics of H(t/tau) from t=0 to t=tau.
@@ -425,8 +423,9 @@ def evolve(
     ``track_qsl`` additionally integrates
     E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
     a float for a single state and one per column, shaped (m,), for a block.
-    ``n_samples`` step ends, evenly spread, report ``ground_fidelity``;
-    with 0 nothing is sampled, and every other field is bitwise the same.
+    ``n_samples`` step ends, evenly spread, report ``states`` and
+    ``ground_fidelity``; with 0 nothing is sampled (both are empty), and
+    every other field is bitwise the same.
 
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
@@ -464,9 +463,9 @@ def evolve(
     if steps is not None:
         if not MIN_STEPS <= steps <= MAX_STEPS:
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
-        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)[0]
+        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
     steps = default_steps(h, tau)
-    res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache, True)
+    res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache, True)
     counts = [steps // 2, steps]
     while True:
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
@@ -480,7 +479,7 @@ def evolve(
                 "estimate is not finite"
             )
         coarse, steps = res.final_state, 2 * steps
-        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, keep_states, cache)[0]
+        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
         counts.append(steps)
 
 

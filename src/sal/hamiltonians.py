@@ -484,10 +484,6 @@ class ControlledSpec:
         """Qubits in the target subsystem (controls + rotation target)."""
         return self.n_controls + 1
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n_system + 1  # plus the ancilla
-
     def activation_projector(self) -> np.ndarray:
         """P = |l><l| on the controls tensored with |n-><n-| on the target."""
         _, p_minus = axis_projectors(self.axis)

@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .counterdiabatic import SpectralFrame
+from .counterdiabatic import DEFAULT_GRID, SpectralFrame
 from .dynamics import EvolutionResult, StepCache, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
 from .linalg import _CHUNK_ENTRIES, _chunks, simpson
 from .schedules import Schedule
 
-DEFAULT_GRID = 2001
 STATIONARITY_RTOL = 1e-12
 
 

@@ -11,6 +11,11 @@ import sal.cli
 import sal.dynamics
 import sal.metrics
 from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from sal.counterdiabatic import cd_controlled
+from sal.dynamics import controlled_initial_state
+from sal.hamiltonians import ControlledSpec, controlled_hamiltonian
+from sal.linalg import random_state
+from sal.metrics import qsl_check
 
 
 def read_rows(path):
@@ -175,6 +180,37 @@ def test_qsl_check_command(tmp_path):
     assert read_rows(out)[0]["qsl_ok"] == "true"
 
 
+@pytest.mark.parametrize("protocol", ["cae", "sce"])
+def test_qsl_check_is_a_one_input_run_of_its_protocol(protocol, capsys):
+    # qsl-check prints the bound that the protocol's own command prints for
+    # the same seed and options, and the E_tau of a direct qsl_check on the
+    # same drawn input
+    opts = ["--tau", "0.8", "--n-controls", "1", "--axis", "y", "--phi", "2", "--theta0", "2.5",
+            "--seed", "9"]
+    assert main([protocol, *opts, "--states", "1"]) == EXIT_OK
+    [row] = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert main(["qsl-check", "--protocol", protocol, *opts]) == EXIT_OK
+    [check] = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert check["qsl_bound"] == row["qsl_bound"]
+    spec = ControlledSpec(1, axis="y", phi=2.0, theta0=2.5, tau=0.8)
+    h = cd_controlled(spec) if protocol == "sce" else controlled_hamiltonian(spec)
+    psi0 = controlled_initial_state(random_state(spec.n_system, np.random.default_rng(9)))
+    assert check["e_tau"] == sal.cli._fmt(qsl_check(h, psi0, 0.8).e_tau)
+
+
+def test_axis_vector_runs_as_its_named_axis(capsys):
+    # the vector branch of --axis: (1, 0, 0) is the x axis, so only the cell
+    # that echoes the flag differs, and qsl-check, which echoes no axis,
+    # prints the same bytes
+    outs = []
+    for axis in ("x", "1,0,0"):
+        for argv in (["sce", "--states", "2"], ["qsl-check", "--protocol", "sce"]):
+            assert main([*argv, "--tau", "0.7", "--n-controls", "1", "--axis", axis]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[3]
+    assert outs[2] == outs[0].replace(",x,", ',"1,0,0",') != outs[0]
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gate": "X", "qsl_steps": 2000, "grid": 501}))
@@ -336,8 +372,9 @@ def test_nan_fails_every_invariant(monkeypatch, capsys):
     nan = float("nan")
     run = ["--tau", "0.5", "--steps", "200"]
     monkeypatch.setattr(sal.cli, "fidelity", lambda a, b: nan)
-    assert main(["sce", *run]) == EXIT_INVARIANT
-    assert "fidelity nan below" in capsys.readouterr().err
+    for argv in (["sce", *run], ["qsl-check", "--protocol", "sce", *run]):
+        assert main(argv) == EXIT_INVARIANT
+        assert "fidelity nan below" in capsys.readouterr().err
     monkeypatch.undo()
     evolve = sal.cli.evolve
     monkeypatch.setattr(sal.cli, "evolve",

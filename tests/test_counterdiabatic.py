@@ -430,7 +430,7 @@ def test_transport_holds_for_excited_levels():
     hsa = cd_teleport_block(sch, tau)
     lam0, vec0 = np.linalg.eigh(hsa.base(0.0))
     psi0 = vec0[:, -1]
-    res = sal.evolve(hsa, psi0, tau, keep_states=True)
+    res = sal.evolve(hsa, psi0, tau)
     for s, psi in zip(res.s_samples, res.states):
         lam, vec = np.linalg.eigh(hsa.base(s))
         top = vec[:, lam > lam[-1] - 1e-9]

@@ -134,7 +134,7 @@ def test_sampled_states_stay_normalized():
     sch = make_schedule("trig")
     hsa = cd_teleport_block(sch, tau=0.2)
     rng = np.random.default_rng(32)
-    res = evolve(hsa, teleport_initial_state(random_state(1, rng), 1), 0.2, keep_states=True)
+    res = evolve(hsa, teleport_initial_state(random_state(1, rng), 1), 0.2)
     norms = np.linalg.norm(res.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-8
 
@@ -153,7 +153,7 @@ def test_parity_expectation_conserved():
     pz, _, _, _ = parity_operators(1)
     rng = np.random.default_rng(6)
     psi0 = teleport_initial_state(random_state(1, rng), 1)
-    res = evolve(hsa, psi0, 0.7, keep_states=True)
+    res = evolve(hsa, psi0, 0.7)
     expectations = [np.real(np.vdot(s, pz @ s)) for s in res.states]
     assert np.max(np.abs(np.diff(expectations))) < 1e-8
 
@@ -175,8 +175,7 @@ def assert_matches_dense(h, psi0, tau, steps=500, **kw):
     assert np.max(np.abs(fast.final_state - dense.final_state)) < 1e-10
     assert np.max(np.abs(fast.ground_fidelity - dense.ground_fidelity)) < 1e-10
     assert np.max(np.abs(fast.e_tau - dense.e_tau)) < 1e-10
-    if kw.get("keep_states"):
-        assert np.max(np.abs(fast.states - dense.states)) < 1e-10
+    assert np.max(np.abs(fast.states - dense.states)) < 1e-10
 
 
 def test_kron_path_matches_dense():
@@ -251,7 +250,7 @@ def test_nested_trees_match_dense(tree):
     psi0 = random_state(h.dim.bit_length() - 1, rng)
     block = np.stack([random_state(h.dim.bit_length() - 1, rng) for _ in range(3)], axis=1)
     for states in (psi0, block):
-        assert_matches_dense(h, states, 0.7, keep_states=True, n_samples=5)
+        assert_matches_dense(h, states, 0.7, n_samples=5)
 
 
 def test_results_do_not_share_the_work_buffers():
@@ -263,9 +262,9 @@ def test_results_do_not_share_the_work_buffers():
     first, second = (teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
                      for _ in range(2))
     steps = 3 * _CHUNK + 1  # four chunks
-    a = evolve(h, first, 0.4, steps=steps, keep_states=True, track_qsl=True)
+    a = evolve(h, first, 0.4, steps=steps, track_qsl=True)
     kept = [np.copy(v) for v in (a.final_state, a.states, a.e_tau)]
-    b = evolve(h, second, 0.4, steps=steps, keep_states=True, track_qsl=True)
+    b = evolve(h, second, 0.4, steps=steps, track_qsl=True)
     assert all(np.array_equal(v, w) for v, w in zip((a.final_state, a.states, a.e_tau), kept))
     for v in (a.final_state, a.states, a.ground_fidelity):
         for w in (b.final_state, b.states, b.ground_fidelity):
@@ -283,7 +282,7 @@ def test_chunk_products_match_step_by_step_loop():
     tau = 0.3
     node, a1, a2 = np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6, 0.25 - np.sqrt(3) / 6
     for steps in (300, 301):
-        res = evolve(h, psi0, tau, steps=steps, track_qsl=True, keep_states=True)
+        res = evolve(h, psi0, tau, steps=steps, track_qsl=True)
         dt = tau / steps
         mid = np.arange(steps) + 0.5
         psi, states = psi0, [psi0]
@@ -334,16 +333,17 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
         counts[steps] = len(calls)
     n_chunks = len(list(_chunks(4899, 4)))
     assert counts[4899] == counts[4870]
-    # one walk per chunk (its steps), five more (enter, the generator bras of
-    # E_tau, two for the ground level, leave); a walk is one loop over the
-    # tree's plan, so it does not call itself per node
-    assert counts[4899] == n_chunks + 5
+    # one walk per chunk (its steps), six more (enter, the generator bras of
+    # E_tau, two for the ground level, leave with the sampled states and with
+    # the final state); a walk is one loop over the tree's plan, so it does
+    # not call itself per node
+    assert counts[4899] == n_chunks + 6
 
 
 def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     # one plan, whatever the column count of a walk, serves every walk of an
     # _integrate pass: the frame, the generator bras, the chunks' steps, the
-    # ground energies (one column) and weights, and the kept states
+    # ground energies (one column) and weights, and the sampled states
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
     rng = np.random.default_rng(23)
@@ -353,9 +353,9 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     monkeypatch.setattr(dynamics, "_plan", lambda h: compiles.append(1) or plan(h))
     walk = dynamics._walk
     monkeypatch.setattr(dynamics, "_walk", lambda *a, **k: walks.append(1) or walk(*a, **k))
-    evolve(h, block, 0.1, steps=3 * _CHUNK + 1, n_samples=5, track_qsl=True, keep_states=True)
+    evolve(h, block, 0.1, steps=3 * _CHUNK + 1, n_samples=5, track_qsl=True)
     # one walk per chunk (four chunks), and entering, the generator bras, the
-    # ground energies and weights, the kept states and leaving
+    # ground energies and weights, the sampled states and leaving
     assert len(compiles) == 1 and len(walks) == 4 + 6
     compiles.clear()
     res = evolve(h, block, 0.1, track_qsl=True)
@@ -485,7 +485,7 @@ def test_mixed_leaves_match_dense():
         psi0 = random_state(n, rng)
         block = np.stack([random_state(n, rng) for _ in range(3)], axis=1)
         for states in (psi0, block):
-            assert_matches_dense(h, states, 0.7, keep_states=True, n_samples=5)
+            assert_matches_dense(h, states, 0.7, n_samples=5)
 
 
 def test_block_state_propagation_matches_loop():
@@ -773,6 +773,8 @@ def test_no_samples_skips_ground_sampling_and_nothing_else(track_qsl, monkeypatc
             want.error_estimate, want.step_counts, want.steps)
         assert got.s_samples.shape == (0,)
         assert got.ground_fidelity.shape == (0,) + psi0.shape[1:]
+        assert got.states.shape == (0,) + psi0.shape
+        assert want.states.shape == want.s_samples.shape + psi0.shape
 
 
 def test_target_state_cae_cnot_selection():

@@ -62,3 +62,20 @@ def test_structure_nodes_come_from_composite():
             and id(node) not in allowed
         ]
     assert SOURCES and not found, found
+
+
+def test_only_runs_evolves_a_command_input():
+    # cli._runs is the one place a command evolves: no other code of cli.py
+    # calls evolve or qsl_check
+    path = Path(sal.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    runs = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_runs")
+    calls = {
+        id(node): node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("evolve", "qsl_check")
+    }
+    inside = {id(node) for node in ast.walk(runs)}
+    found = [f"cli.py:{line}" for key, line in calls.items() if key not in inside]
+    assert calls and not found, found
