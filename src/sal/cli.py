@@ -181,7 +181,8 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     ``evolve`` picks the step count from its error tolerance.  The
     speed-limit report comes from the same integration unless
     ``--qsl-steps`` asks for another step count.  The inputs share one
-    StepCache, so the step unitaries are formed once per run, not per input.
+    StepCache, so the step search's first count and the step unitaries are
+    formed once per run, not per input.
     No CSV column reads the ground fidelity, so nothing is sampled.
     A shortcut below the fidelity floor (or with a NaN fidelity) or a
     violated speed limit raises InvariantError.

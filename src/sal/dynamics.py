@@ -58,16 +58,24 @@ leave the frame.  A trailing slot (post = 1: the last slot, one column)
 is contracted as x u^T, one (rows, d) x (d, d) GEMM per point rather than
 a d-vector product per row.
 
-Steps are taken a chunk at a time.  Each distinct leaf is evaluated once per
+Steps are taken a chunk at a time.  Each distinct leaf is read once per
 chunk at both nodes of every step (of both counts in a first pass), and its
-two batched step exponentials are formed in closed form (``linalg.expm_su2``)
-for a 2x2 leaf or one that declares ``su2`` (the teleport parity block,
-drive or closed-form shortcut), from eigendecompositions for any other.
-Their running products p_k = u_k ... u_0 come from a log-depth prefix scan
-(``_running_products``), or only the chunk's total from the scan's own
-pairwise reduction (``_chain_product``) when nothing reads an inner step, as
-for the N/2 run; the total carried forward is polished back to unitary (its
-round-off would otherwise add up over the chunks).  One walk of the tree then
+two exponentials of every step are formed as two batched stacks.  A leaf
+with a coefficient form (``terms``; every builder's leaf has one) is read as
+coefficients c(s) and never evaluated: the exponents dt (a2 c1 + a1 c2) and
+dt (a1 c1 + a2 c2) are combined, scaled by dt, in coefficient space.  For a
+2x2 leaf (every ancilla branch) or one that declares ``su2`` (the teleport
+parity block, drive or closed-form shortcut) ``Linear.expm_su2`` forms the
+exponentials in closed form as one GEMM over constant tables cached on the
+form; a form without either gives its matrices from one GEMM to an
+eigendecomposition.  A leaf without a form (``cd_generic``, the dense
+references) is evaluated as a matrix stack and exponentiated by
+``linalg.expm_su2`` or an eigendecomposition.  The steps' running products
+p_k = u_k ... u_0 come from a log-depth prefix scan (``_running_products``),
+or only the chunk's total from the scan's own pairwise reduction
+(``_chain_product``) when nothing reads an inner step, as for the N/2 run;
+the total carried forward is polished back to unitary (its round-off would
+otherwise add up over the chunks).  One walk of the tree then
 applies the products at every step the chunk must report: its sample points
 and its last step, or every step when the speed-limit integral is tracked.
 This equals applying the tree step by step because, in the walk frame, the
@@ -142,13 +150,21 @@ class StepCache:
     the steps the walk applies, not on the state, so a later call that runs
     the same pass applies them without forming the step exponentials again.
     At most _CACHE_ENTRIES entries are kept; products past that are
-    recomputed.
+    recomputed.  The step search's first count, ``default_steps`` of H and
+    tau, is kept per tau as well.
     """
 
     def __init__(self, h):
         self.h = h
         self.products: dict = {}
         self.entries = 0
+        self.starts: dict = {}
+
+    def start(self, tau: float) -> int:
+        """``default_steps(h, tau)``, sampled once per tau."""
+        if tau not in self.starts:
+            self.starts[tau] = default_steps(self.h, tau)
+        return self.starts[tau]
 
     def keep(self, key, prods: dict):
         size = sum(p.size for ps in prods.values() for p in ps)
@@ -240,14 +256,28 @@ def _cf4_steps(leaf, c: slice, steps: int, tau: float, halve: bool) -> list[np.n
     ``halve`` (c's ends even) those of steps/2 over the same span, each count
     with its own nodes and dt, from one evaluation and one exponential pair
     (else an empty stack).  A 2x2 leaf, or one that declares ``su2``, takes
-    the closed form ``expm_su2``; any other leaf an eigendecomposition."""
-    expm = expm_su2 if leaf.dim == 2 or leaf.su2 else expm_hermitian
+    the closed form; any other leaf an eigendecomposition.  A leaf with a
+    coefficient form is combined in coefficient space, its exponents
+    dt (a2 c(s1) + a1 c(s2)) and dt (a1 c(s1) + a2 c(s2)) scaled before
+    anything is squared, and is never itself evaluated: the closed form
+    comes from ``Linear.expm_su2``, the matrices for an eigendecomposition
+    from one GEMM."""
+    closed = leaf.dim == 2 or leaf.su2
     mid = [np.arange(c.start >> i, c.stop >> i) + 0.5 for i in range(1 + halve)]  # N, N/2
     n = np.concatenate([np.full(len(m), steps / 2**i) for i, m in enumerate(mid)])
     mid = np.concatenate(mid)
     nodes = np.concatenate([mid - _GAUSS, mid + _GAUSS]) / np.concatenate([n, n])
-    h1, h2 = np.split(leaf(nodes), 2)
-    u = expm(_A2 * h1 + _A1 * h2, tau / n) @ expm(_A1 * h1 + _A2 * h2, tau / n)
+    form = terms(leaf)
+    if form is None:
+        expm = expm_su2 if closed else expm_hermitian
+        h1, h2 = np.split(leaf(nodes), 2)
+        u = expm(_A2 * h1 + _A1 * h2, tau / n) @ expm(_A1 * h1 + _A2 * h2, tau / n)
+    else:
+        c1, c2 = np.split(form.coef(nodes), 2)
+        dt = (tau / n)[:, None]
+        a = np.concatenate([dt * (_A2 * c1 + _A1 * c2), dt * (_A1 * c1 + _A2 * c2)])
+        e2, e1 = np.split(form.expm_su2(a) if closed else expm_hermitian(form.combine(a), 1.0), 2)
+        u = e2 @ e1
     return np.split(u, [c.stop - c.start])
 
 
@@ -435,8 +465,9 @@ def evolve(
     which rides in the first pass, then each N tried.  ToleranceError if the
     estimate is not finite or doubling would pass MAX_STEPS.
 
-    ``cache``, a StepCache made for ``h``, lends its step products to this
-    call and keeps the ones it forms, for later inputs under the same H.
+    ``cache``, a StepCache made for ``h``, lends its step products and the
+    search's first count to this call and keeps the ones it forms, for later
+    inputs under the same H.
 
     The base Hamiltonian here is the one whose instantaneous ground level is
     tracked for the trajectory fidelity; for a shortcut Hamiltonian that is
@@ -464,7 +495,7 @@ def evolve(
         if not MIN_STEPS <= steps <= MAX_STEPS:
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
         return _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
-    steps = default_steps(h, tau)
+    steps = default_steps(h, tau) if cache is None else cache.start(tau)
     res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache, True)
     counts = [steps // 2, steps]
     while True:
@@ -533,24 +564,15 @@ def teleport_target_state(
     return state_from_factors(factors, n_qubits)
 
 
-def controlled_rotation_operator(spec: ControlledSpec) -> np.ndarray:
-    """The rotation selected by the activation projector,
-    R = [1 - P] + e^{i phi} P on the target subsystem."""
-    p_act = spec.activation_projector()
-    eye = np.eye(p_act.shape[0], dtype=complex)
-    return eye + (np.exp(1j * spec.phi) - 1.0) * p_act
-
-
 def controlled_initial_state(psi_system: np.ndarray) -> np.ndarray:
-    """Append the ancilla in |0>."""
-    return np.kron(np.asarray(psi_system, dtype=complex), np.array([1.0, 0.0]))
+    """Append the ancilla in |0>: the ancilla is the last, fastest axis."""
+    psi = np.asarray(psi_system, dtype=complex)
+    return np.stack([psi, np.zeros_like(psi)], axis=-1).reshape(-1)
 
 
 def controlled_target_state(psi_system: np.ndarray, spec: ControlledSpec) -> np.ndarray:
-    """cos(theta0/2)|psi>|0> + sin(theta0/2) (R|psi>)|1>."""
-    rot = controlled_rotation_operator(spec)
-    psi_system = np.asarray(psi_system, dtype=complex)
+    """cos(theta0/2)|psi>|0> + sin(theta0/2) (R|psi>)|1>, R = ``spec.rotation``."""
+    psi = np.asarray(psi_system, dtype=complex)
     half = spec.theta0 / 2.0
-    return np.cos(half) * np.kron(psi_system, [1.0, 0.0]) + np.sin(half) * np.kron(
-        rot @ psi_system, [0.0, 1.0]
-    )
+    return np.stack([np.cos(half) * psi, np.sin(half) * (spec.rotation @ psi)],
+                    axis=-1).reshape(-1)

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import _chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters
+from .linalg import (_chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters,
+                     su2_weights)
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
@@ -114,26 +115,85 @@ class Linear:
     and shaped ``np.shape(s) + (K,)``, over K constant Hermitian generators
     ``basis``, shaped (K, d, d).  One GEMM per evaluation; a
     ``TimeDepHamiltonian`` func or deriv, or a shortcut's cd, in coefficient
-    form (see ``terms``)."""
+    form (see ``terms``).  The constant tables of the basis (``gram``,
+    ``traces`` and those of ``expm_su2``) are formed on first use and kept
+    on the form."""
 
     coef: Callable[[float | np.ndarray], np.ndarray]
     basis: np.ndarray
 
     def __call__(self, s) -> np.ndarray:
-        c = self.coef(s)
+        return self.combine(self.coef(s))
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """c @ basis for coefficient rows c, shaped (..., K): one GEMM."""
         k, d = self.basis.shape[:2]
         return (c @ self.basis.reshape(k, d * d)).reshape(np.shape(c)[:-1] + (d, d))
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Gram_kl = Re tr(M_k M_l), so that ||coef @ basis||_HS^2 = c . Gram c."""
-        flat = self.basis.reshape(len(self.basis), -1)
-        return (flat @ flat.conj().T).real
+        return _gram(self.basis)
 
     @cached_property
     def traces(self) -> np.ndarray:
         """tr M_k, so that tr(coef @ basis) = c . traces."""
         return np.trace(self.basis, axis1=-2, axis2=-1)
+
+    # The tables of ``expm_su2``, formed on its first call.
+
+    @cached_property
+    def traceless(self) -> np.ndarray:
+        """M'_k = M_k - tr M_k / d, so that the traceless part of c @ basis is c @ M'."""
+        d = self.basis.shape[-1]
+        return self.basis - (self.traces / d)[:, None, None] * np.eye(d)
+
+    @cached_property
+    def traceless_gram(self) -> np.ndarray:
+        """Gram'_kl = Re tr(M'_k M'_l), so that tr A'^2 = c . Gram' c."""
+        return _gram(self.traceless)
+
+    @cached_property
+    def su2_stack(self) -> np.ndarray:
+        """1, the -i M'_k and, for d > 2, the pair products M'_k M'_l (k
+        major), flattened to (1 + K + K^2, d^2) complex and viewed as real
+        (re, im) pairs, so that real weights take them in one real GEMM;
+        for d = 2, (1 + K, 8)."""
+        k, d = self.basis.shape[:2]
+        m = self.traceless
+        parts = [np.eye(d)[None], -1j * m] + ([(m[:, None] @ m[None]).reshape(k * k, d, d)]
+                                              if d > 2 else [])
+        return np.concatenate(parts).reshape(-1, d * d).view(float)
+
+    def expm_su2(self, c: np.ndarray) -> np.ndarray:
+        """exp(-i c @ basis) for coefficient rows c, shaped (n, K), whose
+        traceless part obeys A'^3 = k^2 A': the closed form of
+        ``linalg.expm_su2`` read off the coefficients.  With
+        c0 = c . traces / d, k^2 = c . Gram' c / 2 (clamped at 0) and
+        A'^2 = sum_kl c_k c_l M'_k M'_l, the exponentials less their phase
+        e^{-i c0} are one real GEMM of (n, 1 + K + K^2) weights
+        1, sinc(k) c_k, -sinc^2(k/2) c_k c_l / 2 over ``su2_stack``; for
+        d = 2, A'^2 = k^2 1 and the pairs drop out.  No matrix of c is
+        formed, so a c scaled by a time step first squares nothing larger."""
+        n, (k, d) = len(c), self.basis.shape[:2]
+        k2 = np.maximum(0.5 * np.sum((c @ self.traceless_gram) * c, axis=-1), 0.0)
+        sinc, half = su2_weights(k2)
+        w = np.empty((n, len(self.su2_stack)))
+        w[:, 0] = 1.0 - half * k2 if d == 2 else 1.0
+        np.multiply(sinc[:, None], c, out=w[:, 1 : k + 1])
+        if d > 2:
+            np.multiply((-half[:, None] * c)[:, :, None], c[:, None, :],
+                        out=w[:, k + 1 :].reshape(n, k, k))
+        u = (w @ self.su2_stack).view(complex)
+        if self.traces.any():  # c0 = 0 for a traceless basis, as every builder's is
+            u *= np.exp(-1j * (c @ self.traces.real) / d)[:, None]
+        return u.reshape(n, d, d)
+
+
+def _gram(basis: np.ndarray) -> np.ndarray:
+    """Re tr(M_k M_l) over a stack of Hermitian M_k."""
+    flat = basis.reshape(len(basis), -1)
+    return (flat @ flat.conj().T).real
 
 
 @dataclass(frozen=True)
@@ -155,7 +215,9 @@ class TimeDepHamiltonian:
 
     ``su2`` declares that every real combination of H at any points, less
     its trace, obeys A^3 = k^2 A, so that propagation steps the leaf by the
-    closed form ``linalg.expm_su2``; a 2x2 leaf takes it without the flag.
+    closed form: ``Linear.expm_su2`` from the coefficients of a ``Linear``
+    func, ``linalg.expm_su2`` from the matrices otherwise; a 2x2 leaf takes
+    it without the flag.
     """
 
     dim: int
@@ -205,18 +267,26 @@ class SuperadiabaticHamiltonian:
     def __call__(self, s) -> np.ndarray:
         return self.total(s)
 
+    @cached_property
+    def form(self) -> Optional[Linear]:
+        """``terms`` of the shortcut: the drive's and the correction's forms
+        concatenated, or None."""
+        base = terms(self.base)
+        if base is None or not isinstance(self.cd, Linear):
+            return None
+        cd = self.cd
+        return Linear(lambda s: np.concatenate([base.coef(s), cd.coef(s)], axis=-1),
+                      np.concatenate([base.basis, cd.basis]))
+
 
 def terms(h) -> Optional[Linear]:
     """A leaf's coefficient form: a drive's ``Linear`` func; for a shortcut
-    whose drive has one and whose cd is ``Linear``, the two concatenated.
-    None for anything else (``cd_generic``, custom leaves, nodes)."""
+    whose drive has one and whose cd is ``Linear``, the two concatenated
+    (``SuperadiabaticHamiltonian.form``, built once per shortcut, so its
+    cached tables serve every call).  None for anything else
+    (``cd_generic``, custom leaves, nodes)."""
     if isinstance(h, SuperadiabaticHamiltonian):
-        base = terms(h.base)
-        if base is None or not isinstance(h.cd, Linear):
-            return None
-        cd = h.cd
-        return Linear(lambda s: np.concatenate([base.coef(s), cd.coef(s)], axis=-1),
-                      np.concatenate([base.basis, cd.basis]))
+        return h.form
     func = getattr(h, "func", None)
     return func if isinstance(func, Linear) else None
 
@@ -492,6 +562,14 @@ class ControlledSpec:
         sel = np.zeros((2**self.n_controls,) * 2, dtype=complex)
         sel[self.activation, self.activation] = 1.0
         return np.kron(sel, p_minus)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """The rotation selected by the activation projector,
+        R = [1 - P] + e^{i phi} P on the target subsystem, formed once per
+        spec for all of a run's inputs."""
+        p_act = self.activation_projector()
+        return np.eye(p_act.shape[0], dtype=complex) + (np.exp(1j * self.phi) - 1.0) * p_act
 
 
 def _branch_basis(xi: float) -> np.ndarray:

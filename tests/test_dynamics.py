@@ -33,8 +33,10 @@ from sal.hamiltonians import (
     X,
     Z,
     adiabatic_time_estimate,
+    Linear,
     bell_state,
     composite,
+    controlled_hamiltonian,
     gate,
     parity_operators,
     teleport_block_hamiltonian,
@@ -413,6 +415,108 @@ def test_su2_leaves_step_without_eigendecomposition(monkeypatch):
     assert expm_shapes and {sh[-2:] for sh in expm_shapes} == {(4, 4)}
 
 
+def dense_cf4_steps(leaf, c, steps, tau, halve):
+    """``dynamics._cf4_steps`` the dense way: the leaf evaluated at both
+    Gauss nodes of each step (of both counts with ``halve``), and the two
+    exponentials of each step from ``expm_hermitian``."""
+    gauss = np.sqrt(3.0) / 6.0
+    a1, a2 = 0.25 + gauss, 0.25 - gauss
+    mid = [np.arange(c.start >> i, c.stop >> i) + 0.5 for i in range(1 + halve)]
+    n = np.concatenate([np.full(len(m), steps / 2**i) for i, m in enumerate(mid)])
+    mid = np.concatenate(mid)
+    h1, h2 = leaf((mid - gauss) / n), leaf((mid + gauss) / n)
+    u = expm_hermitian(a2 * h1 + a1 * h2, tau / n) @ expm_hermitian(a1 * h1 + a2 * h2, tau / n)
+    return np.split(u, [c.stop - c.start])
+
+
+def assert_steps_match_dense(leaf, tau, tol=1e-14):
+    for steps, c in ((64, slice(0, 64)), (256, slice(96, 160))):
+        for got, want in zip(dynamics._cf4_steps(leaf, c, steps, tau, True),
+                             dense_cf4_steps(leaf, c, steps, tau, True)):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+@pytest.mark.parametrize("tau", [0.1, 1.0, 100.0])
+def test_teleport_block_steps_from_coefficients_match_dense(family, tau):
+    # drive and closed-form shortcut: both have a coefficient form and
+    # declare su2, so each step comes from Linear.expm_su2
+    spec = TeleportSpec(1, make_schedule(family))
+    for h in (teleport_hamiltonian(spec), cd_teleport(spec, tau)):
+        (leaf,) = dynamics._leaves(h)
+        assert leaf.dim == 4 and leaf.su2 and dynamics.terms(leaf) is not None
+        assert_steps_match_dense(leaf, tau)
+
+
+@pytest.mark.parametrize("n_controls", [0, 1, 2, 3])
+@pytest.mark.parametrize("axis", ["y", (1.0, -2.0, 0.5)])
+def test_controlled_branch_steps_from_coefficients_match_dense(n_controls, axis):
+    for tau in (0.1, 1.0, 100.0):
+        spec = ControlledSpec(n_controls, axis=axis, phi=1.3, theta0=2.0, tau=tau)
+        for h in (controlled_hamiltonian(spec), cd_controlled(spec)):
+            leaves = dynamics._leaves(h)
+            assert len(leaves) == 2 and all(dynamics.terms(f) is not None for f in leaves)
+            for leaf in leaves:
+                assert_steps_match_dense(leaf, tau)
+
+
+def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):
+    # a 4x4 coefficient form that declares nothing: its matrices come from
+    # one GEMM of the exponents and go through expm_hermitian
+    rng = np.random.default_rng(23)
+    basis = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    basis = basis + np.swapaxes(basis, -1, -2).conj()
+    leaf = TimeDepHamiltonian(dim=4, func=Linear(
+        lambda s: np.stack([np.cos(3 * s), s**2, np.exp(-s)], axis=-1), basis))
+    shapes, expm = [], dynamics.expm_hermitian
+    monkeypatch.setattr(dynamics, "expm_hermitian",
+                        lambda a, t: shapes.append(a.shape) or expm(a, t))
+    for tau in (0.1, 1.0, 10.0):
+        assert_steps_match_dense(leaf, tau, tol=1e-13)
+    assert shapes and {sh[-2:] for sh in shapes} == {(4, 4)}
+    psi0 = random_state(2, rng)
+    assert_matches_dense(composite(TensorSum((leaf,))), psi0, 0.7, steps=200)
+
+
+def test_stepping_a_coefficient_leaf_never_evaluates_it(monkeypatch):
+    # a default run, its first step count already kept by the cache, with E_tau
+    # and no samples: the leaves' coefficients are read, never the leaves
+    rng = np.random.default_rng(24)
+    spec = TeleportSpec(2, make_schedule("trig"), gate=gate("CNOT"))
+    cspec = ControlledSpec(2, axis="y", phi=1.3, theta0=2.0, tau=0.7)
+    runs = [(cd_teleport(spec, 0.7), teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)),
+            (teleport_hamiltonian(spec), teleport_initial_state(random_state(2, rng), 2)),
+            (cd_controlled(cspec), controlled_initial_state(random_state(3, rng))),
+            (controlled_hamiltonian(cspec), controlled_initial_state(random_state(3, rng)))]
+    caches = [StepCache(h) for h, _ in runs]
+    for cache in caches:
+        cache.start(0.7)
+    calls = []
+    for cls in (TimeDepHamiltonian, SuperadiabaticHamiltonian, Linear):
+        call = cls.__call__
+        monkeypatch.setattr(cls, "__call__",
+                            lambda self, s, call=call: calls.append(self) or call(self, s))
+    for (h, psi0), cache in zip(runs, caches):
+        res = evolve(h, psi0, 0.7, n_samples=0, track_qsl=True, cache=cache)
+        assert res.step_counts[0] == res.step_counts[1] // 2
+    assert calls == []
+
+
+def test_step_cache_samples_the_first_step_count_once_per_tau(monkeypatch):
+    spec = ControlledSpec(3, axis="y", phi=np.pi / 2, theta0=2.0, tau=1.0)
+    h = cd_controlled(spec)
+    states = [controlled_initial_state(random_state(4, np.random.default_rng(j))) for j in range(3)]
+    fresh = [evolve(h, psi0) for psi0 in states]
+    bound, calls = dynamics._norm_bound, []
+    monkeypatch.setattr(dynamics, "_norm_bound", lambda h: calls.append(1) or bound(h))
+    cache = StepCache(h)
+    for psi0, want in zip(states, fresh):
+        got = evolve(h, psi0, cache=cache)
+        assert np.array_equal(got.final_state, want.final_state)
+        assert got.step_counts == want.step_counts
+    assert len(calls) == 1 and cache.start(1.0) == fresh[0].step_counts[1]
+
+
 @pytest.mark.parametrize("driver", ["teleport", "controlled"])
 def test_shortcuts_stay_exact_at_tau_1e_300(driver):
     # the correction ~ 1/tau is near the float range; each step exponential
@@ -787,6 +891,23 @@ def test_target_state_cae_cnot_selection():
         gate("CNOT") @ psi2, [0, 1]
     )
     assert fidelity(got, want) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("n_controls", [0, 1, 3])
+def test_controlled_states_stack_the_ancilla_axis(n_controls, monkeypatch):
+    # the ancilla is the last qubit: the states equal their Kronecker forms,
+    # and once the spec holds its rotation no input calls np.kron
+    spec = ControlledSpec(n_controls, axis=(0.3, -1.0, 2.0), phi=0.7, theta0=1.9, tau=1.0)
+    psis = [random_state(n_controls + 1, np.random.default_rng(40 + j)) for j in range(3)]
+    rot = spec.rotation
+    half = spec.theta0 / 2
+    wants = [(np.kron(psi, [1.0, 0.0]), np.cos(half) * np.kron(psi, [1.0, 0.0])
+              + np.sin(half) * np.kron(rot @ psi, [0.0, 1.0])) for psi in psis]
+    monkeypatch.setattr(np, "kron", None)
+    for psi, (ini, tgt) in zip(psis, wants):
+        assert np.array_equal(controlled_initial_state(psi), ini)
+        assert np.array_equal(controlled_target_state(psi, spec), tgt)
+    assert spec.rotation is rot
 
 
 def test_target_state_unknown_protocol():

@@ -9,6 +9,7 @@ from sal.counterdiabatic import (
     cd_teleport,
     cd_teleport_block,
 )
+from sal import dynamics
 from sal.dynamics import _leaves
 from sal.hamiltonians import (
     GATES,
@@ -37,7 +38,7 @@ from sal.hamiltonians import (
     teleport_hamiltonian,
     terms,
 )
-from sal.linalg import kron, random_state
+from sal.linalg import expm_hermitian, kron, random_state
 from sal.schedules import FAMILIES, make_schedule
 
 
@@ -251,8 +252,6 @@ def gate_selection(name: str) -> tuple[str, float]:
 
 
 def test_gate_selection_presets():
-    from sal.dynamics import controlled_rotation_operator
-
     assert gate_selection("NOT") == ("x", np.pi)
     assert gate_selection("CNOT") == ("x", np.pi)
     assert gate_selection("Toffoli") == ("x", np.pi)
@@ -262,11 +261,11 @@ def test_gate_selection_presets():
         gate_selection("T")
     # the (x, pi) selection on one control is exactly CNOT
     spec = ControlledSpec(n_controls=1, axis="x", phi=np.pi, theta0=np.pi, tau=1.0)
-    r = controlled_rotation_operator(spec)
+    r = spec.rotation
     assert np.max(np.abs(r - gate("CNOT"))) < 1e-12
     # unconditioned (x, pi) is the NOT gate up to a global phase
     spec0 = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=np.pi, tau=1.0)
-    r0 = controlled_rotation_operator(spec0)
+    r0 = spec0.rotation
     overlap = np.trace(gate("X").conj().T @ r0) / 2
     assert abs(abs(overlap) - 1.0) < 1e-12
 
@@ -408,7 +407,7 @@ def test_terms_are_set_on_every_builder_leaf():
               cd_controlled(cspec)):
         for leaf in _leaves(h):
             form = terms(leaf)
-            assert form is not None
+            assert form is not None and terms(leaf) is form  # built once, tables kept on it
             assert_same_operator(form(s), leaf(s))  # a shortcut's: drive plus correction
             c = form.coef(s)  # the Gram form of ||H||^2 and tr H
             m = leaf(s)
@@ -418,3 +417,37 @@ def test_terms_are_set_on_every_builder_leaf():
     assert terms(cd_generic(teleport_block_hamiltonian(sch), 0.4, grid=201)) is None
     assert all(terms(leaf) is None for leaf in _leaves(cd_teleport(spec, 0.4, grid=201)))
     assert terms(TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(s, Z))) is None
+
+
+def _k(a):
+    """k = sqrt(tr A'^2 / 2) of the traceless part A' of each matrix of a stack."""
+    d = a.shape[-1]
+    a = a - np.trace(a, axis1=-2, axis2=-1)[..., None, None] / d * np.eye(d)
+    return np.sqrt(0.5 * np.trace(a @ a, axis1=-2, axis2=-1).real)
+
+
+@pytest.mark.parametrize("which", ["teleport", "controlled"])
+def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which):
+    # the teleport block's shortcut (4x4) and a controlled branch's (2x2),
+    # each also with a trace added to every generator
+    if which == "teleport":
+        (leaf,) = _leaves(cd_teleport_block(make_schedule("trig"), 0.6))
+    else:
+        leaf = cd_controlled(ControlledSpec(1, axis="y", phi=1.3, theta0=2.0, tau=0.6)).parts.parts[1]
+    form, d = terms(leaf), leaf.dim
+    shifted = Linear(form.coef, form.basis + np.arange(1.0, 4.0)[:, None, None] * np.eye(d))
+    rng = np.random.default_rng(31)
+    for f in (form, shifted):
+        assert np.array_equal(f.expm_su2(np.zeros((1, 3))), np.eye(d)[None])
+        c = rng.normal(size=3)
+        c /= _k(f.combine(c))  # k = 1
+        t = np.array([1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12])
+        rows = np.multiply.outer(t, c)
+        assert np.allclose(_k(f.combine(rows)), t, rtol=1e-14, atol=0)
+        assert np.max(np.abs(f.expm_su2(rows) - expm_hermitian(f.combine(rows), 1.0))) <= 1e-14
+        # a 1e300 coefficient over steps of 3e-300: the step scales the
+        # exponents before anything is squared, so the step is exp(-3i c.M)
+        big = TimeDepHamiltonian(dim=d, su2=d > 2, func=Linear(
+            lambda s, c=c: np.multiply.outer(np.ones_like(s), 1e300 * c), f.basis))
+        u, _ = dynamics._cf4_steps(big, slice(0, 2), 2, 6e-300, False)
+        assert np.max(np.abs(u - expm_hermitian(f.combine(c), 3.0))) <= 1e-14
