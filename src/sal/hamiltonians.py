@@ -123,10 +123,7 @@ class Linear:
     basis: np.ndarray
 
     def __call__(self, s) -> np.ndarray:
-        return self.combine(self.coef(s))
-
-    def combine(self, c: np.ndarray) -> np.ndarray:
-        """c @ basis for coefficient rows c, shaped (..., K): one GEMM."""
+        c = self.coef(s)
         k, d = self.basis.shape[:2]
         return (c @ self.basis.reshape(k, d * d)).reshape(np.shape(c)[:-1] + (d, d))
 

@@ -11,7 +11,7 @@ from sal.counterdiabatic import (
     cd_teleport_block,
     cd_tensor_sum,
 )
-from sal import dynamics
+from sal import cli, dynamics
 from sal.dynamics import (
     StepCache,
     controlled_initial_state,
@@ -41,11 +41,12 @@ from sal.hamiltonians import (
     parity_operators,
     teleport_block_hamiltonian,
     teleport_hamiltonian,
+    terms,
 )
 from sal.linalg import (_CHUNK, _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state,
                         simpson)
 from sal.cli import FIDELITY_FLOOR
-from sal.schedules import make_schedule
+from sal.schedules import FAMILIES, make_schedule
 
 
 def test_fidelity_trivial_values():
@@ -461,8 +462,8 @@ def test_controlled_branch_steps_from_coefficients_match_dense(n_controls, axis)
 
 
 def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):
-    # a 4x4 coefficient form that declares nothing: its matrices come from
-    # one GEMM of the exponents and go through expm_hermitian
+    # a 4x4 coefficient form that declares nothing: the leaf is evaluated
+    # and its exponentials go through expm_hermitian
     rng = np.random.default_rng(23)
     basis = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     basis = basis + np.swapaxes(basis, -1, -2).conj()
@@ -478,25 +479,33 @@ def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):
     assert_matches_dense(composite(TensorSum((leaf,))), psi0, 0.7, steps=200)
 
 
-def test_stepping_a_coefficient_leaf_never_evaluates_it(monkeypatch):
-    # a default run, its first step count already kept by the cache, with E_tau
-    # and no samples: the leaves' coefficients are read, never the leaves
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stepping_a_command_leaf_never_evaluates_it(family, monkeypatch):
+    # the drivers that teleport (--mode sa and adiabatic), cae and sce build:
+    # every leaf has a coefficient form and takes the closed form, so a
+    # default run with E_tau and no samples, its first step count already
+    # kept by the cache, reads the leaves' coefficients and never the leaves.
+    # A builder that drops the form or su2 fails here instead of silently
+    # leaving the fast path
+    parse = cli._parser().parse_args
+    runs = [cli._teleport_run(parse(["teleport", "--n", "2", "--tau", "0.7", "--schedule",
+                                     family, "--mode", mode]), gate("CNOT"))[1:4]
+            for mode in ("sa", "adiabatic")]
+    runs += [cli._controlled_run(parse([name, "--n-controls", "2", "--tau", "0.7"]),
+                                 name == "sce")[1:4] for name in ("cae", "sce")]
     rng = np.random.default_rng(24)
-    spec = TeleportSpec(2, make_schedule("trig"), gate=gate("CNOT"))
-    cspec = ControlledSpec(2, axis="y", phi=1.3, theta0=2.0, tau=0.7)
-    runs = [(cd_teleport(spec, 0.7), teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)),
-            (teleport_hamiltonian(spec), teleport_initial_state(random_state(2, rng), 2)),
-            (cd_controlled(cspec), controlled_initial_state(random_state(3, rng))),
-            (controlled_hamiltonian(cspec), controlled_initial_state(random_state(3, rng)))]
-    caches = [StepCache(h) for h, _ in runs]
-    for cache in caches:
+    inputs = []
+    for h, n, prepare in runs:
+        assert all(terms(f) is not None and (f.dim == 2 or f.su2) for f in dynamics._leaves(h))
+        cache = StepCache(h)
         cache.start(0.7)
+        inputs.append((h, prepare(random_state(n, rng))[0], cache))
     calls = []
     for cls in (TimeDepHamiltonian, SuperadiabaticHamiltonian, Linear):
         call = cls.__call__
         monkeypatch.setattr(cls, "__call__",
                             lambda self, s, call=call: calls.append(self) or call(self, s))
-    for (h, psi0), cache in zip(runs, caches):
+    for h, psi0, cache in inputs:
         res = evolve(h, psi0, 0.7, n_samples=0, track_qsl=True, cache=cache)
         assert res.step_counts[0] == res.step_counts[1] // 2
     assert calls == []

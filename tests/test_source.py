@@ -3,12 +3,7 @@
 import ast
 from pathlib import Path
 
-import pytest
-
 import sal
-from sal import cli, dynamics
-from sal.hamiltonians import SuperadiabaticHamiltonian, TimeDepHamiltonian, gate, terms
-from sal.schedules import FAMILIES
 
 SOURCES = sorted(Path(sal.__file__).parent.glob("*.py"))
 
@@ -84,29 +79,3 @@ def test_only_runs_evolves_a_command_input():
     inside = {id(node) for node in ast.walk(runs)}
     found = [f"cli.py:{line}" for key, line in calls.items() if key not in inside]
     assert calls and not found, found
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_every_command_leaf_steps_from_its_coefficients(family, monkeypatch):
-    # the drivers that teleport (drive and closed-form shortcut), cae and sce
-    # build have leaves with a coefficient form that take the closed form:
-    # stepping them evaluates no leaf and calls neither dense exponential, so
-    # a builder that drops the form or su2 fails here instead of silently
-    # leaving the fast path
-    parse = cli._parser().parse_args
-    drivers = [cli._teleport_run(parse(["teleport", "--n", "2", "--tau", "0.7", "--schedule",
-                                        family, "--mode", mode]), gate("CNOT"))[1]
-               for mode in ("sa", "adiabatic")]
-    drivers += [cli._controlled_run(parse([name, "--n-controls", "2", "--tau", "0.7"]),
-                                    name == "sce")[1] for name in ("cae", "sce")]
-
-    def refuse(*args):
-        raise AssertionError("a command leaf left the coefficient closed form")
-
-    for owner, attr in ((dynamics, "expm_hermitian"), (dynamics, "expm_su2"),
-                        (TimeDepHamiltonian, "__call__"), (SuperadiabaticHamiltonian, "__call__")):
-        monkeypatch.setattr(owner, attr, refuse)
-    for h in drivers:
-        for leaf in dynamics._leaves(h):
-            assert terms(leaf) is not None and (leaf.dim == 2 or leaf.su2)
-            dynamics._cf4_steps(leaf, slice(0, 4), 4, 0.7, True)
