@@ -133,9 +133,8 @@ def cd_generic(
 
     The correction is evaluated by linear interpolation between grid
     operators; degenerate levels are handled by the parallel-transport
-    continuation in ``spectral_frame``.  The shortcut declares no ``su2``,
-    even over a drive that does: the interpolated correction is not exactly
-    in the drive's span.
+    continuation in ``spectral_frame``.  The shortcut has no coefficient
+    form, so propagation evaluates it and steps it by eigendecomposition.
     """
     def cd(s) -> np.ndarray:
         x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
@@ -168,14 +167,12 @@ def cd_teleport_block(schedule: Schedule, tau: float) -> SuperadiabaticHamiltoni
     (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
     ``angle_rate``, in coefficient form: a'/tau over i G.  It commutes with
     both parity operators by construction, and stays in the span of B_ini,
-    B_fin and i G, so the block declares ``su2``.
+    B_fin and i G, so the block's form has ``Linear.su2``.
     """
     b_ini, b_fin = teleport_block_terms()
     gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
     cd = Linear(lambda s: np.expand_dims(schedule.angle_rate(s) / tau, -1), gen[None])
-    block = SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule), cd, tau,
-                                      su2=True)
-    return sector_tree(block)
+    return sector_tree(SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule), cd, tau))
 
 
 def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHamiltonian:

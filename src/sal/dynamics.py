@@ -60,16 +60,17 @@ a d-vector product per row.
 
 Steps are taken a chunk at a time.  Each distinct leaf is read once per
 chunk at both nodes of every step (of both counts in a first pass), and its
-two exponentials of every step are formed as two batched stacks.  A 2x2
-leaf (every ancilla branch) or one that declares ``su2`` (the teleport
-parity block, drive or closed-form shortcut) takes the closed form.  If it
-has a coefficient form (``terms``; every builder's leaf has one) it is read
-as coefficients c(s) and never evaluated: the exponents dt (a2 c1 + a1 c2)
-and dt (a1 c1 + a2 c2) are combined, scaled by dt, in coefficient space,
-and ``Linear.expm_su2`` forms the exponentials as one GEMM over constant
-tables cached on the form.  Any other leaf (``cd_generic``, the dense
-references, a form without a closed form) is evaluated as a matrix stack
-and exponentiated by ``linalg.expm_su2`` or an eigendecomposition.  The steps' running products
+two exponentials of every step are formed as two batched stacks.  A leaf
+whose coefficient form (``terms``) has the closed form, as
+``Linear.su2`` works out from its generators (every 2x2 form, so every
+ancilla branch, and the teleport parity block, drive or closed-form
+shortcut), is read as coefficients c(s) and never evaluated: the exponents
+dt (a2 c1 + a1 c2) and dt (a1 c1 + a2 c2) are combined, scaled by dt, in
+coefficient space, and ``Linear.expm_su2`` forms the exponentials as one
+GEMM over constant tables cached on the form.  Any other leaf
+(``cd_generic``, custom leaves, the dense references, a form without the
+closed form) is evaluated as a matrix stack and exponentiated by an
+eigendecomposition (``expm_hermitian``).  The steps' running products
 p_k = u_k ... u_0 come from a log-depth prefix scan (``_running_products``),
 or only the chunk's total from the scan's own pairwise reduction
 (``_chain_product``) when nothing reads an inner step, as for the N/2 run;
@@ -109,7 +110,7 @@ import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
 from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
-                     apply_on_qubits, expm_hermitian, expm_su2, simpson, state_from_factors)
+                     apply_on_qubits, expm_hermitian, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -253,30 +254,28 @@ def _cf4_steps(leaf, c: slice, steps: int, tau: float, halve: bool) -> list[np.n
     exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)) with dt = tau / steps
     and H1, H2 at the Gauss nodes (j + 1/2 -/+ sqrt(3)/6) / steps, and with
     ``halve`` (c's ends even) those of steps/2 over the same span, each count
-    with its own nodes and dt, from one evaluation and one exponential pair
-    (else an empty stack).  A 2x2 leaf, or one that declares ``su2``, takes
-    the closed form; any other leaf an eigendecomposition.  A closed-form
-    leaf with a coefficient form is combined in coefficient space, its
+    with its own nodes and dt, from one reading of the leaf and one
+    exponential pair (else an empty stack).  A leaf whose coefficient form
+    has the closed form (``Linear.su2``) is read as coefficients, its
     exponents dt (a2 c(s1) + a1 c(s2)) and dt (a1 c(s1) + a2 c(s2)) scaled
-    before anything is squared, and is never itself evaluated: the
-    exponentials come from ``Linear.expm_su2``.  Any other leaf is
-    evaluated as a matrix stack."""
-    closed = leaf.dim == 2 or leaf.su2
+    before anything is squared, and stepped by ``Linear.expm_su2``: it is
+    never itself evaluated.  Any other leaf is evaluated as a matrix stack
+    and stepped by ``expm_hermitian``."""
     mid = [np.arange(c.start >> i, c.stop >> i) + 0.5 for i in range(1 + halve)]  # N, N/2
     n = np.concatenate([np.full(len(m), steps / 2**i) for i, m in enumerate(mid)])
     mid = np.concatenate(mid)
     nodes = np.concatenate([mid - _GAUSS, mid + _GAUSS]) / np.concatenate([n, n])
-    form = terms(leaf) if closed else None
-    if form is None:
-        expm = expm_su2 if closed else expm_hermitian
-        h1, h2 = np.split(leaf(nodes), 2)
-        u = expm(_A2 * h1 + _A1 * h2, tau / n) @ expm(_A1 * h1 + _A2 * h2, tau / n)
-    else:
+    form = terms(leaf)
+    if form is not None and form.su2:
         c1, c2 = np.split(form.coef(nodes), 2)
         dt = (tau / n)[:, None]
         a = np.concatenate([dt * (_A2 * c1 + _A1 * c2), dt * (_A1 * c1 + _A2 * c2)])
         e2, e1 = np.split(form.expm_su2(a), 2)
         u = e2 @ e1
+    else:
+        h1, h2 = np.split(leaf(nodes), 2)
+        u = (expm_hermitian(_A2 * h1 + _A1 * h2, tau / n)
+             @ expm_hermitian(_A1 * h1 + _A2 * h2, tau / n))
     return np.split(u, [c.stop - c.start])
 
 

@@ -18,17 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import combinations_with_replacement
 from math import prod
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (_chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters,
-                     su2_weights)
+from .linalg import _chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
 _ESTIMATE_GRID = 101  # points of s that ``adiabatic_time_estimate`` reads
+SU2_RTOL = 1e-12  # residual of A'^3 = k^2 A' relative to ||A'||^3 that ``Linear.su2`` accepts
 
 # --- elementary gates ------------------------------------------------------
 
@@ -117,7 +118,14 @@ class Linear:
     ``TimeDepHamiltonian`` func or deriv, or a shortcut's cd, in coefficient
     form (see ``terms``).  The constant tables of the basis (``gram``,
     ``traces`` and those of ``expm_su2``) are formed on first use and kept
-    on the form."""
+    on the form.
+
+    ``su2`` tells from the basis alone whether every real A = c @ basis has a
+    traceless part A' with A'^3 = k^2 A', k^2 = tr A'^2 / 2: every 2x2 basis,
+    and a spin-1 (+) spin-0 representation of su(2) such as the teleport
+    parity block's.  Then, with c0 = tr A / d, ``expm_su2`` reads the closed
+    form exp(-iA) = e^{-i c0} (1 - i sinc(k) A' - sinc^2(k/2) A'^2 / 2)
+    (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)) off the coefficients."""
 
     coef: Callable[[float | np.ndarray], np.ndarray]
     basis: np.ndarray
@@ -137,7 +145,22 @@ class Linear:
         """tr M_k, so that tr(coef @ basis) = c . traces."""
         return np.trace(self.basis, axis1=-2, axis2=-1)
 
-    # The tables of ``expm_su2``, formed on its first call.
+    @cached_property
+    def su2(self) -> bool:
+        """Whether every A' = c @ M' (see ``traceless``) obeys A'^3 = k^2 A':
+        by Cayley-Hamilton for d = 2; otherwise its residual, a cubic form
+        in c, is checked at the C(K + 2, 3) points of N^K whose entries sum
+        to 3, which determine a cubic form: each entry within SU2_RTOL of
+        ||A'||_F^3 = (2 k^2)^(3/2)."""
+        k, d = self.basis.shape[:2]
+        if d == 2:
+            return True
+        c = np.eye(k)[list(combinations_with_replacement(range(k), 3))].sum(axis=1)
+        a = (c @ self.traceless.reshape(k, d * d)).reshape(-1, d, d)
+        k2 = 0.5 * np.sum(np.abs(a) ** 2, axis=(1, 2))[:, None, None]
+        return bool(np.all(np.abs(a @ a @ a - k2 * a) <= SU2_RTOL * (2.0 * k2) ** 1.5))
+
+    # The tables of ``su2`` and ``expm_su2``, formed on first use.
 
     @cached_property
     def traceless(self) -> np.ndarray:
@@ -163,18 +186,19 @@ class Linear:
         return np.concatenate(parts).reshape(-1, d * d).view(float)
 
     def expm_su2(self, c: np.ndarray) -> np.ndarray:
-        """exp(-i c @ basis) for coefficient rows c, shaped (n, K), whose
-        traceless part obeys A'^3 = k^2 A': the closed form of
-        ``linalg.expm_su2`` read off the coefficients.  With
-        c0 = c . traces / d, k^2 = c . Gram' c / 2 (clamped at 0) and
-        A'^2 = sum_kl c_k c_l M'_k M'_l, the exponentials less their phase
-        e^{-i c0} are one real GEMM of (n, 1 + K + K^2) weights
-        1, sinc(k) c_k, -sinc^2(k/2) c_k c_l / 2 over ``su2_stack``; for
-        d = 2, A'^2 = k^2 1 and the pairs drop out.  No matrix of c is
-        formed, so a c scaled by a time step first squares nothing larger."""
+        """exp(-i c @ basis) for coefficient rows c, shaped (n, K), of a
+        basis with ``su2``: the closed form (see ``Linear``) read off the
+        coefficients.  With c0 = c . traces / d, k^2 = c . Gram' c / 2
+        (clamped at 0) and A'^2 = sum_kl c_k c_l M'_k M'_l, the exponentials
+        less their phase e^{-i c0} are one real GEMM of (n, 1 + K + K^2)
+        weights 1, sinc(k) c_k, -sinc^2(k/2) c_k c_l / 2 over ``su2_stack``;
+        for d = 2, A'^2 = k^2 1 and the pairs drop out.  No matrix of c is
+        formed, so a c scaled by a time step first squares nothing larger,
+        and the sinc forms hold at k = 0."""
         n, (k, d) = len(c), self.basis.shape[:2]
         k2 = np.maximum(0.5 * np.sum((c @ self.traceless_gram) * c, axis=-1), 0.0)
-        sinc, half = su2_weights(k2)
+        root = np.sqrt(k2)  # np.sinc(x) = sin(pi x) / (pi x)
+        sinc, half = np.sinc(root / np.pi), 0.5 * np.sinc(root / (2 * np.pi)) ** 2
         w = np.empty((n, len(self.su2_stack)))
         w[:, 0] = 1.0 - half * k2 if d == 2 else 1.0
         np.multiply(sinc[:, None], c, out=w[:, 1 : k + 1])
@@ -209,19 +233,12 @@ class TimeDepHamiltonian:
     ``Rotation``) over smaller Hamiltonians that ``composite`` built H from:
     ``func`` and ``deriv`` assemble the dense operator from the tree, while
     propagation walks it and never forms it.  Without ``parts``, H is a leaf.
-
-    ``su2`` declares that every real combination of H at any points, less
-    its trace, obeys A^3 = k^2 A, so that propagation steps the leaf by the
-    closed form: ``Linear.expm_su2`` from the coefficients of a ``Linear``
-    func, ``linalg.expm_su2`` from the matrices otherwise; a 2x2 leaf takes
-    it without the flag.
     """
 
     dim: int
     func: Callable[[float | np.ndarray], np.ndarray]
     deriv: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     parts: Optional[TensorSum | Branches | Rotation] = None
-    su2: bool = False
 
     def __call__(self, s) -> np.ndarray:
         return check_shape(self.func(s), s, self.dim)
@@ -239,16 +256,13 @@ class SuperadiabaticHamiltonian:
 
     ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
     checks its shape); ``parts``, when set, is the structure node over
-    shortcuts that this one composes (see ``composite``).  ``su2`` is
-    ``TimeDepHamiltonian.su2`` for the total: the base's flag does not carry
-    over, since a correction can leave the span.
+    shortcuts that this one composes (see ``composite``).
     """
 
     base: TimeDepHamiltonian
     cd: Callable[[float | np.ndarray], np.ndarray]
     tau: float
     parts: Optional[TensorSum | Branches | Rotation] = None
-    su2: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
@@ -445,13 +459,12 @@ def teleport_block_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:
     (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s), in coefficient
     form.  B_ini, B_fin and G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0
     representation of su(2), levels -2x, 0, 0, 2x with x = ``schedule.chi``,
-    so the block declares ``su2``."""
+    so the form has ``Linear.su2``."""
     basis = np.stack(teleport_block_terms())
     return TimeDepHamiltonian(
         dim=4,
         func=Linear(lambda s: np.stack(schedule.eta(s), axis=-1), basis),
         deriv=Linear(lambda s: np.stack(schedule.deta(s), axis=-1), basis),
-        su2=True,
     )
 
 

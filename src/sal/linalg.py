@@ -123,40 +123,6 @@ def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return (v * phases[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def su2_weights(k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sinc(k) and sinc^2(k/2) / 2 for k = sqrt(k2): the weights of A' and
-    A'^2 in the closed form of ``expm_su2``, finite at k = 0."""
-    k = np.sqrt(k2)
-    half = np.sinc(k / (2 * np.pi))  # np.sinc(x) = sin(pi x)/(pi x)
-    return np.sinc(k / np.pi), 0.5 * half * half
-
-
-def expm_su2(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """exp(-i*h*t) for a stack (..., d, d) of Hermitian h whose traceless
-    part obeys A'^3 = k^2 A', with no eigendecomposition: every 2x2 h, and
-    any h in a spin-1 (+) spin-0 representation of su(2); t is a float or
-    one per matrix.  With A = t h, c0 = tr A / d, A' = A - c0 and
-    k^2 = tr A'^2 / 2 (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)),
-
-        exp(-iA) = e^{-i c0} (1 - i sinc(k) A' - sinc^2(k/2) A'^2 / 2).
-
-    A is formed before anything is squared, so a large h times a small t
-    does not overflow; the sinc forms hold at k = 0.  ``Linear.expm_su2``
-    forms the same exponentials from a leaf's coefficients."""
-    a = np.asarray(t)[..., None, None] * h
-    d = a.shape[-1]
-    c0 = np.trace(a, axis1=-2, axis2=-1).real / d
-    a = a - c0[..., None, None] * np.eye(d)
-    k2 = 0.5 * np.sum((a.conj() * a).real, axis=(-2, -1))
-    sinc, half = su2_weights(k2)
-    u = np.eye(d) - 1j * sinc[..., None, None] * a
-    if d == 2:  # A'^2 = k^2 1 (Cayley-Hamilton for a traceless 2x2)
-        u -= (half * k2)[..., None, None] * np.eye(2)
-    else:
-        u -= half[..., None, None] * (a @ a)
-    return np.exp(-1j * c0)[..., None, None] * u
-
-
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Embed an operator acting on the listed qubits into the n-qubit space.
 

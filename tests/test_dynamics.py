@@ -369,7 +369,7 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
     # teleport --n 3 --gate Toffoli works on each sector's 4x4 parity block,
     # never the 8x8 sector or the 512-dim sum: the generic sector shortcut
-    # steps it by eigendecomposition and the closed-form one by expm_su2, and
+    # steps it by eigendecomposition and the closed-form one by Linear.expm_su2, and
     # ground sampling decomposes it for both
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     drivers = (cd_teleport(spec, 0.1), cd_teleport(spec, 0.1, grid=201))
@@ -391,10 +391,11 @@ def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
 
 
 def test_su2_leaves_step_without_eigendecomposition(monkeypatch):
-    # the closed-form teleport block (declared su2) and the controlled
-    # branches (2x2) step by expm_su2: once a warm-up has filled the branch
-    # nodes' cached bases, a run with no ground sampling decomposes nothing.
-    # The generic sector shortcut declares nothing and keeps expm_hermitian.
+    # the closed-form teleport block and the controlled branches (2x2), whose
+    # forms are closed (Linear.su2), step by Linear.expm_su2: once a warm-up
+    # has filled the branch nodes' cached bases, a run with no ground
+    # sampling decomposes nothing.  The generic sector shortcut has no form
+    # and keeps expm_hermitian.
     rng = np.random.default_rng(16)
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     teleport_psi0 = teleport_initial_state(random_state(3, rng), 3, gate=spec.gate)
@@ -440,12 +441,12 @@ def assert_steps_match_dense(leaf, tau, tol=1e-14):
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
 @pytest.mark.parametrize("tau", [0.1, 1.0, 100.0])
 def test_teleport_block_steps_from_coefficients_match_dense(family, tau):
-    # drive and closed-form shortcut: both have a coefficient form and
-    # declare su2, so each step comes from Linear.expm_su2
+    # drive and closed-form shortcut: both have a closed coefficient form
+    # (Linear.su2), so each step comes from Linear.expm_su2
     spec = TeleportSpec(1, make_schedule(family))
     for h in (teleport_hamiltonian(spec), cd_teleport(spec, tau)):
         (leaf,) = dynamics._leaves(h)
-        assert leaf.dim == 4 and leaf.su2 and dynamics.terms(leaf) is not None
+        assert leaf.dim == 4 and dynamics.terms(leaf).su2
         assert_steps_match_dense(leaf, tau)
 
 
@@ -462,13 +463,14 @@ def test_controlled_branch_steps_from_coefficients_match_dense(n_controls, axis)
 
 
 def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):
-    # a 4x4 coefficient form that declares nothing: the leaf is evaluated
+    # a random 4x4 coefficient form is not closed: the leaf is evaluated
     # and its exponentials go through expm_hermitian
     rng = np.random.default_rng(23)
     basis = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     basis = basis + np.swapaxes(basis, -1, -2).conj()
     leaf = TimeDepHamiltonian(dim=4, func=Linear(
         lambda s: np.stack([np.cos(3 * s), s**2, np.exp(-s)], axis=-1), basis))
+    assert not terms(leaf).su2
     shapes, expm = [], dynamics.expm_hermitian
     monkeypatch.setattr(dynamics, "expm_hermitian",
                         lambda a, t: shapes.append(a.shape) or expm(a, t))
@@ -479,14 +481,37 @@ def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):
     assert_matches_dense(composite(TensorSum((leaf,))), psi0, 0.7, steps=200)
 
 
+def test_open_forms_step_by_eigendecomposition(monkeypatch):
+    # two forms whose combinations break A'^3 = k^2 A': the commuting pair
+    # diag(1, -1, 0, 0), diag(0, 0, 1, -1) (levels +/-1 and +/-2 at c = (1, 2)),
+    # and the parity block's generators with one of them moved by 1e-7 off
+    # the su(2) span.  Neither may take the closed form, so each is evaluated
+    # and stepped by expm_hermitian, and matches the dense steps
+    b_ini, b_fin = dynamics.terms(teleport_block_hamiltonian(make_schedule("linear"))).basis
+    nudge = np.zeros((4, 4), dtype=complex)
+    nudge[0, 1] = nudge[1, 0] = 1e-7
+    bases = (np.stack([np.diag([1.0, -1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, -1.0])]),
+             np.stack([b_ini, b_fin + nudge]))
+    shapes, expm = [], dynamics.expm_hermitian
+    monkeypatch.setattr(dynamics, "expm_hermitian",
+                        lambda a, t: shapes.append(a.shape) or expm(a, t))
+    for basis in bases:
+        form = Linear(lambda s: np.stack([np.cos(3 * s), 1.0 + s**2], axis=-1), basis)
+        assert not form.su2
+        shapes.clear()
+        for tau in (0.1, 1.0, 10.0):
+            assert_steps_match_dense(TimeDepHamiltonian(dim=4, func=form), tau, tol=1e-13)
+        assert shapes and {sh[-2:] for sh in shapes} == {(4, 4)}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_stepping_a_command_leaf_never_evaluates_it(family, monkeypatch):
     # the drivers that teleport (--mode sa and adiabatic), cae and sce build:
     # every leaf has a coefficient form and takes the closed form, so a
     # default run with E_tau and no samples, its first step count already
     # kept by the cache, reads the leaves' coefficients and never the leaves.
-    # A builder that drops the form or su2 fails here instead of silently
-    # leaving the fast path
+    # A builder whose form is dropped or not closed fails here instead of
+    # silently leaving the fast path
     parse = cli._parser().parse_args
     runs = [cli._teleport_run(parse(["teleport", "--n", "2", "--tau", "0.7", "--schedule",
                                      family, "--mode", mode]), gate("CNOT"))[1:4]
@@ -496,7 +521,7 @@ def test_stepping_a_command_leaf_never_evaluates_it(family, monkeypatch):
     rng = np.random.default_rng(24)
     inputs = []
     for h, n, prepare in runs:
-        assert all(terms(f) is not None and (f.dim == 2 or f.su2) for f in dynamics._leaves(h))
+        assert all(terms(f) is not None and terms(f).su2 for f in dynamics._leaves(h))
         cache = StepCache(h)
         cache.start(0.7)
         inputs.append((h, prepare(random_state(n, rng))[0], cache))
@@ -590,7 +615,7 @@ def test_mixed_leaves_match_dense():
     # E_tau reads a coefficient leaf through its generators and a leaf with no
     # coefficient form through its matrix units, in one tree
     rng = np.random.default_rng(52)
-    linear = teleport_block_hamiltonian(make_schedule("exp"))  # coefficient form, su2
+    linear = teleport_block_hamiltonian(make_schedule("exp"))  # a closed coefficient form
     turning = _turning_leaf(2, rng)
     for h in (composite(TensorSum((linear, turning))),
               composite(Branches(_split(rng), (linear, composite(TensorSum((turning, turning))))))):

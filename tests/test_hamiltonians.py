@@ -419,6 +419,19 @@ def test_terms_are_set_on_every_builder_leaf():
     assert terms(TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(s, Z))) is None
 
 
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_every_builder_form_is_closed(family):
+    # Linear.su2 is worked out from the generators: the teleport drive and
+    # closed-form shortcut (4x4, checked on the cubic lattice) and the
+    # controlled drive and shortcut branches (2x2, by Cayley-Hamilton)
+    sch = make_schedule(family)
+    spec = ControlledSpec(n_controls=1, axis=(1.0, -2.0, 0.5), phi=1.3, theta0=2.0, tau=0.7)
+    leaves = [*_leaves(teleport_block_hamiltonian(sch)), *_leaves(cd_teleport_block(sch, 0.7)),
+              *_leaves(controlled_hamiltonian(spec)), *_leaves(cd_controlled(spec))]
+    assert [f.dim for f in leaves] == [4, 4, 2, 2, 2, 2]
+    assert all(terms(f).su2 for f in leaves)
+
+
 def _k(a):
     """k = sqrt(tr A'^2 / 2) of the traceless part A' of each matrix of a stack."""
     d = a.shape[-1]
@@ -448,7 +461,8 @@ def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which):
         assert np.max(np.abs(f.expm_su2(rows) - expm_hermitian(m, 1.0))) <= 1e-14
         # a 1e300 coefficient over steps of 3e-300: the step scales the
         # exponents before anything is squared, so the step is exp(-3i c.M)
-        big = TimeDepHamiltonian(dim=d, su2=d > 2, func=Linear(
+        big = TimeDepHamiltonian(dim=d, func=Linear(
             lambda s, c=c: np.multiply.outer(np.ones_like(s), 1e300 * c), f.basis))
+        assert terms(big).su2
         u, _ = dynamics._cf4_steps(big, slice(0, 2), 2, 6e-300, False)
         assert np.max(np.abs(u - expm_hermitian(np.tensordot(c, f.basis, 1), 3.0))) <= 1e-14

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sal.counterdiabatic import cd_teleport_block
 from sal.dynamics import _leaves
-from sal.hamiltonians import I2, X, Z, teleport_block_hamiltonian, teleport_block_terms
+from sal.hamiltonians import (I2, X, Y, Z, Linear, teleport_block_hamiltonian,
+                              teleport_block_terms, terms)
 from sal.linalg import (
     _CHUNK,
     _chain_product,
@@ -14,7 +15,6 @@ from sal.linalg import (
     eigh,
     embed,
     expm_hermitian,
-    expm_su2,
     kron,
     level_clusters,
     normalize,
@@ -116,15 +116,6 @@ def test_expm_hermitian_unitary():
     assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
 
 
-def spin1_combinations(rng, size):
-    """x B_ini + y B_fin + i z G, G = [B_fin, B_ini] / 4, for random x, y, z."""
-    b_ini, b_fin = teleport_block_terms()
-    gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
-    x, y, z = rng.normal(size=(3, size))
-    return (np.multiply.outer(x, b_ini) + np.multiply.outer(y, b_fin)
-            + 1j * np.multiply.outer(z, gen))
-
-
 def su2_k(h):
     """k = sqrt(tr A'^2 / 2) of the traceless part A' of each h."""
     d = h.shape[-1]
@@ -132,28 +123,36 @@ def su2_k(h):
     return np.sqrt(0.5 * np.trace(a @ a, axis1=-2, axis2=-1).real)
 
 
+def closed_forms_with_trace():
+    """Coefficient forms over 1, X, Y, Z and over B_ini, B_fin, i G, 1_4
+    (G = [B_fin, B_ini] / 4): a Pauli basis and the spin-1 block basis, each
+    with a trace."""
+    b_ini, b_fin = teleport_block_terms()
+    gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
+    return [Linear(lambda s: s, np.stack(basis)) for basis in ((I2, X, Y, Z),
+                                                                (b_ini, b_fin, gen, np.eye(4)))]
+
+
 def test_expm_su2_matches_expm_hermitian_on_random_stacks():
     rng = np.random.default_rng(6)
-    pauli = np.stack([random_hermitian(2, rng) for _ in range(128)])
-    pauli += np.multiply.outer(rng.normal(size=128), I2)  # a nonzero trace
-    spin1 = spin1_combinations(rng, 128) + np.multiply.outer(rng.normal(size=128), np.eye(4))
-    for h in (pauli, spin1):
-        assert np.max(np.abs(np.trace(h, axis1=-2, axis2=-1))) > 0.1
+    for form in closed_forms_with_trace():
+        assert form.su2 and np.max(np.abs(form.traces)) > 0.1
+        c = rng.normal(size=(128, 4))
+        h = np.tensordot(c, form.basis, 1)
         for t in (0.01, 0.7, 3.0):
-            assert np.max(np.abs(expm_su2(h, t) - expm_hermitian(h, t))) <= 1e-14
+            assert np.max(np.abs(form.expm_su2(t * c) - expm_hermitian(h, t))) <= 1e-14
 
 
 def test_expm_su2_at_k_zero_small_and_half_turns():
     rng = np.random.default_rng(7)
-    for d, h in ((2, random_hermitian(2, rng)), (4, spin1_combinations(rng, 1)[0])):
-        assert np.array_equal(expm_su2(np.zeros((d, d)), 0.3), np.eye(d))
-        unit = h - np.trace(h) / d * np.eye(d)
-        unit = unit / su2_k(unit)  # k = 1
-        for t in (1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12):
-            assert np.max(np.abs(expm_su2(unit, t) - expm_hermitian(unit, t))) <= 1e-14
-        # A = t h is formed first: an h near the float range over a tiny t
-        # squares nothing out of range
-        assert np.max(np.abs(expm_su2(1e300 * unit, 3e-300) - expm_hermitian(unit, 3.0))) <= 1e-14
+    for form in closed_forms_with_trace():
+        d = form.basis.shape[-1]
+        assert np.array_equal(form.expm_su2(np.zeros((1, 4))), np.eye(d)[None])
+        c = rng.normal(size=4)
+        c /= su2_k(np.tensordot(c, form.basis, 1))  # k = 1
+        t = np.array([1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12])
+        want = expm_hermitian(np.tensordot(c, form.basis, 1), t)
+        assert np.max(np.abs(form.expm_su2(np.multiply.outer(t, c)) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
@@ -166,7 +165,7 @@ def test_parity_block_exponents_obey_the_spin1_identity(family, omega):
     rng = np.random.default_rng(8)
     (shortcut,) = _leaves(cd_teleport_block(sch, omega * 0.3))
     for block in (teleport_block_hamiltonian(sch), shortcut):
-        assert block.su2
+        assert terms(block).su2
         s1, s2 = rng.uniform(size=(2, 64))
         w1, w2 = rng.normal(size=(2, 64, 1, 1))
         k_op = omega * (w1 * block(s1) + w2 * block(s2))
@@ -289,15 +288,14 @@ def test_chain_product_is_the_scans_last_element_bitwise(n, dim):
     assert np.array_equal(_chain_product(u), _running_products(u)[-1:])
 
 
-@pytest.mark.parametrize("expm", [expm_su2, expm_hermitian])
-def test_step_exponentials_take_one_time_per_matrix(expm):
+def test_step_exponentials_take_one_time_per_matrix():
     # a stack with a time per matrix is, bit for bit, each matrix at its own
     # time: the N/2 steps (2 dt) ride in the stack of the N steps (dt)
     rng = np.random.default_rng(29)
     h = np.stack([random_hermitian(2, rng) for _ in range(6)])
     t = np.array([0.3, 0.3, 0.3, 0.6, 0.6, 0.6])
-    both = expm(h, t)
-    assert all(np.array_equal(both[i], expm(h[i : i + 1], t[i])[0]) for i in range(6))
+    both = expm_hermitian(h, t)
+    assert all(np.array_equal(both[i], expm_hermitian(h[i : i + 1], t[i])[0]) for i in range(6))
 
 
 def test_running_products_scan_drifts_off_unitary_no_more_than_step_order():

@@ -19,9 +19,10 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
-def test_no_omega_setting():
-    # hbar = omega = 1 throughout: a frequency omega is the scale identity
-    # tau -> omega tau with energies times omega, never a parameter or field
+def _declared(name: str, keywords: bool = False) -> list[str]:
+    """file:line of every parameter and annotated class field called
+    ``name`` in the package source, and with ``keywords`` of every keyword
+    argument of a call."""
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -32,9 +33,26 @@ def test_no_omega_setting():
             elif isinstance(node, ast.ClassDef):
                 names = [stmt.target.id for stmt in node.body
                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif keywords and isinstance(node, ast.Call):
+                names = [kw.arg for kw in node.keywords]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for name in names if name == "omega"]
+            found += [f"{path.name}:{node.lineno}" for n in names if n == name]
+    return found
+
+
+def test_no_omega_setting():
+    # hbar = omega = 1 throughout: a frequency omega is the scale identity
+    # tau -> omega tau with energies times omega, never a parameter or field
+    found = _declared("omega")
+    assert SOURCES and not found, found
+
+
+def test_no_su2_declaration():
+    # whether a leaf steps by the su(2) closed form is worked out from its
+    # generators (hamiltonians.Linear.su2), never declared: no parameter,
+    # class field or keyword argument is named su2
+    found = _declared("su2", keywords=True)
     assert SOURCES and not found, found
 
 
@@ -79,3 +97,4 @@ def test_only_runs_evolves_a_command_input():
     inside = {id(node) for node in ast.walk(runs)}
     found = [f"cli.py:{line}" for key, line in calls.items() if key not in inside]
     assert calls and not found, found
+
