@@ -110,7 +110,7 @@ import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
 from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
-                     apply_on_qubits, expm_hermitian, simpson, state_from_factors)
+                     apply_on_qubits, check_int, expm_hermitian, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -453,7 +453,8 @@ def evolve(
     a float for a single state and one per column, shaped (m,), for a block.
     ``n_samples`` step ends, evenly spread, report ``states`` and
     ``ground_fidelity``; with 0 nothing is sampled (both are empty), and
-    every other field is bitwise the same.
+    every other field is bitwise the same.  ``steps`` and ``n_samples`` are
+    integers: a float or bool raises ValueError.
 
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
@@ -489,8 +490,9 @@ def evolve(
         raise ValueError(f"state dim {dim} does not match Hamiltonian dim {h.dim}")
     if cache is not None and cache.h is not h:
         raise ValueError("the StepCache was made for another Hamiltonian")
+    check_int(n_samples, "n_samples")
     if steps is not None:
-        if not MIN_STEPS <= steps <= MAX_STEPS:
+        if not MIN_STEPS <= check_int(steps, "steps") <= MAX_STEPS:
             raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
         return _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
     steps = default_steps(h, tau) if cache is None else cache.start(tau)

@@ -38,6 +38,14 @@ def check_shape(op: np.ndarray, s, dim: int) -> np.ndarray:
     return op
 
 
+def check_int(value, name: str):
+    """value, checked to be an integer (a Python or numpy int, not a bool):
+    ValueError naming ``name`` for anything else, 101.5 and 2001.0 too."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def is_unitary(u: np.ndarray) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False

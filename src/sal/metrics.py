@@ -17,7 +17,7 @@ import numpy as np
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
 from .dynamics import EvolutionResult, StepCache, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, _chunks, simpson
+from .linalg import _CHUNK_ENTRIES, _chunks, check_int, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -72,13 +72,14 @@ def _hs_square_and_trace(h, leaves: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_grid(grid: int):
-    if grid < 101 or grid % 2 == 0:
+    if check_int(grid, "grid") < 101 or grid % 2 == 0:
         raise ValueError(f"grid must be odd and >= 101, got {grid}")
 
 
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
-    """int_0^1 ||H(s)||_HS ds by composite Simpson; a structured H is
-    evaluated leaf by leaf (``_hs_square_and_trace``).  When every leaf has
+    """int_0^1 ||H(s)||_HS ds by composite Simpson over ``grid`` points, an
+    odd integer >= 101; a structured H is evaluated leaf by leaf
+    (``_hs_square_and_trace``).  When every leaf has
     a coefficient form, a chunk holds _CHUNK_ENTRIES coefficients, so the
     default grid is one chunk."""
     _check_grid(grid)

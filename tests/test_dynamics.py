@@ -767,6 +767,18 @@ def test_evolve_rejects_too_few_steps():
         evolve(h, psi0, 1e6)
 
 
+@pytest.mark.parametrize("name,value", [("steps", 101.5), ("steps", 200.0), ("steps", True),
+                                        ("n_samples", 2.5), ("n_samples", True)])
+def test_evolve_takes_integer_counts_only(name, value):
+    # a float or bool count is rejected where it enters, naming the argument
+    h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))
+    psi0 = teleport_initial_state(np.array([1.0, 0]), 1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        evolve(h, psi0, 0.5, **{name: value})
+    res = evolve(h, psi0, 0.5, steps=np.int64(200), n_samples=np.int64(3))  # numpy ints pass
+    assert res.steps == 200 and len(res.s_samples) == 3
+
+
 def test_default_steps_floor():
     sch = make_schedule("linear")
     h = teleport_hamiltonian(TeleportSpec(1, sch))

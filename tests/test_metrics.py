@@ -312,6 +312,16 @@ def test_teleport_sigma_sing_takes_the_energy_cost_grids(grid):
         teleport_sigma_sing(make_schedule("linear"), 1.0, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [101.5, 2001.0, True])
+def test_cost_grids_are_integers(grid):
+    # a float or bool grid is rejected where it enters, naming the argument
+    sch = make_schedule("linear")
+    for cost in (lambda: energy_cost(cd_teleport_block(sch, 1.0), grid=grid),
+                 lambda: teleport_sigma_sing(sch, 1.0, grid=grid)):
+        with pytest.raises(ValueError, match=f"grid must be an integer, got {grid!r}"):
+            cost()
+
+
 # --- optimal success angle -----------------------------------------------------------
 
 
