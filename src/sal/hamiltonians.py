@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import _chunks, check_shape, embed, eigh, is_unitary, kron, level_clusters
+from .linalg import (_chunks, apply_on_qubits, check_shape, embed, eigh, is_unitary, kron,
+                     level_clusters)
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
@@ -354,25 +355,27 @@ class Rotation:
     def dim(self) -> int:
         return self.parts[0].dim
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense G, formed on first use: only a dense H(s) needs it."""
-        return embed(self.g, self.qubits, self.dim.bit_length() - 1)
-
 
 def assemble(node, op: Callable) -> np.ndarray:
     """Dense operator of a structure node, with ``op(part)`` the dense
-    operator of each part, e.g. ``lambda h: h(s)`` or ``lambda h: h.cd(s)``."""
+    operator of each part, e.g. ``lambda h: h(s)`` or ``lambda h: h.cd(s)``.
+    A rotation's gate is contracted with the qubit axes on both sides, and
+    a tensor sum's parts are added into their slots' axes."""
     ops = [op(p) for p in node.parts]
-    if isinstance(node, Rotation):
-        return node.matrix @ ops[0] @ node.matrix.conj().T
     if isinstance(node, Branches):
         return sum(np.kron(p, o) for p, o in zip(node.projectors, ops))
+    lead, d = ops[0].shape[:-2], node.dim
+    if isinstance(node, Rotation):
+        left = apply_on_qubits(node.g, node.qubits, ops[0].reshape(-1, d, d))
+        turned = apply_on_qubits(node.g.conj(), node.qubits, np.swapaxes(left, -1, -2))
+        return np.swapaxes(turned, -1, -2).reshape(lead + (d, d))
+    out = np.zeros(lead + (d, d), dtype=np.result_type(*ops))
     dims = [p.dim for p in node.parts]
-    return sum(
-        np.kron(np.kron(np.eye(prod(dims[:k])), o), np.eye(prod(dims[k + 1 :])))
-        for k, o in enumerate(ops)
-    )
+    for k, o in enumerate(ops):  # out[.., (a, i, b), (a, j, b)] += o[.., i, j]
+        a, b = prod(dims[:k]), prod(dims[k + 1 :])
+        slots = out.reshape(lead + (a, dims[k], b) * 2)
+        np.einsum("...aibajb->...abij", slots)[...] += o[..., None, None, :, :]
+    return out
 
 
 def composite(node) -> TimeDepHamiltonian | SuperadiabaticHamiltonian:
