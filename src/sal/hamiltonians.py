@@ -149,17 +149,9 @@ class Linear:
     @cached_property
     def su2(self) -> bool:
         """Whether every A' = c @ M' (see ``traceless``) obeys A'^3 = k^2 A':
-        by Cayley-Hamilton for d = 2; otherwise its residual, a cubic form
-        in c, is checked at the C(K + 2, 3) points of N^K whose entries sum
-        to 3, which determine a cubic form: each entry within SU2_RTOL of
-        ||A'||_F^3 = (2 k^2)^(3/2)."""
-        k, d = self.basis.shape[:2]
-        if d == 2:
-            return True
-        c = np.eye(k)[list(combinations_with_replacement(range(k), 3))].sum(axis=1)
-        a = (c @ self.traceless.reshape(k, d * d)).reshape(-1, d, d)
-        k2 = 0.5 * np.sum(np.abs(a) ** 2, axis=(1, 2))[:, None, None]
-        return bool(np.all(np.abs(a @ a @ a - k2 * a) <= SU2_RTOL * (2.0 * k2) ** 1.5))
+        by Cayley-Hamilton for d = 2, otherwise as ``_obeys_su2`` finds."""
+        m = self.traceless
+        return m.shape[-1] == 2 or _obeys_su2(m.astype(complex).tobytes(), m.shape)
 
     # The tables of ``su2`` and ``expm_su2``, formed on first use.
 
@@ -210,6 +202,21 @@ class Linear:
         if self.traces.any():  # c0 = 0 for a traceless basis, as every builder's is
             u *= np.exp(-1j * (c @ self.traces.real) / d)[:, None]
         return u.reshape(n, d, d)
+
+
+@cache
+def _obeys_su2(data: bytes, shape: tuple[int, int, int]) -> bool:
+    """Whether the traceless complex generators M' with these bytes give
+    A'^3 = k^2 A' for every A' = c @ M': the residual, a cubic form in c, is
+    checked at the C(K + 2, 3) points of N^K whose entries sum to 3, which
+    determine a cubic form, each entry within SU2_RTOL of
+    ||A'||_F^3 = (2 k^2)^(3/2).  Kept per generator set: each run builds its
+    own forms over the same constant generators."""
+    k, d = shape[:2]
+    c = np.eye(k)[list(combinations_with_replacement(range(k), 3))].sum(axis=1)
+    a = (c @ np.frombuffer(data, complex).reshape(k, d * d)).reshape(-1, d, d)
+    k2 = 0.5 * np.sum(np.abs(a) ** 2, axis=(1, 2))[:, None, None]
+    return bool(np.all(np.abs(a @ a @ a - k2 * a) <= SU2_RTOL * (2.0 * k2) ** 1.5))
 
 
 def _gram(basis: np.ndarray) -> np.ndarray:

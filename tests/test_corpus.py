@@ -14,14 +14,10 @@ from pathlib import Path
 CORPUS = Path(__file__).parent / "corpus"
 
 
-def _rows(lines: list[str]) -> list[list[str]]:
-    return list(csv.reader(lines))
-
-
 def _moved_cells(argv: list[str], want: list[str], got: list[str]) -> list[str]:
     """Each CSV cell of ``got`` that differs from ``want``, with its relative
     change where both read as numbers."""
-    a, b = _rows(want), _rows(got)
+    a, b = list(csv.reader(want)), list(csv.reader(got))
     if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
         return [f"{' '.join(argv)}: stdout shape {[len(r) for r in a]} -> {[len(r) for r in b]}"]
     header, moved = a[0] if a else [], []
