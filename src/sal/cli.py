@@ -2,8 +2,8 @@
 
 Commands: teleport, cae, sce, cost-sweep, theta-opt, qsl-check, selftest.
 Exit codes: 0 success, 2 invariant violation, 3 configuration error.
-Floats are printed with 12 significant digits so reruns diff cleanly;
-sweep points can be dispatched to a process pool (--jobs, or SAL_JOBS).
+Floats are printed with 12 significant digits so reruns diff cleanly.
+Every command runs in the calling process; --jobs is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from functools import cache
 from typing import Optional, Sequence
@@ -119,27 +118,6 @@ def _ints(text: str) -> list[int]:
     if not all(v.is_integer() for v in vals):
         raise CliError(f"bad integer list {text!r}")
     return [int(v) for v in vals]
-
-
-def _jobs(args) -> int:
-    env = os.environ.get("SAL_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise CliError(f"bad SAL_JOBS value {env!r}") from exc
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor  # only sweeps with --jobs > 1 load it
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check_tau(tau: float, name: str = "tau"):
@@ -326,8 +304,7 @@ def _quadrature_cost(h, tau: float, grid: int) -> float:
                            "counter-diabatic term overflows") from None
 
 
-def _sce_sweep_point(item) -> list:
-    tau, theta0, grid = item
+def _sce_sweep_point(tau: float, theta0: float, grid: int) -> list:
     spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=theta0, tau=tau)
     sigma_sa = _quadrature_cost(cd_controlled(spec), tau, grid)
     closed = sce_single_gate_cost(tau, theta0)
@@ -335,8 +312,8 @@ def _sce_sweep_point(item) -> list:
     return [tau, theta0, sigma_sa, cae_single_gate_cost(), closed, rel]
 
 
-def _teleport_sweep_point(item) -> list:
-    tau, family, n, grid, sing_ad = item  # sing_ad: the family's teleport_sigma_sing at tau=None
+def _teleport_sweep_point(tau: float, family: str, n: int, grid: int, sing_ad: float) -> list:
+    # sing_ad: the family's teleport_sigma_sing at tau=None
     sch = make_schedule(family)
     # as in _sce_sweep_point: the operator's HS-norm quadrature against the closed form
     sigma_sa = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
@@ -351,20 +328,17 @@ def cmd_cost_sweep(args) -> int:
     for tau in taus:
         _check_tau(tau)
     _check_grid(args.grid)
-    jobs = _jobs(args)
     if args.protocol == "sce":
         thetas = _floats(args.theta0_list)
-        items = [(tau, theta0, args.grid) for theta0 in thetas for tau in taus]
-        rows = _pmap(_sce_sweep_point, items, jobs)
+        rows = [_sce_sweep_point(tau, theta0, args.grid) for theta0 in thetas for tau in taus]
     else:
         families = [f.strip() for f in args.schedules.split(",") if f.strip()]
         if not families:
             raise CliError(f"--schedules names no schedule: {args.schedules!r}")
         ns = _ints(args.n_list)
         sing_ad = {f: teleport_sigma_sing(make_schedule(f), None, args.grid) for f in families}
-        items = [(tau, fam, n, args.grid, sing_ad[fam]) for fam in families for n in ns
-                 for tau in taus]
-        rows = _pmap(_teleport_sweep_point, items, jobs)
+        rows = [_teleport_sweep_point(tau, fam, n, args.grid, sing_ad[fam]) for fam in families
+                for n in ns for tau in taus]
     if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
         raise InvariantError("quadrature disagrees with the closed-form cost")
     _write_csv(
@@ -384,7 +358,7 @@ def cmd_theta_opt(args) -> int:
     taus = _floats(args.tau_list)
     for tau in taus:
         _check_tau(tau, "omega_tau")
-    rows = _pmap(_theta_point, taus, _jobs(args))
+    rows = [_theta_point(omega_tau) for omega_tau in taus]
     if not all(relative_residual(theta, omega_tau) <= STATIONARITY_RTOL
                for omega_tau, theta, _, _ in rows):
         raise InvariantError(f"relative stationarity residual above {STATIONARITY_RTOL}")
@@ -427,9 +401,9 @@ def cmd_selftest(args) -> int:
     rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"])))
     for omega_tau in (0.5, 1.0, 2.0):
         rows.append(["theta-opt"] + _theta_point(omega_tau))
-    rows.append(["cost-sce"] + _sce_sweep_point((0.5, np.pi, 501)))
+    rows.append(["cost-sce"] + _sce_sweep_point(0.5, np.pi, 501))
     sing_ad = teleport_sigma_sing(make_schedule("linear"), None, 501)
-    rows.append(["cost-teleport"] + _teleport_sweep_point((0.5, "linear", 1, 501, sing_ad)))
+    rows.append(["cost-teleport"] + _teleport_sweep_point(0.5, "linear", 1, 501, sing_ad))
     width = max(len(r) for r in rows)
     rows = [r + [""] * (width - len(r)) for r in rows]
     _write_csv(args.out, ["record"] + [f"f{i}" for i in range(1, width)], rows)
@@ -441,7 +415,8 @@ def cmd_selftest(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (env SAL_JOBS overrides)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="accepted and ignored: every command runs in one process")
     p.add_argument("--seed", type=int, default=0)
 
 

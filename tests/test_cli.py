@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import sys
@@ -144,9 +145,9 @@ def test_teleport_sweep_rows_read_like_sce_rows(monkeypatch):
                         lambda h, tau, grid: quadrature(h, tau, grid) * (1.0 + 1e-9))
     sch = sal.cli.make_schedule("exp")
     sing_ad = sal.metrics.teleport_sigma_sing(sch, None, 501)
-    for row, closed in ((sal.cli._teleport_sweep_point((0.5, "exp", 2, 501, sing_ad)),
+    for row, closed in ((sal.cli._teleport_sweep_point(0.5, "exp", 2, 501, sing_ad),
                          sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
-                        (sal.cli._sce_sweep_point((0.5, 2.0, 501)),
+                        (sal.cli._sce_sweep_point(0.5, 2.0, 501),
                          sal.metrics.sce_single_gate_cost(0.5, 2.0))):
         _, _, sigma_sa, _, closed_form, rel = row
         assert closed_form == closed
@@ -440,8 +441,23 @@ def test_custom_gate_from_file(tmp_path, capsys):
         assert "gate must be unitary" in capsys.readouterr().err
 
 
-def test_jobs_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SAL_JOBS", "2")
-    out = tmp_path / "th.csv"
-    assert main(["theta-opt", "--tau-list", "1,2", "--out", str(out)]) == EXIT_OK
-    assert len(read_rows(out)) == 2
+@pytest.mark.parametrize("argv", [
+    ["cost-sweep", "--protocol", "teleport", "--schedules", "linear,trig", "--n-list", "1,2",
+     "--tau-list", "0.5,5"],
+    ["cost-sweep", "--protocol", "sce", "--tau-list", "0.1,1", "--theta0-list", "3.14159,1.5708"],
+    ["theta-opt", "--tau-list", "0.5,1,2"],
+])
+def test_sweeps_start_no_process(argv, monkeypatch, capsys):
+    # a sweep computes its points in the calling process: --jobs is accepted
+    # and ignored, and SAL_JOBS is not read
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main([*argv, "--jobs", "1"]) == EXIT_OK
+    want = capsys.readouterr()
+    for extra, env in (([], None), (["--jobs", "4"], None), ([], "4")):
+        if env is not None:
+            monkeypatch.setenv("SAL_JOBS", env)
+        assert main([*argv, *extra]) == EXIT_OK
+        assert capsys.readouterr() == want
