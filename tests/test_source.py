@@ -98,3 +98,22 @@ def test_only_runs_evolves_a_command_input():
     found = [f"cli.py:{line}" for key, line in calls.items() if key not in inside]
     assert calls and not found, found
 
+
+
+def test_commands_run_in_one_process():
+    # every command, sweeps included, runs in the calling process: no module
+    # imports a process or thread pool, calls os.fork or reads SAL_JOBS
+    pools = ("concurrent", "multiprocessing", "threading")
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(a.name.split(".")[0] in pools for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = (node.module or "").split(".")[0] in pools
+            else:
+                bad = (isinstance(node, ast.Attribute) and node.attr == "fork"
+                       or isinstance(node, ast.Constant) and node.value == "SAL_JOBS")
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found
