@@ -48,7 +48,8 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_tree,
 )
-from .linalg import _chunks, _polished, _running_products, eigh, is_unitary, level_clusters
+from .linalg import (_chunks, _polished, _running_products, check_int, eigh, is_unitary,
+                     level_clusters)
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001  # points of s for frames and cost quadratures, here and in metrics
@@ -90,10 +91,14 @@ def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralF
     and since polar(R^dag M) = R^dag polar(M) frame j is aligned to the
     aligned frame j - 1 by the running product of the alignments up to j.
 
-    Raises RuntimeError if the degeneracy pattern changes along the grid
-    (levels crossing) or if adjacent frames overlap too weakly for the
-    continuation to be trustworthy (grid too coarse).
+    ``grid`` is an integer >= 3 (the end-point derivatives take three
+    points), else ValueError.  Raises RuntimeError if the degeneracy
+    pattern changes along the grid (levels crossing) or if adjacent frames
+    overlap too weakly for the continuation to be trustworthy (grid too
+    coarse).
     """
+    if check_int(grid, "grid") < 3:
+        raise ValueError(f"grid must be >= 3, got {grid}")
     s_grid = np.linspace(0.0, 1.0, grid)
     energies = np.empty((grid, h.dim))
     vectors = np.empty((grid, h.dim, h.dim), dtype=complex)

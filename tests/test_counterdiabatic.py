@@ -104,6 +104,17 @@ def test_spectral_frame_reports_lost_tracking():
         spectral_frame(h, grid=200)
 
 
+@pytest.mark.parametrize("grid", [201.5, 201.0, True, 2])
+def test_frame_grid_is_an_integer_of_at_least_three(grid):
+    # every route to the numeric frame rejects the grid before sampling H
+    h = teleport_block_hamiltonian(make_schedule("linear"))
+    spec = TeleportSpec(1, make_schedule("linear"))
+    for build in (lambda: spectral_frame(h, grid), lambda: cd_generic(h, 0.5, grid),
+                  lambda: cd_teleport(spec, 0.5, grid=grid)):
+        with pytest.raises(ValueError, match=r"^grid must be"):
+            build()
+
+
 @pytest.mark.parametrize("grid", [201, 2001])
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])
 @pytest.mark.parametrize("build", [teleport_block_hamiltonian, teleport_sector_hamiltonian])
