@@ -110,7 +110,8 @@ import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
 from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
-                     apply_on_qubits, check_int, expm_hermitian, simpson, state_from_factors)
+                     apply_on_qubits, check_int, check_state, expm_hermitian, simpson,
+                     state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -448,6 +449,7 @@ def evolve(
     ``h`` is a TimeDepHamiltonian or SuperadiabaticHamiltonian; ``psi0`` may
     be a single state or a (dim, m) block of states propagated jointly: the
     step search, the step unitaries and their products serve every column.
+    Each column must be a finite unit vector (``linalg.check_state``).
     ``track_qsl`` additionally integrates
     E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
     a float for a single state and one per column, shaped (m,), for a block.
@@ -484,10 +486,7 @@ def evolve(
         )
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    psi0 = np.asarray(psi0, dtype=complex)
-    dim = psi0.shape[0]
-    if h.dim != dim:
-        raise ValueError(f"state dim {dim} does not match Hamiltonian dim {h.dim}")
+    psi0 = check_state(psi0, h.dim)
     if cache is not None and cache.h is not h:
         raise ValueError("the StepCache was made for another Hamiltonian")
     check_int(n_samples, "n_samples")

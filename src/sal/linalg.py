@@ -17,6 +17,7 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-12  # largest entry of u^dag u - 1 that ``is_unitary`` accepts
+STATE_NORM_TOL = 1e-10  # largest |norm - 1| of a column that ``check_state`` accepts
 CLUSTER_TOL = 1e-8  # level width relative to max(1, |E|): closer eigenvalues are one level
 _CHUNK = 256  # points of s per batched evaluation
 _CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 MiB complex)
@@ -44,6 +45,22 @@ def check_int(value, name: str):
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_state(psi, dim: int) -> np.ndarray:
+    """psi as a complex array, checked to be a state of ``dim`` entries or a
+    (dim, m) block of them whose columns are each finite with unit norm
+    within STATE_NORM_TOL: ValueError naming the shape or the first bad
+    column for anything else."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[0] != dim:
+        raise ValueError(f"a state has shape ({dim},) or ({dim}, m), got {psi.shape}")
+    norms = np.linalg.norm(psi.reshape(dim, -1), axis=0)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_NORM_TOL))  # a NaN norm is bad
+    if bad.size:
+        raise ValueError(f"state column {bad[0]} has norm {norms[bad[0]]:.12g}, "
+                         f"not 1 within {STATE_NORM_TOL}")
+    return psi
 
 
 def is_unitary(u: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
 from .dynamics import EvolutionResult, StepCache, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, _chunks, check_int, simpson
+from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_state, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -262,7 +262,9 @@ def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport | list[QslRe
     with ``track_qsl=True``, which integrates
     E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
     step ends.  For a (dim, m) block psi0, one report per column; a scalar
-    E_tau then stands for every column."""
+    E_tau then stands for every column.  psi0 is checked as ``evolve``
+    checks it (``linalg.check_state``)."""
+    psi0 = check_state(psi0, res.final_state.shape[0])
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
     if psi0.ndim == 1:

@@ -46,6 +46,7 @@ from sal.hamiltonians import (
 from sal.linalg import (_CHUNK, _CHUNK_ENTRIES, _chunks, embed, expm_hermitian, random_state,
                         simpson)
 from sal.cli import FIDELITY_FLOOR
+from sal.metrics import qsl_check, qsl_report
 from sal.schedules import FAMILIES, make_schedule
 
 
@@ -777,6 +778,28 @@ def test_evolve_takes_integer_counts_only(name, value):
         evolve(h, psi0, 0.5, **{name: value})
     res = evolve(h, psi0, 0.5, steps=np.int64(200), n_samples=np.int64(3))  # numpy ints pass
     assert res.steps == 200 and len(res.s_samples) == 3
+
+
+PSI = teleport_initial_state(np.array([1.0, 0]), 1)
+
+
+@pytest.mark.parametrize("state,match", [
+    (np.zeros(8), r"column 0 has norm 0,"),
+    (3 * PSI, r"column 0 has norm 3,"),
+    (np.where(np.arange(8) == 0, np.nan, PSI), r"column 0 has norm nan,"),
+    (np.stack([PSI, PSI * (1 + 1e-9)], axis=1), r"column 1 has norm 1\.000000001"),
+    (PSI.reshape(8, 1, 1), r"shape \(8,\) or \(8, m\), got \(8, 1, 1\)"),
+], ids=["zero", "norm-3", "nan", "block-column-1", "8x1x1"])
+def test_api_takes_only_unit_states(state, match):
+    # evolve and the speed-limit reports check their input states where they
+    # enter, instead of reporting on a non-state as if it were one
+    h = cd_teleport(TeleportSpec(1, make_schedule("linear")), 1.0)
+    res = evolve(h, PSI, 1.0, steps=200, n_samples=0, track_qsl=True)
+    for call in (lambda: evolve(h, state, 1.0), lambda: qsl_check(h, state, 1.0),
+                 lambda: qsl_report(state, res)):
+        with pytest.raises(ValueError, match=match):
+            call()
+    evolve(h, np.stack([PSI, PSI * (1 + 5e-11)], axis=1), 1.0, steps=200)  # within 1e-10
 
 
 def test_default_steps_floor():
