@@ -46,7 +46,6 @@ from .metrics import (
     cae_controlled_cost,
     cae_single_gate_cost,
     energy_cost,
-    qsl_check,
     qsl_report,
     relative_residual,
     sce_controlled_cost,
@@ -172,10 +171,9 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
         ini, tgt = prepare(random_state(n_qubits, rng))
         res = evolve(driver, ini, args.tau, steps=args.steps, n_samples=0, track_qsl=tracked,
                      cache=cache)
-        if tracked:
-            rep = qsl_report(ini, res)
-        else:
-            rep = qsl_check(driver, ini, args.tau, steps=args.qsl_steps, cache=cache)
+        qsl = res if tracked else evolve(driver, ini, args.tau, steps=args.qsl_steps,
+                                         n_samples=0, track_qsl=True, cache=cache)
+        rep = qsl_report(ini, qsl)
         fid = fidelity(res.final_state, tgt)
         if shortcut and not fid >= FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")

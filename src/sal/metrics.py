@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
-from .dynamics import EvolutionResult, StepCache, _leaves, evolve
+from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
 from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_state, simpson
 from .schedules import Schedule
@@ -287,12 +287,11 @@ def _qsl_report(tau: float, psi0: np.ndarray, final: np.ndarray, e_tau: float) -
     )
 
 
-def qsl_check(h, psi0: np.ndarray, tau: float, steps: Optional[int] = None,
-              cache: Optional[StepCache] = None) -> QslReport | list[QslReport]:
+def qsl_check(h, psi0: np.ndarray, tau: float,
+              steps: Optional[int] = None) -> QslReport | list[QslReport]:
     """Evolve psi0, a state or a (dim, m) block, under h, with no ground
-    sampling, and evaluate tau >= |cos L - 1| / E_tau (see ``qsl_report``);
-    ``cache`` is passed on to ``evolve``."""
-    res = evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True, cache=cache)
+    sampling, and evaluate tau >= |cos L - 1| / E_tau (see ``qsl_report``)."""
+    res = evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True)
     return qsl_report(psi0, res)
 
 
