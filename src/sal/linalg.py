@@ -55,10 +55,11 @@ def check_state(psi, dim: int) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.shape[0] != dim:
         raise ValueError(f"a state has shape ({dim},) or ({dim}, m), got {psi.shape}")
-    norms = np.linalg.norm(psi.reshape(dim, -1), axis=0)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= STATE_NORM_TOL))  # a NaN norm is bad
-    if bad.size:
-        raise ValueError(f"state column {bad[0]} has norm {norms[bad[0]]:.12g}, "
+    norms = np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=0)).reshape(-1)
+    ok = np.abs(norms - 1.0) <= STATE_NORM_TOL  # False for a NaN norm
+    if not ok.all():
+        j = int(np.argmin(ok))  # the first bad column
+        raise ValueError(f"state column {j} has norm {norms[j]:.12g}, "
                          f"not 1 within {STATE_NORM_TOL}")
     return psi
 
