@@ -5,8 +5,8 @@
 
 Each line of ``commands.txt`` is one ``sal`` command line; this script runs
 them in order through ``sal.cli.main`` and records each one's stdout, stderr
-and exit code.  BLAS threads and ``SAL_JOBS`` are pinned to 1 before numpy
-loads, so the bytes do not depend on the host's core count.  The corpus is
+and exit code.  BLAS threads are pinned to 1 before numpy loads, so the
+bytes do not depend on the host's core count.  The corpus is
 check data: a change that moves its bytes rewrites it and says which cells
 moved and why.
 """
@@ -21,7 +21,7 @@ import shlex
 import sys
 from pathlib import Path
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "SAL_JOBS"):
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 HERE = Path(__file__).resolve().parent
