@@ -148,6 +148,22 @@ def _check_run(args):
     _check_steps(args.qsl_steps, "--qsl-steps")
 
 
+def _finite_rows(tau: float, make_rows) -> list[list]:
+    """``make_rows()`` with numpy's float overflow and invalid operations
+    raised, its float cells checked finite: CliError naming --tau for a tau
+    so small that a sum of terms ~ 1/tau (a cost, E_tau) leaves the float
+    range, so that no such row is printed."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            rows = make_rows()
+            if all(np.isfinite(x) for row in rows for x in row if isinstance(x, float)):
+                return rows
+        except FloatingPointError:
+            pass
+    raise CliError(f"--tau {tau} is too small: a cost or E_tau ~ 1/tau of its rows "
+                   "overflows the float range")
+
+
 def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     """Evolve ``args.states`` random inputs under ``driver``, one at a time:
     the one place where a command runs an evolution (``_teleport_run`` and
@@ -236,10 +252,13 @@ def _teleport_rows(args) -> list[list]:
     _check_grid(args.grid)
     u, gate_name = _load_gate(args)
     spec, *run = _teleport_run(args, u)
-    sigma_ad = teleport_cost(spec.schedule, None, args.n, grid=args.grid)
-    sigma_sa = teleport_cost(spec.schedule, args.tau, args.n, grid=args.grid)
-    return [["teleport", args.n, gate_name, args.tau, fid, sigma_sa, sigma_ad, rep.bound,
-             rep.satisfied] for _, fid, rep in _runs(args, *run)]
+
+    def rows():
+        sigma_ad = teleport_cost(spec.schedule, None, args.n, grid=args.grid)
+        sigma_sa = teleport_cost(spec.schedule, args.tau, args.n, grid=args.grid)
+        return [["teleport", args.n, gate_name, args.tau, fid, sigma_sa, sigma_ad, rep.bound,
+                 rep.satisfied] for _, fid, rep in _runs(args, *run)]
+    return _finite_rows(args.tau, rows)
 
 
 def cmd_teleport(args) -> int:
@@ -272,12 +291,15 @@ def _controlled_rows(args) -> list[list]:
     _check_run(args)
     _check_finite(args.phi, "--phi")
     spec, *run = _controlled_run(args, args.command == "sce")
-    sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
-    sigma_ad = cae_controlled_cost(spec.n_controls)
-    return [[args.command, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
-             fid, measure_ancilla(res.final_state)[1].probability,
-             sigma_sa, sigma_ad, rep.bound, rep.satisfied]
-            for res, fid, rep in _runs(args, *run)]
+
+    def rows():
+        sigma_sa = sce_controlled_cost(spec.tau, spec.theta0, spec.n_controls)
+        sigma_ad = cae_controlled_cost(spec.n_controls)
+        return [[args.command, spec.n_controls, args.axis, spec.phi, spec.theta0, spec.tau,
+                 fid, measure_ancilla(res.final_state)[1].probability,
+                 sigma_sa, sigma_ad, rep.bound, rep.satisfied]
+                for res, fid, rep in _runs(args, *run)]
+    return _finite_rows(spec.tau, rows)
 
 
 def cmd_controlled(args) -> int:
@@ -377,12 +399,10 @@ def cmd_qsl_check(args) -> int:
         _, *run = _teleport_run(args, u)
     else:  # cae or sce: argparse choices reject any other protocol, --config values too
         _, *run = _controlled_run(args, args.protocol == "sce")
-    [(_, _, rep)] = _runs(args, *run)
-    _write_csv(
-        args.out,
-        ["protocol", "tau", "bures_angle", "e_tau", "qsl_bound", "qsl_ok"],
-        [[args.protocol, args.tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]],
-    )
+    rows = _finite_rows(args.tau, lambda: [
+        [args.protocol, args.tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]
+        for _, _, rep in _runs(args, *run)])
+    _write_csv(args.out, ["protocol", "tau", "bures_angle", "e_tau", "qsl_bound", "qsl_ok"], rows)
     return EXIT_OK
 
 

@@ -18,7 +18,9 @@ sums over consecutive slots, orthogonal ancilla branches and constant
 rotations, down to leaf Hamiltonians.  The propagator holds the state in
 the frame where every rotation is undone and every branch projector is
 diagonal, entered and left once per run; a rotation is a small gate
-contracted with its qubits' axes of the state, never a dense operator.
+contracted with its qubits' axes of the state, never a dense operator,
+and a rotation over all of its node's qubits, in order (a sector's parity
+permutation), is one matmul turn of the gate on the node's axis.
 There the tree applies only leaf-sized matrices.  A CF4 step is exact on
 the tree: a linear combination of H at the two nodes is the same sum or
 branch split of the leaves' combinations, so each exponential factors into
@@ -33,8 +35,9 @@ on slices ("rows") of the lead axis: a tensor slot on all of them, a branch
 part on its projector's range under each row of its node, so the rows of a
 two-part branch below a slot come in runs.  The plan holds
 * the frame turns (g, qubits, rows, d, post) in the order that enters the
-  frame, top down: each rotation's gate on its qubits and each branch
-  node's basis W on its leading subsystem, applied as g^dag and W^dag
+  frame, top down: each rotation's gate on its qubits (qubits None when
+  they are all of the node's, in order) and each branch node's basis W
+  on its leading subsystem, applied as g^dag and W^dag
   (``frame=1``), and as g and W in reverse order to leave it (``-1``),
   on a copy of the states.  A one-part branch has no W: its projector is 1.
 * one entry (leaf, rows, d, post, level) per leaf and run of rows, where
@@ -91,7 +94,8 @@ G^dag psi(0) of every leaf generator G (``_overlap_reader``) with no walk of
 H.  A walk batched over points gives the ground-level weight at each
 sample point (from the leaves' eigenbases, one stacked eigendecomposition
 per leaf; ``n_samples=0`` skips it, as the command line does); the largest
-leaf's norm gives the first step count.  A Hamiltonian without ``parts`` is
+leaf's norm gives the first step count, read off the coefficients of a
+closed-form leaf (``_norm_bound``).  A Hamiltonian without ``parts`` is
 a one-leaf tree: the dense reference the structured paths are tested
 against.
 
@@ -207,7 +211,9 @@ def _plan(h) -> tuple[list, list, int]:
         if node is None:
             ops.extend((f, rows, d, post, level) for rows in runs)
             return level + 1
-        turns.extend((node.g, node.qubits, r, d, post) for r in runs if isinstance(node, Rotation))
+        if isinstance(node, Rotation):  # over all of the node's qubits: one matmul turn
+            span = None if node.qubits == tuple(range(d.bit_length() - 1)) else node.qubits
+            turns.extend((node.g, span, r, d, post) for r in runs)
         if not isinstance(node, Branches) or len(node.parts) == 1:  # slots, or one part
             left = d // prod(p.dim for p in node.parts)
             for p in node.parts:
@@ -315,15 +321,34 @@ def _overlap_reader(plan, leaves: list, x: np.ndarray):
 def _norm_bound(h) -> float:
     """max_s ||H(s)|| sampled on each leaf, the largest over the leaves: a
     CF4 step on the tree factorizes into per-leaf steps, so a tensor sum's
-    step error is set by its largest slot, not by the norm of the sum."""
+    step error is set by its largest slot, not by the norm of the sum.  A
+    leaf whose coefficient form has the closed form (``Linear.su2``) has
+    the levels c0 + {-k, 0, +k}, so its norm is |c0| + k, read off the
+    coefficient rows with each row divided by its largest |c| before
+    anything is squared (a correction ~ 1/tau stays finite); any other leaf
+    is evaluated and its eigenvalues taken (``eigvalsh``)."""
     s = np.linspace(0.0, 1.0, _NORM_SAMPLES)
-    return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
-               for f in _leaves(h) for c in _chunks(_NORM_SAMPLES, f.dim))
+    return max(_leaf_norm(f, s) for f in _leaves(h))
+
+
+def _leaf_norm(f, s: np.ndarray) -> float:
+    """max ||f(s)|| over the points s (see ``_norm_bound``)."""
+    form = terms(f)
+    if form is None or not form.su2:
+        return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
+                   for c in _chunks(len(s), f.dim))
+    c = form.coef(s)
+    scale = np.max(np.abs(c), axis=-1)
+    c = c / np.where(scale > 0, scale, 1.0)[:, None]
+    k = np.sqrt(np.maximum(0.5 * np.sum((c @ form.traceless_gram) * c, axis=-1), 0.0))
+    return float(np.max(scale * (np.abs(c @ form.traces.real) / f.dim + k)))
 
 
 def default_steps(h, tau: float) -> int:
     """First step count of the step-doubling search: the per-step action
-    ||H|| tau / N of the largest leaf at most STATE_TOL**(1/5), so that
+    ||H|| tau / N of the largest leaf (``_norm_bound``, from the
+    coefficients for a closed-form leaf, so a command's first count takes
+    no eigendecomposition) at most STATE_TOL**(1/5), so that
     (||H|| dt)^5, the order of a fourth-order step's local error, stays
     below the tolerance.  Even, at least MIN_STEPS; ValueError above
     ``MAX_STEPS``."""

@@ -260,7 +260,8 @@ class TimeDepHamiltonian:
 
 @dataclass(frozen=True)
 class SuperadiabaticHamiltonian:
-    """Total shortcut generator H(s) + H_cd(s) for a runtime 0 < tau < inf.
+    """Total shortcut generator H(s) + H_cd(s) for a runtime tau, finite and
+    at least the smallest normal float ``np.finfo(float).tiny``.
 
     ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
     checks its shape); ``parts``, when set, is the structure node over
@@ -275,6 +276,9 @@ class SuperadiabaticHamiltonian:
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.tau < np.finfo(float).tiny:  # 1/tau itself would overflow
+            raise ValueError(f"tau={self.tau} is below the smallest normal float "
+                             f"{np.finfo(float).tiny:.6g}: its correction ~ 1/tau overflows")
 
     @property
     def dim(self) -> int:

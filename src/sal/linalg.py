@@ -192,7 +192,7 @@ def state_from_factors(factors: list[tuple[np.ndarray, list[int]]], n_qubits: in
     for amps, qubits in factors:
         if len(amps) != 2 ** len(qubits):
             raise ValueError("factor length does not match its qubit count")
-        psi = np.kron(psi, np.asarray(amps, dtype=complex))
+        psi = np.multiply.outer(psi, np.asarray(amps, dtype=complex)).reshape(-1)
         order.extend(qubits)
     if sorted(order) != list(range(n_qubits)):
         raise ValueError(f"factor qubits {sorted(order)} do not cover 0..{n_qubits - 1}")

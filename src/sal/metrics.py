@@ -262,8 +262,9 @@ def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport | list[QslRe
     with ``track_qsl=True``, which integrates
     E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
     step ends.  For a (dim, m) block psi0, one report per column; a scalar
-    E_tau then stands for every column.  psi0 is checked as ``evolve``
-    checks it (``linalg.check_state``)."""
+    E_tau then stands for every column.  A non-finite E_tau (a sum of
+    terms ~ 1/tau that overflowed) is not satisfied.  psi0 is checked as
+    ``evolve`` checks it (``linalg.check_state``)."""
     psi0 = check_state(psi0, res.final_state.shape[0])
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
@@ -283,7 +284,7 @@ def _qsl_report(tau: float, psi0: np.ndarray, final: np.ndarray, e_tau: float) -
         bures_angle=angle,
         e_tau=e_tau,
         bound=bound,
-        satisfied=bool(tau >= bound - 1e-9),
+        satisfied=bool(e_tau < np.inf and tau >= bound - 1e-9),  # an overflowed E_tau fails
     )
 
 

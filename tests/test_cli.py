@@ -114,6 +114,62 @@ def test_tiny_tau_costs_stay_finite(argv, tmp_path):
                         if k not in ("protocol", "gate", "axis", "variant", "qsl_ok"))
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["teleport", "--tau", "1e-305"], "--tau 1e-305 is too small"),  # sigma_sa overflows
+    (["teleport", "--tau", "1e-306"], "--tau 1e-306 is too small"),  # and E_tau
+    (["teleport", "--tau", "1e-306", "--mode", "adiabatic"], "--tau 1e-306 is too small"),
+    (["sce", "--tau", "1e-306"], "--tau 1e-306 is too small"),
+    (["qsl-check", "--tau", "1e-306"], "--tau 1e-306 is too small"),
+    (["cae", "--tau", "1e-310"], "--tau 1e-310 is too small"),
+    (["teleport", "--tau", "1e-310"], "tau=1e-310 is below the smallest normal float"),
+    (["sce", "--tau", "1e-310"], "tau=1e-310 is below the smallest normal float"),
+    (["sce", "--tau", "1e-320", "--steps", "100"], "tau=1e-320 is below the smallest normal"),
+])
+def test_a_tau_whose_rows_overflow_is_a_configuration_error(argv, err, capsys):
+    # a cost or E_tau ~ 1/tau past the float range prints no row, and a
+    # shortcut's correction ~ 1/tau must itself be finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + ["--jobs", "1"])
+    out, stderr = capsys.readouterr()
+    assert (rc, out) == (EXIT_CONFIG, "")
+    assert err in stderr
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["teleport", "--tau", "1e-300"],
+     "teleport,1,-,1e-300,1,3.14159265359e+300,3.24645048028,1.00000000005e-300,true"),
+    (["sce", "--tau", "1e-300"], "sce,0,x,3.14159265359,3.14159265359,1e-300,1,1,"
+     "3.14159265359e+300,2,9.99999999946e-301,true"),
+    (["qsl-check", "--tau", "1e-300"],
+     "teleport-state,1e-300,1.0471975512,4.99999999976e+299,1.00000000005e-300,true"),
+])
+def test_tau_1e_300_rows_are_unchanged(argv, row, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--jobs", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
+@pytest.mark.parametrize("argv", [["teleport", "--n", "1", "--tau", "1"],
+                                  ["teleport", "--n", "3", "--gate", "Toffoli", "--tau", "0.1"]])
+@pytest.mark.parametrize("mode", ["sa", "adiabatic"])
+def test_teleport_commands_make_no_eigendecomposition(argv, mode, capsys, monkeypatch):
+    # the first step count comes from the leaves' coefficients, every step
+    # from the closed form, and nothing is sampled
+    argv = argv + ["--mode", mode, "--jobs", "1"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition")
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", refuse)
+        m.setattr(np.linalg, "eigvalsh", refuse)
+        assert main(argv) == EXIT_OK
+        patched = capsys.readouterr().out
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == patched
+
+
 @pytest.mark.parametrize("protocol", [["--protocol", "teleport", "--schedules", "linear",
                                        "--n-list", "1"], ["--protocol", "sce"]])
 def test_cost_sweep_rejects_a_tau_whose_correction_square_overflows(protocol, capsys):

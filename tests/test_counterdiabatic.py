@@ -372,20 +372,23 @@ def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
     assert np.max(np.abs(a.final_state - b.final_state)) <= 1e-12
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, 1e-310, 5e-324])
 @pytest.mark.parametrize("build", ["generic", "block", "controlled", "teleport", "teleport generic"])
 def test_shortcuts_reject_a_bad_tau(build, tau):
     sch = make_schedule("linear")
     spec = TeleportSpec(2, sch, gate=sal.gate("CNOT"))
     make = {
-        "generic": lambda: cd_generic(teleport_block_hamiltonian(sch), tau, grid=101),
-        "block": lambda: cd_teleport_block(sch, tau),
-        "controlled": lambda: cd_controlled(ControlledSpec(n_controls=1, tau=tau)),
-        "teleport": lambda: cd_teleport(spec, tau),
-        "teleport generic": lambda: cd_teleport(spec, tau, grid=101),
+        "generic": lambda tau: cd_generic(teleport_block_hamiltonian(sch), tau, grid=101),
+        "block": lambda tau: cd_teleport_block(sch, tau),
+        "controlled": lambda tau: cd_controlled(ControlledSpec(n_controls=1, tau=tau)),
+        "teleport": lambda tau: cd_teleport(spec, tau),
+        "teleport generic": lambda tau: cd_teleport(spec, tau, grid=101),
     }[build]
-    with pytest.raises(ValueError, match="tau must be positive and finite"):
-        make()
+    # a subnormal tau is positive, but its correction ~ 1/tau overflows
+    match = "below the smallest normal float" if 0 < tau < 1 else "tau must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        make(tau)
+    assert make(np.finfo(float).tiny).tau == np.finfo(float).tiny  # the smallest accepted
 
 
 # --- controlled evolutions ---------------------------------------------------------

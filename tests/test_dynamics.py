@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -39,6 +40,7 @@ from sal.hamiltonians import (
     controlled_hamiltonian,
     gate,
     parity_operators,
+    parity_permutation,
     teleport_block_hamiltonian,
     teleport_hamiltonian,
     terms,
@@ -406,16 +408,60 @@ def test_su2_leaves_step_without_eigendecomposition(monkeypatch):
             (cd_teleport(spec, 0.1, grid=201), teleport_psi0)]
     for h, psi0 in runs:
         evolve(h, psi0, steps=dynamics.MIN_STEPS, n_samples=0)
-    expm_shapes, eigh_shapes = [], []
-    expm, eigh = dynamics.expm_hermitian, np.linalg.eigh
+    expm_shapes, eigh_shapes, eigvalsh_shapes = [], [], []
+    expm, eigh, eigvalsh = dynamics.expm_hermitian, np.linalg.eigh, np.linalg.eigvalsh
     monkeypatch.setattr(dynamics, "expm_hermitian",
                         lambda a, t: expm_shapes.append(a.shape) or expm(a, t))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: eigvalsh_shapes.append(a.shape) or eigvalsh(a))
     for h, psi0 in runs[:2]:
         evolve(h, psi0, n_samples=0)
-    assert expm_shapes == eigh_shapes == []
+    assert expm_shapes == eigh_shapes == eigvalsh_shapes == []  # the first count too
     evolve(*runs[2], n_samples=0)
     assert expm_shapes and {sh[-2:] for sh in expm_shapes} == {(4, 4)}
+    assert {sh[-2:] for sh in eigvalsh_shapes} == {(4, 4)}
+
+
+def _builder_drivers(tau):
+    """Every builder's drive and shortcut: teleport at n = 1 and 2 on each
+    schedule, controlled with 0-3 controls on each axis."""
+    for family in FAMILIES:
+        for n in (1, 2):
+            spec = TeleportSpec(n, make_schedule(family))
+            yield teleport_hamiltonian(spec)
+            yield cd_teleport(spec, tau)
+    for n_controls in range(4):
+        for axis in ("x", "y", "z"):
+            spec = ControlledSpec(n_controls, axis=axis, phi=1.3, theta0=2.0, tau=tau)
+            yield controlled_hamiltonian(spec)
+            yield cd_controlled(spec)
+
+
+def _eigvalsh_bound(h):
+    s = np.linspace(0.0, 1.0, dynamics._NORM_SAMPLES)
+    return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s))))) for f in dynamics._leaves(h))
+
+
+@pytest.mark.parametrize("tau", np.logspace(-3, 3, 13))
+def test_coefficient_norm_bound_matches_eigvalsh(tau):
+    # |c0| + k of each closed-form leaf is its largest |level|: the bound and
+    # the first step count are those of the leaves' eigenvalues
+    for h in _builder_drivers(tau):
+        want = _eigvalsh_bound(h)
+        assert abs(dynamics._norm_bound(h) - want) <= 1e-15 * want
+        start = max(dynamics.MIN_STEPS,
+                    int(2.0 * np.ceil(0.5 * want * tau / dynamics.STATE_TOL**0.2)))
+        assert default_steps(h, tau) == start
+
+
+def test_coefficient_norm_bound_scales_before_squaring():
+    # a correction ~ 1/tau = 1e300 squared would overflow; each row is scaled first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for h in _builder_drivers(1e-300):
+            bound = dynamics._norm_bound(h)
+            assert np.isfinite(bound) and abs(bound - _eigvalsh_bound(h)) <= 1e-15 * bound
 
 
 def dense_cf4_steps(leaf, c, steps, tau, halve):
@@ -910,6 +956,50 @@ def test_rotation_frame_contracts_the_gate_on_its_qubits(qubits):
                   for frame in (1, -1)}
         assert np.max(np.abs(walked[1] - g.conj().T @ x)) <= 1e-14
         assert np.max(np.abs(walked[-1] - g @ x)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, name", [(1, None), (1, "X"), (2, "CNOT"), (3, "Toffoli")])
+def test_full_span_rotations_turn_by_one_matmul(n, name):
+    # each sector's parity permutation spans its 8-dim node: a matmul turn
+    # (qubits None); the gate on Bob's qubits keeps its list
+    spec = TeleportSpec(n, make_schedule("linear"), gate=None if name is None else gate(name))
+    turns = dynamics._plan(cd_teleport(spec, 0.5))[0]
+    parity = [t for t in turns if t[0].shape == (8, 8)
+              and np.array_equal(t[0], parity_permutation())]
+    assert len(parity) == n and all(t[1] is None for t in parity)
+    assert [t[1] for t in turns if t[0] is spec.gate] == ([] if name is None
+                                                          else [spec.bob_qubits])
+
+
+def test_full_span_rotation_by_any_unitary_matches_assemble():
+    # a full-span rotation that is no permutation, turned by one matmul,
+    # still evolves as its dense assembled operator does
+    rng = np.random.default_rng(43)
+    rot = cd_rotate(cd_teleport(TeleportSpec(1, make_schedule("trig")), 0.5),
+                    _haar_unitary(8, rng))
+    assert dynamics._plan(rot)[0][0][1] is None
+    block = np.stack([random_state(3, rng) for _ in range(2)], axis=1)
+    for psi0 in (random_state(3, rng), block):
+        assert_matches_dense(rot, psi0, 0.5, steps=300)
+
+
+def _kron_state(factors, n_qubits):
+    """``linalg.state_from_factors`` by a chain of np.kron: the reference."""
+    psi, order = np.array([1.0 + 0j]), []
+    for amps, qubits in factors:
+        psi, order = np.kron(psi, np.asarray(amps, dtype=complex)), order + list(qubits)
+    return psi.reshape([2] * n_qubits).transpose(np.argsort(order)).reshape(-1)
+
+
+@pytest.mark.parametrize("n, name", [(1, None), (1, "H"), (2, None), (2, "CNOT"),
+                                     (3, None), (3, "Toffoli")])
+def test_teleport_states_are_those_of_the_kron_chain(n, name, monkeypatch):
+    rng = np.random.default_rng(44 + n)
+    psi, u = random_state(n, rng), None if name is None else gate(name)
+    got = [teleport_initial_state(psi, n, gate=u), teleport_target_state(psi, n, gate=u)]
+    monkeypatch.setattr(dynamics, "state_from_factors", _kron_state)
+    want = [teleport_initial_state(psi, n, gate=u), teleport_target_state(psi, n, gate=u)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_rotated_tree_assembles_the_embedded_gate():

@@ -201,15 +201,19 @@ def test_embed_rejects_bad_qubits():
 
 
 def test_state_from_factors_matches_kron():
+    # the outer products equal the np.kron chain bit for bit
     rng = np.random.default_rng(2)
     a = normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
     b = normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
-    direct = np.kron(a, b)
-    assert np.allclose(state_from_factors([(a, [0]), (b, [1, 2])], 3), direct)
+    c = normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
+    assert np.array_equal(state_from_factors([(a, [0]), (b, [1, 2])], 3), np.kron(a, b))
+    assert np.array_equal(state_from_factors([(b, [0, 1]), (a, [2]), (c, [3, 4, 5])], 6),
+                          kron(b[:, None], a[:, None], c[:, None])[:, 0])
     # scrambled placement: factor qubit lists are authoritative
     swapped = state_from_factors([(b, [2, 0]), (a, [1])], 3)
     want = np.einsum("ca,b->abc", b.reshape(2, 2), a).reshape(-1)
     assert np.allclose(swapped, want)
+    assert np.array_equal(swapped, np.kron(b, a).reshape(2, 2, 2).transpose(1, 2, 0).reshape(-1))
 
 
 def test_simpson_exact_for_cubics():

@@ -434,3 +434,13 @@ def test_qsl_check_reports_each_column_of_a_block():
     res = evolve(hsa, block, 0.25, steps=400, track_qsl=True)
     assert [rep.e_tau for rep in qsl_report(block, replace(res, e_tau=0.5))] == [0.5] * 3
 
+
+def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
+    # an E_tau that overflowed would give the vacuous bound 0 <= tau
+    spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=2.0, tau=0.25)
+    psi0 = controlled_initial_state(random_state(1, np.random.default_rng(4)))
+    res = evolve(cd_controlled(spec), psi0, 0.25, steps=200, track_qsl=True)
+    assert qsl_report(psi0, res).satisfied
+    for e_tau in (np.inf, np.nan):
+        assert not qsl_report(psi0, replace(res, e_tau=e_tau)).satisfied
+
