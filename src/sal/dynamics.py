@@ -322,11 +322,9 @@ def _norm_bound(h) -> float:
     """max_s ||H(s)|| sampled on each leaf, the largest over the leaves: a
     CF4 step on the tree factorizes into per-leaf steps, so a tensor sum's
     step error is set by its largest slot, not by the norm of the sum.  A
-    leaf whose coefficient form has the closed form (``Linear.su2``) has
-    the levels c0 + {-k, 0, +k}, so its norm is |c0| + k, read off the
-    coefficient rows with each row divided by its largest |c| before
-    anything is squared (a correction ~ 1/tau stays finite); any other leaf
-    is evaluated and its eigenvalues taken (``eigvalsh``)."""
+    leaf whose coefficient form has the closed form (``Linear.su2``) is
+    read off its coefficients (``Linear.su2_norm``); any other leaf is
+    evaluated and its eigenvalues taken (``eigvalsh``)."""
     s = np.linspace(0.0, 1.0, _NORM_SAMPLES)
     return max(_leaf_norm(f, s) for f in _leaves(h))
 
@@ -334,14 +332,10 @@ def _norm_bound(h) -> float:
 def _leaf_norm(f, s: np.ndarray) -> float:
     """max ||f(s)|| over the points s (see ``_norm_bound``)."""
     form = terms(f)
-    if form is None or not form.su2:
-        return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
-                   for c in _chunks(len(s), f.dim))
-    c = form.coef(s)
-    scale = np.max(np.abs(c), axis=-1)
-    c = c / np.where(scale > 0, scale, 1.0)[:, None]
-    k = np.sqrt(np.maximum(0.5 * np.sum((c @ form.traceless_gram) * c, axis=-1), 0.0))
-    return float(np.max(scale * (np.abs(c @ form.traces.real) / f.dim + k)))
+    if form is not None and form.su2:
+        return float(np.max(form.su2_norm(form.coef(s))))
+    return max(float(np.max(np.abs(np.linalg.eigvalsh(f(s[c])))))
+               for c in _chunks(len(s), f.dim))
 
 
 def default_steps(h, tau: float) -> int:

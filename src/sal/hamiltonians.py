@@ -178,6 +178,17 @@ class Linear:
                                               if d > 2 else [])
         return np.concatenate(parts).reshape(-1, d * d).view(float)
 
+    def su2_norm(self, c: np.ndarray) -> np.ndarray:
+        """||c @ basis||, its largest |level|, for each coefficient row c,
+        shaped (n, K), of a basis with ``su2``: the levels lie among
+        c0 + {-k, 0, +k} (see ``Linear``), so it is |c0| + k.  Each row is
+        divided by its largest |c| before anything is squared, so a
+        coefficient ~ 1/tau near the float range gives a finite norm."""
+        scale = np.max(np.abs(c), axis=-1)
+        c = c / np.where(scale > 0, scale, 1.0)[:, None]
+        k = np.sqrt(np.maximum(0.5 * np.sum((c @ self.traceless_gram) * c, axis=-1), 0.0))
+        return scale * (np.abs(c @ self.traces.real) / self.basis.shape[-1] + k)
+
     def expm_su2(self, c: np.ndarray) -> np.ndarray:
         """exp(-i c @ basis) for coefficient rows c, shaped (n, K), of a
         basis with ``su2``: the closed form (see ``Linear``) read off the
