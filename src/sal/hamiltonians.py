@@ -30,6 +30,7 @@ from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
 _ESTIMATE_GRID = 101  # points of s that ``adiabatic_time_estimate`` reads
+_TAU_MIN = float(np.finfo(float).tiny)  # smallest shortcut runtime: its 1/tau is finite
 SU2_RTOL = 1e-12  # residual of A'^3 = k^2 A' relative to ||A'||^3 that ``Linear.su2`` accepts
 
 # --- elementary gates ------------------------------------------------------
@@ -287,9 +288,9 @@ class SuperadiabaticHamiltonian:
     def __post_init__(self):
         if not 0.0 < self.tau < np.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.tau < np.finfo(float).tiny:  # 1/tau itself would overflow
+        if self.tau < _TAU_MIN:
             raise ValueError(f"tau={self.tau} is below the smallest normal float "
-                             f"{np.finfo(float).tiny:.6g}: its correction ~ 1/tau overflows")
+                             f"{_TAU_MIN:.6g}: its correction ~ 1/tau overflows")
 
     @property
     def dim(self) -> int:
