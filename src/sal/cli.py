@@ -189,7 +189,7 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
                      cache=cache)
         qsl = res if tracked else evolve(driver, ini, args.tau, steps=args.qsl_steps,
                                          n_samples=0, track_qsl=True, cache=cache)
-        rep = qsl_report(ini, qsl)
+        rep = qsl_report(qsl)
         fid = fidelity(res.final_state, tgt)
         if shortcut and not fid >= FIDELITY_FLOOR:
             raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")

@@ -65,8 +65,8 @@ Steps are taken a chunk at a time.  Each distinct leaf is read once per
 chunk at both nodes of every step (of both counts in a first pass), and its
 two exponentials of every step are formed as two batched stacks.  A leaf
 whose coefficient form (``terms``) has the closed form, as
-``Linear.su2`` works out from its generators (every 2x2 form, so every
-ancilla branch, and the teleport parity block, drive or closed-form
+``Linear.su2`` works out from its generators (every traceless 2x2 form, so
+every ancilla branch, and the teleport parity block, drive or closed-form
 shortcut), is read as coefficients c(s) and never evaluated: the exponents
 dt (a2 c1 + a1 c2) and dt (a1 c1 + a2 c2) are combined, scaled by dt, in
 coefficient space, and ``Linear.expm_su2`` forms the exponentials as one
@@ -133,9 +133,11 @@ class ToleranceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Final state plus the states and instantaneous-ground-level fidelity
-    at the sample points ``s_samples`` (both empty without samples)."""
+    """The checked input state (a copy), the final state, and the states
+    and instantaneous-ground-level fidelity at the sample points
+    ``s_samples`` (both empty without samples)."""
 
+    initial_state: np.ndarray
     final_state: np.ndarray
     s_samples: np.ndarray
     ground_fidelity: np.ndarray
@@ -443,6 +445,7 @@ def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int, trac
     states = np.concatenate([sampled[:0], *(_walk(plan, sampled[c], frame=-1)
                                           for c in _chunks(len(sampled), 1, x.size))])
     res = EvolutionResult(
+        initial_state=psi0,
         final_state=_walk(plan, x, frame=-1).reshape(psi0.shape),
         s_samples=s_samples,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
@@ -468,7 +471,8 @@ def evolve(
     ``h`` is a TimeDepHamiltonian or SuperadiabaticHamiltonian; ``psi0`` may
     be a single state or a (dim, m) block of states propagated jointly: the
     step search, the step unitaries and their products serve every column.
-    Each column must be a finite unit vector (``linalg.check_state``).
+    Each column must be a finite unit vector (``linalg.check_state``); the
+    result keeps a copy as ``initial_state``.
     ``track_qsl`` additionally integrates
     E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
     a float for a single state and one per column, shaped (m,), for a block.
@@ -505,7 +509,7 @@ def evolve(
         )
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    psi0 = check_state(psi0, h.dim)
+    psi0 = check_state(psi0, h.dim).copy()
     if cache is not None and cache.h is not h:
         raise ValueError("the StepCache was made for another Hamiltonian")
     check_int(n_samples, "n_samples")

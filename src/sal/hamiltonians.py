@@ -31,7 +31,7 @@ from .schedules import Schedule
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
 _ESTIMATE_GRID = 101  # points of s that ``adiabatic_time_estimate`` reads
 _TAU_MIN = float(np.finfo(float).tiny)  # smallest shortcut runtime: its 1/tau is finite
-SU2_RTOL = 1e-12  # residual of A'^3 = k^2 A' relative to ||A'||^3 that ``Linear.su2`` accepts
+SU2_RTOL = 1e-12  # residual of A^3 = k^2 A relative to ||A||^3 that ``Linear.su2`` accepts
 
 # --- elementary gates ------------------------------------------------------
 
@@ -91,6 +91,7 @@ def parse_axis(axis) -> np.ndarray:
     vec = np.asarray(axis, dtype=float)
     if vec.shape != (3,) or not np.isfinite(vec).all():
         raise ValueError("axis must be a 3-vector")
+    vec = np.ldexp(vec, -np.frexp(np.max(np.abs(vec)))[1])  # exact: squares stay in range
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("axis must be nonzero")
@@ -122,11 +123,11 @@ class Linear:
     ``traces`` and those of ``expm_su2``) are formed on first use and kept
     on the form.
 
-    ``su2`` tells from the basis alone whether every real A = c @ basis has a
-    traceless part A' with A'^3 = k^2 A', k^2 = tr A'^2 / 2: every 2x2 basis,
-    and a spin-1 (+) spin-0 representation of su(2) such as the teleport
-    parity block's.  Then, with c0 = tr A / d, ``expm_su2`` reads the closed
-    form exp(-iA) = e^{-i c0} (1 - i sinc(k) A' - sinc^2(k/2) A'^2 / 2)
+    ``su2`` tells from the basis alone whether it is traceless and every
+    real A = c @ basis obeys A^3 = k^2 A, k^2 = tr A^2 / 2 = c . Gram c / 2
+    (the ``gram`` the cost reads): every traceless 2x2 basis, and a spin-1
+    (+) spin-0 representation of su(2) such as the teleport parity block's.
+    Then ``expm_su2`` reads exp(-iA) = 1 - i sinc(k) A - sinc^2(k/2) A^2 / 2
     (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)) off the coefficients."""
 
     coef: Callable[[float | np.ndarray], np.ndarray]
@@ -149,59 +150,49 @@ class Linear:
 
     @cached_property
     def su2(self) -> bool:
-        """Whether every A' = c @ M' (see ``traceless``) obeys A'^3 = k^2 A':
-        by Cayley-Hamilton for d = 2, otherwise as ``_obeys_su2`` finds."""
-        m = self.traceless
-        return m.shape[-1] == 2 or _obeys_su2(m.astype(complex).tobytes(), m.shape)
-
-    # The tables of ``su2`` and ``expm_su2``, formed on first use.
-
-    @cached_property
-    def traceless(self) -> np.ndarray:
-        """M'_k = M_k - tr M_k / d, so that the traceless part of c @ basis is c @ M'."""
-        d = self.basis.shape[-1]
-        return self.basis - (self.traces / d)[:, None, None] * np.eye(d)
-
-    @cached_property
-    def traceless_gram(self) -> np.ndarray:
-        """Gram'_kl = Re tr(M'_k M'_l), so that tr A'^2 = c . Gram' c."""
-        return _gram(self.traceless)
+        """Whether the basis is traceless and every A = c @ basis obeys
+        A^3 = k^2 A: by Cayley-Hamilton for d = 2, otherwise as
+        ``_obeys_su2`` finds.  A basis with a trace steps by ``expm_hermitian``."""
+        m = self.basis
+        return not self.traces.any() and (
+            m.shape[-1] == 2 or _obeys_su2(m.astype(complex).tobytes(), m.shape))
 
     @cached_property
     def su2_stack(self) -> np.ndarray:
-        """1, the -i M'_k and, for d > 2, the pair products M'_k M'_l (k
+        """1, the -i M_k and, for d > 2, the pair products M_k M_l (k
         major), flattened to (1 + K + K^2, d^2) complex and viewed as real
         (re, im) pairs, so that real weights take them in one real GEMM;
         for d = 2, (1 + K, 8)."""
-        k, d = self.basis.shape[:2]
-        m = self.traceless
+        m = self.basis
+        k, d = m.shape[:2]
         parts = [np.eye(d)[None], -1j * m] + ([(m[:, None] @ m[None]).reshape(k * k, d, d)]
                                               if d > 2 else [])
         return np.concatenate(parts).reshape(-1, d * d).view(float)
 
+    def _k2(self, c: np.ndarray) -> np.ndarray:
+        """k^2 = c . Gram c / 2 of each coefficient row, clamped at 0."""
+        return np.maximum(0.5 * np.sum((c @ self.gram) * c, axis=-1), 0.0)
+
     def su2_norm(self, c: np.ndarray) -> np.ndarray:
         """||c @ basis||, its largest |level|, for each coefficient row c,
         shaped (n, K), of a basis with ``su2``: the levels lie among
-        c0 + {-k, 0, +k} (see ``Linear``), so it is |c0| + k.  Each row is
-        divided by its largest |c| before anything is squared, so a
-        coefficient ~ 1/tau near the float range gives a finite norm."""
+        {-k, 0, +k} (see ``Linear``), so it is k.  Each row is divided by
+        its largest |c| before anything is squared, so a coefficient
+        ~ 1/tau near the float range gives a finite norm."""
         scale = np.max(np.abs(c), axis=-1)
-        c = c / np.where(scale > 0, scale, 1.0)[:, None]
-        k = np.sqrt(np.maximum(0.5 * np.sum((c @ self.traceless_gram) * c, axis=-1), 0.0))
-        return scale * (np.abs(c @ self.traces.real) / self.basis.shape[-1] + k)
+        return scale * np.sqrt(self._k2(c / np.where(scale > 0, scale, 1.0)[:, None]))
 
     def expm_su2(self, c: np.ndarray) -> np.ndarray:
         """exp(-i c @ basis) for coefficient rows c, shaped (n, K), of a
         basis with ``su2``: the closed form (see ``Linear``) read off the
-        coefficients.  With c0 = c . traces / d, k^2 = c . Gram' c / 2
-        (clamped at 0) and A'^2 = sum_kl c_k c_l M'_k M'_l, the exponentials
-        less their phase e^{-i c0} are one real GEMM of (n, 1 + K + K^2)
-        weights 1, sinc(k) c_k, -sinc^2(k/2) c_k c_l / 2 over ``su2_stack``;
-        for d = 2, A'^2 = k^2 1 and the pairs drop out.  No matrix of c is
-        formed, so a c scaled by a time step first squares nothing larger,
-        and the sinc forms hold at k = 0."""
+        coefficients.  With A^2 = sum_kl c_k c_l M_k M_l, the exponentials
+        are one real GEMM of (n, 1 + K + K^2) weights 1, sinc(k) c_k,
+        -sinc^2(k/2) c_k c_l / 2 over ``su2_stack``; for d = 2,
+        A^2 = k^2 1 and the pairs drop out.  No matrix of c is formed, so a
+        c scaled by a time step first squares nothing larger, and the sinc
+        forms hold at k = 0."""
         n, (k, d) = len(c), self.basis.shape[:2]
-        k2 = np.maximum(0.5 * np.sum((c @ self.traceless_gram) * c, axis=-1), 0.0)
+        k2 = self._k2(c)
         root = np.sqrt(k2)  # np.sinc(x) = sin(pi x) / (pi x)
         sinc, half = np.sinc(root / np.pi), 0.5 * np.sinc(root / (2 * np.pi)) ** 2
         w = np.empty((n, len(self.su2_stack)))
@@ -210,19 +201,16 @@ class Linear:
         if d > 2:
             np.multiply((-half[:, None] * c)[:, :, None], c[:, None, :],
                         out=w[:, k + 1 :].reshape(n, k, k))
-        u = (w @ self.su2_stack).view(complex)
-        if self.traces.any():  # c0 = 0 for a traceless basis, as every builder's is
-            u *= np.exp(-1j * (c @ self.traces.real) / d)[:, None]
-        return u.reshape(n, d, d)
+        return (w @ self.su2_stack).view(complex).reshape(n, d, d)
 
 
 @cache
 def _obeys_su2(data: bytes, shape: tuple[int, int, int]) -> bool:
-    """Whether the traceless complex generators M' with these bytes give
-    A'^3 = k^2 A' for every A' = c @ M': the residual, a cubic form in c, is
+    """Whether the traceless complex generators M with these bytes give
+    A^3 = k^2 A for every A = c @ M: the residual, a cubic form in c, is
     checked at the C(K + 2, 3) points of N^K whose entries sum to 3, which
     determine a cubic form, each entry within SU2_RTOL of
-    ||A'||_F^3 = (2 k^2)^(3/2).  Kept per generator set: each run builds its
+    ||A||_F^3 = (2 k^2)^(3/2).  Kept per generator set: each run builds its
     own forms over the same constant generators."""
     k, d = shape[:2]
     c = np.eye(k)[list(combinations_with_replacement(range(k), 3))].sum(axis=1)
@@ -466,18 +454,19 @@ def parity_permutation() -> np.ndarray:
     return np.eye(8)[:, PARITY_ORDER]
 
 
-@cache
+# B_ini = -(Z (x) 1 + 1 (x) X) and B_fin = -(Z (x) Z + X (x) X): with
+# P = ``parity_permutation()``, the leading 4x4 blocks of P^T H_ini P and
+# P^T H_fin P, so that G = [B_fin, B_ini] / 4 = i (Z (x) Y - Y (x) X) / 2.
+# 0.0 - S rather than -S keeps every zero unsigned, so both are bitwise those blocks.
+_BLOCK_TERMS = tuple(0.0 - (kron(*a) + kron(*b)) for a, b in (((Z, I2), (I2, X)),
+                                                              ((Z, Z), (X, X))))
+for _b in _BLOCK_TERMS:
+    _b.flags.writeable = False
+
+
 def teleport_block_terms() -> tuple[np.ndarray, np.ndarray]:
-    """B_ini and B_fin: with P = ``parity_permutation()``, the leading 4x4
-    blocks of P^T H_ini P and P^T H_fin P; formed on first use, the same
-    read-only pair on every call."""
-    perm = parity_permutation()
-    h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
-    h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
-    terms = tuple((perm.T @ h @ perm)[:4, :4] for h in (h_ini, h_fin))
-    for b in terms:
-        b.flags.writeable = False
-    return terms
+    """B_ini and B_fin (see ``_BLOCK_TERMS``): the same read-only pair on every call."""
+    return _BLOCK_TERMS
 
 
 def teleport_block_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:

@@ -17,7 +17,7 @@ import numpy as np
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
 from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_state, simpson
+from .linalg import _CHUNK_ENTRIES, _chunks, check_int, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -257,15 +257,15 @@ def bures_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.abs(np.vdot(a, b)), 0.0, 1.0)))
 
 
-def qsl_report(psi0: np.ndarray, res: EvolutionResult) -> QslReport | list[QslReport]:
-    """Evaluate tau >= |cos L - 1| / E_tau along an evolution of psi0 run
-    with ``track_qsl=True``, which integrates
+def qsl_report(res: EvolutionResult) -> QslReport | list[QslReport]:
+    """Evaluate tau >= |cos L - 1| / E_tau along an evolution run with
+    ``track_qsl=True``, which integrates
     E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
-    step ends.  For a (dim, m) block psi0, one report per column; a scalar
-    E_tau then stands for every column.  A non-finite E_tau (a sum of
-    terms ~ 1/tau that overflowed) is not satisfied.  psi0 is checked as
-    ``evolve`` checks it (``linalg.check_state``)."""
-    psi0 = check_state(psi0, res.final_state.shape[0])
+    step ends, from the run's own checked input ``res.initial_state``.  For
+    a (dim, m) block, one report per column; a scalar E_tau then stands for
+    every column.  A non-finite E_tau (a sum of terms ~ 1/tau that
+    overflowed) is not satisfied."""
+    psi0 = res.initial_state
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
     if psi0.ndim == 1:
@@ -292,8 +292,7 @@ def qsl_check(h, psi0: np.ndarray, tau: float,
               steps: Optional[int] = None) -> QslReport | list[QslReport]:
     """Evolve psi0, a state or a (dim, m) block, under h, with no ground
     sampling, and evaluate tau >= |cos L - 1| / E_tau (see ``qsl_report``)."""
-    res = evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True)
-    return qsl_report(psi0, res)
+    return qsl_report(evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True))
 
 
 def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:

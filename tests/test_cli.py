@@ -10,6 +10,7 @@ import pytest
 
 import sal.cli
 import sal.dynamics
+import sal.linalg
 import sal.metrics
 from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from sal.counterdiabatic import cd_controlled
@@ -266,6 +267,31 @@ def test_axis_vector_runs_as_its_named_axis(capsys):
             outs.append(capsys.readouterr().out)
     assert outs[1] == outs[3]
     assert outs[2] == outs[0].replace(",x,", ',"1,0,0",') != outs[0]
+
+
+def test_axis_vectors_near_the_float_range_run_as_their_direction(capsys):
+    # an axis whose squares overflow or underflow runs as (1, 1, 0): every
+    # cell but the echoed flag is that of --axis 1,1,0
+    outs = []
+    for axis in ("1,1,0", "1e308,1e308,0", "1e-200,1e-200,0"):
+        assert main(["sce", "--tau", "1", "--axis", axis]) == EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == ""
+        outs.append(out.out.replace(f'"{axis}"', "AXIS"))
+    assert outs[1] == outs[2] == outs[0] != ""
+
+
+def test_each_input_state_is_checked_once(monkeypatch):
+    # evolve checks each input; the speed-limit report reads the run's own
+    # copy of it instead of checking it again
+    calls, check = [], sal.linalg.check_state
+    for mod in (sal.linalg, sal.dynamics, sal.metrics, sal.cli):  # every binding of it
+        if hasattr(mod, "check_state"):
+            monkeypatch.setattr(mod, "check_state",
+                                lambda psi, dim: calls.append(dim) or check(psi, dim))
+    argv = ["sce", "--n-controls", "3", "--tau", "1", "--states", "3"]
+    assert main(argv) == EXIT_OK
+    assert calls == [32] * 3
 
 
 def test_config_file_defaults(tmp_path):

@@ -14,6 +14,7 @@ from sal.dynamics import _leaves
 from sal.hamiltonians import (
     GATES,
     PARITY_ORDER,
+    I2,
     X,
     Y,
     Z,
@@ -40,6 +41,7 @@ from sal.hamiltonians import (
 )
 from sal.linalg import expm_hermitian, kron, random_state
 from sal.schedules import FAMILIES, make_schedule
+from test_linalg import assert_steps_by_eigendecomposition, eigen_route
 
 
 # --- gate library -------------------------------------------------------------
@@ -204,6 +206,20 @@ def axis_states(axis) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
+def test_parse_axis_scales_before_the_norm():
+    # an axis is scaled by a power of two before its norm: one whose squares
+    # overflow or underflow is still normalized, and any other exactly as
+    # vec / ||vec||
+    want = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+    for scale in (1e308, 1e-200):
+        assert np.max(np.abs(parse_axis([scale, scale, 0.0]) - want)) <= 2e-16
+    for vec in ((1.0, 1.0, 0.0), (1.0, -2.0, 0.5), (0.0, 0.0, 1.0), (0.3, 0.4, 0.0),
+                (-1.0, 1.0, 1.0), (3e150, -1e150, 2e149), (1e-150, 7e-151, -3e-151)):
+        assert np.array_equal(parse_axis(vec), np.array(vec) / np.linalg.norm(vec))
+    with pytest.raises(ValueError, match="nonzero"):
+        parse_axis([0.0, 0.0, 0.0])
+
+
 def test_axis_states_are_eigenstates():
     for axis in ("x", "y", "z", [1.0, 1.0, 0.5]):
         ns = axis_sigma(axis)
@@ -363,6 +379,20 @@ def test_teleport_block_terms_are_one_read_only_pair():
             a[0, 0] = 0.0
 
 
+def test_teleport_block_terms_are_the_permuted_couplings():
+    # the leading 4x4 blocks of P^T H_ini P and P^T H_fin P are the Pauli
+    # products -(Z 1 + 1 X) and -(Z Z + X X), bit for bit, and their
+    # commutator is i (Z Y - Y X) / 2
+    perm = parity_permutation()
+    h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
+    h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
+    b_ini, b_fin = teleport_block_terms()
+    for b, h in ((b_ini, h_ini), (b_fin, h_fin)):
+        want = (perm.T @ h @ perm)[:4, :4]
+        assert np.array_equal(b, want) and b.tobytes() == want.tobytes()
+    assert np.array_equal((b_fin @ b_ini - b_ini @ b_fin) / 4, 1j * (kron(Z, Y) - kron(Y, X)) / 2)
+
+
 @pytest.mark.parametrize("kind", sorted(S_POINTS))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
@@ -440,9 +470,10 @@ def _k(a):
 
 
 @pytest.mark.parametrize("which", ["teleport", "controlled"])
-def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which):
+def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which, monkeypatch):
     # the teleport block's shortcut (4x4) and a controlled branch's (2x2),
-    # each also with a trace added to every generator
+    # each also with a trace added to every generator: that form has no
+    # closed form and steps by eigendecomposition
     if which == "teleport":
         (leaf,) = _leaves(cd_teleport_block(make_schedule("trig"), 0.6))
     else:
@@ -451,18 +482,23 @@ def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which):
     shifted = Linear(form.coef, form.basis + np.arange(1.0, 4.0)[:, None, None] * np.eye(d))
     rng = np.random.default_rng(31)
     for f in (form, shifted):
-        assert np.array_equal(f.expm_su2(np.zeros((1, 3))), np.eye(d)[None])
         c = rng.normal(size=3)
         c /= _k(np.tensordot(c, f.basis, 1))  # k = 1
         t = np.array([1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12])
         rows = np.multiply.outer(t, c)
         m = np.tensordot(rows, f.basis, 1)
         assert np.allclose(_k(m), t, rtol=1e-14, atol=0)
-        assert np.max(np.abs(f.expm_su2(rows) - expm_hermitian(m, 1.0))) <= 1e-14
+        if f is form:
+            assert np.array_equal(f.expm_su2(np.zeros((1, 3))), np.eye(d)[None])
+            assert np.max(np.abs(f.expm_su2(rows) - expm_hermitian(m, 1.0))) <= 1e-14
+        else:
+            steps, _ = eigen_route(f.basis, np.zeros((1, 3)), monkeypatch)
+            assert np.array_equal(steps, np.eye(d)[None])
+            assert_steps_by_eigendecomposition(f, rows, monkeypatch)
         # a 1e300 coefficient over steps of 3e-300: the step scales the
         # exponents before anything is squared, so the step is exp(-3i c.M)
         big = TimeDepHamiltonian(dim=d, func=Linear(
             lambda s, c=c: np.multiply.outer(np.ones_like(s), 1e300 * c), f.basis))
-        assert terms(big).su2
+        assert terms(big).su2 == (f is form)
         u, _ = dynamics._cf4_steps(big, slice(0, 2), 2, 6e-300, False)
         assert np.max(np.abs(u - expm_hermitian(np.tensordot(c, f.basis, 1), 3.0))) <= 1e-14

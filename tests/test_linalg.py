@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sal import dynamics
 from sal.counterdiabatic import cd_teleport_block
 from sal.dynamics import _leaves
-from sal.hamiltonians import (I2, X, Y, Z, Linear, teleport_block_hamiltonian,
+from sal.hamiltonians import (I2, X, Y, Z, Linear, TimeDepHamiltonian, teleport_block_hamiltonian,
                               teleport_block_terms, terms)
 from sal.linalg import (
     _CHUNK,
@@ -123,36 +124,82 @@ def su2_k(h):
     return np.sqrt(0.5 * np.trace(a @ a, axis1=-2, axis2=-1).real)
 
 
-def closed_forms_with_trace():
-    """Coefficient forms over 1, X, Y, Z and over B_ini, B_fin, i G, 1_4
-    (G = [B_fin, B_ini] / 4): a Pauli basis and the spin-1 block basis, each
-    with a trace."""
+def closed_forms():
+    """Coefficient forms over X, Y, Z and over B_ini, B_fin, i G
+    (G = [B_fin, B_ini] / 4): a Pauli basis and the spin-1 block basis."""
     b_ini, b_fin = teleport_block_terms()
     gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
-    return [Linear(lambda s: s, np.stack(basis)) for basis in ((I2, X, Y, Z),
-                                                                (b_ini, b_fin, gen, np.eye(4)))]
+    return [Linear(lambda s: s, np.stack(basis)) for basis in ((X, Y, Z), (b_ini, b_fin, gen))]
 
 
-def test_expm_su2_matches_expm_hermitian_on_random_stacks():
+def closed_forms_with_trace():
+    """The ``closed_forms`` with 1 as a fourth generator, so that each has a trace."""
+    return [Linear(f.coef, np.concatenate([f.basis, np.eye(f.basis.shape[-1])[None]]))
+            for f in closed_forms()]
+
+
+def eigen_route(basis, rows, monkeypatch):
+    """For each coefficient row r, the CF4 step of a leaf held at r over a
+    step dt = 1 (``dynamics._cf4_steps``: at a constant H its two exponents
+    sum to dt H, so the step is exp(-i r @ basis)) and the leaf's norm
+    (``dynamics._leaf_norm``), with ``Linear``'s closed form barred, so both
+    can only come from an eigendecomposition."""
+    def barred(*_):
+        raise AssertionError("a form with a trace took the closed form")
+
+    monkeypatch.setattr(Linear, "expm_su2", barred)
+    monkeypatch.setattr(Linear, "su2_norm", barred)
+    steps, norms = [], []
+    for r in rows:
+        leaf = TimeDepHamiltonian(dim=basis.shape[-1], func=Linear(
+            lambda s, r=r: np.broadcast_to(r, np.shape(s) + r.shape), basis))
+        steps.append(dynamics._cf4_steps(leaf, slice(0, 1), 1, 1.0, False)[0][0])
+        norms.append(dynamics._leaf_norm(leaf, np.linspace(0.0, 1.0, 3)))
+    return np.array(steps), np.array(norms)
+
+
+def assert_steps_by_eigendecomposition(form, rows, monkeypatch):
+    """A form with a trace has no ``su2``: a leaf of it steps by
+    ``expm_hermitian`` and takes its norm from ``eigvalsh``, to 1e-14."""
+    assert not form.su2 and np.max(np.abs(form.traces)) > 0.1
+    h = np.tensordot(rows, form.basis, 1)
+    steps, norms = eigen_route(form.basis, rows, monkeypatch)
+    assert np.max(np.abs(steps - expm_hermitian(h, 1.0))) <= 1e-14
+    want = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    assert np.max(np.abs(norms - want) / want) <= 1e-14
+
+
+def test_expm_su2_matches_expm_hermitian_on_random_stacks(monkeypatch):
     rng = np.random.default_rng(6)
-    for form in closed_forms_with_trace():
-        assert form.su2 and np.max(np.abs(form.traces)) > 0.1
-        c = rng.normal(size=(128, 4))
+    for form in closed_forms():
+        assert form.su2
+        c = rng.normal(size=(128, 3))
         h = np.tensordot(c, form.basis, 1)
         for t in (0.01, 0.7, 3.0):
             assert np.max(np.abs(form.expm_su2(t * c) - expm_hermitian(h, t))) <= 1e-14
-
-
-def test_expm_su2_at_k_zero_small_and_half_turns():
-    rng = np.random.default_rng(7)
     for form in closed_forms_with_trace():
+        c = rng.normal(size=(128, 4))
+        for t in (0.01, 0.7, 3.0):
+            assert_steps_by_eigendecomposition(form, t * c, monkeypatch)
+
+
+def test_expm_su2_at_k_zero_small_and_half_turns(monkeypatch):
+    rng = np.random.default_rng(7)
+    t = np.array([1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12])
+    for form in closed_forms():
         d = form.basis.shape[-1]
-        assert np.array_equal(form.expm_su2(np.zeros((1, 4))), np.eye(d)[None])
-        c = rng.normal(size=4)
+        assert np.array_equal(form.expm_su2(np.zeros((1, 3))), np.eye(d)[None])
+        c = rng.normal(size=3)
         c /= su2_k(np.tensordot(c, form.basis, 1))  # k = 1
-        t = np.array([1e-9, np.pi - 1e-12, np.pi + 1e-12, 2 * np.pi - 1e-12, 2 * np.pi + 1e-12])
         want = expm_hermitian(np.tensordot(c, form.basis, 1), t)
         assert np.max(np.abs(form.expm_su2(np.multiply.outer(t, c)) - want)) <= 1e-14
+    for form in closed_forms_with_trace():
+        d = form.basis.shape[-1]
+        steps, _ = eigen_route(form.basis, np.zeros((1, 4)), monkeypatch)
+        assert np.array_equal(steps, np.eye(d)[None])
+        c = rng.normal(size=4)
+        c /= su2_k(np.tensordot(c, form.basis, 1))  # k = 1 for the traceless part
+        assert_steps_by_eigendecomposition(form, np.multiply.outer(t, c), monkeypatch)
 
 
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])

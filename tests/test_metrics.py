@@ -432,7 +432,20 @@ def test_qsl_check_reports_each_column_of_a_block():
         assert rep.satisfied and single.satisfied
     # one scalar E_tau stands for every column
     res = evolve(hsa, block, 0.25, steps=400, track_qsl=True)
-    assert [rep.e_tau for rep in qsl_report(block, replace(res, e_tau=0.5))] == [0.5] * 3
+    assert [rep.e_tau for rep in qsl_report(replace(res, e_tau=0.5))] == [0.5] * 3
+
+
+def test_qsl_report_reads_the_runs_own_initial_state():
+    # evolve keeps a copy of its checked input, so a caller that reuses its
+    # array afterwards does not change the report
+    spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=2.0, tau=0.25)
+    h = cd_controlled(spec)
+    want = controlled_initial_state(random_state(1, np.random.default_rng(5)))
+    psi0 = want.copy()
+    res = evolve(h, psi0, 0.25, steps=200, n_samples=0, track_qsl=True)
+    psi0[:] = 0.0
+    assert np.array_equal(res.initial_state, want)
+    assert qsl_report(res) == qsl_check(h, want, 0.25, steps=200)
 
 
 def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
@@ -440,7 +453,7 @@ def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
     spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=2.0, tau=0.25)
     psi0 = controlled_initial_state(random_state(1, np.random.default_rng(4)))
     res = evolve(cd_controlled(spec), psi0, 0.25, steps=200, track_qsl=True)
-    assert qsl_report(psi0, res).satisfied
+    assert qsl_report(res).satisfied
     for e_tau in (np.inf, np.nan):
-        assert not qsl_report(psi0, replace(res, e_tau=e_tau)).satisfied
+        assert not qsl_report(replace(res, e_tau=e_tau)).satisfied
 
