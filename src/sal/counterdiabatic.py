@@ -26,7 +26,7 @@ initial degenerate basis was chosen.  Five constructions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .hamiltonians import (
     Y,
     composite,
     controlled_hamiltonian,
+    controlled_tree,
     sector_tree,
     teleport_block_hamiltonian,
     teleport_block_terms,
@@ -231,20 +232,18 @@ def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
 def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     """Shortcut for controlled evolutions.
 
-    Each ancilla branch acquires the constant correction ``cd_branch_term``,
-    in coefficient form: theta0/2tau over sy cos(xi) - sx sin(xi).  The full
-    correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The
+    The xi = 0 ancilla branch acquires the constant correction
+    ``cd_branch_term``, in coefficient form: theta0/2tau over sy.  The phi
+    branch is that shortcut turned by ``controlled_tree``'s constant
+    rotation, whose correction is ``cd_branch_term`` at xi = phi, so the
+    full correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The
     coefficient is formed per call, so a bad tau meets the shortcut's check
     first.
     """
-    branches = controlled_hamiltonian(spec).parts
-
     def rate(s) -> np.ndarray:
         return np.full(np.shape(s) + (1,), spec.theta0 / (2.0 * spec.tau))
 
-    leaves = tuple(
-        SuperadiabaticHamiltonian(base=h, tau=spec.tau,
-                                  cd=Linear(rate, _branch_generator(xi)[None]))
-        for h, xi in zip(branches.parts, (0.0, spec.phi))
-    )
-    return composite(replace(branches, parts=leaves))
+    drive = controlled_hamiltonian(spec).parts.parts[0]
+    zero = SuperadiabaticHamiltonian(base=drive, tau=spec.tau,
+                                     cd=Linear(rate, _branch_generator(0.0)[None]))
+    return controlled_tree(spec, zero)

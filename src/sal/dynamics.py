@@ -42,10 +42,12 @@ two-part branch below a slot come in runs.  The plan holds
   on a copy of the states.  A one-part branch has no W: its projector is 1.
 * one entry (leaf, rows, d, post, level) per leaf and run of rows, where
   ``op(leaf)`` acts, (d, d) for the whole batch or (batch, d, d) per
-  entry.  The level counts the leaves before it on its rows.  A branch
-  part that ends an odd number of levels short of its longest sibling
-  gets a copy entry (leaf None) at its end, so that all rows end level by
-  level in the same buffer.
+  entry; a run that directly follows one of the same leaf, d, post and
+  level joins it, so the two branches of a controlled run, one leaf under
+  a frame turn, are one entry.  The level counts the leaves before it on
+  its rows.  A branch part that ends an odd number of levels short of its
+  longest sibling gets a copy entry (leaf None) at its end, so that all
+  rows end level by level in the same buffer.
 One loop runs the entries with ``np.matmul(..., out=...)`` into two flat
 work buffers, which ``_propagate`` allocates once per pass (a walk outside
 it allocates its own): with ``compose`` the leaves' matrices multiply (step
@@ -66,11 +68,12 @@ chunk at both nodes of every step (of both counts in a first pass), and its
 two exponentials of every step are formed as two batched stacks.  A leaf
 whose coefficient form (``terms``) has the closed form, as
 ``Linear.su2`` works out from its generators (every traceless 2x2 form, so
-every ancilla branch, and the teleport parity block, drive or closed-form
-shortcut), is read as coefficients c(s) and never evaluated: the exponents
-dt (a2 c1 + a1 c2) and dt (a1 c1 + a2 c2) are combined, scaled by dt, in
-coefficient space, and ``Linear.expm_su2`` forms the exponentials as one
-GEMM over constant tables cached on the form.  Any other leaf
+a controlled run's one ancilla leaf, and the teleport parity block, drive
+or closed-form shortcut), is read as coefficients c(s) and never
+evaluated: the exponents dt (a2 c1 + a1 c2) and dt (a1 c1 + a2 c2) are
+combined, scaled by dt, in coefficient space, and ``Linear.expm_su2``
+forms the exponentials as one GEMM over constant tables cached on the
+form.  Any other leaf
 (``cd_generic``, custom leaves, the dense references, a form without the
 closed form) is evaluated as a matrix stack and exponentiated by an
 eigendecomposition (``expm_hermitian``).  The steps' running products
@@ -206,12 +209,18 @@ def _leaves(h) -> list:
 
 
 def _plan(h) -> tuple[list, list, int]:
-    """The walk plan of h's tree, its posts per column: see the module docstring."""
+    """The walk plan of h's tree, its posts per column: see the module
+    docstring.  A leaf's run of rows that directly follows a run of the
+    same leaf with equal (d, post, level) joins it into one entry."""
     turns, ops = [], []
     def visit(f, runs, post, level):  # f acts on the slices ``runs`` of the leading axis
         node, d = getattr(f, "parts", None), f.dim
         if node is None:
-            ops.extend((f, rows, d, post, level) for rows in runs)
+            for rows in runs:  # a run that directly follows one of f's on its level joins it
+                if ops and ops[-1][0] is f and ops[-1][2:] == (d, post, level) \
+                        and ops[-1][1].stop == rows.start:
+                    rows = slice(ops.pop()[1].start, rows.stop)
+                ops.append((f, rows, d, post, level))
             return level + 1
         if isinstance(node, Rotation):  # over all of the node's qubits: one matmul turn
             span = None if node.qubits == tuple(range(d.bit_length() - 1)) else node.qubits

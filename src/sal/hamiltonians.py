@@ -613,23 +613,30 @@ def h_xi(theta, xi: float) -> np.ndarray:
     return Linear(_cos_sin, _branch_basis(xi))(theta)
 
 
-def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
-    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla), each
-    branch ``h_xi(theta0 s, xi)`` in coefficient form."""
+def controlled_tree(spec: ControlledSpec, zero):
+    """[1 - P] (x) H_0 + P (x) W H_0 W^dag over the xi = 0 branch H_0 (a
+    drive or a shortcut), W = e^{-i phi Z / 2}: W sx W^dag = sx cos(phi) +
+    sy sin(phi) and W sy W^dag = sy cos(phi) - sx sin(phi), while sz stays,
+    so the phi branch is the xi = 0 branch turned by a constant rotation,
+    for drive and correction alike, and the tree has the one leaf H_0."""
     p_act = spec.activation_projector()
     p_rest = np.eye(p_act.shape[0], dtype=complex) - p_act
-    theta0 = spec.theta0
+    turn = np.diag(np.exp([-0.5j * spec.phi, 0.5j * spec.phi]))
+    return composite(Branches((p_rest, p_act), (zero, composite(Rotation(turn, (zero,), (0,))))))
 
-    def branch(xi: float) -> TimeDepHamiltonian:
-        basis = _branch_basis(xi)
-        return TimeDepHamiltonian(
-            dim=2,
-            func=Linear(lambda s: _cos_sin(theta0 * s), basis),
-            deriv=Linear(lambda s: theta0 * np.stack([-np.sin(theta0 * s), np.cos(theta0 * s)],
-                                                     axis=-1), basis),
-        )
 
-    return composite(Branches((p_rest, p_act), (branch(0.0), branch(spec.phi))))
+def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
+    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla), each
+    branch ``h_xi(theta0 s, xi)``: one leaf H_0 in coefficient form, which
+    ``controlled_tree`` turns into H_phi."""
+    theta0, basis = spec.theta0, _branch_basis(0.0)
+    zero = TimeDepHamiltonian(
+        dim=2,
+        func=Linear(lambda s: _cos_sin(theta0 * s), basis),
+        deriv=Linear(lambda s: theta0 * np.stack([-np.sin(theta0 * s), np.cos(theta0 * s)],
+                                                 axis=-1), basis),
+    )
+    return controlled_tree(spec, zero)
 
 
 # --- adiabatic-runtime diagnostic -------------------------------------------

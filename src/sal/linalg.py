@@ -65,7 +65,10 @@ def check_state(psi, dim: int) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray) -> bool:
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    """Whether u is square with every entry of u^dag u - 1 within UNITARY_ATOL.
+    An entry that is not finite or exceeds 1 + UNITARY_ATOL in modulus fails
+    before u^dag u is formed, so a huge entry gives False, not an overflow."""
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not np.all(np.abs(u) <= 1 + UNITARY_ATOL):
         return False
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) <= UNITARY_ATOL
 

@@ -521,6 +521,13 @@ def test_custom_gate_from_file(tmp_path, capsys):
                    "--mode", mode])
         assert rc == EXIT_CONFIG
         assert "gate must be unitary" in capsys.readouterr().err
+    mat.write_text(json.dumps([[1e308, 0], [0, 1]]))  # u^dag u would overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["teleport", "--n", "1", "--tau", "0.5", "--gate", "custom", "--gate-file",
+                   str(mat)])
+    assert rc == EXIT_CONFIG and caught == []
+    assert "gate must be unitary" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -503,10 +503,31 @@ def test_controlled_branch_steps_from_coefficients_match_dense(n_controls, axis)
     for tau in (0.1, 1.0, 100.0):
         spec = ControlledSpec(n_controls, axis=axis, phi=1.3, theta0=2.0, tau=tau)
         for h in (controlled_hamiltonian(spec), cd_controlled(spec)):
-            leaves = dynamics._leaves(h)
-            assert len(leaves) == 2 and all(dynamics.terms(f) is not None for f in leaves)
-            for leaf in leaves:
-                assert_steps_match_dense(leaf, tau)
+            (leaf,) = dynamics._leaves(h)  # the phi branch turns the xi = 0 leaf
+            assert dynamics.terms(leaf) is not None
+            assert_steps_match_dense(leaf, tau)
+
+
+def test_controlled_plan_walks_one_leaf_entry():
+    # both branches of three controls run as one entry over all 16 rows:
+    # the phi branch's turn is a frame turn, and its run joins the xi = 0 run
+    h = cd_controlled(ControlledSpec(3))
+    (leaf,) = dynamics._leaves(h)
+    _, ops, top = dynamics._plan(h)
+    assert len(ops) == 1 and top == 1
+    (f, rows, d, post, level), = ops
+    assert f is leaf and (rows.start, rows.stop, d, post, level) == (0, 16, 2, 1, 0)
+
+
+def test_sce_batch_forms_one_set_of_steps(monkeypatch, capsys):
+    # one leaf: one chunk of step exponentials serves both branches and,
+    # through the StepCache, all three inputs
+    calls = []
+    steps = dynamics._cf4_steps
+    monkeypatch.setattr(dynamics, "_cf4_steps", lambda *a: calls.append(a) or steps(*a))
+    assert cli.main(["sce", "--n-controls", "3", "--tau", "1", "--states", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len(calls) == 1
 
 
 def test_linear_leaf_without_su2_steps_by_eigendecomposition(monkeypatch):

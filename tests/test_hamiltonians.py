@@ -193,6 +193,12 @@ def test_gate_dim_mismatch_rejected():
         TeleportSpec(1, sch, gate=gate("CNOT"))
 
 
+def test_gate_with_a_huge_entry_is_rejected_without_a_warning():
+    # RuntimeWarning is an error here: the unitarity check must not overflow
+    with pytest.raises(ValueError, match="gate must be unitary"):
+        TeleportSpec(1, make_schedule("linear"), gate=np.array([[1e200, 0], [0, 1]], dtype=complex))
+
+
 # --- Bloch axes and controlled evolutions ---------------------------------------
 
 
@@ -412,20 +418,27 @@ def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
 
 @pytest.mark.parametrize("kind", sorted(S_POINTS))
 def test_controlled_linear_forms_equal_the_formulas_they_replace(kind):
-    s, theta0, xi, tau = S_POINTS[kind], 2.5, 1.1, 0.6
-    spec = ControlledSpec(n_controls=1, axis="y", phi=xi, theta0=theta0, tau=tau)
-    _, branch = controlled_hamiltonian(spec).parts.parts
-    assert isinstance(branch.func, Linear) and isinstance(branch.deriv, Linear)
-    th, n_xi = theta0 * s, np.cos(xi) * X + np.sin(xi) * Y
-    want = -(np.multiply.outer(np.cos(th), Z) + np.multiply.outer(np.sin(th), n_xi))
-    assert_same_operator(branch(s), want)
-    assert_same_operator(h_xi(th, xi), want)
-    assert_same_operator(branch.derivative(s), -theta0 * (
-        np.multiply.outer(-np.sin(th), Z) + np.multiply.outer(np.cos(th), n_xi)))
-    _, shortcut = cd_controlled(spec).parts.parts
-    assert isinstance(shortcut.cd, Linear)
-    assert_same_operator(shortcut.cd(s), np.broadcast_to(cd_branch_term(theta0, tau, xi),
-                                                         np.shape(s) + (2, 2)))
+    # the xi = 0 branch is the one leaf, in coefficient form; the phi branch
+    # turns it by e^{-i phi Z/2} and reads as the xi = phi formulas
+    s, theta0, tau = S_POINTS[kind], 2.5, 0.6
+    th = theta0 * s
+    for xi in (1.1, 1.3, np.pi, -2.5, 1e6):
+        spec = ControlledSpec(n_controls=1, axis="y", phi=xi, theta0=theta0, tau=tau)
+        zero, branch = controlled_hamiltonian(spec).parts.parts
+        assert isinstance(zero.func, Linear) and isinstance(zero.deriv, Linear)
+        assert branch.parts.parts == (zero,)
+        for h, phi in ((zero, 0.0), (branch, xi)):
+            n_xi = np.cos(phi) * X + np.sin(phi) * Y
+            want = -(np.multiply.outer(np.cos(th), Z) + np.multiply.outer(np.sin(th), n_xi))
+            assert_same_operator(h(s), want)
+            assert_same_operator(h_xi(th, phi), want)
+            assert_same_operator(h.derivative(s), -theta0 * (
+                np.multiply.outer(-np.sin(th), Z) + np.multiply.outer(np.cos(th), n_xi)))
+        zero_sa, shortcut = cd_controlled(spec).parts.parts
+        assert isinstance(zero_sa.cd, Linear) and shortcut.parts.parts == (zero_sa,)
+        for h, phi in ((zero_sa, 0.0), (shortcut, xi)):
+            assert_same_operator(h.cd(s), np.broadcast_to(cd_branch_term(theta0, tau, phi),
+                                                          np.shape(s) + (2, 2)))
 
 
 def test_terms_are_set_on_every_builder_leaf():
@@ -458,7 +471,7 @@ def test_every_builder_form_is_closed(family):
     spec = ControlledSpec(n_controls=1, axis=(1.0, -2.0, 0.5), phi=1.3, theta0=2.0, tau=0.7)
     leaves = [*_leaves(teleport_block_hamiltonian(sch)), *_leaves(cd_teleport_block(sch, 0.7)),
               *_leaves(controlled_hamiltonian(spec)), *_leaves(cd_controlled(spec))]
-    assert [f.dim for f in leaves] == [4, 4, 2, 2, 2, 2]
+    assert [f.dim for f in leaves] == [4, 4, 2, 2]
     assert all(terms(f).su2 for f in leaves)
 
 
@@ -471,13 +484,18 @@ def _k(a):
 
 @pytest.mark.parametrize("which", ["teleport", "controlled"])
 def test_expm_su2_of_coefficients_at_k_zero_small_and_half_turns(which, monkeypatch):
-    # the teleport block's shortcut (4x4) and a controlled branch's (2x2),
-    # each also with a trace added to every generator: that form has no
-    # closed form and steps by eigendecomposition
+    # the teleport block's shortcut (4x4) and a controlled branch's (2x2) at
+    # xi = 1.3, built from its own rotated generators -sz, -(sx cos xi +
+    # sy sin xi) and sy cos xi - sx sin xi, each also with a trace added to
+    # every generator: that form has no closed form and steps by
+    # eigendecomposition
     if which == "teleport":
         (leaf,) = _leaves(cd_teleport_block(make_schedule("trig"), 0.6))
     else:
-        leaf = cd_controlled(ControlledSpec(1, axis="y", phi=1.3, theta0=2.0, tau=0.6)).parts.parts[1]
+        xi, theta0, tau = 1.3, 2.0, 0.6
+        basis = np.stack([-Z, -(np.cos(xi) * X + np.sin(xi) * Y), np.cos(xi) * Y - np.sin(xi) * X])
+        leaf = TimeDepHamiltonian(dim=2, func=Linear(lambda s: np.stack(np.broadcast_arrays(
+            np.cos(theta0 * s), np.sin(theta0 * s), theta0 / (2.0 * tau)), axis=-1), basis))
     form, d = terms(leaf), leaf.dim
     shifted = Linear(form.coef, form.basis + np.arange(1.0, 4.0)[:, None, None] * np.eye(d))
     rng = np.random.default_rng(31)

@@ -16,6 +16,7 @@ from sal.linalg import (
     eigh,
     embed,
     expm_hermitian,
+    is_unitary,
     kron,
     level_clusters,
     normalize,
@@ -115,6 +116,16 @@ def test_expm_hermitian_unitary():
     h = random_hermitian(16, rng)
     u = expm_hermitian(h, 0.71)
     assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
+
+
+def test_is_unitary_rejects_huge_and_non_finite_entries_without_forming_the_product():
+    # u^dag u of a 1e200 or 1e308 entry would overflow to inf or nan
+    assert is_unitary(np.eye(2))
+    assert is_unitary(expm_hermitian(random_hermitian(4, np.random.default_rng(8)), 0.3))
+    for bad in (1e200, 1e308, -1e308j, np.inf, np.nan, 1.0 + 2e-12):
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = bad
+        assert not is_unitary(u)
 
 
 def su2_k(h):
