@@ -439,7 +439,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sal", description=__doc__)
+    parser = _Parser(prog="sal", description=__doc__, allow_abbrev=False)  # --conf is not --config
     parser.add_argument("--version", action="version", version=f"sal {__version__}")
     parser.add_argument("--config", default=None, help="JSON file of option values")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -519,17 +519,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """argv with its ``--config PATH`` replaced by the file's options, placed
-    right after the subcommand so that they are parsed like flags and the
-    command line's own flags, coming later, win.  The file holds a JSON
+def _with_config(parser: argparse.ArgumentParser, argv: list[str], at: list[int]) -> list[str]:
+    """argv with its ``--config PATH`` or ``--config=PATH``, before or after
+    the subcommand, replaced by the file's options, placed right after the
+    subcommand so that they are parsed like flags and the command line's own
+    flags, coming later, win.  ``at`` indexes every token that names the
+    flag; one file per call, so a second is an error.  The file holds a JSON
     object of option values keyed by dest; a null value keeps the default,
     and a key that this subcommand does not take but another does is
     skipped."""
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if len(at) > 1:
+        raise CliError("--config is given more than once; it takes one file")
+    idx = at[0]
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        path = argv[idx + 1] if idx + 1 < len(argv) else ""
+    if not path:
         raise CliError("--config needs a file path")
-    path, argv = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
+    argv = argv[:idx] + argv[idx + (1 if eq else 2) :]
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
@@ -558,8 +565,9 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         argv = list(sys.argv[1:] if argv is None else argv)
-        if "--config" in argv:
-            argv = _with_config(_parser(), argv)
+        at = [i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"]
+        if at:
+            argv = _with_config(_parser(), argv, at)
         args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:  # a json.JSONDecodeError is a ValueError

@@ -39,7 +39,6 @@ from .hamiltonians import (
     TeleportSpec,
     TensorSum,
     TimeDepHamiltonian,
-    X,
     Y,
     composite,
     controlled_hamiltonian,
@@ -220,30 +219,21 @@ def cd_teleport(
     return teleport_tree(spec, sector)
 
 
-def _branch_generator(xi: float) -> np.ndarray:
-    return np.cos(xi) * Y - np.sin(xi) * X
-
-
-def cd_branch_term(theta0: float, tau: float, xi: float) -> np.ndarray:
-    """Time-independent branch correction (theta0/2tau)(sy cos(xi) - sx sin(xi))."""
-    return theta0 / (2.0 * tau) * _branch_generator(xi)
-
-
 def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     """Shortcut for controlled evolutions.
 
-    The xi = 0 ancilla branch acquires the constant correction
-    ``cd_branch_term``, in coefficient form: theta0/2tau over sy.  The phi
-    branch is that shortcut turned by ``controlled_tree``'s constant
-    rotation, whose correction is ``cd_branch_term`` at xi = phi, so the
-    full correction [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The
-    coefficient is formed per call, so a bad tau meets the shortcut's check
-    first.
+    The ancilla branch at xi acquires the constant correction
+    cd_xi = (theta0/2tau)(sy cos(xi) - sx sin(xi)).  The xi = 0 branch
+    carries cd_0 in coefficient form: theta0/2tau over sy.  The phi branch
+    is that shortcut turned by ``controlled_tree``'s constant rotation,
+    which turns cd_0 into cd_phi, so the full correction
+    [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The coefficient is
+    formed per call, so a bad tau meets the shortcut's check first.
     """
     def rate(s) -> np.ndarray:
         return np.full(np.shape(s) + (1,), spec.theta0 / (2.0 * spec.tau))
 
     drive = controlled_hamiltonian(spec).parts.parts[0]
     zero = SuperadiabaticHamiltonian(base=drive, tau=spec.tau,
-                                     cd=Linear(rate, _branch_generator(0.0)[None]))
+                                     cd=Linear(rate, Y[None]))
     return controlled_tree(spec, zero)

@@ -436,10 +436,6 @@ class TeleportSpec:
                 raise ValueError("gate must be unitary")
 
     @property
-    def n_qubits(self) -> int:
-        return 3 * self.n_sectors
-
-    @property
     def bob_qubits(self) -> tuple[int, ...]:
         return tuple(3 * k + 2 for k in range(self.n_sectors))
 

@@ -87,7 +87,7 @@ def teleport_propagator(spec, tau: float, s: float = 1.0) -> np.ndarray:
     u = kron(*[perm @ np.kron(np.eye(2), block) @ perm.T] * spec.n_sectors)
     if spec.gate is None:
         return u
-    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    g = embed(spec.gate, spec.bob_qubits, 3 * spec.n_sectors)
     return g @ u @ g.conj().T
 
 

@@ -308,6 +308,35 @@ def test_config_file_defaults(tmp_path):
     assert [row["gate"] for row in read_rows(out)] == ["Z"]
 
 
+@pytest.mark.parametrize("place", ["before", "after"])
+@pytest.mark.parametrize("spelling", ["space", "equals"])
+def test_config_is_read_in_either_spelling_before_or_after_the_subcommand(
+        spelling, place, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"states": 2, "seed": 5}))
+    flag = [f"--config={cfg}"] if spelling == "equals" else ["--config", str(cfg)]
+    run = ["teleport", "--tau", "0.5"]
+    assert main(flag + run if place == "before" else run + flag) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3  # the header and two states
+
+
+def test_config_takes_one_file(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"states": 2}))
+    b.write_text(json.dumps({"seed": 5}))
+    run = ["teleport", "--tau", "0.5"]
+    for argv in (["--config", str(a), "--config", str(b), *run],
+                 ["--config", str(a), *run, f"--config={b}"]):
+        assert main(argv) == EXIT_CONFIG
+        assert "--config is given more than once" in capsys.readouterr().err
+    for flag in (["--config"], ["--config="]):
+        assert main(run + flag) == EXIT_CONFIG
+        assert "--config needs a file path" in capsys.readouterr().err
+    # an abbreviation before the subcommand is an error, not a file left unread
+    assert main(["--conf", str(a), *run]) == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_config_defaults_stay_with_their_call(
         tmp_path, capsys, monkeypatch):
     built = []

@@ -3,6 +3,8 @@
 ``tests/corpus/run.py`` runs every command of ``commands.txt`` in one fresh
 process; its stdout, stderr and exit code must match ``expected.json`` byte
 for byte.  ``python tests/corpus/run.py --rewrite`` regenerates the corpus.
+The same run names the defs of ``src/sal`` that no command reaches: each
+must be on ``UNREACHED``, with the reason it stays.
 """
 
 import csv
@@ -11,7 +13,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CORPUS = Path(__file__).parent / "corpus"
+
+PAPER = "a quantity of the paper that the tests check"
+PINNED = "perfbench/layers.py wraps it, and perfbench's smoke test needs every wrapped name"
+# The defs of src/sal that no corpus command calls, by module.qualname, and
+# why each stays.  Any other such def is code that only the tests use.
+UNREACHED = {
+    "hamiltonians.teleport_energies": PAPER,
+    "hamiltonians.teleport_gap": PAPER,
+    "hamiltonians.parity_operators": PAPER,
+    "hamiltonians.h_xi": PAPER,
+    "hamiltonians.adiabatic_time_estimate": PAPER,
+    "hamiltonians.TimeDepHamiltonian.derivative": PAPER,
+    "metrics.mean_repetitions": PAPER,
+    "metrics.probabilistic_cost": PAPER,
+    "metrics.angle_feasible": PAPER,
+    "metrics.qsl_ground_chi": PAPER,
+    "dynamics._ground_weights": "ground-fidelity sampling, a layer of the north star; "
+                                "evolve(n_samples > 0) runs it",
+    "hamiltonians.assemble": "the dense reference: what a tree means as one matrix",
+    "counterdiabatic.cd_rotate": PINNED,
+    "counterdiabatic.cd_tensor_sum": PINNED,
+    "metrics.qsl_check": PINNED,
+    "linalg.embed": PINNED,
+}
 
 
 def _moved_cells(argv: list[str], want: list[str], got: list[str]) -> list[str]:
@@ -51,11 +79,25 @@ def corpus_diff(want: list[dict], got: list[dict]) -> list[str]:
     return moved
 
 
-def test_cli_output_matches_the_corpus():
+@pytest.fixture(scope="module")
+def corpus_run() -> dict:
+    """One run of ``tests/corpus/run.py``: its records and unreached defs."""
     out = subprocess.run([sys.executable, str(CORPUS / "run.py")], capture_output=True,
                          text=True, check=True).stdout
-    moved = corpus_diff(json.loads((CORPUS / "expected.json").read_text()), json.loads(out))
+    return json.loads(out)
+
+
+def test_cli_output_matches_the_corpus(corpus_run):
+    moved = corpus_diff(json.loads((CORPUS / "expected.json").read_text()), corpus_run["records"])
     assert not moved, "\n".join(moved)
+
+
+def test_every_sal_def_is_reached_by_a_command_or_allowlisted(corpus_run):
+    unreached = set(corpus_run["unreached"])
+    unlisted = sorted(unreached - UNREACHED.keys())
+    assert not unlisted, f"no corpus command reaches, and UNREACHED does not name: {unlisted}"
+    stale = sorted(UNREACHED.keys() - unreached)
+    assert not stale, f"UNREACHED names, but a corpus command reaches or src/sal lacks: {stale}"
 
 
 def test_corpus_diff_names_a_moved_cell():

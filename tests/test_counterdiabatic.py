@@ -6,7 +6,6 @@ import pytest
 import sal
 from sal.counterdiabatic import (
     SuperadiabaticHamiltonian,
-    cd_branch_term,
     cd_controlled,
     cd_from_frame,
     cd_generic,
@@ -73,7 +72,7 @@ def test_cd_generic_constant_hamiltonian_is_zero():
 def test_cd_generic_matches_branch_closed_form(xi, theta0):
     tau = 0.9
     hsa = cd_generic(h_xi_hamiltonian(theta0, xi), tau=tau)
-    want = cd_branch_term(theta0, tau, xi)
+    want = theta0 / (2 * tau) * (np.cos(xi) * sal.Y - np.sin(xi) * X)  # the paper's correction
     for s in (0.0, 0.25, 0.6, 1.0):
         assert np.max(np.abs(hsa.cd(s) - want)) < 1e-6
 
@@ -361,7 +360,7 @@ def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
         block = sector_tree(cd_generic(teleport_block_hamiltonian(sch), tau, grid=grid))
     hand = cd_tensor_sum([block] * n)
     if u is not None:
-        hand = cd_rotate(hand, embed(u, spec.bob_qubits, spec.n_qubits))
+        hand = cd_rotate(hand, embed(u, spec.bob_qubits, 3 * n))
     built = cd_teleport(spec, tau, grid=grid)
     s = np.linspace(0.0, 1.0, 9)
     for name in ("total", "cd"):
@@ -398,11 +397,15 @@ def test_cd_controlled_branch_terms():
     spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=np.pi, tau=2.0)
     hsa = cd_controlled(spec)
     want0 = np.pi / (2 * 2.0) * sal.Y
+
+    def branch(xi):  # (theta0/2tau)(sy cos(xi) - sx sin(xi))
+        return np.pi / (2 * 2.0) * (np.cos(xi) * sal.Y - np.sin(xi) * X)
+
     cd = hsa.cd(0.37)
     p_plus, p_minus = sal.axis_projectors("x")
-    want = np.kron(p_plus, want0) + np.kron(p_minus, cd_branch_term(np.pi, 2.0, np.pi))
+    want = np.kron(p_plus, want0) + np.kron(p_minus, branch(np.pi))
     assert np.allclose(cd, want, atol=1e-14)
-    assert np.allclose(cd_branch_term(np.pi, 2.0, 0.0), want0)
+    assert np.allclose(branch(0.0), want0)
 
 
 def test_cd_controlled_cd_is_time_independent():

@@ -212,7 +212,7 @@ def test_rotation_path_matches_dense():
     assert_matches_dense(rot, psi0, 0.5)
     # rotation over a tensor sum (gate teleportation), shortcut and adiabatic
     spec = TeleportSpec(2, sch, gate=gate("CNOT"))
-    g2 = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    g2 = embed(spec.gate, spec.bob_qubits, 3 * spec.n_sectors)
     psi0 = teleport_initial_state(random_state(2, rng), 2, gate=spec.gate)
     for h in (cd_rotate(cd_tensor_sum([hsa] * 2), g2), teleport_hamiltonian(spec)):
         assert_matches_dense(h, psi0, 0.5)
@@ -1025,7 +1025,7 @@ def test_rotated_tree_assembles_the_embedded_gate():
     # the dense h(s), base(s) and cd(s) of a rotated tree are embed(g) H embed(g)^dag
     rng = np.random.default_rng(41)
     spec = TeleportSpec(2, make_schedule("trig"), gate=_haar_unitary(4, rng))
-    g = embed(spec.gate, spec.bob_qubits, spec.n_qubits)
+    g = embed(spec.gate, spec.bob_qubits, 3 * spec.n_sectors)
     s = np.linspace(0.0, 1.0, 7)
     h = teleport_hamiltonian(spec)
     hsa = cd_teleport(spec, 0.4)

@@ -3,7 +3,6 @@ import pytest
 
 import sal
 from sal.counterdiabatic import (
-    cd_branch_term,
     cd_controlled,
     cd_generic,
     cd_teleport,
@@ -437,8 +436,8 @@ def test_controlled_linear_forms_equal_the_formulas_they_replace(kind):
         zero_sa, shortcut = cd_controlled(spec).parts.parts
         assert isinstance(zero_sa.cd, Linear) and shortcut.parts.parts == (zero_sa,)
         for h, phi in ((zero_sa, 0.0), (shortcut, xi)):
-            assert_same_operator(h.cd(s), np.broadcast_to(cd_branch_term(theta0, tau, phi),
-                                                          np.shape(s) + (2, 2)))
+            cd_phi = theta0 / (2 * tau) * (np.cos(phi) * Y - np.sin(phi) * X)
+            assert_same_operator(h.cd(s), np.broadcast_to(cd_phi, np.shape(s) + (2, 2)))
 
 
 def test_terms_are_set_on_every_builder_leaf():
