@@ -19,12 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .counterdiabatic import DEFAULT_GRID, cd_controlled, cd_teleport, cd_teleport_block
+from .counterdiabatic import DEFAULT_GRID, cd_controlled, cd_teleport
 from .dynamics import (
-    MAX_STEPS,
-    MIN_STEPS,
     StepCache,
     ToleranceError,
+    check_steps,
     controlled_initial_state,
     controlled_target_state,
     evolve,
@@ -40,20 +39,17 @@ from .hamiltonians import (
     gate,
     teleport_hamiltonian,
 )
-from .linalg import random_state
+from .linalg import check_finite, check_tau, random_state
 from .metrics import (
-    STATIONARITY_RTOL,
     cae_controlled_cost,
     cae_single_gate_cost,
+    check_grid,
     energy_cost,
     qsl_report,
-    relative_residual,
     sce_controlled_cost,
     sce_single_gate_cost,
     stationarity_residual,
     teleport_cost,
-    teleport_cost_scale,
-    teleport_sigma_sing,
     theta_opt,
     theta_opt_adiabatic,
 )
@@ -119,33 +115,15 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
-def _check_tau(tau: float, name: str = "tau"):
-    if not 0 < tau < np.inf:
-        raise CliError(f"{name} must be positive and finite, got {tau}")
-
-
-def _check_steps(steps: Optional[int], flag: str):
-    if steps is not None and not MIN_STEPS <= steps <= MAX_STEPS:
-        raise CliError(f"{flag} must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
-
-
-def _check_finite(value: float, flag: str):
-    if not np.isfinite(value):
-        raise CliError(f"{flag} must be finite, got {value}")
-
-
-def _check_grid(grid: int):
-    if grid < 101 or grid % 2 == 0:
-        raise CliError(f"--grid must be odd and >= 101, got {grid}")
-
-
 def _check_run(args):
-    """The options every per-state run takes, checked before anything is built."""
-    _check_tau(args.tau)
+    """The options every per-state run takes, checked before anything is built
+    by the library's own checks, named as the command line spells them."""
+    check_tau(args.tau, "tau")
     if args.states < 1:
         raise CliError(f"--states must be >= 1, got {args.states}")
-    _check_steps(args.steps, "--steps")
-    _check_steps(args.qsl_steps, "--qsl-steps")
+    for flag, steps in (("--steps", args.steps), ("--qsl-steps", args.qsl_steps)):
+        if steps is not None:
+            check_steps(steps, flag)
 
 
 def _finite_rows(tau: float, make_rows) -> list[list]:
@@ -249,7 +227,7 @@ def _teleport_run(args, u):
 
 def _teleport_rows(args) -> list[list]:
     _check_run(args)
-    _check_grid(args.grid)
+    check_grid(args.grid, "--grid")
     u, gate_name = _load_gate(args)
     spec, *run = _teleport_run(args, u)
 
@@ -289,7 +267,7 @@ def _controlled_run(args, superadiabatic: bool):
 def _controlled_rows(args) -> list[list]:
     """The rows of ``args.command``, cae or sce."""
     _check_run(args)
-    _check_finite(args.phi, "--phi")
+    check_finite(args.phi, "--phi")
     spec, *run = _controlled_run(args, args.command == "sce")
 
     def rows():
@@ -312,60 +290,53 @@ def cmd_controlled(args) -> int:
 # --- sweeps -------------------------------------------------------------------------
 
 
-def _quadrature_cost(h, tau: float, grid: int) -> float:
-    """``energy_cost`` of a shortcut; CliError for a --tau-list value whose
-    correction, ~ 1/tau, has an HS square above the float range (the closed
-    forms, by hypot, stay finite there)."""
+def _sweep_row(tau: float, variant, shortcut, sigma_ad: float, closed: float, grid: int) -> list:
+    """A cost-sweep row: ``energy_cost`` of ``shortcut`` as sigma_sa against
+    its closed form ``closed``, and rel_err = |sigma_sa / closed - 1|.
+    CliError for a --tau-list value whose correction, ~ 1/tau, has an HS
+    square above the float range (the closed forms, by hypot, stay finite)."""
     with np.errstate(over="raise"):
         try:
-            return energy_cost(h, grid=grid)
+            sigma_sa = energy_cost(shortcut, grid=grid)
         except FloatingPointError:
             raise CliError(f"--tau-list value {tau} is too small: the HS square of its "
                            "counter-diabatic term overflows") from None
+    return [tau, variant, sigma_sa, sigma_ad, closed, abs(sigma_sa / closed - 1.0)]
 
 
-def _sce_sweep_point(tau: float, theta0: float, grid: int) -> list:
-    spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=theta0, tau=tau)
-    sigma_sa = _quadrature_cost(cd_controlled(spec), tau, grid)
-    closed = sce_single_gate_cost(tau, theta0)
-    rel = abs(sigma_sa / closed - 1.0)
-    return [tau, theta0, sigma_sa, cae_single_gate_cost(), closed, rel]
-
-
-def _teleport_sweep_point(tau: float, family: str, n: int, grid: int, sing_ad: float) -> list:
-    # sing_ad: the family's teleport_sigma_sing at tau=None
-    sch = make_schedule(family)
-    # as in _sce_sweep_point: the operator's HS-norm quadrature against the closed form
-    sigma_sa = teleport_cost_scale(n) * _quadrature_cost(cd_teleport_block(sch, tau), tau, grid)
-    sigma_ad = teleport_cost_scale(n) * sing_ad
-    closed = teleport_cost(sch, tau, n, grid=grid)
-    rel = abs(sigma_sa / closed - 1.0)
-    return [tau, f"{family}/n={n}", sigma_sa, sigma_ad, closed, rel]
-
-
-def cmd_cost_sweep(args) -> int:
+def _sweep_rows(args) -> list[list]:
+    """The rows of cost-sweep: per point, the shortcut that ``sce
+    --n-controls 0`` or ``teleport --n n`` runs, priced by quadrature and
+    in closed form (``teleport_cost`` holds the sqrt(2^{3(n-1)} n) sector
+    law).  InvariantError if any rel_err exceeds CLOSED_FORM_RTOL."""
     taus = _floats(args.tau_list)
     for tau in taus:
-        _check_tau(tau)
-    _check_grid(args.grid)
+        check_tau(tau, "tau")
+    grid = check_grid(args.grid, "--grid")
     if args.protocol == "sce":
-        thetas = _floats(args.theta0_list)
-        rows = [_sce_sweep_point(tau, theta0, args.grid) for theta0 in thetas for tau in taus]
+        rows = [_sweep_row(tau, theta0, cd_controlled(ControlledSpec(0, theta0=theta0, tau=tau)),
+                           cae_single_gate_cost(), sce_single_gate_cost(tau, theta0), grid)
+                for theta0 in _floats(args.theta0_list) for tau in taus]
     else:
         families = [f.strip() for f in args.schedules.split(",") if f.strip()]
         if not families:
             raise CliError(f"--schedules names no schedule: {args.schedules!r}")
         ns = _ints(args.n_list)
-        sing_ad = {f: teleport_sigma_sing(make_schedule(f), None, args.grid) for f in families}
-        rows = [_teleport_sweep_point(tau, fam, n, args.grid, sing_ad[fam]) for fam in families
-                for n in ns for tau in taus]
+        schedules = [make_schedule(f) for f in families]  # every name checked before any row
+        rows = []
+        for family, sch in zip(families, schedules):
+            for n in ns:
+                spec, sigma_ad = TeleportSpec(n, sch), teleport_cost(sch, None, n, grid)
+                rows += [_sweep_row(tau, f"{family}/n={n}", cd_teleport(spec, tau), sigma_ad,
+                                    teleport_cost(sch, tau, n, grid), grid) for tau in taus]
     if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
         raise InvariantError("quadrature disagrees with the closed-form cost")
-    _write_csv(
-        args.out,
-        ["omega_tau", "variant", "sigma_sa", "sigma_ad", "closed_form", "rel_err"],
-        rows,
-    )
+    return rows
+
+
+def cmd_cost_sweep(args) -> int:
+    _write_csv(args.out, ["omega_tau", "variant", "sigma_sa", "sigma_ad", "closed_form", "rel_err"],
+               _sweep_rows(args))
     return EXIT_OK
 
 
@@ -377,11 +348,8 @@ def _theta_point(omega_tau: float) -> list:
 def cmd_theta_opt(args) -> int:
     taus = _floats(args.tau_list)
     for tau in taus:
-        _check_tau(tau, "omega_tau")
-    rows = [_theta_point(omega_tau) for omega_tau in taus]
-    if not all(relative_residual(theta, omega_tau) <= STATIONARITY_RTOL
-               for omega_tau, theta, _, _ in rows):
-        raise InvariantError(f"relative stationarity residual above {STATIONARITY_RTOL}")
+        check_tau(tau, "omega_tau")
+    rows = [_theta_point(omega_tau) for omega_tau in taus]  # theta_opt checks its residual
     _write_csv(args.out, ["omega_tau", "theta0_min", "residual", "theta0_min_adiabatic"], rows)
     return EXIT_OK
 
@@ -393,7 +361,7 @@ def cmd_qsl_check(args) -> int:
     """One input of the protocol, run as its own command runs it: the speed
     limit and, for a shortcut, the fidelity floor are checked."""
     _check_run(args)
-    _check_finite(args.phi, "--phi")
+    check_finite(args.phi, "--phi")
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
         _, *run = _teleport_run(args, u)
@@ -419,9 +387,10 @@ def cmd_selftest(args) -> int:
     rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"])))
     for omega_tau in (0.5, 1.0, 2.0):
         rows.append(["theta-opt"] + _theta_point(omega_tau))
-    rows.append(["cost-sce"] + _sce_sweep_point(0.5, np.pi, 501))
-    sing_ad = teleport_sigma_sing(make_schedule("linear"), None, 501)
-    rows.append(["cost-teleport"] + _teleport_sweep_point(0.5, "linear", 1, 501, sing_ad))
+    for protocol in ("sce", "teleport"):
+        (row,) = _sweep_rows(parse(["cost-sweep", "--protocol", protocol, "--tau-list", "0.5",
+                                    "--grid", "501"]))
+        rows.append([f"cost-{protocol}"] + row)
     width = max(len(r) for r in rows)
     rows = [r + [""] * (width - len(r)) for r in rows]
     _write_csv(args.out, ["record"] + [f"f{i}" for i in range(1, width)], rows)
@@ -570,7 +539,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv = _with_config(_parser(), argv, at)
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:  # a json.JSONDecodeError is a ValueError
+    # a json.JSONDecodeError is a ValueError; a MemoryError is a register too large to allocate
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvariantError, ToleranceError) as exc:

@@ -117,8 +117,8 @@ import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
 from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
-                     apply_on_qubits, check_int, check_state, expm_hermitian, simpson,
-                     state_from_factors)
+                     apply_on_qubits, check_int, check_state, check_tau, expm_hermitian,
+                     simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -130,8 +130,18 @@ _CACHE_ENTRIES = 2**22  # cap on the product entries one StepCache keeps (64 MiB
 
 
 class ToleranceError(ArithmeticError):
-    """The step-doubling search could not bring its error estimate within
-    STATE_TOL below MAX_STEPS: a runtime failure, not a bad argument."""
+    """A numerical search missed its tolerance: the step-doubling search
+    could not bring its error estimate within STATE_TOL below MAX_STEPS, or
+    ``metrics.theta_opt`` found no bracket or a residual above
+    STATIONARITY_RTOL.  A runtime failure, not a bad argument."""
+
+
+def check_steps(steps: int, name: str) -> int:
+    """steps, checked to be an integer in [MIN_STEPS, MAX_STEPS]:
+    ValueError naming ``name`` for anything else."""
+    if not MIN_STEPS <= check_int(steps, name) <= MAX_STEPS:
+        raise ValueError(f"{name} must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -516,15 +526,13 @@ def evolve(
             f"tau={tau} does not match the shortcut construction (tau={h_tau}); "
             "the counter-diabatic term is runtime-specific"
         )
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau, "tau")
     psi0 = check_state(psi0, h.dim).copy()
     if cache is not None and cache.h is not h:
         raise ValueError("the StepCache was made for another Hamiltonian")
     check_int(n_samples, "n_samples")
     if steps is not None:
-        if not MIN_STEPS <= check_int(steps, "steps") <= MAX_STEPS:
-            raise ValueError(f"steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {steps}")
+        check_steps(steps, "steps")
         return _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
     steps = default_steps(h, tau) if cache is None else cache.start(tau)
     res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache, True)

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (_chunks, apply_on_qubits, check_shape, embed, eigh, is_unitary, kron,
-                     level_clusters)
+from .linalg import (_chunks, apply_on_qubits, check_finite, check_shape, check_tau, embed, eigh,
+                     is_unitary, kron, level_clusters)
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
@@ -274,9 +274,7 @@ class SuperadiabaticHamiltonian:
     parts: Optional[TensorSum | Branches | Rotation] = None
 
     def __post_init__(self):
-        if not 0.0 < self.tau < np.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if self.tau < _TAU_MIN:
+        if check_tau(self.tau, "tau") < _TAU_MIN:
             raise ValueError(f"tau={self.tau} is below the smallest normal float "
                              f"{_TAU_MIN:.6g}: its correction ~ 1/tau overflows")
 
@@ -561,8 +559,7 @@ class ControlledSpec:
             raise ValueError("n_controls must be >= 0")
         if not 0.0 < self.theta0 <= np.pi:
             raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
-        if not np.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        check_finite(self.phi, "phi")
         parse_axis(self.axis)
         n_states = 2**self.n_controls
         act = self.activation if self.activation is not None else n_states - 1

@@ -47,6 +47,21 @@ def check_int(value, name: str):
     return value
 
 
+def check_tau(tau: float, name: str) -> float:
+    """tau, checked to be a positive, finite runtime: ValueError naming
+    ``name`` for anything else, NaN too."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tau}")
+    return tau
+
+
+def check_finite(value: float, name: str) -> float:
+    """value, checked to be finite: ValueError naming ``name`` for inf or NaN."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def check_state(psi, dim: int) -> np.ndarray:
     """psi as a complex array, checked to be a state of ``dim`` entries or a
     (dim, m) block of them whose columns are each finite with unit norm

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
-from .dynamics import EvolutionResult, _leaves, evolve
+from .dynamics import EvolutionResult, ToleranceError, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, _chunks, check_int, simpson
+from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_tau, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -71,9 +71,12 @@ def _hs_square_and_trace(h, leaves: dict) -> tuple[np.ndarray, np.ndarray]:
     return square + dim * cross, dim * sum(means)
 
 
-def _check_grid(grid: int):
-    if check_int(grid, "grid") < 101 or grid % 2 == 0:
-        raise ValueError(f"grid must be odd and >= 101, got {grid}")
+def check_grid(grid: int, name: str) -> int:
+    """grid, checked to be an odd integer >= 101, a quadrature grid:
+    ValueError naming ``name`` for anything else."""
+    if check_int(grid, name) < 101 or grid % 2 == 0:
+        raise ValueError(f"{name} must be odd and >= 101, got {grid}")
+    return grid
 
 
 def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
@@ -82,7 +85,7 @@ def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
     (``_hs_square_and_trace``).  When every leaf has
     a coefficient form, a chunk holds _CHUNK_ENTRIES coefficients, so the
     default grid is one chunk."""
-    _check_grid(grid)
+    check_grid(grid, "grid")
     s_grid = np.linspace(0.0, 1.0, grid)
     leaves = _leaves(h)
     forms = [terms(f) for f in leaves]
@@ -110,7 +113,7 @@ def teleport_sigma_sing(
     sqrt(8 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
     ``angle_rate`` (the correction is (i a'/tau) G with ||G||^2 = 2);
     tau=None gives the adiabatic limit."""
-    _check_grid(grid)
+    check_grid(grid, "grid")
     s = np.linspace(0.0, 1.0, grid)
     rate = 0.0
     if tau is not None:
@@ -226,21 +229,22 @@ def theta_opt(omega_tau: float) -> float:
     tan(theta/2) = theta in [2, 3], taken from the side with
     tan(theta/2) < theta: there the stationarity residual is below
     -4 (omega tau)^2 / theta < 0.  The relative residual at the returned
-    angle (``relative_residual``) is below STATIONARITY_RTOL.
+    angle (``relative_residual``) is at most STATIONARITY_RTOL; a residual
+    above it, or an onset that does not bracket the root, raises
+    ``dynamics.ToleranceError``.
     """
-    if not 0 < omega_tau < np.inf:
-        raise ValueError(f"omega_tau must be positive and finite, got {omega_tau}")
+    check_tau(omega_tau, "omega_tau")
     if not np.isfinite(4.0 * float(omega_tau) * float(omega_tau) + np.pi**2):
         raise ValueError(f"omega_tau={omega_tau} is too large: 4 (omega tau)^2 overflows")
     lo, _ = _bisect(lambda t: np.tan(t / 2.0) - t, 2.0, 3.0)
     if not stationarity_residual(lo, omega_tau) < 0:
-        raise RuntimeError(f"no bracket for the optimal angle at omega_tau={omega_tau}")
+        raise ToleranceError(f"no bracket for the optimal angle at omega_tau={omega_tau}")
     # Above omega_tau ~ 1e8 the residual is negative at pi too: the root then
     # lies within rounding of pi, where the bisection converges.
     lo, hi = _bisect(lambda t: stationarity_residual(t, omega_tau), lo, float(np.pi))
     theta = 0.5 * (lo + hi)
     if not relative_residual(theta, omega_tau) <= STATIONARITY_RTOL:
-        raise RuntimeError(f"relative bisection residual above {STATIONARITY_RTOL}")
+        raise ToleranceError(f"relative bisection residual above {STATIONARITY_RTOL}")
     return theta
 
 

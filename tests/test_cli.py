@@ -197,19 +197,38 @@ def test_cost_sweep_takes_tau_down_to_the_overflow_threshold(argv):
 def test_teleport_sweep_rows_read_like_sce_rows(monkeypatch):
     # both put the operator quadrature in sigma_sa and the closed form in
     # closed_form, with rel_err = |sigma_sa / closed_form - 1|
-    quadrature = sal.cli._quadrature_cost
-    monkeypatch.setattr(sal.cli, "_quadrature_cost",
-                        lambda h, tau, grid: quadrature(h, tau, grid) * (1.0 + 1e-9))
+    quadrature = sal.cli.energy_cost
+    monkeypatch.setattr(sal.cli, "energy_cost",
+                        lambda h, grid: quadrature(h, grid=grid) * (1.0 + 1e-9))
     sch = sal.cli.make_schedule("exp")
-    sing_ad = sal.metrics.teleport_sigma_sing(sch, None, 501)
-    for row, closed in ((sal.cli._teleport_sweep_point(0.5, "exp", 2, 501, sing_ad),
-                         sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
-                        (sal.cli._sce_sweep_point(0.5, 2.0, 501),
-                         sal.metrics.sce_single_gate_cost(0.5, 2.0))):
+    parse = sal.cli._parser().parse_args
+    for argv, closed in ((["--protocol", "teleport", "--schedules", "exp", "--n-list", "2"],
+                          sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
+                         (["--protocol", "sce", "--theta0-list", "2.0"],
+                          sal.metrics.sce_single_gate_cost(0.5, 2.0))):
+        (row,) = sal.cli._sweep_rows(parse(["cost-sweep", *argv, "--tau-list", "0.5",
+                                            "--grid", "501"]))
         _, _, sigma_sa, _, closed_form, rel = row
         assert closed_form == closed
         assert abs(sigma_sa / closed - 1.0 - 1e-9) <= 1e-14
         assert rel == abs(sigma_sa / closed_form - 1.0)
+
+
+def test_teleport_sweep_checks_the_sector_law(monkeypatch, capsys):
+    # the quadrature prices the n-sector shortcut that teleport --n runs, so
+    # a sector law sqrt(2^{3(n-1)} n) off by 1% at n >= 2 fails rel_err; every
+    # binding of the law is doctored, so that a sweep pricing both sides by
+    # it would pass
+    scale = sal.metrics.teleport_cost_scale
+    for module in (sal.metrics, sal.cli):
+        if getattr(module, "teleport_cost_scale", None) is scale:
+            monkeypatch.setattr(module, "teleport_cost_scale",
+                                lambda n: scale(n) * (1.01 if n >= 2 else 1.0))
+    argv = ["cost-sweep", "--protocol", "teleport", "--n-list", "1,2", "--tau-list", "1"]
+    assert main(argv) == EXIT_INVARIANT
+    assert "quadrature disagrees with the closed-form cost" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv) == EXIT_OK
 
 
 def test_theta_opt_command(tmp_path):
@@ -458,6 +477,19 @@ def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
     assert main(["no-such-command"]) == EXIT_CONFIG
 
 
+def test_a_register_too_large_to_allocate_exits_3(monkeypatch, capsys):
+    # numpy raises a MemoryError for an array that the host refuses; no
+    # command here asks for one, since whether a host refuses varies
+    message = "Unable to allocate 8.00 TiB for an array with shape (549755813888,)"
+
+    def refuse(n_qubits, rng):
+        raise MemoryError(message)
+    monkeypatch.setattr(sal.cli, "random_state", refuse)
+    for argv in (["teleport"], ["teleport", "--mode", "adiabatic"], ["cae", "--n-controls", "2"]):
+        assert main(argv + ["--tau", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_invariant_violation_exits_2(tmp_path):
     # deliberately starved integrator: the shortcut fidelity check trips
     rc = main(["teleport", "--n", "1", "--tau", "500", "--steps", "100",
@@ -497,8 +529,9 @@ def test_nan_fails_every_invariant(monkeypatch, capsys):
     monkeypatch.setattr(sal.cli, "teleport_cost", lambda *a, **k: nan)
     assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1"]) == EXIT_INVARIANT
     assert "closed-form" in capsys.readouterr().err
-    monkeypatch.setattr(sal.cli, "relative_residual", lambda *a: nan)
+    monkeypatch.setattr(sal.metrics, "relative_residual", lambda *a: nan)
     assert main(["theta-opt", "--tau-list", "1"]) == EXIT_INVARIANT
+    assert "relative bisection residual above" in capsys.readouterr().err
 
 
 def test_inputs_of_a_run_share_the_step_unitaries(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from sal.counterdiabatic import (
     cd_tensor_sum,
     spectral_frame,
 )
-from sal.dynamics import controlled_initial_state, evolve, teleport_initial_state
+from sal.dynamics import ToleranceError, controlled_initial_state, evolve, teleport_initial_state
 from sal.hamiltonians import (
     ControlledSpec,
     Linear,
@@ -333,6 +333,18 @@ def test_theta_opt_residual_and_feasibility():
         assert theta < np.pi
     for omega_tau in np.logspace(-12, 150, 500):
         assert relative_residual(theta_opt(omega_tau), omega_tau) <= STATIONARITY_RTOL
+
+
+def test_theta_opt_misses_raise_tolerance_error(monkeypatch):
+    # a failed guard is a numerical search that missed its tolerance, which
+    # the command line maps to exit 2, not a bad argument
+    nan = float("nan")
+    monkeypatch.setattr(sal.metrics, "relative_residual", lambda *a: nan)
+    with pytest.raises(ToleranceError, match="relative bisection residual above"):
+        theta_opt(1.0)
+    monkeypatch.setattr(sal.metrics, "stationarity_residual", lambda *a: nan)
+    with pytest.raises(ToleranceError, match="no bracket for the optimal angle"):
+        theta_opt(1.0)
 
 
 def test_theta_opt_inverts_the_closed_relation():
