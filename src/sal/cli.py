@@ -50,6 +50,8 @@ from .metrics import (
     sce_single_gate_cost,
     stationarity_residual,
     teleport_cost,
+    teleport_cost_scale,
+    teleport_sigma_sing,
     theta_opt,
     theta_opt_adiabatic,
 )
@@ -232,8 +234,7 @@ def _teleport_rows(args) -> list[list]:
     spec, *run = _teleport_run(args, u)
 
     def rows():
-        sigma_ad = teleport_cost(spec.schedule, None, args.n, grid=args.grid)
-        sigma_sa = teleport_cost(spec.schedule, args.tau, args.n, grid=args.grid)
+        sigma_ad, sigma_sa = teleport_cost(spec.schedule, [None, args.tau], args.n, args.grid)
         return [["teleport", args.n, gate_name, args.tau, fid, sigma_sa, sigma_ad, rep.bound,
                  rep.satisfied] for _, fid, rep in _runs(args, *run)]
     return _finite_rows(args.tau, rows)
@@ -307,8 +308,9 @@ def _sweep_row(tau: float, variant, shortcut, sigma_ad: float, closed: float, gr
 def _sweep_rows(args) -> list[list]:
     """The rows of cost-sweep: per point, the shortcut that ``sce
     --n-controls 0`` or ``teleport --n n`` runs, priced by quadrature and
-    in closed form (``teleport_cost`` holds the sqrt(2^{3(n-1)} n) sector
-    law).  InvariantError if any rel_err exceeds CLOSED_FORM_RTOL."""
+    in closed form (``teleport_cost_scale``, the sqrt(2^{3(n-1)} n) sector
+    law, times one ``teleport_sigma_sing`` call per family over every tau,
+    as ``teleport_cost``).  InvariantError if any rel_err exceeds CLOSED_FORM_RTOL."""
     taus = _floats(args.tau_list)
     for tau in taus:
         check_tau(tau, "tau")
@@ -325,10 +327,13 @@ def _sweep_rows(args) -> list[list]:
         schedules = [make_schedule(f) for f in families]  # every name checked before any row
         rows = []
         for family, sch in zip(families, schedules):
+            with np.errstate(over="ignore"):  # inf below tau ~ 1e-305, whose quadrature fails
+                sing_ad, *sings = teleport_sigma_sing(sch, [None, *taus], grid)
             for n in ns:
-                spec, sigma_ad = TeleportSpec(n, sch), teleport_cost(sch, None, n, grid)
-                rows += [_sweep_row(tau, f"{family}/n={n}", cd_teleport(spec, tau), sigma_ad,
-                                    teleport_cost(sch, tau, n, grid), grid) for tau in taus]
+                spec, scale = TeleportSpec(n, sch), teleport_cost_scale(n)
+                rows += [_sweep_row(tau, f"{family}/n={n}", cd_teleport(spec, tau),
+                                    scale * sing_ad, scale * sing, grid)
+                         for tau, sing in zip(taus, sings)]
     if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
         raise InvariantError("quadrature disagrees with the closed-form cost")
     return rows

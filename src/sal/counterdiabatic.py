@@ -161,7 +161,11 @@ def cd_generic(
 # eigenframe V(s) = exp(a(s) G) V(0) has V' V^T = a'(s) G.  G annihilates
 # the zero-level vector (-1, 1, 1, 1)/2 and, being antisymmetric, has no
 # diagonal element, so the intra-level connection vanishes and the
-# correction below is the parallel-transport one.
+# correction below is the parallel-transport one.  B_ini, B_fin and i G,
+# the basis of the block's shortcut, are read-only like _BLOCK_TERMS.
+_B_INI, _B_FIN = teleport_block_terms()
+_SHORTCUT_BASIS = np.stack([_B_INI, _B_FIN, 1j * (_B_FIN @ _B_INI - _B_INI @ _B_FIN) / 4])
+_SHORTCUT_BASIS.flags.writeable = False
 
 
 def cd_teleport_block(schedule: Schedule, tau: float) -> SuperadiabaticHamiltonian:
@@ -170,14 +174,19 @@ def cd_teleport_block(schedule: Schedule, tau: float) -> SuperadiabaticHamiltoni
     The sector tree P (1_2 (x) B_sa) P^T (``sector_tree``) over the 4x4
     parity block's shortcut: the drive ``teleport_block_hamiltonian`` plus
     (i/tau) V' V^T = (i a'(s)/tau) [B_fin, B_ini]/4, with a' the schedule's
-    ``angle_rate``, in coefficient form: a'/tau over i G.  It commutes with
+    angle rate, in coefficient form: a'/tau over i G.  It commutes with
     both parity operators by construction, and stays in the span of B_ini,
-    B_fin and i G, so the block's form has ``Linear.su2``.
+    B_fin and i G, so the block's form, (eta_i, eta_f, a'/tau) over
+    ``_SHORTCUT_BASIS`` from one read of the schedule (``Schedule.polar``),
+    has ``Linear.su2``.
     """
-    b_ini, b_fin = teleport_block_terms()
-    gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
-    cd = Linear(lambda s: np.expand_dims(schedule.angle_rate(s) / tau, -1), gen[None])
-    return sector_tree(SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule), cd, tau))
+    def coef(s) -> np.ndarray:
+        (ei, ef), _, rate = schedule.polar(s)
+        return np.stack([ei, ef, rate / tau], axis=-1)
+
+    cd = Linear(lambda s: coef(s)[..., 2:], _SHORTCUT_BASIS[2:])
+    return sector_tree(SuperadiabaticHamiltonian(teleport_block_hamiltonian(schedule), cd, tau,
+                                                 form=Linear(coef, _SHORTCUT_BASIS)))
 
 
 def cd_rotate(hsa: SuperadiabaticHamiltonian, g: np.ndarray) -> SuperadiabaticHamiltonian:

@@ -265,13 +265,16 @@ class SuperadiabaticHamiltonian:
 
     ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
     checks its shape); ``parts``, when set, is the structure node over
-    shortcuts that this one composes (see ``composite``).
+    shortcuts that this one composes (see ``composite``).  ``form``, when
+    set, is a coefficient form of base + cd that reads the schedule once
+    per call, which ``terms`` takes in place of the two concatenated.
     """
 
     base: TimeDepHamiltonian
     cd: Callable[[float | np.ndarray], np.ndarray]
     tau: float
     parts: Optional[TensorSum | Branches | Rotation] = None
+    form: Optional[Linear] = None
 
     def __post_init__(self):
         if check_tau(self.tau, "tau") < _TAU_MIN:
@@ -289,9 +292,8 @@ class SuperadiabaticHamiltonian:
         return self.total(s)
 
     @cached_property
-    def form(self) -> Optional[Linear]:
-        """``terms`` of the shortcut: the drive's and the correction's forms
-        concatenated, or None."""
+    def joined(self) -> Optional[Linear]:
+        """The drive's and the correction's forms concatenated, or None."""
         base = terms(self.base)
         if base is None or not isinstance(self.cd, Linear):
             return None
@@ -301,13 +303,13 @@ class SuperadiabaticHamiltonian:
 
 
 def terms(h) -> Optional[Linear]:
-    """A leaf's coefficient form: a drive's ``Linear`` func; for a shortcut
-    whose drive has one and whose cd is ``Linear``, the two concatenated
-    (``SuperadiabaticHamiltonian.form``, built once per shortcut, so its
-    cached tables serve every call).  None for anything else
-    (``cd_generic``, custom leaves, nodes)."""
+    """A leaf's coefficient form: a drive's ``Linear`` func; for a shortcut,
+    the ``form`` its builder gave it, else, if its drive has a form and its
+    cd is ``Linear``, the two concatenated (``SuperadiabaticHamiltonian.joined``).
+    Either is one object per shortcut, so its cached tables serve every
+    call.  None for anything else (``cd_generic``, custom leaves, nodes)."""
     if isinstance(h, SuperadiabaticHamiltonian):
-        return h.form
+        return h.joined if h.form is None else h.form
     func = getattr(h, "func", None)
     return func if isinstance(func, Linear) else None
 
@@ -442,10 +444,13 @@ class TeleportSpec:
 # even-parity states {000, 011, 101, 110} then their spin-flips
 # {111, 100, 010, 001}.  Both 4x4 blocks are identical.
 PARITY_ORDER = (0, 3, 5, 6, 7, 4, 2, 1)
+_PARITY_PERMUTATION = np.eye(8)[:, PARITY_ORDER]
+_PARITY_PERMUTATION.flags.writeable = False
 
 
 def parity_permutation() -> np.ndarray:
-    return np.eye(8)[:, PARITY_ORDER]
+    """P, with P[:, k] the basis vector PARITY_ORDER[k]: the same read-only array on every call."""
+    return _PARITY_PERMUTATION
 
 
 # B_ini = -(Z (x) 1 + 1 (x) X) and B_fin = -(Z (x) Z + X (x) X): with

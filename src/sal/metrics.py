@@ -10,7 +10,7 @@ reported at tau -> omega tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_tau, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
+Runtimes = Optional[float] | Sequence[Optional[float]]  # None: the adiabatic limit
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,28 @@ def energy_cost(h, grid: int = DEFAULT_GRID) -> float:
 
 
 def teleport_sigma_sing(
-    schedule: Schedule, tau: Optional[float], grid: int = DEFAULT_GRID
-) -> float:
+    schedule: Schedule, tau: Runtimes, grid: int = DEFAULT_GRID
+) -> float | np.ndarray:
     """Single-sector cost in closed form: sqrt(2) times the cost of one
     parity block (two equal blocks), whose HS norm is
-    sqrt(8 chi^2 + 2 a'^2 / tau^2) with a' the schedule's
-    ``angle_rate`` (the correction is (i a'/tau) G with ||G||^2 = 2);
-    tau=None gives the adiabatic limit."""
+    sqrt(8 chi^2 + 2 a'^2 / tau^2) with chi and a' the schedule's
+    ``polar`` (the correction is (i a'/tau) G with ||G||^2 = 2);
+    tau=None or inf gives the adiabatic limit.  A sequence of runtimes
+    gives an array, one cost per runtime, from one read of the schedule."""
     check_grid(grid, "grid")
+    taus = list(tau) if np.ndim(tau) else [tau]
+    for t in taus:
+        if t is not None and not t > 0:
+            raise ValueError(f"tau must be positive, got {t}")
     s = np.linspace(0.0, 1.0, grid)
-    rate = 0.0
-    if tau is not None:
-        if not tau > 0:  # inf is the adiabatic limit, as None is
-            raise ValueError(f"tau must be positive, got {tau}")
-        rate = schedule.angle_rate(s) / tau
+    _, chi, rate = schedule.polar(s)
+    gap = 2.0 * np.real(chi)
     # the block's norm is sqrt(2) hypot(2 chi, a' / tau): hypot squares
-    # nothing, so a' / tau near the float range stays finite
-    return 2.0 * simpson(np.hypot(2.0 * np.real(schedule.chi(s)), rate), s[1] - s[0])
+    # nothing, so a' / tau near the float range stays finite; in the
+    # adiabatic limit it is hypot(gap, 0) = gap, as gap >= 0
+    costs = [2.0 * simpson(gap if t is None or t == np.inf else np.hypot(gap, rate / t),
+                           s[1] - s[0]) for t in taus]
+    return np.array(costs) if np.ndim(tau) else costs[0]
 
 
 def teleport_cost_scale(n_sectors: int) -> float:
@@ -134,10 +140,11 @@ def teleport_cost_scale(n_sectors: int) -> float:
 
 def teleport_cost(
     schedule: Schedule,
-    tau: Optional[float],
+    tau: Runtimes,
     n_sectors: int = 1,
     grid: int = DEFAULT_GRID,
-) -> float:
+) -> float | np.ndarray:
+    """``teleport_cost_scale`` times ``teleport_sigma_sing``, the n-sector closed form."""
     return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau, grid)
 
 

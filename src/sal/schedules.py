@@ -37,15 +37,17 @@ class Schedule:
     def deta(self, s):
         return self.deta_i(s), self.deta_f(s)
 
-    def chi(self, s):
-        """Gap factor sqrt(eta_i^2 + eta_f^2); the teleport gap is 2 chi."""
-        ei, ef = self.eta(s)
-        return np.sqrt(ei * ei + ef * ef)
-
-    def angle_rate(self, s):
-        """d/ds of the mixing angle atan2(eta_f, eta_i)."""
+    def polar(self, s):
+        """(eta_i, eta_f), the gap factor chi = sqrt(eta_i^2 + eta_f^2) and
+        the angle rate a' = d/ds atan2(eta_f, eta_i), from one ``eta`` and
+        one ``deta`` read."""
         (ei, ef), (di, df) = self.eta(s), self.deta(s)
-        return (ei * df - ef * di) / (ei * ei + ef * ef)
+        norm2 = ei * ei + ef * ef
+        return (ei, ef), np.sqrt(norm2), (ei * df - ef * di) / norm2
+
+    def chi(self, s):
+        """Gap factor of ``polar``; the teleport gap is 2 chi."""
+        return self.polar(s)[1]
 
     def __post_init__(self):
         for val, want in ((self.eta_i(0.0), 1.0), (self.eta_i(1.0), 0.0),

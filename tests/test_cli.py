@@ -183,6 +183,19 @@ def test_cost_sweep_rejects_a_tau_whose_correction_square_overflows(protocol, ca
     assert "--tau-list value 1e-300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["1e-306", "1e-308"])
+def test_cost_sweep_prints_one_error_line_where_the_closed_form_overflows(tau, capsys):
+    # every closed form of a family is taken before its shortcuts are built:
+    # below tau ~ 1e-305 it overflows, and the shortcut's own error is all
+    # that stderr holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["cost-sweep", "--protocol", "teleport", "--tau-list", f"0.5,{tau}"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error:") and err.count("\n") == 1 and tau in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--protocol", "teleport", "--schedules", "linear,trig,exp", "--tau-list", "3.8e-154"],
     ["--protocol", "sce", "--tau-list", "2.35e-154"],
@@ -526,7 +539,7 @@ def test_nan_fails_every_invariant(monkeypatch, capsys):
     for argv in (["sce", *run], ["teleport", *run]):
         assert main(argv) == EXIT_INVARIANT
         assert "quantum-speed-limit bound violated" in capsys.readouterr().err
-    monkeypatch.setattr(sal.cli, "teleport_cost", lambda *a, **k: nan)
+    monkeypatch.setattr(sal.cli, "teleport_sigma_sing", lambda sch, taus, grid: [nan] * len(taus))
     assert main(["cost-sweep", "--protocol", "teleport", "--tau-list", "1"]) == EXIT_INVARIANT
     assert "closed-form" in capsys.readouterr().err
     monkeypatch.setattr(sal.metrics, "relative_residual", lambda *a: nan)

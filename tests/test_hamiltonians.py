@@ -412,7 +412,8 @@ def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
     gen = (b_fin @ b_ini - b_ini @ b_fin) / 4
     cd = cd_teleport_block(sch, tau).parts.parts[0].parts.parts[0].cd
     assert isinstance(cd, Linear)
-    assert_same_operator(cd(s), np.multiply.outer(1j * sch.angle_rate(s) / tau, gen))
+    rate = (ei * df - ef * di) / (ei * ei + ef * ef)  # d/ds atan2(eta_f, eta_i)
+    assert_same_operator(cd(s), np.multiply.outer(1j * rate / tau, gen))
 
 
 @pytest.mark.parametrize("kind", sorted(S_POINTS))

@@ -206,7 +206,7 @@ def test_sigma_sing_integrand_is_the_frame_norm(family):
     sch = make_schedule(family)
     s = np.linspace(0, 1, 4097)
     dv = teleport_block_frame_deriv(sch, s)
-    rate = sch.angle_rate(s)
+    _, _, rate = sch.polar(s)
     assert np.max(np.abs(2.0 * rate * rate / np.sum(dv * dv, axis=(-2, -1)) - 1.0)) <= 1e-13
 
 
