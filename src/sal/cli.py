@@ -2,8 +2,11 @@
 
 Commands: teleport, cae, sce, cost-sweep, theta-opt, qsl-check, selftest.
 Exit codes: 0 success, 2 invariant violation, 3 configuration error.
-Floats are printed with 12 significant digits so reruns diff cleanly.
-Every command runs in the calling process; --jobs is accepted and ignored.
+Each command's parser names its rows function and CSV header, and main
+writes those rows to stdout or --out: the one path from a command line to
+its table.  Floats are printed with 12 significant digits so reruns diff
+cleanly.  Every command runs in the calling process; --jobs is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -189,6 +192,8 @@ def _axis_arg(text: str):
 
 def _load_gate(args):
     name = args.gate
+    if args.gate_file is not None and (name or "").lower() != "custom":
+        raise CliError("--gate-file is read only with --gate custom")
     if name is None:
         return None, "-"
     if name.lower() == "custom":
@@ -240,16 +245,6 @@ def _teleport_rows(args) -> list[list]:
     return _finite_rows(args.tau, rows)
 
 
-def cmd_teleport(args) -> int:
-    rows = _teleport_rows(args)
-    _write_csv(
-        args.out,
-        ["protocol", "n", "gate", "tau", "fidelity", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"],
-        rows,
-    )
-    return EXIT_OK
-
-
 # --- controlled evolutions --------------------------------------------------------
 
 
@@ -279,13 +274,6 @@ def _controlled_rows(args) -> list[list]:
                  sigma_sa, sigma_ad, rep.bound, rep.satisfied]
                 for res, fid, rep in _runs(args, *run)]
     return _finite_rows(spec.tau, rows)
-
-
-def cmd_controlled(args) -> int:
-    _write_csv(args.out, ["protocol", "n_controls", "axis", "phi", "theta0", "tau", "fidelity",
-                          "p_success", "sigma_sa", "sigma_ad", "qsl_bound", "qsl_ok"],
-               _controlled_rows(args))
-    return EXIT_OK
 
 
 # --- sweeps -------------------------------------------------------------------------
@@ -339,30 +327,19 @@ def _sweep_rows(args) -> list[list]:
     return rows
 
 
-def cmd_cost_sweep(args) -> int:
-    _write_csv(args.out, ["omega_tau", "variant", "sigma_sa", "sigma_ad", "closed_form", "rel_err"],
-               _sweep_rows(args))
-    return EXIT_OK
-
-
-def _theta_point(omega_tau: float) -> list:
-    theta = theta_opt(omega_tau)
-    return [omega_tau, theta, stationarity_residual(theta, omega_tau), theta_opt_adiabatic()]
-
-
-def cmd_theta_opt(args) -> int:
+def _theta_rows(args) -> list[list]:
     taus = _floats(args.tau_list)
     for tau in taus:
         check_tau(tau, "omega_tau")
-    rows = [_theta_point(omega_tau) for omega_tau in taus]  # theta_opt checks its residual
-    _write_csv(args.out, ["omega_tau", "theta0_min", "residual", "theta0_min_adiabatic"], rows)
-    return EXIT_OK
+    thetas = [theta_opt(omega_tau) for omega_tau in taus]  # theta_opt checks its residual
+    return [[omega_tau, theta, stationarity_residual(theta, omega_tau), theta_opt_adiabatic()]
+            for omega_tau, theta in zip(taus, thetas)]
 
 
 # --- qsl-check -----------------------------------------------------------------------
 
 
-def cmd_qsl_check(args) -> int:
+def _qsl_rows(args) -> list[list]:
     """One input of the protocol, run as its own command runs it: the speed
     limit and, for a shortcut, the fidelity floor are checked."""
     _check_run(args)
@@ -372,44 +349,44 @@ def cmd_qsl_check(args) -> int:
         _, *run = _teleport_run(args, u)
     else:  # cae or sce: argparse choices reject any other protocol, --config values too
         _, *run = _controlled_run(args, args.protocol == "sce")
-    rows = _finite_rows(args.tau, lambda: [
+    return _finite_rows(args.tau, lambda: [
         [args.protocol, args.tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]
         for _, _, rep in _runs(args, *run)])
-    _write_csv(args.out, ["protocol", "tau", "bures_angle", "e_tau", "qsl_bound", "qsl_ok"], rows)
-    return EXIT_OK
 
 
 # --- selftest ------------------------------------------------------------------------
 
 
-def cmd_selftest(args) -> int:
-    """Small deterministic battery; repeated runs are byte-identical."""
-    rows: list[list] = []
+def _selftest_rows(args) -> list[list]:
+    """Small deterministic battery; repeated runs are byte-identical.  Each
+    row is named by its record and padded to the widest row, whose cells
+    number the header (see ``main``)."""
     parse = _parser().parse_args
     run = ["--tau", "0.5", "--states", "2", "--seed", "7", "--qsl-steps", "2000"]
-    for gate_opt in ([], ["--gate", "X"], ["--gate", "H"]):
-        rows.extend(_teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt])))
-    rows.extend(_controlled_rows(parse(["sce", *run, "--n-controls", "1"])))
-    for omega_tau in (0.5, 1.0, 2.0):
-        rows.append(["theta-opt"] + _theta_point(omega_tau))
+    rows = [row for gate_opt in ([], ["--gate", "X"], ["--gate", "H"])
+            for row in _teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt]))]
+    rows += _controlled_rows(parse(["sce", *run, "--n-controls", "1"]))
+    rows += [["theta-opt", *row]
+             for row in _theta_rows(parse(["theta-opt", "--tau-list", "0.5,1,2"]))]
     for protocol in ("sce", "teleport"):
         (row,) = _sweep_rows(parse(["cost-sweep", "--protocol", protocol, "--tau-list", "0.5",
                                     "--grid", "501"]))
-        rows.append([f"cost-{protocol}"] + row)
+        rows.append([f"cost-{protocol}", *row])
     width = max(len(r) for r in rows)
-    rows = [r + [""] * (width - len(r)) for r in rows]
-    _write_csv(args.out, ["record"] + [f"f{i}" for i in range(1, width)], rows)
-    return EXIT_OK
+    return [r + [""] * (width - len(r)) for r in rows]
 
 
 # --- parser --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, rows, header: Optional[str]):
+    """The options every command takes, and the rows function and
+    space-separated CSV header that ``main`` writes (None: selftest's)."""
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--jobs", type=int, default=None,
                    help="accepted and ignored: every command runs in one process")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(rows=rows, header=header and header.split())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    _add_common(p)
-    p.set_defaults(func=cmd_teleport)
+    _add_common(p, _teleport_rows,
+                "protocol n gate tau fidelity sigma_sa sigma_ad qsl_bound qsl_ok")
 
     for name in ("cae", "sce"):
         p = sub.add_parser(name, help=f"run a {name} controlled evolution")
@@ -447,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--states", type=int, default=1)
         p.add_argument("--steps", type=int, default=None)
         p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
-        _add_common(p)
-        p.set_defaults(func=cmd_controlled)
+        _add_common(p, _controlled_rows, "protocol n_controls axis phi theta0 tau fidelity "
+                    "p_success sigma_sa sigma_ad qsl_bound qsl_ok")
 
     p = sub.add_parser("cost-sweep", help="energy cost vs omega*tau")
     p.add_argument("--protocol", default="sce", choices=["sce", "teleport"])
@@ -457,13 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedules", default="linear")
     p.add_argument("--n-list", default="1", dest="n_list")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    _add_common(p)
-    p.set_defaults(func=cmd_cost_sweep)
+    _add_common(p, _sweep_rows, "omega_tau variant sigma_sa sigma_ad closed_form rel_err")
 
     p = sub.add_parser("theta-opt", help="optimal success angle vs omega*tau")
     p.add_argument("--tau-list", required=True, dest="tau_list")
-    _add_common(p)
-    p.set_defaults(func=cmd_theta_opt)
+    _add_common(p, _theta_rows, "omega_tau theta0_min residual theta0_min_adiabatic")
 
     p = sub.add_parser("qsl-check", help="verify the speed-limit bound on one run")
     p.add_argument("--protocol", default="teleport-state",
@@ -476,14 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=np.pi)
     p.add_argument("--theta0", type=float, default=np.pi)
     p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _qsl_rows, "protocol tau bures_angle e_tau qsl_bound qsl_ok")
     # what the shared run builders read that qsl-check has no flag for
-    p.set_defaults(func=cmd_qsl_check, n=1, mode="sa", cd="analytic", activation=None, states=1,
-                   qsl_steps=None)
+    p.set_defaults(n=1, mode="sa", cd="analytic", activation=None, states=1, qsl_steps=None)
 
     p = sub.add_parser("selftest", help="deterministic battery; byte-identical reruns")
-    _add_common(p)
-    p.set_defaults(func=cmd_selftest)
+    _add_common(p, _selftest_rows, None)
     return parser
 
 
@@ -543,7 +516,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if at:
             argv = _with_config(_parser(), argv, at)
         args = _parser().parse_args(argv)
-        return args.func(args)
+        rows = args.rows(args)
+        # selftest's header names its record column and numbers the rest
+        _write_csv(args.out, args.header or ["record", *(f"f{i}" for i in range(1, len(rows[0])))],
+                   rows)
+        return EXIT_OK
     # a json.JSONDecodeError is a ValueError; a MemoryError is a register too large to allocate
     except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

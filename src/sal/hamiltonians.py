@@ -169,9 +169,19 @@ class Linear:
                                               if d > 2 else [])
         return np.concatenate(parts).reshape(-1, d * d).view(float)
 
+    def hs_square(self, c: np.ndarray) -> np.ndarray:
+        """||c @ basis||_HS^2 = c . Gram c of each coefficient row of c,
+        shaped (..., K), summed column by column: a reduction over the
+        short last axis takes a few times longer for the same bytes."""
+        m = c @ self.gram
+        total = m[..., 0] * c[..., 0]
+        for k in range(1, c.shape[-1]):
+            total += m[..., k] * c[..., k]
+        return total
+
     def _k2(self, c: np.ndarray) -> np.ndarray:
         """k^2 = c . Gram c / 2 of each coefficient row, clamped at 0."""
-        return np.maximum(0.5 * np.sum((c @ self.gram) * c, axis=-1), 0.0)
+        return np.maximum(0.5 * self.hs_square(c), 0.0)
 
     def su2_norm(self, c: np.ndarray) -> np.ndarray:
         """||c @ basis||, its largest |level|, for each coefficient row c,

@@ -42,7 +42,7 @@ def _leaf_square_and_trace(leaf, form, s: np.ndarray) -> tuple[np.ndarray, np.nd
         m = leaf(s)
         return np.add.reduce((m.conj() * m).real, axis=(-2, -1)), np.trace(m, axis1=-2, axis2=-1)
     c = form.coef(s)
-    return np.add.reduce((c @ form.gram) * c, axis=-1), c @ form.traces
+    return form.hs_square(c), c @ form.traces
 
 
 def _hs_square_and_trace(h, leaves: dict) -> tuple[np.ndarray, np.ndarray]:

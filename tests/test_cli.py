@@ -423,9 +423,12 @@ def test_selftest_byte_identical(tmp_path):
 
 def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
     assert main(["teleport", "--tau", "-1"]) == EXIT_CONFIG
-    # a --config file must hold an object whose keys some subcommand takes
+    # a --config file must hold an object whose keys some subcommand takes:
+    # not what main dispatches on, the command's rows function and header
     for name, content, message in (("list.json", [1, 2], "does not hold a JSON object"),
-                                   ("bogus.json", {"bogus": 3}, "'bogus'")):
+                                   ("bogus.json", {"bogus": 3}, "'bogus'"),
+                                   ("rows.json", {"rows": "theta-opt"}, "'rows'"),
+                                   ("header.json", {"header": "a b"}, "'header'")):
         cfg = tmp_path / name
         cfg.write_text(json.dumps(content))
         assert main(["--config", str(cfg), "teleport", "--tau", "0.5"]) == EXIT_CONFIG
@@ -603,6 +606,23 @@ def test_custom_gate_from_file(tmp_path, capsys):
                    str(mat)])
     assert rc == EXIT_CONFIG and caught == []
     assert "gate must be unitary" in capsys.readouterr().err
+
+
+def test_gate_file_without_gate_custom_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # a --gate-file that no --gate custom reads, from the command line or a
+    # --config file, and whether or not the file exists, exits 3 before
+    # anything is built
+    def no_build(*args):
+        raise AssertionError("a run was built")
+    monkeypatch.setattr(sal.cli, "make_schedule", no_build)
+    mat = tmp_path / "gate.json"
+    mat.write_text(json.dumps([[0, 1], [1, 0]]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gate_file": str(mat)}))
+    for extra in (["--gate-file", str(mat)], ["--gate", "X", "--gate-file", str(mat)],
+                  ["--gate-file", str(tmp_path / "missing.json")], ["--config", str(cfg)]):
+        assert main(["teleport", "--tau", "0.5", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --gate-file is read only with --gate custom\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import pytest
 
 import sal
 from sal.counterdiabatic import (
+    DEFAULT_GRID,
     cd_controlled,
     cd_generic,
     cd_teleport,
@@ -473,6 +474,26 @@ def test_every_builder_form_is_closed(family):
               *_leaves(controlled_hamiltonian(spec)), *_leaves(cd_controlled(spec))]
     assert [f.dim for f in leaves] == [4, 4, 2, 2]
     assert all(terms(f).su2 for f in leaves)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hs_square_keeps_the_bits_of_the_gram_reduction(family):
+    # the column-by-column sum against sum((c @ Gram) * c) over the last
+    # axis, on every builder form: on the cost grid, at CF4 Gauss nodes and
+    # on an all-zero row
+    sch = make_schedule(family)
+    spec = ControlledSpec(n_controls=1, axis=(1.0, -2.0, 0.5), phi=1.3, theta0=2.0, tau=0.7)
+    leaves = [*_leaves(teleport_block_hamiltonian(sch)), *_leaves(cd_teleport_block(sch, 0.7)),
+              *_leaves(controlled_hamiltonian(spec)), *_leaves(cd_controlled(spec))]
+    mid = np.arange(64) + 0.5
+    points = (np.linspace(0.0, 1.0, DEFAULT_GRID),
+              np.concatenate([mid - dynamics._GAUSS, mid + dynamics._GAUSS]) / 64)
+    for form in map(terms, leaves):
+        for s in points:
+            c = np.vstack([form.coef(s), np.zeros(len(form.basis))])
+            want = np.add.reduce((c @ form.gram) * c, axis=-1)
+            assert form.hs_square(c).tobytes() == want.tobytes()
+            assert form.hs_square(c)[-1] == 0.0
 
 
 def _k(a):

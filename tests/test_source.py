@@ -99,6 +99,19 @@ def test_only_runs_evolves_a_command_input():
     assert calls and not found, found
 
 
+def test_main_writes_every_table():
+    # sal.cli.main is the one place a parsed command becomes CSV: the one
+    # call of _write_csv is inside it, and no cmd_* wrapper is defined
+    path = Path(sal.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    main = next(fn for fn in defs if fn.name == "main")
+    writes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_csv"]
+    assert len(writes) == 1 and any(node is writes[0] for node in ast.walk(main)), (
+        [f"cli.py:{node.lineno}" for node in writes])
+    assert not [f"cli.py:{fn.lineno}" for fn in defs if fn.name.startswith("cmd_")]
+
 
 def test_commands_run_in_one_process():
     # every command, sweeps included, runs in the calling process: no module
