@@ -233,6 +233,8 @@ def _teleport_run(args, u):
 
 
 def _teleport_rows(args) -> list[list]:
+    if args.mode == "adiabatic" and args.cd is not None:
+        raise CliError("--cd is read only with --mode sa")
     _check_run(args)
     check_grid(args.grid, "--grid")
     u, gate_name = _load_gate(args)
@@ -339,15 +341,33 @@ def _theta_rows(args) -> list[list]:
 # --- qsl-check -----------------------------------------------------------------------
 
 
+# The protocol flags of qsl-check that each protocol reads, with their
+# defaults; argparse leaves them None, so a flag a protocol does not read is
+# seen as given.  argparse choices reject any other protocol, --config values too.
+_QSL_READS = {
+    "teleport-state": {"schedule": "linear"},
+    "teleport-gate": {"gate": "H", "schedule": "linear"},
+    **dict.fromkeys(("cae", "sce"), {"n_controls": 0, "axis": "x", "phi": np.pi,
+                                     "theta0": np.pi}),
+}
+
+
 def _qsl_rows(args) -> list[list]:
     """One input of the protocol, run as its own command runs it: the speed
-    limit and, for a shortcut, the fidelity floor are checked."""
+    limit and, for a shortcut, the fidelity floor are checked.  CliError
+    for a protocol flag that the protocol does not read."""
+    reads = _QSL_READS[args.protocol]
+    for dest in ("gate", "schedule", "n_controls", "axis", "phi", "theta0"):
+        if getattr(args, dest) is None:
+            setattr(args, dest, reads.get(dest))
+        elif dest not in reads:
+            raise CliError(f"--{dest.replace('_', '-')} is not read by --protocol {args.protocol}")
     _check_run(args)
-    check_finite(args.phi, "--phi")
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
         _, *run = _teleport_run(args, u)
-    else:  # cae or sce: argparse choices reject any other protocol, --config values too
+    else:
+        check_finite(args.phi, "--phi")
         _, *run = _controlled_run(args, args.protocol == "sce")
     return _finite_rows(args.tau, lambda: [
         [args.protocol, args.tau, rep.bures_angle, rep.e_tau, rep.bound, rep.satisfied]
@@ -404,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON matrix for --gate custom")
     p.add_argument("--schedule", default="linear", choices=["linear", "trig", "exp"])
     p.add_argument("--mode", default="sa", choices=["sa", "adiabatic"])
-    p.add_argument("--cd", default="analytic", choices=["analytic", "generic"],
+    p.add_argument("--cd", choices=["analytic", "generic"],
                    help="closed-form or numeric-frame counter-diabatic term")
     p.add_argument("--states", type=int, default=1, help="random input states")
     p.add_argument("--steps", type=int, default=None)
@@ -444,16 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", default="teleport-state",
                    choices=["teleport-state", "teleport-gate", "cae", "sce"])
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--gate", default="H")
-    p.add_argument("--schedule", default="linear", choices=["linear", "trig", "exp"])
-    p.add_argument("--n-controls", type=int, default=0, dest="n_controls")
-    p.add_argument("--axis", default="x")
-    p.add_argument("--phi", type=float, default=np.pi)
-    p.add_argument("--theta0", type=float, default=np.pi)
+    p.add_argument("--gate")
+    p.add_argument("--schedule", choices=["linear", "trig", "exp"])
+    p.add_argument("--n-controls", type=int, dest="n_controls")
+    p.add_argument("--axis")
+    p.add_argument("--phi", type=float)
+    p.add_argument("--theta0", type=float)
     p.add_argument("--steps", type=int, default=None)
     _add_common(p, _qsl_rows, "protocol tau bures_angle e_tau qsl_bound qsl_ok")
     # what the shared run builders read that qsl-check has no flag for
-    p.set_defaults(n=1, mode="sa", cd="analytic", activation=None, states=1, qsl_steps=None)
+    p.set_defaults(n=1, mode="sa", cd=None, activation=None, states=1, qsl_steps=None)
 
     p = sub.add_parser("selftest", help="deterministic battery; byte-identical reruns")
     _add_common(p, _selftest_rows, None)

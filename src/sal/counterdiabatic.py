@@ -41,7 +41,7 @@ from .hamiltonians import (
     TimeDepHamiltonian,
     Y,
     composite,
-    controlled_hamiltonian,
+    controlled_branch,
     controlled_tree,
     sector_tree,
     teleport_block_hamiltonian,
@@ -232,17 +232,19 @@ def cd_controlled(spec: ControlledSpec) -> SuperadiabaticHamiltonian:
     """Shortcut for controlled evolutions.
 
     The ancilla branch at xi acquires the constant correction
-    cd_xi = (theta0/2tau)(sy cos(xi) - sx sin(xi)).  The xi = 0 branch
-    carries cd_0 in coefficient form: theta0/2tau over sy.  The phi branch
-    is that shortcut turned by ``controlled_tree``'s constant rotation,
-    which turns cd_0 into cd_phi, so the full correction
+    cd_xi = (theta0/2tau)(sy cos(xi) - sx sin(xi)).  The xi = 0 branch is
+    ``controlled_branch`` plus cd_0, theta0/2tau over sy, with the form
+    (cos theta0 s, sin theta0 s, theta0/2tau) over (-sz, -sx, sy).  The phi
+    branch is that shortcut turned by ``controlled_tree``'s constant
+    rotation, which turns cd_0 into cd_phi, so the full correction
     [1-P] (x) cd_0 + P (x) cd_phi is independent of s.  The coefficient is
     formed per call, so a bad tau meets the shortcut's check first.
     """
     def rate(s) -> np.ndarray:
         return np.full(np.shape(s) + (1,), spec.theta0 / (2.0 * spec.tau))
 
-    drive = controlled_hamiltonian(spec).parts.parts[0]
-    zero = SuperadiabaticHamiltonian(base=drive, tau=spec.tau,
-                                     cd=Linear(rate, Y[None]))
-    return controlled_tree(spec, zero)
+    branch = controlled_branch(spec)
+    form = Linear(lambda s: np.concatenate([branch.func.coef(s), rate(s)], axis=-1),
+                  np.concatenate([branch.func.basis, Y[None]]))
+    return controlled_tree(spec, SuperadiabaticHamiltonian(branch, Linear(rate, Y[None]),
+                                                           spec.tau, form=form))

@@ -276,8 +276,9 @@ class SuperadiabaticHamiltonian:
     ``cd(s)`` follows the contract of ``TimeDepHamiltonian.func`` (``total``
     checks its shape); ``parts``, when set, is the structure node over
     shortcuts that this one composes (see ``composite``).  ``form``, when
-    set, is a coefficient form of base + cd that reads the schedule once
-    per call, which ``terms`` takes in place of the two concatenated.
+    set, is the leaf's coefficient form of base + cd, given by its builder
+    (``terms``); a leaf without one is evaluated as a matrix and stepped
+    by eigendecomposition.
     """
 
     base: TimeDepHamiltonian
@@ -301,27 +302,14 @@ class SuperadiabaticHamiltonian:
     def __call__(self, s) -> np.ndarray:
         return self.total(s)
 
-    @cached_property
-    def joined(self) -> Optional[Linear]:
-        """The drive's and the correction's forms concatenated, or None."""
-        base = terms(self.base)
-        if base is None or not isinstance(self.cd, Linear):
-            return None
-        cd = self.cd
-        return Linear(lambda s: np.concatenate([base.coef(s), cd.coef(s)], axis=-1),
-                      np.concatenate([base.basis, cd.basis]))
-
 
 def terms(h) -> Optional[Linear]:
-    """A leaf's coefficient form: a drive's ``Linear`` func; for a shortcut,
-    the ``form`` its builder gave it, else, if its drive has a form and its
-    cd is ``Linear``, the two concatenated (``SuperadiabaticHamiltonian.joined``).
-    Either is one object per shortcut, so its cached tables serve every
-    call.  None for anything else (``cd_generic``, custom leaves, nodes)."""
-    if isinstance(h, SuperadiabaticHamiltonian):
-        return h.joined if h.form is None else h.form
-    func = getattr(h, "func", None)
-    return func if isinstance(func, Linear) else None
+    """A leaf's coefficient form: a shortcut's ``form``, given by its
+    builder, or a drive's ``Linear`` func.  Either is one object per leaf,
+    so its cached tables serve every call.  None for anything else
+    (``cd_generic``, custom leaves, a shortcut built without ``form``, nodes)."""
+    form = h.form if isinstance(h, SuperadiabaticHamiltonian) else getattr(h, "func", None)
+    return form if isinstance(form, Linear) else None
 
 
 # --- structure tree -----------------------------------------------------------
@@ -633,18 +621,23 @@ def controlled_tree(spec: ControlledSpec, zero):
     return composite(Branches((p_rest, p_act), (zero, composite(Rotation(turn, (zero,), (0,))))))
 
 
-def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
-    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla), each
-    branch ``h_xi(theta0 s, xi)``: one leaf H_0 in coefficient form, which
-    ``controlled_tree`` turns into H_phi."""
+def controlled_branch(spec: ControlledSpec) -> TimeDepHamiltonian:
+    """The xi = 0 ancilla branch H_0(s) = ``h_xi(theta0 s, 0)`` as a drive
+    leaf in coefficient form, over -sz and -sx."""
     theta0, basis = spec.theta0, _branch_basis(0.0)
-    zero = TimeDepHamiltonian(
+    return TimeDepHamiltonian(
         dim=2,
         func=Linear(lambda s: _cos_sin(theta0 * s), basis),
         deriv=Linear(lambda s: theta0 * np.stack([-np.sin(theta0 * s), np.cos(theta0 * s)],
                                                  axis=-1), basis),
     )
-    return controlled_tree(spec, zero)
+
+
+def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
+    """H(s) = [1 - P] (x) H_0(s) + P (x) H_phi(s) on (system + ancilla), each
+    branch ``h_xi(theta0 s, xi)``: ``controlled_tree`` over the one leaf
+    ``controlled_branch``, which it turns into H_phi."""
+    return controlled_tree(spec, controlled_branch(spec))
 
 
 # --- adiabatic-runtime diagnostic -------------------------------------------

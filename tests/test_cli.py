@@ -288,6 +288,61 @@ def test_qsl_check_is_a_one_input_run_of_its_protocol(protocol, capsys):
     assert check["e_tau"] == sal.cli._fmt(qsl_check(h, psi0, 0.8).e_tau)
 
 
+QSL_UNREAD = [  # a protocol flag of qsl-check with a value, and a protocol that does not read it
+    ("teleport-state", "--gate", "bogus"),
+    *[(protocol, flag, value) for protocol in ("teleport-state", "teleport-gate")
+      for flag, value in (("--n-controls", "1"), ("--axis", "y"), ("--phi", "1.3"),
+                          ("--theta0", "2"))],
+    *[(protocol, flag, value) for protocol in ("cae", "sce")
+      for flag, value in (("--gate", "H"), ("--schedule", "exp"))],
+]
+
+
+def no_build(*args, **kwargs):
+    raise AssertionError("a run was built")
+
+
+@pytest.mark.parametrize("protocol, flag, value", QSL_UNREAD)
+def test_qsl_check_rejects_a_flag_its_protocol_does_not_read(protocol, flag, value, tmp_path,
+                                                             capsys, monkeypatch):
+    # on the command line or in a --config file, the flag exits 3 with one
+    # error line that names it, before anything is built
+    for name in ("make_schedule", "gate", "ControlledSpec"):
+        monkeypatch.setattr(sal.cli, name, no_build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+    for extra in ([flag, value], ["--config", str(cfg)]):
+        assert main(["qsl-check", "--protocol", protocol, "--tau", "0.5", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {flag} is not read by --protocol {protocol}\n")
+
+
+@pytest.mark.parametrize("protocol, flags", [
+    ("teleport-state", ["--schedule", "linear"]),
+    ("teleport-gate", ["--gate", "H", "--schedule", "linear"]),
+    ("cae", ["--n-controls", "0", "--axis", "x", "--phi", str(np.pi), "--theta0", str(np.pi)]),
+    ("sce", ["--n-controls", "0", "--axis", "x", "--phi", str(np.pi), "--theta0", str(np.pi)]),
+])
+def test_qsl_check_reads_each_protocol_flag_at_its_default(protocol, flags, capsys):
+    # a protocol's own flags left out run at H, linear, 0, x, pi and pi
+    rows = []
+    for extra in ([], flags):
+        assert main(["qsl-check", "--protocol", protocol, "--tau", "0.5", *extra]) == EXIT_OK
+        rows.append(capsys.readouterr())
+    assert rows[0] == rows[1]
+
+
+def test_cd_without_mode_sa_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # --cd picks the shortcut's correction, so an adiabatic run, which has
+    # none, rejects it from the command line or a --config file before
+    # anything is built
+    monkeypatch.setattr(sal.cli, "make_schedule", no_build)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cd": "generic"}))
+    for extra in (["--cd", "generic"], ["--cd", "analytic"], ["--config", str(cfg)]):
+        assert main(["teleport", "--tau", "0.5", "--mode", "adiabatic", *extra]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --cd is read only with --mode sa\n")
+
+
 def test_axis_vector_runs_as_its_named_axis(capsys):
     # the vector branch of --axis: (1, 0, 0) is the x axis, so only the cell
     # that echoes the flag differs, and qsl-check, which echoes no axis,
@@ -612,8 +667,6 @@ def test_gate_file_without_gate_custom_is_a_configuration_error(tmp_path, capsys
     # a --gate-file that no --gate custom reads, from the command line or a
     # --config file, and whether or not the file exists, exits 3 before
     # anything is built
-    def no_build(*args):
-        raise AssertionError("a run was built")
     monkeypatch.setattr(sal.cli, "make_schedule", no_build)
     mat = tmp_path / "gate.json"
     mat.write_text(json.dumps([[0, 1], [1, 0]]))

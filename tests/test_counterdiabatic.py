@@ -408,6 +408,20 @@ def test_cd_controlled_branch_terms():
     assert np.allclose(branch(0.0), want0)
 
 
+def test_cd_controlled_builds_only_its_own_tree(monkeypatch):
+    # the shortcut is built on the one drive leaf controlled_branch, not
+    # taken from a controlled drive tree: composite runs for its Branches and
+    # Rotation nodes and for the drive node under each, four calls, where
+    # building the drive tree as well would take six
+    calls = []
+    build = sal.hamiltonians.composite
+    monkeypatch.setattr(sal.hamiltonians, "composite",
+                        lambda node: calls.append(type(node).__name__) or build(node))
+    hsa = cd_controlled(ControlledSpec(n_controls=1, axis="y", phi=0.4, theta0=2.0, tau=0.6))
+    assert sorted(calls) == ["Branches", "Branches", "Rotation", "Rotation"]
+    assert isinstance(hsa.parts, Branches) and hsa.parts.parts[0].base.parts is None
+
+
 def test_cd_controlled_cd_is_time_independent():
     spec = ControlledSpec(n_controls=1, axis="y", phi=np.pi / 2, theta0=2.2, tau=0.3)
     hsa = cd_controlled(spec)

@@ -20,6 +20,7 @@ from sal.hamiltonians import (
     Z,
     ControlledSpec,
     Linear,
+    SuperadiabaticHamiltonian,
     TeleportSpec,
     TimeDepHamiltonian,
     adiabatic_time_estimate,
@@ -41,7 +42,8 @@ from sal.hamiltonians import (
 )
 from sal.linalg import expm_hermitian, kron, random_state
 from sal.schedules import FAMILIES, make_schedule
-from test_linalg import assert_steps_by_eigendecomposition, eigen_route
+from test_linalg import (assert_steps_by_eigendecomposition, closed_forms, drive_leaf, eigen_route,
+                         held)
 
 
 # --- gate library -------------------------------------------------------------
@@ -461,6 +463,23 @@ def test_terms_are_set_on_every_builder_leaf():
     assert terms(cd_generic(teleport_block_hamiltonian(sch), 0.4, grid=201)) is None
     assert all(terms(leaf) is None for leaf in _leaves(cd_teleport(spec, 0.4, grid=201)))
     assert terms(TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(s, Z))) is None
+
+
+def formless_shortcut(r, basis) -> SuperadiabaticHamiltonian:
+    """A shortcut held at the row r over basis and built without ``form``:
+    its drive ``drive_leaf`` over the first two generators, its correction
+    ``held`` over the rest, both ``Linear``."""
+    return SuperadiabaticHamiltonian(drive_leaf(r[:2], basis[:2]), held(r[2:], basis[2:]), 1.0)
+
+
+def test_a_shortcut_without_form_steps_by_eigendecomposition(monkeypatch):
+    # a Linear drive and correction are not joined into a coefficient form:
+    # only a builder's form is one, so such a shortcut has none and is
+    # evaluated as a matrix, even over generators that have the closed form
+    rows = np.random.default_rng(32).normal(size=(4, 3))
+    for form in closed_forms():
+        assert form.su2 and terms(formless_shortcut(rows[0], form.basis)) is None
+        assert_steps_by_eigendecomposition(form, rows, monkeypatch, formless_shortcut)
 
 
 @pytest.mark.parametrize("family", ["linear", "trig", "exp"])

@@ -149,32 +149,45 @@ def closed_forms_with_trace():
             for f in closed_forms()]
 
 
-def eigen_route(basis, rows, monkeypatch):
-    """For each coefficient row r, the CF4 step of a leaf held at r over a
-    step dt = 1 (``dynamics._cf4_steps``: at a constant H its two exponents
-    sum to dt H, so the step is exp(-i r @ basis)) and the leaf's norm
-    (``dynamics._leaf_norm``), with ``Linear``'s closed form barred, so both
-    can only come from an eigendecomposition."""
+def held(r, basis) -> Linear:
+    """The coefficient form held at the row r over basis."""
+    return Linear(lambda s: np.broadcast_to(r, np.shape(s) + r.shape), basis)
+
+
+def drive_leaf(r, basis) -> TimeDepHamiltonian:
+    """A drive whose func is ``held(r, basis)``."""
+    return TimeDepHamiltonian(dim=basis.shape[-1], func=held(r, basis))
+
+
+def eigen_route(basis, rows, monkeypatch, leaf=drive_leaf):
+    """For each coefficient row r, the CF4 step of ``leaf(r, basis)``, a
+    leaf held at r, over a step dt = 1 (``dynamics._cf4_steps``: at a
+    constant H its two exponents sum to dt H, so the step is
+    exp(-i r @ basis)) and the leaf's norm (``dynamics._leaf_norm``), with
+    ``Linear``'s closed form barred, so both can only come from an
+    eigendecomposition."""
     def barred(*_):
-        raise AssertionError("a form with a trace took the closed form")
+        raise AssertionError("a leaf that steps by eigendecomposition took the closed form")
 
     monkeypatch.setattr(Linear, "expm_su2", barred)
     monkeypatch.setattr(Linear, "su2_norm", barred)
     steps, norms = [], []
     for r in rows:
-        leaf = TimeDepHamiltonian(dim=basis.shape[-1], func=Linear(
-            lambda s, r=r: np.broadcast_to(r, np.shape(s) + r.shape), basis))
-        steps.append(dynamics._cf4_steps(leaf, slice(0, 1), 1, 1.0, False)[0][0])
-        norms.append(dynamics._leaf_norm(leaf, np.linspace(0.0, 1.0, 3)))
+        h = leaf(r, basis)
+        steps.append(dynamics._cf4_steps(h, slice(0, 1), 1, 1.0, False)[0][0])
+        norms.append(dynamics._leaf_norm(h, np.linspace(0.0, 1.0, 3)))
     return np.array(steps), np.array(norms)
 
 
-def assert_steps_by_eigendecomposition(form, rows, monkeypatch):
-    """A form with a trace has no ``su2``: a leaf of it steps by
-    ``expm_hermitian`` and takes its norm from ``eigvalsh``, to 1e-14."""
-    assert not form.su2 and np.max(np.abs(form.traces)) > 0.1
+def assert_steps_by_eigendecomposition(form, rows, monkeypatch, leaf=drive_leaf):
+    """``leaf(r, form.basis)`` held at each row r steps by
+    ``expm_hermitian`` and takes its norm from ``eigvalsh``, to 1e-14.  By
+    default the leaf is a drive in the form, which must then have a trace:
+    a form with a trace has no ``su2``."""
+    if leaf is drive_leaf:
+        assert not form.su2 and np.max(np.abs(form.traces)) > 0.1
     h = np.tensordot(rows, form.basis, 1)
-    steps, norms = eigen_route(form.basis, rows, monkeypatch)
+    steps, norms = eigen_route(form.basis, rows, monkeypatch, leaf)
     assert np.max(np.abs(steps - expm_hermitian(h, 1.0))) <= 1e-14
     want = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
     assert np.max(np.abs(norms - want) / want) <= 1e-14

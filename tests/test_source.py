@@ -56,30 +56,53 @@ def test_no_su2_declaration():
     assert SOURCES and not found, found
 
 
+def _calls_outside(names: tuple[str, ...], allowed: tuple[tuple[str, str], ...]) -> list:
+    """(file name, call node) of every call in the package source to one of
+    ``names``, outside the functions named by (file name, function name) in
+    ``allowed``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in allowed
+            for node in ast.walk(fn)
+        }
+        found += [
+            (path.name, node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+            and id(node) not in inside
+        ]
+    return found
+
+
 def test_structure_nodes_come_from_composite():
     # hamiltonians.composite is the one constructor of a structure node: no
     # other call to either Hamiltonian class passes parts, by keyword or as
     # the fourth positional argument
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "composite"
-            and path.name == "hamiltonians.py"
-            for node in ast.walk(fn)
-        }
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None))
-            in ("TimeDepHamiltonian", "SuperadiabaticHamiltonian")
-            and (len(node.args) >= 4 or any(kw.arg == "parts" for kw in node.keywords))
-            and id(node) not in allowed
-        ]
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _calls_outside(("TimeDepHamiltonian", "SuperadiabaticHamiltonian"),
+                                         (("hamiltonians.py", "composite"),))
+        if len(node.args) >= 4 or any(kw.arg == "parts" for kw in node.keywords)
+    ]
     assert SOURCES and not found, found
+
+
+def test_shortcut_leaves_get_their_form_from_their_builder():
+    # a shortcut leaf takes the closed-form step only through the form its
+    # builder gives it (hamiltonians.terms): every SuperadiabaticHamiltonian
+    # call passes form, by keyword or as the fifth positional argument,
+    # except in composite, which builds nodes, and cd_generic, whose
+    # correction has no coefficients
+    calls = _calls_outside(("SuperadiabaticHamiltonian",),
+                           (("hamiltonians.py", "composite"), ("counterdiabatic.py", "cd_generic")))
+    found = [f"{name}:{node.lineno}" for name, node in calls
+             if len(node.args) < 5 and not any(kw.arg == "form" for kw in node.keywords)]
+    assert calls and not found, found
 
 
 def test_only_runs_evolves_a_command_input():
