@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from functools import cache
 from typing import Optional, Sequence
@@ -200,6 +199,7 @@ def _load_gate(args):
         path = args.gate_file
         if not path:
             raise CliError("--gate custom needs --gate-file with a JSON matrix")
+        import json  # only --gate-file and --config read JSON: off every command's import
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
@@ -504,6 +504,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], at: list[int]
     if not path:
         raise CliError("--config needs a file path")
     argv = argv[:idx] + argv[idx + (1 if eq else 2) :]
+    import json  # see _load_gate
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):

@@ -26,7 +26,6 @@ initial degenerate basis was chosen.  Five constructions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ from .schedules import Schedule
 DEFAULT_GRID = 2001  # points of s for frames and cost quadratures, here and in metrics
 OVERLAP_TOL = 0.5  # least singular value of a neighbour overlap that the continuation trusts
 
-@dataclass(frozen=True)
 class SpectralFrame:
     """Gauge-continuous eigendecomposition sampled on an s-grid.
 
@@ -66,10 +64,10 @@ class SpectralFrame:
     ``clusters`` groups columns into degenerate levels.
     """
 
-    s_grid: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
-    clusters: tuple[slice, ...]
+    def __init__(self, s_grid: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
+                 clusters: tuple[slice, ...]):
+        self.s_grid, self.energies, self.vectors, self.clusters = (
+            s_grid, energies, vectors, clusters)
 
     def derivative(self) -> np.ndarray:
         """d/ds of the frame, second order everywhere."""

@@ -109,7 +109,6 @@ evolved by separate calls can share the step products through a StepCache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import prod
 from typing import Optional
 
@@ -144,22 +143,23 @@ def check_steps(steps: int, name: str) -> int:
     return steps
 
 
-@dataclass(frozen=True)
 class EvolutionResult:
-    """The checked input state (a copy), the final state, and the states
-    and instantaneous-ground-level fidelity at the sample points
-    ``s_samples`` (both empty without samples)."""
+    """The checked input state (a copy), the final state, and the states,
+    shaped (len(s_samples),) + final_state.shape, and instantaneous-ground-level
+    fidelity at the sample points ``s_samples`` (both empty without samples).
+    ``e_tau`` is (m,) for a (dim, m) block; ``error_estimate``, the
+    step-doubling estimate, and ``step_counts``, the N of every pass run,
+    are None for given steps."""
 
-    initial_state: np.ndarray
-    final_state: np.ndarray
-    s_samples: np.ndarray
-    ground_fidelity: np.ndarray
-    states: np.ndarray  # (len(s_samples),) + final_state.shape
-    tau: float
-    steps: int
-    e_tau: Optional[float | np.ndarray] = None  # (m,) for a (dim, m) block
-    error_estimate: Optional[float] = None  # step-doubling estimate; None for given steps
-    step_counts: Optional[tuple[int, ...]] = None  # N of every pass run; None for given steps
+    def __init__(self, initial_state: np.ndarray, final_state: np.ndarray,
+                 s_samples: np.ndarray, ground_fidelity: np.ndarray, states: np.ndarray,
+                 tau: float, steps: int, e_tau: Optional[float | np.ndarray] = None,
+                 error_estimate: Optional[float] = None,
+                 step_counts: Optional[tuple[int, ...]] = None):
+        (self.initial_state, self.final_state, self.s_samples, self.ground_fidelity, self.states,
+         self.tau, self.steps, self.e_tau, self.error_estimate, self.step_counts) = (
+            initial_state, final_state, s_samples, ground_fidelity, states,
+            tau, steps, e_tau, error_estimate, step_counts)
 
 
 class StepCache:
@@ -193,11 +193,12 @@ class StepCache:
             self.entries += size
 
 
-@dataclass(frozen=True)
 class MeasurementOutcome:
-    branch: int
-    probability: float
-    post_state: Optional[np.ndarray]  # None flags an undefined (p=0) branch
+    """One branch of ``measure_ancilla``; a None ``post_state`` flags an
+    undefined (p=0) branch."""
+
+    def __init__(self, branch: int, probability: float, post_state: Optional[np.ndarray]):
+        self.branch, self.probability, self.post_state = branch, probability, post_state
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -541,7 +542,8 @@ def evolve(
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
         error = float(np.max(np.linalg.norm(res.final_state - coarse, axis=0))) / 15.0
         if error <= STATE_TOL:
-            return replace(res, error_estimate=error, step_counts=tuple(counts))
+            res.error_estimate, res.step_counts = error, tuple(counts)
+            return res
         if not error < np.inf or 2 * steps > MAX_STEPS:
             raise ToleranceError(
                 f"step-doubling error estimate {error:.3g} above STATE_TOL={STATE_TOL} "

@@ -16,7 +16,6 @@ qubit) comes first; the single ancilla qubit is always last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from math import prod
@@ -113,7 +112,6 @@ def axis_projectors(axis) -> tuple[np.ndarray, np.ndarray]:
 # --- time-dependent Hamiltonians -------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Linear:
     """s -> coef(s) @ basis: the coefficients ``coef(s)``, real for real s
     and shaped ``np.shape(s) + (K,)``, over K constant Hermitian generators
@@ -130,8 +128,8 @@ class Linear:
     Then ``expm_su2`` reads exp(-iA) = 1 - i sinc(k) A - sinc^2(k/2) A^2 / 2
     (Curtright, Fairlie & Zachos, SIGMA 10, 084 (2014)) off the coefficients."""
 
-    coef: Callable[[float | np.ndarray], np.ndarray]
-    basis: np.ndarray
+    def __init__(self, coef: Callable[[float | np.ndarray], np.ndarray], basis: np.ndarray):
+        self.coef, self.basis = coef, basis
 
     def __call__(self, s) -> np.ndarray:
         c = self.coef(s)
@@ -235,7 +233,6 @@ def _gram(basis: np.ndarray) -> np.ndarray:
     return (flat @ flat.conj().T).real
 
 
-@dataclass(frozen=True)
 class TimeDepHamiltonian:
     """Hamiltonian evaluator on the dimensionless time s in [0, 1].
 
@@ -253,10 +250,10 @@ class TimeDepHamiltonian:
     propagation walks it and never forms it.  Without ``parts``, H is a leaf.
     """
 
-    dim: int
-    func: Callable[[float | np.ndarray], np.ndarray]
-    deriv: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
-    parts: Optional[TensorSum | Branches | Rotation] = None
+    def __init__(self, dim: int, func: Callable[[float | np.ndarray], np.ndarray],
+                 deriv: Optional[Callable[[float | np.ndarray], np.ndarray]] = None,
+                 parts: Optional[TensorSum | Branches | Rotation] = None):
+        self.dim, self.func, self.deriv, self.parts = dim, func, deriv, parts
 
     def __call__(self, s) -> np.ndarray:
         return check_shape(self.func(s), s, self.dim)
@@ -268,7 +265,6 @@ class TimeDepHamiltonian:
         return (self(hi) - self(lo)) / (hi - lo)[..., None, None]
 
 
-@dataclass(frozen=True)
 class SuperadiabaticHamiltonian:
     """Total shortcut generator H(s) + H_cd(s) for a runtime tau, finite and
     at least the smallest normal float ``np.finfo(float).tiny``.
@@ -281,16 +277,13 @@ class SuperadiabaticHamiltonian:
     by eigendecomposition.
     """
 
-    base: TimeDepHamiltonian
-    cd: Callable[[float | np.ndarray], np.ndarray]
-    tau: float
-    parts: Optional[TensorSum | Branches | Rotation] = None
-    form: Optional[Linear] = None
-
-    def __post_init__(self):
-        if check_tau(self.tau, "tau") < _TAU_MIN:
-            raise ValueError(f"tau={self.tau} is below the smallest normal float "
+    def __init__(self, base: TimeDepHamiltonian, cd: Callable[[float | np.ndarray], np.ndarray],
+                 tau: float, parts: Optional[TensorSum | Branches | Rotation] = None,
+                 form: Optional[Linear] = None):
+        if check_tau(tau, "tau") < _TAU_MIN:
+            raise ValueError(f"tau={tau} is below the smallest normal float "
                              f"{_TAU_MIN:.6g}: its correction ~ 1/tau overflows")
+        self.base, self.cd, self.tau, self.parts, self.form = base, cd, tau, parts, form
 
     @property
     def dim(self) -> int:
@@ -318,24 +311,23 @@ def terms(h) -> Optional[Linear]:
 # TimeDepHamiltonian or SuperadiabaticHamiltonian, itself a leaf or a node.
 
 
-@dataclass(frozen=True)
 class TensorSum:
     """sum_k 1 (x)..(x) H_k (x)..(x) 1, each part on its own consecutive slot."""
 
-    parts: tuple
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
     @property
     def dim(self) -> int:
         return prod(p.dim for p in self.parts)
 
 
-@dataclass(frozen=True)
 class Branches:
     """sum_i P_i (x) H_i: orthogonal projectors P_i summing to 1 on the
     leading subsystem select the part H_i acting on the trailing one."""
 
-    projectors: tuple[np.ndarray, ...]
-    parts: tuple
+    def __init__(self, projectors: tuple[np.ndarray, ...], parts: tuple):
+        self.projectors, self.parts = projectors, parts
 
     @property
     def dim(self) -> int:
@@ -350,15 +342,13 @@ class Branches:
         return w, tuple(slice(a, b) for a, b in zip(edges[:-1], edges[1:]))
 
 
-@dataclass(frozen=True)
 class Rotation:
     """G H G^dag for a constant unitary G = g on the listed qubits of H's
     space (``qubits[0]`` the most significant bit of g's index), the
     identity on the others; ``parts`` holds the single H."""
 
-    g: np.ndarray
-    parts: tuple
-    qubits: tuple[int, ...]
+    def __init__(self, g: np.ndarray, parts: tuple, qubits: tuple[int, ...]):
+        self.g, self.parts, self.qubits = g, parts, qubits
 
     @property
     def dim(self) -> int:
@@ -405,33 +395,31 @@ def composite(node) -> TimeDepHamiltonian | SuperadiabaticHamiltonian:
     taus = sorted({p.tau for p in node.parts})
     if len(taus) != 1:
         raise ValueError(f"shortcut parts disagree on tau: {taus}")
+    bases = tuple(p.base for p in node.parts)
+    drives = (TensorSum(bases) if isinstance(node, TensorSum) else
+              Branches(node.projectors, bases) if isinstance(node, Branches) else
+              Rotation(node.g, bases, node.qubits))
     return SuperadiabaticHamiltonian(
-        base=composite(replace(node, parts=tuple(p.base for p in node.parts))),
+        base=composite(drives),
         cd=lambda s: assemble(node, lambda h: h.cd(s)),
         tau=taus[0],
         parts=node,
     )
 
 
-@dataclass(frozen=True)
 class TeleportSpec:
     """Parameters of the (optionally gate-rotated) teleport Hamiltonian."""
 
-    n_sectors: int
-    schedule: Schedule
-    gate: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.n_sectors < 1:
+    def __init__(self, n_sectors: int, schedule: Schedule, gate: Optional[np.ndarray] = None):
+        if n_sectors < 1:
             raise ValueError("n_sectors must be >= 1")
-        if self.gate is not None:
-            want = 2**self.n_sectors
-            if self.gate.shape != (want, want):
-                raise ValueError(
-                    f"gate dim {self.gate.shape} does not match {self.n_sectors} qubits"
-                )
-            if not is_unitary(self.gate):
+        if gate is not None:
+            want = 2**n_sectors
+            if gate.shape != (want, want):
+                raise ValueError(f"gate dim {gate.shape} does not match {n_sectors} qubits")
+            if not is_unitary(gate):
                 raise ValueError("gate must be unitary")
+        self.n_sectors, self.schedule, self.gate = n_sectors, schedule, gate
 
     @property
     def bob_qubits(self) -> tuple[int, ...]:
@@ -542,7 +530,6 @@ def parity_operators(
 # --- controlled evolutions --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ControlledSpec:
     """Parameters of the controlled (adiabatic or shortcut) evolution.
 
@@ -550,25 +537,20 @@ class ControlledSpec:
     rotation branch; it defaults to all-ones (2**n_controls - 1).
     """
 
-    n_controls: int
-    axis: object = "x"
-    phi: float = np.pi
-    theta0: float = np.pi
-    tau: float = 1.0
-    activation: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n_controls < 0:
+    def __init__(self, n_controls: int, axis: object = "x", phi: float = np.pi,
+                 theta0: float = np.pi, tau: float = 1.0, activation: Optional[int] = None):
+        if n_controls < 0:
             raise ValueError("n_controls must be >= 0")
-        if not 0.0 < self.theta0 <= np.pi:
-            raise ValueError(f"theta0 must lie in (0, pi], got {self.theta0}")
-        check_finite(self.phi, "phi")
-        parse_axis(self.axis)
-        n_states = 2**self.n_controls
-        act = self.activation if self.activation is not None else n_states - 1
+        if not 0.0 < theta0 <= np.pi:
+            raise ValueError(f"theta0 must lie in (0, pi], got {theta0}")
+        check_finite(phi, "phi")
+        parse_axis(axis)
+        n_states = 2**n_controls
+        act = activation if activation is not None else n_states - 1
         if not 0 <= act < n_states:
-            raise ValueError(f"activation index {act} out of range for {self.n_controls} controls")
-        object.__setattr__(self, "activation", act)
+            raise ValueError(f"activation index {act} out of range for {n_controls} controls")
+        self.n_controls, self.axis, self.phi, self.theta0, self.tau, self.activation = (
+            n_controls, axis, phi, theta0, tau, act)
 
     @property
     def n_system(self) -> int:

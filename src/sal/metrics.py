@@ -9,7 +9,6 @@ reported at tau -> omega tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,13 +23,13 @@ STATIONARITY_RTOL = 1e-12
 Runtimes = Optional[float] | Sequence[Optional[float]]  # None: the adiabatic limit
 
 
-@dataclass(frozen=True)
 class QslReport:
-    tau: float
-    bures_angle: float
-    e_tau: float
-    bound: float
-    satisfied: bool
+    """The speed-limit check of one run (see ``qsl_report``)."""
+
+    def __init__(self, tau: float, bures_angle: float, e_tau: float, bound: float,
+                 satisfied: bool):
+        self.tau, self.bures_angle, self.e_tau, self.bound, self.satisfied = (
+            tau, bures_angle, e_tau, bound, satisfied)
 
 
 def _leaf_square_and_trace(leaf, form, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

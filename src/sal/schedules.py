@@ -10,7 +10,6 @@ itself reads the derivatives from ``deta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -21,15 +20,20 @@ FAMILIES = ("linear", "trig", "exp")
 _E = float(np.e)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Interpolation pair with analytic derivatives."""
+    """Interpolation pair with analytic derivatives, checked when built."""
 
-    family: str
-    eta_i: Callable[[complex], complex]
-    eta_f: Callable[[complex], complex]
-    deta_i: Callable[[complex], complex]
-    deta_f: Callable[[complex], complex]
+    def __init__(self, family: str, eta_i: Callable[[complex], complex],
+                 eta_f: Callable[[complex], complex], deta_i: Callable[[complex], complex],
+                 deta_f: Callable[[complex], complex]):
+        self.family, self.eta_i, self.eta_f, self.deta_i, self.deta_f = (
+            family, eta_i, eta_f, deta_i, deta_f)
+        for val, want in ((eta_i(0.0), 1.0), (eta_i(1.0), 0.0),
+                          (eta_f(0.0), 0.0), (eta_f(1.0), 1.0)):
+            if abs(val - want) > 1e-12:
+                raise ValueError(f"schedule {family!r} violates boundary conditions")
+        if np.min(np.abs(self.chi(np.linspace(0.0, 1.0, 257)))) <= 0.0:
+            raise ValueError(f"schedule {family!r} has a vanishing gap factor")
 
     def eta(self, s):
         return self.eta_i(s), self.eta_f(s)
@@ -49,19 +53,12 @@ class Schedule:
         """Gap factor of ``polar``; the teleport gap is 2 chi."""
         return self.polar(s)[1]
 
-    def __post_init__(self):
-        for val, want in ((self.eta_i(0.0), 1.0), (self.eta_i(1.0), 0.0),
-                          (self.eta_f(0.0), 0.0), (self.eta_f(1.0), 1.0)):
-            if abs(val - want) > 1e-12:
-                raise ValueError(f"schedule {self.family!r} violates boundary conditions")
-        if np.min(np.abs(self.chi(np.linspace(0.0, 1.0, 257)))) <= 0.0:
-            raise ValueError(f"schedule {self.family!r} has a vanishing gap factor")
-
 
 @cache
 def make_schedule(family: str) -> Schedule:
     """One of the three interpolation families: linear, trig, exp.  Each is
-    built and checked once; later calls share the frozen Schedule."""
+    built and checked once; later calls share the one Schedule, whose
+    fields nothing in the package rebinds."""
     if family == "linear":
         return Schedule(
             "linear",

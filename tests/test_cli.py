@@ -3,7 +3,6 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -575,7 +574,8 @@ def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
 
     def nan_final(h, psi0, *a):  # the pass's final state NaN, its N/2 state kept
         res, half = integrate(h, psi0, *a)
-        return replace(res, final_state=np.full(psi0.shape, np.nan)), half
+        res.final_state = np.full(psi0.shape, np.nan)
+        return res, half
 
     monkeypatch.setattr(sal.dynamics, "_integrate", nan_final)
     assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
@@ -592,8 +592,13 @@ def test_nan_fails_every_invariant(monkeypatch, capsys):
         assert "fidelity nan below" in capsys.readouterr().err
     monkeypatch.undo()
     evolve = sal.cli.evolve
-    monkeypatch.setattr(sal.cli, "evolve",
-                        lambda *a, **k: replace(evolve(*a, **k), e_tau=nan))
+
+    def nan_e_tau(*a, **k):
+        res = evolve(*a, **k)
+        res.e_tau = nan
+        return res
+
+    monkeypatch.setattr(sal.cli, "evolve", nan_e_tau)
     for argv in (["sce", *run], ["teleport", *run]):
         assert main(argv) == EXIT_INVARIANT
         assert "quantum-speed-limit bound violated" in capsys.readouterr().err

@@ -303,6 +303,7 @@ def test_controlled_hamiltonian_start_is_sigma_z_for_both_branches():
 
 def test_controlled_activation_projector_default_all_ones():
     spec = ControlledSpec(n_controls=2, axis="x", phi=np.pi, theta0=np.pi, tau=1.0)
+    assert spec.activation == 3 and ControlledSpec(0).activation == 0
     p = spec.activation_projector()
     _, p_minus = axis_projectors("x")
     want = np.zeros((8, 8), dtype=complex)
@@ -329,6 +330,22 @@ def test_controlled_invalid_inputs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="phi must be finite"):
             ControlledSpec(n_controls=1, axis="x", phi=bad, theta0=np.pi, tau=1.0)
+
+
+@pytest.mark.parametrize("cls, fields, match", [
+    (ControlledSpec, {"n_controls": -1}, "n_controls must be >= 0"),
+    (ControlledSpec, {"theta0": np.pi + 1e-12}, r"theta0 must lie in \(0, pi\]"),
+    (ControlledSpec, {"theta0": np.nan}, r"theta0 must lie in \(0, pi\], got nan"),
+    (ControlledSpec, {"activation": -1}, "activation index -1 out of range for 1 controls"),
+    (TeleportSpec, {"n_sectors": 0}, "n_sectors must be >= 1"),
+    (TeleportSpec, {"n_sectors": 2, "gate": gate("H")}, r"gate dim \(2, 2\) does not match 2"),
+], ids=["n_controls -1", "theta0 above pi", "theta0 nan", "activation -1", "n_sectors 0",
+        "gate 2x2 for 2 sectors"])
+def test_spec_rejects_a_field_out_of_range(cls, fields, match):
+    valid = {ControlledSpec: {"n_controls": 1},
+             TeleportSpec: {"n_sectors": 1, "schedule": make_schedule("linear")}}
+    with pytest.raises(ValueError, match=match):
+        cls(**{**valid[cls], **fields})
 
 
 def test_controlled_hermitian_on_grid():

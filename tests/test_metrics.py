@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from sal.counterdiabatic import (
 )
 from sal.dynamics import ToleranceError, controlled_initial_state, evolve, teleport_initial_state
 from sal.hamiltonians import (
+    Branches,
     ControlledSpec,
     Linear,
     TeleportSpec,
@@ -76,7 +75,7 @@ def _structured_cost_cases():
     block = cd_teleport_block(sch, 0.8)
     branches = controlled_hamiltonian(
         ControlledSpec(n_controls=2, axis="y", phi=1.0, theta0=2.0, tau=0.7)).parts
-    traced_branches = replace(branches, parts=(_traced_leaf(2, 1.0), _traced_leaf(2, -3.0)))
+    traced_branches = Branches(branches.projectors, (_traced_leaf(2, 1.0), _traced_leaf(2, -3.0)))
     g = embed(sal.gate("CNOT"), [2, 5], 6)
     return {
         "sum": composite(TensorSum((_traced_leaf(2, 2.0), teleport_sector_hamiltonian(sch),
@@ -444,7 +443,8 @@ def test_qsl_check_reports_each_column_of_a_block():
         assert rep.satisfied and single.satisfied
     # one scalar E_tau stands for every column
     res = evolve(hsa, block, 0.25, steps=400, track_qsl=True)
-    assert [rep.e_tau for rep in qsl_report(replace(res, e_tau=0.5))] == [0.5] * 3
+    res.e_tau = 0.5
+    assert [rep.e_tau for rep in qsl_report(res)] == [0.5] * 3
 
 
 def test_qsl_report_reads_the_runs_own_initial_state():
@@ -457,7 +457,7 @@ def test_qsl_report_reads_the_runs_own_initial_state():
     res = evolve(h, psi0, 0.25, steps=200, n_samples=0, track_qsl=True)
     psi0[:] = 0.0
     assert np.array_equal(res.initial_state, want)
-    assert qsl_report(res) == qsl_check(h, want, 0.25, steps=200)
+    assert vars(qsl_report(res)) == vars(qsl_check(h, want, 0.25, steps=200))
 
 
 def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
@@ -467,5 +467,6 @@ def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
     res = evolve(cd_controlled(spec), psi0, 0.25, steps=200, track_qsl=True)
     assert qsl_report(res).satisfied
     for e_tau in (np.inf, np.nan):
-        assert not qsl_report(replace(res, e_tau=e_tau)).satisfied
+        res.e_tau = e_tau
+        assert not qsl_report(res).satisfied
 

@@ -74,6 +74,6 @@ def test_unknown_family_rejected():
 
 
 def test_each_family_is_built_once():
-    # a frozen Schedule is checked when built; later calls share it
+    # a Schedule is checked when built; later calls share it
     assert make_schedule("exp") is make_schedule("exp")
     assert make_schedule("linear") is not make_schedule("trig")

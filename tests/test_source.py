@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import sal
@@ -153,3 +155,13 @@ def test_commands_run_in_one_process():
             if bad:
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def test_the_cli_imports_neither_dataclasses_nor_json():
+    # every command first imports sal.cli in a fresh interpreter: the record
+    # classes have plain __init__s, and only --gate-file and --config import json
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sal.cli; "
+            "print(sorted({'dataclasses', 'json'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(sal.__file__).parents[1])],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n", done.stdout
