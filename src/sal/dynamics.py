@@ -12,6 +12,7 @@ starts from ``default_steps`` and doubles N until the step-doubling estimate
 ||psi_N - psi_{N/2}|| / 15 of the final state's error is at most STATE_TOL;
 it returns the estimate as ``error_estimate``.  The first pass carries the
 N/2 run alongside the N steps, so an accepted first estimate is one pass.
+A pass only steps: the call sets up once, and samples its accepted pass.
 
 A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
 sums over consecutive slots, orthogonal ancilla branches and constant
@@ -26,8 +27,9 @@ the tree: a linear combination of H at the two nodes is the same sum or
 branch split of the leaves' combinations, so each exponential factors into
 per-leaf exponentials.
 
-Each pass compiles the tree once into a flat plan (``_plan``, a few node
-visits) that all its walks (``_walk``) follow, whatever their column count.
+Each ``evolve`` call compiles the tree once into a flat plan (``_plan``, a
+few node visits) that all its walks (``_walk``) follow, whatever their
+column count.
 For a node of dimension d the states, a batch of (dim, m) blocks, are
 viewed as (batch, lead, d, post), post being m times the dimension of the
 slots after the node (the plan holds it per column), and the node acts
@@ -93,14 +95,14 @@ product.
 
 The speed-limit integral is Simpson's rule over the step ends (an odd step
 count closes with one 3/8 panel) of |<psi(0)|H|psi>|, read through the bras
-G^dag psi(0) of every leaf generator G (``_overlap_reader``) with no walk of
-H.  A walk batched over points gives the ground-level weight at each
-sample point (from the leaves' eigenbases, one stacked eigendecomposition
-per leaf; ``n_samples=0`` skips it, as the command line does); the largest
-leaf's norm gives the first step count, read off the coefficients of a
-closed-form leaf (``_norm_bound``).  A Hamiltonian without ``parts`` is
-a one-leaf tree: the dense reference the structured paths are tested
-against.
+G^dag psi(0) of every leaf generator G (``_overlap_reader``, once per call)
+with no walk of H.  A walk batched over points gives the ground-level weight
+at each sample point of the accepted pass (from the leaves' eigenbases, one
+stacked eigendecomposition per leaf; ``n_samples=0`` skips it, as the
+command line does); the largest leaf's norm gives the first step count,
+read off the coefficients of a closed-form leaf (``_norm_bound``).  A
+Hamiltonian without ``parts`` is a one-leaf tree: the dense reference the
+structured paths are tested against.
 
 A (dim, m) block of states runs as one: one step search (on the largest
 column error), one set of step products, and E_tau per column.  Inputs
@@ -153,9 +155,8 @@ class EvolutionResult:
 
     def __init__(self, initial_state: np.ndarray, final_state: np.ndarray,
                  s_samples: np.ndarray, ground_fidelity: np.ndarray, states: np.ndarray,
-                 tau: float, steps: int, e_tau: Optional[float | np.ndarray] = None,
-                 error_estimate: Optional[float] = None,
-                 step_counts: Optional[tuple[int, ...]] = None):
+                 tau: float, steps: int, e_tau: Optional[float | np.ndarray],
+                 error_estimate: Optional[float], step_counts: Optional[tuple[int, ...]]):
         (self.initial_state, self.final_state, self.s_samples, self.ground_fidelity, self.states,
          self.tau, self.steps, self.e_tau, self.error_estimate, self.step_counts) = (
             initial_state, final_state, s_samples, ground_fidelity, states,
@@ -374,15 +375,14 @@ def default_steps(h, tau: float) -> int:
     return max(MIN_STEPS, int(need))
 
 
-def _ground_weights(h, plan, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _ground_weights(plan, leaves: list, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Weight of each column of each walk-frame state xs[j], shaped
     (len(s), 1, dim, post), in the lowest level of the driving H(s[j]); for a
     shortcut that is its base, without the counter-diabatic term."""
-    leaves = _leaves(h)
     out = []
     for c in _chunks(len(s), max(f.dim for f in leaves), xs[0].size):
         spectra = {id(f): np.linalg.eigh(getattr(f, "base", f)(s[c])) for f in leaves}
-        ones = np.ones((len(s[c]), 1, h.dim, 1))
+        ones = np.ones((len(s[c]), 1, xs.shape[2], 1))
         energies = _walk(plan, ones, lambda f: spectra[id(f)][0][..., None] * np.eye(f.dim),
                          compose=False).real[:, 0, :, 0]
         amps = _walk(plan, xs[c], lambda f: np.swapaxes(spectra[id(f)][1], -1, -2).conj())[:, 0]
@@ -392,30 +392,27 @@ def _ground_weights(h, plan, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarray,
-               track_qsl: bool, cache: Optional[StepCache], halve: bool) -> tuple:
+def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
+               picked: np.ndarray, cache: Optional[StepCache], halve: bool) -> tuple:
     """Take ``steps`` CF4 steps from the walk-frame states x, shaped
-    (1, 1, dim, m), walking h's tree by its ``plan``.
+    (1, 1, dim, m), walking the tree's ``plan`` over its distinct ``leaves``.
 
     Returns the states after the steps j with ``picked[j]`` (step j ends at
-    point j + 1), the final states, with ``track_qsl`` E_tau of each column
-    j: Simpson's rule over the step ends of |<x_j(0)|H(s_k)|x_j(s_k)>|
-    (``_overlap_reader``), and the final states of the N/2 run that ``halve``
-    (an even ``steps``) carries alongside (``_cf4_steps``).  A chunk's
-    products are read from ``cache`` when it holds them.
-    """
-    leaves = _leaves(h)
+    point j + 1), the final states left from the frame, with a ``read`` of x
+    (``_overlap_reader``) E_tau of each column j: Simpson's rule over the step
+    ends of |<x_j(0)|H(s_k)|x_j(s_k)>|, and the final states, left from the
+    frame, of the N/2 run that ``halve`` (an even ``steps``) carries alongside
+    (``_cf4_steps``).  A chunk's products are read from ``cache`` when it
+    holds them."""
     chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size, 2))
     work = list(np.empty((2, chunks[0].stop * x.size), dtype=complex))  # the walks' two buffers
     half, sampled, overlaps = x, [], []
-    if track_qsl:
-        read = _overlap_reader(plan, leaves, x)
     for c in chunks:
         # One walk applies the chunk's steps up to each needed k: the running
         # product of each leaf's step unitaries (see the module docstring), or
         # its total alone when only the last step is needed.
         ks = np.arange(c.stop - c.start)
-        if not track_qsl:
+        if read is None:
             ks = ks[picked[c] | (ks == ks[-1])]
         key = (tau, steps, c.start, ks.tobytes(), halve)
         prods = None if cache is None else cache.products.get(key)
@@ -432,49 +429,20 @@ def _propagate(h, plan, x: np.ndarray, tau: float, steps: int, picked: np.ndarra
             half = _walk(plan, half, lambda f: prods[id(f)][1], work=work).copy()
         xs = _walk(plan, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)][0],
                    work=work)
-        if track_qsl:  # at the step ends, and point 0 with the first chunk
+        if read is not None:  # at the step ends, and point 0 with the first chunk
             ends = np.arange(c.start + (c.start > 0), c.stop + 1) / steps
             overlaps.append(read(ends, xs if c.start else np.concatenate([x, xs])))
         sampled.append(xs[picked[c][ks]])
         x = xs[-1:].copy()
     e_tau = None
-    if track_qsl:
+    if read is not None:
         g = np.concatenate(overlaps)
         m = steps - 3 * (steps % 2)  # Simpson panels over [0, m], a 3/8 panel after
         e_tau = simpson(g[: m + 1], 1.0 / steps)
         if steps % 2:
             e_tau += 3.0 / (8.0 * steps) * ([1.0, 3.0, 3.0, 1.0] @ g[m:])
-    return np.concatenate(sampled), x, e_tau, half
-
-
-def _integrate(h, psi0: np.ndarray, tau: float, steps: int, n_samples: int, track_qsl: bool,
-               cache: Optional[StepCache], halve: bool = False) -> tuple:
-    """One pass, and with ``halve`` the final state of the N/2 run it carries."""
-    sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
-    picked = np.zeros(steps, dtype=bool)
-    picked[sample_idx[sample_idx > 0] - 1] = True
-    plan = _plan(h)  # one compile serves every walk of the pass
-    x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    sampled, x, e_tau, half = _propagate(h, plan, x0, tau, steps, picked, track_qsl, cache, halve)
-    if sample_idx.size and sample_idx[0] == 0:
-        sampled = np.concatenate([x0, sampled])
-    s_samples = sample_idx / steps
-    ground = (_ground_weights(h, plan, s_samples, sampled) if n_samples
-              else np.empty((0, x.shape[-1])))
-    # the sampled states leave the frame a chunk of points at a time (none without samples)
-    states = np.concatenate([sampled[:0], *(_walk(plan, sampled[c], frame=-1)
-                                          for c in _chunks(len(sampled), 1, x.size))])
-    res = EvolutionResult(
-        initial_state=psi0,
-        final_state=_walk(plan, x, frame=-1).reshape(psi0.shape),
-        s_samples=s_samples,
-        ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
-        states=states.reshape((-1,) + psi0.shape),
-        tau=tau,
-        steps=steps,
-        e_tau=e_tau if e_tau is None or psi0.ndim > 1 else float(e_tau[0]),
-    )
-    return res, _walk(plan, half, frame=-1).reshape(psi0.shape) if halve else None
+    return (np.concatenate(sampled), _walk(plan, x, frame=-1), e_tau,
+            _walk(plan, half, frame=-1) if halve else None)
 
 
 def evolve(
@@ -496,10 +464,10 @@ def evolve(
     ``track_qsl`` additionally integrates
     E_tau = (1/tau) integral |<psi(0)|H(t)|psi(t)>| dt over the step ends,
     a float for a single state and one per column, shaped (m,), for a block.
-    ``n_samples`` step ends, evenly spread, report ``states`` and
-    ``ground_fidelity``; with 0 nothing is sampled (both are empty), and
-    every other field is bitwise the same.  ``steps`` and ``n_samples`` are
-    integers: a float or bool raises ValueError.
+    At most ``n_samples`` distinct step ends of the accepted pass, evenly
+    spread, report ``states`` and ``ground_fidelity``; with 0 nothing is
+    sampled (both are empty), and every other field is bitwise the same.
+    ``steps`` and ``n_samples`` are integers, ``n_samples`` >= 0, else ValueError.
 
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
@@ -507,7 +475,8 @@ def evolve(
     column error is the estimate); ``steps`` is then the accepted
     count, and ``step_counts`` the N of every run in order: the N/2 run,
     which rides in the first pass, then each N tried.  ToleranceError if the
-    estimate is not finite or doubling would pass MAX_STEPS.
+    estimate is not finite or doubling would pass MAX_STEPS.  Each pass only
+    steps (``_propagate``): the call sets up once and samples the accepted one.
 
     ``cache``, a StepCache made for ``h``, lends its step products and the
     search's first count to this call and keeps the ones it forms, for later
@@ -531,28 +500,58 @@ def evolve(
     psi0 = check_state(psi0, h.dim).copy()
     if cache is not None and cache.h is not h:
         raise ValueError("the StepCache was made for another Hamiltonian")
-    check_int(n_samples, "n_samples")
-    if steps is not None:
+    if check_int(n_samples, "n_samples") < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    search = steps is None
+    if search:
+        steps = default_steps(h, tau) if cache is None else cache.start(tau)
+    else:
         check_steps(steps, "steps")
-        return _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
-    steps = default_steps(h, tau) if cache is None else cache.start(tau)
-    res, coarse = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache, True)
-    counts = [steps // 2, steps]
+    plan, leaves = _plan(h), _leaves(h)  # one compile serves every walk of the call
+    x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
+    read = _overlap_reader(plan, leaves, x0) if track_qsl else None
+    counts, coarse, error = [steps // 2] if search else [], None, None
     while True:
+        counts.append(steps)
+        sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
+        picked = np.zeros(steps, dtype=bool)
+        picked[sample_idx[sample_idx > 0] - 1] = True
+        sampled, final, e_tau, half = _propagate(plan, leaves, read, x0, tau, steps, picked,
+                                                 cache, search and coarse is None)
+        if not search:
+            break
+        if coarse is None:  # the N/2 run rode in this first pass
+            coarse = half
         # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
-        error = float(np.max(np.linalg.norm(res.final_state - coarse, axis=0))) / 15.0
+        error = float(np.max(np.linalg.norm(final - coarse, axis=-2))) / 15.0
         if error <= STATE_TOL:
-            res.error_estimate, res.step_counts = error, tuple(counts)
-            return res
+            break
         if not error < np.inf or 2 * steps > MAX_STEPS:
             raise ToleranceError(
                 f"step-doubling error estimate {error:.3g} above STATE_TOL={STATE_TOL} "
                 f"at {steps} steps; doubling would exceed MAX_STEPS={MAX_STEPS} or the "
                 "estimate is not finite"
             )
-        coarse, steps = res.final_state, 2 * steps
-        res = _integrate(h, psi0, tau, steps, n_samples, track_qsl, cache)[0]
-        counts.append(steps)
+        coarse, steps = final, 2 * steps
+    ground = np.empty((0, x0.shape[-1]))
+    if n_samples:  # the first sample point is s = 0
+        sampled = np.concatenate([x0, sampled])
+        ground = _ground_weights(plan, leaves, sample_idx / steps, sampled)
+    # the sampled states leave the frame a chunk of points at a time (none without samples)
+    states = np.concatenate([sampled[:0], *(_walk(plan, sampled[c], frame=-1)
+                                          for c in _chunks(len(sampled), 1, psi0.size))])
+    return EvolutionResult(
+        initial_state=psi0,
+        final_state=final.reshape(psi0.shape),
+        s_samples=sample_idx / steps,
+        ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
+        states=states.reshape((-1,) + psi0.shape),
+        tau=tau,
+        steps=steps,
+        e_tau=e_tau if e_tau is None or psi0.ndim > 1 else float(e_tau[0]),
+        error_estimate=error,
+        step_counts=tuple(counts) if search else None,
+    )
 
 
 # --- measurement -------------------------------------------------------------

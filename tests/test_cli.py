@@ -570,14 +570,13 @@ def test_invariant_violation_exits_2(tmp_path):
 def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
     # a step-doubling estimate that cannot meet STATE_TOL is a failed runtime
     # check, not a bad argument
-    integrate = sal.dynamics._integrate
+    propagate = sal.dynamics._propagate
 
-    def nan_final(h, psi0, *a):  # the pass's final state NaN, its N/2 state kept
-        res, half = integrate(h, psi0, *a)
-        res.final_state = np.full(psi0.shape, np.nan)
-        return res, half
+    def nan_final(*a):  # the pass's final state NaN, its N/2 state kept
+        sampled, final, e_tau, half = propagate(*a)
+        return sampled, np.full(final.shape, np.nan), e_tau, half
 
-    monkeypatch.setattr(sal.dynamics, "_integrate", nan_final)
+    monkeypatch.setattr(sal.dynamics, "_propagate", nan_final)
     assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
     assert "step-doubling error estimate nan" in capsys.readouterr().err
 

@@ -348,8 +348,9 @@ def test_walks_grow_with_chunks_not_steps(monkeypatch):
 
 def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     # one plan, whatever the column count of a walk, serves every walk of an
-    # _integrate pass: the frame, the generator bras, the chunks' steps, the
-    # ground energies (one column) and weights, and the sampled states
+    # evolve call, and so of each of its passes: the frame, the generator
+    # bras, the chunks' steps, the ground energies (one column) and weights,
+    # and the sampled states
     spec = TeleportSpec(3, make_schedule("linear"), gate=gate("Toffoli"))
     h = cd_teleport(spec, 0.1)
     rng = np.random.default_rng(23)
@@ -367,6 +368,26 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
     res = evolve(h, block, 0.1, track_qsl=True)
     # the N/2 run rides in the first pass, which is accepted
     assert len(compiles) == len(res.step_counts) - 1 == 1
+
+
+def test_a_search_sets_up_once_and_samples_only_its_accepted_pass(monkeypatch):
+    # started low, the search doubles; the plan, the generator bras of E_tau
+    # and the ground weights are still worked out once per call, and every
+    # reported field is bitwise that of a run at the accepted count
+    h = controlled_hamiltonian(ControlledSpec(1, tau=1.0))
+    psi0 = controlled_initial_state(random_state(2, np.random.default_rng(29)))
+    calls = {name: [] for name in ("_plan", "_overlap_reader", "_ground_weights")}
+    for name, seen in calls.items():
+        f = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *a, f=f, seen=seen: seen.append(1) or f(*a))
+    monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: dynamics.MIN_STEPS)
+    res = evolve(h, psi0, 1.0, n_samples=5, track_qsl=True)
+    assert len(res.step_counts) >= 3  # the N/2 run and two passes at least
+    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
+    want = evolve(h, psi0, 1.0, steps=res.steps, n_samples=5, track_qsl=True)
+    assert res.e_tau == want.e_tau
+    for field in ("final_state", "ground_fidelity", "states", "s_samples"):
+        assert np.array_equal(getattr(res, field), getattr(want, field)), field
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
@@ -845,6 +866,16 @@ def test_evolve_takes_integer_counts_only(name, value):
         evolve(h, psi0, 0.5, **{name: value})
     res = evolve(h, psi0, 0.5, steps=np.int64(200), n_samples=np.int64(3))  # numpy ints pass
     assert res.steps == 200 and len(res.s_samples) == 3
+
+
+def test_evolve_rejects_a_negative_sample_count(monkeypatch):
+    # named where it enters, before the walk plan is compiled
+    h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))
+    psi0 = teleport_initial_state(np.array([1.0, 0]), 1)
+    monkeypatch.setattr(dynamics, "_plan", None)  # calling it fails
+    for name, value in [("n_samples", -1), ("n_samples", np.int64(-3))]:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+            evolve(h, psi0, 0.5, **{name: value})
 
 
 PSI = teleport_initial_state(np.array([1.0, 0]), 1)
