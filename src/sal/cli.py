@@ -317,7 +317,7 @@ def _sweep_rows(args) -> list[list]:
         schedules = [make_schedule(f) for f in families]  # every name checked before any row
         rows = []
         for family, sch in zip(families, schedules):
-            with np.errstate(over="ignore"):  # inf below tau ~ 1e-305, whose quadrature fails
+            with np.errstate(over="ignore"):  # inf at a subnormal tau, which the shortcut rejects
                 sing_ad, *sings = teleport_sigma_sing(sch, [None, *taus], grid)
             for n in ns:
                 spec, scale = TeleportSpec(n, sch), teleport_cost_scale(n)

@@ -513,7 +513,8 @@ def evolve(
     counts, coarse, error = [steps // 2] if search else [], None, None
     while True:
         counts.append(steps)
-        sample_idx = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
+        sample_idx = np.round(np.linspace(0, steps, n_samples)).astype(int)  # nondecreasing, so
+        sample_idx = sample_idx[np.diff(sample_idx, prepend=-1) > 0]  # np.unique, minus numpy.ma
         picked = np.zeros(steps, dtype=bool)
         picked[sample_idx[sample_idx > 0] - 1] = True
         sampled, final, e_tau, half = _propagate(plan, leaves, read, x0, tau, steps, picked,

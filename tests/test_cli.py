@@ -12,9 +12,9 @@ import sal.dynamics
 import sal.linalg
 import sal.metrics
 from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
-from sal.counterdiabatic import cd_controlled
+from sal.counterdiabatic import cd_controlled, cd_teleport
 from sal.dynamics import controlled_initial_state
-from sal.hamiltonians import ControlledSpec, controlled_hamiltonian
+from sal.hamiltonians import ControlledSpec, TeleportSpec, controlled_hamiltonian
 from sal.linalg import random_state
 from sal.metrics import qsl_check
 
@@ -101,9 +101,13 @@ def test_cost_sweep_teleport_schedules_asymptote(tmp_path):
     ["teleport", "--n", "1", "--tau", "1e-200"],
     ["sce", "--n-controls", "1", "--tau", "1e-300"],
     ["cae", "--n-controls", "1", "--tau", "1e-300"],
+    ["teleport", "--tau", "1e-305"],
+    ["teleport", "--tau", "1e-306", "--mode", "adiabatic"],
 ])
 def test_tiny_tau_costs_stay_finite(argv, tmp_path):
-    # the correction ~ 1/tau is near the float range: no cost squares it
+    # the correction ~ 1/tau is near the float range: no cost squares it, and
+    # the single-sector teleport cost is its limit pi / tau (the schedule
+    # turns by pi / 2) up to the last printed digit
     out = tmp_path / "tiny.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -112,12 +116,15 @@ def test_tiny_tau_costs_stay_finite(argv, tmp_path):
     rows = read_rows(out)
     assert rows and all(np.isfinite(float(v)) for row in rows for k, v in row.items()
                         if k not in ("protocol", "gate", "axis", "variant", "qsl_ok"))
+    if argv[0] == "teleport":
+        assert [row["sigma_sa"] for row in rows] == [f"{np.pi / float(row['tau']):.12g}"
+                                                     for row in rows]
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["teleport", "--tau", "1e-305"], "--tau 1e-305 is too small"),  # sigma_sa overflows
-    (["teleport", "--tau", "1e-306"], "--tau 1e-306 is too small"),  # and E_tau
-    (["teleport", "--tau", "1e-306", "--mode", "adiabatic"], "--tau 1e-306 is too small"),
+    (["teleport", "--tau", "1e-306", "--n", "2", "--gate", "CNOT"], "--tau 1e-306 is too small"),
+    (["teleport", "--tau", "1e-306"], "--tau 1e-306 is too small"),  # E_tau overflows
+    (["teleport", "--tau", "1e-306", "--schedule", "exp"], "--tau 1e-306 is too small"),
     (["sce", "--tau", "1e-306"], "--tau 1e-306 is too small"),
     (["qsl-check", "--tau", "1e-306"], "--tau 1e-306 is too small"),
     (["cae", "--tau", "1e-310"], "--tau 1e-310 is too small"),
@@ -185,7 +192,8 @@ def test_cost_sweep_rejects_a_tau_whose_correction_square_overflows(protocol, ca
 @pytest.mark.parametrize("tau", ["1e-306", "1e-308"])
 def test_cost_sweep_prints_one_error_line_where_the_closed_form_overflows(tau, capsys):
     # every closed form of a family is taken before its shortcuts are built:
-    # below tau ~ 1e-305 it overflows, and the shortcut's own error is all
+    # at a subnormal tau it overflows, and the shortcut's own error (its HS
+    # square overflows at 1e-306, its tau is subnormal at 1e-308) is all
     # that stderr holds
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -214,15 +222,17 @@ def test_teleport_sweep_rows_read_like_sce_rows(monkeypatch):
                         lambda h, grid: quadrature(h, grid=grid) * (1.0 + 1e-9))
     sch = sal.cli.make_schedule("exp")
     parse = sal.cli._parser().parse_args
-    for argv, closed in ((["--protocol", "teleport", "--schedules", "exp", "--n-list", "2"],
-                          sal.metrics.teleport_cost(sch, 0.5, 2, grid=501)),
-                         (["--protocol", "sce", "--theta0-list", "2.0"],
-                          sal.metrics.sce_single_gate_cost(0.5, 2.0))):
+    for argv, shortcut, closed in (
+            (["--protocol", "teleport", "--schedules", "exp", "--n-list", "2"],
+             cd_teleport(TeleportSpec(2, sch), 0.5), sal.metrics.teleport_cost(sch, 0.5, 2)),
+            (["--protocol", "sce", "--theta0-list", "2.0"],
+             cd_controlled(ControlledSpec(0, theta0=2.0, tau=0.5)),
+             sal.metrics.sce_single_gate_cost(0.5, 2.0))):
         (row,) = sal.cli._sweep_rows(parse(["cost-sweep", *argv, "--tau-list", "0.5",
                                             "--grid", "501"]))
         _, _, sigma_sa, _, closed_form, rel = row
         assert closed_form == closed
-        assert abs(sigma_sa / closed - 1.0 - 1e-9) <= 1e-14
+        assert abs(sigma_sa / (quadrature(shortcut, grid=501) * (1.0 + 1e-9)) - 1.0) <= 1e-14
         assert rel == abs(sigma_sa / closed_form - 1.0)
 
 

@@ -868,6 +868,17 @@ def test_evolve_takes_integer_counts_only(name, value):
     assert res.steps == 200 and len(res.s_samples) == 3
 
 
+@pytest.mark.parametrize("steps", [100, 101, 333, 1000])
+def test_sample_steps_are_the_distinct_rounded_linspace(steps):
+    # the rounded linspace never decreases, so dropping repeats is np.unique
+    h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))
+    psi0 = teleport_initial_state(np.array([1.0, 0]), 1)
+    for n_samples in (0, 1, 2, 5, 33, 400):
+        got = evolve(h, psi0, 0.5, steps=steps, n_samples=n_samples).s_samples
+        want = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int)) / steps
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_evolve_rejects_a_negative_sample_count(monkeypatch):
     # named where it enters, before the walk plan is compiled
     h = teleport_hamiltonian(TeleportSpec(1, make_schedule("linear")))

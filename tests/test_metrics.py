@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 import sal
+import sal.metrics
 from sal.counterdiabatic import (
     cd_controlled,
     cd_generic,
@@ -28,6 +30,8 @@ from sal.hamiltonians import (
 from sal.linalg import embed, random_state, simpson
 from sal.metrics import (
     STATIONARITY_RTOL,
+    _GL_NODES,
+    _GL_WEIGHTS,
     angle_feasible,
     cae_single_gate_cost,
     energy_cost,
@@ -155,6 +159,39 @@ def test_teleport_adiabatic_cost_closed_form(family):
     # ||H(s)|| = 4 chi(s), so Sigma_ad = 4 * int chi
     assert abs(energy_cost(h) - 4.0 * CHI_INTEGRAL[family]) < 1e-8
     assert abs(teleport_sigma_sing(sch, None) - 4.0 * CHI_INTEGRAL[family]) < 1e-8
+
+
+def closed_form_error() -> float:
+    """The largest relative distance of ``teleport_sigma_sing`` from a
+    16-node Gauss-Legendre rule on 200 panels, over every family and tau
+    from the adiabatic limit down to 1e-300 and up to 1e300."""
+    t, w = legendre.leggauss(16)
+    nodes, weights = (np.arange(200)[:, None] + (t + 1) / 2).ravel() / 200, np.tile(w / 400, 200)
+    worst = 0.0
+    for family in FAMILIES:
+        sch = make_schedule(family)
+        _, chi, rate = sch.polar(nodes)
+        for tau in (None, 1e-300, 1e-3, 0.01, 0.5, 5.0, 1e4, 1e300):
+            ref = 2.0 * np.sum(weights * np.hypot(2.0 * chi, 0.0 if tau is None else rate / tau))
+            worst = max(worst, abs(teleport_sigma_sing(sch, tau) / ref - 1.0))
+    return worst
+
+
+def test_the_node_table_is_the_32_node_gauss_legendre_rule():
+    t, w = legendre.leggauss(32)
+    assert np.max(np.abs(_GL_NODES - (t + 1) / 2)) <= 4e-16
+    assert np.max(np.abs(_GL_WEIGHTS - w / 2)) <= 4e-16
+
+
+def test_the_teleport_closed_form_is_converged():
+    assert closed_form_error() <= 2e-15
+
+
+def test_the_convergence_check_catches_a_16_node_rule(monkeypatch):
+    t, w = legendre.leggauss(16)
+    monkeypatch.setattr(sal.metrics, "_GL_NODES", (t + 1) / 2)
+    monkeypatch.setattr(sal.metrics, "_GL_WEIGHTS", w / 2)
+    assert closed_form_error() > 1e-9
 
 
 @pytest.mark.parametrize("omega_tau", [0.1, 0.5, 2.0, 25.0, 100.0])

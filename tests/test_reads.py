@@ -11,8 +11,7 @@ from sal.cli import main
 from sal.counterdiabatic import cd_teleport, cd_teleport_block
 from sal.dynamics import _GAUSS, _leaves
 from sal.hamiltonians import TeleportSpec, terms
-from sal.linalg import simpson
-from sal.metrics import energy_cost, teleport_cost, teleport_sigma_sing
+from sal.metrics import _GL_NODES, _GL_WEIGHTS, energy_cost, teleport_cost, teleport_sigma_sing
 from sal.schedules import FAMILIES, Schedule, make_schedule
 
 TAUS = [None, np.inf, 1e-300, 0.01, 0.5, 1e4, 1e300]
@@ -69,11 +68,13 @@ def test_a_warm_cost_sweep_reads_each_family_twice(reads, capsys):
 @pytest.mark.parametrize("grid", [101, 501, 2001])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_batched_closed_form_keeps_every_bit(family, grid):
+    # one read at the 32 Gauss-Legendre nodes serves every runtime, and the
+    # grid, checked but not read, moves no bit
     sch = make_schedule(family)
-    s = np.linspace(0.0, 1.0, grid)
-    chi, rate = chi_and_rate(sch, s)
-    want = [2.0 * simpson(np.hypot(2.0 * np.real(chi), 0.0 if tau is None else rate / tau),
-                          s[1] - s[0]) for tau in TAUS]
+    chi, rate = chi_and_rate(sch, _GL_NODES)
+    want = [2.0 * float(_GL_WEIGHTS @ np.hypot(2.0 * np.real(chi),
+                                               0.0 if tau is None else rate / tau))
+            for tau in TAUS]
     got = teleport_sigma_sing(sch, TAUS, grid)
     assert got.tobytes() == np.array(want).tobytes()
     assert [teleport_sigma_sing(sch, tau, grid) for tau in TAUS] == list(got)

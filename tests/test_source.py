@@ -180,3 +180,19 @@ def test_the_cli_imports_neither_dataclasses_nor_json():
     done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(sal.__file__).parents[1])],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n", done.stdout
+
+
+def test_teleport_and_cost_sweep_import_neither_numpy_ma_nor_numpy_polynomial():
+    # evolve picks its sample steps without np.unique, which imports numpy.ma,
+    # and the closed-form cost reads its Gauss-Legendre rule from a table
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); import sal.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in sys.argv[2:]:\n"
+            "        assert sal.cli.main(argv.split() + ['--jobs', '1']) == 0\n"
+            "print(sorted({'numpy.ma', 'numpy.polynomial'} & sys.modules.keys()))")
+    commands = ["teleport --n 1 --tau 1 --states 1",
+                "cost-sweep --protocol teleport --schedules linear,trig,exp --n-list 1 "
+                "--tau-list 0.5"]
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(sal.__file__).parents[1]),
+                           *commands], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n", done.stdout
