@@ -1,7 +1,9 @@
 """Command-line front end: run the protocols and emit CSV for plotting.
 
 Commands: teleport, cae, sce, cost-sweep, theta-opt, qsl-check, selftest.
-Exit codes: 0 success, 2 invariant violation, 3 configuration error.
+Exit codes: 0 success; 3 for a bad option, value or file (a ValueError, or
+an OSError or MemoryError); 2 for a runtime check that the run failed (a
+ToleranceError).
 Each command's parser names its rows function and CSV header, and main
 writes those rows to stdout or --out: the one path from a command line to
 its table.  Floats are printed with 12 significant digits so reruns diff
@@ -24,7 +26,6 @@ from . import __version__
 from .counterdiabatic import DEFAULT_GRID, cd_controlled, cd_teleport
 from .dynamics import (
     StepCache,
-    ToleranceError,
     check_steps,
     controlled_initial_state,
     controlled_target_state,
@@ -41,7 +42,7 @@ from .hamiltonians import (
     gate,
     teleport_hamiltonian,
 )
-from .linalg import check_finite, check_tau, random_state
+from .linalg import ToleranceError, check_finite, check_tau, random_state
 from .metrics import (
     cae_controlled_cost,
     cae_single_gate_cost,
@@ -67,17 +68,9 @@ FIDELITY_FLOOR = 1.0 - 1e-6
 CLOSED_FORM_RTOL = 1e-6
 
 
-class CliError(Exception):
-    """Configuration problem; maps to exit code 3."""
-
-
-class InvariantError(Exception):
-    """A checked invariant failed at runtime; maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _fmt(x) -> str:
@@ -106,16 +99,16 @@ def _floats(text: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"bad float list {text!r}") from exc
+        raise ValueError(f"bad float list {text!r}") from exc
     if not vals:
-        raise CliError("empty value list")
+        raise ValueError("empty value list")
     return vals
 
 
 def _ints(text: str) -> list[int]:
     vals = _floats(text)
     if not all(v.is_integer() for v in vals):
-        raise CliError(f"bad integer list {text!r}")
+        raise ValueError(f"bad integer list {text!r}")
     return [int(v) for v in vals]
 
 
@@ -124,7 +117,7 @@ def _check_run(args):
     by the library's own checks, named as the command line spells them."""
     check_tau(args.tau, "tau")
     if args.states < 1:
-        raise CliError(f"--states must be >= 1, got {args.states}")
+        raise ValueError(f"--states must be >= 1, got {args.states}")
     for flag, steps in (("--steps", args.steps), ("--qsl-steps", args.qsl_steps)):
         if steps is not None:
             check_steps(steps, flag)
@@ -132,7 +125,7 @@ def _check_run(args):
 
 def _finite_rows(tau: float, make_rows) -> list[list]:
     """``make_rows()`` with numpy's float overflow and invalid operations
-    raised, its float cells checked finite: CliError naming --tau for a tau
+    raised, its float cells checked finite: ValueError naming --tau for a tau
     so small that a sum of terms ~ 1/tau (a cost, E_tau) leaves the float
     range, so that no such row is printed."""
     with np.errstate(over="raise", invalid="raise"):
@@ -142,8 +135,8 @@ def _finite_rows(tau: float, make_rows) -> list[list]:
                 return rows
         except FloatingPointError:
             pass
-    raise CliError(f"--tau {tau} is too small: a cost or E_tau ~ 1/tau of its rows "
-                   "overflows the float range")
+    raise ValueError(f"--tau {tau} is too small: a cost or E_tau ~ 1/tau of its rows "
+                     "overflows the float range")
 
 
 def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
@@ -160,7 +153,7 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
     formed once per run, not per input.
     No CSV column reads the ground fidelity, so nothing is sampled.
     A shortcut below the fidelity floor (or with a NaN fidelity) or a
-    violated speed limit raises InvariantError.
+    violated speed limit raises ToleranceError.
     """
     tracked = args.qsl_steps is None or args.qsl_steps == args.steps
     rng = np.random.default_rng(args.seed)
@@ -174,9 +167,9 @@ def _runs(args, driver, n_qubits: int, prepare, shortcut: bool):
         rep = qsl_report(qsl)
         fid = fidelity(res.final_state, tgt)
         if shortcut and not fid >= FIDELITY_FLOOR:
-            raise InvariantError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
+            raise ToleranceError(f"shortcut fidelity {fid} below {FIDELITY_FLOOR}")
         if not rep.satisfied:
-            raise InvariantError("quantum-speed-limit bound violated")
+            raise ToleranceError("quantum-speed-limit bound violated")
         yield res, fid, rep
 
 
@@ -192,18 +185,18 @@ def _axis_arg(text: str):
 def _load_gate(args):
     name = args.gate
     if args.gate_file is not None and (name or "").lower() != "custom":
-        raise CliError("--gate-file is read only with --gate custom")
+        raise ValueError("--gate-file is read only with --gate custom")
     if name is None:
         return None, "-"
     if name.lower() == "custom":
         path = args.gate_file
         if not path:
-            raise CliError("--gate custom needs --gate-file with a JSON matrix")
+            raise ValueError("--gate custom needs --gate-file with a JSON matrix")
         import json  # only --gate-file and --config read JSON: off every command's import
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
-            raise CliError(f"{path} does not hold a JSON matrix (a list of rows)")
+            raise ValueError(f"{path} does not hold a JSON matrix (a list of rows)")
         return np.array([[_gate_entry(c, i, j) for j, c in enumerate(row)]
                          for i, row in enumerate(raw)]), "custom"
     return gate(name), name
@@ -213,7 +206,7 @@ def _gate_entry(c, i: int, j: int) -> complex:
     try:
         return complex(*c) if isinstance(c, list) else complex(c)
     except (TypeError, ValueError):
-        raise CliError(f"gate entry [{i}][{j}] = {c} is not a number or [re, im]") from None
+        raise ValueError(f"gate entry [{i}][{j}] = {c} is not a number or [re, im]") from None
 
 
 def _teleport_run(args, u):
@@ -234,14 +227,14 @@ def _teleport_run(args, u):
 
 def _teleport_rows(args) -> list[list]:
     if args.mode == "adiabatic" and args.cd is not None:
-        raise CliError("--cd is read only with --mode sa")
+        raise ValueError("--cd is read only with --mode sa")
     _check_run(args)
     check_grid(args.grid, "--grid")
     u, gate_name = _load_gate(args)
     spec, *run = _teleport_run(args, u)
 
     def rows():
-        sigma_ad, sigma_sa = teleport_cost(spec.schedule, [None, args.tau], args.n, args.grid)
+        sigma_ad, sigma_sa = teleport_cost(spec.schedule, [None, args.tau], args.n)
         return [["teleport", args.n, gate_name, args.tau, fid, sigma_sa, sigma_ad, rep.bound,
                  rep.satisfied] for _, fid, rep in _runs(args, *run)]
     return _finite_rows(args.tau, rows)
@@ -284,14 +277,14 @@ def _controlled_rows(args) -> list[list]:
 def _sweep_row(tau: float, variant, shortcut, sigma_ad: float, closed: float, grid: int) -> list:
     """A cost-sweep row: ``energy_cost`` of ``shortcut`` as sigma_sa against
     its closed form ``closed``, and rel_err = |sigma_sa / closed - 1|.
-    CliError for a --tau-list value whose correction, ~ 1/tau, has an HS
+    ValueError for a --tau-list value whose correction, ~ 1/tau, has an HS
     square above the float range (the closed forms, by hypot, stay finite)."""
     with np.errstate(over="raise"):
         try:
             sigma_sa = energy_cost(shortcut, grid=grid)
         except FloatingPointError:
-            raise CliError(f"--tau-list value {tau} is too small: the HS square of its "
-                           "counter-diabatic term overflows") from None
+            raise ValueError(f"--tau-list value {tau} is too small: the HS square of its "
+                             "counter-diabatic term overflows") from None
     return [tau, variant, sigma_sa, sigma_ad, closed, abs(sigma_sa / closed - 1.0)]
 
 
@@ -300,7 +293,7 @@ def _sweep_rows(args) -> list[list]:
     --n-controls 0`` or ``teleport --n n`` runs, priced by quadrature and
     in closed form (``teleport_cost_scale``, the sqrt(2^{3(n-1)} n) sector
     law, times one ``teleport_sigma_sing`` call per family over every tau,
-    as ``teleport_cost``).  InvariantError if any rel_err exceeds CLOSED_FORM_RTOL."""
+    as ``teleport_cost``).  ToleranceError if any rel_err exceeds CLOSED_FORM_RTOL."""
     taus = _floats(args.tau_list)
     for tau in taus:
         check_tau(tau, "tau")
@@ -312,7 +305,7 @@ def _sweep_rows(args) -> list[list]:
     else:
         families = [f.strip() for f in args.schedules.split(",") if f.strip()]
         if not families:
-            raise CliError(f"--schedules names no schedule: {args.schedules!r}")
+            raise ValueError(f"--schedules names no schedule: {args.schedules!r}")
         ns = _ints(args.n_list)
         schedules = [make_schedule(f) for f in families]  # every name checked before any row
         rows = []
@@ -325,7 +318,7 @@ def _sweep_rows(args) -> list[list]:
                                     scale * sing_ad, scale * sing, grid)
                          for tau, sing in zip(taus, sings)]
     if not all(row[-1] <= CLOSED_FORM_RTOL for row in rows):
-        raise InvariantError("quadrature disagrees with the closed-form cost")
+        raise ToleranceError("quadrature disagrees with the closed-form cost")
     return rows
 
 
@@ -354,14 +347,15 @@ _QSL_READS = {
 
 def _qsl_rows(args) -> list[list]:
     """One input of the protocol, run as its own command runs it: the speed
-    limit and, for a shortcut, the fidelity floor are checked.  CliError
+    limit and, for a shortcut, the fidelity floor are checked.  ValueError
     for a protocol flag that the protocol does not read."""
     reads = _QSL_READS[args.protocol]
     for dest in ("gate", "schedule", "n_controls", "axis", "phi", "theta0"):
         if getattr(args, dest) is None:
             setattr(args, dest, reads.get(dest))
         elif dest not in reads:
-            raise CliError(f"--{dest.replace('_', '-')} is not read by --protocol {args.protocol}")
+            raise ValueError(
+                f"--{dest.replace('_', '-')} is not read by --protocol {args.protocol}")
     _check_run(args)
     if args.protocol in ("teleport-state", "teleport-gate"):
         u = gate(args.gate) if args.protocol == "teleport-gate" else None
@@ -384,7 +378,7 @@ def _selftest_rows(args) -> list[list]:
     parse = _parser().parse_args
     run = ["--tau", "0.5", "--states", "2", "--seed", "7", "--qsl-steps", "2000"]
     rows = [row for gate_opt in ([], ["--gate", "X"], ["--gate", "H"])
-            for row in _teleport_rows(parse(["teleport", *run, "--grid", "501", *gate_opt]))]
+            for row in _teleport_rows(parse(["teleport", *run, *gate_opt]))]
     rows += _controlled_rows(parse(["sce", *run, "--n-controls", "1"]))
     rows += [["theta-opt", *row]
              for row in _theta_rows(parse(["theta-opt", "--tau-list", "0.5,1,2"]))]
@@ -496,26 +490,26 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], at: list[int]
     and a key that this subcommand does not take but another does is
     skipped."""
     if len(at) > 1:
-        raise CliError("--config is given more than once; it takes one file")
+        raise ValueError("--config is given more than once; it takes one file")
     idx = at[0]
     _, eq, path = argv[idx].partition("=")
     if not eq:
         path = argv[idx + 1] if idx + 1 < len(argv) else ""
     if not path:
-        raise CliError("--config needs a file path")
+        raise ValueError("--config needs a file path")
     argv = argv[:idx] + argv[idx + (1 if eq else 2) :]
     import json  # see _load_gate
     with open(path) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
-        raise CliError(f"{path} does not hold a JSON object of option values")
+        raise ValueError(f"{path} does not hold a JSON object of option values")
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     flags = {name: {a.dest: a.option_strings[0] for a in sub._actions
                     if a.option_strings and a.default is not argparse.SUPPRESS}
              for name, sub in subs.items()}
     for key in values:
         if not any(key in f for f in flags.values()):
-            raise CliError(f"{path}: no subcommand takes the option {key!r}")
+            raise ValueError(f"{path}: no subcommand takes the option {key!r}")
     cmd = next((i for i, tok in enumerate(argv) if tok in subs), None)
     if cmd is None:
         return argv
@@ -525,7 +519,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str], at: list[int]
         if flag is None or value is None:
             continue
         if isinstance(value, (list, dict)):
-            raise CliError(f"{path}: {flag} takes one value, got {value!r}")
+            raise ValueError(f"{path}: {flag} takes one value, got {value!r}")
         tokens.append(f"{flag}={value}")
     return argv[: cmd + 1] + tokens + argv[cmd + 1 :]
 
@@ -543,10 +537,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    rows)
         return EXIT_OK
     # a json.JSONDecodeError is a ValueError; a MemoryError is a register too large to allocate
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantError, ToleranceError) as exc:
+    except ToleranceError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

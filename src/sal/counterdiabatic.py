@@ -47,8 +47,8 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_tree,
 )
-from .linalg import (_chunks, _polished, _running_products, check_int, eigh, is_unitary,
-                     level_clusters)
+from .linalg import (ToleranceError, _chunks, _polished, _running_products, check_int, eigh,
+                     is_unitary, level_clusters)
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001  # points of s for frames and cost quadratures, here and in metrics
@@ -90,7 +90,7 @@ def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralF
     aligned frame j - 1 by the running product of the alignments up to j.
 
     ``grid`` is an integer >= 3 (the end-point derivatives take three
-    points), else ValueError.  Raises RuntimeError if the degeneracy
+    points), else ValueError.  Raises ToleranceError if the degeneracy
     pattern changes along the grid (levels crossing) or if adjacent frames
     overlap too weakly for the continuation to be trustworthy (grid too
     coarse).
@@ -112,7 +112,7 @@ def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralF
         v[1:] = v[1:] @ _polished(_running_products(align))
     lost = np.flatnonzero(least < OVERLAP_TOL)
     if lost.size:
-        raise RuntimeError(
+        raise ToleranceError(
             f"eigenframe continuation lost track at s={s_grid[lost[0] + 1]:.4f} "
             f"(min overlap {least[lost[0]]:.3f}); refine the grid"
         )

@@ -117,9 +117,9 @@ from typing import Optional
 import numpy as np
 
 from .hamiltonians import Branches, ControlledSpec, Rotation, bell_state, terms
-from .linalg import (CLUSTER_TOL, _chain_product, _chunks, _polished, _running_products,
-                     apply_on_qubits, check_int, check_state, check_tau, expm_hermitian,
-                     simpson, state_from_factors)
+from .linalg import (CLUSTER_TOL, ToleranceError, _chain_product, _chunks, _polished,
+                     _running_products, apply_on_qubits, check_int, check_state, check_tau,
+                     expm_hermitian, simpson, state_from_factors)
 
 MIN_STEPS = 100
 MAX_STEPS = 10**8
@@ -128,13 +128,6 @@ _GAUSS = np.sqrt(3.0) / 6.0  # Gauss nodes at 1/2 -/+ _GAUSS of each step
 _A1, _A2 = 0.25 + _GAUSS, 0.25 - _GAUSS  # CF4 weights of the two nodes
 _NORM_SAMPLES = 17  # points of s at which ``_norm_bound`` reads each leaf
 _CACHE_ENTRIES = 2**22  # cap on the product entries one StepCache keeps (64 MiB complex)
-
-
-class ToleranceError(ArithmeticError):
-    """A numerical search missed its tolerance: the step-doubling search
-    could not bring its error estimate within STATE_TOL below MAX_STEPS, or
-    ``metrics.theta_opt`` found no bracket or a residual above
-    STATIONARITY_RTOL.  A runtime failure, not a bad argument."""
 
 
 def check_steps(steps: int, name: str) -> int:

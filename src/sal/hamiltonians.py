@@ -632,7 +632,7 @@ def adiabatic_time_estimate(h: TimeDepHamiltonian) -> float:
     spectral norm of the inter-cluster block, which is invariant under basis
     choice inside each cluster.  A run much longer than this estimate is
     expected to be adiabatic; the estimate is a dimensionless omega*tau.
-    RuntimeError if the degeneracy pattern changes along the grid.
+    ToleranceError if the degeneracy pattern changes along the grid.
     """
     s_grid = np.linspace(0.0, 1.0, _ESTIMATE_GRID)
     energies = np.empty((_ESTIMATE_GRID, h.dim))

@@ -23,6 +23,17 @@ _CHUNK = 256  # points of s per batched evaluation
 _CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 MiB complex)
 
 
+class ToleranceError(RuntimeError):
+    """A runtime check that a run failed, not a bad argument (a ValueError):
+    a spectrum's degeneracy pattern changed (``level_clusters``), an
+    eigenframe lost track (``counterdiabatic.spectral_frame``), the step
+    search missed STATE_TOL below MAX_STEPS (``dynamics.evolve``),
+    ``metrics.theta_opt`` found no bracket or a residual above
+    STATIONARITY_RTOL, or a command's run fell below the fidelity floor,
+    broke the speed limit or priced a cost off its closed form
+    (``sal.cli``).  The command line exits 2 on it."""
+
+
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of any number of operators (left to right)."""
     out = np.array([[1.0 + 0j]])
@@ -117,13 +128,13 @@ def level_clusters(s: np.ndarray, energies: np.ndarray) -> tuple[slice, ...]:
     """The degenerate levels shared by every row of a stack of ascending
     spectra, energies[j] at s[j]: a new level starts wherever the gap to the
     previous eigenvalue exceeds CLUSTER_TOL * max(1, max |E|) of that row.
-    RuntimeError names the first s whose pattern differs from the first
+    ToleranceError names the first s whose pattern differs from the first
     row's (levels cross or a gap closes)."""
     tol = CLUSTER_TOL * np.maximum(1.0, np.max(np.abs(energies), axis=1, keepdims=True))
     breaks = np.diff(energies, axis=1) > tol
     changed = np.flatnonzero(np.any(breaks != breaks[0], axis=1))
     if changed.size:
-        raise RuntimeError(f"degeneracy pattern changes at s={s[changed[0]]:.4f}")
+        raise ToleranceError(f"degeneracy pattern changes at s={s[changed[0]]:.4f}")
     edges = [0, *(np.flatnonzero(breaks[0]) + 1), energies.shape[1]]
     return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
 

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .counterdiabatic import DEFAULT_GRID, SpectralFrame
-from .dynamics import EvolutionResult, ToleranceError, _leaves, evolve
+from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, _chunks, check_int, check_tau, simpson
+from .linalg import _CHUNK_ENTRIES, ToleranceError, _chunks, check_int, check_tau, simpson
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -164,10 +164,9 @@ def teleport_cost_scale(n_sectors: int) -> float:
     return float(np.sqrt(2.0 ** (3 * (n_sectors - 1)) * n_sectors))
 
 
-def teleport_cost(schedule: Schedule, tau: Runtimes, n_sectors: int = 1,
-                  grid: int = DEFAULT_GRID) -> float | np.ndarray:
+def teleport_cost(schedule: Schedule, tau: Runtimes, n_sectors: int = 1) -> float | np.ndarray:
     """``teleport_cost_scale`` times ``teleport_sigma_sing``, the n-sector closed form."""
-    return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau, grid)
+    return teleport_cost_scale(n_sectors) * teleport_sigma_sing(schedule, tau)
 
 
 # --- controlled-evolution closed forms ---------------------------------------
@@ -260,7 +259,7 @@ def theta_opt(omega_tau: float) -> float:
     -4 (omega tau)^2 / theta < 0.  The relative residual at the returned
     angle (``relative_residual``) is at most STATIONARITY_RTOL; a residual
     above it, or an onset that does not bracket the root, raises
-    ``dynamics.ToleranceError``.
+    ``ToleranceError``.
     """
     check_tau(omega_tau, "omega_tau")
     if not np.isfinite(4.0 * float(omega_tau) * float(omega_tau) + np.pi**2):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sal.cli
+import sal.counterdiabatic
 import sal.dynamics
 import sal.linalg
 import sal.metrics
@@ -589,6 +590,14 @@ def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sal.dynamics, "_propagate", nan_final)
     assert main(["sce", "--tau", "0.5"]) == EXIT_INVARIANT
     assert "step-doubling error estimate nan" in capsys.readouterr().err
+
+
+def test_lost_eigenframe_exits_2(monkeypatch, capsys):
+    # the numeric frame's continuation check is a runtime check too: with no
+    # overlap able to pass it, teleport --cd generic exits 2, not with a traceback
+    monkeypatch.setattr(sal.counterdiabatic, "OVERLAP_TOL", 1.01)
+    assert main(["teleport", "--tau", "1", "--cd", "generic"]) == EXIT_INVARIANT
+    assert "invariant violation: eigenframe continuation lost track" in capsys.readouterr().err
 
 
 def test_nan_fails_every_invariant(monkeypatch, capsys):

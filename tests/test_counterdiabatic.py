@@ -35,7 +35,7 @@ from sal.hamiltonians import (
     teleport_hamiltonian,
     teleport_sector_hamiltonian,
 )
-from sal.linalg import embed, kron, random_state
+from sal.linalg import ToleranceError, embed, kron, random_state
 from sal.schedules import Schedule, make_schedule
 from oracle import continued_frame, teleport_block_frame, teleport_block_frame_deriv
 
@@ -100,6 +100,16 @@ def test_spectral_frame_reports_lost_tracking():
         spectral_frame(h, grid=201)
     with pytest.raises(RuntimeError, match=r"lost track at s=0\.5025 \(min overlap 0\.000\)"):
         spectral_frame(h, grid=200)
+
+
+def test_spectral_frame_refuses_a_weak_neighbour_overlap():
+    # H(s) = cos(a s) Z + sin(a s) X turns its ground vector by a s / 2, so
+    # grid points 1/2 apart overlap by cos(a / 4) ~ 0.27: too weak to trust
+    a = 5.2
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(np.cos(a * s), Z)
+                           + np.multiply.outer(np.sin(a * s), X))
+    with pytest.raises(ToleranceError, match=r"lost track at s=0\.5000 \(min overlap 0\.267\)"):
+        spectral_frame(h, grid=3)
 
 
 @pytest.mark.parametrize("grid", [201.5, 201.0, True, 2])

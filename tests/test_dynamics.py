@@ -927,6 +927,23 @@ def test_default_steps_follow_the_largest_slot(tau):
         assert default_steps(cd_teleport(TeleportSpec(n, sch, gate=gate(g)), tau), tau) == one
 
 
+def test_default_steps_read_a_norm_peak_between_coarse_points():
+    # ||H(s)|| = |2 - |4 s - 1|| peaks at 2 at s = 1/4, a point of the norm
+    # grid, and is 1 at s = 0, 1/2 and 1: the first count follows the peak
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(2.0 - np.abs(4.0 * s - 1.0), Z))
+    tau = 10.0
+    assert default_steps(h, tau) == int(2.0 * np.ceil(0.5 * 2.0 * tau / dynamics.STATE_TOL**0.2))
+
+
+def test_ground_weight_splits_levels_a_thousandth_apart():
+    # diag(0, 1e-3) has two levels: (|0> + |1>)/sqrt(2) keeps half its weight
+    # in the ground level at every sample, since H only turns the phases
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(np.ones(np.shape(s)),
+                                                                   np.diag([0.0, 1e-3])))
+    res = evolve(h, np.array([1.0, 1.0]) / np.sqrt(2.0), 1.0, n_samples=5)
+    assert np.max(np.abs(res.ground_fidelity - 0.5)) <= 1e-12
+
+
 # --- measurement ---------------------------------------------------------------------
 
 

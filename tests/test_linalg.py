@@ -327,6 +327,14 @@ def test_level_clusters_share_one_pattern_or_name_where_it_changes():
         level_clusters(s, energies)
 
 
+def test_level_clusters_split_levels_a_micro_gap_apart():
+    # CLUSTER_TOL is relative to max(1, |E|): at |E| ~ 1 a gap of 1e-6 is
+    # far above it, so the two eigenvalues are two levels
+    s = np.array([0.0, 0.5, 1.0])
+    energies = np.array([[-1.0, -1.0 + 1e-6]] * 3)
+    assert level_clusters(s, energies) == (slice(0, 1), slice(1, 2))
+
+
 def step_order_products(u):
     """p[k] = u[k] @ ... @ u[0], one product per step."""
     p = [u[0]]

@@ -497,6 +497,17 @@ def test_qsl_report_reads_the_runs_own_initial_state():
     assert vars(qsl_report(res)) == vars(qsl_check(h, want, 0.25, steps=200))
 
 
+def test_speed_limit_slack_is_rounding_only():
+    # tau one part in 1e6 below a bound of ~0.3 breaks the limit; the slack
+    # under the bound absorbs rounding, not a miss that size
+    psi0, final = np.array([1.0, 0.0]), np.array([np.cos(1.0), np.sin(1.0)])
+    e_tau = (1.0 - np.cos(1.0)) / 0.3
+    bound = sal.metrics._qsl_report(1.0, psi0, final, e_tau).bound
+    assert abs(bound - 0.3) <= 1e-12
+    assert sal.metrics._qsl_report(bound, psi0, final, e_tau).satisfied
+    assert not sal.metrics._qsl_report(bound * (1.0 - 1e-6), psi0, final, e_tau).satisfied
+
+
 def test_a_non_finite_e_tau_does_not_satisfy_the_speed_limit():
     # an E_tau that overflowed would give the vacuous bound 0 <= tau
     spec = ControlledSpec(n_controls=0, axis="x", phi=np.pi, theta0=2.0, tau=0.25)

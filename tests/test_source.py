@@ -196,3 +196,30 @@ def test_teleport_and_cost_sweep_import_neither_numpy_ma_nor_numpy_polynomial():
     done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(sal.__file__).parents[1]),
                            *commands], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n", done.stdout
+
+
+def test_two_failure_types_for_two_exit_codes():
+    # a ValueError is a bad argument (exit 3) and a ToleranceError a runtime
+    # check that a run failed (exit 2): the package defines one exception
+    # class, every raise names one of the two, and sal.cli.main catches
+    # exactly those, with OSError and MemoryError as exit 3
+    classes, raises, handlers = [], [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(b, "id", getattr(b, "attr", "")).endswith(("Error", "Exception"))
+                    for b in node.bases):
+                classes.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in ("ValueError", "ToleranceError"):
+                    raises.append(f"{path.name}:{node.lineno}")
+            elif (path.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                  and node.name == "main"):
+                handlers = [
+                    {t.id for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type])}
+                    for h in ast.walk(node) if isinstance(h, ast.ExceptHandler)
+                ]
+    assert classes == ["linalg.py:ToleranceError"], classes
+    assert SOURCES and not raises, raises
+    assert handlers == [{"ValueError", "OSError", "MemoryError"}, {"ToleranceError"}], handlers
