@@ -8,7 +8,7 @@ Each command's parser names its rows function and CSV header, and main
 writes those rows to stdout or --out: the one path from a command line to
 its table.  Floats are printed with 12 significant digits so reruns diff
 cleanly.  Every command runs in the calling process; --jobs is accepted and
-ignored.
+ignored.  teleport checks --grid and reads it nowhere.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _teleport_run(args, u):
     n, shortcut = args.n, args.mode == "sa"
     spec = TeleportSpec(n, make_schedule(args.schedule), gate=u)
     if shortcut:
-        driver = cd_teleport(spec, args.tau, grid=args.grid if args.cd == "generic" else None)
+        driver = cd_teleport(spec, args.tau, generic=args.cd == "generic")
     else:
         driver = teleport_hamiltonian(spec)
 
@@ -419,11 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="linear", choices=["linear", "trig", "exp"])
     p.add_argument("--mode", default="sa", choices=["sa", "adiabatic"])
     p.add_argument("--cd", choices=["analytic", "generic"],
-                   help="closed-form or numeric-frame counter-diabatic term")
+                   help="closed-form or pointwise generic counter-diabatic term")
     p.add_argument("--states", type=int, default=1, help="random input states")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--qsl-steps", type=int, default=None, dest="qsl_steps")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="checked and ignored: no teleport column reads a grid")
     _add_common(p, _teleport_rows,
                 "protocol n gate tau fidelity sigma_sa sigma_ad qsl_bound qsl_ok")
 

@@ -12,7 +12,7 @@ degenerate levels the frame is fixed by parallel transport: the intra-level
 connection vanishes, which makes the correction independent of how the
 initial degenerate basis was chosen.  Five constructions are provided:
 
-* ``cd_generic``        - numeric frame continuation for any Hamiltonian;
+* ``cd_generic``        - the same correction from H(s) and d_s H at each s;
 * ``cd_teleport_block`` - closed form for a 3-qubit teleport sector: on its
   4x4 parity block, the schedule's mixing-angle rate over tau times one
   constant generator;
@@ -26,7 +26,7 @@ initial degenerate basis was chosen.  Five constructions are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .linalg import (ToleranceError, _chunks, _polished, _running_products, chec
                      is_unitary, level_clusters)
 from .schedules import Schedule
 
-DEFAULT_GRID = 2001  # points of s for frames and cost quadratures, here and in metrics
+DEFAULT_GRID = 2001  # points of s of spectral_frame and of the cost quadratures in metrics
 OVERLAP_TOL = 0.5  # least singular value of a neighbour overlap that the continuation trusts
 
 class SpectralFrame:
@@ -81,7 +81,8 @@ class SpectralFrame:
 
 
 def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralFrame:
-    """Diagonalize H(s) on a uniform grid and continue the eigenframe.
+    """Diagonalize H(s) on a uniform grid and continue the eigenframe, for
+    ``metrics.qsl_ground_chi``.
 
     Each level's raw frames V_j are aligned all at once: with one stacked
     SVD of the neighbour overlaps V_{j-1}^dag V_j = U S W^dag, the alignment
@@ -119,34 +120,31 @@ def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralF
     return SpectralFrame(s_grid, energies, vectors, clusters)
 
 
-def cd_from_frame(frame: SpectralFrame, tau: float) -> np.ndarray:
-    """Counter-diabatic operators on the frame grid."""
-    dv = frame.derivative()
-    v = frame.vectors
-    vh = np.swapaxes(v, -1, -2).conj()
-    berry = np.einsum("jin,jin->jn", dv.conj(), v)  # <d_s E_n|E_n>
-    op = 1j * (dv @ vh + (v * berry[:, None, :]) @ vh) / tau
-    return (op + np.swapaxes(op, -1, -2).conj()) / 2
+def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:
+    """Counter-diabatic correction of any Hamiltonian, evaluated at each
+    point it is given (Berry, J. Phys. A 42, 365303 (2009)):
 
+        H_cd(s) = (i/tau) sum_{m, n} |m><m|d_s H|n><n| / (E_n - E_m)
 
-def cd_generic(
-    h: TimeDepHamiltonian, tau: float, grid: int = DEFAULT_GRID
-) -> SuperadiabaticHamiltonian:
-    """Numeric counter-diabatic construction from a continued eigenframe.
-
-    The correction is evaluated by linear interpolation between grid
-    operators; degenerate levels are handled by the parallel-transport
-    continuation in ``spectral_frame``.  The shortcut has no coefficient
-    form, so propagation evaluates it and steps it by eigendecomposition.
+    over eigenvector pairs in different levels (the gap is inf inside a
+    level: parallel transport), from one ``eigh`` of H(s) and one
+    ``h.derivative(s)``.  ToleranceError names the first point whose
+    ``level_clusters`` differ from those at s = 0 (levels cross).  With no
+    coefficient form, propagation steps the shortcut by eigendecomposition.
     """
     def cd(s) -> np.ndarray:
-        x = np.clip(np.asarray(s, dtype=float), 0.0, 1.0) * (grid - 1)
-        lo = np.minimum(x.astype(int), grid - 2)
-        frac = (x - lo)[..., None, None]
-        return (1.0 - frac) * ops[lo] + frac * ops[lo + 1]
+        s = np.asarray(s, dtype=float)
+        energies, v = eigh(h(s))
+        clusters = level_clusters(np.append(0.0, s),
+                                  np.concatenate([first, energies.reshape(-1, h.dim)]))
+        level = np.repeat(np.arange(len(clusters)), [c.stop - c.start for c in clusters])
+        gap = energies[..., None, :] - energies[..., :, None]  # E_n - E_m at [m, n]
+        gap[..., level[:, None] == level] = np.inf
+        vh = np.swapaxes(v, -1, -2).conj()
+        return (1j / tau) * (v @ (vh @ h.derivative(s) @ v / gap) @ vh)
 
-    hsa = SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)  # checks tau before the frame is built
-    ops = cd_from_frame(spectral_frame(h, grid), tau)
+    hsa = SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)  # checks tau before H is read
+    first = eigh(h(0.0))[0][None]
     return hsa
 
 
@@ -211,18 +209,16 @@ def cd_tensor_sum(blocks: Sequence[SuperadiabaticHamiltonian]) -> Superadiabatic
     return blocks[0] if len(blocks) == 1 else composite(TensorSum(blocks))
 
 
-def cd_teleport(
-    spec: TeleportSpec, tau: float, grid: Optional[int] = None
-) -> SuperadiabaticHamiltonian:
+def cd_teleport(spec: TeleportSpec, tau: float,
+                generic: bool = False) -> SuperadiabaticHamiltonian:
     """Shortcut counterpart of ``teleport_hamiltonian(spec)``, by the same
-    ``teleport_tree``: each tensor slot holds ``cd_teleport_block`` or, with
-    ``grid`` set, the sector tree over ``cd_generic`` of the 4x4 parity
-    block on that grid.
+    ``teleport_tree``: each tensor slot holds ``cd_teleport_block`` or, if
+    ``generic``, the sector tree over ``cd_generic`` of the 4x4 parity block.
     """
-    if grid is None:
-        sector = cd_teleport_block(spec.schedule, tau)
+    if generic:
+        sector = sector_tree(cd_generic(teleport_block_hamiltonian(spec.schedule), tau))
     else:
-        sector = sector_tree(cd_generic(teleport_block_hamiltonian(spec.schedule), tau, grid))
+        sector = cd_teleport_block(spec.schedule, tau)
     return teleport_tree(spec, sector)
 
 

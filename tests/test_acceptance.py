@@ -163,7 +163,7 @@ def test_criterion_05_cd_structural_invariants():
         )
         want = np.pi / (2 * tau) * (np.cos(xi) * Y - np.sin(xi) * X)
         for s in (0.0, 0.5, 1.0):
-            assert np.max(np.abs(generic.cd(s) - want)) <= 1e-6, (xi, s)
+            assert np.max(np.abs(generic.cd(s) - want)) <= 1e-9, (xi, s)
     _report(5, "diagonal nullity, anticommutator trace, symmetries, and closed form hold")
 
 

@@ -16,7 +16,7 @@ from sal.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from sal.counterdiabatic import cd_controlled, cd_teleport
 from sal.dynamics import controlled_initial_state
 from sal.hamiltonians import ControlledSpec, TeleportSpec, controlled_hamiltonian
-from sal.linalg import random_state
+from sal.linalg import ToleranceError, random_state
 from sal.metrics import qsl_check
 
 
@@ -592,12 +592,16 @@ def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
     assert "step-doubling error estimate nan" in capsys.readouterr().err
 
 
-def test_lost_eigenframe_exits_2(monkeypatch, capsys):
-    # the numeric frame's continuation check is a runtime check too: with no
-    # overlap able to pass it, teleport --cd generic exits 2, not with a traceback
-    monkeypatch.setattr(sal.counterdiabatic, "OVERLAP_TOL", 1.01)
+def test_generic_degeneracy_check_exits_2(monkeypatch, capsys):
+    # the generic correction's check of its levels is a runtime check too:
+    # with the pattern reported to change, teleport --cd generic exits 2, not
+    # with a traceback
+    def changed(s, energies):
+        raise ToleranceError(f"degeneracy pattern changes at s={s[-1]:.4f}")
+
+    monkeypatch.setattr(sal.counterdiabatic, "level_clusters", changed)
     assert main(["teleport", "--tau", "1", "--cd", "generic"]) == EXIT_INVARIANT
-    assert "invariant violation: eigenframe continuation lost track" in capsys.readouterr().err
+    assert "invariant violation: degeneracy pattern changes" in capsys.readouterr().err
 
 
 def test_nan_fails_every_invariant(monkeypatch, capsys):
@@ -646,6 +650,19 @@ def test_inputs_of_a_run_share_the_step_unitaries(monkeypatch, capsys):
     assert [res.step_counts for res in results] == [(94, 188)] * 4
     assert counts[0] == counts[1] > 0
     assert rows[1][:2] == rows[0]  # the first input's row does not depend on the others
+
+
+@pytest.mark.parametrize("run", ["--n 1 --tau 1", "--n 2 --gate CNOT --tau 0.5 --states 2",
+                                 "--n 1 --tau 0.5 --schedule exp",
+                                 "--n 1 --tau 0.01 --schedule trig"])
+def test_generic_cd_prints_the_analytic_bytes(run, capsys):
+    # the generic correction is the closed form to rounding, so the command's
+    # output does not move by a byte
+    outputs = []
+    for cd in ([], ["--cd", "generic"]):
+        assert main(["teleport", *run.split(), *cd]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_generic_cd_route(tmp_path):

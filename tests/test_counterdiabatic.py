@@ -3,10 +3,8 @@ import pytest
 
 import sal
 from sal.counterdiabatic import (
-    SpectralFrame,
     SuperadiabaticHamiltonian,
     cd_controlled,
-    cd_from_frame,
     cd_generic,
     cd_rotate,
     cd_teleport,
@@ -61,7 +59,7 @@ def constant_hamiltonian():
 
 
 def test_cd_generic_constant_hamiltonian_is_zero():
-    hsa = cd_generic(constant_hamiltonian(), tau=0.7, grid=201)
+    hsa = cd_generic(constant_hamiltonian(), tau=0.7)
     for s in (0.0, 0.5, 1.0):
         assert np.max(np.abs(hsa.cd(s))) < 1e-10
 
@@ -73,7 +71,7 @@ def test_cd_generic_matches_branch_closed_form(xi, theta0):
     hsa = cd_generic(h_xi_hamiltonian(theta0, xi), tau=tau)
     want = theta0 / (2 * tau) * (np.cos(xi) * sal.Y - np.sin(xi) * X)  # the paper's correction
     for s in (0.0, 0.25, 0.6, 1.0):
-        assert np.max(np.abs(hsa.cd(s) - want)) < 1e-6
+        assert np.max(np.abs(hsa.cd(s) - want)) < 1e-9
 
 
 def test_cd_generic_traceless():
@@ -88,7 +86,31 @@ def test_cd_generic_handles_degenerate_teleport_sector():
     numeric = cd_generic(teleport_sector_hamiltonian(sch), tau=tau)
     analytic = cd_teleport_block(sch, tau)
     for s in (0.0, 0.31, 0.5, 0.77, 1.0):
-        assert np.max(np.abs(numeric.cd(s) - analytic.cd(s))) < 1e-6
+        assert np.max(np.abs(numeric.cd(s) - analytic.cd(s))) < 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.8, 100.0])
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_cd_generic_is_the_block_closed_form_to_rounding(family, tau):
+    # the pointwise formula on the 4x4 parity block, whose zero level is
+    # degenerate, against the closed form: tau * |difference| is rounding at
+    # any speed, on points that no grid was built for
+    sch = make_schedule(family)
+    generic = sector_tree(cd_generic(teleport_block_hamiltonian(sch), tau))
+    s = np.linspace(0.0, 1.0, 101)
+    assert tau * np.max(np.abs(generic.cd(s) - cd_teleport_block(sch, tau).cd(s))) <= 1e-13
+
+
+def test_cd_generic_names_a_level_crossing():
+    # H = (1 - 2s) Z closes its gap at s = 1/2: the correction builds, is 0
+    # where the eigenframe is constant, and a point on the crossing fails the
+    # degeneracy check against the levels at s = 0
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(1 - 2 * s, Z),
+                           deriv=lambda s: np.multiply.outer(np.full(np.shape(s), -2.0), Z))
+    hsa = cd_generic(h, 1.0)
+    assert np.max(np.abs(hsa.cd(0.25))) == 0.0
+    with pytest.raises(ToleranceError, match=r"degeneracy pattern changes at s=0\.5000"):
+        hsa.cd([0.25, 0.5])
 
 
 def test_spectral_frame_reports_lost_tracking():
@@ -114,13 +136,10 @@ def test_spectral_frame_refuses_a_weak_neighbour_overlap():
 
 @pytest.mark.parametrize("grid", [201.5, 201.0, True, 2])
 def test_frame_grid_is_an_integer_of_at_least_three(grid):
-    # every route to the numeric frame rejects the grid before sampling H
+    # the numeric frame rejects the grid before sampling H
     h = teleport_block_hamiltonian(make_schedule("linear"))
-    spec = TeleportSpec(1, make_schedule("linear"))
-    for build in (lambda: spectral_frame(h, grid), lambda: cd_generic(h, 0.5, grid),
-                  lambda: cd_teleport(spec, 0.5, grid=grid)):
-        with pytest.raises(ValueError, match=r"^grid must be"):
-            build()
+    with pytest.raises(ValueError, match=r"^grid must be"):
+        spectral_frame(h, grid)
 
 
 @pytest.mark.parametrize("grid", [201, 2001])
@@ -134,8 +153,6 @@ def test_batched_frame_matches_the_point_by_point_continuation(build, family, gr
     assert np.max(np.abs(frame.vectors - vectors)) <= 1e-13
     gram = np.swapaxes(frame.vectors, -1, -2).conj() @ frame.vectors
     assert np.max(np.abs(gram - np.eye(h.dim))) <= 5e-15
-    reference = SpectralFrame(frame.s_grid, frame.energies, vectors, frame.clusters)
-    assert np.max(np.abs(cd_from_frame(frame, 0.5) - cd_from_frame(reference, 0.5))) <= 1e-11
 
 
 # --- analytic teleport block ------------------------------------------------------
@@ -337,7 +354,7 @@ def test_cd_tensor_sum_matches_per_sector_generic():
     numeric_block = cd_generic(teleport_sector_hamiltonian(sch), tau=tau)
     numeric = cd_tensor_sum([numeric_block] * 2)
     for s in (0.12, 0.5, 0.93):
-        assert np.max(np.abs(analytic.cd(s) - numeric.cd(s))) < 1e-6
+        assert np.max(np.abs(analytic.cd(s) - numeric.cd(s))) < 1e-13
         assert np.max(np.abs(analytic.base(s) - numeric.base(s))) < 1e-12
 
 
@@ -353,24 +370,26 @@ def test_cd_tensor_sum_joint_gap_equals_single():
 
 
 # n = 1..3 with and without a gate, each n with the closed-form and the generic
-# sector (grid 201); one 512-dim case each way keeps the dense evaluations short
-@pytest.mark.parametrize("n, gate_name, grid", [
-    (1, None, None), (1, "H", None), (1, "H", 201),
-    (2, None, None), (2, "CNOT", None), (2, "CNOT", 201),
-    (3, None, 201), (3, "Toffoli", None),
-])
-def test_cd_teleport_equals_hand_assembly(n, gate_name, grid):
+# sector; one 512-dim case each way keeps the dense evaluations short.  The ids
+# end in 201 for the generic sector, the grid it was once interpolated on, so
+# that each case keeps its name.
+@pytest.mark.parametrize("n, gate_name, generic", [
+    (1, None, False), (1, "H", False), (1, "H", True),
+    (2, None, False), (2, "CNOT", False), (2, "CNOT", True),
+    (3, None, True), (3, "Toffoli", False),
+], ids=lambda v: ("201" if v else "None") if isinstance(v, bool) else None)
+def test_cd_teleport_equals_hand_assembly(n, gate_name, generic):
     sch, tau = make_schedule("exp"), 0.4
     u = None if gate_name is None else sal.gate(gate_name)
     spec = TeleportSpec(n, sch, gate=u)
-    if grid is None:
-        block = cd_teleport_block(sch, tau)
+    if generic:
+        block = sector_tree(cd_generic(teleport_block_hamiltonian(sch), tau))
     else:
-        block = sector_tree(cd_generic(teleport_block_hamiltonian(sch), tau, grid=grid))
+        block = cd_teleport_block(sch, tau)
     hand = cd_tensor_sum([block] * n)
     if u is not None:
         hand = cd_rotate(hand, embed(u, spec.bob_qubits, 3 * n))
-    built = cd_teleport(spec, tau, grid=grid)
+    built = cd_teleport(spec, tau, generic=generic)
     s = np.linspace(0.0, 1.0, 9)
     for name in ("total", "cd"):
         assert np.max(np.abs(getattr(built, name)(s) - getattr(hand, name)(s))) <= 1e-14
@@ -386,11 +405,11 @@ def test_shortcuts_reject_a_bad_tau(build, tau):
     sch = make_schedule("linear")
     spec = TeleportSpec(2, sch, gate=sal.gate("CNOT"))
     make = {
-        "generic": lambda tau: cd_generic(teleport_block_hamiltonian(sch), tau, grid=101),
+        "generic": lambda tau: cd_generic(teleport_block_hamiltonian(sch), tau),
         "block": lambda tau: cd_teleport_block(sch, tau),
         "controlled": lambda tau: cd_controlled(ControlledSpec(n_controls=1, tau=tau)),
         "teleport": lambda tau: cd_teleport(spec, tau),
-        "teleport generic": lambda tau: cd_teleport(spec, tau, grid=101),
+        "teleport generic": lambda tau: cd_teleport(spec, tau, generic=True),
     }[build]
     # a subnormal tau is positive, but its correction ~ 1/tau overflows
     match = "below the smallest normal float" if 0 < tau < 1 else "tau must be positive and finite"
@@ -507,7 +526,7 @@ def _evaluators():
         "controlled branch dH": branch.derivative,
         "controlled H": controlled_hamiltonian(spec),
         "cd_teleport_block": block.cd,
-        "cd_generic": cd_generic(sector, 0.7, grid=201).cd,
+        "cd_generic": cd_generic(sector, 0.7).cd,
         "cd_controlled": cd_controlled(spec).cd,
         "cd_controlled total": cd_controlled(spec).total,
         "cd_tensor_sum": joint.cd,

@@ -477,8 +477,8 @@ def test_terms_are_set_on_every_builder_leaf():
             assert np.allclose(np.sum((c @ form.gram) * c, axis=-1),
                                np.sum(np.abs(m) ** 2, axis=(-2, -1)), rtol=1e-14, atol=0)
             assert np.allclose(c @ form.traces, np.trace(m, axis1=-2, axis2=-1), atol=1e-14)
-    assert terms(cd_generic(teleport_block_hamiltonian(sch), 0.4, grid=201)) is None
-    assert all(terms(leaf) is None for leaf in _leaves(cd_teleport(spec, 0.4, grid=201)))
+    assert terms(cd_generic(teleport_block_hamiltonian(sch), 0.4)) is None
+    assert all(terms(leaf) is None for leaf in _leaves(cd_teleport(spec, 0.4, generic=True)))
     assert terms(TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(s, Z))) is None
 
 

@@ -266,7 +266,7 @@ def test_superadiabatic_cost_report():
     tau = 0.5
     frame = spectral_frame(h, grid=2001)
     sigma_ad, sigma_sa = superadiabatic_cost(frame, tau)
-    hsa = cd_generic(h, tau, grid=2001)
+    hsa = cd_generic(h, tau)
     assert abs(sigma_sa / energy_cost(hsa) - 1.0) < 1e-6
     assert sigma_sa > sigma_ad
     assert abs(sigma_ad - 4.0 * CHI_INTEGRAL["linear"]) < 1e-6
