@@ -34,14 +34,12 @@ from .hamiltonians import (
     teleport_sector_hamiltonian,
 )
 from .counterdiabatic import (
-    SpectralFrame,
     cd_controlled,
     cd_generic,
     cd_rotate,
     cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
-    spectral_frame,
 )
 from .dynamics import (
     EvolutionResult,

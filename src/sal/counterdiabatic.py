@@ -7,12 +7,14 @@ dynamics follows the instantaneous eigenlevels at any speed is
 
     H_cd(s) = (i/tau) sum_n [ |d_s E_n><E_n| + <d_s E_n|E_n> |E_n><E_n| ]
 
-(hbar = 1), built from a smooth orthonormal eigenframe of H(s).  Inside
+(hbar = 1) for a smooth orthonormal eigenframe |E_n(s)>.  Inside
 degenerate levels the frame is fixed by parallel transport: the intra-level
 connection vanishes, which makes the correction independent of how the
-initial degenerate basis was chosen.  Five constructions are provided:
+initial degenerate basis was chosen.  No frame is stored: each construction
+below is a formula in s, and d_s|E_n> = -i tau H_cd(s)|E_n> in that gauge.
 
-* ``cd_generic``        - the same correction from H(s) and d_s H at each s;
+* ``cd_generic``        - Berry's pairwise form of it, from H(s) and d_s H at
+  each s;
 * ``cd_teleport_block`` - closed form for a 3-qubit teleport sector: on its
   4x4 parity block, the schedule's mixing-angle rate over tau times one
   constant generator;
@@ -47,77 +49,10 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_tree,
 )
-from .linalg import (ToleranceError, _chunks, _polished, _running_products, check_int, eigh,
-                     is_unitary, level_clusters)
+from .linalg import eigh, is_unitary, level_clusters
 from .schedules import Schedule
 
-DEFAULT_GRID = 2001  # points of s of spectral_frame and of the cost quadratures in metrics
-OVERLAP_TOL = 0.5  # least singular value of a neighbour overlap that the continuation trusts
-
-class SpectralFrame:
-    """Gauge-continuous eigendecomposition sampled on an s-grid.
-
-    ``vectors[j]`` has orthonormal eigenvector columns at ``s_grid[j]``,
-    aligned from one grid point to the next (maximal-overlap assignment with
-    the residual rotation removed, i.e. discrete parallel transport), so
-    finite differences across j approximate d_s of a smooth frame.
-    ``clusters`` groups columns into degenerate levels.
-    """
-
-    def __init__(self, s_grid: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
-                 clusters: tuple[slice, ...]):
-        self.s_grid, self.energies, self.vectors, self.clusters = (
-            s_grid, energies, vectors, clusters)
-
-    def derivative(self) -> np.ndarray:
-        """d/ds of the frame, second order everywhere."""
-        v = self.vectors
-        ds = self.s_grid[1] - self.s_grid[0]
-        dv = np.empty_like(v)
-        dv[1:-1] = (v[2:] - v[:-2]) / (2 * ds)
-        dv[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * ds)
-        dv[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * ds)
-        return dv
-
-
-def spectral_frame(h: TimeDepHamiltonian, grid: int = DEFAULT_GRID) -> SpectralFrame:
-    """Diagonalize H(s) on a uniform grid and continue the eigenframe, for
-    ``metrics.qsl_ground_chi``.
-
-    Each level's raw frames V_j are aligned all at once: with one stacked
-    SVD of the neighbour overlaps V_{j-1}^dag V_j = U S W^dag, the alignment
-    of frame j to the raw frame j - 1 is W U^dag, the adjoint polar factor,
-    and since polar(R^dag M) = R^dag polar(M) frame j is aligned to the
-    aligned frame j - 1 by the running product of the alignments up to j.
-
-    ``grid`` is an integer >= 3 (the end-point derivatives take three
-    points), else ValueError.  Raises ToleranceError if the degeneracy
-    pattern changes along the grid (levels crossing) or if adjacent frames
-    overlap too weakly for the continuation to be trustworthy (grid too
-    coarse).
-    """
-    if check_int(grid, "grid") < 3:
-        raise ValueError(f"grid must be >= 3, got {grid}")
-    s_grid = np.linspace(0.0, 1.0, grid)
-    energies = np.empty((grid, h.dim))
-    vectors = np.empty((grid, h.dim, h.dim), dtype=complex)
-    for c in _chunks(grid, h.dim):
-        energies[c], vectors[c] = eigh(h(s_grid[c]))
-    clusters = level_clusters(s_grid, energies)
-    least = np.full(grid - 1, np.inf)  # smallest overlap singular value of each neighbour pair
-    for c in clusters:
-        v = vectors[:, :, c]  # a view: the aligned columns are written back in place
-        u, sig, wh = np.linalg.svd(np.swapaxes(v[:-1], -1, -2).conj() @ v[1:])
-        least = np.minimum(least, sig[:, -1])
-        align = np.swapaxes(wh, -1, -2).conj() @ np.swapaxes(u, -1, -2).conj()
-        v[1:] = v[1:] @ _polished(_running_products(align))
-    lost = np.flatnonzero(least < OVERLAP_TOL)
-    if lost.size:
-        raise ToleranceError(
-            f"eigenframe continuation lost track at s={s_grid[lost[0] + 1]:.4f} "
-            f"(min overlap {least[lost[0]]:.3f}); refine the grid"
-        )
-    return SpectralFrame(s_grid, energies, vectors, clusters)
+DEFAULT_GRID = 2001  # points of s of metrics' quadratures and of the --grid defaults
 
 
 def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:

@@ -25,9 +25,9 @@ _CHUNK_ENTRIES = 2**18  # cap on the operator or state entries of one chunk (4 M
 
 class ToleranceError(RuntimeError):
     """A runtime check that a run failed, not a bad argument (a ValueError):
-    a spectrum's degeneracy pattern changed (``level_clusters``), an
-    eigenframe lost track (``counterdiabatic.spectral_frame``), the step
-    search missed STATE_TOL below MAX_STEPS (``dynamics.evolve``),
+    a spectrum's degeneracy pattern changed (``level_clusters``), the
+    ground vector jumped between grid points (``metrics.qsl_ground_chi``),
+    the step search missed STATE_TOL below MAX_STEPS (``dynamics.evolve``),
     ``metrics.theta_opt`` found no bracket or a residual above
     STATIONARITY_RTOL, or a command's run fell below the fidelity floor,
     broke the speed limit or priced a cost off its closed form
@@ -165,8 +165,7 @@ def _polished(p: np.ndarray) -> np.ndarray:
     products' departure from unitarity.  The running products over a chunk
     of CF4 steps drift ~4e-15 off unitary, and that adds up over the chunks:
     6.1e-13 in the norm after 12030 steps of teleport --n 3 --gate Toffoli
-    at tau = 0.1 (4e-16 polished).  A continued eigenframe's 2000 alignments
-    leave it 3e-14 off orthonormal (2.4e-15 polished)."""
+    at tau = 0.1 (4e-16 polished)."""
     return 1.5 * p - 0.5 * p @ (np.swapaxes(p, -1, -2).conj() @ p)
 
 

@@ -13,13 +13,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counterdiabatic import DEFAULT_GRID, SpectralFrame
+from .counterdiabatic import DEFAULT_GRID, cd_generic
 from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import _CHUNK_ENTRIES, ToleranceError, _chunks, check_int, check_tau, simpson
+from .linalg import (_CHUNK_ENTRIES, ToleranceError, _chunks, check_int, check_tau, eigh,
+                     level_clusters, simpson)
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
+# how far qsl_ground_chi's chi may fall below |cos L - 1|: where the two are
+# equal (the teleport block, the controlled branch) Simpson's rule and
+# rounding put chi at most 1.1e-14 below, so 1e-12 is a 90x margin
+QSL_CHI_ATOL = 1e-12
 Runtimes = Optional[float] | Sequence[Optional[float]]  # None: the adiabatic limit
 
 
@@ -327,20 +332,32 @@ def qsl_check(h, psi0: np.ndarray, tau: float,
     return qsl_report(evolve(h, psi0, tau, steps=steps, n_samples=0, track_qsl=True))
 
 
-def qsl_ground_chi(frame: SpectralFrame) -> tuple[float, float]:
-    """Geometric slack of the speed limit for the tracked ground vector.
+def qsl_ground_chi(h) -> tuple[float, float]:
+    """Geometric slack of the speed limit for the tracked ground vector v(s)
+    of H(s), whose level must be single at s = 0 (else ValueError).
 
-    Returns (chi, |cos L - 1|) with chi = eta_2 + eta_3 built from the
-    ground column of the frame; chi >= |cos L - 1| always holds, which is
-    what makes arbitrarily small omega*tau admissible.
+    Returns (chi, |cos L - 1|), chi = int |<v(0)|d_s v>| ds by Simpson's
+    rule on DEFAULT_GRID points, with d_s v = -i H_cd(s) v from
+    ``cd_generic(h, 1)``: in its parallel-transport gauge the eta_3 term
+    |<v|d_s v><v|v(0)>| is 0, and chi >= |cos L - 1| is the triangle
+    inequality, which makes arbitrarily small omega*tau admissible.  A chi
+    below it by more than QSL_CHI_ATOL raises ToleranceError: the ground
+    vector jumped across a crossing between grid points.
     """
-    v0 = frame.vectors[:, :, 0]
-    dv0 = frame.derivative()[:, :, 0]
-    ref = v0[0]
-    overlaps = v0 @ ref.conj()
-    eta2 = np.abs(dv0 @ ref.conj())
-    eta3 = np.abs(np.einsum("ji,ji->j", v0.conj(), dv0) * overlaps)
-    ds = frame.s_grid[1] - frame.s_grid[0]
-    chi = simpson(eta2, ds) + simpson(eta3, ds)
-    rhs = abs(abs(overlaps[-1]) - 1.0)
+    energies, vectors = eigh(h(0.0))
+    if level_clusters(np.zeros(1), energies[None])[0].stop > 1:
+        raise ValueError("the ground level is degenerate at s=0: its tracked vector is not "
+                         "determined by H")
+    ref = vectors[:, 0]
+    cd = cd_generic(h, 1.0).cd
+    s_grid = np.linspace(0.0, 1.0, DEFAULT_GRID)
+    eta = np.empty(DEFAULT_GRID)
+    for c in _chunks(DEFAULT_GRID, h.dim):
+        v = eigh(h(s_grid[c]))[1][..., :, :1]  # the ground columns, (len, dim, 1)
+        eta[c] = np.abs((-1j * cd(s_grid[c]) @ v)[..., 0] @ ref.conj())
+    chi = simpson(eta, s_grid[1] - s_grid[0])
+    rhs = abs(abs(ref.conj() @ v[-1, :, 0]) - 1.0)
+    if chi < rhs - QSL_CHI_ATOL:
+        raise ToleranceError(f"ground-vector slack chi={chi:.6g} below |cos L - 1|={rhs:.6g}: "
+                             "the ground vector jumped between grid points")
     return float(chi), float(rhs)

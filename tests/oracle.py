@@ -103,24 +103,3 @@ def controlled_propagator(spec, s: float = 1.0) -> np.ndarray:
         return (np.cos(half) * np.eye(2) - 1j * np.sin(half) * m_sigma) * turn
 
     return np.kron(p_rest, branch(0.0)) + np.kron(p_act, branch(spec.phi))
-
-
-# --- eigenframe continuation, point by point -------------------------------------
-
-
-def continued_frame(h, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(energies, vectors) of H(s) on linspace(0, 1, grid) with each frame
-    aligned to the aligned frame before it, one point at a time: on every
-    degenerate level of the first point, the frame is multiplied by the
-    adjoint polar factor of its overlap with the previous one.  The
-    reference for the batched ``spectral_frame``, on grids that keep one
-    degeneracy pattern."""
-    energies, vectors = np.linalg.eigh(h(np.linspace(0.0, 1.0, grid)))
-    lam = energies[0]
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
-    edges = [0, *(i for i in range(1, lam.size) if lam[i] - lam[i - 1] > tol), lam.size]
-    for prev, vec in zip(vectors, vectors[1:]):
-        for a, b in zip(edges, edges[1:]):
-            u, _, wh = np.linalg.svd(prev[:, a:b].conj().T @ vec[:, a:b])
-            vec[:, a:b] = vec[:, a:b] @ (wh.conj().T @ u.conj().T)
-    return energies, vectors

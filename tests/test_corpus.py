@@ -31,9 +31,6 @@ UNREACHED = {
     "metrics.probabilistic_cost": PAPER,
     "metrics.angle_feasible": PAPER,
     "metrics.qsl_ground_chi": PAPER,
-    "counterdiabatic.spectral_frame": PAPER,  # the frame that qsl_ground_chi reads
-    "counterdiabatic.SpectralFrame.__init__": PAPER,
-    "counterdiabatic.SpectralFrame.derivative": PAPER,
     "dynamics._ground_weights": "ground-fidelity sampling, a layer of the north star; "
                                 "evolve(n_samples > 0) runs it",
     "hamiltonians.assemble": "the dense reference: what a tree means as one matrix",

@@ -10,7 +10,6 @@ from sal.counterdiabatic import (
     cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
-    spectral_frame,
 )
 from sal.dynamics import evolve, teleport_initial_state
 from sal.hamiltonians import (
@@ -35,7 +34,7 @@ from sal.hamiltonians import (
 )
 from sal.linalg import ToleranceError, embed, kron, random_state
 from sal.schedules import Schedule, make_schedule
-from oracle import continued_frame, teleport_block_frame, teleport_block_frame_deriv
+from oracle import teleport_block_frame, teleport_block_frame_deriv
 
 
 def anticommutator(a, b):
@@ -113,48 +112,6 @@ def test_cd_generic_names_a_level_crossing():
         hsa.cd([0.25, 0.5])
 
 
-def test_spectral_frame_reports_lost_tracking():
-    # a pi flip between two anticommuting terms crosses levels head-on: a grid
-    # point on the crossing sees the pattern change, a grid that steps over it
-    # sees the ground level's overlap vanish
-    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(1 - 2 * s, sal.Z))
-    with pytest.raises(RuntimeError, match=r"degeneracy pattern changes at s=0\.5000"):
-        spectral_frame(h, grid=201)
-    with pytest.raises(RuntimeError, match=r"lost track at s=0\.5025 \(min overlap 0\.000\)"):
-        spectral_frame(h, grid=200)
-
-
-def test_spectral_frame_refuses_a_weak_neighbour_overlap():
-    # H(s) = cos(a s) Z + sin(a s) X turns its ground vector by a s / 2, so
-    # grid points 1/2 apart overlap by cos(a / 4) ~ 0.27: too weak to trust
-    a = 5.2
-    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(np.cos(a * s), Z)
-                           + np.multiply.outer(np.sin(a * s), X))
-    with pytest.raises(ToleranceError, match=r"lost track at s=0\.5000 \(min overlap 0\.267\)"):
-        spectral_frame(h, grid=3)
-
-
-@pytest.mark.parametrize("grid", [201.5, 201.0, True, 2])
-def test_frame_grid_is_an_integer_of_at_least_three(grid):
-    # the numeric frame rejects the grid before sampling H
-    h = teleport_block_hamiltonian(make_schedule("linear"))
-    with pytest.raises(ValueError, match=r"^grid must be"):
-        spectral_frame(h, grid)
-
-
-@pytest.mark.parametrize("grid", [201, 2001])
-@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
-@pytest.mark.parametrize("build", [teleport_block_hamiltonian, teleport_sector_hamiltonian])
-def test_batched_frame_matches_the_point_by_point_continuation(build, family, grid):
-    h = build(make_schedule(family))
-    frame = spectral_frame(h, grid)
-    energies, vectors = continued_frame(h, grid)
-    assert np.max(np.abs(frame.energies - energies)) <= 1e-14
-    assert np.max(np.abs(frame.vectors - vectors)) <= 1e-13
-    gram = np.swapaxes(frame.vectors, -1, -2).conj() @ frame.vectors
-    assert np.max(np.abs(gram - np.eye(h.dim))) <= 5e-15
-
-
 # --- analytic teleport block ------------------------------------------------------
 
 
@@ -197,10 +154,8 @@ def test_block_frame_derivative_matches_finite_differences():
 def test_cd_teleport_diagonal_nullity():
     sch = make_schedule("trig")
     hsa = cd_teleport_block(sch, tau=0.5)
-    frame = spectral_frame(hsa.base, grid=401)
-    for j in range(0, 401, 40):
-        s = frame.s_grid[j]
-        v = frame.vectors[j]
+    for s in np.linspace(0.0, 1.0, 401)[::40]:
+        v = np.linalg.eigh(hsa.base(s))[1]
         diag = np.diag(v.conj().T @ hsa.cd(s) @ v)
         assert np.max(np.abs(diag)) < 1e-8
 

@@ -11,7 +11,6 @@ from sal.counterdiabatic import (
     cd_teleport,
     cd_teleport_block,
     cd_tensor_sum,
-    spectral_frame,
 )
 from sal.dynamics import ToleranceError, controlled_initial_state, evolve, teleport_initial_state
 from sal.hamiltonians import (
@@ -21,7 +20,10 @@ from sal.hamiltonians import (
     TeleportSpec,
     TensorSum,
     TimeDepHamiltonian,
+    X,
+    Z,
     composite,
+    controlled_branch,
     controlled_hamiltonian,
     teleport_block_hamiltonian,
     teleport_hamiltonian,
@@ -29,6 +31,7 @@ from sal.hamiltonians import (
 )
 from sal.linalg import embed, random_state, simpson
 from sal.metrics import (
+    QSL_CHI_ATOL,
     STATIONARITY_RTOL,
     _GL_NODES,
     _GL_WEIGHTS,
@@ -246,17 +249,20 @@ def test_sigma_sing_integrand_is_the_frame_norm(family):
     assert np.max(np.abs(2.0 * rate * rate / np.sum(dv * dv, axis=(-2, -1)) - 1.0)) <= 1e-13
 
 
-def superadiabatic_cost(frame, tau: float) -> tuple[float, float]:
-    """(Sigma_ad, Sigma_sa) from a spectral frame:
+def superadiabatic_cost(h, tau: float) -> tuple[float, float]:
+    """(Sigma_ad, Sigma_sa) from the eigenframe of H(s):
     Sigma_sa = int sqrt(sum_m [E_m^2 + mu_m / tau^2]) ds with the frame
-    contribution mu_m = <d_s E_m|d_s E_m> - |<E_m|d_s E_m>|^2; the tau ->
-    infinity limit recovers the adiabatic cost Sigma_ad."""
-    dv = frame.derivative()
+    contribution mu_m = <d_s E_m|d_s E_m> - |<E_m|d_s E_m>|^2, where
+    d_s|E_m> = -i H_cd(s)|E_m> with H_cd from ``cd_generic(h, 1)``; the
+    tau -> infinity limit recovers the adiabatic cost Sigma_ad."""
+    s = np.linspace(0.0, 1.0, 2001)
+    energies, v = np.linalg.eigh(h(s))
+    dv = -1j * cd_generic(h, 1.0).cd(s) @ v
     grad2 = np.einsum("jin,jin->jn", dv.conj(), dv).real
-    berry = np.einsum("jin,jin->jn", frame.vectors.conj(), dv)
+    berry = np.einsum("jin,jin->jn", v.conj(), dv)
     mu = grad2 - np.abs(berry) ** 2
-    e2 = np.sum(frame.energies**2, axis=1)
-    ds = frame.s_grid[1] - frame.s_grid[0]
+    e2 = np.sum(energies**2, axis=1)
+    ds = s[1] - s[0]
     return simpson(np.sqrt(e2), ds), simpson(np.sqrt(e2 + np.sum(mu, axis=1) / tau**2), ds)
 
 
@@ -264,8 +270,7 @@ def test_superadiabatic_cost_report():
     sch = make_schedule("linear")
     h = teleport_sector_hamiltonian(sch)
     tau = 0.5
-    frame = spectral_frame(h, grid=2001)
-    sigma_ad, sigma_sa = superadiabatic_cost(frame, tau)
+    sigma_ad, sigma_sa = superadiabatic_cost(h, tau)
     hsa = cd_generic(h, tau)
     assert abs(sigma_sa / energy_cost(hsa) - 1.0) < 1e-6
     assert sigma_sa > sigma_ad
@@ -449,11 +454,67 @@ def test_qsl_satisfied_for_adiabatic_run():
 
 def test_qsl_ground_chi_inequality():
     sch = make_schedule("linear")
-    frame = spectral_frame(teleport_sector_hamiltonian(sch), grid=2001)
-    chi, rhs = qsl_ground_chi(frame)
-    assert chi >= rhs - 1e-6
+    chi, rhs = qsl_ground_chi(teleport_block_hamiltonian(sch))
+    assert chi >= rhs - QSL_CHI_ATOL
     # traversal turns the tracked ground vector by 60 degrees: cos L = 1/2
     assert abs(rhs - 0.5) < 1e-6
+
+
+@pytest.mark.parametrize("family", ["linear", "trig", "exp"])
+def test_qsl_ground_chi_is_exact_on_the_teleport_block(family):
+    # the block's ground vector turns by 60 degrees in one plane, away from
+    # where it started all the way: chi = |cos L - 1| = 1/2
+    chi, rhs = qsl_ground_chi(teleport_block_hamiltonian(make_schedule(family)))
+    assert abs(chi - 0.5) <= 1e-13 and abs(rhs - 0.5) <= 1e-13
+
+
+@pytest.mark.parametrize("theta0", [np.pi, 2.0])
+def test_qsl_ground_chi_is_exact_on_the_controlled_branch(theta0):
+    # the branch's Bloch vector turns by theta0, its ground vector by theta0 / 2
+    chi, rhs = qsl_ground_chi(controlled_branch(ControlledSpec(0, theta0=theta0)))
+    want = 1.0 - np.cos(theta0 / 2.0)
+    assert abs(chi - want) <= 1e-13 and abs(rhs - want) <= 1e-13
+
+
+def test_qsl_ground_chi_integrates_a_turn_past_pi():
+    # cos(a s) Z + sin(a s) X turns its ground vector by a s / 2, so
+    # |<ref|d_s v>| = (a / 2) |sin(a s / 2)| and chi = int_0^4 |sin u| du = 3 + cos 4
+    # at a = 8, where |<ref|v(1)>| = |cos 4| leaves chi well above |cos L - 1|
+    a = 8.0
+    h = TimeDepHamiltonian(
+        dim=2,
+        func=lambda s: np.multiply.outer(np.cos(a * s), Z) + np.multiply.outer(np.sin(a * s), X),
+        deriv=lambda s: a * (np.multiply.outer(np.cos(a * s), X)
+                             - np.multiply.outer(np.sin(a * s), Z)),
+    )
+    chi, rhs = qsl_ground_chi(h)
+    assert abs(chi - (3.0 + np.cos(4.0))) <= 1e-6
+    assert abs(rhs - (1.0 - abs(np.cos(4.0)))) <= 1e-13
+
+
+def _crossing(c: float) -> TimeDepHamiltonian:
+    """H = (c - s) Z, whose levels cross at s = c."""
+    return TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(c - s, Z),
+                              deriv=lambda s: np.multiply.outer(np.full(np.shape(s), -1.0), Z))
+
+
+def test_qsl_ground_chi_refuses_a_crossing_between_grid_points():
+    # the ground vector swaps |1> for |0> between two grid points while
+    # d_s H stays diagonal: chi = 0 but |cos L - 1| = 1
+    with pytest.raises(ToleranceError, match=r"chi=0 below \|cos L - 1\|=1"):
+        qsl_ground_chi(_crossing(0.5 + 1.0 / 8000))
+
+
+def test_qsl_ground_chi_names_a_crossing_on_a_grid_point():
+    with pytest.raises(ToleranceError, match=r"degeneracy pattern changes at s=0\.5000"):
+        qsl_ground_chi(_crossing(0.5))
+
+
+def test_qsl_ground_chi_refuses_a_degenerate_ground_level():
+    # the teleport sector's levels are pairs: eigh picks any basis of the
+    # ground pair, so no ground vector is determined
+    with pytest.raises(ValueError, match="ground level is degenerate at s=0"):
+        qsl_ground_chi(teleport_sector_hamiltonian(make_schedule("linear")))
 
 
 def test_qsl_satisfied_for_sce():

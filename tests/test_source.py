@@ -223,3 +223,17 @@ def test_two_failure_types_for_two_exit_codes():
     assert classes == ["linalg.py:ToleranceError"], classes
     assert SOURCES and not raises, raises
     assert handlers == [{"ValueError", "OSError", "MemoryError"}, {"ToleranceError"}], handlers
+
+
+def test_no_eigenframe_is_continued_along_a_grid():
+    # eigenvectors are taken at each point and moved by the correction's
+    # formula, never aligned from one grid point to the next: src/sal calls
+    # no svd, and qsl_ground_chi reads d_s v from cd_generic
+    svd = [f"{name}:{node.lineno}" for name, node in _calls_outside(("svd",), ())]
+    assert SOURCES and not svd, svd
+    path = Path(sal.__file__).parent / "metrics.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    chi = next(fn for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "qsl_ground_chi")
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cd_generic"
+               for node in ast.walk(chi))
