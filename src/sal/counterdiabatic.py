@@ -14,7 +14,7 @@ initial degenerate basis was chosen.  No frame is stored: each construction
 below is a formula in s, and d_s|E_n> = -i tau H_cd(s)|E_n> in that gauge.
 
 * ``cd_generic``        - Berry's pairwise form of it, from H(s) and d_s H at
-  each s;
+  each s, by ``linalg._transport``: the package's one copy of that formula;
 * ``cd_teleport_block`` - closed form for a 3-qubit teleport sector: on its
   4x4 parity block, the schedule's mixing-angle rate over tau times one
   constant generator;
@@ -49,7 +49,7 @@ from .hamiltonians import (
     teleport_block_terms,
     teleport_tree,
 )
-from .linalg import eigh, is_unitary, level_clusters
+from .linalg import _transport, is_unitary
 from .schedules import Schedule
 
 DEFAULT_GRID = 2001  # points of s of metrics' quadratures and of the --grid defaults
@@ -61,25 +61,18 @@ def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:
 
         H_cd(s) = (i/tau) sum_{m, n} |m><m|d_s H|n><n| / (E_n - E_m)
 
-    over eigenvector pairs in different levels (the gap is inf inside a
-    level: parallel transport), from one ``eigh`` of H(s) and one
-    ``h.derivative(s)``.  ToleranceError names the first point whose
-    ``level_clusters`` differ from those at s = 0 (levels cross).  With no
-    coefficient form, propagation steps the shortcut by eigendecomposition.
+    over pairs in different levels (parallel transport): (i/tau) V A V^dag
+    from ``linalg._transport`` of H(s) and ``h.derivative(s)``, which names
+    the first point whose levels differ from those at s = 0 (levels cross).
+    Without a coefficient form it is stepped by eigendecomposition.
     """
     def cd(s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        energies, v = eigh(h(s))
-        clusters = level_clusters(np.append(0.0, s),
-                                  np.concatenate([first, energies.reshape(-1, h.dim)]))
-        level = np.repeat(np.arange(len(clusters)), [c.stop - c.start for c in clusters])
-        gap = energies[..., None, :] - energies[..., :, None]  # E_n - E_m at [m, n]
-        gap[..., level[:, None] == level] = np.inf
-        vh = np.swapaxes(v, -1, -2).conj()
-        return (1j / tau) * (v @ (vh @ h.derivative(s) @ v / gap) @ vh)
+        _, v, _, a = _transport(s, h(s), h.derivative(s), first)
+        return (1j / tau) * (v @ a @ np.swapaxes(v, -1, -2).conj())
 
     hsa = SuperadiabaticHamiltonian(base=h, cd=cd, tau=tau)  # checks tau before H is read
-    first = eigh(h(0.0))[0][None]
+    first = _transport(0.0, h(0.0), h.derivative(0.0))[0]
     return hsa
 
 

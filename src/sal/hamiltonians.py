@@ -17,14 +17,14 @@ qubit) comes first; the single ancilla qubit is always last.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import prod
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import (_chunks, apply_on_qubits, check_finite, check_shape, check_tau, embed, eigh,
-                     is_unitary, kron, level_clusters)
+from .linalg import (_chunks, _transport, apply_on_qubits, check_finite, check_shape, check_tau,
+                     embed, is_unitary, kron)
 from .schedules import Schedule
 
 _DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
@@ -626,28 +626,19 @@ def controlled_hamiltonian(spec: ControlledSpec) -> TimeDepHamiltonian:
 
 
 def adiabatic_time_estimate(h: TimeDepHamiltonian) -> float:
-    """Runtime scale max |<E_k| dH/ds |E_n>| / gap_nk^2 over an s-grid.
-
-    Degenerate levels are grouped into clusters; the matrix element is the
-    spectral norm of the inter-cluster block, which is invariant under basis
-    choice inside each cluster.  A run much longer than this estimate is
-    expected to be adiabatic; the estimate is a dimensionless omega*tau.
-    ToleranceError if the degeneracy pattern changes along the grid.
+    """Runtime scale max |<E_k| dH/ds |E_n>| / gap_nk^2 over an s-grid: for
+    each pair of levels a != b, the spectral norm of the block A_ab of
+    ``linalg._transport`` (basis-free inside a level) over |E_a - E_b|.  A
+    run much longer than this is expected to be adiabatic; the estimate is
+    a dimensionless omega*tau.  ToleranceError if levels cross on the grid.
     """
     s_grid = np.linspace(0.0, 1.0, _ESTIMATE_GRID)
-    energies = np.empty((_ESTIMATE_GRID, h.dim))
-    best = 0.0
+    first, best = None, 0.0
     for c in _chunks(_ESTIMATE_GRID, h.dim):
-        energies[c], vec = eigh(h(s_grid[c]))
-        # every row so far, so that a pattern change between chunks is caught too
-        clusters = level_clusters(s_grid[: c.stop], energies[: c.stop])
-        lam, dh = energies[c], h.derivative(s_grid[c])
-        for ca in clusters:
-            va = np.swapaxes(vec[..., ca], -1, -2).conj()
-            for cb in clusters:
-                if cb == ca:
-                    continue
-                gap = np.abs(lam[:, ca.start] - lam[:, cb.start])
-                block = va @ dh @ vec[..., cb]
-                best = max(best, float(np.max(np.linalg.norm(block, 2, axis=(-2, -1)) / gap**2)))
+        s = s_grid[c]
+        energies, _, clusters, a = _transport(s, h(s), h.derivative(s), first)
+        first = energies[0] if first is None else first  # s = 0 opens the first chunk
+        for ca, cb in combinations(clusters, 2):
+            gap = np.abs(energies[:, ca.start] - energies[:, cb.start])
+            best = max(best, float(np.max(np.linalg.norm(a[:, ca, cb], 2, axis=(-2, -1)) / gap)))
     return best

@@ -139,6 +139,21 @@ def level_clusters(s: np.ndarray, energies: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
 
 
+def _transport(s, h: np.ndarray, dh: np.ndarray, first: np.ndarray | None = None) -> tuple:
+    """(energies, V, levels, A) at the points s from the stacks h = H(s) and
+    dh = d_s H(s): one ``eigh`` H = V E V^dag, the ``level_clusters`` of the
+    spectrum ``first`` at s = 0 (the first point's if None) and the points,
+    and Berry's pairwise quotient A[m, n] = <m|d_s H|n> / (E_n - E_m), 0
+    inside a level, so that d_s V = V A in the parallel-transport gauge."""
+    energies, v = eigh(h)
+    ref = np.atleast_2d(energies)[0] if first is None else first
+    clusters = level_clusters(np.append(0.0, s), np.vstack([ref, energies]))
+    level = np.repeat(np.arange(len(clusters)), [c.stop - c.start for c in clusters])
+    gap = energies[..., None, :] - energies[..., :, None]  # E_n - E_m at [m, n]
+    gap[..., level[:, None] == level] = np.inf
+    return energies, v, clusters, np.swapaxes(v, -1, -2).conj() @ dh @ v / gap
+
+
 def _running_products(u: np.ndarray) -> np.ndarray:
     """p[k] = u[k] @ ... @ u[0] for a stack of n unitaries, by a work-efficient
     prefix scan (Blelloch 1990): scanning the pair products u[2j+1] @ u[2j]

@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counterdiabatic import DEFAULT_GRID, cd_generic
+from .counterdiabatic import DEFAULT_GRID
 from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
-from .linalg import (_CHUNK_ENTRIES, ToleranceError, _chunks, check_int, check_tau, eigh,
-                     level_clusters, simpson)
+from .linalg import (_CHUNK_ENTRIES, ToleranceError, _chunks, _transport, check_int, check_tau,
+                     simpson)
 from .schedules import Schedule
 
 STATIONARITY_RTOL = 1e-12
@@ -337,24 +337,24 @@ def qsl_ground_chi(h) -> tuple[float, float]:
     of H(s), whose level must be single at s = 0 (else ValueError).
 
     Returns (chi, |cos L - 1|), chi = int |<v(0)|d_s v>| ds by Simpson's
-    rule on DEFAULT_GRID points, with d_s v = -i H_cd(s) v from
-    ``cd_generic(h, 1)``: in its parallel-transport gauge the eta_3 term
+    rule on DEFAULT_GRID points, with v and d_s v = V A[:, 0] from one
+    ``linalg._transport``: in its parallel-transport gauge the eta_3 term
     |<v|d_s v><v|v(0)>| is 0, and chi >= |cos L - 1| is the triangle
     inequality, which makes arbitrarily small omega*tau admissible.  A chi
     below it by more than QSL_CHI_ATOL raises ToleranceError: the ground
     vector jumped across a crossing between grid points.
     """
-    energies, vectors = eigh(h(0.0))
-    if level_clusters(np.zeros(1), energies[None])[0].stop > 1:
+    first, vectors, clusters, _ = _transport(0.0, h(0.0), h.derivative(0.0))
+    if clusters[0].stop > 1:
         raise ValueError("the ground level is degenerate at s=0: its tracked vector is not "
                          "determined by H")
     ref = vectors[:, 0]
-    cd = cd_generic(h, 1.0).cd
     s_grid = np.linspace(0.0, 1.0, DEFAULT_GRID)
     eta = np.empty(DEFAULT_GRID)
     for c in _chunks(DEFAULT_GRID, h.dim):
-        v = eigh(h(s_grid[c]))[1][..., :, :1]  # the ground columns, (len, dim, 1)
-        eta[c] = np.abs((-1j * cd(s_grid[c]) @ v)[..., 0] @ ref.conj())
+        s = s_grid[c]
+        _, v, _, a = _transport(s, h(s), h.derivative(s), first)
+        eta[c] = np.abs((v @ a[..., :, :1])[..., 0] @ ref.conj())  # d_s v = V A[:, 0]
     chi = simpson(eta, s_grid[1] - s_grid[0])
     rhs = abs(abs(ref.conj() @ v[-1, :, 0]) - 1.0)
     if chi < rhs - QSL_CHI_ATOL:

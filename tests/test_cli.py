@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import sal.cli
-import sal.counterdiabatic
 import sal.dynamics
 import sal.linalg
 import sal.metrics
@@ -593,13 +592,13 @@ def test_missed_step_tolerance_exits_2(monkeypatch, capsys):
 
 
 def test_generic_degeneracy_check_exits_2(monkeypatch, capsys):
-    # the generic correction's check of its levels is a runtime check too:
-    # with the pattern reported to change, teleport --cd generic exits 2, not
-    # with a traceback
+    # the generic correction's check of its levels (in linalg._transport) is a
+    # runtime check too: with the pattern reported to change, teleport --cd
+    # generic exits 2, not with a traceback
     def changed(s, energies):
         raise ToleranceError(f"degeneracy pattern changes at s={s[-1]:.4f}")
 
-    monkeypatch.setattr(sal.counterdiabatic, "level_clusters", changed)
+    monkeypatch.setattr(sal.linalg, "level_clusters", changed)
     assert main(["teleport", "--tau", "1", "--cd", "generic"]) == EXIT_INVARIANT
     assert "invariant violation: degeneracy pattern changes" in capsys.readouterr().err
 

@@ -40,7 +40,7 @@ from sal.hamiltonians import (
     teleport_hamiltonian,
     terms,
 )
-from sal.linalg import expm_hermitian, kron, random_state
+from sal.linalg import ToleranceError, expm_hermitian, kron, random_state
 from sal.schedules import FAMILIES, make_schedule
 from test_linalg import (assert_steps_by_eigendecomposition, closed_forms, drive_leaf, eigen_route,
                          held)
@@ -377,6 +377,27 @@ def test_estimate_teleport_positive_and_scales_inversely_with_omega():
     est1, est2 = adiabatic_time_estimate(h), adiabatic_time_estimate(h2)
     assert est1 > 0
     assert abs(est2 / est1 - 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, 8.0])
+def test_estimate_is_exact_on_a_turning_qubit(a):
+    # cos(a s) Z + sin(a s) X keeps its gap 2 while d_s H, of norm a, is
+    # wholly off-diagonal in the eigenbasis: |<E_1|d_s H|E_0>| / gap^2 = a / 4
+    h = TimeDepHamiltonian(
+        dim=2,
+        func=lambda s: np.multiply.outer(np.cos(a * s), Z) + np.multiply.outer(np.sin(a * s), X),
+        deriv=lambda s: a * (np.multiply.outer(np.cos(a * s), X)
+                             - np.multiply.outer(np.sin(a * s), Z)),
+    )
+    assert abs(adiabatic_time_estimate(h) / (a / 4.0) - 1.0) <= 1e-14
+
+
+def test_estimate_names_a_crossing_on_a_grid_point():
+    # H = (0.5 - s) Z closes its gap at s = 1/2, a point of the estimate's grid
+    h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(0.5 - s, Z),
+                           deriv=lambda s: np.multiply.outer(np.full(np.shape(s), -1.0), Z))
+    with pytest.raises(ToleranceError, match=r"degeneracy pattern changes at s=0\.5000"):
+        adiabatic_time_estimate(h)
 
 
 # --- coefficient form ------------------------------------------------------------

@@ -5,6 +5,7 @@ from numpy.polynomial import legendre
 import sal
 import sal.metrics
 from sal.counterdiabatic import (
+    DEFAULT_GRID,
     cd_controlled,
     cd_generic,
     cd_rotate,
@@ -508,6 +509,22 @@ def test_qsl_ground_chi_refuses_a_crossing_between_grid_points():
 def test_qsl_ground_chi_names_a_crossing_on_a_grid_point():
     with pytest.raises(ToleranceError, match=r"degeneracy pattern changes at s=0\.5000"):
         qsl_ground_chi(_crossing(0.5))
+
+
+def test_qsl_ground_chi_eigendecomposes_each_point_once(monkeypatch):
+    # H(s) and its eigenvectors serve both the ground column and its
+    # derivative: 2001 grid points plus s = 0, counted through every module's
+    # eigh, each point once
+    points = []
+
+    def counted(h):
+        points.append(int(np.prod(np.shape(h)[:-2])))
+        return np.linalg.eigh(h)
+
+    for module in (sal.linalg, sal.counterdiabatic, sal.hamiltonians, sal.metrics):
+        monkeypatch.setattr(module, "eigh", counted, raising=False)
+    qsl_ground_chi(teleport_block_hamiltonian(make_schedule("linear")))
+    assert sum(points) == DEFAULT_GRID + 1, sum(points)
 
 
 def test_qsl_ground_chi_refuses_a_degenerate_ground_level():

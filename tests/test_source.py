@@ -228,12 +228,17 @@ def test_two_failure_types_for_two_exit_codes():
 def test_no_eigenframe_is_continued_along_a_grid():
     # eigenvectors are taken at each point and moved by the correction's
     # formula, never aligned from one grid point to the next: src/sal calls
-    # no svd, and qsl_ground_chi reads d_s v from cd_generic
+    # no svd, and Berry's pairwise formula has one copy, linalg._transport,
+    # which cd_generic, qsl_ground_chi and adiabatic_time_estimate each call
+    # and none of them bypasses with an eigh of its own
     svd = [f"{name}:{node.lineno}" for name, node in _calls_outside(("svd",), ())]
     assert SOURCES and not svd, svd
-    path = Path(sal.__file__).parent / "metrics.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    chi = next(fn for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and fn.name == "qsl_ground_chi")
-    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cd_generic"
-               for node in ast.walk(chi))
+    readers = {"counterdiabatic.py": "cd_generic", "metrics.py": "qsl_ground_chi",
+               "hamiltonians.py": "adiabatic_time_estimate"}
+    for file, name in readers.items():
+        path = Path(sal.__file__).parent / file
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fn = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == name)
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)}
+        assert "_transport" in called and "eigh" not in called, (name, sorted(called))
