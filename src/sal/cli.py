@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .counterdiabatic import DEFAULT_GRID, cd_controlled, cd_teleport
+from .counterdiabatic import cd_controlled, cd_teleport
 from .dynamics import (
     StepCache,
     check_steps,
@@ -44,6 +44,7 @@ from .hamiltonians import (
 )
 from .linalg import ToleranceError, check_finite, check_tau, random_state
 from .metrics import (
+    DEFAULT_GRID,
     cae_controlled_cost,
     cae_single_gate_cost,
     check_grid,

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonians import (
+    BLOCK_TERMS,
     ControlledSpec,
     Linear,
     Rotation,
@@ -46,13 +47,10 @@ from .hamiltonians import (
     controlled_tree,
     sector_tree,
     teleport_block_hamiltonian,
-    teleport_block_terms,
     teleport_tree,
 )
 from .linalg import _transport, is_unitary
 from .schedules import Schedule
-
-DEFAULT_GRID = 2001  # points of s of metrics' quadratures and of the --grid defaults
 
 
 def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:
@@ -65,6 +63,7 @@ def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:
     from ``linalg._transport`` of H(s) and ``h.derivative(s)``, which names
     the first point whose levels differ from those at s = 0 (levels cross).
     Without a coefficient form it is stepped by eigendecomposition.
+    ValueError, when built, if h has no ``deriv``.
     """
     def cd(s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -86,8 +85,8 @@ def cd_generic(h: TimeDepHamiltonian, tau: float) -> SuperadiabaticHamiltonian:
 # the zero-level vector (-1, 1, 1, 1)/2 and, being antisymmetric, has no
 # diagonal element, so the intra-level connection vanishes and the
 # correction below is the parallel-transport one.  B_ini, B_fin and i G,
-# the basis of the block's shortcut, are read-only like _BLOCK_TERMS.
-_B_INI, _B_FIN = teleport_block_terms()
+# the basis of the block's shortcut, are read-only like BLOCK_TERMS.
+_B_INI, _B_FIN = BLOCK_TERMS
 _SHORTCUT_BASIS = np.stack([_B_INI, _B_FIN, 1j * (_B_FIN @ _B_INI - _B_INI @ _B_FIN) / 4])
 _SHORTCUT_BASIS.flags.writeable = False
 

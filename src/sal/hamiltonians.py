@@ -27,7 +27,6 @@ from .linalg import (_chunks, _transport, apply_on_qubits, check_finite, check_s
                      embed, is_unitary, kron)
 from .schedules import Schedule
 
-_DERIV_STEP = 1e-6  # central-difference step of ``derivative`` without an analytic ``deriv``
 _ESTIMATE_GRID = 101  # points of s that ``adiabatic_time_estimate`` reads
 _TAU_MIN = float(np.finfo(float).tiny)  # smallest shortcut runtime: its 1/tau is finite
 SU2_RTOL = 1e-12  # residual of A^3 = k^2 A relative to ||A||^3 that ``Linear.su2`` accepts
@@ -239,7 +238,8 @@ class TimeDepHamiltonian:
     ``func(s)`` and ``deriv(s)`` take s as a float or a 1-D array of points
     and return an operator of shape ``np.shape(s) + (dim, dim)``, one
     (dim, dim) matrix per point; ``__call__`` and ``derivative`` check that
-    shape.  ``deriv`` is the analytic s-derivative when available.  A
+    shape.  ``deriv`` is the analytic s-derivative, the only source of
+    ``derivative``: without it, ``derivative`` raises ValueError.  A
     ``Linear`` func gives the leaf a coefficient form (``terms``), which
     ``metrics.energy_cost`` reads instead of the dense operator; any other
     callable is evaluated densely.
@@ -259,10 +259,10 @@ class TimeDepHamiltonian:
         return check_shape(self.func(s), s, self.dim)
 
     def derivative(self, s) -> np.ndarray:
-        if self.deriv is not None:
-            return check_shape(self.deriv(s), s, self.dim)
-        lo, hi = np.maximum(0.0, s - _DERIV_STEP), np.minimum(1.0, s + _DERIV_STEP)
-        return (self(hi) - self(lo)) / (hi - lo)[..., None, None]
+        if self.deriv is None:
+            raise ValueError("this Hamiltonian has no deriv: d_s H is read only from an "
+                             "analytic deriv")
+        return check_shape(self.deriv(s), s, self.dim)
 
 
 class SuperadiabaticHamiltonian:
@@ -428,39 +428,29 @@ class TeleportSpec:
 
 # Basis ordering that block-diagonalizes the sector Hamiltonian: the four
 # even-parity states {000, 011, 101, 110} then their spin-flips
-# {111, 100, 010, 001}.  Both 4x4 blocks are identical.
+# {111, 100, 010, 001}.  Both 4x4 blocks are identical.  PARITY_PERMUTATION
+# is P, read-only, with P[:, k] the basis vector PARITY_ORDER[k].
 PARITY_ORDER = (0, 3, 5, 6, 7, 4, 2, 1)
-_PARITY_PERMUTATION = np.eye(8)[:, PARITY_ORDER]
-_PARITY_PERMUTATION.flags.writeable = False
+PARITY_PERMUTATION = np.eye(8)[:, PARITY_ORDER]
+PARITY_PERMUTATION.flags.writeable = False
 
-
-def parity_permutation() -> np.ndarray:
-    """P, with P[:, k] the basis vector PARITY_ORDER[k]: the same read-only array on every call."""
-    return _PARITY_PERMUTATION
-
-
-# B_ini = -(Z (x) 1 + 1 (x) X) and B_fin = -(Z (x) Z + X (x) X): with
-# P = ``parity_permutation()``, the leading 4x4 blocks of P^T H_ini P and
+# B_ini = -(Z (x) 1 + 1 (x) X) and B_fin = -(Z (x) Z + X (x) X), read-only:
+# with P = PARITY_PERMUTATION, the leading 4x4 blocks of P^T H_ini P and
 # P^T H_fin P, so that G = [B_fin, B_ini] / 4 = i (Z (x) Y - Y (x) X) / 2.
 # 0.0 - S rather than -S keeps every zero unsigned, so both are bitwise those blocks.
-_BLOCK_TERMS = tuple(0.0 - (kron(*a) + kron(*b)) for a, b in (((Z, I2), (I2, X)),
-                                                              ((Z, Z), (X, X))))
-for _b in _BLOCK_TERMS:
+BLOCK_TERMS = tuple(0.0 - (kron(*a) + kron(*b)) for a, b in (((Z, I2), (I2, X)),
+                                                             ((Z, Z), (X, X))))
+for _b in BLOCK_TERMS:
     _b.flags.writeable = False
-
-
-def teleport_block_terms() -> tuple[np.ndarray, np.ndarray]:
-    """B_ini and B_fin (see ``_BLOCK_TERMS``): the same read-only pair on every call."""
-    return _BLOCK_TERMS
 
 
 def teleport_block_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:
     """The 4x4 parity block B(s) = eta_i(s) B_ini + eta_f(s) B_fin of a sector
-    (``teleport_block_terms``): P^T H(s) P = 1_2 (x) B(s), in coefficient
+    (``BLOCK_TERMS``): P^T H(s) P = 1_2 (x) B(s), in coefficient
     form.  B_ini, B_fin and G = [B_fin, B_ini] / 4 span a spin-1 (+) spin-0
     representation of su(2), levels -2x, 0, 0, 2x with x = ``schedule.chi``,
     so the form has ``Linear.su2``."""
-    basis = np.stack(teleport_block_terms())
+    basis = np.stack(BLOCK_TERMS)
     return TimeDepHamiltonian(
         dim=4,
         func=Linear(lambda s: np.stack(schedule.eta(s), axis=-1), basis),
@@ -471,7 +461,7 @@ def teleport_block_hamiltonian(schedule: Schedule) -> TimeDepHamiltonian:
 def sector_tree(block):
     """The sector P (1_2 (x) B) P^T over its parity block B (a drive or a
     shortcut) as a tree."""
-    return composite(Rotation(parity_permutation(), (composite(Branches((I2,), (block,))),),
+    return composite(Rotation(PARITY_PERMUTATION, (composite(Branches((I2,), (block,))),),
                               (0, 1, 2)))
 
 
@@ -630,7 +620,8 @@ def adiabatic_time_estimate(h: TimeDepHamiltonian) -> float:
     each pair of levels a != b, the spectral norm of the block A_ab of
     ``linalg._transport`` (basis-free inside a level) over |E_a - E_b|.  A
     run much longer than this is expected to be adiabatic; the estimate is
-    a dimensionless omega*tau.  ToleranceError if levels cross on the grid.
+    a dimensionless omega*tau.  ToleranceError if levels cross on the grid;
+    ValueError if h has no ``deriv``.
     """
     s_grid = np.linspace(0.0, 1.0, _ESTIMATE_GRID)
     first, best = None, 0.0

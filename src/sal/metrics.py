@@ -13,13 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counterdiabatic import DEFAULT_GRID
 from .dynamics import EvolutionResult, _leaves, evolve
 from .hamiltonians import Branches, Rotation, terms
 from .linalg import (_CHUNK_ENTRIES, ToleranceError, _chunks, _transport, check_int, check_tau,
                      simpson)
 from .schedules import Schedule
 
+DEFAULT_GRID = 2001  # points of s of the quadratures here and of the --grid defaults
 STATIONARITY_RTOL = 1e-12
 # how far qsl_ground_chi's chi may fall below |cos L - 1|: where the two are
 # equal (the teleport block, the controlled branch) Simpson's rule and
@@ -334,7 +334,8 @@ def qsl_check(h, psi0: np.ndarray, tau: float,
 
 def qsl_ground_chi(h) -> tuple[float, float]:
     """Geometric slack of the speed limit for the tracked ground vector v(s)
-    of H(s), whose level must be single at s = 0 (else ValueError).
+    of H(s), whose level must be single at s = 0 and which needs a ``deriv``
+    (else ValueError).
 
     Returns (chi, |cos L - 1|), chi = int |<v(0)|d_s v>| ds by Simpson's
     rule on DEFAULT_GRID points, with v and d_s v = V A[:, 0] from one

@@ -14,7 +14,7 @@ cancels that turn in the rotating frame: U(s) = R(s) exp(i w tau s Z).
 
 import numpy as np
 
-from sal.hamiltonians import X, Y, parity_permutation
+from sal.hamiltonians import PARITY_PERMUTATION, X, Y
 from sal.linalg import embed, kron
 from sal.schedules import Schedule
 
@@ -83,7 +83,7 @@ def teleport_propagator(spec, tau: float, s: float = 1.0) -> np.ndarray:
     chi = _integral(lambda x: np.real(sch.chi(x)), s)
     phases = np.exp(-1j * tau * chi * np.array([-2.0, 0.0, 0.0, 2.0]))
     block = (teleport_block_frame(sch, s) * phases) @ teleport_block_frame(sch, 0.0).T
-    perm = parity_permutation()
+    perm = PARITY_PERMUTATION
     u = kron(*[perm @ np.kron(np.eye(2), block) @ perm.T] * spec.n_sectors)
     if spec.gate is None:
         return u

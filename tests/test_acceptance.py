@@ -159,11 +159,13 @@ def test_criterion_05_cd_structural_invariants():
         assert np.max(np.abs(total @ px - px @ total)) <= 1e-9
     for xi in (0.0, 0.9):
         generic = cd_generic(
-            TimeDepHamiltonian(dim=2, func=lambda s, xi=xi: h_xi(np.pi * s, xi)), tau=tau
+            TimeDepHamiltonian(dim=2, func=lambda s, xi=xi: h_xi(np.pi * s, xi),
+                               deriv=lambda s, xi=xi: np.pi * h_xi(np.pi * s + np.pi / 2, xi)),
+            tau=tau,
         )
         want = np.pi / (2 * tau) * (np.cos(xi) * Y - np.sin(xi) * X)
         for s in (0.0, 0.5, 1.0):
-            assert np.max(np.abs(generic.cd(s) - want)) <= 1e-9, (xi, s)
+            assert np.max(np.abs(generic.cd(s) - want)) <= 1e-13, (xi, s)
     _report(5, "diagonal nullity, anticommutator trace, symmetries, and closed form hold")
 
 

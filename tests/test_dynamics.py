@@ -31,6 +31,7 @@ from sal.hamiltonians import (
     Rotation,
     TensorSum,
     TimeDepHamiltonian,
+    PARITY_PERMUTATION,
     X,
     Z,
     adiabatic_time_estimate,
@@ -40,7 +41,6 @@ from sal.hamiltonians import (
     controlled_hamiltonian,
     gate,
     parity_operators,
-    parity_permutation,
     teleport_block_hamiltonian,
     teleport_hamiltonian,
     terms,
@@ -1040,7 +1040,7 @@ def test_full_span_rotations_turn_by_one_matmul(n, name):
     spec = TeleportSpec(n, make_schedule("linear"), gate=None if name is None else gate(name))
     turns = dynamics._plan(cd_teleport(spec, 0.5))[0]
     parity = [t for t in turns if t[0].shape == (8, 8)
-              and np.array_equal(t[0], parity_permutation())]
+              and np.array_equal(t[0], PARITY_PERMUTATION)]
     assert len(parity) == n and all(t[1] is None for t in parity)
     assert [t[1] for t in turns if t[0] is spec.gate] == ([] if name is None
                                                           else [spec.bob_qubits])

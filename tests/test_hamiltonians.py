@@ -3,17 +3,18 @@ import pytest
 
 import sal
 from sal.counterdiabatic import (
-    DEFAULT_GRID,
     cd_controlled,
     cd_generic,
     cd_teleport,
     cd_teleport_block,
 )
-from sal import dynamics
+from sal import counterdiabatic, dynamics
 from sal.dynamics import _leaves
 from sal.hamiltonians import (
+    BLOCK_TERMS,
     GATES,
     PARITY_ORDER,
+    PARITY_PERMUTATION,
     I2,
     X,
     Y,
@@ -32,15 +33,15 @@ from sal.hamiltonians import (
     h_xi,
     parse_axis,
     parity_operators,
-    parity_permutation,
     teleport_block_hamiltonian,
-    teleport_block_terms,
     teleport_energies,
     teleport_gap,
     teleport_hamiltonian,
+    teleport_sector_hamiltonian,
     terms,
 )
 from sal.linalg import ToleranceError, expm_hermitian, kron, random_state
+from sal.metrics import DEFAULT_GRID, qsl_ground_chi
 from sal.schedules import FAMILIES, make_schedule
 from test_linalg import (assert_steps_by_eigendecomposition, closed_forms, drive_leaf, eigen_route,
                          held)
@@ -144,7 +145,7 @@ def test_parity_block_form():
     # the permuted Hamiltonian is two identical 4x4 blocks
     sch = make_schedule("exp")
     h = teleport_hamiltonian(TeleportSpec(1, sch))
-    perm = parity_permutation()
+    perm = PARITY_PERMUTATION
     block = teleport_block_hamiltonian(sch)
     for s in (0.0, 0.21, 0.5, 0.88, 1.0):
         blk = block(s)
@@ -392,6 +393,46 @@ def test_estimate_is_exact_on_a_turning_qubit(a):
     assert abs(adiabatic_time_estimate(h) / (a / 4.0) - 1.0) <= 1e-14
 
 
+def _varying_turn(deriv: bool = True) -> TimeDepHamiltonian:
+    """H = h_xi(theta(s), 0) for theta = 1.5 s^2 + s, which turns at the
+    varying rate theta' = 3s + 1; with ``deriv``, its analytic
+    d_s H = theta' h_xi(theta + pi/2, 0)."""
+    def theta(s):
+        return 1.5 * np.square(s) + s
+
+    def d_s(s):
+        return (3.0 * np.asarray(s) + 1.0)[..., None, None] * h_xi(theta(s) + np.pi / 2, 0.0)
+
+    return TimeDepHamiltonian(dim=2, func=lambda s: h_xi(theta(s), 0.0),
+                              deriv=d_s if deriv else None)
+
+
+def test_a_turn_of_varying_rate_is_exact_at_its_ends():
+    # the ground vector turns by theta / 2 at the rate theta' / 2 while the
+    # gap stays 2: the correction is theta' / (2 tau) Y, the estimate
+    # max theta' / 4 = 1, and chi = |cos L - 1| = 1 - cos(theta(1) / 2)
+    h, tau = _varying_turn(), 0.9
+    hsa = cd_generic(h, tau)
+    for s in (0.0, 0.5, 1.0):
+        assert np.max(np.abs(hsa.cd(s) - (3.0 * s + 1.0) / (2.0 * tau) * Y)) <= 1e-14, s
+    assert abs(adiabatic_time_estimate(h) - 1.0) <= 1e-14
+    chi, rhs = qsl_ground_chi(h)
+    assert abs(chi - (1.0 - np.cos(1.25))) <= 1e-13 and abs(rhs - (1.0 - np.cos(1.25))) <= 1e-13
+
+
+@pytest.mark.parametrize("reader", ["derivative", "cd_generic", "qsl_ground_chi",
+                                    "adiabatic_time_estimate"])
+def test_a_hamiltonian_without_deriv_is_refused(reader):
+    # d_s H is read only from an analytic deriv: without one, every reader
+    # raises a ValueError naming it, and cd_generic does so when it is built
+    h = _varying_turn(deriv=False)
+    read = {"derivative": lambda: h.derivative(0.5), "cd_generic": lambda: cd_generic(h, 1.0),
+            "qsl_ground_chi": lambda: qsl_ground_chi(h),
+            "adiabatic_time_estimate": lambda: adiabatic_time_estimate(h)}[reader]
+    with pytest.raises(ValueError, match="deriv"):
+        read()
+
+
 def test_estimate_names_a_crossing_on_a_grid_point():
     # H = (0.5 - s) Z closes its gap at s = 1/2, a point of the estimate's grid
     h = TimeDepHamiltonian(dim=2, func=lambda s: np.multiply.outer(0.5 - s, Z),
@@ -416,23 +457,27 @@ def assert_same_operator(got, want):
 
 
 def test_teleport_block_terms_are_one_read_only_pair():
-    # formed once: every call returns the same two arrays, and no caller can write them
-    first = teleport_block_terms()
-    assert len(first) == 2
-    for a, b in zip(first, teleport_block_terms()):
+    # formed once: the closed-form shortcut's basis and the sector tree read
+    # the same arrays as BLOCK_TERMS and PARITY_PERMUTATION, and no caller can write them
+    assert len(BLOCK_TERMS) == 2
+    for a, b in zip(BLOCK_TERMS, (counterdiabatic._B_INI, counterdiabatic._B_FIN)):
         assert a is b and a.shape == (4, 4) and not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+    assert teleport_sector_hamiltonian(make_schedule("linear")).parts.g is PARITY_PERMUTATION
+    assert PARITY_PERMUTATION.shape == (8, 8) and not PARITY_PERMUTATION.flags.writeable
+    with pytest.raises(ValueError):
+        PARITY_PERMUTATION[0, 0] = 0.0
 
 
 def test_teleport_block_terms_are_the_permuted_couplings():
     # the leading 4x4 blocks of P^T H_ini P and P^T H_fin P are the Pauli
     # products -(Z 1 + 1 X) and -(Z Z + X X), bit for bit, and their
     # commutator is i (Z Y - Y X) / 2
-    perm = parity_permutation()
+    perm = PARITY_PERMUTATION
     h_ini = -(kron(I2, Z, Z) + kron(I2, X, X))
     h_fin = -(kron(Z, Z, I2) + kron(X, X, I2))
-    b_ini, b_fin = teleport_block_terms()
+    b_ini, b_fin = BLOCK_TERMS
     for b, h in ((b_ini, h_ini), (b_fin, h_fin)):
         want = (perm.T @ h @ perm)[:4, :4]
         assert np.array_equal(b, want) and b.tobytes() == want.tobytes()
@@ -443,7 +488,7 @@ def test_teleport_block_terms_are_the_permuted_couplings():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_teleport_linear_forms_equal_the_formulas_they_replace(family, kind):
     s, sch, tau = S_POINTS[kind], make_schedule(family), 0.7
-    b_ini, b_fin = teleport_block_terms()
+    b_ini, b_fin = BLOCK_TERMS
     (ei, ef), (di, df) = sch.eta(s), sch.deta(s)
     block = teleport_block_hamiltonian(sch)
     assert isinstance(block.func, Linear) and isinstance(block.deriv, Linear)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from sal import dynamics
 from sal.counterdiabatic import cd_teleport_block
 from sal.dynamics import _leaves
-from sal.hamiltonians import (I2, X, Y, Z, Linear, TimeDepHamiltonian, teleport_block_hamiltonian,
-                              teleport_block_terms, terms)
+from sal.hamiltonians import (BLOCK_TERMS, I2, X, Y, Z, Linear, TimeDepHamiltonian,
+                              teleport_block_hamiltonian, terms)
 from sal.linalg import (
     _CHUNK,
     _chain_product,
@@ -138,7 +138,7 @@ def su2_k(h):
 def closed_forms():
     """Coefficient forms over X, Y, Z and over B_ini, B_fin, i G
     (G = [B_fin, B_ini] / 4): a Pauli basis and the spin-1 block basis."""
-    b_ini, b_fin = teleport_block_terms()
+    b_ini, b_fin = BLOCK_TERMS
     gen = 1j * (b_fin @ b_ini - b_ini @ b_fin) / 4
     return [Linear(lambda s: s, np.stack(basis)) for basis in ((X, Y, Z), (b_ini, b_fin, gen))]
 

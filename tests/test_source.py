@@ -58,6 +58,29 @@ def test_no_su2_declaration():
     assert SOURCES and not found, found
 
 
+def test_d_s_h_is_never_differenced():
+    # TimeDepHamiltonian.derivative evaluates only self.deriv, through
+    # check_shape: it never calls self(...) or reads self.func, and no module
+    # defines a step of s for a difference quotient
+    path = Path(sal.__file__).parent / "hamiltonians.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               and c.name == "TimeDepHamiltonian")
+    fn = next(f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "derivative")
+    calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    reads = {node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"}
+    assert sorted(c for c in calls if c != "ValueError") == ["check_shape", "self.deriv"], calls
+    assert "func" not in reads, sorted(reads)
+    steps = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.parse(path.read_text(), filename=str(path)).body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name) and target.id.upper().endswith("STEP")]
+    assert SOURCES and not steps, steps
+
+
 def _calls_outside(names: tuple[str, ...], allowed: tuple[tuple[str, str], ...]) -> list:
     """(file name, call node) of every call in the package source to one of
     ``names``, outside the functions named by (file name, function name) in
