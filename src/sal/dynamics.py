@@ -85,7 +85,8 @@ or only the chunk's total from the scan's own pairwise reduction
 the total carried forward is polished back to unitary (its round-off would
 otherwise add up over the chunks).  One walk of the tree then
 applies the products at every step the chunk must report: its sample points
-and its last step, or every step when the speed-limit integral is tracked.
+and its last step, or every step when a tree of two or more levels tracks
+the speed-limit integral.
 This equals applying the tree step by step because, in the walk frame, the
 tree's step unitary is a tensor product over slots and a direct sum over
 branch blocks: leaves in different slots commute, each block stays
@@ -94,15 +95,23 @@ tree's step unitaries over a chunk is the tree of each leaf's ordered chunk
 product.
 
 The speed-limit integral is Simpson's rule over the step ends (an odd step
-count closes with one 3/8 panel) of |<psi(0)|H|psi>|, read through the bras
-G^dag psi(0) of every leaf generator G (``_overlap_reader``, once per call)
-with no walk of H.  A walk batched over points gives the ground-level weight
-at each sample point of the accepted pass (from the leaves' eigenbases, one
-stacked eigendecomposition per leaf; ``n_samples=0`` skips it, as the
-command line does); the largest leaf's norm gives the first step count,
-read off the coefficients of a closed-form leaf (``_norm_bound``).  A
-Hamiltonian without ``parts`` is a one-leaf tree: the dense reference the
-structured paths are tested against.
+count closes with one 3/8 panel) of |<psi(0)|H|psi>|, read one of two ways,
+picked by the plan's level count, with no walk of H.  In a one-level tree
+(every entry a leaf on level 0: a controlled run, a one-sector teleport, a
+dense leaf) <psi(0)|H(s_k)|psi_k> = sum_f tr(H_f(s_k) p_k^f X_f) is linear
+in each leaf's step product, X_f summing the chunk's first state times
+psi(0)^dag over f's rows, so it is read off the products
+(``_product_reader``) and a pass walks only the steps it reports.  A deeper
+tree's products compose across levels, so its states are walked to every
+step end and read through the bras G^dag psi(0) of every leaf generator G
+(``_overlap_reader``, once per call).  A walk batched over points gives
+the ground-level weight at each sample point of the accepted pass (from
+the leaves' eigenbases, one stacked eigendecomposition per leaf;
+``n_samples=0`` skips it, as the command line does); the largest leaf's
+norm gives the first step count, read off the coefficients of a
+closed-form leaf (``_norm_bound``).  A Hamiltonian without ``parts`` is a
+one-leaf tree: the dense reference the structured paths are tested
+against.
 
 A (dim, m) block of states runs as one: one step search (on the largest
 column error), one set of step products, and E_tau per column.  Inputs
@@ -302,14 +311,51 @@ def _cf4_steps(leaf, c: slice, steps: int, tau: float, halve: bool) -> list[np.n
     return np.split(u, [c.stop - c.start])
 
 
+def _product_reader(plan, leaves: list, x: np.ndarray):
+    """read(s, prods, y) = |<x_j|H(s_k) P_k|y_j>| for a one-level plan (every
+    entry a leaf on level 0) and the walk-frame states x and y, shaped
+    (1, 1, dim, m): y a chunk's first states, P_k the tree of each leaf's
+    step product prods[id(f)][0][k], and P = 1 at an extra first point of s
+    (point 0).  There <x|H P_k|y> = sum_f tr(H_f(s_k) p_k^f X_f), with X_f
+    the sum of y x^dag per column over f's rows and post axis.  A leaf with
+    a coefficient form reads sum_J c_J(s_k) tr(G_J p_k X_f), one
+    (K, d^2) x (d^2, J m) GEMM, and is never evaluated; a leaf without one
+    is evaluated at s and reads tr((H_f p_k) X_f).  No walk and no bras."""
+    ops, m = plan[1], x.shape[-1]
+    forms = {id(f): terms(f) for f in leaves}
+
+    def read(s: np.ndarray, prods: dict, y: np.ndarray) -> np.ndarray:
+        xf = dict.fromkeys(forms, 0.0)
+        for f, rows, d, post, _ in ops:
+            a, b = (v.reshape(-1, d, post, m)[rows] for v in (y, x))
+            xf[id(f)] = xf[id(f)] + np.einsum("raqj,rbqj->jab", a, b.conj())
+        total = 0.0
+        for f in leaves:
+            form, p, d = forms[id(f)], prods[id(f)][0], f.dim
+            if len(p) < len(s):  # point 0
+                p = np.concatenate([np.eye(d)[None], p])
+            if form is None:  # tr((H p) X) = vec(H p) . vec(X^T)
+                xt = np.swapaxes(xf[id(f)], -1, -2).reshape(m, d * d).T
+                total = total + (f(s) @ p).reshape(len(s), -1) @ xt
+            else:  # tr(G p X) = vec(p) . vec((X G)^T)
+                gt = np.einsum("jca,Jab->bcjJ", xf[id(f)], form.basis).reshape(d * d, -1)
+                amps = (p.reshape(len(s), -1) @ gt).reshape(len(s), m, -1)
+                total = total + np.einsum("kjJ,kJ->kj", amps, form.coef(s))
+        return np.abs(total)
+    return read
+
+
 def _overlap_reader(plan, leaves: list, x: np.ndarray):
     """read(s, y) = |<x_j|H(s_k)|y_kj>| for the walk-frame states x, shaped
-    (1, 1, dim, m), and y, shaped (len(s), 1, dim, m).  With H = sum_J c_J G_J
-    over the generators of every leaf (its coefficient form's, or for a leaf
-    without one, such as ``cd_generic``, the d^2 matrix units E_ab, J = a d + b,
-    with H's entries for c), <x|H|y> = sum_J c_J <b_J|y>: b_J = E_J^dag x, E_J
-    the tree with G_J in its leaf's places and nothing in the others.  One
-    additive walk of J points gives the bras; a read is one GEMM and a sum."""
+    (1, 1, dim, m), and y, shaped (len(s), 1, dim, m): E_tau's read for a
+    plan of two or more levels, whose step products multiply across levels
+    (one level reads them directly, ``_product_reader``).  With
+    H = sum_J c_J G_J over the generators of every leaf (its coefficient
+    form's, or for a leaf without one, such as ``cd_generic``, the d^2
+    matrix units E_ab, J = a d + b, with H's entries for c),
+    <x|H|y> = sum_J c_J <b_J|y>: b_J = E_J^dag x, E_J the tree with G_J in
+    its leaf's places and nothing in the others.  One additive walk of J
+    points gives the bras; a read is one GEMM and a sum."""
     forms = [terms(f) for f in leaves]
     counts = [f.dim**2 if form is None else len(form.basis) for f, form in zip(leaves, forms)]
     starts, bras = np.cumsum([0] + counts), []
@@ -392,21 +438,26 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
 
     Returns the states after the steps j with ``picked[j]`` (step j ends at
     point j + 1), the final states left from the frame, with a ``read`` of x
-    (``_overlap_reader``) E_tau of each column j: Simpson's rule over the step
-    ends of |<x_j(0)|H(s_k)|x_j(s_k)>|, and the final states, left from the
-    frame, of the N/2 run that ``halve`` (an even ``steps``) carries alongside
-    (``_cf4_steps``).  A chunk's products are read from ``cache`` when it
-    holds them."""
+    E_tau of each column j: Simpson's rule over the step ends of
+    |<x_j(0)|H(s_k)|x_j(s_k)>|, and the final states, left from the frame, of
+    the N/2 run that ``halve`` (an even ``steps``) carries alongside
+    (``_cf4_steps``).  The plan's level count picks the read: with one level,
+    ``_product_reader`` reads each chunk's step products, so only the
+    reported steps (the picked ones and the last) are walked; with more,
+    ``_overlap_reader`` reads the states walked to every step end.  A chunk's
+    products are read from ``cache`` when it holds them."""
     chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size, 2))
     work = list(np.empty((2, chunks[0].stop * x.size), dtype=complex))  # the walks' two buffers
     half, sampled, overlaps = x, [], []
     for c in chunks:
-        # One walk applies the chunk's steps up to each needed k: the running
+        # One walk applies the chunk's steps up to each walked k: the running
         # product of each leaf's step unitaries (see the module docstring), or
-        # its total alone when only the last step is needed.
-        ks = np.arange(c.stop - c.start)
-        if read is None:
-            ks = ks[picked[c] | (ks == ks[-1])]
+        # its total alone when only the last step is needed.  A read needs the
+        # products at every k; only a deeper tree's read walks every k.
+        report = picked[c].copy()
+        report[-1] = True
+        ks = np.arange(c.stop - c.start) if read is not None else np.flatnonzero(report)
+        walked = report if read is not None and plan[2] == 1 else slice(None)
         key = (tau, steps, c.start, ks.tobytes(), halve)
         prods = None if cache is None else cache.products.get(key)
         if prods is None:
@@ -420,12 +471,13 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
                 cache.keep(key, prods)
         if halve:
             half = _walk(plan, half, lambda f: prods[id(f)][1], work=work).copy()
-        xs = _walk(plan, np.broadcast_to(x, (len(ks),) + x.shape[1:]), lambda f: prods[id(f)][0],
-                   work=work)
+        xs = _walk(plan, np.broadcast_to(x, (len(ks[walked]),) + x.shape[1:]),
+                   lambda f: prods[id(f)][0][walked], work=work)
         if read is not None:  # at the step ends, and point 0 with the first chunk
             ends = np.arange(c.start + (c.start > 0), c.stop + 1) / steps
-            overlaps.append(read(ends, xs if c.start else np.concatenate([x, xs])))
-        sampled.append(xs[picked[c][ks]])
+            overlaps.append(read(ends, prods, x) if plan[2] == 1 else
+                            read(ends, xs if c.start else np.concatenate([x, xs])))
+        sampled.append(xs[picked[c][ks][walked]])
         x = xs[-1:].copy()
     e_tau = None
     if read is not None:
@@ -502,7 +554,8 @@ def evolve(
         check_steps(steps, "steps")
     plan, leaves = _plan(h), _leaves(h)  # one compile serves every walk of the call
     x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    read = _overlap_reader(plan, leaves, x0) if track_qsl else None
+    reader = _product_reader if plan[2] == 1 else _overlap_reader  # see ``_propagate``
+    read = reader(plan, leaves, x0) if track_qsl else None
     counts, coarse, error = [steps // 2] if search else [], None, None
     while True:
         counts.append(steps)

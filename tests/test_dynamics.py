@@ -279,31 +279,49 @@ def test_results_do_not_share_the_work_buffers():
 def test_chunk_products_match_step_by_step_loop():
     # reference: the dense two-exponential CF4 step, applied to the state in
     # turn, and E_tau by Simpson's rule over the step ends (an odd count
-    # closes with one 3/8 panel)
+    # closes with one 3/8 panel) of vdot at every step end.  The two-sector
+    # tree reads E_tau from walked states; the one-level trees (a gated
+    # sector shortcut, an sce tree, a dense turning leaf with no coefficient
+    # form) read it from the step products, whose X is formed afresh from
+    # each chunk's first states (3 * _CHUNK + 1 steps: four chunks)
+    rng = np.random.default_rng(14)
     sch = make_schedule("exp")
-    spec = TeleportSpec(2, sch, gate=gate("CNOT"))
-    h = cd_teleport(spec, 0.3)
-    psi0 = teleport_initial_state(random_state(2, np.random.default_rng(14)), 2, gate=spec.gate)
+    two, one = (TeleportSpec(n, sch, gate=gate(g)) for n, g in ((2, "CNOT"), (1, "H")))
+    a, b = (v + v.conj().T for v in rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8)))
+    turning = TimeDepHamiltonian(dim=8, func=lambda s: np.multiply.outer(np.cos(3 * s), a)
+                                 + np.multiply.outer(np.sin(3 * s), b))
+    sce = ControlledSpec(2, axis="y", phi=1.3, theta0=2.0, tau=0.3)
+    runs = [(cd_teleport(two, 0.3), teleport_initial_state(random_state(2, rng), 2, gate=two.gate)),
+            (cd_teleport(one, 0.3), teleport_initial_state(random_state(1, rng), 1, gate=one.gate)),
+            (cd_controlled(sce), np.stack([controlled_initial_state(random_state(3, rng))
+                                           for _ in range(2)], axis=1)),
+            (turning, random_state(3, rng))]
+    assert [dynamics._plan(h)[2] for h, _ in runs] == [2, 1, 1, 1]
+    assert terms(turning) is None
     tau = 0.3
     node, a1, a2 = np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6, 0.25 - np.sqrt(3) / 6
-    for steps in (300, 301):
-        res = evolve(h, psi0, tau, steps=steps, track_qsl=True)
-        dt = tau / steps
-        mid = np.arange(steps) + 0.5
-        psi, states = psi0, [psi0]
-        for h1, h2 in zip(h((mid - node) / steps), h((mid + node) / steps)):
-            psi = expm_hermitian(a2 * h1 + a1 * h2, dt) @ expm_hermitian(a1 * h1 + a2 * h2, dt) @ psi
-            states.append(psi)
-        ends = h(np.arange(steps + 1) / steps)
-        g = np.array([abs(np.vdot(psi0, hk @ x)) for hk, x in zip(ends, states)])
-        m = steps - 3 * (steps % 2)
-        e_tau = simpson(g[: m + 1], 1 / steps)
-        if steps % 2:
-            e_tau += 3 / (8 * steps) * (g[m:] @ [1, 3, 3, 1])
-        assert np.max(np.abs(res.final_state - psi)) <= 1e-12
-        at_samples = np.array(states)[np.round(res.s_samples * steps).astype(int)]
-        assert np.max(np.abs(res.states - at_samples)) <= 1e-12
-        assert abs(res.e_tau - e_tau) <= 1e-12 * e_tau
+    for h, psi0 in runs:
+        for steps in (300, 301, 3 * _CHUNK + 1):
+            res = evolve(h, psi0, tau, steps=steps, track_qsl=True)
+            dt = tau / steps
+            mid = np.arange(steps) + 0.5
+            h1, h2 = h((mid - node) / steps), h((mid + node) / steps)
+            psi, states = psi0, [psi0]
+            for u in expm_hermitian(a2 * h1 + a1 * h2, dt) @ expm_hermitian(a1 * h1 + a2 * h2, dt):
+                psi = u @ psi
+                states.append(psi)
+            ends = h(np.arange(steps + 1) / steps)
+            g = np.array([[abs(np.vdot(p, y)) for p, y in zip(psi0.T.reshape(-1, h.dim),
+                                                               (hk @ x).T.reshape(-1, h.dim))]
+                          for hk, x in zip(ends, states)])
+            m = steps - 3 * (steps % 2)
+            e_tau = simpson(g[: m + 1], 1 / steps)
+            if steps % 2:
+                e_tau += 3 / (8 * steps) * ([1, 3, 3, 1] @ g[m:])
+            assert np.max(np.abs(res.final_state - psi)) <= 1e-12
+            at_samples = np.array(states)[np.round(res.s_samples * steps).astype(int)]
+            assert np.max(np.abs(res.states - at_samples)) <= 1e-12
+            assert np.max(np.abs(res.e_tau - e_tau) / e_tau) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -370,23 +388,35 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
 
 
 def test_a_search_sets_up_once_and_samples_only_its_accepted_pass(monkeypatch):
-    # started low, the search doubles; the plan, the generator bras of E_tau
-    # and the ground weights are still worked out once per call, and every
-    # reported field is bitwise that of a run at the accepted count
-    h = controlled_hamiltonian(ControlledSpec(1, tau=1.0))
-    psi0 = controlled_initial_state(random_state(2, np.random.default_rng(29)))
-    calls = {name: [] for name in ("_plan", "_overlap_reader", "_ground_weights")}
+    # started low, the search doubles; the plan, E_tau's reader and the
+    # ground weights are still worked out once per call, and every reported
+    # field is bitwise that of a run at the accepted count.  The reader is
+    # the tree's: the step products' for a one-level tree (a controlled run),
+    # the generator bras' for a deeper one (two teleport sectors)
+    rng = np.random.default_rng(29)
+    spec = TeleportSpec(2, make_schedule("linear"), gate=gate("CNOT"))
+    runs = [(controlled_hamiltonian(ControlledSpec(1, tau=1.0)), 1.0,
+             controlled_initial_state(random_state(2, rng)), "_product_reader"),
+            (teleport_hamiltonian(spec), 5.0,
+             teleport_initial_state(random_state(2, rng), 2, gate=spec.gate), "_overlap_reader")]
+    calls = {name: [] for name in ("_plan", "_product_reader", "_overlap_reader",
+                                   "_ground_weights")}
     for name, seen in calls.items():
         f = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *a, f=f, seen=seen: seen.append(1) or f(*a))
     monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: dynamics.MIN_STEPS)
-    res = evolve(h, psi0, 1.0, n_samples=5, track_qsl=True)
-    assert len(res.step_counts) >= 3  # the N/2 run and two passes at least
-    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
-    want = evolve(h, psi0, 1.0, steps=res.steps, n_samples=5, track_qsl=True)
-    assert res.e_tau == want.e_tau
-    for field in ("final_state", "ground_fidelity", "states", "s_samples"):
-        assert np.array_equal(getattr(res, field), getattr(want, field)), field
+    for h, tau, psi0, reader in runs:
+        for seen in calls.values():
+            seen.clear()
+        res = evolve(h, psi0, tau, n_samples=5, track_qsl=True)
+        assert len(res.step_counts) >= 3  # the N/2 run and two passes at least
+        other = ({"_product_reader", "_overlap_reader"} - {reader}).pop()
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            **dict.fromkeys(calls, 1), other: 0}
+        want = evolve(h, psi0, tau, steps=res.steps, n_samples=5, track_qsl=True)
+        assert res.e_tau == want.e_tau
+        for field in ("final_state", "ground_fidelity", "states", "s_samples"):
+            assert np.array_equal(getattr(res, field), getattr(want, field)), field
 
 
 def test_parity_block_leaves_reach_every_eigendecomposition(monkeypatch):
