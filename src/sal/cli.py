@@ -117,8 +117,9 @@ def _check_run(args):
     """The options every per-state run takes, checked before anything is built
     by the library's own checks, named as the command line spells them."""
     check_tau(args.tau, "tau")
-    if args.states < 1:
-        raise ValueError(f"--states must be >= 1, got {args.states}")
+    for flag, value, least in (("--states", args.states, 1), ("--seed", args.seed, 0)):
+        if value < least:  # numpy's own error for a negative seed names no flag
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     for flag, steps in (("--steps", args.steps), ("--qsl-steps", args.qsl_steps)):
         if steps is not None:
             check_steps(steps, flag)

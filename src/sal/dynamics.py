@@ -95,16 +95,18 @@ tree's step unitaries over a chunk is the tree of each leaf's ordered chunk
 product.
 
 The speed-limit integral is Simpson's rule over the step ends (an odd step
-count closes with one 3/8 panel) of |<psi(0)|H|psi>|, read one of two ways,
-picked by the plan's level count, with no walk of H.  In a one-level tree
-(every entry a leaf on level 0: a controlled run, a one-sector teleport, a
-dense leaf) <psi(0)|H(s_k)|psi_k> = sum_f tr(H_f(s_k) p_k^f X_f) is linear
-in each leaf's step product, X_f summing the chunk's first state times
-psi(0)^dag over f's rows, so it is read off the products
-(``_product_reader``) and a pass walks only the steps it reports.  A deeper
+count closes with one 3/8 panel) of |<psi(0)|H|psi>|, with no walk of H.
+One read (``_reader``) sums over the leaves f the coefficient row c_f(s_k),
+a form's ``coef`` or H_f(s_k)'s entries over the matrix units, against
+amplitudes a_f(k); the plan's level count picks, once per call, where these
+come from.  In a one-level tree (every entry a leaf on level 0: a controlled
+run, a one-sector teleport, a dense leaf) <psi(0)|H(s_k)|psi_k> =
+sum_f tr(H_f(s_k) p_k^f X_f) is linear in each leaf's step product, X_f
+summing the chunk's first state times psi(0)^dag over f's rows, so a_f is
+read off the products and a pass walks only the steps it reports.  A deeper
 tree's products compose across levels, so its states are walked to every
-step end and read through the bras G^dag psi(0) of every leaf generator G
-(``_overlap_reader``, once per call).  A walk batched over points gives
+step end and a_f is their overlap with the bras G^dag psi(0) of f's
+generators G, built once per call.  A walk batched over points gives
 the ground-level weight at each sample point of the accepted pass (from
 the leaves' eigenbases, one stacked eigendecomposition per leaf;
 ``n_samples=0`` skips it, as the command line does); the largest leaf's
@@ -257,7 +259,11 @@ def _plan(h) -> tuple[list, list, int]:
 
 
 def _walk(plan, x: np.ndarray, op=None, compose: bool = True, frame: int = 0, work=None):
-    """The planned tree applied to x, shaped (batch, 1, dim, m): see the module docstring."""
+    """The planned tree applied to x, shaped (batch, 1, dim, m): see the module
+    docstring.  Keep the two ``work`` buffers reused over ``_propagate``'s
+    walks: malloc can map a fresh array of 128 KiB or more anew, faulted in
+    page by page, a cost that timing pairs in one process (one allocator)
+    hide, so time a change in allocation in separate processes."""
     (turns, ops, top), m = plan, x.shape[-1]
     if frame:
         y = np.array(x, dtype=complex)
@@ -311,72 +317,63 @@ def _cf4_steps(leaf, c: slice, steps: int, tau: float, halve: bool) -> list[np.n
     return np.split(u, [c.stop - c.start])
 
 
-def _product_reader(plan, leaves: list, x: np.ndarray):
-    """read(s, prods, y) = |<x_j|H(s_k) P_k|y_j>| for a one-level plan (every
-    entry a leaf on level 0) and the walk-frame states x and y, shaped
-    (1, 1, dim, m): y a chunk's first states, P_k the tree of each leaf's
-    step product prods[id(f)][0][k], and P = 1 at an extra first point of s
-    (point 0).  There <x|H P_k|y> = sum_f tr(H_f(s_k) p_k^f X_f), with X_f
-    the sum of y x^dag per column over f's rows and post axis.  A leaf with
-    a coefficient form reads sum_J c_J(s_k) tr(G_J p_k X_f), one
-    (K, d^2) x (d^2, J m) GEMM, and is never evaluated; a leaf without one
-    is evaluated at s and reads tr((H_f p_k) X_f).  No walk and no bras."""
-    ops, m = plan[1], x.shape[-1]
-    forms = {id(f): terms(f) for f in leaves}
-
-    def read(s: np.ndarray, prods: dict, y: np.ndarray) -> np.ndarray:
-        xf = dict.fromkeys(forms, 0.0)
-        for f, rows, d, post, _ in ops:
-            a, b = (v.reshape(-1, d, post, m)[rows] for v in (y, x))
-            xf[id(f)] = xf[id(f)] + np.einsum("raqj,rbqj->jab", a, b.conj())
-        total = 0.0
-        for f in leaves:
-            form, p, d = forms[id(f)], prods[id(f)][0], f.dim
-            if len(p) < len(s):  # point 0
-                p = np.concatenate([np.eye(d)[None], p])
-            if form is None:  # tr((H p) X) = vec(H p) . vec(X^T)
-                xt = np.swapaxes(xf[id(f)], -1, -2).reshape(m, d * d).T
-                total = total + (f(s) @ p).reshape(len(s), -1) @ xt
-            else:  # tr(G p X) = vec(p) . vec((X G)^T)
-                gt = np.einsum("jca,Jab->bcjJ", xf[id(f)], form.basis).reshape(d * d, -1)
-                amps = (p.reshape(len(s), -1) @ gt).reshape(len(s), m, -1)
-                total = total + np.einsum("kjJ,kJ->kj", amps, form.coef(s))
-        return np.abs(total)
-    return read
-
-
-def _overlap_reader(plan, leaves: list, x: np.ndarray):
-    """read(s, y) = |<x_j|H(s_k)|y_kj>| for the walk-frame states x, shaped
-    (1, 1, dim, m), and y, shaped (len(s), 1, dim, m): E_tau's read for a
-    plan of two or more levels, whose step products multiply across levels
-    (one level reads them directly, ``_product_reader``).  With
-    H = sum_J c_J G_J over the generators of every leaf (its coefficient
-    form's, or for a leaf without one, such as ``cd_generic``, the d^2
-    matrix units E_ab, J = a d + b, with H's entries for c),
-    <x|H|y> = sum_J c_J <b_J|y>: b_J = E_J^dag x, E_J the tree with G_J in
-    its leaf's places and nothing in the others.  One additive walk of J
-    points gives the bras; a read is one GEMM and a sum."""
+def _reader(plan, leaves: list, x: np.ndarray):
+    """read(s, prods, y, ys) = |<x_j|H(s_k)|psi_kj>| for the walk-frame states
+    x, shaped (1, 1, dim, m), at the points s of a chunk: y its first states,
+    prods its step products, ys its walked states; point 0, an extra first
+    point of s, is y.  The sum over the leaves f and their generators G_J of
+    c_J(s_k) a_J(k), with c_f a form's ``coef(s)`` or, for a leaf without one
+    (``cd_generic``), H_f(s)'s entries over the matrix units E_ab, J = a d + b.
+    With one level, a_J = tr(G_J p_k^f X_f), X_f the sum of y x^dag per
+    column over f's rows: one (K, d^2) x (d^2, J m) GEMM for a form,
+    (p_k^f X_f)[b, a] for E_ab.  With more, a_J = <b_J|psi_k> for ys at every
+    point, b_J = E_J^dag x and E_J the tree with G_J in its leaf's places and
+    nothing in the others: one additive walk of J points per call gives the
+    bras, and a read takes one GEMM per leaf."""
+    (_, ops, top), m = plan, x.shape[-1]
     forms = [terms(f) for f in leaves]
-    counts = [f.dim**2 if form is None else len(form.basis) for f, form in zip(leaves, forms)]
-    starts, bras = np.cumsum([0] + counts), []
-    for c in _chunks(starts[-1], max(f.dim for f in leaves), x.size):
-        ops = {id(f): np.zeros((c.stop - c.start, f.dim, f.dim), dtype=complex) for f in leaves}
-        for f, form, a, k in zip(leaves, forms, starts, counts):
-            j = np.arange(max(c.start - a, 0), min(c.stop - a, k))  # its generators in c
-            if form is None:
-                ops[id(f)][j + a - c.start, j % f.dim, j // f.dim] = 1.0  # E_ab^dag = E_ba
-            else:
-                ops[id(f)][j + a - c.start] = form.basis[j]  # Hermitian
-        bras.append(_walk(plan, np.broadcast_to(x, (c.stop - c.start,) + x.shape[1:]),
-                          lambda f: ops[id(f)], compose=False))
-    m = x.shape[-1]
-    bras = np.ascontiguousarray(np.concatenate(bras).reshape(starts[-1], -1, m).conj().T)
+    if top > 1:
+        counts = [f.dim**2 if form is None else len(form.basis) for f, form in zip(leaves, forms)]
+        starts, bras = np.cumsum([0] + counts), []
+        for c in _chunks(starts[-1], max(f.dim for f in leaves), x.size):
+            gens = {id(f): np.zeros((c.stop - c.start, f.dim, f.dim), dtype=complex)
+                    for f in leaves}
+            for f, form, a, k in zip(leaves, forms, starts, counts):
+                j = np.arange(max(c.start - a, 0), min(c.stop - a, k))  # its generators in c
+                if form is None:
+                    gens[id(f)][j + a - c.start, j % f.dim, j // f.dim] = 1.0  # E_ab^dag = E_ba
+                else:
+                    gens[id(f)][j + a - c.start] = form.basis[j]  # Hermitian
+            bras.append(_walk(plan, np.broadcast_to(x, (c.stop - c.start,) + x.shape[1:]),
+                              lambda f: gens[id(f)], compose=False))
+        bras = np.concatenate(bras).reshape(starts[-1], -1, m).conj().T
+        bras = [np.ascontiguousarray(b) for b in np.split(bras, starts[1:-1], axis=-1)]
 
-    def read(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        coef = np.concatenate([f(s).reshape(len(s), -1) if form is None else form.coef(s)
-                               for f, form in zip(leaves, forms)], axis=1)
-        amps = np.moveaxis(y.reshape(len(s), -1, m), -1, 0) @ bras  # <b_J|y_k> per column
-        return np.abs(np.sum(amps * coef, axis=-1)).T
+    def read(s: np.ndarray, prods: dict, y: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        if top > 1:
+            ys = ys if len(ys) == len(s) else np.concatenate([y, ys])
+            ys = np.moveaxis(ys.reshape(len(s), -1, m), -1, 0)
+        else:
+            xf = {id(f): 0.0 for f in leaves}
+            for f, rows, d, post, _ in ops:
+                a, b = (v.reshape(-1, d, post, m)[rows] for v in (y, x))
+                xf[id(f)] = xf[id(f)] + np.einsum("raqj,rbqj->jab", a, b.conj())
+        total = 0.0
+        for i, (f, form) in enumerate(zip(leaves, forms)):
+            if top > 1:  # <b_J|psi_k> per column
+                amps = (ys @ bras[i]).transpose(1, 0, 2)
+            else:
+                p, d = prods[id(f)][0], f.dim
+                if len(p) < len(s):  # point 0
+                    p = np.concatenate([np.eye(d)[None], p])
+                if form is None:  # (p X)[b, a]
+                    amps = np.swapaxes(p[:, None] @ xf[id(f)], -1, -2).reshape(len(s), m, -1)
+                else:  # tr(G p X) = vec(p) . vec((X G)^T)
+                    gt = np.einsum("jca,Jab->bcjJ", xf[id(f)], form.basis).reshape(d * d, -1)
+                    amps = (p.reshape(len(s), -1) @ gt).reshape(len(s), m, -1)
+            coef = f(s).reshape(len(s), -1) if form is None else form.coef(s)
+            total = total + np.einsum("kjJ,kJ->kj", amps, coef)
+        return np.abs(total)
     return read
 
 
@@ -441,11 +438,11 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
     E_tau of each column j: Simpson's rule over the step ends of
     |<x_j(0)|H(s_k)|x_j(s_k)>|, and the final states, left from the frame, of
     the N/2 run that ``halve`` (an even ``steps``) carries alongside
-    (``_cf4_steps``).  The plan's level count picks the read: with one level,
-    ``_product_reader`` reads each chunk's step products, so only the
-    reported steps (the picked ones and the last) are walked; with more,
-    ``_overlap_reader`` reads the states walked to every step end.  A chunk's
-    products are read from ``cache`` when it holds them."""
+    (``_cf4_steps``).  ``read`` (``_reader``) takes each chunk's step products
+    and its walked states; only a plan of two or more levels reads the
+    states, so with one level only the reported steps (the picked ones and
+    the last) are walked.  A chunk's products are read from ``cache`` when
+    it holds them."""
     chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size, 2))
     work = list(np.empty((2, chunks[0].stop * x.size), dtype=complex))  # the walks' two buffers
     half, sampled, overlaps = x, [], []
@@ -475,8 +472,7 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
                    lambda f: prods[id(f)][0][walked], work=work)
         if read is not None:  # at the step ends, and point 0 with the first chunk
             ends = np.arange(c.start + (c.start > 0), c.stop + 1) / steps
-            overlaps.append(read(ends, prods, x) if plan[2] == 1 else
-                            read(ends, xs if c.start else np.concatenate([x, xs])))
+            overlaps.append(read(ends, prods, x, xs))
         sampled.append(xs[picked[c][ks][walked]])
         x = xs[-1:].copy()
     e_tau = None
@@ -554,8 +550,7 @@ def evolve(
         check_steps(steps, "steps")
     plan, leaves = _plan(h), _leaves(h)  # one compile serves every walk of the call
     x0 = _walk(plan, psi0.reshape(1, 1, h.dim, -1), frame=1)
-    reader = _product_reader if plan[2] == 1 else _overlap_reader  # see ``_propagate``
-    read = reader(plan, leaves, x0) if track_qsl else None
+    read = _reader(plan, leaves, x0) if track_qsl else None
     counts, coarse, error = [steps // 2] if search else [], None, None
     while True:
         counts.append(steps)

@@ -557,6 +557,17 @@ def test_config_errors_exit_3(capsys, monkeypatch, tmp_path):
     assert main(["no-such-command"]) == EXIT_CONFIG
 
 
+def test_a_negative_seed_exits_3_naming_the_flag(monkeypatch, capsys):
+    # every command that draws input states checks --seed before anything is
+    # built or integrated, rather than exiting with numpy's error, which
+    # names no flag
+    for module in (sal.cli, sal.metrics):
+        monkeypatch.setattr(module, "evolve", no_build)
+    for argv in (["teleport"], ["cae"], ["sce"], ["qsl-check"]):
+        assert main(argv + ["--tau", "1", "--seed", "-1"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
+
+
 def test_a_register_too_large_to_allocate_exits_3(monkeypatch, capsys):
     # numpy raises a MemoryError for an array that the host refuses; no
     # command here asks for one, since whether a host refuses varies

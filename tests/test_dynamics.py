@@ -279,11 +279,12 @@ def test_results_do_not_share_the_work_buffers():
 def test_chunk_products_match_step_by_step_loop():
     # reference: the dense two-exponential CF4 step, applied to the state in
     # turn, and E_tau by Simpson's rule over the step ends (an odd count
-    # closes with one 3/8 panel) of vdot at every step end.  The two-sector
-    # tree reads E_tau from walked states; the one-level trees (a gated
-    # sector shortcut, an sce tree, a dense turning leaf with no coefficient
-    # form) read it from the step products, whose X is formed afresh from
-    # each chunk's first states (3 * _CHUNK + 1 steps: four chunks)
+    # closes with one 3/8 panel) of vdot at every step end.  The two-level
+    # trees (two sectors; two turning leaves with no coefficient form, read
+    # through matrix-unit bras) read E_tau from walked states; the one-level
+    # trees (a gated sector shortcut, an sce tree, a dense turning leaf with
+    # no coefficient form) read it from the step products, whose X is formed
+    # afresh from each chunk's first states (3 * _CHUNK + 1 steps: four chunks)
     rng = np.random.default_rng(14)
     sch = make_schedule("exp")
     two, one = (TeleportSpec(n, sch, gate=gate(g)) for n, g in ((2, "CNOT"), (1, "H")))
@@ -296,8 +297,10 @@ def test_chunk_products_match_step_by_step_loop():
             (cd_controlled(sce), np.stack([controlled_initial_state(random_state(3, rng))
                                            for _ in range(2)], axis=1)),
             (turning, random_state(3, rng))]
-    assert [dynamics._plan(h)[2] for h, _ in runs] == [2, 1, 1, 1]
-    assert terms(turning) is None
+    pair = composite(TensorSum((_turning_leaf(2, rng), _turning_leaf(4, rng))))
+    runs.append((pair, random_state(3, rng)))
+    assert [dynamics._plan(h)[2] for h, _ in runs] == [2, 1, 1, 1, 2]
+    assert terms(turning) is None and [terms(f) for f in dynamics._leaves(pair)] == [None] * 2
     tau = 0.3
     node, a1, a2 = np.sqrt(3) / 6, 0.25 + np.sqrt(3) / 6, 0.25 - np.sqrt(3) / 6
     for h, psi0 in runs:
@@ -390,29 +393,27 @@ def test_the_walk_plan_is_compiled_once_per_pass(monkeypatch):
 def test_a_search_sets_up_once_and_samples_only_its_accepted_pass(monkeypatch):
     # started low, the search doubles; the plan, E_tau's reader and the
     # ground weights are still worked out once per call, and every reported
-    # field is bitwise that of a run at the accepted count.  The reader is
-    # the tree's: the step products' for a one-level tree (a controlled run),
-    # the generator bras' for a deeper one (two teleport sectors)
+    # field is bitwise that of a run at the accepted count.  One reader
+    # serves a one-level tree (a controlled run, read off the step products)
+    # and a deeper one (two teleport sectors, read through generator bras)
     rng = np.random.default_rng(29)
     spec = TeleportSpec(2, make_schedule("linear"), gate=gate("CNOT"))
     runs = [(controlled_hamiltonian(ControlledSpec(1, tau=1.0)), 1.0,
-             controlled_initial_state(random_state(2, rng)), "_product_reader"),
+             controlled_initial_state(random_state(2, rng))),
             (teleport_hamiltonian(spec), 5.0,
-             teleport_initial_state(random_state(2, rng), 2, gate=spec.gate), "_overlap_reader")]
-    calls = {name: [] for name in ("_plan", "_product_reader", "_overlap_reader",
-                                   "_ground_weights")}
+             teleport_initial_state(random_state(2, rng), 2, gate=spec.gate))]
+    calls = {name: [] for name in ("_plan", "_reader", "_ground_weights")}
     for name, seen in calls.items():
         f = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name, lambda *a, f=f, seen=seen: seen.append(1) or f(*a))
     monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: dynamics.MIN_STEPS)
-    for h, tau, psi0, reader in runs:
+    assert [dynamics._plan(h)[2] for h, _, _ in runs] == [1, 2]
+    for h, tau, psi0 in runs:
         for seen in calls.values():
             seen.clear()
         res = evolve(h, psi0, tau, n_samples=5, track_qsl=True)
         assert len(res.step_counts) >= 3  # the N/2 run and two passes at least
-        other = ({"_product_reader", "_overlap_reader"} - {reader}).pop()
-        assert {name: len(seen) for name, seen in calls.items()} == {
-            **dict.fromkeys(calls, 1), other: 0}
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 1)
         want = evolve(h, psi0, tau, steps=res.steps, n_samples=5, track_qsl=True)
         assert res.e_tau == want.e_tau
         for field in ("final_state", "ground_fidelity", "states", "s_samples"):

@@ -149,13 +149,14 @@ def test_only_runs_evolves_a_command_input():
 
 def test_evolve_compiles_once_and_builds_its_result_once():
     # dynamics.evolve sets each call up once and builds one result: the one
-    # call of _plan and the one of EvolutionResult in dynamics.py are inside it
+    # call each of _plan, _reader (E_tau's read) and EvolutionResult in
+    # dynamics.py is inside it
     path = Path(sal.__file__).parent / "dynamics.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     evolve = next(fn for fn in ast.walk(tree)
                   if isinstance(fn, ast.FunctionDef) and fn.name == "evolve")
     inside = {id(node) for node in ast.walk(evolve)}
-    for name in ("_plan", "EvolutionResult"):
+    for name in ("_plan", "_reader", "EvolutionResult"):
         calls = [node for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
         assert len(calls) == 1 and id(calls[0]) in inside, (
