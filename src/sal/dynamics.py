@@ -12,13 +12,14 @@ starts from ``default_steps`` and doubles N until the step-doubling estimate
 ||psi_N - psi_{N/2}|| / 15 of the final state's error is at most STATE_TOL;
 it returns the estimate as ``error_estimate``.  The first pass carries the
 N/2 run alongside the N steps, so an accepted first estimate is one pass.
-A pass only steps: the call sets up once, and samples its accepted pass.
+A pass only steps, in the walk frame, where the estimate is taken; the call
+sets up once, then integrates E_tau, samples and leaves it on the accepted pass.
 
 A Hamiltonian with ``parts`` is a tree (see ``sal.hamiltonians``): tensor
 sums over consecutive slots, orthogonal ancilla branches and constant
 rotations, down to leaf Hamiltonians.  The propagator holds the state in
 the frame where every rotation is undone and every branch projector is
-diagonal, entered and left once per run; a rotation is a small gate
+diagonal, entered and left once per call; a rotation is a small gate
 contracted with its qubits' axes of the state, never a dense operator,
 and a rotation over all of its node's qubits, in order (a sector's parity
 permutation), is one matmul turn of the gate on the node's axis.
@@ -95,7 +96,8 @@ tree's step unitaries over a chunk is the tree of each leaf's ordered chunk
 product.
 
 The speed-limit integral is Simpson's rule over the step ends (an odd step
-count closes with one 3/8 panel) of |<psi(0)|H|psi>|, with no walk of H.
+count closes with one 3/8 panel) of |<psi(0)|H|psi>|, with no walk of H,
+taken once per call, over the accepted pass.
 One read (``_reader``) sums over the leaves f the coefficient row c_f(s_k),
 a form's ``coef`` or H_f(s_k)'s entries over the matrix units, against
 amplitudes a_f(k); the plan's level count picks, once per call, where these
@@ -433,16 +435,15 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
     """Take ``steps`` CF4 steps from the walk-frame states x, shaped
     (1, 1, dim, m), walking the tree's ``plan`` over its distinct ``leaves``.
 
-    Returns the states after the steps j with ``picked[j]`` (step j ends at
-    point j + 1), the final states left from the frame, with a ``read`` of x
-    E_tau of each column j: Simpson's rule over the step ends of
-    |<x_j(0)|H(s_k)|x_j(s_k)>|, and the final states, left from the frame, of
-    the N/2 run that ``halve`` (an even ``steps``) carries alongside
-    (``_cf4_steps``).  ``read`` (``_reader``) takes each chunk's step products
-    and its walked states; only a plan of two or more levels reads the
-    states, so with one level only the reported steps (the picked ones and
-    the last) are walked.  A chunk's products are read from ``cache`` when
-    it holds them."""
+    Returns, in the walk frame, the states after the steps j with ``picked[j]``
+    (step j ends at point j + 1), the final states, those of the N/2 run that
+    ``halve`` (an even ``steps``) carries alongside (``_cf4_steps``; else
+    None), and the E_tau integrand |<x_j|H(s_k)|psi_kj>| of each column j at
+    every step end (None without a ``read``).  ``read`` (``_reader``) takes
+    each chunk's step products and its walked states; only a plan of two or
+    more levels reads the states, so with one level only the reported steps
+    (the picked ones and the last) are walked.  A chunk's products are read
+    from ``cache`` when it holds them."""
     chunks = list(_chunks(steps, max(f.dim for f in leaves), x.size, 2))
     work = list(np.empty((2, chunks[0].stop * x.size), dtype=complex))  # the walks' two buffers
     half, sampled, overlaps = x, [], []
@@ -475,15 +476,8 @@ def _propagate(plan, leaves: list, read, x: np.ndarray, tau: float, steps: int,
             overlaps.append(read(ends, prods, x, xs))
         sampled.append(xs[picked[c][ks][walked]])
         x = xs[-1:].copy()
-    e_tau = None
-    if read is not None:
-        g = np.concatenate(overlaps)
-        m = steps - 3 * (steps % 2)  # Simpson panels over [0, m], a 3/8 panel after
-        e_tau = simpson(g[: m + 1], 1.0 / steps)
-        if steps % 2:
-            e_tau += 3.0 / (8.0 * steps) * ([1.0, 3.0, 3.0, 1.0] @ g[m:])
-    return (np.concatenate(sampled), _walk(plan, x, frame=-1), e_tau,
-            _walk(plan, half, frame=-1) if halve else None)
+    return (np.concatenate(sampled), x, half if halve else None,
+            None if read is None else np.concatenate(overlaps))
 
 
 def evolve(
@@ -513,11 +507,12 @@ def evolve(
     Without ``steps``, the step count is doubled from ``default_steps`` until
     the step-doubling estimate of the final state's error, returned as
     ``error_estimate``, is at most STATE_TOL in every column (the largest
-    column error is the estimate); ``steps`` is then the accepted
-    count, and ``step_counts`` the N of every run in order: the N/2 run,
-    which rides in the first pass, then each N tried.  ToleranceError if the
-    estimate is not finite or doubling would pass MAX_STEPS.  Each pass only
-    steps (``_propagate``): the call sets up once and samples the accepted one.
+    column error is the estimate); ``steps`` is then the accepted count, and
+    ``step_counts`` the N of every run in order: the N/2 run, which rides in
+    the first pass, then each N tried.  ToleranceError if the estimate is not
+    finite or doubling would pass MAX_STEPS.  Each pass only steps
+    (``_propagate``); the call integrates E_tau, samples and leaves the walk
+    frame once, on the accepted pass.
 
     ``cache``, a StepCache made for ``h``, lends its step products and the
     search's first count to this call and keeps the ones it forms, for later
@@ -558,13 +553,13 @@ def evolve(
         sample_idx = sample_idx[np.diff(sample_idx, prepend=-1) > 0]  # np.unique, minus numpy.ma
         picked = np.zeros(steps, dtype=bool)
         picked[sample_idx[sample_idx > 0] - 1] = True
-        sampled, final, e_tau, half = _propagate(plan, leaves, read, x0, tau, steps, picked,
-                                                 cache, search and coarse is None)
+        sampled, final, half, g = _propagate(plan, leaves, read, x0, tau, steps, picked,
+                                             cache, search and coarse is None)
         if not search:
             break
         if coarse is None:  # the N/2 run rode in this first pass
             coarse = half
-        # psi_N - psi_{N/2} ~ (2^4 - 1) times the error of psi_N for a fourth-order step
+        # psi_N - psi_{N/2} ~ (2^4 - 1) times psi_N's error (fourth order); the frame is unitary
         error = float(np.max(np.linalg.norm(final - coarse, axis=-2))) / 15.0
         if error <= STATE_TOL:
             break
@@ -575,6 +570,12 @@ def evolve(
                 "estimate is not finite"
             )
         coarse, steps = final, 2 * steps
+    e_tau = None
+    if read is not None:  # over the accepted pass
+        m = steps - 3 * (steps % 2)  # Simpson panels over [0, m], a 3/8 panel after
+        e_tau = simpson(g[: m + 1], 1.0 / steps)
+        if steps % 2:
+            e_tau += 3.0 / (8.0 * steps) * ([1.0, 3.0, 3.0, 1.0] @ g[m:])
     ground = np.empty((0, x0.shape[-1]))
     if n_samples:  # the first sample point is s = 0
         sampled = np.concatenate([x0, sampled])
@@ -584,7 +585,7 @@ def evolve(
                                           for c in _chunks(len(sampled), 1, psi0.size))])
     return EvolutionResult(
         initial_state=psi0,
-        final_state=final.reshape(psi0.shape),
+        final_state=_walk(plan, final, frame=-1).reshape(psi0.shape),
         s_samples=sample_idx / steps,
         ground_fidelity=ground if psi0.ndim > 1 else ground[:, 0],
         states=states.reshape((-1,) + psi0.shape),

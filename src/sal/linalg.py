@@ -75,11 +75,11 @@ def check_finite(value: float, name: str) -> float:
 
 def check_state(psi, dim: int) -> np.ndarray:
     """psi as a complex array, checked to be a state of ``dim`` entries or a
-    (dim, m) block of them whose columns are each finite with unit norm
-    within STATE_NORM_TOL: ValueError naming the shape or the first bad
+    (dim, m) block of m >= 1 of them whose columns are each finite with unit
+    norm within STATE_NORM_TOL: ValueError naming the shape or the first bad
     column for anything else."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.shape[0] != dim:
+    if psi.ndim not in (1, 2) or psi.shape[0] != dim or not psi.size:
         raise ValueError(f"a state has shape ({dim},) or ({dim}, m), got {psi.shape}")
     norms = np.sqrt(np.add.reduce((psi.conj() * psi).real, axis=0)).reshape(-1)
     ok = np.abs(norms - 1.0) <= STATE_NORM_TOL  # False for a NaN norm

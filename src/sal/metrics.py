@@ -299,17 +299,15 @@ def qsl_report(res: EvolutionResult) -> QslReport | list[QslReport]:
     ``track_qsl=True``, which integrates
     E_tau = (1/tau) int |<psi(0)|H(t)|psi(t)>| dt by Simpson's rule over the
     step ends, from the run's own checked input ``res.initial_state``.  For
-    a (dim, m) block, one report per column; a scalar E_tau then stands for
-    every column.  A non-finite E_tau (a sum of terms ~ 1/tau that
-    overflowed) is not satisfied."""
+    a (dim, m) block, one report per column.  A non-finite E_tau (a sum of
+    terms ~ 1/tau that overflowed) is not satisfied."""
     psi0 = res.initial_state
     if res.e_tau is None:
         raise ValueError("the evolution did not track E_tau (track_qsl=True)")
     if psi0.ndim == 1:
         return _qsl_report(res.tau, psi0, res.final_state, float(res.e_tau))
-    e_taus = np.broadcast_to(res.e_tau, psi0.shape[1:])
     return [_qsl_report(res.tau, a, b, float(e_tau))
-            for a, b, e_tau in zip(psi0.T, res.final_state.T, e_taus)]
+            for a, b, e_tau in zip(psi0.T, res.final_state.T, res.e_tau)]
 
 
 def _qsl_report(tau: float, psi0: np.ndarray, final: np.ndarray, e_tau: float) -> QslReport:

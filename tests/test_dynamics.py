@@ -706,7 +706,7 @@ def test_first_pass_carries_the_half_step_run(driver, monkeypatch):
     # a default run whose first estimate is accepted is one pass: its final
     # state and E_tau are those of the run at its step count, bit for bit, and
     # with both counts in one chunk its estimate is the one a separate N/2
-    # pass gives
+    # pass gives, from the two passes' final states in the walk frame
     rng = np.random.default_rng(19)
     if driver == "controlled":
         h = cd_controlled(ControlledSpec(2, axis="y", phi=1.3, tau=1.5))
@@ -720,12 +720,30 @@ def test_first_pass_carries_the_half_step_run(driver, monkeypatch):
     res = evolve(h, psi0, track_qsl=True)
     n = res.steps
     assert len(compiles) == 1 and res.step_counts == (n // 2, n) and n <= _CHUNK
+    propagate, passes = dynamics._propagate, []
+    monkeypatch.setattr(dynamics, "_propagate",
+                        lambda *a: passes.append(propagate(*a)) or passes[-1])
     full = evolve(h, psi0, steps=n, track_qsl=True)
-    half = evolve(h, psi0, steps=n // 2, n_samples=0)
+    evolve(h, psi0, steps=n // 2, n_samples=0)
     assert np.array_equal(res.final_state, full.final_state) and res.e_tau == full.e_tau
     assert np.array_equal(res.ground_fidelity, full.ground_fidelity)
-    error = float(np.max(np.linalg.norm(full.final_state - half.final_state, axis=0))) / 15.0
-    assert res.error_estimate == error
+    (_, final, *_), (_, half, *_) = passes
+    assert res.error_estimate == float(np.max(np.linalg.norm(final - half, axis=-2))) / 15.0
+
+
+def test_a_search_integrates_e_tau_and_leaves_the_frame_once(monkeypatch):
+    # the step search runs five passes, yet only the accepted one is
+    # integrated and taken out of the walk frame
+    walk, simpson, exits, rules = dynamics._walk, dynamics.simpson, [], []
+    monkeypatch.setattr(dynamics, "default_steps", lambda h, tau: 100)
+    monkeypatch.setattr(dynamics, "_walk",
+                        lambda *a, **k: exits.append(k.get("frame") == -1) or walk(*a, **k))
+    monkeypatch.setattr(dynamics, "simpson", lambda *a: rules.append(1) or simpson(*a))
+    h = cd_controlled(ControlledSpec(2, axis="y", phi=1.3, tau=10.0))
+    psi0 = controlled_initial_state(random_state(3, np.random.default_rng(20)))
+    res = evolve(h, psi0, n_samples=0, track_qsl=True)
+    assert res.step_counts == (50, 100, 200, 400, 800)
+    assert sum(exits) == 1 and len(rules) == 1
 
 
 def test_mixed_leaves_match_dense():
@@ -926,7 +944,8 @@ PSI = teleport_initial_state(np.array([1.0, 0]), 1)
     (np.where(np.arange(8) == 0, np.nan, PSI), r"column 0 has norm nan,"),
     (np.stack([PSI, PSI * (1 + 1e-9)], axis=1), r"column 1 has norm 1\.000000001"),
     (PSI.reshape(8, 1, 1), r"shape \(8,\) or \(8, m\), got \(8, 1, 1\)"),
-], ids=["zero", "norm-3", "nan", "block-column-1", "8x1x1"])
+    (np.zeros((8, 0)), r"shape \(8,\) or \(8, m\), got \(8, 0\)"),
+], ids=["zero", "norm-3", "nan", "block-column-1", "8x1x1", "8x0"])
 def test_api_takes_only_unit_states(state, match):
     # evolve and the speed-limit check take their input states where they
     # enter, instead of reporting on a non-state as if it were one

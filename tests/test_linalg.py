@@ -13,6 +13,7 @@ from sal.linalg import (
     _chunks,
     _polished,
     _running_products,
+    check_state,
     eigh,
     embed,
     expm_hermitian,
@@ -71,6 +72,14 @@ def test_eigh_reconstruction(dim):
     scale = np.linalg.norm(h)
     assert np.linalg.norm((v * lam) @ v.conj().T - h) <= 1e-9 * scale
     assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-9
+
+
+def test_check_state_rejects_a_block_of_no_columns():
+    # a (dim, 0) block has no column to check: it fails where it enters, not
+    # in a reshape further on
+    with pytest.raises(ValueError, match=r"or \(4, m\), got \(4, 0\)$"):
+        check_state(np.zeros((4, 0)), 4)
+    assert check_state(np.eye(4)[:, :1], 4).shape == (4, 1)
 
 
 def test_eigh_rejects_non_hermitian():

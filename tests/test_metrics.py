@@ -559,10 +559,6 @@ def test_qsl_check_reports_each_column_of_a_block():
         for field in ("bures_angle", "e_tau", "bound"):
             assert abs(getattr(rep, field) - getattr(single, field)) <= 1e-12
         assert rep.satisfied and single.satisfied
-    # one scalar E_tau stands for every column
-    res = evolve(hsa, block, 0.25, steps=400, track_qsl=True)
-    res.e_tau = 0.5
-    assert [rep.e_tau for rep in qsl_report(res)] == [0.5] * 3
 
 
 def test_qsl_report_reads_the_runs_own_initial_state():
